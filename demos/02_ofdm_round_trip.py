@@ -41,23 +41,23 @@ print(f"2. oversample-extended to {extended.size} bins; "
 
 baseband = ofdm_modulate(extended, params)
 energy_f = np.sum(np.abs(extended) ** 2)
-energy_t = np.sum(np.abs(baseband.samples) ** 2)
+energy_t = np.sum(np.abs(baseband) ** 2)
 print(f"3. modulated (unitary inverse transform); Parseval residual = "
       f"{abs(energy_f - energy_t) / energy_f:.2e}")
 
-spectrum = np.fft.fft(baseband.samples) / np.sqrt(baseband.samples.size)
+spectrum = np.fft.fft(baseband) / np.sqrt(baseband.size)
 print(f"   spectrum on the inserted-zero bins stays below "
       f"{np.max(np.abs(spectrum[zeros])):.2e}")
 
 with_cp = add_cyclic_prefix(baseband, params.cp_oversampled)
 print(f"4. cyclic prefix adds {params.cp_oversampled} samples "
-      f"-> block of {len(with_cp)}")
+      f"-> block of {with_cp.size}")
 
-passband = upconvert(with_cp, params.carrier_hz)
+passband = upconvert(with_cp, params)
 print(f"5. passband is real, mean power preserved within "
-      f"{abs(np.mean(passband.samples**2) / np.mean(np.abs(with_cp.samples)**2) - 1):.1%}")
+      f"{abs(np.mean(passband**2) / np.mean(np.abs(with_cp)**2) - 1):.1%}")
 
-received = downconvert(passband, params.carrier_hz, params)
+received = downconvert(passband, params)
 stripped = remove_cyclic_prefix(received, params.cp_oversampled)
 recovered = ofdm_demodulate(stripped, params)
 evm = np.sqrt(np.mean(np.abs(recovered - frame) ** 2))

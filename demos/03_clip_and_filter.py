@@ -1,21 +1,28 @@
 """Clipping and composed filtering of a batch of OFDM symbols.
 
 Demonstrates the clip-level bookkeeping (A = CR * sigma), the out-of-band
-suppression of the composed filter, and peak regrowth.
+suppression of the composed filter, and peak regrowth. Every stage takes the
+whole batch at once: one row per symbol, samples along the last axis.
 
 Run:  python demos/03_clip_and_filter.py
 """
 import numpy as np
 
-from paprsim import ExperimentSpec, ModScheme, OfdmParams, experiment_hpf
-from paprsim.clip_filter import _band_gains, _composed_rows
-from paprsim.harness import (
-    _clip_magnitude_rows,
-    _papr_db_rows,
-    _random_bits,
-    _tx_baseband_frames,
-    _upconvert_rows,
+from paprsim import (
+    ExperimentSpec,
+    ModScheme,
+    OfdmParams,
+    band_gains,
+    clip_baseband,
+    composed_filter,
     envelope_magnitude,
+    experiment_hpf,
+    map_bits,
+    ofdm_modulate,
+    oversample_extend,
+    papr_db,
+    rms,
+    upconvert,
 )
 
 params = OfdmParams()
@@ -24,23 +31,23 @@ hpf = experiment_hpf(ExperimentSpec())
 rng = np.random.default_rng(3)
 
 n_frames = 500
-bits = _random_bits(rng, n_frames, params.n_subcarriers * scheme.bits_per_symbol)
-baseband = _tx_baseband_frames(bits, scheme, params, cp=False)
-sigma = float(np.sqrt(np.mean(np.abs(baseband) ** 2)))
+bits_per_frame = params.n_subcarriers * scheme.bits_per_symbol
+bits = rng.integers(0, 2, size=(n_frames, bits_per_frame), dtype=np.uint8)
+baseband = ofdm_modulate(oversample_extend(map_bits(bits, scheme), params.oversample), params)
+sigma = rms(baseband)
 print(f"batch of {n_frames} symbols, envelope RMS sigma = {sigma:.4f}")
 
+in_band = band_gains(params, hpf) != 0
 for cr in (0.8, 1.2, 1.6):
     amplitude = cr * sigma
-    clipped = _clip_magnitude_rows(baseband, amplitude)
-    passband = _upconvert_rows(clipped, params.carrier_hz, params.sample_hz)
-    filtered = _composed_rows(passband, params, hpf)
+    clipped = clip_baseband(baseband, amplitude)
+    filtered = composed_filter(upconvert(clipped, params), params, hpf)
     envelope = envelope_magnitude(filtered, params)
 
-    papr_before = np.median(_papr_db_rows(np.abs(baseband) ** 2))
-    papr_after = np.median(_papr_db_rows(envelope**2))
+    papr_before = np.median(papr_db(baseband))
+    papr_after = np.median(papr_db(envelope))
 
     spectrum = np.fft.fft(filtered, axis=-1)
-    in_band = np.abs(_band_gains(params, hpf)) > 0
     oob = np.sum(np.abs(spectrum[:, ~in_band]) ** 2)
     ib = np.sum(np.abs(spectrum[:, in_band]) ** 2)
     regrown = np.mean(np.max(envelope, axis=1) > amplitude)

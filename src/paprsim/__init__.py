@@ -9,7 +9,14 @@ with CCDF/PAPR statistics and AWGN bit-error-rate sweeps.
 """
 
 from .channel import NoiseConfig, add_awgn, noise_sigma
-from .clip_filter import ClipConfig, clip_baseband, clip_passband, composed_filter, default_hpf_spec, rms
+from .clip_filter import (
+    band_gains,
+    clip_baseband,
+    clip_passband,
+    composed_filter,
+    default_hpf_spec,
+    rms,
+)
 from .constellation import (
     SCHEME_NAMES,
     ConstellationTable,
@@ -48,19 +55,9 @@ from .harness import (
     write_ber_curve_csv,
     write_ccdf_csv,
 )
-from .metrics import (
-    BerPoint,
-    BitErrorCount,
-    CcdfCurve,
-    ccdf_quantile,
-    count_bit_errors,
-    estimate_ccdf,
-    papr_db,
-)
+from .metrics import CcdfCurve, ccdf_quantile, estimate_ccdf, papr_db
 from .ofdm_chain import (
-    BasebandSignal,
     OfdmParams,
-    PassbandSignal,
     add_cyclic_prefix,
     downconvert,
     inserted_zero_bins,
@@ -74,12 +71,8 @@ from .ofdm_chain import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasebandSignal",
-    "BerPoint",
     "BerRow",
-    "BitErrorCount",
     "CcdfCurve",
-    "ClipConfig",
     "ConfigError",
     "ConstellationTable",
     "DesignError",
@@ -93,20 +86,19 @@ __all__ = [
     "OfdmParams",
     "PaprRow",
     "PaprSimError",
-    "PassbandSignal",
     "SCHEME_NAMES",
     "ShapeError",
     "add_awgn",
     "add_cyclic_prefix",
     "alternation_count",
     "amplitude_response",
+    "band_gains",
     "ccdf_quantile",
     "clip_attenuation",
     "clip_baseband",
     "clip_passband",
     "composed_filter",
     "constellation_points",
-    "count_bit_errors",
     "default_hpf_spec",
     "demap_symbols",
     "design_equiripple",

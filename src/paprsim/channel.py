@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .ofdm_chain import PassbandSignal
 
 
 @dataclass(frozen=True)
@@ -72,15 +71,16 @@ def noise_sigma(config: NoiseConfig, signal_power: float) -> float:
     return float(np.sqrt(variance))
 
 
-def _awgn_rows(samples: np.ndarray, sigma_n: float, rng: np.random.Generator) -> np.ndarray:
-    if sigma_n == 0:
-        return samples
-    return samples + rng.normal(0.0, sigma_n, samples.shape)
+def add_awgn(samples, sigma_n: float, rng) -> np.ndarray:
+    """Add zero-mean white Gaussian noise of standard deviation ``sigma_n``.
 
-
-def add_awgn(signal: PassbandSignal, sigma_n: float, seed: int) -> PassbandSignal:
-    """Add zero-mean white Gaussian noise; identical bytes for identical seeds."""
+    ``rng`` is a seed or a ``np.random.Generator``; a Generator is used as
+    is, so identical seeds give identical bytes. ``sigma_n = 0`` returns the
+    input unchanged and draws nothing.
+    """
     if sigma_n < 0:
         raise ConfigError("sigma_n must be non-negative")
-    rng = np.random.default_rng(seed)
-    return PassbandSignal(_awgn_rows(signal.samples, sigma_n, rng), signal.sample_hz)
+    if sigma_n == 0:
+        return samples
+    samples = np.asarray(samples)
+    return samples + np.random.default_rng(rng).normal(0.0, sigma_n, samples.shape)

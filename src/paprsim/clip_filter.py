@@ -16,104 +16,63 @@ shift.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import fir_design
 from .errors import ConfigError, ShapeError
-from .ofdm_chain import BasebandSignal, OfdmParams, PassbandSignal
+from .ofdm_chain import OfdmParams, _require_block
 
 
-@dataclass(frozen=True)
-class ClipConfig:
-    """Clip level bookkeeping: amplitude = cr * sigma."""
-
-    cr: float
-    sigma: float
-
-    def __post_init__(self):
-        if self.cr <= 0:
-            raise ConfigError("clipping ratio cr must be positive")
-        if self.sigma <= 0:
-            raise ConfigError("sigma must be positive")
-
-    @property
-    def amplitude(self) -> float:
-        return self.cr * self.sigma
-
-
-def rms(signal) -> float:
-    """Root mean square of the sample magnitudes."""
-    if isinstance(signal, (PassbandSignal, BasebandSignal)):
-        samples = signal.samples
-    else:
-        samples = np.asarray(signal)
+def rms(samples) -> float:
+    """Root mean square of the sample magnitudes over the whole array."""
+    samples = np.asarray(samples)
     if samples.size == 0:
         raise ShapeError("rms of an empty signal is undefined")
     return float(np.sqrt(np.mean(np.abs(samples) ** 2)))
 
 
-def clip_passband(signal: PassbandSignal, amplitude: float) -> PassbandSignal:
+def clip_passband(samples, amplitude: float) -> np.ndarray:
     """Hard-limit real samples to [-amplitude, +amplitude]."""
     if amplitude <= 0:
         raise ConfigError("clip amplitude must be positive")
-    return PassbandSignal(np.clip(signal.samples, -amplitude, amplitude), signal.sample_hz)
+    return np.clip(samples, -amplitude, amplitude)
 
 
-def clip_baseband(signal: BasebandSignal, amplitude: float) -> BasebandSignal:
+def clip_baseband(samples, amplitude: float) -> np.ndarray:
     """Limit complex sample magnitudes to ``amplitude``, preserving phase."""
     if amplitude <= 0:
         raise ConfigError("clip amplitude must be positive")
-    x = signal.samples
-    mag = np.abs(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(mag > amplitude, amplitude / mag, 1.0)
-    return BasebandSignal(x * scale, signal.sample_hz)
+    samples = np.asarray(samples)
+    mag = np.abs(samples)
+    return np.where(mag > amplitude, samples * (amplitude / np.where(mag == 0, 1.0, mag)), samples)
 
 
-def _band_gains(params: OfdmParams, hpf: fir_design.FirFilter) -> np.ndarray:
-    """Real symmetric per-bin multiplier: 0 out of band, HPF amplitude in band.
+def band_gains(params: OfdmParams, hpf: fir_design.FirFilter) -> np.ndarray:
+    """Real even per-bin multiplier of the composed filter: 0 out of band,
+    HPF amplitude in band.
 
-    The occupied band is [f_c - BW/2, f_c + BW/2] plus its negative-frequency
+    The occupied band is ``params.occupied_bins`` plus its negative-frequency
     image; all other bins are the zero-insertion region translated to
     passband and are forced back to exactly zero.
     """
-    total = params.n_oversampled
-    freqs = np.fft.fftfreq(total, d=1.0 / params.sample_hz)
-    lo = params.carrier_hz - params.bandwidth_hz / 2
-    hi = params.carrier_hz + params.bandwidth_hz / 2
-    guard = 1e-9 * params.sample_hz
-    in_band = (np.abs(freqs) >= lo - guard) & (np.abs(freqs) <= hi + guard)
-    gains = np.zeros(total)
-    gains[in_band] = fir_design.amplitude_response(
-        hpf, np.abs(freqs[in_band]) / params.sample_hz
-    )
+    band = params.occupied_bins
+    gains = np.zeros(params.n_oversampled)
+    gains[band] = fir_design.amplitude_response(hpf, band / params.n_oversampled)
+    gains[-band] = gains[band]
     return gains
 
 
-def _composed_rows(
-    samples: np.ndarray, params: OfdmParams, hpf: fir_design.FirFilter
-) -> np.ndarray:
-    gains = _band_gains(params, hpf)
-    spectrum = np.fft.fft(samples, axis=-1) * gains
-    return np.fft.ifft(spectrum, axis=-1).real
-
-
-def composed_filter(
-    signal: PassbandSignal, params: OfdmParams, hpf: fir_design.FirFilter
-) -> PassbandSignal:
+def composed_filter(samples, params: OfdmParams, hpf: fir_design.FirFilter) -> np.ndarray:
     """FFT, out-of-band re-zeroing plus in-band high-pass scaling, IFFT.
 
-    Operates on exactly one OFDM symbol of N*L samples (prefix excluded).
-    The gain vector is real and even in frequency, so conjugate symmetry is
-    preserved and the output is real.
+    Operates on blocks of exactly one OFDM symbol, (..., N*L) real samples
+    (prefix excluded). The gain vector is real and even in frequency, so
+    conjugate symmetry is preserved and the output is real.
     """
-    if len(signal) != params.n_oversampled:
-        raise ShapeError(
-            f"signal length {len(signal)} != n_subcarriers * oversample = {params.n_oversampled}"
-        )
-    return PassbandSignal(_composed_rows(signal.samples, params, hpf), signal.sample_hz)
+    samples = np.asarray(samples)
+    _require_block(samples, params, "signal")
+    spectrum = np.fft.fft(samples, axis=-1) * band_gains(params, hpf)
+    return np.fft.ifft(spectrum, axis=-1).real
 
 
 def default_hpf_spec(

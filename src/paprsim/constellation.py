@@ -166,32 +166,30 @@ def constellation_points(scheme: ModScheme) -> ConstellationTable:
 
 
 def map_bits(bits, scheme: ModScheme) -> np.ndarray:
-    """Map a 0/1 sequence to complex symbols, log2(M) bits per symbol."""
+    """Map 0/1 bits (..., n*k) to complex symbols (..., n), k = log2(M)."""
     bits = np.asarray(bits)
-    if bits.ndim != 1:
-        raise ShapeError("bits must be one-dimensional")
     k = scheme.bits_per_symbol
-    if bits.size % k:
+    if bits.shape[-1] % k:
         raise ShapeError(
-            f"bit count {bits.size} is not divisible by log2(M) = {k} for {scheme.name}"
+            f"bit count {bits.shape[-1]} is not divisible by log2(M) = {k} for {scheme.name}"
         )
-    if bits.size and not np.isin(bits, (0, 1)).all():
+    if bits.size and not ((bits == 0) | (bits == 1)).all():
         raise ShapeError("bits must contain only 0 and 1")
-    table = constellation_points(scheme)
-    groups = bits.reshape(-1, k).astype(np.int64)
+    groups = bits.reshape(bits.shape[:-1] + (-1, k)).astype(np.int64)
     ints = groups @ (1 << np.arange(k - 1, -1, -1))
-    return table.point_for_label[ints]
+    return constellation_points(scheme).point_for_label[ints]
 
 
 def demap_symbols(symbols, scheme: ModScheme) -> np.ndarray:
-    """Hard-decide each symbol to the nearest table point and emit its label bits.
+    """Hard-decide symbols (..., n) to the nearest table points and emit their
+    label bits (..., n*k).
 
     Distance ties go to the lowest table index.
     """
-    y = np.asarray(symbols, dtype=complex).reshape(-1)
+    symbols = np.asarray(symbols, dtype=complex)
     table = constellation_points(scheme)
-    idx = _nearest_indices(y, table.points)
-    return table.labels[idx].reshape(-1)
+    idx = _nearest_indices(symbols.reshape(-1), table.points)
+    return table.labels[idx].reshape(symbols.shape[:-1] + (-1,))
 
 
 def _nearest_indices(symbols: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -199,21 +197,3 @@ def _nearest_indices(symbols: np.ndarray, points: np.ndarray) -> np.ndarray:
     re = np.outer(symbols.real, points.real) + np.outer(symbols.imag, points.imag)
     scores = np.abs(points) ** 2 - 2.0 * re
     return np.argmin(scores, axis=1)
-
-
-def _map_rows(bits: np.ndarray, scheme: ModScheme) -> np.ndarray:
-    """Vectorized mapper for a (n_frames, n_bits) array of bits."""
-    n_frames = bits.shape[0]
-    k = scheme.bits_per_symbol
-    table = constellation_points(scheme)
-    groups = bits.reshape(n_frames, -1, k).astype(np.int64)
-    ints = groups @ (1 << np.arange(k - 1, -1, -1))
-    return table.point_for_label[ints]
-
-
-def _demap_rows(symbols: np.ndarray, scheme: ModScheme) -> np.ndarray:
-    """Vectorized demapper; returns a (n_frames, n_bits) array of bits."""
-    n_frames = symbols.shape[0]
-    table = constellation_points(scheme)
-    idx = _nearest_indices(symbols.reshape(-1), table.points)
-    return table.labels[idx].reshape(n_frames, -1)

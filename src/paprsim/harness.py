@@ -33,26 +33,44 @@ from pathlib import Path
 import numpy as np
 
 from . import fir_design
-from .channel import NoiseConfig, _awgn_rows, noise_sigma
-from .clip_filter import _composed_rows, default_hpf_spec
-from .constellation import ModScheme, _demap_rows, _map_rows
+from .channel import NoiseConfig, add_awgn, noise_sigma
+from .clip_filter import clip_baseband, composed_filter, default_hpf_spec, rms
+from .constellation import SCHEME_NAMES, ModScheme, demap_symbols, map_bits
 from .errors import ConfigError, ExperimentError
 from .metrics import CcdfCurve, _papr_db_rows, ccdf_quantile, estimate_ccdf
 from .ofdm_chain import (
     OfdmParams,
-    _demodulate_rows,
-    _extend_rows,
     _filter_rows,
     _image_filter_for,
-    _modulate_rows,
-    _upconvert_rows,
+    _mix_down,
+    _require_block,
+    add_cyclic_prefix,
+    ofdm_demodulate,
+    ofdm_modulate,
+    oversample_extend,
+    remove_cyclic_prefix,
+    upconvert,
 )
+
+# The harness calls the layer functions through the stage names that
+# perfbench/interactions.json lists, because perfbench/spans.py times a stage
+# by wrapping that module-level name. Each name is bound to the public
+# function itself, so every stage keeps one implementation. The bindings go
+# once the stage table names the public functions (ROADMAP item 4).
+_map_rows = map_bits
+_extend_rows = oversample_extend
+_modulate_rows = ofdm_modulate
+_clip_magnitude_rows = clip_baseband
+_upconvert_rows = upconvert
+_composed_rows = composed_filter
+_awgn_rows = add_awgn
+_demodulate_rows = ofdm_demodulate
+_demap_rows = demap_symbols
 
 #: Default CCDF threshold grid (dB); 0.05 dB steps bound the quantile
 #: interpolation error well below the experiment tolerances.
 CCDF_THRESHOLDS_DB = np.arange(0.0, 25.0 + 1e-9, 0.05)
 
-_DEFAULT_SCHEMES = ("qpsk", "qam", "8psk", "8qam", "16psk", "16qam", "32psk", "32qam")
 _PAIRS = {4: ("qpsk", "qam"), 8: ("8psk", "8qam"), 16: ("16psk", "16qam"), 32: ("32psk", "32qam")}
 
 _FRAME_CHUNK = 2048  # frames processed per FFT batch, bounds peak memory
@@ -65,7 +83,7 @@ class ExperimentSpec:
     a 2 MHz carrier, prefix 32, CR sweep 0.8 to 1.6)."""
 
     params: OfdmParams = OfdmParams()
-    schemes: tuple[ModScheme, ...] = tuple(ModScheme.from_name(n) for n in _DEFAULT_SCHEMES)
+    schemes: tuple[ModScheme, ...] = tuple(ModScheme.from_name(n) for n in SCHEME_NAMES)
     cr_values: tuple[float, ...] = (0.8, 1.0, 1.2, 1.4, 1.6)
     ccdf_read_point: float = 1e-3
     n_symbols: int = 10_000
@@ -159,34 +177,25 @@ def _tx_baseband_frames(
     out = np.empty((bits.shape[0], params.n_oversampled + cp_n), dtype=complex)
     for start in range(0, bits.shape[0], _FRAME_CHUNK):
         chunk = bits[start : start + _FRAME_CHUNK]
-        symbols = _map_rows(chunk, scheme)
-        baseband = _modulate_rows(_extend_rows(symbols, params.oversample))
-        if cp_n:
-            baseband = np.concatenate([baseband[:, -cp_n:], baseband], axis=1)
-        out[start : start + chunk.shape[0]] = baseband
+        frames = _extend_rows(_map_rows(chunk, scheme), params.oversample)
+        out[start : start + chunk.shape[0]] = add_cyclic_prefix(_modulate_rows(frames, params), cp_n)
     return out
 
 
-def _clip_magnitude_rows(samples: np.ndarray, amplitude: float) -> np.ndarray:
-    """Limit complex magnitudes to ``amplitude``, preserving phase."""
-    mag = np.abs(samples)
-    return np.where(mag > amplitude, samples * (amplitude / np.where(mag == 0, 1.0, mag)), samples)
-
-
 def envelope_magnitude(samples: np.ndarray, params: OfdmParams) -> np.ndarray:
-    """|complex envelope| of real passband rows, via the analytic signal.
+    """|complex envelope| of real passband blocks (..., N*L), via the
+    analytic signal.
 
-    Selects the positive-frequency occupied band [f_c - BW/2, f_c + BW/2] in
+    Keeps the positive-frequency occupied band (``params.occupied_bins``) in
     the DFT domain and scales by sqrt(2), undoing ``upconvert``'s power
     convention; the result's magnitude equals the transmitted envelope's.
+    A band edge at Nyquist is left out: that bin is its own conjugate image.
     PAPR of an OFDM symbol is defined on this envelope.
     """
-    total = samples.shape[-1]
-    freqs = np.fft.fftfreq(total, d=1.0 / params.sample_hz)
-    guard = 1e-9 * params.sample_hz
-    mask = (freqs >= params.carrier_hz - params.bandwidth_hz / 2 - guard) & (
-        freqs <= params.carrier_hz + params.bandwidth_hz / 2 + guard
-    )
+    _require_block(samples, params, "signal")
+    band = params.occupied_bins
+    mask = np.zeros(params.n_oversampled, dtype=bool)
+    mask[band[2 * band < params.n_oversampled]] = True
     analytic = np.fft.ifft(np.fft.fft(samples, axis=-1) * mask, axis=-1)
     return np.sqrt(2.0) * np.abs(analytic)
 
@@ -196,19 +205,17 @@ def _clip_filter_blocks(
     amplitude: float,
     params: OfdmParams,
     hpf: fir_design.FirFilter,
-    cp_n: int,
 ) -> np.ndarray:
     """Envelope-clip full baseband blocks, upconvert, filter the prefix-free
     symbol, and rebuild the prefix from the filtered tail. Returns passband
     blocks ready for the channel."""
+    cp_n = params.cp_oversampled
     out = np.empty(baseband_blocks.shape)
     for start in range(0, baseband_blocks.shape[0], _FRAME_CHUNK):
         chunk = _clip_magnitude_rows(baseband_blocks[start : start + _FRAME_CHUNK], amplitude)
-        passband = _upconvert_rows(chunk, params.carrier_hz, params.sample_hz)
-        filtered = _composed_rows(passband[:, cp_n:], params, hpf)
-        if cp_n:
-            filtered = np.concatenate([filtered[:, -cp_n:], filtered], axis=1)
-        out[start : start + chunk.shape[0]] = filtered
+        passband = remove_cyclic_prefix(_upconvert_rows(chunk, params), cp_n)
+        filtered = _composed_rows(passband, params, hpf)
+        out[start : start + chunk.shape[0]] = add_cyclic_prefix(filtered, cp_n)
     return out
 
 
@@ -250,22 +257,17 @@ def _receive_symbols(
     """
     taps = _image_filter_for(params).taps
     pad = min(taps.size, params.n_oversampled)
+    delay = (taps.size - 1) // 2
     cp_n = params.cp_oversampled
     block_len = rx_blocks.shape[1]
-    carrier = np.exp(
-        2j * np.pi * params.carrier_hz * np.arange(block_len) / params.sample_hz
-    )
     symbol_rows = []
     for start in range(0, rx_blocks.shape[0], _FRAME_CHUNK):
-        chunk = rx_blocks[start : start + _FRAME_CHUNK]
-        mixed = np.sqrt(2.0) * chunk * np.conj(carrier)
+        mixed = _mix_down(rx_blocks[start : start + _FRAME_CHUNK], params)
         ext = np.concatenate(
             [mixed[:, block_len - pad :], mixed, mixed[:, cp_n : cp_n + pad]], axis=1
         )
-        delay = (taps.size - 1) // 2
-        filtered = _filter_rows(ext, taps)[:, delay : delay + ext.shape[1]]
-        data = filtered[:, pad + cp_n : pad + block_len]
-        symbol_rows.append(_demodulate_rows(data, params.n_subcarriers))
+        filtered = _filter_rows(ext, taps)[:, delay + pad : delay + pad + block_len]
+        symbol_rows.append(_demodulate_rows(remove_cyclic_prefix(filtered, cp_n), params))
     symbols = np.concatenate(symbol_rows, axis=0)
     gain = signal_gain
     if gain is None:
@@ -293,15 +295,13 @@ def _papr_cell(
     baseband = _tx_baseband_frames(bits, scheme, params, cp=False)
     # The unclipped symbol is in-band by construction, so its envelope is the
     # baseband signal itself, and sigma matches the passband RMS exactly.
-    sigma = float(np.sqrt(np.mean(np.abs(baseband) ** 2)))
-    amplitude = cr * sigma
+    amplitude = cr * rms(baseband)
 
     unclipped_papr = _papr_db_rows(np.abs(baseband) ** 2)
     processed_papr = np.empty(spec.n_symbols)
     for start in range(0, baseband.shape[0], _FRAME_CHUNK):
         chunk = _clip_magnitude_rows(baseband[start : start + _FRAME_CHUNK], amplitude)
-        passband = _upconvert_rows(chunk, params.carrier_hz, params.sample_hz)
-        filtered = _composed_rows(passband, params, hpf)
+        filtered = _composed_rows(_upconvert_rows(chunk, params), params, hpf)
         envelope = envelope_magnitude(filtered, params)
         processed_papr[start : start + chunk.shape[0]] = _papr_db_rows(envelope**2)
 
@@ -378,10 +378,9 @@ def _ber_cell(
     if cr is not None:
         if hpf is None:
             raise ConfigError("clipping requested but no high-pass filter supplied")
-        sigma = float(np.sqrt(np.mean(np.abs(baseband) ** 2)))
-        blocks = _clip_filter_blocks(baseband, cr * sigma, params, hpf, params.cp_oversampled)
+        blocks = _clip_filter_blocks(baseband, cr * rms(baseband), params, hpf)
     else:
-        blocks = _upconvert_rows(baseband, params.carrier_hz, params.sample_hz)
+        blocks = _upconvert_rows(baseband, params)
 
     sigma_n = 0.0
     if ebn0_db is not None:

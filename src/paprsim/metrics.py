@@ -1,4 +1,4 @@
-"""PAPR, empirical CCDF estimation, and bit-error counting."""
+"""PAPR and empirical CCDF estimation with quantile readout."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -6,7 +6,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MetricError, ShapeError
-from .ofdm_chain import BasebandSignal, PassbandSignal
 
 
 @dataclass(frozen=True)
@@ -18,39 +17,25 @@ class CcdfCurve:
     sample_count: int
 
 
-@dataclass(frozen=True)
-class BerPoint:
-    ebn0_db: float
-    bit_errors: int
-    bits_total: int
+def papr_db(samples) -> np.ndarray:
+    """Peak-to-average power ratio in dB of each block along the last axis.
 
-    def __post_init__(self):
-        if self.bits_total <= 0:
-            raise ShapeError("bits_total must be positive")
-        if not 0 <= self.bit_errors <= self.bits_total:
-            raise ShapeError("bit_errors must lie in [0, bits_total]")
-
-    @property
-    def ber(self) -> float:
-        return self.bit_errors / self.bits_total
+    Samples (..., n) give PAPR values of shape (...); a single block gives a
+    scalar.
+    """
+    samples = np.asarray(samples)
+    if samples.size == 0:
+        raise ShapeError("papr of an empty signal is undefined")
+    return _papr_db_rows(np.abs(samples) ** 2)
 
 
 def _papr_db_rows(power: np.ndarray) -> np.ndarray:
-    return 10.0 * np.log10(np.max(power, axis=-1) / np.mean(power, axis=-1))
-
-
-def papr_db(signal) -> float:
-    """Peak-to-average power ratio in dB over one symbol's samples."""
-    if isinstance(signal, (PassbandSignal, BasebandSignal)):
-        samples = signal.samples
-    else:
-        samples = np.asarray(signal)
-    if samples.size == 0:
-        raise ShapeError("papr of an empty signal is undefined")
-    power = np.abs(samples) ** 2
-    if np.max(power) == 0:
+    """:func:`papr_db` from instantaneous power |x|^2 (..., n), for callers
+    that already hold it."""
+    peak = np.max(power, axis=-1)
+    if np.any(peak == 0):
         raise MetricError("papr of an all-zero signal is undefined")
-    return float(_papr_db_rows(power))
+    return 10.0 * np.log10(peak / np.mean(power, axis=-1))
 
 
 def estimate_ccdf(papr_values, thresholds_db) -> CcdfCurve:
@@ -94,27 +79,3 @@ def ccdf_quantile(curve: CcdfCurve, p: float) -> float:
         return float(t[idx])
     frac = (prob[idx - 1] - p) / (prob[idx - 1] - prob[idx])
     return float(t[idx - 1] + frac * (t[idx] - t[idx - 1]))
-
-
-@dataclass(frozen=True)
-class BitErrorCount:
-    """Error tally from one compare; combined into BerPoint by the harness."""
-
-    bit_errors: int
-    bits_total: int
-
-    @property
-    def ber(self) -> float:
-        return self.bit_errors / self.bits_total
-
-
-def count_bit_errors(tx_bits, rx_bits) -> BitErrorCount:
-    """Hamming distance between equal-length bit sequences."""
-    tx = np.asarray(tx_bits).reshape(-1)
-    rx = np.asarray(rx_bits).reshape(-1)
-    if tx.size == 0:
-        raise ShapeError("cannot count errors over empty bit sequences")
-    if tx.size != rx.size:
-        raise ShapeError(f"bit sequence lengths differ: {tx.size} vs {rx.size}")
-    errors = int(np.count_nonzero(tx != rx))
-    return BitErrorCount(bit_errors=errors, bits_total=tx.size)

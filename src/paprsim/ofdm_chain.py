@@ -4,8 +4,9 @@ The transmit direction builds one OFDM symbol from N frequency-domain
 constellation points: zero-insertion oversampling to N*L bins, a unitary
 inverse DFT (scale 1/sqrt(L*N)), optional cyclic prefix, and real passband
 upconversion with a sqrt(2) factor that preserves mean power. The receive
-direction mirrors each step. Frequency frames are plain complex ndarrays;
-time-domain signals carry their sample rate in small wrapper types.
+direction mirrors each step. Every function takes an array whose last axis
+is the bin or sample axis, (..., n), so one call handles one symbol or a
+batch; the carrier and sample rate always come from ``OfdmParams``.
 
 Zero-insertion layout: bins 0..N/2 hold the first half of the original
 frame and the top N/2 bins hold the second half starting at X[N/2], so the
@@ -15,6 +16,7 @@ the round trip is exact.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,8 +35,11 @@ class OfdmParams:
 
     The sample rate is always bandwidth_hz * oversample, and the occupied
     band [carrier_hz - BW/2, carrier_hz + BW/2] must fit between DC and
-    Nyquist. ``cp_len`` counts non-oversampled samples; the transmitted
-    prefix is cp_len * oversample samples long.
+    Nyquist. The carrier must sit on a DFT bin of the N*L-sample block
+    (carrier_hz * N / BW an integer): the composed filter and the envelope
+    treat each block as periodic, which holds only for an on-bin carrier.
+    ``cp_len`` counts non-oversampled samples; the transmitted prefix is
+    cp_len * oversample samples long.
     """
 
     n_subcarriers: int = 128
@@ -63,6 +68,15 @@ class OfdmParams:
                 "carrier_hz + bandwidth_hz / 2 must not exceed sample_hz / 2 "
                 f"(got {self.carrier_hz + self.bandwidth_hz / 2:g} > {self.sample_hz / 2:g})"
             )
+        carrier_bin = self.carrier_hz * self.n_subcarriers / self.bandwidth_hz
+        if abs(carrier_bin - self.carrier_bin) > 1e-9:
+            spacing = self.subcarrier_spacing_hz
+            raise ConfigError(
+                f"carrier_hz = {self.carrier_hz:.10g} is off the DFT bin grid (bin "
+                f"{carrier_bin:.6g} of {self.n_oversampled}); the nearest valid carriers "
+                f"are {math.floor(carrier_bin) * spacing:.10g} and "
+                f"{math.ceil(carrier_bin) * spacing:.10g} Hz"
+            )
 
     @property
     def sample_hz(self) -> float:
@@ -84,40 +98,17 @@ class OfdmParams:
     def cp_oversampled(self) -> int:
         return self.cp_len * self.oversample
 
+    @property
+    def carrier_bin(self) -> int:
+        """DFT bin k_c of the carrier in an N*L-sample block."""
+        return round(self.carrier_hz * self.n_subcarriers / self.bandwidth_hz)
 
-def _as_1d(samples, dtype, what: str) -> np.ndarray:
-    arr = np.asarray(samples, dtype=dtype)
-    if arr.ndim != 1:
-        raise ShapeError(f"{what} must be one-dimensional")
-    return arr
-
-
-@dataclass(frozen=True)
-class BasebandSignal:
-    """Complex baseband sample sequence with its sample rate."""
-
-    samples: np.ndarray
-    sample_hz: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", _as_1d(self.samples, complex, "baseband samples"))
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-
-@dataclass(frozen=True)
-class PassbandSignal:
-    """Real passband sample sequence with its sample rate."""
-
-    samples: np.ndarray
-    sample_hz: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", _as_1d(self.samples, float, "passband samples"))
-
-    def __len__(self) -> int:
-        return self.samples.size
+    @property
+    def occupied_bins(self) -> np.ndarray:
+        """Positive-frequency bins k_c - N/2 .. k_c + N/2 of the occupied band
+        [f_c - BW/2, f_c + BW/2]; the conjugate image sits at the negated bins."""
+        half = self.n_subcarriers // 2
+        return np.arange(self.carrier_bin - half, self.carrier_bin + half + 1)
 
 
 def inserted_zero_bins(n_subcarriers: int, oversample: int) -> np.ndarray:
@@ -126,43 +117,42 @@ def inserted_zero_bins(n_subcarriers: int, oversample: int) -> np.ndarray:
     return np.arange(n // 2 + 1, n * oversample - n // 2)
 
 
-def _extend_rows(frames: np.ndarray, oversample: int) -> np.ndarray:
+def _require_block(samples: np.ndarray, params: OfdmParams, what: str) -> None:
+    """Raise unless the trailing axis holds exactly one N*L-sample block."""
+    length = samples.shape[-1] if samples.ndim else 0
+    if length != params.n_oversampled:
+        raise ShapeError(
+            f"{what} length {length} != n_subcarriers * oversample = {params.n_oversampled}"
+        )
+
+
+def oversample_extend(frames, oversample: int) -> np.ndarray:
+    """Insert mid-spectrum zeros, growing N-bin frames (..., N) to (..., N*L)."""
+    frames = np.asarray(frames, dtype=complex)
     n = frames.shape[-1]
+    if n % 2:
+        raise ConfigError("frame length N must be even")
+    if oversample < 1:
+        raise ConfigError("oversample factor must be >= 1")
     out = np.zeros(frames.shape[:-1] + (n * oversample,), dtype=complex)
     out[..., : n // 2 + 1] = frames[..., : n // 2 + 1]
     out[..., n * oversample - n // 2 :] = frames[..., n // 2 :]
     return out
 
 
-def oversample_extend(frame, oversample: int) -> np.ndarray:
-    """Insert mid-spectrum zeros, growing an N-bin frame to N*L bins."""
-    frame = _as_1d(frame, complex, "frequency frame")
-    if frame.size % 2:
-        raise ConfigError("frame length N must be even")
-    if oversample < 1:
-        raise ConfigError("oversample factor must be >= 1")
-    return _extend_rows(frame, oversample)
-
-
-def _modulate_rows(frames: np.ndarray) -> np.ndarray:
+def ofdm_modulate(frames, params: OfdmParams) -> np.ndarray:
+    """Inverse-transform oversampled frames (..., N*L) into baseband samples."""
+    frames = np.asarray(frames, dtype=complex)
+    _require_block(frames, params, "frame")
     # Unitary inverse DFT: numpy's ifft scales by 1/n, we want 1/sqrt(n).
-    n = frames.shape[-1]
-    return np.fft.ifft(frames, axis=-1) * np.sqrt(n)
+    return np.fft.ifft(frames, axis=-1) * np.sqrt(params.n_oversampled)
 
 
-def ofdm_modulate(frame, params: OfdmParams) -> BasebandSignal:
-    """Inverse-transform an oversampled frame into N*L baseband samples."""
-    frame = _as_1d(frame, complex, "frequency frame")
-    if frame.size != params.n_oversampled:
-        raise ShapeError(
-            f"frame length {frame.size} != n_subcarriers * oversample = {params.n_oversampled}"
-        )
-    return BasebandSignal(_modulate_rows(frame), params.sample_hz)
-
-
-def _demodulate_rows(samples: np.ndarray, n_subcarriers: int) -> np.ndarray:
-    n = n_subcarriers
-    total = samples.shape[-1]
+def ofdm_demodulate(samples, params: OfdmParams) -> np.ndarray:
+    """Forward-transform baseband samples (..., N*L) and read the N data bins."""
+    samples = np.asarray(samples)
+    _require_block(samples, params, "signal")
+    n, total = params.n_subcarriers, params.n_oversampled
     spectrum = np.fft.fft(samples, axis=-1) / np.sqrt(total)
     out = np.empty(samples.shape[:-1] + (n,), dtype=complex)
     out[..., : n // 2 + 1] = spectrum[..., : n // 2 + 1]
@@ -170,57 +160,44 @@ def _demodulate_rows(samples: np.ndarray, n_subcarriers: int) -> np.ndarray:
     return out
 
 
-def ofdm_demodulate(signal: BasebandSignal, params: OfdmParams) -> np.ndarray:
-    """Forward-transform N*L baseband samples and read the N data bins."""
-    if len(signal) != params.n_oversampled:
+def add_cyclic_prefix(samples, cp_samples: int) -> np.ndarray:
+    """Prepend a copy of the last cp_samples samples of each block."""
+    samples = np.asarray(samples)
+    if cp_samples < 0 or cp_samples > samples.shape[-1]:
+        raise ShapeError(f"cp_samples = {cp_samples} exceeds signal length {samples.shape[-1]}")
+    if cp_samples == 0:
+        return samples
+    return np.concatenate([samples[..., -cp_samples:], samples], axis=-1)
+
+
+def remove_cyclic_prefix(samples, cp_samples: int) -> np.ndarray:
+    """Drop the first cp_samples samples of each block."""
+    samples = np.asarray(samples)
+    if cp_samples < 0 or cp_samples >= samples.shape[-1]:
         raise ShapeError(
-            f"signal length {len(signal)} != n_subcarriers * oversample = {params.n_oversampled}"
+            f"cp_samples = {cp_samples} must be < signal length {samples.shape[-1]}"
         )
-    return _demodulate_rows(signal.samples, params.n_subcarriers)
+    return samples[..., cp_samples:]
 
 
-def add_cyclic_prefix(signal: BasebandSignal, cp_samples: int) -> BasebandSignal:
-    """Prepend a copy of the last cp_samples samples."""
-    if cp_samples < 0 or cp_samples > len(signal):
-        raise ShapeError(f"cp_samples = {cp_samples} exceeds signal length {len(signal)}")
-    if cp_samples == 0:
-        return signal
-    x = signal.samples
-    return BasebandSignal(np.concatenate([x[-cp_samples:], x]), signal.sample_hz)
-
-
-def remove_cyclic_prefix(signal: BasebandSignal, cp_samples: int) -> BasebandSignal:
-    """Drop the first cp_samples samples."""
-    if cp_samples < 0 or cp_samples >= len(signal):
-        raise ShapeError(f"cp_samples = {cp_samples} must be < signal length {len(signal)}")
-    if cp_samples == 0:
-        return signal
-    return BasebandSignal(signal.samples[cp_samples:], signal.sample_hz)
-
-
-def _carrier(n: int, carrier_hz: float, sample_hz: float) -> np.ndarray:
+def _carrier(n: int, params: OfdmParams) -> np.ndarray:
     m = np.arange(n)
-    return np.exp(2j * np.pi * carrier_hz * m / sample_hz)
+    return np.exp(2j * np.pi * params.carrier_hz * m / params.sample_hz)
 
 
-def _upconvert_rows(samples: np.ndarray, carrier_hz: float, sample_hz: float) -> np.ndarray:
-    return np.sqrt(2.0) * np.real(samples * _carrier(samples.shape[-1], carrier_hz, sample_hz))
+def upconvert(samples, params: OfdmParams) -> np.ndarray:
+    """Shift complex baseband (..., n) to a real passband at the carrier.
 
-
-def upconvert(signal: BasebandSignal, carrier_hz: float) -> PassbandSignal:
-    """Shift complex baseband to a real passband at carrier_hz.
-
-    The sqrt(2) factor keeps mean power equal between the two domains. The
-    full band-fit check (carrier + BW/2 below Nyquist) lives in OfdmParams;
-    here only the carrier itself is validated against Nyquist.
+    The sqrt(2) factor keeps mean power equal between the two domains.
     """
-    if not 0 <= carrier_hz <= signal.sample_hz / 2:
-        raise ConfigError(
-            f"carrier_hz = {carrier_hz:g} outside [0, sample_hz / 2 = {signal.sample_hz / 2:g}]"
-        )
-    return PassbandSignal(
-        _upconvert_rows(signal.samples, carrier_hz, signal.sample_hz), signal.sample_hz
-    )
+    samples = np.asarray(samples)
+    return np.sqrt(2.0) * np.real(samples * _carrier(samples.shape[-1], params))
+
+
+def _mix_down(samples: np.ndarray, params: OfdmParams) -> np.ndarray:
+    """The receive mixer: sqrt(2) exp(-j 2 pi f_c m / f_s), m counted from
+    each block's first sample."""
+    return np.sqrt(2.0) * samples * np.conj(_carrier(samples.shape[-1], params))
 
 
 @lru_cache(maxsize=None)
@@ -253,16 +230,8 @@ def _filter_rows(samples: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return np.fft.ifft(spectrum, axis=-1)[..., :n]
 
 
-def _downconvert_rows(
-    samples: np.ndarray, carrier_hz: float, sample_hz: float, taps: np.ndarray
-) -> np.ndarray:
-    mixed = np.sqrt(2.0) * samples * np.conj(_carrier(samples.shape[-1], carrier_hz, sample_hz))
-    delay = (taps.size - 1) // 2
-    return _filter_rows(mixed, taps)[..., delay : delay + samples.shape[-1]]
-
-
-def downconvert(signal: PassbandSignal, carrier_hz: float, params: OfdmParams) -> BasebandSignal:
-    """Mix a real passband signal down to complex baseband.
+def downconvert(samples, params: OfdmParams) -> np.ndarray:
+    """Mix real passband samples (..., n) down to complex baseband.
 
     Multiplies by sqrt(2) exp(-j 2 pi f_c m / f_s), then low-pass filters to
     the occupied band to reject the 2 f_c image. The filter is linear phase
@@ -271,10 +240,7 @@ def downconvert(signal: PassbandSignal, carrier_hz: float, params: OfdmParams) -
     filter's edge transients; callers that need exact block edges should keep
     a cyclic prefix around the block (see harness receive path).
     """
-    if not 0 <= carrier_hz <= signal.sample_hz / 2:
-        raise ConfigError(
-            f"carrier_hz = {carrier_hz:g} outside [0, sample_hz / 2 = {signal.sample_hz / 2:g}]"
-        )
+    mixed = _mix_down(np.asarray(samples), params)
     taps = _image_filter_for(params).taps
-    out = _downconvert_rows(signal.samples, carrier_hz, signal.sample_hz, taps)
-    return BasebandSignal(out, signal.sample_hz)
+    delay = (taps.size - 1) // 2
+    return _filter_rows(mixed, taps)[..., delay : delay + mixed.shape[-1]]

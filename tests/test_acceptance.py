@@ -12,43 +12,40 @@ import pytest
 from scipy.special import erfc
 
 from paprsim import (
+    SCHEME_NAMES,
     ExperimentSpec,
     ModScheme,
     OfdmParams,
     NoiseConfig,
+    add_awgn,
     alternation_count,
     clip_attenuation,
+    clip_baseband,
     clip_passband,
+    composed_filter,
     constellation_points,
     default_hpf_spec,
+    demap_symbols,
     design_equiripple,
     experiment_hpf,
     map_bits,
     noise_sigma,
+    oversample_extend,
     run_ber_experiment,
     run_papr_experiment,
     simulate_chain_ber,
+    upconvert,
 )
-from paprsim.channel import _awgn_rows
-from paprsim.clip_filter import _composed_rows
-from paprsim.constellation import SCHEME_NAMES, _demap_rows
 from paprsim.fir_design import FirDesignSpec
 from paprsim.harness import (
     _cell_rng,
     _clip_filter_blocks,
-    _clip_magnitude_rows,
-    _papr_db_rows,
     _random_bits,
     _receive_symbols,
     _tx_baseband_frames,
     envelope_magnitude,
 )
-from paprsim.ofdm_chain import (
-    IMAGE_REJECT_TAPS,
-    PassbandSignal,
-    _upconvert_rows,
-    oversample_extend,
-)
+from paprsim.ofdm_chain import IMAGE_REJECT_TAPS
 
 from oracles import chebyshev_lp_ripple, direct_oversampled_idft, improper_gaussian_ber
 
@@ -166,7 +163,7 @@ def replay_trend_cell(scheme: ModScheme, cr: float, hpf) -> dict:
     tx_bits = _random_bits(rng, math.ceil(spec.bits_per_point / bits_per_frame), bits_per_frame)
     baseband = _tx_baseband_frames(tx_bits, scheme, params, cp=True)
     sigma = float(np.sqrt(np.mean(np.abs(baseband) ** 2)))
-    blocks = _clip_filter_blocks(baseband, cr * sigma, params, hpf, params.cp_oversampled)
+    blocks = _clip_filter_blocks(baseband, cr * sigma, params, hpf)
     noise = NoiseConfig(
         ebn0_db=TREND_EBN0_DB,
         bits_per_symbol=scheme.bits_per_symbol,
@@ -176,10 +173,10 @@ def replay_trend_cell(scheme: ModScheme, cr: float, hpf) -> dict:
     sigma_n = noise_sigma(noise, float(np.mean(blocks**2)))
     alpha = clip_attenuation(cr)
     clean = _receive_symbols(blocks, params, signal_gain=1.0)  # noise-free, gain kept
-    equalized = _receive_symbols(_awgn_rows(blocks, sigma_n, rng), params, sigma_n, alpha)
+    equalized = _receive_symbols(add_awgn(blocks, sigma_n, rng), params, sigma_n, alpha)
     sent = map_bits(tx_bits.reshape(-1), scheme).reshape(equalized.shape)
 
-    frame_errors = np.count_nonzero(_demap_rows(equalized, scheme) != tx_bits, axis=1)
+    frame_errors = np.count_nonzero(demap_symbols(equalized, scheme) != tx_bits, axis=1)
     ber, ber_se = ratio_with_se(frame_errors, np.full(frame_errors.size, bits_per_frame))
     power = np.sum(np.abs(sent) ** 2, axis=1)
     gain, _ = ratio_with_se(np.sum((np.conj(sent) * clean).real, axis=1), power)
@@ -336,14 +333,13 @@ def test_06_clip_hard_bound_and_idempotence():
     for start in range(0, total_frames, chunk_frames):
         bits = _random_bits(rng, chunk_frames, PARAMS.n_subcarriers * 2)
         baseband = _tx_baseband_frames(bits, scheme, PARAMS, cp=False)
-        passband = _upconvert_rows(baseband, PARAMS.carrier_hz, PARAMS.sample_hz)
+        passband = upconvert(baseband, PARAMS)
         if amplitude is None:
             amplitude = float(np.sqrt(np.mean(passband**2)))  # CR = 1.0
         for row in (passband[0], passband[-1]):
-            sig = PassbandSignal(row, PARAMS.sample_hz)
-            once = clip_passband(sig, amplitude)
+            once = clip_passband(row, amplitude)
             twice = clip_passband(once, amplitude)
-            idempotent &= bool(np.array_equal(once.samples, twice.samples))
+            idempotent &= bool(np.array_equal(once, twice))
         clipped = np.clip(passband, -amplitude, amplitude)
         worst = max(worst, float(np.max(np.abs(clipped))))
     ok = worst <= amplitude and idempotent
@@ -362,10 +358,8 @@ def test_07_peak_regrowth_after_filtering():
     bits = _random_bits(rng, 1000, PARAMS.n_subcarriers * 2)
     baseband = _tx_baseband_frames(bits, scheme, PARAMS, cp=False)
     amplitude = float(np.sqrt(np.mean(np.abs(baseband) ** 2)))  # CR = 1.0
-    clipped = _clip_magnitude_rows(baseband, amplitude)
-    filtered = _composed_rows(
-        _upconvert_rows(clipped, PARAMS.carrier_hz, PARAMS.sample_hz), PARAMS, hpf
-    )
+    clipped = clip_baseband(baseband, amplitude)
+    filtered = composed_filter(upconvert(clipped, PARAMS), PARAMS, hpf)
     envelope = envelope_magnitude(filtered, PARAMS)
     fraction = float(np.mean(np.max(envelope, axis=1) > amplitude))
     report(
@@ -421,12 +415,12 @@ def test_09_transform_identities():
         back = ofdm_demodulate(signal, PARAMS)
         worst_rt = max(worst_rt, float(np.max(np.abs(back - frame))))
         energy_f = float(np.sum(np.abs(ext) ** 2))
-        energy_t = float(np.sum(np.abs(signal.samples) ** 2))
+        energy_t = float(np.sum(np.abs(signal) ** 2))
         worst_parseval = max(worst_parseval, abs(energy_f - energy_t) / energy_f)
         direct = direct_oversampled_idft(ext)
         worst_direct = max(
             worst_direct,
-            float(np.max(np.abs(signal.samples - direct)) / np.max(np.abs(direct))),
+            float(np.max(np.abs(signal - direct)) / np.max(np.abs(direct))),
         )
     ok = worst_rt < 1e-9 and worst_parseval < 1e-9 and worst_direct < 1e-9
     report(

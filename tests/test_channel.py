@@ -7,7 +7,6 @@ from paprsim import (
     ModScheme,
     NoiseConfig,
     OfdmParams,
-    PassbandSignal,
     add_awgn,
     noise_sigma,
     simulate_chain_ber,
@@ -49,26 +48,27 @@ def test_noise_sigma_validation():
 
 
 def test_awgn_zero_sigma_identity():
-    sig = PassbandSignal(np.arange(32, dtype=float), 1.0)
-    out = add_awgn(sig, 0.0, seed=1)
-    assert np.array_equal(out.samples, sig.samples)
+    sig = np.arange(32, dtype=float)
+    out = add_awgn(sig, 0.0, rng=1)
+    assert np.array_equal(out, sig)
 
 
 def test_awgn_variance():
-    sig = PassbandSignal(np.zeros(1_000_000), 1.0)
-    out = add_awgn(sig, 0.3, seed=2)
-    assert np.var(out.samples) == pytest.approx(0.09, rel=0.01)
+    out = add_awgn(np.zeros(1_000_000), 0.3, rng=2)
+    assert np.var(out) == pytest.approx(0.09, rel=0.01)
 
 
 def test_awgn_seed_determinism():
-    sig = PassbandSignal(np.ones(1000), 1.0)
-    a = add_awgn(sig, 0.5, seed=42)
-    b = add_awgn(sig, 0.5, seed=42)
-    c = add_awgn(sig, 0.5, seed=43)
-    assert np.array_equal(a.samples, b.samples)
-    assert not np.array_equal(a.samples, c.samples)
+    sig = np.ones(1000)
+    a = add_awgn(sig, 0.5, rng=42)
+    b = add_awgn(sig, 0.5, rng=42)
+    c = add_awgn(sig, 0.5, rng=43)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+    # A Generator is used as is: the same draws as the seed it came from.
+    assert np.array_equal(add_awgn(sig, 0.5, rng=np.random.default_rng(42)), a)
     with pytest.raises(ConfigError):
-        add_awgn(sig, -0.1, seed=0)
+        add_awgn(sig, -0.1, rng=0)
 
 
 def test_qpsk_calibration_single_point():

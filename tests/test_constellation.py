@@ -114,6 +114,18 @@ def test_map_bad_values():
         map_bits(np.array([0, 2]), ModScheme("psk", 4))
 
 
+@pytest.mark.parametrize(
+    "bits",
+    [np.array([[0, 1], [1, 2]], dtype=np.uint8), np.array([[0, 1], [-1, 0]]),
+     np.array([[0.0, 1.0], [0.5, 1.0]])],
+    ids=["uint8-2", "int-minus-1", "float-half"],
+)
+def test_map_bad_values_in_a_batch(bits):
+    # Integer arrays are range-checked by min/max; other dtypes by membership.
+    with pytest.raises(ShapeError):
+        map_bits(bits, ModScheme("psk", 4))
+
+
 @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.name)
 def test_round_trip(scheme):
     rng = np.random.default_rng(scheme.order)

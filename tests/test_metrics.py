@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from paprsim import (
-    BerPoint,
     MetricError,
     ModScheme,
     OfdmParams,
     ShapeError,
     ccdf_quantile,
-    count_bit_errors,
     estimate_ccdf,
     map_bits,
     ofdm_modulate,
@@ -37,6 +35,18 @@ def test_papr_errors():
         papr_db(np.array([]))
     with pytest.raises(MetricError):
         papr_db(np.zeros(8))
+
+
+def test_papr_per_block_along_last_axis():
+    rng = np.random.default_rng(14)
+    batch = rng.normal(size=(2, 3, 64)) + 1j * rng.normal(size=(2, 3, 64))
+    got = papr_db(batch)
+    assert got.shape == (2, 3)
+    for i, j in np.ndindex(2, 3):
+        assert got[i, j] == papr_db(batch[i, j])
+    batch[1, 2] = 0.0  # one all-zero block is refused
+    with pytest.raises(MetricError):
+        papr_db(batch)
 
 
 def test_papr_scale_invariant():
@@ -120,32 +130,3 @@ def test_quantile_matches_order_statistic():
         got = ccdf_quantile(curve, p)
         order_stat = np.sort(values)[int(np.ceil((1 - p) * values.size)) - 1]
         assert abs(got - order_stat) <= step + 1e-9
-
-
-def test_count_bit_errors():
-    a = np.array([0, 1, 1, 0], dtype=np.uint8)
-    assert count_bit_errors(a, a).bit_errors == 0
-    flipped = 1 - a
-    result = count_bit_errors(a, flipped)
-    assert result.bit_errors == 4
-    assert result.ber == 1.0
-    with pytest.raises(ShapeError):
-        count_bit_errors(a, a[:2])
-    with pytest.raises(ShapeError):
-        count_bit_errors([], [])
-
-
-def test_count_bit_errors_random_half():
-    rng = np.random.default_rng(5)
-    a = rng.integers(0, 2, 100_000)
-    b = rng.integers(0, 2, 100_000)
-    assert count_bit_errors(a, b).ber == pytest.approx(0.5, abs=0.01)
-
-
-def test_ber_point_validation():
-    point = BerPoint(ebn0_db=4.0, bit_errors=5, bits_total=100)
-    assert point.ber == pytest.approx(0.05)
-    with pytest.raises(ShapeError):
-        BerPoint(ebn0_db=0.0, bit_errors=5, bits_total=0)
-    with pytest.raises(ShapeError):
-        BerPoint(ebn0_db=0.0, bit_errors=11, bits_total=10)
