@@ -41,13 +41,13 @@ in_band = band_gains(params, hpf) != 0
 for cr in (0.8, 1.2, 1.6):
     amplitude = cr * sigma
     clipped = clip_baseband(baseband, amplitude)
-    filtered = composed_filter(upconvert(clipped, params), params, hpf)
+    filtered = composed_filter(clipped, params, hpf)
     envelope = envelope_magnitude(filtered, params)
 
     papr_before = np.median(papr_db(baseband))
     papr_after = np.median(papr_db(envelope))
 
-    spectrum = np.fft.fft(filtered, axis=-1)
+    spectrum = np.fft.fft(upconvert(filtered, params), axis=-1)
     oob = np.sum(np.abs(spectrum[:, ~in_band]) ** 2)
     ib = np.sum(np.abs(spectrum[:, in_band]) ** 2)
     regrown = np.mean(np.max(envelope, axis=1) > amplitude)

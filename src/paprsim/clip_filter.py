@@ -2,11 +2,15 @@
 
 The clip level is A = CR * sigma where sigma is the RMS of the unclipped
 signal; passband clipping is the hard three-branch limiter and baseband
-clipping limits magnitude while preserving phase. The composed filter takes
-one clipped OFDM symbol (N*L passband samples, no prefix), transforms it,
-zeroes every bin outside the occupied band and its conjugate image, scales
-the surviving bins by the high-pass filter's zero-phase amplitude response,
-and transforms back to a real signal.
+clipping limits magnitude while preserving phase.
+
+The composed filter is defined on the real passband symbol (N*L samples,
+no prefix): zero every DFT bin outside the occupied band and its conjugate
+image, and scale the rest by the high-pass filter's zero-phase amplitude
+response (``band_gains``). For an on-bin carrier this is an identity on the
+baseband spectrum (Armstrong, Electron. Lett. 38(5), 2002), so
+``composed_filter`` runs on the clipped complex baseband and no passband
+samples are formed.
 
 The filter multiplies by the zero-phase amplitude rather than the causal
 complex response: inside an FFT/IFFT pair a linear-phase multiplication
@@ -43,13 +47,20 @@ def clip_baseband(samples, amplitude: float) -> np.ndarray:
     if amplitude <= 0:
         raise ConfigError("clip amplitude must be positive")
     samples = np.asarray(samples)
-    mag = np.abs(samples)
-    return np.where(mag > amplitude, samples * (amplitude / np.where(mag == 0, 1.0, mag)), samples)
+    if not np.issubdtype(samples.dtype, np.inexact):
+        samples = samples.astype(float)
+    # A / max(|x|, A) is exactly 1.0 where |x| <= A (zeros included), so
+    # those samples pass through bit for bit. The factor is formed in place:
+    # one real array of the block's shape besides the output.
+    scale = np.abs(samples)
+    np.maximum(scale, amplitude, out=scale)
+    np.divide(amplitude, scale, out=scale)
+    return samples * scale
 
 
 def band_gains(params: OfdmParams, hpf: fir_design.FirFilter) -> np.ndarray:
-    """Real even per-bin multiplier of the composed filter: 0 out of band,
-    HPF amplitude in band.
+    """Real even per-bin multiplier of the composed filter on the passband
+    spectrum: 0 out of band, HPF amplitude in band.
 
     The occupied band is ``params.occupied_bins`` plus its negative-frequency
     image; all other bins are the zero-insertion region translated to
@@ -63,16 +74,38 @@ def band_gains(params: OfdmParams, hpf: fir_design.FirFilter) -> np.ndarray:
 
 
 def composed_filter(samples, params: OfdmParams, hpf: fir_design.FirFilter) -> np.ndarray:
-    """FFT, out-of-band re-zeroing plus in-band high-pass scaling, IFFT.
+    """Composed filter of clipped complex baseband blocks (..., N*L), prefix
+    excluded; returns the complex envelope of the filtered passband block.
 
-    Operates on blocks of exactly one OFDM symbol, (..., N*L) real samples
-    (prefix excluded). The gain vector is real and even in frequency, so
-    conjugate symmetry is preserved and the output is real.
+    The passband spectrum at band bin k_c + j is (C[j] + conj(C[-j - 2 k_c]))
+    / sqrt(2), with C the DFT of the baseband block: the image term is the
+    part of the negative-frequency half that upconversion folds onto the
+    band. So one FFT, a gather of the N + 1 band bins j = -N/2..N/2 with
+    their image bins, the ``band_gains`` at k_c + j and one IFFT give a
+    block y with ``upconvert(y)`` equal to the passband composed filter
+    of ``upconvert(samples)``. A band bin at DC or Nyquist is its own
+    image; the real passband holds it once, so it gets half weight.
     """
     samples = np.asarray(samples)
     _require_block(samples, params, "signal")
-    spectrum = np.fft.fft(samples, axis=-1) * band_gains(params, hpf)
-    return np.fft.ifft(spectrum, axis=-1).real
+    if not np.iscomplexobj(samples):
+        raise ShapeError(
+            "composed_filter takes the clipped complex baseband block, not "
+            "upconvert(...) of it"
+        )
+    total = params.n_oversampled
+    band = params.occupied_bins
+    offsets = (band - params.carrier_bin) % total
+    images = (-band - params.carrier_bin) % total  # -j - 2 k_c
+    gains = band_gains(params, hpf)[band]
+    gains[(2 * band) % total == 0] /= 2
+    # The fold and the inverse transform reuse the forward transform's
+    # buffer: one block-sized allocation per call.
+    spectrum = np.fft.fft(samples, axis=-1)
+    folded = (spectrum[..., offsets] + np.conj(spectrum[..., images])) * gains
+    spectrum.fill(0)
+    spectrum[..., offsets] = folded
+    return np.fft.ifft(spectrum, axis=-1, out=spectrum)
 
 
 def default_hpf_spec(

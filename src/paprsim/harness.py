@@ -9,19 +9,22 @@ in parallel.
 PAPR cell: generate frames, map, oversample-extend, modulate; take sigma as
 the RMS over the whole unclipped batch and clip the envelope magnitude at
 cr * sigma (phase preserved, applied at baseband just before carrier
-modulation); upconvert and apply the composed filter per symbol; read the
-per-symbol envelope PAPR of both the processed and the unclipped batches
-into CCDF curves. PAPR always refers to the complex envelope |x[m]|^2 of
-the oversampled symbol, never to the instantaneous real passband waveform,
-whose peaks carry an extra carrier-phase artifact of about 2.5 dB.
+modulation); apply the composed filter per symbol to the clipped baseband,
+which returns the complex envelope of the filtered passband symbol, so no
+passband samples are formed; read the per-symbol envelope PAPR of both the
+processed and the unclipped batches into CCDF curves. PAPR always refers to
+the complex envelope |x[m]|^2 of the oversampled symbol, never to the
+instantaneous real passband waveform, whose peaks carry an extra
+carrier-phase artifact of about 2.5 dB.
 
-BER cell: same transmit path plus a cyclic prefix (clipping covers the full
-block, the composed filter runs on the prefix-free symbol and the prefix is
-rebuilt from the filtered tail), AWGN calibrated to the cell's Eb/N0 from
-the measured transmit power, then the receive chain (downconversion with the
-image-reject filter, prefix removal, demodulation, demapping). The receiver
-filters over a cyclic extension of each block so the filter's edge
-transients land on padding instead of data samples.
+BER cell: same transmit path plus a cyclic prefix (clipping is memoryless,
+so the first N*L clipped samples of a block are the symbol rotated by the
+prefix; they are filtered, upconverted and given a cyclic suffix, which is
+the filtered symbol behind a prefix rebuilt from its tail), AWGN calibrated
+to the cell's Eb/N0 from the measured transmit power, then the receive chain
+(downconversion with the image-reject filter, prefix removal, demodulation,
+demapping). The receiver filters over a cyclic extension of each block so
+the filter's edge transients land on padding instead of data samples.
 """
 from __future__ import annotations
 
@@ -36,7 +39,7 @@ from . import fir_design
 from .channel import NoiseConfig, add_awgn, noise_sigma
 from .clip_filter import clip_baseband, composed_filter, default_hpf_spec, rms
 from .constellation import SCHEME_NAMES, ModScheme, demap_symbols, map_bits
-from .errors import ConfigError, ExperimentError
+from .errors import ConfigError, ExperimentError, ShapeError
 from .metrics import CcdfCurve, _papr_db_rows, ccdf_quantile, estimate_ccdf
 from .ofdm_chain import (
     OfdmParams,
@@ -107,6 +110,13 @@ class ExperimentSpec:
             raise ConfigError("n_symbols must be >= 1000 for CCDF runs")
         if not 0 < self.ccdf_read_point < 1:
             raise ConfigError("ccdf_read_point must lie strictly between 0 and 1")
+        # Below ~10 expected exceedances the quantile is only an interpolation
+        # toward the sample maximum.
+        if self.n_symbols * self.ccdf_read_point < 10 - 1e-9:
+            raise ConfigError(
+                f"n_symbols * ccdf_read_point = {self.n_symbols * self.ccdf_read_point:g} "
+                "must be >= 10 expected exceedances; raise n_symbols or the read point"
+            )
         if self.bits_per_point < 1:
             raise ConfigError("bits_per_point must be positive")
         if not all(np.isfinite(v) for v in self.ebn0_grid_db):
@@ -183,21 +193,27 @@ def _tx_baseband_frames(
 
 
 def envelope_magnitude(samples: np.ndarray, params: OfdmParams) -> np.ndarray:
-    """|complex envelope| of real passband blocks (..., N*L), via the
-    analytic signal.
+    """|complex envelope| of in-band complex baseband blocks (..., N*L), such
+    as ``composed_filter``'s output; PAPR of an OFDM symbol is defined on it.
 
-    Keeps the positive-frequency occupied band (``params.occupied_bins``) in
-    the DFT domain and scales by sqrt(2), undoing ``upconvert``'s power
-    convention; the result's magnitude equals the transmitted envelope's.
-    A band edge at Nyquist is left out: that bin is its own conjugate image.
-    PAPR of an OFDM symbol is defined on this envelope.
+    The envelope is |y|, with the band-edge bins that are their own
+    conjugate image weighted as the analytic signal of ``upconvert(y)``
+    weights them: an edge at Nyquist is left out, and an edge at DC counts
+    twice its real part. Each such bin is one tone whose coefficient is a
+    single DFT bin, so the correction is O(N*L) and runs only on those
+    plans. Returns a real (..., N*L) array.
     """
+    samples = np.asarray(samples)
     _require_block(samples, params, "signal")
+    if not np.iscomplexobj(samples):
+        raise ShapeError("envelope_magnitude takes complex baseband blocks, not passband")
+    total = params.n_oversampled
     band = params.occupied_bins
-    mask = np.zeros(params.n_oversampled, dtype=bool)
-    mask[band[2 * band < params.n_oversampled]] = True
-    analytic = np.fft.ifft(np.fft.fft(samples, axis=-1) * mask, axis=-1)
-    return np.sqrt(2.0) * np.abs(analytic)
+    for k in band[(2 * band) % total == 0]:
+        tone = np.exp(2j * np.pi * (k - params.carrier_bin) * np.arange(total) / total)
+        coefficient = (samples @ tone.conj())[..., None] / total
+        samples = samples + (np.conj(coefficient) if k == 0 else -coefficient) * tone
+    return np.abs(samples)
 
 
 def _clip_filter_blocks(
@@ -206,16 +222,24 @@ def _clip_filter_blocks(
     params: OfdmParams,
     hpf: fir_design.FirFilter,
 ) -> np.ndarray:
-    """Envelope-clip full baseband blocks, upconvert, filter the prefix-free
-    symbol, and rebuild the prefix from the filtered tail. Returns passband
-    blocks ready for the channel."""
-    cp_n = params.cp_oversampled
+    """Envelope-clip, filter and upconvert prefixed baseband blocks; returns
+    passband blocks ready for the channel.
+
+    Clipping is memoryless, so the clipped first N*L samples of a block are
+    the clipped symbol rotated by the prefix. The composed filter is
+    circular, so filtering them, upconverting and appending a cyclic suffix
+    of prefix length gives the filtered symbol behind a prefix rebuilt from
+    its tail.
+    """
+    total = params.n_oversampled
     out = np.empty(baseband_blocks.shape)
     for start in range(0, baseband_blocks.shape[0], _FRAME_CHUNK):
-        chunk = _clip_magnitude_rows(baseband_blocks[start : start + _FRAME_CHUNK], amplitude)
-        passband = remove_cyclic_prefix(_upconvert_rows(chunk, params), cp_n)
-        filtered = _composed_rows(passband, params, hpf)
-        out[start : start + chunk.shape[0]] = add_cyclic_prefix(filtered, cp_n)
+        symbols = baseband_blocks[start : start + _FRAME_CHUNK, :total]
+        chunk = _clip_magnitude_rows(symbols, amplitude)
+        passband = _upconvert_rows(_composed_rows(chunk, params, hpf), params)
+        rows = out[start : start + chunk.shape[0]]
+        rows[:, :total] = passband
+        rows[:, total:] = passband[:, : params.cp_oversampled]
     return out
 
 
@@ -300,10 +324,19 @@ def _papr_cell(
     unclipped_papr = _papr_db_rows(np.abs(baseband) ** 2)
     processed_papr = np.empty(spec.n_symbols)
     for start in range(0, baseband.shape[0], _FRAME_CHUNK):
-        chunk = _clip_magnitude_rows(baseband[start : start + _FRAME_CHUNK], amplitude)
-        filtered = _composed_rows(_upconvert_rows(chunk, params), params, hpf)
-        envelope = envelope_magnitude(filtered, params)
-        processed_papr[start : start + chunk.shape[0]] = _papr_db_rows(envelope**2)
+        # Nested calls free each stage's input once the next stage returns,
+        # so at most two block-sized arrays are live besides the batch.
+        envelope = envelope_magnitude(
+            _composed_rows(
+                _clip_magnitude_rows(baseband[start : start + _FRAME_CHUNK], amplitude),
+                params,
+                hpf,
+            ),
+            params,
+        )
+        processed_papr[start : start + envelope.shape[0]] = _papr_db_rows(
+            np.square(envelope, out=envelope)
+        )
 
     clipped_curve = estimate_ccdf(processed_papr, CCDF_THRESHOLDS_DB)
     unclipped_curve = estimate_ccdf(unclipped_papr, CCDF_THRESHOLDS_DB)

@@ -3,11 +3,17 @@
 Everything here deliberately avoids the library's own code paths: the
 minimax ripple comes from a linear program, transforms from dense matrix
 products, demapping from an exhaustive search, CCDFs from direct counting,
-and the BER of a constellation under Gaussian (I, Q) errors from a Monte
-Carlo draw sliced by exhaustive search.
+the BER of a constellation under Gaussian (I, Q) errors from a Monte Carlo
+draw sliced by exhaustive search, and the composed filter and the PAPR
+envelope from the literal real-passband chain (upconvert, FFT, per-bin
+gain, IFFT, analytic signal), which the library folds into one baseband
+operator. The passband filter reads its per-bin gain from ``band_gains``,
+the one definition of that gain.
 """
 import numpy as np
 from scipy.optimize import linprog
+
+from paprsim import band_gains, clip_baseband, upconvert
 
 
 def chebyshev_lp_ripple(spec, n_grid: int = 2048) -> float:
@@ -99,3 +105,29 @@ def gaussian_tail(x: float) -> float:
     from math import erfc, sqrt
 
     return 0.5 * erfc(x / sqrt(2.0))
+
+
+def passband_composed_filter(passband, params, hpf) -> np.ndarray:
+    """The composed filter on real passband blocks (..., N*L): FFT, the
+    real even ``band_gains``, IFFT, real part."""
+    spectrum = np.fft.fft(passband, axis=-1) * band_gains(params, hpf)
+    return np.fft.ifft(spectrum, axis=-1).real
+
+
+def analytic_envelope(passband, params) -> np.ndarray:
+    """sqrt(2) |analytic signal| of real passband blocks (..., N*L): keep the
+    positive-frequency occupied bins, leave out a band edge on Nyquist (it is
+    its own conjugate image), inverse transform."""
+    band = params.occupied_bins
+    mask = np.zeros(params.n_oversampled, dtype=bool)
+    mask[band[2 * band < params.n_oversampled]] = True
+    return np.sqrt(2.0) * np.abs(np.fft.ifft(np.fft.fft(passband, axis=-1) * mask, axis=-1))
+
+
+def passband_clip_filter_blocks(baseband_blocks, amplitude, params, hpf) -> np.ndarray:
+    """Clip baseband blocks with their prefix, upconvert the whole block,
+    strip the prefix, filter the passband symbol and prepend its tail."""
+    cp_n = params.cp_oversampled
+    passband = upconvert(clip_baseband(baseband_blocks, amplitude), params)
+    filtered = passband_composed_filter(passband[..., cp_n:], params, hpf)
+    return np.concatenate([filtered[..., filtered.shape[-1] - cp_n :], filtered], axis=-1)

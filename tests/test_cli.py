@@ -10,6 +10,7 @@ FAST_BODY = """
 schemes = qpsk
 cr_values = 1.0
 n_symbols = 1000
+ccdf_read_point = 1e-2
 ebn0_grid_db = 8
 bits_per_point = 5000
 """
@@ -75,6 +76,15 @@ def test_missing_config_exit_code(tmp_path, capsys):
     missing = tmp_path / "absent.cfg"
     assert main([str(missing)]) == 1
     assert str(missing) in capsys.readouterr().err
+
+
+def test_read_point_below_sample_resolution_exits_one(tmp_path, capsys):
+    # 1000 symbols at the default read point 1e-3 expect one exceedance.
+    cfg = write_cfg(tmp_path, FAST_BODY.replace("ccdf_read_point = 1e-2\n", ""))
+    out_dir = tmp_path / "out"
+    assert main([str(cfg), "--output-dir", str(out_dir)]) == 1
+    assert "expected exceedances" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_invalid_config_writes_nothing(tmp_path, capsys):

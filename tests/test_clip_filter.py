@@ -20,19 +20,40 @@ from paprsim import (
     rms,
     upconvert,
 )
-from paprsim.harness import ExperimentSpec, envelope_magnitude
+from paprsim.harness import (
+    ExperimentSpec,
+    _clip_filter_blocks,
+    _tx_baseband_frames,
+    envelope_magnitude,
+)
 
-from oracles import gaussian_tail
+from oracles import (
+    analytic_envelope,
+    gaussian_tail,
+    passband_clip_filter_blocks,
+    passband_composed_filter,
+)
 
 PARAMS = OfdmParams()
 HPF = experiment_hpf(ExperimentSpec())
 ALLPASS = design_equiripple(FirDesignSpec(3, ((0.0, 0.5),), (1.0,), (1.0,)))
 
 
+def ofdm_baseband(rng, scheme=ModScheme("psk", 4), params=PARAMS, batch=()):
+    bits = rng.integers(0, 2, batch + (params.n_subcarriers * scheme.bits_per_symbol,))
+    return ofdm_modulate(oversample_extend(map_bits(bits, scheme), params.oversample), params)
+
+
 def ofdm_passband(rng, scheme=ModScheme("psk", 4)):
-    bits = rng.integers(0, 2, PARAMS.n_subcarriers * scheme.bits_per_symbol)
-    bb = ofdm_modulate(oversample_extend(map_bits(bits, scheme), PARAMS.oversample), PARAMS)
-    return upconvert(bb, PARAMS)
+    return upconvert(ofdm_baseband(rng, scheme), PARAMS)
+
+
+def out_of_band_ratio(passband):
+    """Out-of-band over in-band energy of real passband blocks."""
+    spectrum = np.fft.fft(passband, axis=-1)
+    in_band = band_gains(PARAMS, HPF) != 0
+    oob = np.sum(np.abs(spectrum[..., ~in_band]) ** 2)
+    return oob / np.sum(np.abs(spectrum[..., in_band]) ** 2)
 
 
 def test_clip_amplitude_must_be_positive():
@@ -97,6 +118,25 @@ def test_clip_baseband_examples():
     assert np.array_equal(clip_baseband(inside, 1.0), inside)
 
 
+def test_clip_baseband_is_bit_identical_to_the_where_form():
+    # One scale pass, x * (A / max(|x|, A)), against the select-and-divide
+    # form it replaced: zeros, samples exactly on the clip level, and a batch.
+    def where_form(samples, amplitude):
+        mag = np.abs(samples)
+        return np.where(mag > amplitude, samples * (amplitude / np.where(mag == 0, 1.0, mag)),
+                        samples)
+
+    rng = np.random.default_rng(12)
+    batch = rng.normal(size=(3, 4, 512)) + 1j * rng.normal(size=(3, 4, 512))
+    batch[0, 0, :8] = 0
+    batch[1, 2, :4] = [0.7, -0.7j, 0.7 * np.exp(0.3j), 0.7 * np.exp(-2.1j)]
+    batch[2, 3, :4] = [0.7 * (1 + 1e-16), 1e-300, 1e-300j, -0.0]
+    for amplitude in (0.7, 1e-3, 5.0):
+        got = clip_baseband(batch, amplitude)
+        assert np.array_equal(got, where_form(batch, amplitude)), amplitude
+    assert np.array_equal(clip_baseband(batch[1, 2, :4], 0.7), batch[1, 2, :4])
+
+
 def test_clip_baseband_magnitude_bound():
     rng = np.random.default_rng(5)
     got = clip_baseband(rng.normal(size=100_000) + 1j * rng.normal(size=100_000), 0.7)
@@ -115,39 +155,44 @@ def test_papr_monotone_in_clip_level():
 
 def test_composed_filter_identity_for_inband_signal():
     rng = np.random.default_rng(7)
-    sig = ofdm_passband(rng)
-    out = composed_filter(sig, PARAMS, ALLPASS)
-    assert np.max(np.abs(out - sig)) < 1e-9
+    bb = ofdm_baseband(rng)
+    out = composed_filter(bb, PARAMS, ALLPASS)
+    assert np.max(np.abs(out - bb)) < 1e-9
+    sig = upconvert(bb, PARAMS)
+    assert np.max(np.abs(passband_composed_filter(sig, PARAMS, ALLPASS) - sig)) < 1e-9
 
 
 def test_composed_filter_zeroes_out_of_band_input():
+    # A real 0.5 MHz tone below the band, and the baseband tone at -1.5 MHz
+    # whose upconversion it is.
     m = np.arange(PARAMS.n_oversampled)
-    tone = np.cos(2 * np.pi * 0.5e6 * m / PARAMS.sample_hz)  # below the band
-    out = composed_filter(tone, PARAMS, ALLPASS)
-    assert np.max(np.abs(out)) < 1e-12
+    tone = np.cos(2 * np.pi * 0.5e6 * m / PARAMS.sample_hz)
+    baseband_tone = np.exp(-2j * np.pi * 1.5e6 * m / PARAMS.sample_hz) / np.sqrt(2.0)
+    assert np.max(np.abs(upconvert(baseband_tone, PARAMS) - tone)) < 1e-12
+    assert np.max(np.abs(passband_composed_filter(tone, PARAMS, ALLPASS))) < 1e-12
+    assert np.max(np.abs(composed_filter(baseband_tone, PARAMS, ALLPASS))) < 1e-12
 
 
 def test_composed_filter_out_of_band_suppression():
     rng = np.random.default_rng(8)
     sig = ofdm_passband(rng)
     clipped = clip_passband(sig, 1.2 * rms(sig))
-    out = composed_filter(clipped, PARAMS, HPF)
-    spectrum = np.fft.fft(out)
-    gains = band_gains(PARAMS, HPF)
-    in_band = np.abs(gains) > 0
-    oob_power = np.sum(np.abs(spectrum[~in_band]) ** 2)
-    ib_power = np.sum(np.abs(spectrum[in_band]) ** 2)
-    assert oob_power / ib_power < 1e-10  # below -100 dB
+    assert out_of_band_ratio(passband_composed_filter(clipped, PARAMS, HPF)) < 1e-10  # -100 dB
+    bb = ofdm_baseband(rng)
+    filtered = composed_filter(clip_baseband(bb, 1.2 * rms(bb)), PARAMS, HPF)
+    assert out_of_band_ratio(upconvert(filtered, PARAMS)) < 1e-10
 
 
 def test_composed_filter_output_real():
+    # band_gains is real and even, so the passband filter keeps conjugate
+    # symmetry and its output is real.
     rng = np.random.default_rng(9)
     sig = ofdm_passband(rng)
     clipped = clip_passband(sig, rms(sig))
     gains = band_gains(PARAMS, HPF)
     full = np.fft.ifft(np.fft.fft(clipped) * gains)
     assert np.max(np.abs(full.imag)) < 1e-9
-    out = composed_filter(clipped, PARAMS, HPF)
+    out = passband_composed_filter(clipped, PARAMS, HPF)
     assert out.dtype == np.float64
 
 
@@ -156,15 +201,66 @@ def test_composed_filter_validates_length():
         composed_filter(np.zeros(100), PARAMS, HPF)
 
 
+def test_composed_filter_refuses_passband_input():
+    # Real input is a passband block (the old call composed_filter(upconvert(c)));
+    # folding it as baseband would return plausible wrong numbers.
+    rng = np.random.default_rng(13)
+    with pytest.raises(ShapeError, match=r"baseband.*not upconvert"):
+        composed_filter(ofdm_passband(rng), PARAMS, HPF)
+    with pytest.raises(ShapeError, match="baseband"):
+        envelope_magnitude(ofdm_passband(rng), PARAMS)
+
+
+# Reference plan; the Nyquist-edge plan (band edge on bin N*L/2, small_specs
+# p00); a high carrier; a DC-edge plan (band edge on bin 0) with explicit
+# high-pass edges.
+ORACLE_PLANS = {
+    "reference": (PARAMS, {}),
+    "nyquist_edge": (OfdmParams(n_subcarriers=128, oversample=5, carrier_hz=2e6), {}),
+    "high_carrier": (OfdmParams(n_subcarriers=64, oversample=14, carrier_hz=5.75e6), {}),
+    "dc_edge": (OfdmParams(n_subcarriers=64, oversample=4, carrier_hz=0.5e6, cp_len=16),
+                dict(hpf_stop_edge=0.01, hpf_pass_edge=0.03)),
+}
+
+
+@pytest.mark.parametrize("plan", sorted(ORACLE_PLANS))
+def test_baseband_fold_matches_passband_oracle(plan):
+    params, edges = ORACLE_PLANS[plan]
+    hpf = experiment_hpf(ExperimentSpec(params=params, **edges))
+    rng = np.random.default_rng(14)
+    scheme = ModScheme("qam", 16)
+    bb = ofdm_baseband(rng, scheme, params, batch=(2, 3))
+    amplitude = 0.9 * rms(bb)
+    filtered = composed_filter(clip_baseband(bb, amplitude), params, hpf)
+    assert filtered.shape == (2, 3, params.n_oversampled)
+    passband = passband_composed_filter(upconvert(clip_baseband(bb, amplitude), params),
+                                        params, hpf)
+    assert np.max(np.abs(upconvert(filtered, params) - passband)) < 1e-12
+    envelope = envelope_magnitude(filtered, params)
+    assert envelope.shape == (2, 3, params.n_oversampled)
+    want_envelope = analytic_envelope(passband, params)
+    assert np.max(np.abs(envelope - want_envelope)) < 1e-12
+    assert np.max(np.abs(papr_db(envelope) - papr_db(want_envelope))) < 1e-12
+
+    bits = rng.integers(0, 2, (40, params.n_subcarriers * scheme.bits_per_symbol), dtype=np.uint8)
+    blocks = _tx_baseband_frames(bits, scheme, params, cp=True)
+    got = _clip_filter_blocks(blocks, amplitude, params, hpf)
+    want = passband_clip_filter_blocks(blocks, amplitude, params, hpf)
+    assert got.shape == want.shape == (40, params.n_oversampled + params.cp_oversampled)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
 def test_envelope_of_inband_symbol_is_its_baseband_magnitude():
     # envelope_magnitude keeps the same occupied bins as band_gains; for an
-    # unclipped symbol that is the whole signal, so the envelope is |x|.
+    # unclipped symbol that is the whole signal, so the envelope is |x|,
+    # and so is the analytic-signal envelope of its passband.
     rng = np.random.default_rng(11)
     bits = rng.integers(0, 2, (4, PARAMS.n_subcarriers * 2), dtype=np.uint8)
     bb = ofdm_modulate(oversample_extend(map_bits(bits, ModScheme("psk", 4)),
                                          PARAMS.oversample), PARAMS)
-    env = envelope_magnitude(upconvert(bb, PARAMS), PARAMS)
+    env = envelope_magnitude(bb, PARAMS)
     assert np.max(np.abs(env - np.abs(bb))) < 1e-12
+    assert np.max(np.abs(analytic_envelope(upconvert(bb, PARAMS), PARAMS) - np.abs(bb))) < 1e-12
     assert np.array_equal(np.flatnonzero(band_gains(PARAMS, HPF)),
                           np.union1d(PARAMS.occupied_bins,
                                      -PARAMS.occupied_bins % PARAMS.n_oversampled))
@@ -182,8 +278,7 @@ def test_peak_regrowth_exists():
                                              PARAMS.oversample), PARAMS)
         amplitude = rms(bb)  # CR = 1.0
         clipped = clip_baseband(bb, amplitude)
-        pb = upconvert(clipped, PARAMS)
-        out = composed_filter(pb, PARAMS, HPF)
+        out = composed_filter(clipped, PARAMS, HPF)
         env = envelope_magnitude(out, PARAMS)
         if np.max(env) > amplitude:
             regrown += 1

@@ -41,6 +41,16 @@ def test_spec_validation_messages():
         small_spec(ccdf_read_point=1.5)
 
 
+def test_read_point_needs_ten_expected_exceedances():
+    # n_symbols * ccdf_read_point >= 10: the reference and benchmark products
+    # sit exactly on the boundary and are accepted.
+    for n_symbols, read_point in ((1000, 1e-2), (10_000, 1e-3), (100_000, 1e-4), (1500, 1e-2)):
+        assert small_spec(n_symbols=n_symbols, ccdf_read_point=read_point)
+    for n_symbols, read_point in ((1000, 1e-3), (1000, 9.99e-3), (10_000, 1e-4), (99_999, 1e-4)):
+        with pytest.raises(ConfigError, match="expected exceedances"):
+            small_spec(n_symbols=n_symbols, ccdf_read_point=read_point)
+
+
 def test_degenerate_clip_matches_unclipped():
     spec = small_spec(cr_values=(1e6,))
     row = run_papr_experiment(spec).rows[0]
