@@ -59,6 +59,7 @@ from .metrics import CcdfCurve, ccdf_quantile, estimate_ccdf, papr_db
 from .ofdm_chain import (
     OfdmParams,
     add_cyclic_prefix,
+    demodulate_passband,
     downconvert,
     inserted_zero_bins,
     ofdm_demodulate,
@@ -101,6 +102,7 @@ __all__ = [
     "constellation_points",
     "default_hpf_spec",
     "demap_symbols",
+    "demodulate_passband",
     "design_equiripple",
     "downconvert",
     "emit_csv",

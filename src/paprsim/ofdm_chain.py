@@ -4,9 +4,11 @@ The transmit direction builds one OFDM symbol from N frequency-domain
 constellation points: zero-insertion oversampling to N*L bins, a unitary
 inverse DFT (scale 1/sqrt(L*N)), optional cyclic prefix, and real passband
 upconversion with a sqrt(2) factor that preserves mean power. The receive
-direction mirrors each step. Every function takes an array whose last axis
-is the bin or sample axis, (..., n), so one call handles one symbol or a
-batch; the carrier and sample rate always come from ``OfdmParams``.
+direction mirrors each step; ``demodulate_passband`` does all of it for
+prefix-stripped blocks in one real FFT. Every function takes an array whose
+last axis is the bin or sample axis, (..., n), so one call handles one
+symbol or a batch; the carrier and sample rate always come from
+``OfdmParams``.
 
 Zero-insertion layout: bins 0..N/2 hold the first half of the original
 frame and the top N/2 bins hold the second half starting at X[N/2], so the
@@ -25,7 +27,8 @@ import numpy as np
 from . import fir_design
 from .errors import ConfigError, ShapeError
 
-#: Tap count of the receiver's image-reject low-pass (see ``downconvert``).
+#: Tap count of the receiver's image-reject low-pass (see ``downconvert`` and
+#: ``demodulate_passband``).
 IMAGE_REJECT_TAPS = 31
 
 
@@ -194,17 +197,11 @@ def upconvert(samples, params: OfdmParams) -> np.ndarray:
     return np.sqrt(2.0) * np.real(samples * _carrier(samples.shape[-1], params))
 
 
-def _mix_down(samples: np.ndarray, params: OfdmParams) -> np.ndarray:
-    """The receive mixer: sqrt(2) exp(-j 2 pi f_c m / f_s), m counted from
-    each block's first sample."""
-    return np.sqrt(2.0) * samples * np.conj(_carrier(samples.shape[-1], params))
-
-
 @lru_cache(maxsize=None)
 def image_reject_lowpass(
     pass_edge: float, stop_edge: float, num_taps: int = IMAGE_REJECT_TAPS
 ) -> fir_design.FirFilter:
-    """Equiripple low-pass used by ``downconvert``; cached per band plan."""
+    """Equiripple image-reject low-pass of the receiver; cached per band plan."""
     spec = fir_design.FirDesignSpec(
         num_taps=num_taps,
         bands=((0.0, pass_edge), (stop_edge, 0.5)),
@@ -237,10 +234,43 @@ def downconvert(samples, params: OfdmParams) -> np.ndarray:
     the occupied band to reject the 2 f_c image. The filter is linear phase
     and its group delay is compensated by trimming, so output sample m lines
     up with input sample m. The first and last group_delay samples carry the
-    filter's edge transients; callers that need exact block edges should keep
-    a cyclic prefix around the block (see harness receive path).
+    filter's edge transients. To demodulate whole OFDM blocks, use
+    :func:`demodulate_passband`, which applies the same mixer and low-pass
+    circularly.
     """
-    mixed = _mix_down(np.asarray(samples), params)
+    samples = np.asarray(samples)
+    mixed = np.sqrt(2.0) * samples * np.conj(_carrier(samples.shape[-1], params))
     taps = _image_filter_for(params).taps
     delay = (taps.size - 1) // 2
     return _filter_rows(mixed, taps)[..., delay : delay + mixed.shape[-1]]
+
+
+def demodulate_passband(samples, params: OfdmParams) -> np.ndarray:
+    """Demodulate real passband blocks (..., N*L), prefix already stripped,
+    to their N data bins (..., N) in :func:`ofdm_demodulate`'s order.
+
+    The receiver in one transform: mix down by sqrt(2) exp(-j 2 pi f_c m /
+    f_s), with the carrier phase counted from the start of the cyclic
+    prefix as ``upconvert`` of a prefixed block sets it; low-pass with the
+    image-reject filter, circularly as the prefix allows; forward-transform
+    (unitary) and read the data bins. For an on-bin carrier that chain is
+    diagonal in the DFT: data bin j is the real FFT's bin k_c + j, scaled by
+    sqrt(2 / (N*L)) and by the low-pass's zero-phase response at j / (N*L).
+    """
+    samples = np.asarray(samples)
+    _require_block(samples, params, "signal")
+    if np.iscomplexobj(samples):
+        raise ShapeError(
+            "demodulate_passband takes real passband blocks, not complex baseband"
+        )
+    n, total = params.n_subcarriers, params.n_oversampled
+    offsets = np.r_[0 : n // 2 + 1, -n // 2 + 1 : 0]
+    # Carrier phase at the first input sample, in turns, reduced mod N*L
+    # before dividing so that a whole number of turns gives exactly 1.
+    turns = (params.carrier_bin * params.cp_oversampled) % total / total
+    weights = (
+        np.sqrt(2.0 / total)
+        * fir_design.amplitude_response(_image_filter_for(params), offsets / total)
+        * np.exp(-2j * np.pi * turns)
+    )
+    return np.fft.rfft(samples, axis=-1)[..., params.carrier_bin + offsets] * weights

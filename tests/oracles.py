@@ -4,16 +4,31 @@ Everything here deliberately avoids the library's own code paths: the
 minimax ripple comes from a linear program, transforms from dense matrix
 products, demapping from an exhaustive search, CCDFs from direct counting,
 the BER of a constellation under Gaussian (I, Q) errors from a Monte Carlo
-draw sliced by exhaustive search, and the composed filter and the PAPR
-envelope from the literal real-passband chain (upconvert, FFT, per-bin
-gain, IFFT, analytic signal), which the library folds into one baseband
-operator. The passband filter reads its per-bin gain from ``band_gains``,
-the one definition of that gain.
+draw sliced by exhaustive search, the composed filter and the PAPR envelope
+from the literal real-passband chain (upconvert, FFT, per-bin gain, IFFT,
+analytic signal), which the library folds into one baseband operator, and
+the received symbols from the literal receiver (mixer, time-domain
+image-reject low-pass, prefix strip, FFT), which the library folds into one
+real FFT. The passband filter reads its per-bin gain from ``band_gains``,
+the one definition of that gain, and the receiver its low-pass from
+``image_reject_lowpass``.
 """
 import numpy as np
 from scipy.optimize import linprog
 
-from paprsim import band_gains, clip_baseband, upconvert
+from paprsim import OfdmParams, band_gains, clip_baseband, upconvert
+from paprsim.ofdm_chain import image_reject_lowpass
+
+# Band plans of the fold-versus-oracle tests, with the high-pass edges each
+# needs: the reference plan; the Nyquist-edge plan (band edge on bin N*L/2,
+# small_specs p00); a high carrier; a DC-edge plan (band edge on bin 0).
+ORACLE_PLANS = {
+    "reference": (OfdmParams(), {}),
+    "nyquist_edge": (OfdmParams(n_subcarriers=128, oversample=5, carrier_hz=2e6), {}),
+    "high_carrier": (OfdmParams(n_subcarriers=64, oversample=14, carrier_hz=5.75e6), {}),
+    "dc_edge": (OfdmParams(n_subcarriers=64, oversample=4, carrier_hz=0.5e6, cp_len=16),
+                dict(hpf_stop_edge=0.01, hpf_pass_edge=0.03)),
+}
 
 
 def chebyshev_lp_ripple(spec, n_grid: int = 2048) -> float:
@@ -131,3 +146,37 @@ def passband_clip_filter_blocks(baseband_blocks, amplitude, params, hpf) -> np.n
     passband = upconvert(clip_baseband(baseband_blocks, amplitude), params)
     filtered = passband_composed_filter(passband[..., cp_n:], params, hpf)
     return np.concatenate([filtered[..., filtered.shape[-1] - cp_n :], filtered], axis=-1)
+
+
+def image_reject_filter(params):
+    """The receiver's image-reject low-pass: pass edge BW/2, stop edge f_c."""
+    return image_reject_lowpass(
+        pass_edge=params.bandwidth_hz / 2 / params.sample_hz,
+        stop_edge=params.carrier_hz / params.sample_hz,
+    )
+
+
+def passband_receive_symbols(blocks, params) -> np.ndarray:
+    """The literal receiver on prefixed real passband blocks (..., cp + N*L):
+    mix down by sqrt(2) exp(-j 2 pi f_c m / f_s) from each block's first
+    sample, low-pass with the image-reject design as a direct-form FIR over
+    a periodic extension of the block, group delay compensated, strip the
+    prefix, FFT (unitary) and read the N data bins: 0..N/2, then
+    -N/2+1..-1."""
+    n, total, cp_n = params.n_subcarriers, params.n_oversampled, params.cp_oversampled
+    length = blocks.shape[-1]
+    m = np.arange(length)
+    mixed = np.sqrt(2.0) * blocks * np.exp(-2j * np.pi * params.carrier_hz * m / params.sample_hz)
+    taps = image_reject_filter(params).taps
+    pad, delay = taps.size, (taps.size - 1) // 2
+    # The block continues with period N*L on both sides. The block's last
+    # samples would misplace the left pad by the prefix length, which
+    # reaches the data when the prefix is shorter than the group delay.
+    ext = np.concatenate(
+        [mixed[..., length - cp_n - pad : length - cp_n], mixed, mixed[..., cp_n : cp_n + pad]],
+        axis=-1,
+    )
+    filtered = sum(taps[k] * ext[..., pad - delay + k : pad - delay + k + length]
+                   for k in range(taps.size))
+    spectrum = np.fft.fft(filtered[..., cp_n:], axis=-1) / np.sqrt(total)
+    return spectrum[..., np.r_[0 : n // 2 + 1, total - n // 2 + 1 : total]]

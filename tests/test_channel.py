@@ -8,9 +8,15 @@ from paprsim import (
     NoiseConfig,
     OfdmParams,
     add_awgn,
+    amplitude_response,
+    demodulate_passband,
     noise_sigma,
     simulate_chain_ber,
+    upconvert,
 )
+from paprsim.harness import _receive_symbols, _tx_baseband_frames
+
+from oracles import image_reject_filter
 
 
 def make_config(ebn0_db, bits_per_symbol=2, oversample=8, n=128, cp=32):
@@ -108,3 +114,33 @@ def test_ber_monotone_in_ebn0():
         bers.append(errors / total)
     slack = 2.0 * np.sqrt(np.array(bers) * (1 - np.array(bers)) / 60_000)
     assert all(bers[i + 1] <= bers[i] + slack[i] for i in range(len(bers) - 1))
+
+
+def test_receiver_noise_per_bin_and_blind_gain():
+    # Zero signal plus AWGN: every data bin's noise variance is
+    # 2 sigma_n^2 H(j)^2, the variance the blind gain estimate subtracts,
+    # within 4 sampling SEs per bin and pooled.
+    params, sigma_n = OfdmParams(), 0.3
+    n, total = params.n_subcarriers, params.n_oversampled
+    rng = np.random.default_rng(21)
+    noise = add_awgn(np.zeros((2000, total)), sigma_n, rng)
+    power = np.abs(demodulate_passband(noise, params)) ** 2
+    offsets = np.r_[0 : n // 2 + 1, -n // 2 + 1 : 0]
+    response = amplitude_response(image_reject_filter(params), offsets / total)
+    ratio = power / (2.0 * sigma_n**2 * response**2)
+    se = ratio.std(axis=0, ddof=1) / np.sqrt(ratio.shape[0])
+    assert np.all(np.abs(ratio.mean(axis=0) - 1.0) < 4.0 * se)
+    assert abs(ratio.mean() - 1.0) < 4.0 * ratio.std(ddof=1) / np.sqrt(ratio.size)
+
+    # Unclipped noisy QPSK: the blind estimate recovers gain 1 within 4 SEs
+    # of sqrt(mean |y|^2 - 2 sigma_n^2), half the relative SE of the mean.
+    scheme = ModScheme.from_name("qpsk")
+    bits = rng.integers(0, 2, (2000, n * scheme.bits_per_symbol), dtype=np.uint8)
+    blocks = add_awgn(upconvert(_tx_baseband_frames(bits, scheme, params, cp=True), params),
+                      sigma_n, rng)
+    raw = _receive_symbols(blocks, params, sigma_n, signal_gain=1.0)
+    blind = _receive_symbols(blocks, params, sigma_n)
+    gain = raw[0, 0] / blind[0, 0]
+    assert abs(gain.imag) < 1e-12
+    power = np.abs(raw) ** 2
+    assert abs(gain.real - 1.0) < 4.0 * power.std(ddof=1) / np.sqrt(power.size) / 2.0

@@ -28,6 +28,7 @@ from paprsim.harness import (
 )
 
 from oracles import (
+    ORACLE_PLANS,
     analytic_envelope,
     gaussian_tail,
     passband_clip_filter_blocks,
@@ -209,18 +210,6 @@ def test_composed_filter_refuses_passband_input():
         composed_filter(ofdm_passband(rng), PARAMS, HPF)
     with pytest.raises(ShapeError, match="baseband"):
         envelope_magnitude(ofdm_passband(rng), PARAMS)
-
-
-# Reference plan; the Nyquist-edge plan (band edge on bin N*L/2, small_specs
-# p00); a high carrier; a DC-edge plan (band edge on bin 0) with explicit
-# high-pass edges.
-ORACLE_PLANS = {
-    "reference": (PARAMS, {}),
-    "nyquist_edge": (OfdmParams(n_subcarriers=128, oversample=5, carrier_hz=2e6), {}),
-    "high_carrier": (OfdmParams(n_subcarriers=64, oversample=14, carrier_hz=5.75e6), {}),
-    "dc_edge": (OfdmParams(n_subcarriers=64, oversample=4, carrier_hz=0.5e6, cp_len=16),
-                dict(hpf_stop_edge=0.01, hpf_pass_edge=0.03)),
-}
 
 
 @pytest.mark.parametrize("plan", sorted(ORACLE_PLANS))

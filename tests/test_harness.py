@@ -1,4 +1,5 @@
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +123,22 @@ def test_ber_runs_with_custom_hpf_taps():
     spec = small_spec(hpf_num_taps=31, hpf_stop_edge=0.125, hpf_pass_edge=0.1875)
     rows = run_ber_experiment(spec).rows
     assert len(rows) == 1
+
+
+def test_clipped_ber_is_not_guessing_where_the_image_filter_diverged():
+    # small_specs plan p02: its image-reject low-pass diverged (taps up to
+    # 2e8). A receiver that filters over the prefix, whose noise is not the
+    # tail noise it stands in for, amplified that mismatch into coin-flip
+    # decisions (10087/20160 bits wrong). The BER must reject 1/2 at
+    # alpha = 1e-6, with bit errors counted per symbol as the benchmark does.
+    params = OfdmParams(n_subcarriers=64, oversample=14, carrier_hz=5.75e6, cp_len=16)
+    scheme = ModScheme.from_name("8psk")
+    spec = small_spec(params=params, schemes=(scheme,), hpf_num_taps=115, seed=3)
+    (row,) = run_ber_experiment(spec).rows
+    k = round(row.bit_errors / scheme.bits_per_symbol)
+    n = round(row.bits_total / scheme.bits_per_symbol)
+    z = max(abs(k - n / 2) - 0.5, 0.0) / math.sqrt(n / 4)
+    assert math.erfc(z / math.sqrt(2.0)) <= 1e-6, (row.bit_errors, row.bits_total)
 
 
 def test_experiment_error_context(monkeypatch):

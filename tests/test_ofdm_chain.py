@@ -3,21 +3,31 @@ import pytest
 
 from paprsim import (
     ConfigError,
+    ExperimentSpec,
     ModScheme,
     OfdmParams,
     ShapeError,
     add_cyclic_prefix,
+    demodulate_passband,
     downconvert,
+    experiment_hpf,
     inserted_zero_bins,
     map_bits,
     ofdm_demodulate,
     ofdm_modulate,
     oversample_extend,
     remove_cyclic_prefix,
+    rms,
     upconvert,
 )
+from paprsim.harness import _clip_filter_blocks, _receive_symbols, _tx_baseband_frames
 
-from oracles import direct_oversampled_idft
+from oracles import (
+    ORACLE_PLANS,
+    direct_oversampled_idft,
+    image_reject_filter,
+    passband_receive_symbols,
+)
 
 PARAMS = OfdmParams()  # 128 subcarriers, L=8, 1 MHz band at 2 MHz, cp 32
 
@@ -273,3 +283,50 @@ def test_full_chain_zero_noise_ber_is_zero():
     errors, total = simulate_chain_ber(PARAMS, ModScheme("qam", 32), min_bits=20_000, seed=1)
     assert total >= 20_000
     assert errors == 0
+
+
+# The composed-filter oracle plans except dc_edge, whose image-reject
+# low-pass has no transition band (both edges at f_c = BW/2); small_specs
+# p18, whose low-pass design diverged (taps up to 3.8e15); and a 3-sample
+# prefix that puts the carrier 0.023 of a turn past its phase at the prefix
+# start.
+RX_PLANS = {
+    **{name: plan for name, plan in ORACLE_PLANS.items() if name != "dc_edge"},
+    "lowpass_diverges": (OfdmParams(n_subcarriers=128, oversample=12, carrier_hz=4.75e6), {}),
+    "prefix_phase": (OfdmParams(carrier_hz=2.0078125e6, cp_len=3), {}),
+}
+
+
+@pytest.mark.parametrize("plan", sorted(RX_PLANS))
+def test_receive_fold_matches_passband_oracle(plan):
+    # Noise-free clipped and filtered 16-QAM blocks; symbols are compared,
+    # not bits, because an exact decision tie can fall either way. The
+    # literal chain's round-off scales with the low-pass's l1 norm: 1.4 on
+    # healthy plans, 6.7e8 on high_carrier (small_specs p02) and 2.5e16 on
+    # lowpass_diverges.
+    params, edges = RX_PLANS[plan]
+    hpf = experiment_hpf(ExperimentSpec(params=params, **edges))
+    rng = np.random.default_rng(15)
+    scheme = ModScheme("qam", 16)
+    bits = rng.integers(0, 2, (64, params.n_subcarriers * scheme.bits_per_symbol), dtype=np.uint8)
+    baseband = _tx_baseband_frames(bits, scheme, params, cp=True)
+    blocks = _clip_filter_blocks(baseband, 0.9 * rms(baseband), params, hpf)
+    want = passband_receive_symbols(blocks, params)
+    symbols = remove_cyclic_prefix(blocks, params.cp_oversampled)
+    got = demodulate_passband(symbols, params)
+    assert got.shape == want.shape == (64, params.n_subcarriers)
+    scale = np.sum(np.abs(image_reject_filter(params).taps)) * np.max(np.abs(blocks))
+    assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, scale)
+    assert np.array_equal(_receive_symbols(blocks, params, signal_gain=1.0), got)
+    batch = demodulate_passband(symbols.reshape(2, 32, -1), params)
+    assert np.array_equal(batch, got.reshape(2, 32, -1))
+
+
+def test_demodulate_passband_refusals():
+    total = PARAMS.n_oversampled
+    with pytest.raises(ShapeError, match="real passband"):
+        demodulate_passband(np.zeros((2, total), dtype=complex), PARAMS)
+    with pytest.raises(ShapeError, match="length"):
+        demodulate_passband(np.zeros((2, total + PARAMS.cp_oversampled)), PARAMS)
+    with pytest.raises(ConfigError):
+        demodulate_passband(np.zeros(256), ORACLE_PLANS["dc_edge"][0])
