@@ -184,16 +184,88 @@ def demap_symbols(symbols, scheme: ModScheme) -> np.ndarray:
     """Hard-decide symbols (..., n) to the nearest table points and emit their
     label bits (..., n*k).
 
-    Distance ties go to the lowest table index.
+    Distance ties go to the lowest table index. The decision is an exact
+    slicer, O(1) per symbol whatever M: PSK quantises the angle, QAM rounds
+    each axis to the level grid (see :func:`_psk_indices` and
+    :func:`_qam_indices`).
     """
     symbols = np.asarray(symbols, dtype=complex)
     table = constellation_points(scheme)
-    idx = _nearest_indices(symbols.reshape(-1), table.points)
-    return table.labels[idx].reshape(symbols.shape[:-1] + (-1,))
+    flat = symbols.reshape(-1)
+    if scheme.family == "psk":
+        idx = _psk_indices(flat, scheme.order)
+    else:
+        idx = _qam_indices(flat, scheme.order)
+    return np.take(table.labels, idx, axis=0).reshape(symbols.shape[:-1] + (-1,))
 
 
-def _nearest_indices(symbols: np.ndarray, points: np.ndarray) -> np.ndarray:
-    # argmin of |y - p|^2 = argmin of |p|^2 - 2 Re(y conj(p)); |y|^2 is constant per row.
-    re = np.outer(symbols.real, points.real) + np.outer(symbols.imag, points.imag)
-    scores = np.abs(points) ** 2 - 2.0 * re
-    return np.argmin(scores, axis=1)
+def _psk_indices(symbols: np.ndarray, order: int) -> np.ndarray:
+    """Nearest PSK point. Point k sits at angle 2 pi (k + 1/2) / M, so with
+    the angle t in units of 2 pi / M, point k owns t in (k, k + 1]: a tie at
+    t = b goes to b - 1, the lower index. The exception is t = 0, where
+    points M-1 and 0 meet, and the origin, where all meet; both give 0.
+
+    A float can lie exactly on a decision boundary only on the axes and the
+    diagonals. On the axes arctan2 returns its exact special values (0, pi/2
+    and pi, rounded as the constant pi is), so t is exact after the division
+    by 2 pi / M, a power-of-two fraction of pi. On the diagonals t is
+    snapped to its exact multiple of M/8, so the tie rule holds however
+    arctan2 rounds there.
+    """
+    re, im = symbols.real, symbols.imag
+    t = np.arctan2(im, re)
+    t /= 2.0 * np.pi / order
+    diagonal = np.abs(re) == np.abs(im)
+    snapped = np.round(t[diagonal] * (8 / order)) * (order / 8)
+    snapped[re[diagonal] == 0] = 0.0  # the origin, whatever the signs of its zeros
+    t[diagonal] = snapped
+    at_zero = t == 0
+    idx = np.ceil(t, out=t).astype(np.intp)
+    idx -= 1
+    idx &= order - 1  # M is a power of two
+    idx[at_zero] = 0
+    return idx
+
+
+@lru_cache(maxsize=None)
+def _qam_grid(order: int) -> tuple[float, np.ndarray]:
+    """The QAM table as a level grid: the level spacing d, with the levels
+    at odd multiples of d/2, and the table index of each (I level, Q level)
+    cell, -1 where the 32-cross has no point."""
+    points = constellation_points(ModScheme("qam", order)).points
+    spacing = 2.0 * float(np.min(np.abs(points.real)))
+    i_odd = np.round(2.0 * points.real / spacing).astype(int)
+    q_odd = np.round(2.0 * points.imag / spacing).astype(int)
+    n_i, n_q = i_odd.max() + 1, q_odd.max() + 1
+    grid = np.full((n_i, n_q), -1, dtype=np.intp)
+    grid[(i_odd + n_i - 1) // 2, (q_odd + n_q - 1) // 2] = np.arange(order)
+    grid.setflags(write=False)
+    return spacing, grid
+
+
+def _qam_indices(symbols: np.ndarray, order: int) -> np.ndarray:
+    """Nearest QAM point: round each axis to its level grid, with a clamp.
+
+    In units of the level spacing the levels sit at half-integers and the
+    decision boundaries at the integers between them, which the division
+    recovers exactly. Table indices grow with the I level, then the Q
+    level, so a tie goes to the lower level: the cell of x is ceil(x). A
+    corner cell of the 32-cross has no point; there the nearer neighbour is
+    the one that keeps the axis with the larger |coordinate|, and a tie on
+    the diagonal goes to the one with the lower I level.
+    """
+    spacing, grid = _qam_grid(order)
+    n_i, n_q = grid.shape
+    x, y = symbols.real / spacing, symbols.imag / spacing
+    i = np.clip(np.ceil(x), 1 - n_i // 2, n_i // 2).astype(np.intp) + (n_i // 2 - 1)
+    q = np.clip(np.ceil(y), 1 - n_q // 2, n_q // 2).astype(np.intp) + (n_q // 2 - 1)
+    idx = np.take(grid, i * n_q + q)
+    corner = np.flatnonzero(idx < 0)
+    if corner.size:
+        ax, ay = np.abs(x[corner]), np.abs(y[corner])
+        keep_i = (ax > ay) | ((ax == ay) & (x[corner] < 0))
+        ci, cq = i[corner], q[corner]
+        ci = np.where(keep_i, ci, np.where(ci == 0, 1, n_i - 2))
+        cq = np.where(keep_i, np.where(cq == 0, 1, n_q - 2), cq)
+        idx[corner] = grid[ci, cq]
+    return idx

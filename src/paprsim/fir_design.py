@@ -12,7 +12,10 @@ iterates on R + 1 reference frequencies: solve for the levelled error
 ``delta`` on the reference set, interpolate the implied A(f) barycentrically
 on a dense grid, then move the reference to the extrema of the weighted
 error. Iteration stops when the reference set is stable or delta changes by
-less than 1e-6 relative, with a hard cap of 50 passes.
+less than 1e-6 relative, with a hard cap of 50 passes. The design returned
+is the pass with the smallest dense-grid max error: when a first pass
+already fits the target to round-off, the exchange can go on to chase
+round-off extrema into a far worse iterate.
 
 Frequencies are normalized to the sample rate, so the usable axis is
 [0, 0.5].
@@ -69,7 +72,8 @@ class FirFilter:
     exchange pass; it grows monotonically toward the minimax error, which is
     the classic progress measure of the exchange. ``error_history`` records
     the dense-grid max weighted error per pass (an upper bound on the
-    minimax; not monotone in general).
+    minimax; not monotone in general). Both end at the pass whose iterate
+    the taps come from.
     """
 
     taps: np.ndarray
@@ -158,7 +162,6 @@ def design_equiripple(spec: FirDesignSpec) -> FirFilter:
     if ref.size < n_ref:
         raise ConfigError("design grid too coarse for the requested tap count")
 
-    amplitude = np.zeros_like(freqs)
     history: list[float] = []
     delta_history: list[float] = []
     delta = np.inf
@@ -181,6 +184,8 @@ def design_equiripple(spec: FirDesignSpec) -> FirFilter:
 
         err = weights * (desired - amplitude)
         history.append(float(np.max(np.abs(err))))
+        if history[-1] <= min(history):
+            best_pass, best_amplitude = len(history), amplitude
 
         if history[-1] <= 1e-12 * flat_scale:
             converged = True  # target is exactly representable (e.g. all-pass)
@@ -207,10 +212,10 @@ def design_equiripple(spec: FirDesignSpec) -> FirFilter:
             f"last delta {abs(delta):.6e}"
         )
 
-    # Recover cosine coefficients from the converged amplitude samples. The
-    # amplitude is exactly representable, so least squares is just a stable
-    # change of basis.
-    coeffs, *_ = np.linalg.lstsq(cos_matrix, amplitude, rcond=None)
+    # Recover cosine coefficients from the best iterate's amplitude samples.
+    # The amplitude is exactly representable, so least squares is just a
+    # stable change of basis.
+    coeffs, *_ = np.linalg.lstsq(cos_matrix, best_amplitude, rcond=None)
     taps = np.zeros(spec.num_taps)
     mid = (spec.num_taps - 1) // 2
     taps[mid] = coeffs[0]
@@ -225,8 +230,8 @@ def design_equiripple(spec: FirDesignSpec) -> FirFilter:
         taps=taps,
         spec=spec,
         ripple=ripple,
-        delta_history=tuple(delta_history),
-        error_history=tuple(history),
+        delta_history=tuple(delta_history[:best_pass]),
+        error_history=tuple(history[:best_pass]),
     )
 
 

@@ -1,10 +1,9 @@
 """Experiment orchestration: PAPR and BER sweeps over scheme and clipping ratio.
 
-Both experiments walk a deterministic grid of cells. Every cell owns an
-independent random stream derived as SeedSequence([master_seed, kind,
-cell_index]) with kind 0 for PAPR cells and 1 for BER cells, so results are
-a pure function of the experiment spec and cells could run in any order or
-in parallel.
+Both experiments walk a deterministic grid of cells, and every random draw
+comes from a stream derived from the master seed and the cell's place in the
+grid, so results are a pure function of the experiment spec. A PAPR cell
+draws from SeedSequence([master_seed, 0, cell_index]).
 
 PAPR cell: generate frames, map, oversample-extend, modulate; take sigma as
 the RMS over the whole unclipped batch and clip the envelope magnitude at
@@ -17,16 +16,24 @@ the complex envelope |x[m]|^2 of the oversampled symbol, never to the
 instantaneous real passband waveform, whose peaks carry an extra
 carrier-phase artifact of about 2.5 dB.
 
-BER cell: same transmit path plus a cyclic prefix (clipping is memoryless,
-so the first N*L clipped samples of a block are the symbol rotated by the
-prefix; they are filtered, upconverted and given a cyclic suffix, which is
-the filtered symbol behind a prefix rebuilt from its tail), AWGN calibrated
-to the cell's Eb/N0 from the measured transmit power, then the receiver:
-strip the prefix, demodulate, normalize the gain, demap. Demodulation is one
-real FFT per block read at the data bins (``demodulate_passband``): mix-down,
-the image-reject low-pass applied circularly over the block, and the FFT
-demodulator are diagonal in the DFT for an on-bin carrier, so the low-pass
-acts as its response at the data bins and no passband sample is filtered.
+BER cells come in units, one per (scheme, cr), that share one transmission.
+A unit draws its bits once and runs the transmit path plus a cyclic prefix
+(clipping is memoryless, so the first N*L clipped samples of a block are the
+symbol rotated by the prefix; they are filtered, upconverted and given a
+cyclic suffix, which is the filtered symbol behind a prefix rebuilt from its
+tail). It measures the transmit power and receives the blocks without
+noise: strip the prefix and demodulate, one real FFT per block read at the
+data bins (``demodulate_passband``). For an on-bin carrier, mix-down, the
+image-reject low-pass applied circularly over the block, and the FFT
+demodulator are diagonal in the DFT, so the receiver is linear and reads
+only the N data bins. White real passband noise of variance sigma_n^2
+therefore reaches data bin j as circular complex Gaussian noise of variance
+2 sigma_n^2 H(j)^2, independent across bins (H is the low-pass's response;
+prefix noise is discarded). Each Eb/N0 point calibrates sigma_n from the
+measured transmit power, draws only that bin noise, adds it to the
+noise-free symbols, normalizes the gain and slices. The unit draws from
+SeedSequence([master_seed, 1, unit_index]).spawn(1 + len(ebn0_grid_db)):
+child 0 for the bits, child 1 + i for the noise at Eb/N0 point i.
 """
 from __future__ import annotations
 
@@ -58,18 +65,21 @@ from .ofdm_chain import (
 # perfbench/interactions.json lists, because perfbench/spans.py times a stage
 # by wrapping that module-level name. Each name is bound to the public
 # function itself, so every stage keeps one implementation. The bindings go
-# once the stage table names the public functions (ROADMAP item 4).
+# once the stage table names the public functions (ROADMAP item 2).
 _map_rows = map_bits
 _extend_rows = oversample_extend
 _modulate_rows = ofdm_modulate
 _clip_magnitude_rows = clip_baseband
 _upconvert_rows = upconvert
 _composed_rows = composed_filter
-_awgn_rows = add_awgn
 _demodulate_rows = demodulate_passband
 _demap_rows = demap_symbols
-# Uncalled since the receive fold: bound so its traced stage reports 0 calls.
+# Uncalled since the receive fold (the literal low-pass) and the bin-domain
+# BER unit (passband AWGN, the per-cell receiver): bound so that their traced
+# stages report 0 calls instead of going missing.
 _filter_rows = ofdm_chain._filter_rows
+_awgn_rows = add_awgn
+_receive_bits = demodulate_passband
 
 #: Default CCDF threshold grid (dB); 0.05 dB steps bound the quantile
 #: interpolation error well below the experiment tolerances.
@@ -122,10 +132,11 @@ class ExperimentSpec:
             raise ConfigError("bits_per_point must be positive")
         if not all(np.isfinite(v) for v in self.ebn0_grid_db):
             raise ConfigError("ebn0_grid_db values must be finite")
-        # Fail fast on an infeasible high-pass band plan.
+        # Fail fast on an infeasible high-pass or receiver low-pass band plan.
         default_hpf_spec(
             self.params, self.hpf_num_taps, self.hpf_stop_edge, self.hpf_pass_edge
         )
+        ofdm_chain._image_filter_spec(self.params)
 
 
 def experiment_hpf(spec: ExperimentSpec) -> fir_design.FirFilter:
@@ -257,34 +268,35 @@ def clip_attenuation(cr: float) -> float:
     return 1.0 - math.exp(-cr * cr) + (math.sqrt(math.pi) / 2.0) * cr * math.erfc(cr)
 
 
-def _receive_symbols(
-    rx_blocks: np.ndarray,
-    params: OfdmParams,
-    sigma_n: float = 0.0,
-    signal_gain: float | None = None,
-) -> np.ndarray:
-    """Strip the prefix, demodulate and gain-normalize received passband
-    blocks; returns the equalized data symbols, one row per block.
+def _receive_symbols(rx_blocks: np.ndarray, params: OfdmParams) -> np.ndarray:
+    """Strip the prefix and demodulate received passband blocks; returns
+    their data symbols at gain 1, one row per block.
 
     ``demodulate_passband`` does the mix-down, image-reject low-pass and
     FFT demodulation of each prefix-stripped block in one real FFT read at
     the data bins; the low-pass acts circularly, so no filter transient
     reaches a data sample.
-
-    Before slicing, the batch is divided by a gain reference: clipping
-    attenuates the useful signal (Bussgang shrinkage), and a receiver that
-    slices multi-ring QAM against the unit reference grid without restoring
-    gain would be systematically biased. When the clipping ratio is known
-    (``signal_gain`` from :func:`clip_attenuation`), that closed form is
-    used; otherwise the gain is estimated blindly as
-    sqrt(mean |y|^2 - 2 sigma_n^2), where 2 sigma_n^2 is the per-bin noise
-    variance the channel was calibrated to (times the low-pass's squared
-    response at the bin, within 2.2e-5 of 1 on the reference plan).
     """
     symbols = np.empty((rx_blocks.shape[0], params.n_subcarriers), dtype=complex)
     for start in range(0, rx_blocks.shape[0], _FRAME_CHUNK):
         chunk = remove_cyclic_prefix(rx_blocks[start : start + _FRAME_CHUNK], params.cp_oversampled)
         symbols[start : start + chunk.shape[0]] = _demodulate_rows(chunk, params)
+    return symbols
+
+
+def _equalize(symbols: np.ndarray, sigma_n: float, signal_gain: float | None) -> np.ndarray:
+    """Divide received data symbols in place by a gain reference before
+    slicing; returns them.
+
+    Clipping attenuates the useful signal (Bussgang shrinkage), and a
+    receiver that slices multi-ring QAM against the unit reference grid
+    without restoring gain would be systematically biased. When the
+    clipping ratio is known (``signal_gain`` from :func:`clip_attenuation`),
+    that closed form is used; otherwise the gain is estimated blindly as
+    sqrt(mean |y|^2 - 2 sigma_n^2), where 2 sigma_n^2 is the per-bin noise
+    variance the channel was calibrated to (times the low-pass's squared
+    response at the bin, within 2.2e-5 of 1 on the reference plan).
+    """
     gain = signal_gain
     if gain is None:
         gain = np.sqrt(max(float(np.mean(np.abs(symbols) ** 2)) - 2.0 * sigma_n**2, 1e-12))
@@ -292,15 +304,86 @@ def _receive_symbols(
     return symbols
 
 
-def _receive_bits(
-    rx_blocks: np.ndarray,
-    scheme: ModScheme,
-    params: OfdmParams,
-    sigma_n: float = 0.0,
-    signal_gain: float | None = None,
+def _add_bin_noise(
+    symbols: np.ndarray, sigma_n: float, response: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Recover the equalized symbols (:func:`_receive_symbols`) and demap them."""
-    return _demap_rows(_receive_symbols(rx_blocks, params, sigma_n, signal_gain), scheme)
+    """Return received data symbols (..., N) plus the data-bin read of white
+    real passband noise of variance sigma_n^2: circular complex Gaussian
+    noise of variance 2 sigma_n^2 H(j)^2 at bin j, ``response`` holding
+    H(j). Draws 2N standard normals per row; sigma_n = 0 draws nothing."""
+    if sigma_n == 0:
+        return symbols.copy()
+    shape = symbols.shape[:-1] + (2 * symbols.shape[-1],)
+    noisy = rng.standard_normal(shape).view(complex)
+    noisy *= sigma_n * response
+    noisy += symbols
+    return noisy
+
+
+def _noise_free_unit(
+    params: OfdmParams,
+    scheme: ModScheme,
+    cr: float | None,
+    hpf: fir_design.FirFilter | None,
+    min_bits: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """The shared work of a BER unit: draw the bit rows, transmit them
+    (cr=None skips clipping and filtering) and receive them without noise.
+    Returns (bits, transmit power, received symbols at gain 1); the power
+    is the mean square of the passband samples, prefix included, that the
+    channel is calibrated to."""
+    bits_per_frame = params.n_subcarriers * scheme.bits_per_symbol
+    n_frames = max(1, math.ceil(min_bits / bits_per_frame))
+    bits = _random_bits(rng, n_frames, bits_per_frame)
+    baseband = _tx_baseband_frames(bits, scheme, params, cp=params.cp_len > 0)
+    if cr is None:
+        blocks = _upconvert_rows(baseband, params)
+    elif hpf is None:
+        raise ConfigError("clipping requested but no high-pass filter supplied")
+    else:
+        blocks = _clip_filter_blocks(baseband, cr * rms(baseband), params, hpf)
+    del baseband
+    power = float(np.mean(blocks**2))
+    return bits, power, _receive_symbols(blocks, params)
+
+
+def _ber_cells(
+    params: OfdmParams,
+    scheme: ModScheme,
+    cr: float | None,
+    ebn0_grid_db,
+    min_bits: int,
+    hpf: fir_design.FirFilter | None,
+    entropy: list[int],
+):
+    """Yield (bit_errors, bits_total) for each Eb/N0 point of one (scheme,
+    cr) unit. cr=None skips clipping and filtering, an Eb/N0 of None is a
+    noiseless channel. SeedSequence(entropy) spawns one child per draw:
+    child 0 for the bits, child 1 + i for the noise at Eb/N0 point i.
+
+    Nothing runs until the first value is asked for; the unit's transmit
+    and noise-free receive then run once, before the first point.
+    """
+    seeds = np.random.SeedSequence(entropy).spawn(1 + len(ebn0_grid_db))
+    bits, power, clean = _noise_free_unit(
+        params, scheme, cr, hpf, min_bits, np.random.default_rng(seeds[0])
+    )
+    response = ofdm_chain._data_bin_response(params)
+    gain = clip_attenuation(cr) if cr is not None else None
+    for ebn0_db, seed in zip(ebn0_grid_db, seeds[1:]):
+        sigma_n = 0.0
+        if ebn0_db is not None:
+            config = NoiseConfig(
+                ebn0_db=ebn0_db,
+                bits_per_symbol=scheme.bits_per_symbol,
+                occupied_fraction=1.0 / params.oversample,
+                cp_overhead=params.n_subcarriers / (params.n_subcarriers + params.cp_len),
+            )
+            sigma_n = noise_sigma(config, power)
+        rx = _add_bin_noise(clean, sigma_n, response, np.random.default_rng(seed))
+        rx_bits = _demap_rows(_equalize(rx, sigma_n, gain), scheme)
+        yield int(np.count_nonzero(bits != rx_bits)), bits.size
 
 
 def _papr_cell(
@@ -385,46 +468,6 @@ def _pair_difference(table: dict, scheme: ModScheme, *key, value):
     return None
 
 
-def _ber_cell(
-    params: OfdmParams,
-    scheme: ModScheme,
-    rng: np.random.Generator,
-    min_bits: int,
-    cr: float | None,
-    ebn0_db: float | None,
-    hpf: fir_design.FirFilter | None,
-):
-    """One end-to-end BER measurement; cr=None skips clipping and filtering,
-    ebn0_db=None runs a noiseless channel. Returns (errors, total_bits)."""
-    bits_per_frame = params.n_subcarriers * scheme.bits_per_symbol
-    n_frames = max(1, math.ceil(min_bits / bits_per_frame))
-    tx_bits = _random_bits(rng, n_frames, bits_per_frame)
-    baseband = _tx_baseband_frames(tx_bits, scheme, params, cp=params.cp_len > 0)
-
-    if cr is not None:
-        if hpf is None:
-            raise ConfigError("clipping requested but no high-pass filter supplied")
-        blocks = _clip_filter_blocks(baseband, cr * rms(baseband), params, hpf)
-    else:
-        blocks = _upconvert_rows(baseband, params)
-
-    sigma_n = 0.0
-    if ebn0_db is not None:
-        config = NoiseConfig(
-            ebn0_db=ebn0_db,
-            bits_per_symbol=scheme.bits_per_symbol,
-            occupied_fraction=1.0 / params.oversample,
-            cp_overhead=params.n_subcarriers / (params.n_subcarriers + params.cp_len),
-        )
-        sigma_n = noise_sigma(config, float(np.mean(blocks**2)))
-        blocks = _awgn_rows(blocks, sigma_n, rng)
-
-    gain = clip_attenuation(cr) if cr is not None else None
-    rx_bits = _receive_bits(blocks, scheme, params, sigma_n, gain)
-    errors = int(np.count_nonzero(tx_bits != rx_bits))
-    return errors, tx_bits.size
-
-
 def simulate_chain_ber(
     params: OfdmParams,
     scheme: ModScheme,
@@ -438,40 +481,44 @@ def simulate_chain_ber(
     """Standalone end-to-end BER run, mainly for calibration and validation.
 
     Returns (bit_errors, bits_total). With cr=None and ebn0_db=None this is
-    the noiseless loopback of the full modulation chain.
+    the noiseless loopback of the full modulation chain. It is one BER unit
+    with a single Eb/N0 point (see the module docstring), seeded by
+    SeedSequence([seed, 2, 0]).spawn(2): child 0 for the bits, child 1 for
+    the noise.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 2, 0]))
-    return _ber_cell(params, scheme, rng, min_bits, cr, ebn0_db, hpf)
+    ((errors, total),) = _ber_cells(params, scheme, cr, (ebn0_db,), min_bits, hpf, [seed, 2, 0])
+    return errors, total
 
 
 def run_ber_experiment(spec: ExperimentSpec, progress=None) -> BerExperimentResult:
-    """BER sweep over every (scheme, cr, ebn0) cell of the spec."""
+    """BER sweep over every (scheme, cr, ebn0) cell of the spec.
+
+    ``progress`` is called once per cell, in cell order, before the cell's
+    work; a (scheme, cr) unit's shared transmit and noise-free receive run
+    as part of its first cell.
+    """
     hpf = experiment_hpf(spec)
     results: dict[tuple[str, float, float], tuple[int, int]] = {}
-    cells = [
-        (scheme, cr, ebn0)
-        for scheme in spec.schemes
-        for cr in spec.cr_values
-        for ebn0 in spec.ebn0_grid_db
-    ]
-    for index, (scheme, cr, ebn0) in enumerate(cells):
-        if progress:
-            progress(f"ber {scheme.name} cr={cr:g} ebn0={ebn0:g} dB")
-        try:
-            errors, total = _ber_cell(
-                spec.params,
-                scheme,
-                _cell_rng(spec.seed, 1, index),
-                spec.bits_per_point,
-                cr,
-                ebn0,
-                hpf,
-            )
-        except Exception as exc:
-            raise ExperimentError(
-                f"ber cell failed (scheme={scheme.name}, cr={cr:g}, ebn0={ebn0:g}): {exc}"
-            ) from exc
-        results[(scheme.name, cr, ebn0)] = (errors, total)
+    units = [(scheme, cr) for scheme in spec.schemes for cr in spec.cr_values]
+    for index, (scheme, cr) in enumerate(units):
+        cells = _ber_cells(
+            spec.params,
+            scheme,
+            cr,
+            spec.ebn0_grid_db,
+            spec.bits_per_point,
+            hpf,
+            [spec.seed, 1, index],
+        )
+        for ebn0 in spec.ebn0_grid_db:
+            if progress:
+                progress(f"ber {scheme.name} cr={cr:g} ebn0={ebn0:g} dB")
+            try:
+                results[(scheme.name, cr, ebn0)] = next(cells)
+            except Exception as exc:
+                raise ExperimentError(
+                    f"ber cell failed (scheme={scheme.name}, cr={cr:g}, ebn0={ebn0:g}): {exc}"
+                ) from exc
 
     rows = []
     for scheme in spec.schemes:

@@ -198,25 +198,32 @@ def upconvert(samples, params: OfdmParams) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def image_reject_lowpass(
-    pass_edge: float, stop_edge: float, num_taps: int = IMAGE_REJECT_TAPS
-) -> fir_design.FirFilter:
-    """Equiripple image-reject low-pass of the receiver; cached per band plan."""
-    spec = fir_design.FirDesignSpec(
-        num_taps=num_taps,
-        bands=((0.0, pass_edge), (stop_edge, 0.5)),
-        desired=(1.0, 0.0),
-        weights=(1.0, 1.0),
-    )
+def image_reject_lowpass(spec: fir_design.FirDesignSpec) -> fir_design.FirFilter:
+    """Equiripple image-reject low-pass of the receiver; cached per design target."""
     return fir_design.design_equiripple(spec)
 
 
+def _image_filter_spec(params: OfdmParams) -> fir_design.FirDesignSpec:
+    """Design target of the receiver's image-reject low-pass: passband edge
+    at BW/2, stopband from the carrier down-mixed image side. Building it
+    designs nothing and raises ``ConfigError`` for a plan it cannot meet."""
+    try:
+        return fir_design.FirDesignSpec(
+            num_taps=IMAGE_REJECT_TAPS,
+            bands=((0.0, (params.bandwidth_hz / 2) / params.sample_hz),
+                   (params.carrier_hz / params.sample_hz, 0.5)),
+            desired=(1.0, 0.0),
+            weights=(1.0, 1.0),
+        )
+    except ConfigError as exc:
+        raise ConfigError(
+            "the receiver's image-reject low-pass needs carrier_hz > bandwidth_hz / 2, "
+            f"a band clear of DC: {exc}"
+        ) from None
+
+
 def _image_filter_for(params: OfdmParams) -> fir_design.FirFilter:
-    # Passband edge at BW/2, stopband from the carrier down-mixed image side.
-    return image_reject_lowpass(
-        pass_edge=(params.bandwidth_hz / 2) / params.sample_hz,
-        stop_edge=params.carrier_hz / params.sample_hz,
-    )
+    return image_reject_lowpass(_image_filter_spec(params))
 
 
 def _filter_rows(samples: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -245,6 +252,27 @@ def downconvert(samples, params: OfdmParams) -> np.ndarray:
     return _filter_rows(mixed, taps)[..., delay : delay + mixed.shape[-1]]
 
 
+def _data_bin_offsets(params: OfdmParams) -> np.ndarray:
+    """Offset j from the carrier bin of each data bin, in
+    :func:`ofdm_demodulate`'s order: 0..N/2, then -N/2+1..-1.
+
+    X[N/2] is sent at both band edges. When k_c + N/2 is the Nyquist bin, a
+    real signal keeps only the real part of that copy, so the offset of
+    slot N/2 becomes -N/2, the other copy.
+    """
+    n = params.n_subcarriers
+    offsets = np.r_[0 : n // 2 + 1, -n // 2 + 1 : 0]
+    if 2 * (params.carrier_bin + n // 2) == params.n_oversampled:
+        offsets[n // 2] = -(n // 2)
+    return offsets
+
+
+def _data_bin_response(params: OfdmParams) -> np.ndarray:
+    """The image-reject low-pass's zero-phase response H(j) at the data bins."""
+    offsets = _data_bin_offsets(params)
+    return fir_design.amplitude_response(_image_filter_for(params), offsets / params.n_oversampled)
+
+
 def demodulate_passband(samples, params: OfdmParams) -> np.ndarray:
     """Demodulate real passband blocks (..., N*L), prefix already stripped,
     to their N data bins (..., N) in :func:`ofdm_demodulate`'s order.
@@ -256,6 +284,10 @@ def demodulate_passband(samples, params: OfdmParams) -> np.ndarray:
     (unitary) and read the data bins. For an on-bin carrier that chain is
     diagonal in the DFT: data bin j is the real FFT's bin k_c + j, scaled by
     sqrt(2 / (N*L)) and by the low-pass's zero-phase response at j / (N*L).
+    On a plan whose band edge k_c + N/2 is the Nyquist bin, X[N/2] is read
+    from its copy at k_c - N/2. No data bin is then DC or Nyquist, so white
+    real noise of variance sigma_n^2 reaches data bin j as independent
+    circular complex noise of variance 2 sigma_n^2 H(j)^2.
     """
     samples = np.asarray(samples)
     _require_block(samples, params, "signal")
@@ -263,14 +295,12 @@ def demodulate_passband(samples, params: OfdmParams) -> np.ndarray:
         raise ShapeError(
             "demodulate_passband takes real passband blocks, not complex baseband"
         )
-    n, total = params.n_subcarriers, params.n_oversampled
-    offsets = np.r_[0 : n // 2 + 1, -n // 2 + 1 : 0]
+    total = params.n_oversampled
     # Carrier phase at the first input sample, in turns, reduced mod N*L
     # before dividing so that a whole number of turns gives exactly 1.
     turns = (params.carrier_bin * params.cp_oversampled) % total / total
     weights = (
-        np.sqrt(2.0 / total)
-        * fir_design.amplitude_response(_image_filter_for(params), offsets / total)
-        * np.exp(-2j * np.pi * turns)
+        np.sqrt(2.0 / total) * _data_bin_response(params) * np.exp(-2j * np.pi * turns)
     )
-    return np.fft.rfft(samples, axis=-1)[..., params.carrier_bin + offsets] * weights
+    bins = params.carrier_bin + _data_bin_offsets(params)
+    return np.fft.rfft(samples, axis=-1)[..., bins] * weights

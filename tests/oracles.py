@@ -9,25 +9,41 @@ from the literal real-passband chain (upconvert, FFT, per-bin gain, IFFT,
 analytic signal), which the library folds into one baseband operator, and
 the received symbols from the literal receiver (mixer, time-domain
 image-reject low-pass, prefix strip, FFT), which the library folds into one
-real FFT. The passband filter reads its per-bin gain from ``band_gains``,
-the one definition of that gain, and the receiver its low-pass from
-``image_reject_lowpass``.
+real FFT, and the BER channel from the per-cell time-domain path (AWGN on
+every passband sample, then ``demodulate_passband``), which the library
+replaces by noise drawn at the data bins. The passband filter reads its
+per-bin gain from ``band_gains``, the one definition of that gain, and the
+receiver its low-pass from ``image_reject_lowpass``.
 """
 import numpy as np
 from scipy.optimize import linprog
 
-from paprsim import OfdmParams, band_gains, clip_baseband, upconvert
-from paprsim.ofdm_chain import image_reject_lowpass
+from paprsim import (
+    NoiseConfig,
+    OfdmParams,
+    add_awgn,
+    band_gains,
+    clip_baseband,
+    demodulate_passband,
+    noise_sigma,
+    rms,
+    upconvert,
+)
+from paprsim.fir_design import FirDesignSpec
+from paprsim.harness import _clip_filter_blocks, _tx_baseband_frames
+from paprsim.ofdm_chain import IMAGE_REJECT_TAPS, image_reject_lowpass
 
-# Band plans of the fold-versus-oracle tests, with the high-pass edges each
-# needs: the reference plan; the Nyquist-edge plan (band edge on bin N*L/2,
-# small_specs p00); a high carrier; a DC-edge plan (band edge on bin 0).
+# Band plans of the fold-versus-oracle tests, with the ``default_hpf_spec``
+# edges each needs: the reference plan; the Nyquist-edge plan (band edge on
+# bin N*L/2, small_specs p00); a high carrier; a DC-edge plan (band edge on
+# bin 0), which ``ExperimentSpec`` refuses because the receiver's low-pass
+# cannot be designed, but whose transmit side is well defined.
 ORACLE_PLANS = {
     "reference": (OfdmParams(), {}),
     "nyquist_edge": (OfdmParams(n_subcarriers=128, oversample=5, carrier_hz=2e6), {}),
     "high_carrier": (OfdmParams(n_subcarriers=64, oversample=14, carrier_hz=5.75e6), {}),
     "dc_edge": (OfdmParams(n_subcarriers=64, oversample=4, carrier_hz=0.5e6, cp_len=16),
-                dict(hpf_stop_edge=0.01, hpf_pass_edge=0.03)),
+                dict(stop_edge=0.01, pass_edge=0.03)),
 }
 
 
@@ -72,13 +88,18 @@ def direct_oversampled_idft(frame: np.ndarray) -> np.ndarray:
 
 
 def brute_nearest_labels(symbols, points, labels) -> np.ndarray:
-    """Exhaustive nearest-point demap; ties to the lowest table index."""
-    out = []
-    for y in np.asarray(symbols, dtype=complex).reshape(-1):
-        distances = [abs(y - p) for p in points]
-        best = min(range(len(points)), key=lambda i: (distances[i], i))
-        out.extend(labels[best])
-    return np.array(out, dtype=np.uint8)
+    """Exhaustive nearest-point demap: |y - p| to every table point, the
+    smallest wins, and ``np.argmin`` takes the lowest index among equal
+    distances. Returns the label bits, flattened."""
+    symbols = np.asarray(symbols, dtype=complex).reshape(-1)
+    points = np.asarray(points, dtype=complex)
+    labels = np.asarray(labels, dtype=np.uint8)
+    out = np.empty((symbols.size, labels.shape[1]), dtype=np.uint8)
+    for start in range(0, symbols.size, 1 << 15):
+        chunk = symbols[start : start + (1 << 15)]
+        nearest = np.argmin(np.abs(chunk[:, None] - points[None, :]), axis=1)
+        out[start : start + chunk.size] = labels[nearest]
+    return out.reshape(-1)
 
 
 def improper_gaussian_ber(points, labels, cov, n_symbols: int, seed: int = 0):
@@ -150,10 +171,12 @@ def passband_clip_filter_blocks(baseband_blocks, amplitude, params, hpf) -> np.n
 
 def image_reject_filter(params):
     """The receiver's image-reject low-pass: pass edge BW/2, stop edge f_c."""
-    return image_reject_lowpass(
-        pass_edge=params.bandwidth_hz / 2 / params.sample_hz,
-        stop_edge=params.carrier_hz / params.sample_hz,
-    )
+    return image_reject_lowpass(FirDesignSpec(
+        IMAGE_REJECT_TAPS,
+        ((0.0, params.bandwidth_hz / 2 / params.sample_hz), (params.carrier_hz / params.sample_hz, 0.5)),
+        (1.0, 0.0),
+        (1.0, 1.0),
+    ))
 
 
 def passband_receive_symbols(blocks, params) -> np.ndarray:
@@ -162,7 +185,9 @@ def passband_receive_symbols(blocks, params) -> np.ndarray:
     sample, low-pass with the image-reject design as a direct-form FIR over
     a periodic extension of the block, group delay compensated, strip the
     prefix, FFT (unitary) and read the N data bins: 0..N/2, then
-    -N/2+1..-1."""
+    -N/2+1..-1. X[N/2] is read at +N/2 unless the band edge k_c + N/2 is
+    the passband's Nyquist bin, which keeps only the real part of its copy;
+    then it is read at -N/2, the other copy of X[N/2] that is sent."""
     n, total, cp_n = params.n_subcarriers, params.n_oversampled, params.cp_oversampled
     length = blocks.shape[-1]
     m = np.arange(length)
@@ -179,4 +204,34 @@ def passband_receive_symbols(blocks, params) -> np.ndarray:
     filtered = sum(taps[k] * ext[..., pad - delay + k : pad - delay + k + length]
                    for k in range(taps.size))
     spectrum = np.fft.fft(filtered[..., cp_n:], axis=-1) / np.sqrt(total)
-    return spectrum[..., np.r_[0 : n // 2 + 1, total - n // 2 + 1 : total]]
+    bins = np.r_[0 : n // 2 + 1, total - n // 2 + 1 : total]
+    if 2 * (params.carrier_bin + n // 2) == total:
+        bins[n // 2] = total - n // 2
+    return spectrum[..., bins]
+
+
+def time_domain_ber_cell(bits, scheme, params, cr, ebn0_db, hpf, rng):
+    """The per-cell BER channel that the library's data-bin noise replaces,
+    on given bit rows: transmit them (the harness's own transmit, clipped
+    and filtered unless cr is None), calibrate sigma_n to the mean square of
+    the passband blocks, prefix included, add white real Gaussian noise to
+    every passband sample, strip the prefix and demodulate with
+    ``demodulate_passband``. Returns (power, sigma_n, clean, noisy): the
+    received symbols at gain 1 without and with the noise."""
+    baseband = _tx_baseband_frames(bits, scheme, params, cp=params.cp_len > 0)
+    if cr is None:
+        blocks = upconvert(baseband, params)
+    else:
+        blocks = _clip_filter_blocks(baseband, cr * rms(baseband), params, hpf)
+    power = float(np.mean(blocks**2))
+    config = NoiseConfig(
+        ebn0_db=ebn0_db,
+        bits_per_symbol=scheme.bits_per_symbol,
+        occupied_fraction=1.0 / params.oversample,
+        cp_overhead=params.n_subcarriers / (params.n_subcarriers + params.cp_len),
+    )
+    sigma_n = noise_sigma(config, power)
+    cp_n = params.cp_oversampled
+    clean = demodulate_passband(blocks[:, cp_n:], params)
+    noisy = demodulate_passband(add_awgn(blocks, sigma_n, rng)[:, cp_n:], params)
+    return power, sigma_n, clean, noisy

@@ -5,8 +5,6 @@ The heavyweight sweeps (the full PAPR CCDF experiment and the fixed-point
 BER trend grid) run once as session fixtures and are shared by the tests
 that read them.
 """
-import math
-
 import numpy as np
 import pytest
 from scipy.special import erfc
@@ -17,7 +15,6 @@ from paprsim import (
     ModScheme,
     OfdmParams,
     NoiseConfig,
-    add_awgn,
     alternation_count,
     clip_attenuation,
     clip_baseband,
@@ -38,14 +35,14 @@ from paprsim import (
 )
 from paprsim.fir_design import FirDesignSpec
 from paprsim.harness import (
+    _add_bin_noise,
     _cell_rng,
-    _clip_filter_blocks,
+    _noise_free_unit,
     _random_bits,
-    _receive_symbols,
     _tx_baseband_frames,
     envelope_magnitude,
 )
-from paprsim.ofdm_chain import IMAGE_REJECT_TAPS
+from paprsim.ofdm_chain import IMAGE_REJECT_TAPS, _data_bin_response
 
 from oracles import chebyshev_lp_ripple, direct_oversampled_idft, improper_gaussian_ber
 
@@ -152,28 +149,27 @@ def ratio_with_se(num: np.ndarray, den: np.ndarray) -> tuple[float, float]:
 
 def replay_trend_cell(scheme: ModScheme, cr: float, hpf) -> dict:
     """Rerun one cell of the BER trend fixture through the harness's own
-    transmit, channel and receive steps, on the cell's own stream with the
-    draws in the same order, and measure the receiver's equalized symbols."""
+    BER unit steps (transmit and noise-free receive, then data-bin noise),
+    on the unit's own seeds, and measure the receiver's equalized symbols."""
     spec = TREND_SPEC
     params = spec.params
-    cells = [(s.name, c, e) for s in spec.schemes for c in spec.cr_values
-             for e in spec.ebn0_grid_db]
-    rng = _cell_rng(spec.seed, 1, cells.index((scheme.name, cr, TREND_EBN0_DB)))
+    units = [(s.name, c) for s in spec.schemes for c in spec.cr_values]
+    seeds = np.random.SeedSequence([spec.seed, 1, units.index((scheme.name, cr))]).spawn(
+        1 + len(spec.ebn0_grid_db))
     bits_per_frame = params.n_subcarriers * scheme.bits_per_symbol
-    tx_bits = _random_bits(rng, math.ceil(spec.bits_per_point / bits_per_frame), bits_per_frame)
-    baseband = _tx_baseband_frames(tx_bits, scheme, params, cp=True)
-    sigma = float(np.sqrt(np.mean(np.abs(baseband) ** 2)))
-    blocks = _clip_filter_blocks(baseband, cr * sigma, params, hpf)
+    tx_bits, power, clean = _noise_free_unit(  # clean: noise-free, gain kept
+        params, scheme, cr, hpf, spec.bits_per_point, np.random.default_rng(seeds[0]))
     noise = NoiseConfig(
         ebn0_db=TREND_EBN0_DB,
         bits_per_symbol=scheme.bits_per_symbol,
         occupied_fraction=1.0 / params.oversample,
         cp_overhead=params.n_subcarriers / (params.n_subcarriers + params.cp_len),
     )
-    sigma_n = noise_sigma(noise, float(np.mean(blocks**2)))
+    sigma_n = noise_sigma(noise, power)
     alpha = clip_attenuation(cr)
-    clean = _receive_symbols(blocks, params, signal_gain=1.0)  # noise-free, gain kept
-    equalized = _receive_symbols(add_awgn(blocks, sigma_n, rng), params, sigma_n, alpha)
+    noisy = _add_bin_noise(clean, sigma_n, _data_bin_response(params),
+                           np.random.default_rng(seeds[1]))
+    equalized = noisy / alpha
     sent = map_bits(tx_bits.reshape(-1), scheme).reshape(equalized.shape)
 
     frame_errors = np.count_nonzero(demap_symbols(equalized, scheme) != tx_bits, axis=1)

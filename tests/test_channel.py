@@ -14,7 +14,7 @@ from paprsim import (
     simulate_chain_ber,
     upconvert,
 )
-from paprsim.harness import _receive_symbols, _tx_baseband_frames
+from paprsim.harness import _equalize, _receive_symbols, _tx_baseband_frames
 
 from oracles import image_reject_filter
 
@@ -138,8 +138,8 @@ def test_receiver_noise_per_bin_and_blind_gain():
     bits = rng.integers(0, 2, (2000, n * scheme.bits_per_symbol), dtype=np.uint8)
     blocks = add_awgn(upconvert(_tx_baseband_frames(bits, scheme, params, cp=True), params),
                       sigma_n, rng)
-    raw = _receive_symbols(blocks, params, sigma_n, signal_gain=1.0)
-    blind = _receive_symbols(blocks, params, sigma_n)
+    raw = _receive_symbols(blocks, params)
+    blind = _equalize(raw.copy(), sigma_n, None)
     gain = raw[0, 0] / blind[0, 0]
     assert abs(gain.imag) < 1e-12
     power = np.abs(raw) ** 2

@@ -11,6 +11,7 @@ from paprsim import (
     clip_baseband,
     clip_passband,
     composed_filter,
+    default_hpf_spec,
     design_equiripple,
     experiment_hpf,
     map_bits,
@@ -215,7 +216,7 @@ def test_composed_filter_refuses_passband_input():
 @pytest.mark.parametrize("plan", sorted(ORACLE_PLANS))
 def test_baseband_fold_matches_passband_oracle(plan):
     params, edges = ORACLE_PLANS[plan]
-    hpf = experiment_hpf(ExperimentSpec(params=params, **edges))
+    hpf = design_equiripple(default_hpf_spec(params, **edges))
     rng = np.random.default_rng(14)
     scheme = ModScheme("qam", 16)
     bb = ofdm_baseband(rng, scheme, params, batch=(2, 3))

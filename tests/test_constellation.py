@@ -159,6 +159,86 @@ def test_demap_matches_brute_force_oracle():
     assert np.array_equal(fast, brute)
 
 
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.name)
+def test_slicer_matches_exhaustive_search_on_a_million_symbols(scheme):
+    # Noise from far below to far above the decision distance, so symbols
+    # land in every decision region, on every side of the clamp.
+    table = constellation_points(scheme)
+    rng = np.random.default_rng(12)
+    n = 1_000_000
+    sigma = np.array([0.05, 0.2, 0.6, 2.0])[rng.integers(0, 4, n)]
+    noisy = table.points[rng.integers(0, scheme.order, n)] + sigma * (
+        rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    assert np.array_equal(demap_symbols(noisy, scheme),
+                          brute_nearest_labels(noisy, table.points, table.labels))
+
+
+def exact_tie_cases(scheme):
+    """Symbols on exact decision ties and the table index the rule picks.
+
+    Distances are compared exactly, in integers: PSK on the rays a float
+    can lie on exactly (the axes and diagonals, radius 0.5, 1 and 2),
+    measured as angles in units of 2 pi / (8 M); QAM on the integer
+    lattice in units of half the level spacing, where the levels are odd
+    and every midpoint is even, so that every midpoint, the 32-cross's
+    corner diagonals and the origin are covered. Signed zeros too."""
+    table = constellation_points(scheme)
+    m = scheme.order
+    symbols, want = [], []
+    if scheme.family == "psk":
+        point_angles = 8 * np.arange(m) + 4  # point k at (k + 1/2) 2 pi / M
+        for ray in range(8):  # ray q at angle q pi / 4 = q M units
+            gap = np.abs(ray * m - point_angles) % (8 * m)
+            distance = np.minimum(gap, 8 * m - gap)
+            for radius in (0.5, 1.0, 2.0):
+                re = radius * (ray in (0, 1, 7)) - radius * (ray in (3, 4, 5))
+                im = radius * (ray in (1, 2, 3)) - radius * (ray in (5, 6, 7))
+                symbols.append(complex(re, im))
+                want.append(int(np.argmin(distance)))
+        symbols += [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0),
+                    complex(-0.0, -0.0)]
+        want += [0, 0, 0, 0]
+    else:
+        unit = float(np.min(np.abs(table.points.real)))
+        lattice = np.round(np.stack([table.points.real, table.points.imag]) / unit)
+        for x in range(-9, 10):
+            for y in range(-9, 10):
+                distance = (lattice[0] - x) ** 2 + (lattice[1] - y) ** 2
+                symbols.append(complex(x * unit, y * unit))
+                want.append(int(np.argmin(distance)))
+        symbols += [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+        want += [want[len(want) // 2]] * 3  # the origin, (x, y) = (0, 0)
+    return np.array(symbols), np.array(want)
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.name)
+def test_slicer_exact_ties_go_to_the_lowest_table_index(scheme):
+    symbols, want = exact_tie_cases(scheme)
+    table = constellation_points(scheme)
+    got = demap_symbols(symbols, scheme).reshape(symbols.size, -1)
+    assert np.array_equal(got, table.labels[want])
+
+
+def test_exact_tie_cases_cover_the_ties():
+    # Every kind of tie is among the cases: the origin (all M PSK points, the
+    # four inner QAM points), PSK boundaries, QAM midpoints, the 32-cross
+    # corner diagonals (two points, or three at (4, 4)).
+    def ties(scheme):
+        symbols, _ = exact_tie_cases(scheme)
+        points = constellation_points(scheme).points
+        if scheme.family == "qam":
+            unit = float(np.min(np.abs(points.real)))
+            points, symbols = np.round(points / unit), np.round(symbols / unit)
+        distance = np.abs(symbols[:, None] - points[None, :])
+        return np.sum(np.isclose(distance, distance.min(axis=1, keepdims=True),
+                                 rtol=1e-12, atol=1e-12), axis=1)
+
+    assert {1, 2, 4}.issubset(set(ties(ModScheme("qam", 16))))
+    assert {1, 2, 3, 4}.issubset(set(ties(ModScheme("qam", 32))))
+    for order in (4, 8, 16, 32):
+        assert {2, order}.issubset(set(ties(ModScheme("psk", order))))
+
+
 def test_demap_tie_breaks_to_lowest_index():
     # A real-axis symbol is equidistant (bit-exactly) from the two QPSK
     # points that share its real part; the lower table index must win.

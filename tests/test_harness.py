@@ -16,6 +16,7 @@ from paprsim import (
     estimate_ccdf,
     run_ber_experiment,
     run_papr_experiment,
+    simulate_chain_ber,
     write_ber_curve_csv,
     write_ccdf_csv,
 )
@@ -127,7 +128,7 @@ def test_ber_runs_with_custom_hpf_taps():
 
 def test_clipped_ber_is_not_guessing_where_the_image_filter_diverged():
     # small_specs plan p02: its image-reject low-pass diverged (taps up to
-    # 2e8). A receiver that filters over the prefix, whose noise is not the
+    # 2e8) until the exchange kept its best pass. A receiver that filters over the prefix, whose noise is not the
     # tail noise it stands in for, amplified that mismatch into coin-flip
     # decisions (10087/20160 bits wrong). The BER must reject 1/2 at
     # alpha = 1e-6, with bit errors counted per symbol as the benchmark does.
@@ -139,6 +140,33 @@ def test_clipped_ber_is_not_guessing_where_the_image_filter_diverged():
     n = round(row.bits_total / scheme.bits_per_symbol)
     z = max(abs(k - n / 2) - 0.5, 0.0) / math.sqrt(n / 4)
     assert math.erfc(z / math.sqrt(2.0)) <= 1e-6, (row.bit_errors, row.bits_total)
+
+
+def test_dc_edge_plan_is_refused_up_front():
+    # f_c = BW/2 puts the band edge on DC and the receiver low-pass's pass
+    # and stop edges both at f_c; it used to fail later, in every BER cell.
+    params = OfdmParams(n_subcarriers=64, oversample=4, carrier_hz=0.5e6, cp_len=16)
+    with pytest.raises(ConfigError, match="image-reject low-pass"):
+        small_spec(params=params, hpf_stop_edge=0.01, hpf_pass_edge=0.03)
+
+
+@pytest.mark.parametrize(
+    "params, scheme",
+    [
+        # small_specs p00: band edge k_c + N/2 on the Nyquist bin, where the
+        # channel keeps only the real part of X[N/2]'s upper copy.
+        (OfdmParams(n_subcarriers=128, oversample=5, carrier_hz=2e6), "16qam"),
+        # small_specs p18: the receiver low-pass fits on its first exchange
+        # pass, and the second pass diverged.
+        (OfdmParams(n_subcarriers=128, oversample=12, carrier_hz=4.75e6), "8psk"),
+    ],
+    ids=["p00_nyquist_edge", "p18_first_pass_lowpass"],
+)
+def test_noiseless_loopback_has_no_bit_errors(params, scheme):
+    errors, total = simulate_chain_ber(params, ModScheme.from_name(scheme), min_bits=40_000,
+                                       seed=5)
+    assert total >= 40_000
+    assert errors == 0
 
 
 def test_experiment_error_context(monkeypatch):

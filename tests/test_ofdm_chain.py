@@ -3,14 +3,14 @@ import pytest
 
 from paprsim import (
     ConfigError,
-    ExperimentSpec,
     ModScheme,
     OfdmParams,
     ShapeError,
     add_cyclic_prefix,
+    default_hpf_spec,
+    design_equiripple,
     demodulate_passband,
     downconvert,
-    experiment_hpf,
     inserted_zero_bins,
     map_bits,
     ofdm_demodulate,
@@ -287,9 +287,10 @@ def test_full_chain_zero_noise_ber_is_zero():
 
 # The composed-filter oracle plans except dc_edge, whose image-reject
 # low-pass has no transition band (both edges at f_c = BW/2); small_specs
-# p18, whose low-pass design diverged (taps up to 3.8e15); and a 3-sample
-# prefix that puts the carrier 0.023 of a turn past its phase at the prefix
-# start.
+# p18, whose low-pass fits on the first exchange pass and whose second pass
+# diverged (taps up to 3.8e15 before the exchange kept its best pass); and a
+# 3-sample prefix that puts the carrier 0.023 of a turn past its phase at
+# the prefix start.
 RX_PLANS = {
     **{name: plan for name, plan in ORACLE_PLANS.items() if name != "dc_edge"},
     "lowpass_diverges": (OfdmParams(n_subcarriers=128, oversample=12, carrier_hz=4.75e6), {}),
@@ -302,10 +303,11 @@ def test_receive_fold_matches_passband_oracle(plan):
     # Noise-free clipped and filtered 16-QAM blocks; symbols are compared,
     # not bits, because an exact decision tie can fall either way. The
     # literal chain's round-off scales with the low-pass's l1 norm: 1.4 on
-    # healthy plans, 6.7e8 on high_carrier (small_specs p02) and 2.5e16 on
-    # lowpass_diverges.
+    # the reference plan, 7.8 on high_carrier (small_specs p02) and 15 on
+    # lowpass_diverges, which read 6.7e8 and 2.5e16 before the exchange kept
+    # its best pass.
     params, edges = RX_PLANS[plan]
-    hpf = experiment_hpf(ExperimentSpec(params=params, **edges))
+    hpf = design_equiripple(default_hpf_spec(params, **edges))
     rng = np.random.default_rng(15)
     scheme = ModScheme("qam", 16)
     bits = rng.integers(0, 2, (64, params.n_subcarriers * scheme.bits_per_symbol), dtype=np.uint8)
@@ -317,7 +319,7 @@ def test_receive_fold_matches_passband_oracle(plan):
     assert got.shape == want.shape == (64, params.n_subcarriers)
     scale = np.sum(np.abs(image_reject_filter(params).taps)) * np.max(np.abs(blocks))
     assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, scale)
-    assert np.array_equal(_receive_symbols(blocks, params, signal_gain=1.0), got)
+    assert np.array_equal(_receive_symbols(blocks, params), got)
     batch = demodulate_passband(symbols.reshape(2, 32, -1), params)
     assert np.array_equal(batch, got.reshape(2, 32, -1))
 
@@ -328,5 +330,5 @@ def test_demodulate_passband_refusals():
         demodulate_passband(np.zeros((2, total), dtype=complex), PARAMS)
     with pytest.raises(ShapeError, match="length"):
         demodulate_passband(np.zeros((2, total + PARAMS.cp_oversampled)), PARAMS)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="carrier_hz > bandwidth_hz / 2"):
         demodulate_passband(np.zeros(256), ORACLE_PLANS["dc_edge"][0])
