@@ -187,11 +187,14 @@ def demap_symbols(symbols, scheme: ModScheme) -> np.ndarray:
     Distance ties go to the lowest table index. The decision is an exact
     slicer, O(1) per symbol whatever M: PSK quantises the angle, QAM rounds
     each axis to the level grid (see :func:`_psk_indices` and
-    :func:`_qam_indices`).
+    :func:`_qam_indices`). A NaN or infinite symbol has no nearest point
+    and raises ``ShapeError``.
     """
     symbols = np.asarray(symbols, dtype=complex)
     table = constellation_points(scheme)
     flat = symbols.reshape(-1)
+    if not np.isfinite(flat).all():
+        raise ShapeError("cannot demap NaN or infinite symbols")
     if scheme.family == "psk":
         idx = _psk_indices(flat, scheme.order)
     else:

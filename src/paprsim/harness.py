@@ -5,16 +5,24 @@ comes from a stream derived from the master seed and the cell's place in the
 grid, so results are a pure function of the experiment spec. A PAPR cell
 draws from SeedSequence([master_seed, 0, cell_index]).
 
-PAPR cell: generate frames, map, oversample-extend, modulate; take sigma as
-the RMS over the whole unclipped batch and clip the envelope magnitude at
-cr * sigma (phase preserved, applied at baseband just before carrier
-modulation); apply the composed filter per symbol to the clipped baseband,
-which returns the complex envelope of the filtered passband symbol, so no
-passband samples are formed; read the per-symbol envelope PAPR of both the
-processed and the unclipped batches into CCDF curves. PAPR always refers to
-the complex envelope |x[m]|^2 of the oversampled symbol, never to the
-instantaneous real passband waveform, whose peaks carry an extra
-carrier-phase artifact of about 2.5 dB.
+PAPR cell: two passes over the cell's bit stream, which is drawn in chunks
+of frames and drawn again from the saved generator state for the second
+pass. The clip level is cr * sigma, sigma the RMS of the whole unclipped
+batch; since ``ofdm_modulate`` is unitary, Parseval gives sigma^2 as the
+energy of the oversample-extended frames over the sample count, so pass 1
+only maps bits and sums |X|^2 (X[N/2] twice, for its two band-edge copies).
+Pass 2, chunk by chunk: extend, modulate, read the unclipped PAPR, clip the
+envelope magnitude at cr * sigma (phase preserved, applied at baseband just
+before carrier modulation), apply the composed filter, which returns the
+complex envelope of the filtered passband symbol, so no passband samples
+are formed, and read the processed PAPR. Only the two PAPR vectors grow with
+n_symbols. PAPR always refers to the complex envelope |x[m]|^2 of the
+oversampled symbol, never to the instantaneous real passband waveform, whose
+peaks carry an extra carrier-phase artifact of about 2.5 dB.
+
+Every chunked loop takes as many frames as fit ``_CHUNK_SAMPLES`` samples
+of its block length, so each per-chunk complex temporary fits 2 MB, the
+size of an L2 cache.
 
 BER cells come in units, one per (scheme, cr), that share one transmission.
 A unit draws its bits once and runs the transmit path plus a cyclic prefix
@@ -87,7 +95,8 @@ CCDF_THRESHOLDS_DB = np.arange(0.0, 25.0 + 1e-9, 0.05)
 
 _PAIRS = {4: ("qpsk", "qam"), 8: ("8psk", "8qam"), 16: ("16psk", "16qam"), 32: ("32psk", "32qam")}
 
-_FRAME_CHUNK = 2048  # frames processed per FFT batch, bounds peak memory
+#: Samples per chunk of every chunked loop: a complex chunk is 2 MB.
+_CHUNK_SAMPLES = 2**17
 
 
 @dataclass(frozen=True)
@@ -191,14 +200,44 @@ def _random_bits(rng: np.random.Generator, n_frames: int, bits_per_frame: int) -
     return rng.integers(0, 2, size=(n_frames, bits_per_frame), dtype=np.uint8)
 
 
+def _chunk_frames(block_len: int) -> int:
+    """Frames per chunk for blocks of ``block_len`` samples: the share of
+    ``_CHUNK_SAMPLES``, rounded down to an even count (see ``_bit_chunks``),
+    at least 2."""
+    return max(2, _CHUNK_SAMPLES // block_len // 2 * 2)
+
+
+def _bit_chunks(rng: np.random.Generator, n_frames: int, bits_per_frame: int, chunk: int):
+    """Yield (first row, bit rows) for ``n_frames`` rows drawn ``chunk``
+    rows at a time.
+
+    The chunks concatenate to one ``_random_bits`` draw of all the rows when
+    chunk * bits_per_frame is a multiple of 4, as an even chunk of rows of
+    N * log2(M) bits (N even) is: numpy draws a bounded uint8 in {0, 1} from
+    one byte of a 32-bit word, with no rejection, and each call starts on a
+    fresh word.
+    """
+    for start in range(0, n_frames, chunk):
+        yield start, _random_bits(rng, min(chunk, n_frames - start), bits_per_frame)
+
+
+def _extended_energy(symbols: np.ndarray) -> float:
+    """Energy sum |X~|^2 of mapped frames (..., N) after
+    ``oversample_extend``, which sends X[N/2] at both band edges; by
+    Parseval it is the energy of the unitary ``ofdm_modulate`` output."""
+    power = np.square(symbols.real) + np.square(symbols.imag)
+    return float(power.sum() + power[..., symbols.shape[-1] // 2].sum())
+
+
 def _tx_baseband_frames(
     bits: np.ndarray, scheme: ModScheme, params: OfdmParams, cp: bool
 ) -> np.ndarray:
     """Map bit rows to complex baseband blocks; one row per OFDM symbol."""
     cp_n = params.cp_oversampled if cp else 0
     out = np.empty((bits.shape[0], params.n_oversampled + cp_n), dtype=complex)
-    for start in range(0, bits.shape[0], _FRAME_CHUNK):
-        chunk = bits[start : start + _FRAME_CHUNK]
+    step = _chunk_frames(out.shape[1])
+    for start in range(0, bits.shape[0], step):
+        chunk = bits[start : start + step]
         frames = _extend_rows(_map_rows(chunk, scheme), params.oversample)
         out[start : start + chunk.shape[0]] = add_cyclic_prefix(_modulate_rows(frames, params), cp_n)
     return out
@@ -245,8 +284,9 @@ def _clip_filter_blocks(
     """
     total = params.n_oversampled
     out = np.empty(baseband_blocks.shape)
-    for start in range(0, baseband_blocks.shape[0], _FRAME_CHUNK):
-        symbols = baseband_blocks[start : start + _FRAME_CHUNK, :total]
+    step = _chunk_frames(out.shape[1])
+    for start in range(0, baseband_blocks.shape[0], step):
+        symbols = baseband_blocks[start : start + step, :total]
         chunk = _clip_magnitude_rows(symbols, amplitude)
         passband = _upconvert_rows(_composed_rows(chunk, params, hpf), params)
         rows = out[start : start + chunk.shape[0]]
@@ -278,8 +318,9 @@ def _receive_symbols(rx_blocks: np.ndarray, params: OfdmParams) -> np.ndarray:
     reaches a data sample.
     """
     symbols = np.empty((rx_blocks.shape[0], params.n_subcarriers), dtype=complex)
-    for start in range(0, rx_blocks.shape[0], _FRAME_CHUNK):
-        chunk = remove_cyclic_prefix(rx_blocks[start : start + _FRAME_CHUNK], params.cp_oversampled)
+    step = _chunk_frames(rx_blocks.shape[1])
+    for start in range(0, rx_blocks.shape[0], step):
+        chunk = remove_cyclic_prefix(rx_blocks[start : start + step], params.cp_oversampled)
         symbols[start : start + chunk.shape[0]] = _demodulate_rows(chunk, params)
     return symbols
 
@@ -390,29 +431,34 @@ def _papr_cell(
     spec: ExperimentSpec, scheme: ModScheme, cr: float, rng: np.random.Generator,
     hpf: fir_design.FirFilter,
 ):
+    """Clipped-and-filtered and unclipped PAPR CCDFs of one cell, streamed
+    in two passes over the bits ``rng`` draws (see the module docstring)."""
     params = spec.params
-    bits = _random_bits(rng, spec.n_symbols, params.n_subcarriers * scheme.bits_per_symbol)
-    baseband = _tx_baseband_frames(bits, scheme, params, cp=False)
-    # The unclipped symbol is in-band by construction, so its envelope is the
-    # baseband signal itself, and sigma matches the passband RMS exactly.
-    amplitude = cr * rms(baseband)
+    n, total = spec.n_symbols, params.n_oversampled
+    bits_per_frame = params.n_subcarriers * scheme.bits_per_symbol
+    step = _chunk_frames(total)
+    start_state = rng.bit_generator.state
 
-    unclipped_papr = _papr_db_rows(np.abs(baseband) ** 2)
-    processed_papr = np.empty(spec.n_symbols)
-    for start in range(0, baseband.shape[0], _FRAME_CHUNK):
-        # Nested calls free each stage's input once the next stage returns,
-        # so at most two block-sized arrays are live besides the batch.
+    energy = 0.0
+    for _, bits in _bit_chunks(rng, n, bits_per_frame, step):
+        energy += _extended_energy(_map_rows(bits, scheme))
+    amplitude = cr * math.sqrt(energy / (n * total))
+
+    rng.bit_generator.state = start_state
+    unclipped_papr = np.empty(n)
+    processed_papr = np.empty(n)
+    for start, bits in _bit_chunks(rng, n, bits_per_frame, step):
+        baseband = _modulate_rows(_extend_rows(_map_rows(bits, scheme), params.oversample), params)
+        rows = slice(start, start + baseband.shape[0])
+        # The unclipped symbol is in-band by construction, so its envelope is
+        # the baseband signal itself.
+        unclipped_papr[rows] = _papr_db_rows(np.abs(baseband) ** 2)
+        # Nested calls free the clipped and the filtered chunk as soon as the
+        # next stage returns.
         envelope = envelope_magnitude(
-            _composed_rows(
-                _clip_magnitude_rows(baseband[start : start + _FRAME_CHUNK], amplitude),
-                params,
-                hpf,
-            ),
-            params,
+            _composed_rows(_clip_magnitude_rows(baseband, amplitude), params, hpf), params
         )
-        processed_papr[start : start + envelope.shape[0]] = _papr_db_rows(
-            np.square(envelope, out=envelope)
-        )
+        processed_papr[rows] = _papr_db_rows(np.square(envelope, out=envelope))
 
     clipped_curve = estimate_ccdf(processed_papr, CCDF_THRESHOLDS_DB)
     unclipped_curve = estimate_ccdf(unclipped_papr, CCDF_THRESHOLDS_DB)

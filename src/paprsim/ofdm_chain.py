@@ -144,11 +144,12 @@ def oversample_extend(frames, oversample: int) -> np.ndarray:
 
 
 def ofdm_modulate(frames, params: OfdmParams) -> np.ndarray:
-    """Inverse-transform oversampled frames (..., N*L) into baseband samples."""
+    """Inverse-transform oversampled frames (..., N*L) into baseband samples
+    by the unitary inverse DFT (scale 1/sqrt(N*L), numpy's "ortho" norm,
+    applied inside the transform), so a block's energy equals its frame's."""
     frames = np.asarray(frames, dtype=complex)
     _require_block(frames, params, "frame")
-    # Unitary inverse DFT: numpy's ifft scales by 1/n, we want 1/sqrt(n).
-    return np.fft.ifft(frames, axis=-1) * np.sqrt(params.n_oversampled)
+    return np.fft.ifft(frames, axis=-1, norm="ortho")
 
 
 def ofdm_demodulate(samples, params: OfdmParams) -> np.ndarray:

@@ -11,7 +11,9 @@ the received symbols from the literal receiver (mixer, time-domain
 image-reject low-pass, prefix strip, FFT), which the library folds into one
 real FFT, and the BER channel from the per-cell time-domain path (AWGN on
 every passband sample, then ``demodulate_passband``), which the library
-replaces by noise drawn at the data bins. The passband filter reads its
+replaces by noise drawn at the data bins, and the PAPR cell from its
+whole-batch form (sigma as the RMS of the modulated batch), which the
+library streams with a Parseval sigma. The passband filter reads its
 per-bin gain from ``band_gains``, the one definition of that gain, and the
 receiver its low-pass from ``image_reject_lowpass``.
 """
@@ -24,13 +26,20 @@ from paprsim import (
     add_awgn,
     band_gains,
     clip_baseband,
+    composed_filter,
     demodulate_passband,
     noise_sigma,
+    papr_db,
     rms,
     upconvert,
 )
 from paprsim.fir_design import FirDesignSpec
-from paprsim.harness import _clip_filter_blocks, _tx_baseband_frames
+from paprsim.harness import (
+    _clip_filter_blocks,
+    _random_bits,
+    _tx_baseband_frames,
+    envelope_magnitude,
+)
 from paprsim.ofdm_chain import IMAGE_REJECT_TAPS, image_reject_lowpass
 
 # Band plans of the fold-versus-oracle tests, with the ``default_hpf_spec``
@@ -235,3 +244,19 @@ def time_domain_ber_cell(bits, scheme, params, cr, ebn0_db, hpf, rng):
     clean = demodulate_passband(blocks[:, cp_n:], params)
     noisy = demodulate_passband(add_awgn(blocks, sigma_n, rng)[:, cp_n:], params)
     return power, sigma_n, clean, noisy
+
+
+def batch_papr_cell(spec, scheme, cr, rng, hpf):
+    """The PAPR cell in its whole-batch form, which the library streams:
+    draw every bit row at once, modulate the whole batch, take sigma as its
+    RMS, then clip at cr * sigma, apply the composed filter and read the
+    envelope PAPR of every symbol. Returns (clipped-and-filtered PAPR,
+    unclipped PAPR) in dB, one value per symbol."""
+    params = spec.params
+    bits = _random_bits(rng, spec.n_symbols, params.n_subcarriers * scheme.bits_per_symbol)
+    baseband = _tx_baseband_frames(bits, scheme, params, cp=False)
+    amplitude = cr * rms(baseband)
+    envelope = envelope_magnitude(
+        composed_filter(clip_baseband(baseband, amplitude), params, hpf), params
+    )
+    return papr_db(envelope), papr_db(baseband)

@@ -250,6 +250,20 @@ def test_demap_tie_breaks_to_lowest_index():
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.name)
+@pytest.mark.parametrize(
+    "bad", [complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0), complex(0.5, -np.inf)],
+    ids=["nan_re", "nan_im", "inf_re", "inf_im"],
+)
+def test_demap_refuses_non_finite_symbols(scheme, bad):
+    # A slicer would cast NaN to an arbitrary integer and clamp inf to an
+    # edge point; neither has a nearest table point.
+    symbols = np.full((2, 3), 0.1 + 0.2j)
+    symbols[1, 2] = bad
+    with pytest.raises(ShapeError, match="NaN or infinite"):
+        demap_symbols(symbols, scheme)
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.name)
 def test_empirical_unit_energy(scheme):
     rng = np.random.default_rng(19)
     bits = rng.integers(0, 2, 100_000 * scheme.bits_per_symbol, dtype=np.uint8)

@@ -1,0 +1,129 @@
+"""The streamed PAPR cell: two passes over chunked bit draws, the clip level
+from Parseval, and memory that does not grow with n_symbols."""
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from paprsim import (
+    ExperimentSpec,
+    ModScheme,
+    OfdmParams,
+    ofdm_modulate,
+    oversample_extend,
+    rms,
+    run_papr_experiment,
+)
+from paprsim import harness
+from paprsim.harness import (
+    _bit_chunks,
+    _cell_rng,
+    _chunk_frames,
+    _extended_energy,
+    _papr_cell,
+    _random_bits,
+    experiment_hpf,
+)
+
+from oracles import ORACLE_PLANS, batch_papr_cell
+
+# 1037 symbols leave a partial last chunk on every plan: 8 x 128 + 13 on the
+# reference plan, 5 x 204 + 17 on nyquist_edge, 7 x 146 + 15 on high_carrier.
+N_SYMBOLS = 1037
+STREAM_CASES = [("reference", "16qam", 0.8), ("nyquist_edge", "8psk", 1.2),
+                ("high_carrier", "32qam", 1.0)]
+
+
+@pytest.mark.parametrize("plan, scheme_name, cr", STREAM_CASES, ids=[c[0] for c in STREAM_CASES])
+def test_streamed_cell_equals_the_whole_batch_cell(monkeypatch, plan, scheme_name, cr):
+    params, _ = ORACLE_PLANS[plan]
+    scheme = ModScheme.from_name(scheme_name)
+    spec = ExperimentSpec(params=params, schemes=(scheme,), cr_values=(cr,),
+                          n_symbols=N_SYMBOLS, ccdf_read_point=1e-2)
+    assert N_SYMBOLS % _chunk_frames(params.n_oversampled)
+    hpf = experiment_hpf(spec)
+    values = []
+    estimate = harness.estimate_ccdf
+
+    def spy(papr_values, thresholds_db):
+        values.append(np.array(papr_values))
+        return estimate(papr_values, thresholds_db)
+
+    monkeypatch.setattr(harness, "estimate_ccdf", spy)
+    streamed = _papr_cell(spec, scheme, cr, _cell_rng(spec.seed, 0, 0), hpf)
+    monkeypatch.undo()
+    batch = batch_papr_cell(spec, scheme, cr, _cell_rng(spec.seed, 0, 0), hpf)
+
+    for curve, got, want in zip(streamed, values, batch):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        oracle = harness.estimate_ccdf(want, harness.CCDF_THRESHOLDS_DB)
+        assert np.array_equal(curve.prob_exceed, oracle.prob_exceed)
+        assert curve.sample_count == N_SYMBOLS
+
+
+@pytest.mark.parametrize("bits_per_symbol", [2, 3, 4, 5])
+@pytest.mark.parametrize("n_subcarriers, n_frames, chunk", [(128, 1037, 128), (6, 29, 2)],
+                         ids=["reference_chunk", "n_2_mod_4"])
+def test_chunked_bit_draws_equal_one_draw(bits_per_symbol, n_subcarriers, n_frames, chunk):
+    # numpy draws a bounded uint8 in {0, 1} from one byte of a 32-bit word
+    # and starts each call on a fresh word, so chunks of a multiple of 4
+    # bits reproduce the single draw; the last chunk here is partial.
+    bits_per_frame = n_subcarriers * bits_per_symbol
+    assert n_frames % chunk and (chunk * bits_per_frame) % 4 == 0
+    one = _random_bits(np.random.default_rng(41), n_frames, bits_per_frame)
+    rng = np.random.default_rng(41)
+    parts = list(_bit_chunks(rng, n_frames, bits_per_frame, chunk))
+    assert [start for start, _ in parts] == list(range(0, n_frames, chunk))
+    assert np.array_equal(np.concatenate([bits for _, bits in parts]), one)
+
+
+def test_chunk_frames_fit_the_budget_and_stay_even():
+    assert _chunk_frames(1024) == 128
+    assert _chunk_frames(640) == 204
+    assert _chunk_frames(1024 + 256) == 102
+    assert _chunk_frames(1000) == 130  # 131 frames fit; an odd count is rounded down
+    for block_len in (1, 7, 640, 896, 1000, 1280, 4096 + 1024, 2**17, 2**20):
+        frames = _chunk_frames(block_len)
+        assert frames % 2 == 0 and frames >= 2
+        assert frames == 2 or frames * block_len <= harness._CHUNK_SAMPLES
+
+
+@pytest.mark.parametrize("plan", ["reference", "nyquist_edge", "high_carrier"])
+def test_parseval_sigma_equals_the_batch_rms(plan):
+    params, _ = ORACLE_PLANS[plan]
+    scheme = ModScheme.from_name("16qam")
+    rng = np.random.default_rng(43)
+    symbols = harness.map_bits(_random_bits(rng, 300, params.n_subcarriers * 4), scheme)
+    batch = ofdm_modulate(oversample_extend(symbols, params.oversample), params)
+    sigma = math.sqrt(_extended_energy(symbols) / batch.size)
+    assert sigma == pytest.approx(rms(batch), rel=1e-13)
+
+
+def test_parseval_energy_counts_the_band_edge_bin_twice():
+    params = ORACLE_PLANS["reference"][0]
+    n = params.n_subcarriers
+    frames = np.zeros((2, n), dtype=complex)
+    frames[:, n // 2] = [3.0 - 4.0j, 1.0j]
+    frames[1, 1] = 2.0
+    # |X[N/2]|^2 twice plus every other bin once.
+    assert _extended_energy(frames) == 2 * (25.0 + 1.0) + 4.0
+    block = ofdm_modulate(oversample_extend(frames, params.oversample), params)
+    assert _extended_energy(frames) == pytest.approx(np.sum(np.abs(block) ** 2), rel=1e-13)
+
+
+def _papr_peak_bytes(n_symbols: int) -> int:
+    spec = ExperimentSpec(params=OfdmParams(), schemes=(ModScheme.from_name("qpsk"),),
+                          cr_values=(1.0,), n_symbols=n_symbols, ccdf_read_point=1e-2)
+    tracemalloc.start()
+    try:
+        run_papr_experiment(spec)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_papr_cell_memory_is_flat_in_n_symbols():
+    _papr_peak_bytes(1000)  # caches filled once, outside the comparison
+    small, large = _papr_peak_bytes(2000), _papr_peak_bytes(8000)
+    assert abs(large - small) <= 0.1 * small, (small, large)
