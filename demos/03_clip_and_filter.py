@@ -1,12 +1,15 @@
 """Clipping and composed filtering of a batch of OFDM symbols.
 
-Demonstrates the clip-level bookkeeping (A = CR * sigma), the out-of-band
-energy that clipping creates and the composed filter removes, and peak
-regrowth. Every stage takes the
-whole batch at once: one row per symbol, samples along the last axis.
+Demonstrates the clip-level bookkeeping (A = CR * sigma, sigma the RMS of
+the OFDM signal, sqrt((N+1)/(N*L))), the out-of-band energy that clipping
+creates and the composed filter removes, and peak regrowth. Every stage
+takes the whole batch at once: one row per symbol, samples along the last
+axis.
 
 Run:  python demos/03_clip_and_filter.py
 """
+import math
+
 import numpy as np
 
 from paprsim import (
@@ -35,8 +38,12 @@ n_frames = 500
 bits_per_frame = params.n_subcarriers * scheme.bits_per_symbol
 bits = rng.integers(0, 2, size=(n_frames, bits_per_frame), dtype=np.uint8)
 baseband = ofdm_modulate(oversample_extend(map_bits(bits, scheme), params.oversample), params)
-sigma = rms(baseband)
-print(f"batch of {n_frames} symbols, envelope RMS sigma = {sigma:.4f}")
+# Unit-energy points on N + 1 of the N*L bins (X[N/2] sits at both band
+# edges) through a unitary IFFT: sigma is known before any bit is drawn.
+n, oversample = params.n_subcarriers, params.oversample
+sigma = math.sqrt((n + 1) / (n * oversample))
+print(f"sigma = sqrt((N+1)/(N*L)) = {sigma:.4f}; "
+      f"RMS of this batch of {n_frames} symbols = {rms(baseband):.4f}")
 
 in_band = band_gains(params, hpf) != 0
 for cr in (0.8, 1.2, 1.6):

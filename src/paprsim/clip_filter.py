@@ -1,8 +1,9 @@
 """Amplitude clipping at a clipping ratio and the composed frequency-domain filter.
 
-The clip level is A = CR * sigma where sigma is the RMS of the unclipped
-signal; passband clipping is the hard three-branch limiter and baseband
-clipping limits magnitude while preserving phase.
+The clip level is A = CR * sigma where sigma is the RMS of the OFDM
+signal, sqrt((N+1)/(N*L)) (see ``harness``); passband clipping is the hard
+three-branch limiter and baseband clipping limits magnitude while
+preserving phase.
 
 The composed filter is defined on the real passband symbol (N*L samples,
 no prefix): zero every DFT bin outside the occupied band and its conjugate

@@ -5,17 +5,21 @@ comes from a stream derived from the master seed and the cell's place in the
 grid, so results are a pure function of the experiment spec. A PAPR cell
 draws from SeedSequence([master_seed, 0, cell_index]).
 
-PAPR cell: two passes over the cell's bit stream, which is drawn in chunks
-of frames and drawn again from the saved generator state for the second
-pass. The clip level is cr * sigma, sigma the RMS of the whole unclipped
-batch; since ``ofdm_modulate`` is unitary, Parseval gives sigma^2 as the
-energy of the oversample-extended frames over the sample count, so pass 1
-only maps bits and sums |X|^2 (X[N/2] twice, for its two band-edge copies).
-Pass 2, chunk by chunk: extend, modulate, read the unclipped PAPR, clip the
-envelope magnitude at cr * sigma (phase preserved, applied at baseband just
-before carrier modulation), apply the composed filter, which returns the
-complex envelope of the filtered passband symbol, so no passband samples
-are formed, and read the processed PAPR. Only the two PAPR vectors grow with
+sigma, the denominator of the clipping ratio CR = A / sigma, is the RMS of
+the OFDM signal, sqrt((N+1)/(N*L)): the constellation tables have unit mean
+energy, ``oversample_extend`` fills N + 1 of the N*L bins (X[N/2] at both
+band edges) and ``ofdm_modulate`` is unitary. A cyclic prefix repeats
+samples of the same mean power. So the clip level cr * sigma is known before
+any bit is drawn. The unclipped chain's gain at data bin j is H(j), the
+image-reject low-pass's response (within 1.1e-5 of 1 on the reference
+plan's data bins).
+
+PAPR cell: one pass over the cell's bits, drawn in chunks of frames. Per
+chunk: extend, modulate, read the unclipped PAPR, clip the envelope
+magnitude at cr * sigma (phase preserved, applied at baseband just before
+carrier modulation), apply the composed filter, which returns the complex
+envelope of the filtered passband symbol, so no passband samples are
+formed, and read the processed PAPR. Only the two PAPR vectors grow with
 n_symbols. PAPR always refers to the complex envelope |x[m]|^2 of the
 oversampled symbol, never to the instantaneous real passband waveform, whose
 peaks carry an extra carrier-phase artifact of about 2.5 dB.
@@ -25,21 +29,22 @@ of its block length, so each per-chunk complex temporary fits 2 MB, the
 size of an L2 cache.
 
 BER cells come in units, one per (scheme, cr), that share one transmission.
-A unit draws its bits once and runs the transmit path plus a cyclic prefix
-(clipping is memoryless, so the first N*L clipped samples of a block are the
-symbol rotated by the prefix; they are filtered, upconverted and given a
-cyclic suffix, which is the filtered symbol behind a prefix rebuilt from its
-tail). It measures the transmit power and receives the blocks without
-noise: strip the prefix and demodulate, one real FFT per block read at the
-data bins (``demodulate_passband``). For an on-bin carrier, mix-down, the
-image-reject low-pass applied circularly over the block, and the FFT
-demodulator are diagonal in the DFT, so the receiver is linear and reads
-only the N data bins. White real passband noise of variance sigma_n^2
-therefore reaches data bin j as circular complex Gaussian noise of variance
-2 sigma_n^2 H(j)^2, independent across bins (H is the low-pass's response;
-prefix noise is discarded). Each Eb/N0 point calibrates sigma_n from the
-measured transmit power, draws only that bin noise, adds it to the
-noise-free symbols, normalizes the gain and slices. The unit draws from
+A unit draws its bits once and runs the transmit path plus a cyclic prefix,
+clipped at cr * sigma (clipping is memoryless, so the first N*L clipped
+samples of a block are the symbol rotated by the prefix; they are filtered,
+upconverted and given a cyclic suffix, which is the filtered symbol behind a
+prefix rebuilt from its tail). It measures the transmit power and receives
+the blocks without noise: strip the prefix and demodulate, one real FFT per
+block read at the data bins (``demodulate_passband``). For an on-bin
+carrier, mix-down, the image-reject low-pass applied circularly over the
+block, and the FFT demodulator are diagonal in the DFT, so the receiver is
+linear and reads only the N data bins. White real passband noise of variance
+sigma_n^2 therefore reaches data bin j as circular complex Gaussian noise of
+variance 2 sigma_n^2 H(j)^2, independent across bins (H is the low-pass's
+response; prefix noise is discarded). Each Eb/N0 point calibrates sigma_n
+from the measured transmit power, draws only that bin noise, adds it to the
+noise-free symbols, divides by the closed-form gain clip_attenuation(cr),
+or by 1 unclipped, and slices. The unit draws from
 SeedSequence([master_seed, 1, unit_index]).spawn(1 + len(ebn0_grid_db)):
 child 0 for the bits, child 1 + i for the noise at Eb/N0 point i.
 """
@@ -54,7 +59,7 @@ import numpy as np
 
 from . import fir_design, ofdm_chain
 from .channel import NoiseConfig, add_awgn, noise_sigma
-from .clip_filter import clip_baseband, composed_filter, default_hpf_spec, rms
+from .clip_filter import clip_baseband, composed_filter, default_hpf_spec
 from .constellation import SCHEME_NAMES, ModScheme, demap_symbols, map_bits
 from .errors import ConfigError, ExperimentError, ShapeError
 from .metrics import CcdfCurve, _papr_db_rows, ccdf_quantile, estimate_ccdf
@@ -124,8 +129,13 @@ class ExperimentSpec:
             raise ConfigError("schemes must be unique")
         if not self.cr_values:
             raise ConfigError("cr_values must be non-empty")
-        if any(cr <= 0 for cr in self.cr_values):
-            raise ConfigError("cr_values must be positive")
+        if not all(0 < cr < math.inf for cr in self.cr_values):
+            raise ConfigError("cr_values must be positive and finite")
+        # Cells are keyed by value and curve files by the {cr:g} tag, so a
+        # repeated value would silently collapse its cells into one.
+        tags = [f"{cr:g}" for cr in self.cr_values]
+        if len(set(tags)) != len(tags):
+            raise ConfigError(f"cr_values must be distinct to 6 significant digits, got {tags}")
         if self.n_symbols < 1000:
             raise ConfigError("n_symbols must be >= 1000 for CCDF runs")
         if not 0 < self.ccdf_read_point < 1:
@@ -141,6 +151,8 @@ class ExperimentSpec:
             raise ConfigError("bits_per_point must be positive")
         if not all(np.isfinite(v) for v in self.ebn0_grid_db):
             raise ConfigError("ebn0_grid_db values must be finite")
+        if len(set(self.ebn0_grid_db)) != len(self.ebn0_grid_db):
+            raise ConfigError(f"ebn0_grid_db values must be distinct, got {self.ebn0_grid_db}")
         # Fail fast on an infeasible high-pass or receiver low-pass band plan.
         default_hpf_spec(
             self.params, self.hpf_num_taps, self.hpf_stop_edge, self.hpf_pass_edge
@@ -202,31 +214,21 @@ def _random_bits(rng: np.random.Generator, n_frames: int, bits_per_frame: int) -
 
 def _chunk_frames(block_len: int) -> int:
     """Frames per chunk for blocks of ``block_len`` samples: the share of
-    ``_CHUNK_SAMPLES``, rounded down to an even count (see ``_bit_chunks``),
-    at least 2."""
+    ``_CHUNK_SAMPLES``, rounded down to an even count, at least 2.
+
+    An even chunk of rows of N * log2(M) bits (N even) is a multiple of 4
+    bits, so chunked ``_random_bits`` draws concatenate to one draw of all
+    the rows: numpy draws a bounded uint8 in {0, 1} from one byte of a
+    32-bit word, with no rejection, and each call starts on a fresh word.
+    """
     return max(2, _CHUNK_SAMPLES // block_len // 2 * 2)
 
 
-def _bit_chunks(rng: np.random.Generator, n_frames: int, bits_per_frame: int, chunk: int):
-    """Yield (first row, bit rows) for ``n_frames`` rows drawn ``chunk``
-    rows at a time.
-
-    The chunks concatenate to one ``_random_bits`` draw of all the rows when
-    chunk * bits_per_frame is a multiple of 4, as an even chunk of rows of
-    N * log2(M) bits (N even) is: numpy draws a bounded uint8 in {0, 1} from
-    one byte of a 32-bit word, with no rejection, and each call starts on a
-    fresh word.
-    """
-    for start in range(0, n_frames, chunk):
-        yield start, _random_bits(rng, min(chunk, n_frames - start), bits_per_frame)
-
-
-def _extended_energy(symbols: np.ndarray) -> float:
-    """Energy sum |X~|^2 of mapped frames (..., N) after
-    ``oversample_extend``, which sends X[N/2] at both band edges; by
-    Parseval it is the energy of the unitary ``ofdm_modulate`` output."""
-    power = np.square(symbols.real) + np.square(symbols.imag)
-    return float(power.sum() + power[..., symbols.shape[-1] // 2].sum())
+def _clip_level(params: OfdmParams, cr: float) -> float:
+    """Clip amplitude A = cr * sigma, sigma = sqrt((N+1)/(N*L)) the RMS of
+    the OFDM signal (see the module docstring)."""
+    n = params.n_subcarriers
+    return cr * math.sqrt((n + 1) / (n * params.oversample))
 
 
 def _tx_baseband_frames(
@@ -325,26 +327,6 @@ def _receive_symbols(rx_blocks: np.ndarray, params: OfdmParams) -> np.ndarray:
     return symbols
 
 
-def _equalize(symbols: np.ndarray, sigma_n: float, signal_gain: float | None) -> np.ndarray:
-    """Divide received data symbols in place by a gain reference before
-    slicing; returns them.
-
-    Clipping attenuates the useful signal (Bussgang shrinkage), and a
-    receiver that slices multi-ring QAM against the unit reference grid
-    without restoring gain would be systematically biased. When the
-    clipping ratio is known (``signal_gain`` from :func:`clip_attenuation`),
-    that closed form is used; otherwise the gain is estimated blindly as
-    sqrt(mean |y|^2 - 2 sigma_n^2), where 2 sigma_n^2 is the per-bin noise
-    variance the channel was calibrated to (times the low-pass's squared
-    response at the bin, within 2.2e-5 of 1 on the reference plan).
-    """
-    gain = signal_gain
-    if gain is None:
-        gain = np.sqrt(max(float(np.mean(np.abs(symbols) ** 2)) - 2.0 * sigma_n**2, 1e-12))
-    symbols /= gain
-    return symbols
-
-
 def _add_bin_noise(
     symbols: np.ndarray, sigma_n: float, response: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
@@ -371,9 +353,10 @@ def _noise_free_unit(
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """The shared work of a BER unit: draw the bit rows, transmit them
     (cr=None skips clipping and filtering) and receive them without noise.
-    Returns (bits, transmit power, received symbols at gain 1); the power
-    is the mean square of the passband samples, prefix included, that the
-    channel is calibrated to."""
+    Returns (bits, transmit power, received symbols); the power is the mean
+    square of the passband samples, prefix included, that the channel is
+    calibrated to. Unclipped, data bin j of the symbols is the mapped symbol
+    times H(j)."""
     bits_per_frame = params.n_subcarriers * scheme.bits_per_symbol
     n_frames = max(1, math.ceil(min_bits / bits_per_frame))
     bits = _random_bits(rng, n_frames, bits_per_frame)
@@ -383,7 +366,7 @@ def _noise_free_unit(
     elif hpf is None:
         raise ConfigError("clipping requested but no high-pass filter supplied")
     else:
-        blocks = _clip_filter_blocks(baseband, cr * rms(baseband), params, hpf)
+        blocks = _clip_filter_blocks(baseband, _clip_level(params, cr), params, hpf)
     del baseband
     power = float(np.mean(blocks**2))
     return bits, power, _receive_symbols(blocks, params)
@@ -411,7 +394,7 @@ def _ber_cells(
         params, scheme, cr, hpf, min_bits, np.random.default_rng(seeds[0])
     )
     response = ofdm_chain._data_bin_response(params)
-    gain = clip_attenuation(cr) if cr is not None else None
+    gain = clip_attenuation(cr) if cr is not None else 1.0
     for ebn0_db, seed in zip(ebn0_grid_db, seeds[1:]):
         sigma_n = 0.0
         if ebn0_db is not None:
@@ -423,7 +406,8 @@ def _ber_cells(
             )
             sigma_n = noise_sigma(config, power)
         rx = _add_bin_noise(clean, sigma_n, response, np.random.default_rng(seed))
-        rx_bits = _demap_rows(_equalize(rx, sigma_n, gain), scheme)
+        rx /= gain
+        rx_bits = _demap_rows(rx, scheme)
         yield int(np.count_nonzero(bits != rx_bits)), bits.size
 
 
@@ -432,22 +416,16 @@ def _papr_cell(
     hpf: fir_design.FirFilter,
 ):
     """Clipped-and-filtered and unclipped PAPR CCDFs of one cell, streamed
-    in two passes over the bits ``rng`` draws (see the module docstring)."""
+    in one pass over the bits ``rng`` draws (see the module docstring)."""
     params = spec.params
-    n, total = spec.n_symbols, params.n_oversampled
+    n = spec.n_symbols
     bits_per_frame = params.n_subcarriers * scheme.bits_per_symbol
-    step = _chunk_frames(total)
-    start_state = rng.bit_generator.state
-
-    energy = 0.0
-    for _, bits in _bit_chunks(rng, n, bits_per_frame, step):
-        energy += _extended_energy(_map_rows(bits, scheme))
-    amplitude = cr * math.sqrt(energy / (n * total))
-
-    rng.bit_generator.state = start_state
+    step = _chunk_frames(params.n_oversampled)
+    amplitude = _clip_level(params, cr)
     unclipped_papr = np.empty(n)
     processed_papr = np.empty(n)
-    for start, bits in _bit_chunks(rng, n, bits_per_frame, step):
+    for start in range(0, n, step):
+        bits = _random_bits(rng, min(step, n - start), bits_per_frame)
         baseband = _modulate_rows(_extend_rows(_map_rows(bits, scheme), params.oversample), params)
         rows = slice(start, start + baseband.shape[0])
         # The unclipped symbol is in-band by construction, so its envelope is

@@ -12,10 +12,9 @@ image-reject low-pass, prefix strip, FFT), which the library folds into one
 real FFT, and the BER channel from the per-cell time-domain path (AWGN on
 every passband sample, then ``demodulate_passband``), which the library
 replaces by noise drawn at the data bins, and the PAPR cell from its
-whole-batch form (sigma as the RMS of the modulated batch), which the
-library streams with a Parseval sigma. The passband filter reads its
-per-bin gain from ``band_gains``, the one definition of that gain, and the
-receiver its low-pass from ``image_reject_lowpass``.
+whole-batch form, which the library streams chunk by chunk. The passband
+filter reads its per-bin gain from ``band_gains``, the one definition of
+that gain, and the receiver its low-pass from ``image_reject_lowpass``.
 """
 import numpy as np
 from scipy.optimize import linprog
@@ -30,12 +29,12 @@ from paprsim import (
     demodulate_passband,
     noise_sigma,
     papr_db,
-    rms,
     upconvert,
 )
 from paprsim.fir_design import FirDesignSpec
 from paprsim.harness import (
     _clip_filter_blocks,
+    _clip_level,
     _random_bits,
     _tx_baseband_frames,
     envelope_magnitude,
@@ -221,17 +220,17 @@ def passband_receive_symbols(blocks, params) -> np.ndarray:
 
 def time_domain_ber_cell(bits, scheme, params, cr, ebn0_db, hpf, rng):
     """The per-cell BER channel that the library's data-bin noise replaces,
-    on given bit rows: transmit them (the harness's own transmit, clipped
-    and filtered unless cr is None), calibrate sigma_n to the mean square of
-    the passband blocks, prefix included, add white real Gaussian noise to
-    every passband sample, strip the prefix and demodulate with
-    ``demodulate_passband``. Returns (power, sigma_n, clean, noisy): the
+    on given bit rows: transmit them (the harness's own transmit, clipped at
+    the closed-form level ``_clip_level(params, cr)`` and filtered unless cr
+    is None), calibrate sigma_n to the mean square of the passband blocks,
+    prefix included, add white real Gaussian noise to every passband sample,
+    strip the prefix and demodulate with ``demodulate_passband``. Returns (power, sigma_n, clean, noisy): the
     received symbols at gain 1 without and with the noise."""
     baseband = _tx_baseband_frames(bits, scheme, params, cp=params.cp_len > 0)
     if cr is None:
         blocks = upconvert(baseband, params)
     else:
-        blocks = _clip_filter_blocks(baseband, cr * rms(baseband), params, hpf)
+        blocks = _clip_filter_blocks(baseband, _clip_level(params, cr), params, hpf)
     power = float(np.mean(blocks**2))
     config = NoiseConfig(
         ebn0_db=ebn0_db,
@@ -248,14 +247,14 @@ def time_domain_ber_cell(bits, scheme, params, cr, ebn0_db, hpf, rng):
 
 def batch_papr_cell(spec, scheme, cr, rng, hpf):
     """The PAPR cell in its whole-batch form, which the library streams:
-    draw every bit row at once, modulate the whole batch, take sigma as its
-    RMS, then clip at cr * sigma, apply the composed filter and read the
-    envelope PAPR of every symbol. Returns (clipped-and-filtered PAPR,
-    unclipped PAPR) in dB, one value per symbol."""
+    draw every bit row at once, modulate the whole batch, clip it at the
+    closed-form level ``_clip_level(params, cr)``, apply the composed filter
+    and read the envelope PAPR of every symbol. Returns (clipped-and-filtered
+    PAPR, unclipped PAPR) in dB, one value per symbol."""
     params = spec.params
     bits = _random_bits(rng, spec.n_symbols, params.n_subcarriers * scheme.bits_per_symbol)
     baseband = _tx_baseband_frames(bits, scheme, params, cp=False)
-    amplitude = cr * rms(baseband)
+    amplitude = _clip_level(params, cr)
     envelope = envelope_magnitude(
         composed_filter(clip_baseband(baseband, amplitude), params, hpf), params
     )

@@ -18,6 +18,7 @@ from paprsim import (
     demap_symbols,
     demodulate_passband,
     experiment_hpf,
+    map_bits,
     noise_sigma,
     run_ber_experiment,
     simulate_chain_ber,
@@ -55,6 +56,35 @@ def test_noise_free_unit_equals_the_time_domain_path_bit_for_bit(plan, cr):
     assert power == want_power
     assert noise_sigma(noise_config(params, scheme, 6.0), power) == want_sigma
     assert np.array_equal(clean, want_clean)
+
+
+@pytest.mark.parametrize("scheme_name", ["16qam", "8qam", "32psk"])
+@pytest.mark.parametrize("plan", NOISE_PLANS)
+def test_unclipped_unit_slices_the_sent_symbols_times_the_response(monkeypatch, plan,
+                                                                   scheme_name):
+    # The unclipped chain's gain at data bin j is exactly H(j), so a
+    # noiseless unclipped unit hands the slicer map_bits(bits) * H(j),
+    # divided by 1. A blind estimate from the received power carries the
+    # sampling error of the mean symbol energy: up to 0.5 % on 16-QAM in
+    # three draws of 2*10^4 bits.
+    params, _ = ORACLE_PLANS[plan]
+    scheme = ModScheme.from_name(scheme_name)
+    seen = {}
+    draw, demap = harness._random_bits, harness._demap_rows
+
+    def bits_spy(rng, n_frames, bits_per_frame):
+        seen["bits"] = draw(rng, n_frames, bits_per_frame)
+        return seen["bits"]
+
+    def demap_spy(symbols, scheme):
+        seen["symbols"] = symbols.copy()
+        return demap(symbols, scheme)
+
+    monkeypatch.setattr(harness, "_random_bits", bits_spy)
+    monkeypatch.setattr(harness, "_demap_rows", demap_spy)
+    assert simulate_chain_ber(params, scheme, min_bits=20_000, seed=33)[0] == 0
+    want = map_bits(seen["bits"], scheme) * _data_bin_response(params)
+    np.testing.assert_allclose(seen["symbols"], want, rtol=0, atol=1e-12)
 
 
 def iq_moments(noise):

@@ -99,6 +99,17 @@ def test_dc_edge_plan_exits_one(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("line, repeated", [("cr_values = 1.0", "cr_values = 1.0, 1.0"),
+                                            ("ebn0_grid_db = 8", "ebn0_grid_db = 8, 8")],
+                         ids=["cr_values", "ebn0_grid_db"])
+def test_repeated_grid_values_exit_one(tmp_path, capsys, line, repeated):
+    cfg = write_cfg(tmp_path, FAST_BODY.replace(line, repeated))
+    out_dir = tmp_path / "out"
+    assert main([str(cfg), "--output-dir", str(out_dir)]) == 1
+    assert "must be distinct" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_invalid_config_writes_nothing(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "cr_values = -1\n")
     out_dir = tmp_path / "out"

@@ -33,14 +33,29 @@ def small_spec(**overrides):
 
 
 def test_spec_validation_messages():
-    with pytest.raises(ConfigError, match="cr_values must be positive"):
-        small_spec(cr_values=(-1.0,))
+    for cr in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="cr_values must be positive"):
+            small_spec(cr_values=(cr,))
     with pytest.raises(ConfigError, match="n_symbols"):
         small_spec(n_symbols=500)
     with pytest.raises(ConfigError):
         small_spec(schemes=())
     with pytest.raises(ConfigError):
         small_spec(ccdf_read_point=1.5)
+
+
+def test_repeated_grid_values_are_refused():
+    # Cells are keyed by value, so a repeated value collapses its cells:
+    # unchecked, cr_values (1.0, 1.0) x ebn0_grid_db (8.0, 8.0) computed four
+    # BER cells and reported one of them four times. CR values are also
+    # refused when their curve-file tags ({cr:g}) are equal.
+    for cr_values in ((1.0, 1.0), (0.8, 1.2, 0.8), (1.0, 1.0000001)):
+        with pytest.raises(ConfigError, match="cr_values must be distinct"):
+            small_spec(cr_values=cr_values)
+    for grid in ((8.0, 8.0), (0.0, -0.0), (4.0, 8.0, 4.0)):
+        with pytest.raises(ConfigError, match="ebn0_grid_db values must be distinct"):
+            small_spec(ebn0_grid_db=grid)
+    assert small_spec(cr_values=(1.0, 1.00001), ebn0_grid_db=(8.0, 8.5))
 
 
 def test_read_point_needs_ten_expected_exceedances():

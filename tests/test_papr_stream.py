@@ -1,5 +1,6 @@
-"""The streamed PAPR cell: two passes over chunked bit draws, the clip level
-from Parseval, and memory that does not grow with n_symbols."""
+"""The streamed PAPR cell: one pass over chunked bit draws, the closed-form
+clip level (sigma = sqrt((N+1)/(N*L)), the RMS of the OFDM signal), and
+memory that does not grow with n_symbols."""
 import math
 import tracemalloc
 
@@ -7,22 +8,22 @@ import numpy as np
 import pytest
 
 from paprsim import (
+    SCHEME_NAMES,
     ExperimentSpec,
     ModScheme,
     OfdmParams,
     ofdm_modulate,
     oversample_extend,
-    rms,
     run_papr_experiment,
 )
 from paprsim import harness
 from paprsim.harness import (
-    _bit_chunks,
     _cell_rng,
     _chunk_frames,
-    _extended_energy,
+    _clip_level,
     _papr_cell,
     _random_bits,
+    _tx_baseband_frames,
     experiment_hpf,
 )
 
@@ -73,9 +74,9 @@ def test_chunked_bit_draws_equal_one_draw(bits_per_symbol, n_subcarriers, n_fram
     assert n_frames % chunk and (chunk * bits_per_frame) % 4 == 0
     one = _random_bits(np.random.default_rng(41), n_frames, bits_per_frame)
     rng = np.random.default_rng(41)
-    parts = list(_bit_chunks(rng, n_frames, bits_per_frame, chunk))
-    assert [start for start, _ in parts] == list(range(0, n_frames, chunk))
-    assert np.array_equal(np.concatenate([bits for _, bits in parts]), one)
+    parts = [_random_bits(rng, min(chunk, n_frames - start), bits_per_frame)
+             for start in range(0, n_frames, chunk)]
+    assert np.array_equal(np.concatenate(parts), one)
 
 
 def test_chunk_frames_fit_the_budget_and_stay_even():
@@ -89,27 +90,57 @@ def test_chunk_frames_fit_the_budget_and_stay_even():
         assert frames == 2 or frames * block_len <= harness._CHUNK_SAMPLES
 
 
-@pytest.mark.parametrize("plan", ["reference", "nyquist_edge", "high_carrier"])
-def test_parseval_sigma_equals_the_batch_rms(plan):
+SIGMA_PLANS = ("reference", "nyquist_edge", "high_carrier")
+CONSTANT_MODULUS = ("qpsk", "qam", "8psk", "16psk", "32psk")
+
+
+def frame_power(params, scheme, cp, n_frames=1000, seed=43):
+    """Mean power of each unclipped transmitted frame (prefix included when
+    cp), for random bits."""
+    rng = np.random.default_rng(seed)
+    bits = _random_bits(rng, n_frames, params.n_subcarriers * scheme.bits_per_symbol)
+    baseband = _tx_baseband_frames(bits, scheme, params, cp=cp)
+    return np.mean(np.square(baseband.real) + np.square(baseband.imag), axis=1)
+
+
+@pytest.mark.parametrize("cp", [False, True], ids=["symbol", "prefixed"])
+@pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
+@pytest.mark.parametrize("plan", SIGMA_PLANS)
+def test_closed_form_sigma_is_the_mean_power_of_unclipped_frames(plan, scheme_name, cp):
+    # sigma^2 = (N+1)/(N*L) against the mean over frames of each frame's
+    # mean power, within 4 SEs of that mean. Frames of a constant-modulus
+    # table without prefix all have power sigma^2, so their SE is round-off.
     params, _ = ORACLE_PLANS[plan]
-    scheme = ModScheme.from_name("16qam")
-    rng = np.random.default_rng(43)
-    symbols = harness.map_bits(_random_bits(rng, 300, params.n_subcarriers * 4), scheme)
-    batch = ofdm_modulate(oversample_extend(symbols, params.oversample), params)
-    sigma = math.sqrt(_extended_energy(symbols) / batch.size)
-    assert sigma == pytest.approx(rms(batch), rel=1e-13)
+    power = frame_power(params, ModScheme.from_name(scheme_name), cp)
+    sigma2 = _clip_level(params, 1.0) ** 2
+    se = power.std(ddof=1) / math.sqrt(power.size)
+    assert abs(power.mean() - sigma2) <= 4.0 * se + 1e-12 * sigma2, (power.mean(), sigma2, se)
+
+
+@pytest.mark.parametrize("scheme_name", CONSTANT_MODULUS)
+@pytest.mark.parametrize("plan", SIGMA_PLANS)
+def test_closed_form_sigma_is_exact_for_constant_modulus_tables(plan, scheme_name):
+    params, _ = ORACLE_PLANS[plan]
+    power = frame_power(params, ModScheme.from_name(scheme_name), cp=False, n_frames=50)
+    np.testing.assert_allclose(power, _clip_level(params, 1.0) ** 2, rtol=1e-12, atol=0)
+
+
+def test_clip_level_is_cr_times_sigma():
+    params = ORACLE_PLANS["reference"][0]
+    assert _clip_level(params, 1.0) == math.sqrt(129 / 1024)
+    assert _clip_level(params, 1.4) == 1.4 * math.sqrt(129 / 1024)
 
 
 def test_parseval_energy_counts_the_band_edge_bin_twice():
+    # The N + 1 of sigma^2 = (N+1)/(N*L): the extended frame sends X[N/2] at
+    # both band edges, and the unitary modulator keeps the frame's energy.
     params = ORACLE_PLANS["reference"][0]
     n = params.n_subcarriers
     frames = np.zeros((2, n), dtype=complex)
     frames[:, n // 2] = [3.0 - 4.0j, 1.0j]
     frames[1, 1] = 2.0
-    # |X[N/2]|^2 twice plus every other bin once.
-    assert _extended_energy(frames) == 2 * (25.0 + 1.0) + 4.0
     block = ofdm_modulate(oversample_extend(frames, params.oversample), params)
-    assert _extended_energy(frames) == pytest.approx(np.sum(np.abs(block) ** 2), rel=1e-13)
+    assert np.sum(np.abs(block) ** 2) == pytest.approx(2 * (25.0 + 1.0) + 4.0, rel=1e-13)
 
 
 def _papr_peak_bytes(n_symbols: int) -> int:
