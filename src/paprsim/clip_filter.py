@@ -25,7 +25,7 @@ import numpy as np
 
 from . import fir_design
 from .errors import ConfigError, ShapeError
-from .ofdm_chain import OfdmParams, _require_block
+from .ofdm_chain import OfdmParams, _out_array, _require_block
 
 
 def rms(samples) -> float:
@@ -43,20 +43,33 @@ def clip_passband(samples, amplitude: float) -> np.ndarray:
     return np.clip(samples, -amplitude, amplitude)
 
 
-def clip_baseband(samples, amplitude: float) -> np.ndarray:
-    """Limit complex sample magnitudes to ``amplitude``, preserving phase."""
+def clip_baseband(samples, amplitude: float, *, out=None) -> np.ndarray:
+    """Limit complex sample magnitudes to ``amplitude``, preserving phase.
+
+    ``out``, an array of the samples' shape and dtype (float for integer
+    samples), receives the result in place of a new array. It must not
+    overlap ``samples``: the samples are read after ``out`` is first
+    written.
+    """
     if amplitude <= 0:
         raise ConfigError("clip amplitude must be positive")
     samples = np.asarray(samples)
     if not np.issubdtype(samples.dtype, np.inexact):
         samples = samples.astype(float)
+    out = _out_array(out, samples.shape, samples.dtype)
+    if np.may_share_memory(out, samples):
+        raise ShapeError("clip_baseband cannot write into its own samples")
     # A / max(|x|, A) is exactly 1.0 where |x| <= A (zeros included), so
-    # those samples pass through bit for bit. The factor is formed in place:
-    # one real array of the block's shape besides the output.
-    scale = np.abs(samples)
+    # those samples pass through bit for bit. The factor is formed in
+    # ``out`` itself, as factor + 0j for complex samples, so the call
+    # allocates nothing of the block's size. numpy multiplies complex x by
+    # a real factor array as x * (factor + 0j) too, so the product is the
+    # same bit for bit.
+    np.abs(samples, out=out)
+    scale = out.real
     np.maximum(scale, amplitude, out=scale)
     np.divide(amplitude, scale, out=scale)
-    return samples * scale
+    return np.multiply(samples, out, out=out)
 
 
 def band_gains(params: OfdmParams, hpf: fir_design.FirFilter) -> np.ndarray:
@@ -74,7 +87,9 @@ def band_gains(params: OfdmParams, hpf: fir_design.FirFilter) -> np.ndarray:
     return gains
 
 
-def composed_filter(samples, params: OfdmParams, hpf: fir_design.FirFilter) -> np.ndarray:
+def composed_filter(
+    samples, params: OfdmParams, hpf: fir_design.FirFilter, *, out=None
+) -> np.ndarray:
     """Composed filter of clipped complex baseband blocks (..., N*L), prefix
     excluded; returns the complex envelope of the filtered passband block.
 
@@ -86,6 +101,9 @@ def composed_filter(samples, params: OfdmParams, hpf: fir_design.FirFilter) -> n
     block y with ``upconvert(y)`` equal to the passband composed filter
     of ``upconvert(samples)``. A band bin at DC or Nyquist is its own
     image; the real passband holds it once, so it gets half weight.
+
+    ``out``, an array of the samples' shape and dtype, receives the result
+    in place of a new array; it may be ``samples`` itself.
     """
     samples = np.asarray(samples)
     _require_block(samples, params, "signal")
@@ -101,8 +119,8 @@ def composed_filter(samples, params: OfdmParams, hpf: fir_design.FirFilter) -> n
     gains = band_gains(params, hpf)[band]
     gains[(2 * band) % total == 0] /= 2
     # The fold and the inverse transform reuse the forward transform's
-    # buffer: one block-sized allocation per call.
-    spectrum = np.fft.fft(samples, axis=-1)
+    # buffer: one block-sized allocation per call, none with ``out``.
+    spectrum = np.fft.fft(samples, axis=-1, out=_out_array(out, samples.shape, samples.dtype))
     folded = (spectrum[..., offsets] + np.conj(spectrum[..., images])) * gains
     spectrum.fill(0)
     spectrum[..., offsets] = folded

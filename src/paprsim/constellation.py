@@ -20,6 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, ShapeError
+from .ofdm_chain import _out_array
 
 SUPPORTED_ORDERS = (4, 8, 16, 32)
 
@@ -165,8 +166,12 @@ def constellation_points(scheme: ModScheme) -> ConstellationTable:
     return _table_cached(scheme.family, scheme.order)
 
 
-def map_bits(bits, scheme: ModScheme) -> np.ndarray:
-    """Map 0/1 bits (..., n*k) to complex symbols (..., n), k = log2(M)."""
+def map_bits(bits, scheme: ModScheme, *, out=None) -> np.ndarray:
+    """Map 0/1 bits (..., n*k) to complex symbols (..., n), k = log2(M).
+
+    ``out``, a complex (..., n) array, receives the symbols in place of a
+    new array.
+    """
     bits = np.asarray(bits)
     k = scheme.bits_per_symbol
     if bits.shape[-1] % k:
@@ -177,7 +182,10 @@ def map_bits(bits, scheme: ModScheme) -> np.ndarray:
         raise ShapeError("bits must contain only 0 and 1")
     groups = bits.reshape(bits.shape[:-1] + (-1, k)).astype(np.int64)
     ints = groups @ (1 << np.arange(k - 1, -1, -1))
-    return constellation_points(scheme).point_for_label[ints]
+    # Every label is in range, so "clip" never clips; it lets np.take write
+    # into ``out`` directly instead of through a copy.
+    out = _out_array(out, ints.shape, complex)
+    return np.take(constellation_points(scheme).point_for_label, ints, out=out, mode="clip")
 
 
 def demap_symbols(symbols, scheme: ModScheme) -> np.ndarray:

@@ -26,7 +26,16 @@ peaks carry an extra carrier-phase artifact of about 2.5 dB.
 
 Every chunked loop takes as many frames as fit ``_CHUNK_SAMPLES`` samples
 of its block length, so each per-chunk complex temporary fits 2 MB, the
-size of an L2 cache.
+size of an L2 cache. The PAPR cell runs its chunks on W threads, W the
+number of CPUs the process may use (the calling thread and W - 1 helpers
+started for the cell), and splits the budget among them: a thread's chunk
+holds 1/W of it, so the chunks in flight together hold one budget. Each
+thread writes the outputs of map, extend, modulate, clip and composed
+filter into its own two block buffers, allocated once per cell, so only
+the envelope allocates an array of a chunk's size. The threads draw the chunks' bits in chunk order, one chunk at a time, and
+every row of a chunk is computed on its own (transforms, clipping and
+PAPR act per row), so results do not depend on the CPU count. The BER
+unit's loops stay on the calling thread.
 
 BER cells come in units, one per (scheme, cr), that share one transmission.
 A unit draws its bits once and runs the transmit path plus a cyclic prefix,
@@ -52,6 +61,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import threading
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -104,6 +115,13 @@ _PAIRS = {4: ("qpsk", "qam"), 8: ("8psk", "8qam"), 16: ("16psk", "16qam"), 32: (
 _CHUNK_SAMPLES = 2**17
 
 
+def _require_seed(seed) -> None:
+    """Raise ``ConfigError`` unless ``seed`` is a non-negative integer, the
+    entropy that ``np.random.SeedSequence`` accepts."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Full description of a PAPR/BER experiment; defaults mirror the
@@ -149,6 +167,7 @@ class ExperimentSpec:
             )
         if self.bits_per_point < 1:
             raise ConfigError("bits_per_point must be positive")
+        _require_seed(self.seed)
         if not all(np.isfinite(v) for v in self.ebn0_grid_db):
             raise ConfigError("ebn0_grid_db values must be finite")
         if len(set(self.ebn0_grid_db)) != len(self.ebn0_grid_db):
@@ -204,6 +223,14 @@ class BerExperimentResult:
     rows: tuple[BerRow, ...]
 
 
+def _worker_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
 def _cell_rng(seed: int, kind: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, kind, index]))
 
@@ -220,6 +247,9 @@ def _chunk_frames(block_len: int) -> int:
     bits, so chunked ``_random_bits`` draws concatenate to one draw of all
     the rows: numpy draws a bounded uint8 in {0, 1} from one byte of a
     32-bit word, with no rejection, and each call starts on a fresh word.
+    The PAPR cell's W threads each take chunks of ``_chunk_frames(N*L*W)``
+    frames, so the chunks in flight together stay within one budget; the
+    draws, and so the results, are the same for every W.
     """
     return max(2, _CHUNK_SAMPLES // block_len // 2 * 2)
 
@@ -411,32 +441,108 @@ def _ber_cells(
         yield int(np.count_nonzero(bits != rx_bits)), bits.size
 
 
+def _chunk_buffers(frames: int, params: OfdmParams) -> tuple[np.ndarray, ...]:
+    """One thread's buffers for PAPR chunks of up to ``frames`` frames: the
+    mapped symbols and two complex blocks (see ``_papr_chunk``)."""
+    blocks = (frames, params.n_oversampled)
+    return (np.empty((frames, params.n_subcarriers), complex),
+            np.empty(blocks, complex), np.empty(blocks, complex))
+
+
+def _papr_chunk(
+    bits: np.ndarray, scheme: ModScheme, params: OfdmParams, amplitude: float,
+    hpf: fir_design.FirFilter, buffers: tuple[np.ndarray, ...],
+    unclipped_papr: np.ndarray, processed_papr: np.ndarray,
+) -> None:
+    """One chunk of a PAPR cell, on one of the cell's threads: writes the
+    unclipped and the clipped-and-filtered PAPR of the frames ``bits``
+    holds into the two views.
+
+    Every stage up to the composed filter writes into the thread's
+    ``buffers`` (``_chunk_buffers``). ``block`` holds the extended frames,
+    then the baseband (the inverse transform runs in place), then the
+    composed filter's spectrum and output. ``scratch`` holds the clipped
+    block; before the clip writes it, the first half of its bytes serves as
+    the real |x|^2 array. So the clip reads ``block`` and writes
+    ``scratch``, never its own input. The envelope stage is called as
+    ``envelope_magnitude(samples, params)``, the form perfbench's self-test
+    substitutes, so it returns a new |y| array, which is squared in place.
+    """
+    count = bits.shape[0]
+    symbols, block, scratch = (buffer[:count] for buffer in buffers)
+    power = scratch.view(float).reshape(-1)[: block.size].reshape(block.shape)
+    frames = _extend_rows(_map_rows(bits, scheme, out=symbols), params.oversample, out=block)
+    baseband = _modulate_rows(frames, params, out=block)
+    # The unclipped symbol is in-band by construction, so its envelope is
+    # the baseband signal itself.
+    unclipped_papr[:] = _papr_db_rows(np.square(np.abs(baseband, out=power), out=power))
+    clipped = _clip_magnitude_rows(baseband, amplitude, out=scratch)
+    filtered = _composed_rows(clipped, params, hpf, out=block)
+    envelope = envelope_magnitude(filtered, params)
+    processed_papr[:] = _papr_db_rows(np.square(envelope, out=envelope))
+
+
 def _papr_cell(
     spec: ExperimentSpec, scheme: ModScheme, cr: float, rng: np.random.Generator,
     hpf: fir_design.FirFilter,
 ):
     """Clipped-and-filtered and unclipped PAPR CCDFs of one cell, streamed
-    in one pass over the bits ``rng`` draws (see the module docstring)."""
+    in one pass over the bits ``rng`` draws (see the module docstring).
+
+    The chunks run on W threads, W the number of CPUs the process may use:
+    the calling thread and W - 1 helper threads started for the cell. Each
+    thread has its own buffers (``_chunk_buffers``) and loops: under one
+    lock it takes the next chunk and draws that chunk's bits, so the draws
+    follow chunk order whatever W is; then it runs the chunk
+    (``_papr_chunk``) into disjoint rows of the two PAPR vectors. A failing
+    chunk stops the other threads before their next chunk, and every helper
+    has finished when the cell returns or raises.
+    """
+    # Imported here, not with the module: it costs milliseconds.
+    from concurrent.futures import ThreadPoolExecutor
+
     params = spec.params
     n = spec.n_symbols
     bits_per_frame = params.n_subcarriers * scheme.bits_per_symbol
-    step = _chunk_frames(params.n_oversampled)
     amplitude = _clip_level(params, cr)
+    workers = _worker_count()
+    step = _chunk_frames(params.n_oversampled * workers)
+    starts = iter(range(0, n, step))
+    draw = threading.Lock()
+    stop = threading.Event()
     unclipped_papr = np.empty(n)
     processed_papr = np.empty(n)
-    for start in range(0, n, step):
-        bits = _random_bits(rng, min(step, n - start), bits_per_frame)
-        baseband = _modulate_rows(_extend_rows(_map_rows(bits, scheme), params.oversample), params)
-        rows = slice(start, start + baseband.shape[0])
-        # The unclipped symbol is in-band by construction, so its envelope is
-        # the baseband signal itself.
-        unclipped_papr[rows] = _papr_db_rows(np.abs(baseband) ** 2)
-        # Nested calls free the clipped and the filtered chunk as soon as the
-        # next stage returns.
-        envelope = envelope_magnitude(
-            _composed_rows(_clip_magnitude_rows(baseband, amplitude), params, hpf), params
-        )
-        processed_papr[rows] = _papr_db_rows(np.square(envelope, out=envelope))
+
+    def run_chunks(buffers):
+        try:
+            while True:
+                with draw:
+                    start = next(starts, None)
+                    if start is None or stop.is_set():
+                        return
+                    bits = _random_bits(rng, min(step, n - start), bits_per_frame)
+                rows = slice(start, start + bits.shape[0])
+                _papr_chunk(bits, scheme, params, amplitude, hpf, buffers,
+                            unclipped_papr[rows], processed_papr[rows])
+        except BaseException:
+            stop.set()
+            raise
+
+    buffers = [_chunk_buffers(step, params) for _ in range(min(workers, math.ceil(n / step)))]
+    with ThreadPoolExecutor(max(len(buffers) - 1, 1), thread_name_prefix="paprsim-papr") as pool:
+        tasks = [pool.submit(run_chunks, own) for own in buffers[1:]]
+        try:
+            run_chunks(buffers[0])
+        finally:
+            # Once the calling thread's loop ends, every chunk is taken or
+            # the cell has failed, so a helper that has not started has
+            # nothing left to do.
+            stop.set()
+            for task in tasks:
+                task.cancel()
+    for task in tasks:  # leaving the with block joined the helpers
+        if not task.cancelled():
+            task.result()
 
     clipped_curve = estimate_ccdf(processed_papr, CCDF_THRESHOLDS_DB)
     unclipped_curve = estimate_ccdf(unclipped_papr, CCDF_THRESHOLDS_DB)
@@ -510,6 +616,7 @@ def simulate_chain_ber(
     SeedSequence([seed, 2, 0]).spawn(2): child 0 for the bits, child 1 for
     the noise.
     """
+    _require_seed(seed)
     ((errors, total),) = _ber_cells(params, scheme, cr, (ebn0_db,), min_bits, hpf, [seed, 2, 0])
     return errors, total
 

@@ -129,27 +129,49 @@ def _require_block(samples: np.ndarray, params: OfdmParams, what: str) -> None:
         )
 
 
-def oversample_extend(frames, oversample: int) -> np.ndarray:
-    """Insert mid-spectrum zeros, growing N-bin frames (..., N) to (..., N*L)."""
+def _out_array(out, shape: tuple, dtype) -> np.ndarray:
+    """The numpy-style ``out=`` of a stage function: a new ``shape`` array
+    of ``dtype`` when ``out`` is None, else ``out`` itself, which must have
+    exactly that shape and dtype."""
+    if out is None:
+        return np.empty(shape, dtype)
+    if not isinstance(out, np.ndarray) or out.shape != shape or out.dtype != dtype:
+        got = f"{out.shape} {out.dtype}" if isinstance(out, np.ndarray) else type(out).__name__
+        raise ShapeError(f"out must be a {shape} {np.dtype(dtype)} array, got {got}")
+    return out
+
+
+def oversample_extend(frames, oversample: int, *, out=None) -> np.ndarray:
+    """Insert mid-spectrum zeros, growing N-bin frames (..., N) to (..., N*L).
+
+    ``out``, a complex (..., N*L) array, receives the result in place of a
+    new array; every bin of it is written, the inserted zeros included.
+    """
     frames = np.asarray(frames, dtype=complex)
     n = frames.shape[-1]
     if n % 2:
         raise ConfigError("frame length N must be even")
     if oversample < 1:
         raise ConfigError("oversample factor must be >= 1")
-    out = np.zeros(frames.shape[:-1] + (n * oversample,), dtype=complex)
+    total = n * oversample
+    out = _out_array(out, frames.shape[:-1] + (total,), complex)
     out[..., : n // 2 + 1] = frames[..., : n // 2 + 1]
-    out[..., n * oversample - n // 2 :] = frames[..., n // 2 :]
+    out[..., n // 2 + 1 : total - n // 2] = 0
+    out[..., total - n // 2 :] = frames[..., n // 2 :]
     return out
 
 
-def ofdm_modulate(frames, params: OfdmParams) -> np.ndarray:
+def ofdm_modulate(frames, params: OfdmParams, *, out=None) -> np.ndarray:
     """Inverse-transform oversampled frames (..., N*L) into baseband samples
     by the unitary inverse DFT (scale 1/sqrt(N*L), numpy's "ortho" norm,
-    applied inside the transform), so a block's energy equals its frame's."""
+    applied inside the transform), so a block's energy equals its frame's.
+
+    ``out``, a complex array of the frames' shape, receives the samples in
+    place of a new array; it may be ``frames`` itself.
+    """
     frames = np.asarray(frames, dtype=complex)
     _require_block(frames, params, "frame")
-    return np.fft.ifft(frames, axis=-1, norm="ortho")
+    return np.fft.ifft(frames, axis=-1, norm="ortho", out=_out_array(out, frames.shape, complex))
 
 
 def ofdm_demodulate(samples, params: OfdmParams) -> np.ndarray:

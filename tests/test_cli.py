@@ -110,6 +110,20 @@ def test_repeated_grid_values_exit_one(tmp_path, capsys, line, repeated):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_negative_seed_exits_one(tmp_path, capsys, how):
+    # Was exit 2 after the high-pass design and the output directory:
+    # "papr cell failed (scheme=qpsk, cr=0.8): expected non-negative integer".
+    out_dir = tmp_path / "out"
+    if how == "flag":
+        args = ["--seed", "-3"]
+    else:
+        args = [str(write_cfg(tmp_path, FAST_BODY + "seed = -3\n"))]
+    assert main(args + ["--experiment", "papr", "--output-dir", str(out_dir)]) == 1
+    assert "seed must be a non-negative integer, got -3" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_invalid_config_writes_nothing(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "cr_values = -1\n")
     out_dir = tmp_path / "out"

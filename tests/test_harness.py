@@ -58,6 +58,20 @@ def test_repeated_grid_values_are_refused():
     assert small_spec(cr_values=(1.0, 1.00001), ebn0_grid_db=(8.0, 8.5))
 
 
+@pytest.mark.parametrize("seed", [-3, 1.5, "7", True, None], ids=repr)
+def test_seed_must_be_a_non_negative_integer(seed):
+    with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+        small_spec(seed=seed)
+    with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+        simulate_chain_ber(OfdmParams(), QPSK_ONLY[0], min_bits=1000, seed=seed)
+
+
+def test_seed_accepts_any_non_negative_integer():
+    for seed in (0, np.int64(5), 2**70):
+        assert small_spec(seed=seed).seed == seed
+        assert simulate_chain_ber(OfdmParams(), QPSK_ONLY[0], min_bits=1000, seed=seed)[0] == 0
+
+
 def test_read_point_needs_ten_expected_exceedances():
     # n_symbols * ccdf_read_point >= 10: the reference and benchmark products
     # sit exactly on the boundary and are accepted.
