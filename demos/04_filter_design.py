@@ -1,41 +1,28 @@
-"""Equiripple FIR design: the two filters the simulator depends on.
+"""Equiripple FIR design: the high-pass of the composed filter.
 
-Designs the composed filter's high-pass and the receiver's image-reject
-low-pass, then reports ripple, attenuation, and the equiripple alternation
-structure.
+Designs the one filter the simulator uses, the composed filter's in-band
+high-pass, then reports ripple, attenuation, and the equiripple
+alternation structure.
 
 Run:  python demos/04_filter_design.py
 """
 import numpy as np
 
 from paprsim import OfdmParams, alternation_count, amplitude_response, default_hpf_spec, design_equiripple
-from paprsim.fir_design import FirDesignSpec
-from paprsim.ofdm_chain import IMAGE_REJECT_TAPS
 
 params = OfdmParams()
+spec = default_hpf_spec(params)
+fir = design_equiripple(spec)
 
-hpf_spec = default_hpf_spec(params)
-lpf_spec = FirDesignSpec(
-    IMAGE_REJECT_TAPS,
-    ((0.0, (params.bandwidth_hz / 2) / params.sample_hz),
-     (params.carrier_hz / params.sample_hz, 0.5)),
-    (1.0, 0.0),
-    (1.0, 1.0),
-)
-
-for label, spec in (("composed-filter high-pass", hpf_spec),
-                    ("receiver image-reject low-pass", lpf_spec)):
-    fir = design_equiripple(spec)
-    print(f"{label}: {spec.num_taps} taps")
-    for (lo, hi), d in zip(spec.bands, spec.desired):
-        print(f"  band [{lo:.5f}, {hi:.5f}] of fs, target gain {d:g}")
-    print(f"  achieved ripple {fir.ripple:.3e} after {len(fir.delta_history)} exchange passes")
-    print(f"  levelled error per pass: "
-          + " -> ".join(f"{d:.2e}" for d in fir.delta_history))
-    need = (spec.num_taps + 1) // 2 + 1
-    print(f"  alternations touching the ripple: {alternation_count(fir)} (theory needs {need})")
-    stop = next(((lo, hi) for (lo, hi), d in zip(spec.bands, spec.desired) if d == 0.0))
-    grid = np.linspace(*stop, 2048)
-    att = -20 * np.log10(np.max(np.abs(amplitude_response(fir, grid))))
-    print(f"  stopband attenuation {att:.1f} dB")
-    print(f"  taps symmetric: {np.array_equal(fir.taps, fir.taps[::-1])}\n")
+print(f"composed-filter high-pass: {spec.num_taps} taps")
+for (lo, hi), d in zip(spec.bands, spec.desired):
+    print(f"  band [{lo:.5f}, {hi:.5f}] of fs, target gain {d:g}")
+print(f"  achieved ripple {fir.ripple:.3e} after {len(fir.delta_history)} exchange passes")
+print(f"  levelled error per pass: "
+      + " -> ".join(f"{d:.2e}" for d in fir.delta_history))
+need = (spec.num_taps + 1) // 2 + 1
+print(f"  alternations touching the ripple: {alternation_count(fir)} (theory needs {need})")
+grid = np.linspace(*spec.bands[0], 2048)
+att = -20 * np.log10(np.max(np.abs(amplitude_response(fir, grid))))
+print(f"  stopband attenuation {att:.1f} dB")
+print(f"  taps symmetric: {np.array_equal(fir.taps, fir.taps[::-1])}")

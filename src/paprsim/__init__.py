@@ -60,7 +60,6 @@ from .ofdm_chain import (
     OfdmParams,
     add_cyclic_prefix,
     demodulate_passband,
-    downconvert,
     inserted_zero_bins,
     ofdm_demodulate,
     ofdm_modulate,
@@ -104,7 +103,6 @@ __all__ = [
     "demap_symbols",
     "demodulate_passband",
     "design_equiripple",
-    "downconvert",
     "emit_csv",
     "envelope_magnitude",
     "estimate_ccdf",

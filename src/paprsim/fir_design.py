@@ -1,8 +1,8 @@
 """Equiripple linear-phase FIR design by Remez exchange.
 
 Only type-I filters (odd length, even symmetry) are designed, which covers
-both the composed filter's high-pass and the receiver's image-reject
-low-pass. The amplitude response of such a filter is a cosine polynomial
+the composed filter's high-pass. The amplitude response of such a filter is
+a cosine polynomial
 
     A(f) = a[0] + sum_{n=1..R-1} a[n] cos(2 pi f n),   R = (num_taps + 1) / 2,
 
@@ -13,9 +13,12 @@ iterates on R + 1 reference frequencies: solve for the levelled error
 on a dense grid, then move the reference to the extrema of the weighted
 error. Iteration stops when the reference set is stable or delta changes by
 less than 1e-6 relative, with a hard cap of 50 passes. The design returned
-is the pass with the smallest dense-grid max error: when a first pass
-already fits the target to round-off, the exchange can go on to chase
-round-off extrema into a far worse iterate.
+is the pass with the smallest dense-grid max error, and it must be the
+minimax (McClellan, Parks & Rabiner, 1973): its max weighted error on the
+design grid must be within ``MINIMAX_RTOL`` of its levelled error |delta|,
+or at round-off, else ``DesignError``. A target whose first pass levels
+|delta| far below round-off has no such iterate: the exchange goes on to
+chase round-off extrema, and no pass is an equiripple design.
 
 Frequencies are normalized to the sample rate, so the usable axis is
 [0, 0.5].
@@ -31,6 +34,7 @@ from .errors import ConfigError, DesignError
 GRID_DENSITY = 16  # dense-grid points per tap
 MAX_ITERATIONS = 50
 DELTA_RTOL = 1e-6
+MINIMAX_RTOL = 1e-3  # max weighted error over |delta| of the returned iterate
 
 
 @dataclass(frozen=True)
@@ -225,6 +229,12 @@ def design_equiripple(spec: FirDesignSpec) -> FirFilter:
 
     achieved = weights * (desired - cos_matrix @ coeffs)
     ripple = float(np.max(np.abs(achieved)))
+    level = delta_history[best_pass - 1]
+    if ripple > (1.0 + MINIMAX_RTOL) * level and ripple > 1e-12 * flat_scale:
+        raise DesignError(
+            f"Remez exchange stopped short of the minimax: max error {ripple:.6e} "
+            f"exceeds |delta| {level:.6e} by more than {MINIMAX_RTOL:g} relative"
+        )
     taps.setflags(write=False)
     return FirFilter(
         taps=taps,

@@ -10,9 +10,7 @@ the OFDM signal, sqrt((N+1)/(N*L)): the constellation tables have unit mean
 energy, ``oversample_extend`` fills N + 1 of the N*L bins (X[N/2] at both
 band edges) and ``ofdm_modulate`` is unitary. A cyclic prefix repeats
 samples of the same mean power. So the clip level cr * sigma is known before
-any bit is drawn. The unclipped chain's gain at data bin j is H(j), the
-image-reject low-pass's response (within 1.1e-5 of 1 on the reference
-plan's data bins).
+any bit is drawn. The unclipped chain's gain at every data bin is exactly 1.
 
 PAPR cell: one pass over the cell's bits, drawn in chunks of frames. Per
 chunk: extend, modulate, read the unclipped PAPR, clip the envelope
@@ -45,12 +43,11 @@ upconverted and given a cyclic suffix, which is the filtered symbol behind a
 prefix rebuilt from its tail). It measures the transmit power and receives
 the blocks without noise: strip the prefix and demodulate, one real FFT per
 block read at the data bins (``demodulate_passband``). For an on-bin
-carrier, mix-down, the image-reject low-pass applied circularly over the
-block, and the FFT demodulator are diagonal in the DFT, so the receiver is
-linear and reads only the N data bins. White real passband noise of variance
-sigma_n^2 therefore reaches data bin j as circular complex Gaussian noise of
-variance 2 sigma_n^2 H(j)^2, independent across bins (H is the low-pass's
-response; prefix noise is discarded). Each Eb/N0 point calibrates sigma_n
+carrier, mix-down and the FFT demodulator are diagonal in the DFT, so the
+receiver is linear and reads only the N data bins. White real passband
+noise of variance sigma_n^2 therefore reaches each data bin as circular
+complex Gaussian noise of variance 2 sigma_n^2, independent across bins
+(prefix noise is discarded). Each Eb/N0 point calibrates sigma_n
 from the measured transmit power, draws only that bin noise, adds it to the
 noise-free symbols, divides by the closed-form gain clip_attenuation(cr),
 or by 1 unclipped, and slices. The unit draws from
@@ -68,7 +65,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fir_design, ofdm_chain
+from . import fir_design
 from .channel import NoiseConfig, add_awgn, noise_sigma
 from .clip_filter import clip_baseband, composed_filter, default_hpf_spec
 from .constellation import SCHEME_NAMES, ModScheme, demap_symbols, map_bits
@@ -76,6 +73,7 @@ from .errors import ConfigError, ExperimentError, ShapeError
 from .metrics import CcdfCurve, _papr_db_rows, ccdf_quantile, estimate_ccdf
 from .ofdm_chain import (
     OfdmParams,
+    _data_bin_offsets,
     _require_block,
     add_cyclic_prefix,
     demodulate_passband,
@@ -89,7 +87,7 @@ from .ofdm_chain import (
 # perfbench/interactions.json lists, because perfbench/spans.py times a stage
 # by wrapping that module-level name. Each name is bound to the public
 # function itself, so every stage keeps one implementation. The bindings go
-# once the stage table names the public functions (ROADMAP item 2).
+# once the stage table names the public functions (ROADMAP item 1).
 _map_rows = map_bits
 _extend_rows = oversample_extend
 _modulate_rows = ofdm_modulate
@@ -98,10 +96,10 @@ _upconvert_rows = upconvert
 _composed_rows = composed_filter
 _demodulate_rows = demodulate_passband
 _demap_rows = demap_symbols
-# Uncalled since the receive fold (the literal low-pass) and the bin-domain
-# BER unit (passband AWGN, the per-cell receiver): bound so that their traced
-# stages report 0 calls instead of going missing.
-_filter_rows = ofdm_chain._filter_rows
+# Uncalled: the receiver has no low-pass (``_filter_rows``), and the
+# bin-domain BER unit adds no passband AWGN and runs no per-cell receiver.
+# Bound so that their traced stages report 0 calls instead of going missing.
+_filter_rows = demodulate_passband
 _awgn_rows = add_awgn
 _receive_bits = demodulate_passband
 
@@ -172,11 +170,11 @@ class ExperimentSpec:
             raise ConfigError("ebn0_grid_db values must be finite")
         if len(set(self.ebn0_grid_db)) != len(self.ebn0_grid_db):
             raise ConfigError(f"ebn0_grid_db values must be distinct, got {self.ebn0_grid_db}")
-        # Fail fast on an infeasible high-pass or receiver low-pass band plan.
+        # Fail fast on a band plan that the high-pass or the receiver cannot serve.
         default_hpf_spec(
             self.params, self.hpf_num_taps, self.hpf_stop_edge, self.hpf_pass_edge
         )
-        ofdm_chain._image_filter_spec(self.params)
+        _data_bin_offsets(self.params)
 
 
 def experiment_hpf(spec: ExperimentSpec) -> fir_design.FirFilter:
@@ -344,10 +342,8 @@ def _receive_symbols(rx_blocks: np.ndarray, params: OfdmParams) -> np.ndarray:
     """Strip the prefix and demodulate received passband blocks; returns
     their data symbols at gain 1, one row per block.
 
-    ``demodulate_passband`` does the mix-down, image-reject low-pass and
-    FFT demodulation of each prefix-stripped block in one real FFT read at
-    the data bins; the low-pass acts circularly, so no filter transient
-    reaches a data sample.
+    ``demodulate_passband`` does the mix-down and FFT demodulation of each
+    prefix-stripped block in one real FFT read at the data bins.
     """
     symbols = np.empty((rx_blocks.shape[0], params.n_subcarriers), dtype=complex)
     step = _chunk_frames(rx_blocks.shape[1])
@@ -357,18 +353,16 @@ def _receive_symbols(rx_blocks: np.ndarray, params: OfdmParams) -> np.ndarray:
     return symbols
 
 
-def _add_bin_noise(
-    symbols: np.ndarray, sigma_n: float, response: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
+def _add_bin_noise(symbols: np.ndarray, sigma_n: float, rng: np.random.Generator) -> np.ndarray:
     """Return received data symbols (..., N) plus the data-bin read of white
     real passband noise of variance sigma_n^2: circular complex Gaussian
-    noise of variance 2 sigma_n^2 H(j)^2 at bin j, ``response`` holding
-    H(j). Draws 2N standard normals per row; sigma_n = 0 draws nothing."""
+    noise of variance 2 sigma_n^2 at every bin. Draws 2N standard normals
+    per row; sigma_n = 0 draws nothing."""
     if sigma_n == 0:
         return symbols.copy()
     shape = symbols.shape[:-1] + (2 * symbols.shape[-1],)
     noisy = rng.standard_normal(shape).view(complex)
-    noisy *= sigma_n * response
+    noisy *= sigma_n
     noisy += symbols
     return noisy
 
@@ -385,8 +379,7 @@ def _noise_free_unit(
     (cr=None skips clipping and filtering) and receive them without noise.
     Returns (bits, transmit power, received symbols); the power is the mean
     square of the passband samples, prefix included, that the channel is
-    calibrated to. Unclipped, data bin j of the symbols is the mapped symbol
-    times H(j)."""
+    calibrated to. Unclipped, the symbols are the mapped symbols."""
     bits_per_frame = params.n_subcarriers * scheme.bits_per_symbol
     n_frames = max(1, math.ceil(min_bits / bits_per_frame))
     bits = _random_bits(rng, n_frames, bits_per_frame)
@@ -423,7 +416,6 @@ def _ber_cells(
     bits, power, clean = _noise_free_unit(
         params, scheme, cr, hpf, min_bits, np.random.default_rng(seeds[0])
     )
-    response = ofdm_chain._data_bin_response(params)
     gain = clip_attenuation(cr) if cr is not None else 1.0
     for ebn0_db, seed in zip(ebn0_grid_db, seeds[1:]):
         sigma_n = 0.0
@@ -435,7 +427,7 @@ def _ber_cells(
                 cp_overhead=params.n_subcarriers / (params.n_subcarriers + params.cp_len),
             )
             sigma_n = noise_sigma(config, power)
-        rx = _add_bin_noise(clean, sigma_n, response, np.random.default_rng(seed))
+        rx = _add_bin_noise(clean, sigma_n, np.random.default_rng(seed))
         rx /= gain
         rx_bits = _demap_rows(rx, scheme)
         yield int(np.count_nonzero(bits != rx_bits)), bits.size

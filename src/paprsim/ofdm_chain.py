@@ -20,16 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from . import fir_design
 from .errors import ConfigError, ShapeError
-
-#: Tap count of the receiver's image-reject low-pass (see ``downconvert`` and
-#: ``demodulate_passband``).
-IMAGE_REJECT_TAPS = 31
 
 
 @dataclass(frozen=True)
@@ -220,80 +214,25 @@ def upconvert(samples, params: OfdmParams) -> np.ndarray:
     return np.sqrt(2.0) * np.real(samples * _carrier(samples.shape[-1], params))
 
 
-@lru_cache(maxsize=None)
-def image_reject_lowpass(spec: fir_design.FirDesignSpec) -> fir_design.FirFilter:
-    """Equiripple image-reject low-pass of the receiver; cached per design target."""
-    return fir_design.design_equiripple(spec)
-
-
-def _image_filter_spec(params: OfdmParams) -> fir_design.FirDesignSpec:
-    """Design target of the receiver's image-reject low-pass: passband edge
-    at BW/2, stopband from the carrier down-mixed image side. Building it
-    designs nothing and raises ``ConfigError`` for a plan it cannot meet."""
-    try:
-        return fir_design.FirDesignSpec(
-            num_taps=IMAGE_REJECT_TAPS,
-            bands=((0.0, (params.bandwidth_hz / 2) / params.sample_hz),
-                   (params.carrier_hz / params.sample_hz, 0.5)),
-            desired=(1.0, 0.0),
-            weights=(1.0, 1.0),
-        )
-    except ConfigError as exc:
-        raise ConfigError(
-            "the receiver's image-reject low-pass needs carrier_hz > bandwidth_hz / 2, "
-            f"a band clear of DC: {exc}"
-        ) from None
-
-
-def _image_filter_for(params: OfdmParams) -> fir_design.FirFilter:
-    return image_reject_lowpass(_image_filter_spec(params))
-
-
-def _filter_rows(samples: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Linear convolution along the last axis, via FFT, full length."""
-    n = samples.shape[-1] + taps.size - 1
-    nfft = 1 << (n - 1).bit_length()
-    spectrum = np.fft.fft(samples, nfft, axis=-1) * np.fft.fft(taps, nfft)
-    return np.fft.ifft(spectrum, axis=-1)[..., :n]
-
-
-def downconvert(samples, params: OfdmParams) -> np.ndarray:
-    """Mix real passband samples (..., n) down to complex baseband.
-
-    Multiplies by sqrt(2) exp(-j 2 pi f_c m / f_s), then low-pass filters to
-    the occupied band to reject the 2 f_c image. The filter is linear phase
-    and its group delay is compensated by trimming, so output sample m lines
-    up with input sample m. The first and last group_delay samples carry the
-    filter's edge transients. To demodulate whole OFDM blocks, use
-    :func:`demodulate_passband`, which applies the same mixer and low-pass
-    circularly.
-    """
-    samples = np.asarray(samples)
-    mixed = np.sqrt(2.0) * samples * np.conj(_carrier(samples.shape[-1], params))
-    taps = _image_filter_for(params).taps
-    delay = (taps.size - 1) // 2
-    return _filter_rows(mixed, taps)[..., delay : delay + mixed.shape[-1]]
-
-
 def _data_bin_offsets(params: OfdmParams) -> np.ndarray:
     """Offset j from the carrier bin of each data bin, in
     :func:`ofdm_demodulate`'s order: 0..N/2, then -N/2+1..-1.
 
     X[N/2] is sent at both band edges. When k_c + N/2 is the Nyquist bin, a
     real signal keeps only the real part of that copy, so the offset of
-    slot N/2 becomes -N/2, the other copy.
+    slot N/2 becomes -N/2, the other copy. With L = 2 the band fills
+    [0, f_s/2], both copies are on DC or Nyquist and the plan is refused.
     """
     n = params.n_subcarriers
+    if params.oversample == 2:
+        raise ConfigError(
+            "oversample = 2 puts the band edges on DC and Nyquist, where a real "
+            "passband keeps only the real part of X[N/2]; use oversample >= 3"
+        )
     offsets = np.r_[0 : n // 2 + 1, -n // 2 + 1 : 0]
     if 2 * (params.carrier_bin + n // 2) == params.n_oversampled:
         offsets[n // 2] = -(n // 2)
     return offsets
-
-
-def _data_bin_response(params: OfdmParams) -> np.ndarray:
-    """The image-reject low-pass's zero-phase response H(j) at the data bins."""
-    offsets = _data_bin_offsets(params)
-    return fir_design.amplitude_response(_image_filter_for(params), offsets / params.n_oversampled)
 
 
 def demodulate_passband(samples, params: OfdmParams) -> np.ndarray:
@@ -302,15 +241,17 @@ def demodulate_passband(samples, params: OfdmParams) -> np.ndarray:
 
     The receiver in one transform: mix down by sqrt(2) exp(-j 2 pi f_c m /
     f_s), with the carrier phase counted from the start of the cyclic
-    prefix as ``upconvert`` of a prefixed block sets it; low-pass with the
-    image-reject filter, circularly as the prefix allows; forward-transform
+    prefix as ``upconvert`` of a prefixed block sets it, forward-transform
     (unitary) and read the data bins. For an on-bin carrier that chain is
     diagonal in the DFT: data bin j is the real FFT's bin k_c + j, scaled by
-    sqrt(2 / (N*L)) and by the low-pass's zero-phase response at j / (N*L).
-    On a plan whose band edge k_c + N/2 is the Nyquist bin, X[N/2] is read
-    from its copy at k_c - N/2. No data bin is then DC or Nyquist, so white
-    real noise of variance sigma_n^2 reaches data bin j as independent
-    circular complex noise of variance 2 sigma_n^2 H(j)^2.
+    sqrt(2 / (N*L)), so the unclipped gain is exactly 1. The 2 f_c image of
+    the mix-down lands on bins -(2 k_c + j), never on a data bin, so no
+    image-reject filter is needed. On a plan whose band edge k_c + N/2 is
+    the Nyquist bin, X[N/2] is read from its copy at k_c - N/2; on a plan
+    whose band edge k_c - N/2 is DC, from its copy at k_c + N/2. No data bin
+    is then DC or Nyquist, so white real noise of variance sigma_n^2 reaches
+    each data bin as independent circular complex noise of variance
+    2 sigma_n^2.
     """
     samples = np.asarray(samples)
     _require_block(samples, params, "signal")
@@ -322,8 +263,6 @@ def demodulate_passband(samples, params: OfdmParams) -> np.ndarray:
     # Carrier phase at the first input sample, in turns, reduced mod N*L
     # before dividing so that a whole number of turns gives exactly 1.
     turns = (params.carrier_bin * params.cp_oversampled) % total / total
-    weights = (
-        np.sqrt(2.0 / total) * _data_bin_response(params) * np.exp(-2j * np.pi * turns)
-    )
+    scale = np.sqrt(2.0 / total) * np.exp(-2j * np.pi * turns)
     bins = params.carrier_bin + _data_bin_offsets(params)
-    return np.fft.rfft(samples, axis=-1)[..., bins] * weights
+    return np.fft.rfft(samples, axis=-1)[..., bins] * scale

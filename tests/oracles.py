@@ -7,14 +7,14 @@ the BER of a constellation under Gaussian (I, Q) errors from a Monte Carlo
 draw sliced by exhaustive search, the composed filter and the PAPR envelope
 from the literal real-passband chain (upconvert, FFT, per-bin gain, IFFT,
 analytic signal), which the library folds into one baseband operator, and
-the received symbols from the literal receiver (mixer, time-domain
-image-reject low-pass, prefix strip, FFT), which the library folds into one
-real FFT, and the BER channel from the per-cell time-domain path (AWGN on
+the received symbols from the literal receiver (complex mixer, prefix
+strip, full complex FFT), which the library folds into one real FFT read
+at shifted bins, and the BER channel from the per-cell time-domain path (AWGN on
 every passband sample, then ``demodulate_passband``), which the library
 replaces by noise drawn at the data bins, and the PAPR cell from its
 whole-batch form, which the library streams chunk by chunk. The passband
 filter reads its per-bin gain from ``band_gains``, the one definition of
-that gain, and the receiver its low-pass from ``image_reject_lowpass``.
+that gain.
 """
 import numpy as np
 from scipy.optimize import linprog
@@ -31,7 +31,6 @@ from paprsim import (
     papr_db,
     upconvert,
 )
-from paprsim.fir_design import FirDesignSpec
 from paprsim.harness import (
     _clip_filter_blocks,
     _clip_level,
@@ -39,13 +38,11 @@ from paprsim.harness import (
     _tx_baseband_frames,
     envelope_magnitude,
 )
-from paprsim.ofdm_chain import IMAGE_REJECT_TAPS, image_reject_lowpass
 
 # Band plans of the fold-versus-oracle tests, with the ``default_hpf_spec``
 # edges each needs: the reference plan; the Nyquist-edge plan (band edge on
 # bin N*L/2, small_specs p00); a high carrier; a DC-edge plan (band edge on
-# bin 0), which ``ExperimentSpec`` refuses because the receiver's low-pass
-# cannot be designed, but whose transmit side is well defined.
+# bin 0), which needs explicit high-pass edges.
 ORACLE_PLANS = {
     "reference": (OfdmParams(), {}),
     "nyquist_edge": (OfdmParams(n_subcarriers=128, oversample=5, carrier_hz=2e6), {}),
@@ -177,41 +174,21 @@ def passband_clip_filter_blocks(baseband_blocks, amplitude, params, hpf) -> np.n
     return np.concatenate([filtered[..., filtered.shape[-1] - cp_n :], filtered], axis=-1)
 
 
-def image_reject_filter(params):
-    """The receiver's image-reject low-pass: pass edge BW/2, stop edge f_c."""
-    return image_reject_lowpass(FirDesignSpec(
-        IMAGE_REJECT_TAPS,
-        ((0.0, params.bandwidth_hz / 2 / params.sample_hz), (params.carrier_hz / params.sample_hz, 0.5)),
-        (1.0, 0.0),
-        (1.0, 1.0),
-    ))
-
-
 def passband_receive_symbols(blocks, params) -> np.ndarray:
     """The literal receiver on prefixed real passband blocks (..., cp + N*L):
     mix down by sqrt(2) exp(-j 2 pi f_c m / f_s) from each block's first
-    sample, low-pass with the image-reject design as a direct-form FIR over
-    a periodic extension of the block, group delay compensated, strip the
-    prefix, FFT (unitary) and read the N data bins: 0..N/2, then
-    -N/2+1..-1. X[N/2] is read at +N/2 unless the band edge k_c + N/2 is
-    the passband's Nyquist bin, which keeps only the real part of its copy;
-    then it is read at -N/2, the other copy of X[N/2] that is sent."""
+    sample, strip the prefix, FFT (unitary) and read the N data bins:
+    0..N/2, then -N/2+1..-1. The mixer's 2 f_c image lands on bins
+    -(2 k_c + j) and no image-reject filter is applied: it never reaches a
+    data bin. X[N/2] is read at +N/2 unless the band edge k_c + N/2 is the
+    passband's Nyquist bin, which keeps only the real part of its copy; then
+    it is read at -N/2, the other copy of X[N/2] that is sent."""
     n, total, cp_n = params.n_subcarriers, params.n_oversampled, params.cp_oversampled
-    length = blocks.shape[-1]
-    m = np.arange(length)
-    mixed = np.sqrt(2.0) * blocks * np.exp(-2j * np.pi * params.carrier_hz * m / params.sample_hz)
-    taps = image_reject_filter(params).taps
-    pad, delay = taps.size, (taps.size - 1) // 2
-    # The block continues with period N*L on both sides. The block's last
-    # samples would misplace the left pad by the prefix length, which
-    # reaches the data when the prefix is shorter than the group delay.
-    ext = np.concatenate(
-        [mixed[..., length - cp_n - pad : length - cp_n], mixed, mixed[..., cp_n : cp_n + pad]],
-        axis=-1,
-    )
-    filtered = sum(taps[k] * ext[..., pad - delay + k : pad - delay + k + length]
-                   for k in range(taps.size))
-    spectrum = np.fft.fft(filtered[..., cp_n:], axis=-1) / np.sqrt(total)
+    # f_c m / f_s = k_c m / (N*L) turns, reduced mod 1 in integers so that
+    # the phase of a late sample carries no round-off from whole turns.
+    turns = params.carrier_bin * np.arange(blocks.shape[-1]) % total / total
+    mixed = np.sqrt(2.0) * blocks * np.exp(-2j * np.pi * turns)
+    spectrum = np.fft.fft(mixed[..., cp_n:], axis=-1) / np.sqrt(total)
     bins = np.r_[0 : n // 2 + 1, total - n // 2 + 1 : total]
     if 2 * (params.carrier_bin + n // 2) == total:
         bins[n // 2] = total - n // 2

@@ -24,7 +24,6 @@ from paprsim import (
     simulate_chain_ber,
 )
 from paprsim.harness import _add_bin_noise, _noise_free_unit, _random_bits
-from paprsim.ofdm_chain import _data_bin_response
 
 from oracles import ORACLE_PLANS, time_domain_ber_cell
 
@@ -60,11 +59,10 @@ def test_noise_free_unit_equals_the_time_domain_path_bit_for_bit(plan, cr):
 
 @pytest.mark.parametrize("scheme_name", ["16qam", "8qam", "32psk"])
 @pytest.mark.parametrize("plan", NOISE_PLANS)
-def test_unclipped_unit_slices_the_sent_symbols_times_the_response(monkeypatch, plan,
-                                                                   scheme_name):
-    # The unclipped chain's gain at data bin j is exactly H(j), so a
-    # noiseless unclipped unit hands the slicer map_bits(bits) * H(j),
-    # divided by 1. A blind estimate from the received power carries the
+def test_unclipped_unit_slices_the_sent_symbols(monkeypatch, plan, scheme_name):
+    # The unclipped chain's gain at every data bin is exactly 1, so a
+    # noiseless unclipped unit hands the slicer map_bits(bits), divided
+    # by 1. A blind estimate from the received power carries the
     # sampling error of the mean symbol energy: up to 0.5 % on 16-QAM in
     # three draws of 2*10^4 bits.
     params, _ = ORACLE_PLANS[plan]
@@ -83,7 +81,7 @@ def test_unclipped_unit_slices_the_sent_symbols_times_the_response(monkeypatch, 
     monkeypatch.setattr(harness, "_random_bits", bits_spy)
     monkeypatch.setattr(harness, "_demap_rows", demap_spy)
     assert simulate_chain_ber(params, scheme, min_bits=20_000, seed=33)[0] == 0
-    want = map_bits(seen["bits"], scheme) * _data_bin_response(params)
+    want = map_bits(seen["bits"], scheme)
     np.testing.assert_allclose(seen["symbols"], want, rtol=0, atol=1e-12)
 
 
@@ -111,8 +109,7 @@ def test_bin_noise_matches_time_domain_noise_per_bin(plan):
     passband = add_awgn(np.zeros((n_frames, block)), sigma_n, rng)
     time_domain = demodulate_passband(passband[:, params.cp_oversampled:], params)
     zeros = np.zeros((n_frames, params.n_subcarriers), dtype=complex)
-    response = _data_bin_response(params)
-    bin_domain = _add_bin_noise(zeros, sigma_n, response, rng)
+    bin_domain = _add_bin_noise(zeros, sigma_n, rng)
     (want, want_se), (got, got_se) = iq_moments(time_domain), iq_moments(bin_domain)
     z = np.abs(got - want) / np.hypot(got_se, want_se)
     assert np.count_nonzero(z >= 4.0) <= 1 and np.max(z) < 5.0, np.argwhere(z >= 4.0)

@@ -87,16 +87,19 @@ def test_read_point_below_sample_resolution_exits_one(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-def test_dc_edge_plan_exits_one(tmp_path, capsys):
-    # The band touches DC (f_c = BW/2): the receiver's low-pass has no
-    # transition band, so the config is refused before anything runs.
+def test_dc_edge_plan_runs(tmp_path, capsys):
+    # The band touches DC (f_c = BW/2); with explicit high-pass edges the
+    # plan runs both experiments.
     cfg = write_cfg(tmp_path, FAST_BODY + "n_subcarriers = 64\noversample = 4\n"
                     "carrier_hz = 0.5e6\ncp_len = 16\nhpf_stop_edge = 0.01\n"
                     "hpf_pass_edge = 0.03\n")
     out_dir = tmp_path / "out"
-    assert main([str(cfg), "--output-dir", str(out_dir)]) == 1
-    assert "image-reject low-pass" in capsys.readouterr().err
-    assert not out_dir.exists()
+    assert main([str(cfg), "--output-dir", str(out_dir), "-q"]) == 0
+    assert capsys.readouterr().err == ""
+    assert {p.name for p in out_dir.iterdir()} == {
+        "papr_table.csv", "papr_ccdf_qpsk_cr1.csv", "papr_ccdf_qpsk_cr1_unclipped.csv",
+        "ber_table.csv", "ber_curve_qpsk_cr1.csv",
+    }
 
 
 @pytest.mark.parametrize("line, repeated", [("cr_values = 1.0", "cr_values = 1.0, 1.0"),

@@ -5,6 +5,7 @@ import pytest
 
 from paprsim import (
     ConfigError,
+    DesignError,
     FirDesignSpec,
     OfdmParams,
     alternation_count,
@@ -14,7 +15,6 @@ from paprsim import (
     frequency_response,
 )
 from paprsim.fir_design import weighted_error
-from paprsim.ofdm_chain import _image_filter_spec
 
 from oracles import chebyshev_lp_ripple
 
@@ -99,9 +99,12 @@ def test_amplitude_matches_magnitude():
 
 
 def test_levelled_delta_monotone_non_decreasing():
-    # The exchange's levelled reference error grows toward the minimax value.
+    # The exchange's levelled reference error grows toward the minimax value,
+    # and both histories end at the returned pass, the best one.
     for spec in (LOWPASS, IMAGE_LPF, DEFAULT_HPF):
         fir = design_equiripple(spec)
+        assert len(fir.delta_history) == len(fir.error_history)
+        assert fir.error_history[-1] == min(fir.error_history)
         deltas = np.array(fir.delta_history)
         assert np.all(np.diff(deltas) >= -1e-12)
         assert deltas[-1] == pytest.approx(fir.ripple, rel=0.01)
@@ -156,15 +159,16 @@ SMALL_PLANS = (
     (256, 16, 2.25, 95), (256, 15, 3.5, 139), (64, 13, 1.0, 135), (128, 16, 2.25, 71),
     (128, 6, 1.0, 89), (64, 15, 5.0, 97), (128, 7, 2.0, 115), (256, 6, 2.25, 135),
 )
-# Plans whose receiver low-pass fits its target to round-off on the first
-# exchange pass; the second pass chases round-off extrema into an iterate
-# with ripple up to 7.4e7 (p18), which the exchange used to return.
+# Plans whose image-reject low-pass (``image_lowpass_spec``) a first
+# exchange pass fits to round-off, with |delta| between 6e-20 and 7e-17; the
+# second pass chases round-off extrema into an iterate with ripple up to
+# 7.4e7 (p18), and no pass comes within MINIMAX_RTOL of its |delta|.
 FIRST_PASS_LOWPASS = (2, 13, 14, 18, 25, 30, 32, 39)
 # SHA-256 over the little-endian taps of every other design: the reference
 # high-pass and low-pass, then each plan's high-pass and, except on the
 # plans above, its low-pass. The value is that of the exchange before it
-# kept its best iterate, on numpy 2.4 with OpenBLAS; another BLAS may round
-# the final least-squares step differently.
+# kept its best iterate and checked for the minimax, on numpy 2.4 with
+# OpenBLAS; another BLAS may round the final least-squares step differently.
 OTHER_DESIGNS_SHA256 = "9ac351b8dd006448d676331025f395c63da60e2d43d8d40fb6a3368950e9c997"
 
 
@@ -173,13 +177,24 @@ def small_plan_params(plan):
     return OfdmParams(n_subcarriers=n, oversample=oversample, carrier_hz=carrier_mhz * 1e6)
 
 
+def image_lowpass_spec(params):
+    """A plan's 31-tap image-reject low-pass target: pass edge BW/2, stop
+    edge f_c. Its design degenerates as the band nears DC."""
+    return FirDesignSpec(
+        31,
+        ((0.0, params.bandwidth_hz / 2 / params.sample_hz), (params.carrier_hz / params.sample_hz, 0.5)),
+        (1.0, 0.0),
+        (1.0, 1.0),
+    )
+
+
 def test_keeping_the_best_iterate_leaves_every_other_design_unchanged():
-    specs = [default_hpf_spec(OfdmParams()), _image_filter_spec(OfdmParams())]
+    specs = [default_hpf_spec(OfdmParams()), image_lowpass_spec(OfdmParams())]
     for index, plan in enumerate(SMALL_PLANS):
         params = small_plan_params(plan)
         specs.append(default_hpf_spec(params, plan[3]))
         if index not in FIRST_PASS_LOWPASS:
-            specs.append(_image_filter_spec(params))
+            specs.append(image_lowpass_spec(params))
     digest = hashlib.sha256()
     for spec in specs:
         digest.update(design_equiripple(spec).taps.astype("<f8").tobytes())
@@ -188,8 +203,6 @@ def test_keeping_the_best_iterate_leaves_every_other_design_unchanged():
 
 
 @pytest.mark.parametrize("index", FIRST_PASS_LOWPASS, ids=lambda i: f"p{i:02d}")
-def test_exchange_returns_its_best_iterate(index):
-    fir = design_equiripple(_image_filter_spec(small_plan_params(SMALL_PLANS[index])))
-    assert fir.ripple < 1e-3
-    assert len(fir.delta_history) == len(fir.error_history)
-    assert fir.error_history[-1] == min(fir.error_history)
+def test_exchange_refuses_an_iterate_short_of_the_minimax(index):
+    with pytest.raises(DesignError, match="short of the minimax"):
+        design_equiripple(image_lowpass_spec(small_plan_params(SMALL_PLANS[index])))

@@ -156,8 +156,9 @@ def test_ber_runs_with_custom_hpf_taps():
 
 
 def test_clipped_ber_is_not_guessing_where_the_image_filter_diverged():
-    # small_specs plan p02: its image-reject low-pass diverged (taps up to
-    # 2e8) until the exchange kept its best pass. A receiver that filters over the prefix, whose noise is not the
+    # small_specs plan p02, on which a 31-tap image-reject low-pass has no
+    # minimax design (taps up to 2e8 from the exchange's last pass). A
+    # receiver that filtered over the prefix with it, whose noise is not the
     # tail noise it stands in for, amplified that mismatch into coin-flip
     # decisions (10087/20160 bits wrong). The BER must reject 1/2 at
     # alpha = 1e-6, with bit errors counted per symbol as the benchmark does.
@@ -171,12 +172,28 @@ def test_clipped_ber_is_not_guessing_where_the_image_filter_diverged():
     assert math.erfc(z / math.sqrt(2.0)) <= 1e-6, (row.bit_errors, row.bits_total)
 
 
-def test_dc_edge_plan_is_refused_up_front():
-    # f_c = BW/2 puts the band edge on DC and the receiver low-pass's pass
-    # and stop edges both at f_c; it used to fail later, in every BER cell.
-    params = OfdmParams(n_subcarriers=64, oversample=4, carrier_hz=0.5e6, cp_len=16)
-    with pytest.raises(ConfigError, match="image-reject low-pass"):
+# f_c = BW/2 puts the band edge k_c - N/2 on DC, where a real passband keeps
+# only the real part of X[N/2]'s lower copy; the receiver reads the upper one.
+DC_EDGE = OfdmParams(n_subcarriers=64, oversample=4, carrier_hz=0.5e6, cp_len=16)
+
+
+def test_dc_edge_plan_runs_papr_and_ber():
+    spec = small_spec(params=DC_EDGE, hpf_stop_edge=0.01, hpf_pass_edge=0.03)
+    (papr,) = run_papr_experiment(spec).rows
+    assert 0.0 < papr.papr_db_clipped_filtered < papr.papr_db_unclipped
+    (ber,) = run_ber_experiment(spec).rows
+    assert ber.bits_total >= spec.bits_per_point
+    assert 0.0 <= ber.ber < 0.5
+
+
+def test_oversample_two_is_refused_up_front():
+    # L = 2 leaves f_c = BW/2 as the only carrier: the band fills [0, f_s/2]
+    # and both copies of X[N/2] lose their imaginary part.
+    params = OfdmParams(n_subcarriers=64, oversample=2, carrier_hz=0.5e6, cp_len=16)
+    with pytest.raises(ConfigError, match="oversample = 2"):
         small_spec(params=params, hpf_stop_edge=0.01, hpf_pass_edge=0.03)
+    with pytest.raises(ConfigError, match="oversample = 2"):
+        simulate_chain_ber(params, ModScheme.from_name("qpsk"), min_bits=1000, seed=5)
 
 
 @pytest.mark.parametrize(
@@ -185,11 +202,13 @@ def test_dc_edge_plan_is_refused_up_front():
         # small_specs p00: band edge k_c + N/2 on the Nyquist bin, where the
         # channel keeps only the real part of X[N/2]'s upper copy.
         (OfdmParams(n_subcarriers=128, oversample=5, carrier_hz=2e6), "16qam"),
-        # small_specs p18: the receiver low-pass fits on its first exchange
-        # pass, and the second pass diverged.
+        # small_specs p18: a 31-tap image-reject low-pass has no minimax
+        # design here (see test_fir_design), and the receiver needs none.
         (OfdmParams(n_subcarriers=128, oversample=12, carrier_hz=4.75e6), "8psk"),
+        *((DC_EDGE, name) for name in ("qpsk", "8qam", "16qam", "32qam")),
     ],
-    ids=["p00_nyquist_edge", "p18_first_pass_lowpass"],
+    ids=["p00_nyquist_edge", "p18_first_pass_lowpass",
+         "dc_edge_qpsk", "dc_edge_8qam", "dc_edge_16qam", "dc_edge_32qam"],
 )
 def test_noiseless_loopback_has_no_bit_errors(params, scheme):
     errors, total = simulate_chain_ber(params, ModScheme.from_name(scheme), min_bits=40_000,
