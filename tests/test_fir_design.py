@@ -159,10 +159,11 @@ SMALL_PLANS = (
     (256, 16, 2.25, 95), (256, 15, 3.5, 139), (64, 13, 1.0, 135), (128, 16, 2.25, 71),
     (128, 6, 1.0, 89), (64, 15, 5.0, 97), (128, 7, 2.0, 115), (256, 6, 2.25, 135),
 )
-# Plans whose image-reject low-pass (``image_lowpass_spec``) a first
-# exchange pass fits to round-off, with |delta| between 6e-20 and 7e-17; the
-# second pass chases round-off extrema into an iterate with ripple up to
-# 7.4e7 (p18), and no pass comes within MINIMAX_RTOL of its |delta|.
+# Plans on which the first exchange pass fits the image-reject low-pass
+# (``image_lowpass_spec``) to round-off, with |delta| between 6e-20 and
+# 7e-17; the second pass chases round-off extrema into an iterate with
+# ripple up to 7.4e7 (p18), and no pass comes within MINIMAX_RTOL of its
+# |delta|.
 FIRST_PASS_LOWPASS = (2, 13, 14, 18, 25, 30, 32, 39)
 # SHA-256 over the little-endian taps of every other design: the reference
 # high-pass and low-pass, then each plan's high-pass and, except on the
@@ -179,7 +180,7 @@ def small_plan_params(plan):
 
 def image_lowpass_spec(params):
     """A plan's 31-tap image-reject low-pass target: pass edge BW/2, stop
-    edge f_c. Its design degenerates as the band nears DC."""
+    edge f_c."""
     return FirDesignSpec(
         31,
         ((0.0, params.bandwidth_hz / 2 / params.sample_hz), (params.carrier_hz / params.sample_hz, 0.5)),
