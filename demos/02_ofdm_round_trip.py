@@ -12,9 +12,7 @@ from paprsim import (
     OfdmParams,
     add_cyclic_prefix,
     demodulate_passband,
-    inserted_zero_bins,
     map_bits,
-    ofdm_demodulate,
     ofdm_modulate,
     oversample_extend,
     remove_cyclic_prefix,
@@ -33,8 +31,12 @@ bits = rng.integers(0, 2, params.n_subcarriers * scheme.bits_per_symbol)
 frame = map_bits(bits, scheme)
 print(f"\n1. mapped {bits.size} bits to {frame.size} symbols")
 
+n, total = params.n_subcarriers, params.n_oversampled
 extended = oversample_extend(frame, params.oversample)
-zeros = inserted_zero_bins(params.n_subcarriers, params.oversample)
+# X[0..N/2] fill bins 0..N/2 and X[N/2..N-1] the top N/2 bins, so X[N/2]
+# sits at both band edges and the bins between them are inserted zeros.
+zeros = np.arange(n // 2 + 1, total - n // 2)
+data_bins = np.r_[0 : n // 2 + 1, total - n // 2 + 1 : total]
 print(f"2. oversample-extended to {extended.size} bins; "
       f"{zeros.size} interior bins are exactly zero "
       f"({np.count_nonzero(extended[zeros]) == 0})")
@@ -63,5 +65,5 @@ evm = np.sqrt(np.mean(np.abs(recovered - frame) ** 2))
 print(f"6. prefix strip + passband demodulate (mix-down and FFT, gain 1): "
       f"rms EVM = {evm:.2e}")
 
-round_trip = ofdm_demodulate(ofdm_modulate(extended, params), params)
+round_trip = (np.fft.fft(baseband) / np.sqrt(total))[data_bins]
 print(f"\npure transform round trip error: {np.max(np.abs(round_trip - frame)):.2e}")

@@ -25,7 +25,6 @@ from paprsim import (
     ofdm_modulate,
     oversample_extend,
     papr_db,
-    rms,
     upconvert,
 )
 
@@ -43,7 +42,8 @@ baseband = ofdm_modulate(oversample_extend(map_bits(bits, scheme), params.oversa
 n, oversample = params.n_subcarriers, params.oversample
 sigma = math.sqrt((n + 1) / (n * oversample))
 print(f"sigma = sqrt((N+1)/(N*L)) = {sigma:.4f}; "
-      f"RMS of this batch of {n_frames} symbols = {rms(baseband):.4f}")
+      f"RMS of this batch of {n_frames} symbols = "
+      f"{np.sqrt(np.mean(np.abs(baseband) ** 2)):.4f}")
 
 in_band = band_gains(params, hpf) != 0
 for cr in (0.8, 1.2, 1.6):

@@ -8,15 +8,8 @@ re-zeroing plus an equiripple in-band high-pass), and measures the result
 with CCDF/PAPR statistics and AWGN bit-error-rate sweeps.
 """
 
-from .channel import NoiseConfig, add_awgn, noise_sigma
-from .clip_filter import (
-    band_gains,
-    clip_baseband,
-    clip_passband,
-    composed_filter,
-    default_hpf_spec,
-    rms,
-)
+from .channel import add_awgn, noise_sigma
+from .clip_filter import band_gains, clip_baseband, composed_filter, default_hpf_spec
 from .constellation import (
     SCHEME_NAMES,
     ConstellationTable,
@@ -60,8 +53,6 @@ from .ofdm_chain import (
     OfdmParams,
     add_cyclic_prefix,
     demodulate_passband,
-    inserted_zero_bins,
-    ofdm_demodulate,
     ofdm_modulate,
     oversample_extend,
     remove_cyclic_prefix,
@@ -82,7 +73,6 @@ __all__ = [
     "FirFilter",
     "MetricError",
     "ModScheme",
-    "NoiseConfig",
     "OfdmParams",
     "PaprRow",
     "PaprSimError",
@@ -96,7 +86,6 @@ __all__ = [
     "ccdf_quantile",
     "clip_attenuation",
     "clip_baseband",
-    "clip_passband",
     "composed_filter",
     "constellation_points",
     "default_hpf_spec",
@@ -108,15 +97,12 @@ __all__ = [
     "estimate_ccdf",
     "experiment_hpf",
     "frequency_response",
-    "inserted_zero_bins",
     "map_bits",
     "noise_sigma",
-    "ofdm_demodulate",
     "ofdm_modulate",
     "oversample_extend",
     "papr_db",
     "remove_cyclic_prefix",
-    "rms",
     "run_ber_experiment",
     "run_papr_experiment",
     "simulate_chain_ber",

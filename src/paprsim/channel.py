@@ -28,45 +28,33 @@ reproduces the textbook curves exactly (uncoded QPSK sits on
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .constellation import ModScheme
 from .errors import ConfigError
+from .ofdm_chain import OfdmParams
 
 
-@dataclass(frozen=True)
-class NoiseConfig:
-    """Operating point of the AWGN channel for one modulation scheme."""
-
-    ebn0_db: float
-    bits_per_symbol: int
-    occupied_fraction: float  # N / (N * L), i.e. 1 / oversample
-    cp_overhead: float  # N / (N + cp_len)
-
-    def __post_init__(self):
-        if not np.isfinite(self.ebn0_db):
-            raise ConfigError("ebn0_db must be finite")
-        if self.bits_per_symbol < 1:
-            raise ConfigError("bits_per_symbol must be >= 1")
-        if not 0 < self.occupied_fraction <= 1:
-            raise ConfigError("occupied_fraction must lie in (0, 1]")
-        if not 0 < self.cp_overhead <= 1:
-            raise ConfigError("cp_overhead must lie in (0, 1]")
-
-
-def noise_sigma(config: NoiseConfig, signal_power: float) -> float:
-    """Per-sample noise standard deviation realizing the requested Eb/N0.
+def noise_sigma(
+    params: OfdmParams, scheme: ModScheme, ebn0_db: float, signal_power: float
+) -> float:
+    """Per-sample noise standard deviation realizing ``ebn0_db`` for
+    ``scheme`` on the plan ``params``.
 
     ``signal_power`` is the mean square of the passband samples actually
-    transmitted (after any clipping and filtering). See the module docstring
-    for the derivation.
+    transmitted (after any clipping and filtering), prefix included. The
+    occupied fraction 1/L and cp_overhead N/(N + cp_len) come from
+    ``params``; see the module docstring for the derivation.
     """
+    if not np.isfinite(ebn0_db):
+        raise ConfigError("ebn0_db must be finite")
     if signal_power <= 0:
         raise ConfigError("signal_power must be positive")
-    ebn0 = 10.0 ** (config.ebn0_db / 10.0)
+    occupied_fraction = 1.0 / params.oversample
+    cp_overhead = params.n_subcarriers / (params.n_subcarriers + params.cp_len)
+    ebn0 = 10.0 ** (ebn0_db / 10.0)
     variance = signal_power / (
-        2.0 * config.bits_per_symbol * config.cp_overhead * config.occupied_fraction * ebn0
+        2.0 * scheme.bits_per_symbol * cp_overhead * occupied_fraction * ebn0
     )
     return float(np.sqrt(variance))
 

@@ -1,9 +1,9 @@
 """Amplitude clipping at a clipping ratio and the composed frequency-domain filter.
 
 The clip level is A = CR * sigma where sigma is the RMS of the OFDM
-signal, sqrt((N+1)/(N*L)) (see ``harness``); passband clipping is the hard
-three-branch limiter and baseband clipping limits magnitude while
-preserving phase.
+signal, sqrt((N+1)/(N*L)) (see ``harness``). The clipper acts on the
+complex baseband just before carrier modulation: it limits each sample's
+magnitude to A and preserves its phase.
 
 The composed filter is defined on the real passband symbol (N*L samples,
 no prefix): zero every DFT bin outside the occupied band and its conjugate
@@ -26,21 +26,6 @@ import numpy as np
 from . import fir_design
 from .errors import ConfigError, ShapeError
 from .ofdm_chain import OfdmParams, _out_array, _require_block
-
-
-def rms(samples) -> float:
-    """Root mean square of the sample magnitudes over the whole array."""
-    samples = np.asarray(samples)
-    if samples.size == 0:
-        raise ShapeError("rms of an empty signal is undefined")
-    return float(np.sqrt(np.mean(np.abs(samples) ** 2)))
-
-
-def clip_passband(samples, amplitude: float) -> np.ndarray:
-    """Hard-limit real samples to [-amplitude, +amplitude]."""
-    if amplitude <= 0:
-        raise ConfigError("clip amplitude must be positive")
-    return np.clip(samples, -amplitude, amplitude)
 
 
 def clip_baseband(samples, amplitude: float, *, out=None) -> np.ndarray:

@@ -52,7 +52,8 @@ class FirDesignSpec:
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        if self.num_taps < 3 or self.num_taps % 2 == 0:
+        taps = self.num_taps
+        if not isinstance(taps, (int, np.integer)) or taps < 3 or taps % 2 == 0:
             raise ConfigError("num_taps must be an odd integer >= 3")
         if not (len(self.bands) == len(self.desired) == len(self.weights)):
             raise ConfigError("bands, desired, and weights must have equal lengths")

@@ -66,7 +66,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fir_design
-from .channel import NoiseConfig, add_awgn, noise_sigma
+from .channel import add_awgn, noise_sigma
 from .clip_filter import clip_baseband, composed_filter, default_hpf_spec
 from .constellation import SCHEME_NAMES, ModScheme, demap_symbols, map_bits
 from .errors import ConfigError, ExperimentError, ShapeError
@@ -113,11 +113,13 @@ _PAIRS = {4: ("qpsk", "qam"), 8: ("8psk", "8qam"), 16: ("16psk", "16qam"), 32: (
 _CHUNK_SAMPLES = 2**17
 
 
-def _require_seed(seed) -> None:
-    """Raise ``ConfigError`` unless ``seed`` is a non-negative integer, the
-    entropy that ``np.random.SeedSequence`` accepts."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+def _require_int(name: str, value, least: int) -> None:
+    """Raise ``ConfigError`` unless ``value`` is an integer of at least
+    ``least``: 0 for a seed, the entropy ``np.random.SeedSequence`` accepts,
+    and 1 for a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        kind = "non-negative" if least == 0 else "positive"
+        raise ConfigError(f"{name} must be a {kind} integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -152,6 +154,7 @@ class ExperimentSpec:
         tags = [f"{cr:g}" for cr in self.cr_values]
         if len(set(tags)) != len(tags):
             raise ConfigError(f"cr_values must be distinct to 6 significant digits, got {tags}")
+        _require_int("n_symbols", self.n_symbols, 1)
         if self.n_symbols < 1000:
             raise ConfigError("n_symbols must be >= 1000 for CCDF runs")
         if not 0 < self.ccdf_read_point < 1:
@@ -163,9 +166,8 @@ class ExperimentSpec:
                 f"n_symbols * ccdf_read_point = {self.n_symbols * self.ccdf_read_point:g} "
                 "must be >= 10 expected exceedances; raise n_symbols or the read point"
             )
-        if self.bits_per_point < 1:
-            raise ConfigError("bits_per_point must be positive")
-        _require_seed(self.seed)
+        _require_int("bits_per_point", self.bits_per_point, 1)
+        _require_int("seed", self.seed, 0)
         if not all(np.isfinite(v) for v in self.ebn0_grid_db):
             raise ConfigError("ebn0_grid_db values must be finite")
         if len(set(self.ebn0_grid_db)) != len(self.ebn0_grid_db):
@@ -418,15 +420,7 @@ def _ber_cells(
     )
     gain = clip_attenuation(cr) if cr is not None else 1.0
     for ebn0_db, seed in zip(ebn0_grid_db, seeds[1:]):
-        sigma_n = 0.0
-        if ebn0_db is not None:
-            config = NoiseConfig(
-                ebn0_db=ebn0_db,
-                bits_per_symbol=scheme.bits_per_symbol,
-                occupied_fraction=1.0 / params.oversample,
-                cp_overhead=params.n_subcarriers / (params.n_subcarriers + params.cp_len),
-            )
-            sigma_n = noise_sigma(config, power)
+        sigma_n = 0.0 if ebn0_db is None else noise_sigma(params, scheme, ebn0_db, power)
         rx = _add_bin_noise(clean, sigma_n, np.random.default_rng(seed))
         rx /= gain
         rx_bits = _demap_rows(rx, scheme)
@@ -608,7 +602,8 @@ def simulate_chain_ber(
     SeedSequence([seed, 2, 0]).spawn(2): child 0 for the bits, child 1 for
     the noise.
     """
-    _require_seed(seed)
+    _require_int("seed", seed, 0)
+    _require_int("min_bits", min_bits, 1)
     ((errors, total),) = _ber_cells(params, scheme, cr, (ebn0_db,), min_bits, hpf, [seed, 2, 0])
     return errors, total
 

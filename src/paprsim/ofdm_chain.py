@@ -3,18 +3,17 @@
 The transmit direction builds one OFDM symbol from N frequency-domain
 constellation points: zero-insertion oversampling to N*L bins, a unitary
 inverse DFT (scale 1/sqrt(L*N)), optional cyclic prefix, and real passband
-upconversion with a sqrt(2) factor that preserves mean power. The receive
-direction mirrors each step; ``demodulate_passband`` does all of it for
-prefix-stripped blocks in one real FFT. Every function takes an array whose
-last axis is the bin or sample axis, (..., n), so one call handles one
-symbol or a batch; the carrier and sample rate always come from
-``OfdmParams``.
+upconversion with a sqrt(2) factor that preserves mean power. The receiver,
+``demodulate_passband``, mixes prefix-stripped passband blocks down and
+demodulates them in one real FFT. Every function takes an array whose last
+axis is the bin or sample axis, (..., n), so one call handles one symbol or
+a batch; the carrier and sample rate always come from ``OfdmParams``.
 
 Zero-insertion layout: bins 0..N/2 hold the first half of the original
 frame and the top N/2 bins hold the second half starting at X[N/2], so the
-edge value X[N/2] appears at both band edges and N*(L-1) - 1 interior bins
-are exactly zero. The demodulator reads the canonical N positions back, so
-the round trip is exact.
+edge value X[N/2] appears at both band edges and the N*(L-1) - 1 bins
+between them are exactly zero. The receiver reads the N data bins back in
+frame order, so the round trip is exact to round-off.
 """
 from __future__ import annotations
 
@@ -108,12 +107,6 @@ class OfdmParams:
         return np.arange(self.carrier_bin - half, self.carrier_bin + half + 1)
 
 
-def inserted_zero_bins(n_subcarriers: int, oversample: int) -> np.ndarray:
-    """Indices of the oversampling zero-insertion region in an N*L frame."""
-    n = n_subcarriers
-    return np.arange(n // 2 + 1, n * oversample - n // 2)
-
-
 def _require_block(samples: np.ndarray, params: OfdmParams, what: str) -> None:
     """Raise unless the trailing axis holds exactly one N*L-sample block."""
     length = samples.shape[-1] if samples.ndim else 0
@@ -168,18 +161,6 @@ def ofdm_modulate(frames, params: OfdmParams, *, out=None) -> np.ndarray:
     return np.fft.ifft(frames, axis=-1, norm="ortho", out=_out_array(out, frames.shape, complex))
 
 
-def ofdm_demodulate(samples, params: OfdmParams) -> np.ndarray:
-    """Forward-transform baseband samples (..., N*L) and read the N data bins."""
-    samples = np.asarray(samples)
-    _require_block(samples, params, "signal")
-    n, total = params.n_subcarriers, params.n_oversampled
-    spectrum = np.fft.fft(samples, axis=-1) / np.sqrt(total)
-    out = np.empty(samples.shape[:-1] + (n,), dtype=complex)
-    out[..., : n // 2 + 1] = spectrum[..., : n // 2 + 1]
-    out[..., n // 2 + 1 :] = spectrum[..., total - n // 2 + 1 :]
-    return out
-
-
 def add_cyclic_prefix(samples, cp_samples: int) -> np.ndarray:
     """Prepend a copy of the last cp_samples samples of each block."""
     samples = np.asarray(samples)
@@ -201,8 +182,12 @@ def remove_cyclic_prefix(samples, cp_samples: int) -> np.ndarray:
 
 
 def _carrier(n: int, params: OfdmParams) -> np.ndarray:
-    m = np.arange(n)
-    return np.exp(2j * np.pi * params.carrier_hz * m / params.sample_hz)
+    """exp(j 2 pi f_c m / f_s) for m = 0..n-1. The phase f_c m / f_s is
+    k_c m / (N*L) turns, reduced mod N*L in integers before dividing, so a
+    late sample carries no round-off from whole turns."""
+    total = params.n_oversampled
+    turns = params.carrier_bin * np.arange(n) % total / total
+    return np.exp(2j * np.pi * turns)
 
 
 def upconvert(samples, params: OfdmParams) -> np.ndarray:
@@ -215,8 +200,8 @@ def upconvert(samples, params: OfdmParams) -> np.ndarray:
 
 
 def _data_bin_offsets(params: OfdmParams) -> np.ndarray:
-    """Offset j from the carrier bin of each data bin, in
-    :func:`ofdm_demodulate`'s order: 0..N/2, then -N/2+1..-1.
+    """Offset j from the carrier bin of each data bin, in frame order:
+    0..N/2, then -N/2+1..-1 (X[0..N/2], then X[N/2+1..N-1]).
 
     X[N/2] is sent at both band edges. When k_c + N/2 is the Nyquist bin, a
     real signal keeps only the real part of that copy, so the offset of
@@ -237,7 +222,7 @@ def _data_bin_offsets(params: OfdmParams) -> np.ndarray:
 
 def demodulate_passband(samples, params: OfdmParams) -> np.ndarray:
     """Demodulate real passband blocks (..., N*L), prefix already stripped,
-    to their N data bins (..., N) in :func:`ofdm_demodulate`'s order.
+    to their N data bins (..., N) in frame order (``_data_bin_offsets``).
 
     The receiver in one transform: mix down by sqrt(2) exp(-j 2 pi f_c m /
     f_s), with the carrier phase counted from the start of the cyclic

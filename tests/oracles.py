@@ -15,13 +15,21 @@ replaces by noise drawn at the data bins, and the PAPR cell from its
 whole-batch form, which the library streams chunk by chunk. The passband
 filter reads its per-bin gain from ``band_gains``, the one definition of
 that gain.
+
+It also keeps the literal pieces of the textbook chain that the pipeline
+does not run: the RMS of a signal (the pipeline's clip level is the closed
+form sqrt((N+1)/(N*L))), the hard limiter of real passband samples (the
+pipeline clips the complex baseband), the baseband demodulator (the
+pipeline receives passband blocks with ``demodulate_passband``) and the
+index set of the inserted zero bins.
 """
 import numpy as np
 from scipy.optimize import linprog
 
 from paprsim import (
-    NoiseConfig,
+    ConfigError,
     OfdmParams,
+    ShapeError,
     add_awgn,
     band_gains,
     clip_baseband,
@@ -38,6 +46,7 @@ from paprsim.harness import (
     _tx_baseband_frames,
     envelope_magnitude,
 )
+from paprsim.ofdm_chain import _require_block
 
 # Band plans of the fold-versus-oracle tests, with the ``default_hpf_spec``
 # edges each needs: the reference plan; the Nyquist-edge plan (band edge on
@@ -50,6 +59,39 @@ ORACLE_PLANS = {
     "dc_edge": (OfdmParams(n_subcarriers=64, oversample=4, carrier_hz=0.5e6, cp_len=16),
                 dict(stop_edge=0.01, pass_edge=0.03)),
 }
+
+
+def rms(samples) -> float:
+    """Root mean square of the sample magnitudes over the whole array."""
+    samples = np.asarray(samples)
+    if samples.size == 0:
+        raise ShapeError("rms of an empty signal is undefined")
+    return float(np.sqrt(np.mean(np.abs(samples) ** 2)))
+
+
+def clip_passband(samples, amplitude: float) -> np.ndarray:
+    """Hard-limit real samples to [-amplitude, +amplitude]."""
+    if amplitude <= 0:
+        raise ConfigError("clip amplitude must be positive")
+    return np.clip(samples, -amplitude, amplitude)
+
+
+def inserted_zero_bins(n_subcarriers: int, oversample: int) -> np.ndarray:
+    """Indices of the oversampling zero-insertion region in an N*L frame."""
+    n = n_subcarriers
+    return np.arange(n // 2 + 1, n * oversample - n // 2)
+
+
+def ofdm_demodulate(samples, params) -> np.ndarray:
+    """Forward-transform baseband samples (..., N*L) and read the N data bins."""
+    samples = np.asarray(samples)
+    _require_block(samples, params, "signal")
+    n, total = params.n_subcarriers, params.n_oversampled
+    spectrum = np.fft.fft(samples, axis=-1) / np.sqrt(total)
+    out = np.empty(samples.shape[:-1] + (n,), dtype=complex)
+    out[..., : n // 2 + 1] = spectrum[..., : n // 2 + 1]
+    out[..., n // 2 + 1 :] = spectrum[..., total - n // 2 + 1 :]
+    return out
 
 
 def chebyshev_lp_ripple(spec, n_grid: int = 2048) -> float:
@@ -209,13 +251,7 @@ def time_domain_ber_cell(bits, scheme, params, cr, ebn0_db, hpf, rng):
     else:
         blocks = _clip_filter_blocks(baseband, _clip_level(params, cr), params, hpf)
     power = float(np.mean(blocks**2))
-    config = NoiseConfig(
-        ebn0_db=ebn0_db,
-        bits_per_symbol=scheme.bits_per_symbol,
-        occupied_fraction=1.0 / params.oversample,
-        cp_overhead=params.n_subcarriers / (params.n_subcarriers + params.cp_len),
-    )
-    sigma_n = noise_sigma(config, power)
+    sigma_n = noise_sigma(params, scheme, ebn0_db, power)
     cp_n = params.cp_oversampled
     clean = demodulate_passband(blocks[:, cp_n:], params)
     noisy = demodulate_passband(add_awgn(blocks, sigma_n, rng)[:, cp_n:], params)

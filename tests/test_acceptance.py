@@ -14,11 +14,9 @@ from paprsim import (
     ExperimentSpec,
     ModScheme,
     OfdmParams,
-    NoiseConfig,
     alternation_count,
     clip_attenuation,
     clip_baseband,
-    clip_passband,
     composed_filter,
     constellation_points,
     default_hpf_spec,
@@ -27,6 +25,7 @@ from paprsim import (
     experiment_hpf,
     map_bits,
     noise_sigma,
+    ofdm_modulate,
     oversample_extend,
     run_ber_experiment,
     run_papr_experiment,
@@ -43,7 +42,13 @@ from paprsim.harness import (
     envelope_magnitude,
 )
 
-from oracles import chebyshev_lp_ripple, direct_oversampled_idft, improper_gaussian_ber
+from oracles import (
+    chebyshev_lp_ripple,
+    clip_passband,
+    direct_oversampled_idft,
+    improper_gaussian_ber,
+    ofdm_demodulate,
+)
 
 PARAMS = OfdmParams()  # reference set: N=128, L=8, 1 MHz band, 2 MHz carrier, cp 32
 TREND_EBN0_DB = 12.0  # fixed moderate operating point for the BER trend grid
@@ -158,13 +163,7 @@ def replay_trend_cell(scheme: ModScheme, cr: float, hpf) -> dict:
     bits_per_frame = params.n_subcarriers * scheme.bits_per_symbol
     tx_bits, power, clean = _noise_free_unit(  # clean: noise-free, gain kept
         params, scheme, cr, hpf, spec.bits_per_point, np.random.default_rng(seeds[0]))
-    noise = NoiseConfig(
-        ebn0_db=TREND_EBN0_DB,
-        bits_per_symbol=scheme.bits_per_symbol,
-        occupied_fraction=1.0 / params.oversample,
-        cp_overhead=params.n_subcarriers / (params.n_subcarriers + params.cp_len),
-    )
-    sigma_n = noise_sigma(noise, power)
+    sigma_n = noise_sigma(params, scheme, TREND_EBN0_DB, power)
     alpha = clip_attenuation(cr)
     noisy = _add_bin_noise(clean, sigma_n, np.random.default_rng(seeds[1]))
     equalized = noisy / alpha
@@ -400,7 +399,6 @@ def test_08_equiripple_designs_vs_oracle():
 def test_09_transform_identities():
     rng = np.random.default_rng(909)
     worst_rt, worst_parseval, worst_direct = 0.0, 0.0, 0.0
-    from paprsim import map_bits, ofdm_demodulate, ofdm_modulate
 
     scheme = ModScheme("qam", 16)
     for _ in range(25):

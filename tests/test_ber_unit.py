@@ -11,7 +11,6 @@ from paprsim import (
     ExperimentError,
     ExperimentSpec,
     ModScheme,
-    NoiseConfig,
     OfdmParams,
     add_awgn,
     clip_attenuation,
@@ -30,15 +29,6 @@ from oracles import ORACLE_PLANS, time_domain_ber_cell
 NOISE_PLANS = ("reference", "nyquist_edge", "high_carrier")
 
 
-def noise_config(params, scheme, ebn0_db):
-    return NoiseConfig(
-        ebn0_db=ebn0_db,
-        bits_per_symbol=scheme.bits_per_symbol,
-        occupied_fraction=1.0 / params.oversample,
-        cp_overhead=params.n_subcarriers / (params.n_subcarriers + params.cp_len),
-    )
-
-
 @pytest.mark.parametrize("cr", [None, 1.2], ids=["unclipped", "cr1.2"])
 @pytest.mark.parametrize("plan", ["reference", "nyquist_edge"])
 def test_noise_free_unit_equals_the_time_domain_path_bit_for_bit(plan, cr):
@@ -53,7 +43,7 @@ def test_noise_free_unit_equals_the_time_domain_path_bit_for_bit(plan, cr):
     want_power, want_sigma, want_clean, _ = time_domain_ber_cell(
         bits, scheme, params, cr, 6.0, hpf, np.random.default_rng(32))
     assert power == want_power
-    assert noise_sigma(noise_config(params, scheme, 6.0), power) == want_sigma
+    assert noise_sigma(params, scheme, 6.0, power) == want_sigma
     assert np.array_equal(clean, want_clean)
 
 

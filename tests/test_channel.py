@@ -5,7 +5,6 @@ from scipy.special import erfc
 from paprsim import (
     ConfigError,
     ModScheme,
-    NoiseConfig,
     OfdmParams,
     add_awgn,
     demodulate_passband,
@@ -13,14 +12,12 @@ from paprsim import (
     simulate_chain_ber,
 )
 
+from oracles import ORACLE_PLANS
 
-def make_config(ebn0_db, bits_per_symbol=2, oversample=8, n=128, cp=32):
-    return NoiseConfig(
-        ebn0_db=ebn0_db,
-        bits_per_symbol=bits_per_symbol,
-        occupied_fraction=1.0 / oversample,
-        cp_overhead=n / (n + cp),
-    )
+QPSK = ModScheme("psk", 4)
+# The oracle band plans and the reference plan without a cyclic prefix.
+SIGMA_PLANS = {name: params for name, (params, _) in ORACLE_PLANS.items()}
+SIGMA_PLANS["no_prefix"] = OfdmParams(cp_len=0)
 
 
 def qpsk_theory(ebn0_db):
@@ -28,24 +25,38 @@ def qpsk_theory(ebn0_db):
 
 
 def test_noise_sigma_vanishes_at_high_ebn0():
-    assert noise_sigma(make_config(300.0), 1.0) < 1e-10
+    assert noise_sigma(OfdmParams(), QPSK, 300.0, 1.0) < 1e-10
 
 
 def test_noise_sigma_power_proportionality():
-    low = noise_sigma(make_config(6.0), 1.0)
-    high = noise_sigma(make_config(6.0), 2.0)
+    low = noise_sigma(OfdmParams(), QPSK, 6.0, 1.0)
+    high = noise_sigma(OfdmParams(), QPSK, 6.0, 2.0)
     assert high**2 == pytest.approx(2.0 * low**2, rel=1e-12)
 
 
 def test_noise_sigma_validation():
-    with pytest.raises(ConfigError):
-        noise_sigma(make_config(6.0), 0.0)
-    with pytest.raises(ConfigError):
-        NoiseConfig(ebn0_db=np.inf, bits_per_symbol=2, occupied_fraction=0.125, cp_overhead=0.8)
-    with pytest.raises(ConfigError):
-        NoiseConfig(ebn0_db=0.0, bits_per_symbol=0, occupied_fraction=0.125, cp_overhead=0.8)
-    with pytest.raises(ConfigError):
-        NoiseConfig(ebn0_db=0.0, bits_per_symbol=2, occupied_fraction=1.5, cp_overhead=0.8)
+    with pytest.raises(ConfigError, match="signal_power"):
+        noise_sigma(OfdmParams(), QPSK, 6.0, 0.0)
+    for ebn0_db in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ConfigError, match="ebn0_db"):
+            noise_sigma(OfdmParams(), QPSK, ebn0_db, 1.0)
+
+
+@pytest.mark.parametrize("scheme_name", ["qpsk", "8qam", "16psk", "32qam"])
+@pytest.mark.parametrize("plan", sorted(SIGMA_PLANS))
+def test_noise_sigma_is_the_closed_form_bit_for_bit(plan, scheme_name):
+    # sigma_n^2 = P / (2 b cp_overhead (1/L) 10^(Eb/N0 / 10)) with
+    # cp_overhead = N / (N + cp), written out and evaluated in this order.
+    # Every BER count depends on sigma_n, so it must not move by round-off.
+    params = SIGMA_PLANS[plan]
+    scheme = ModScheme.from_name(scheme_name)
+    n, cp, b = params.n_subcarriers, params.cp_len, scheme.bits_per_symbol
+    occupied_fraction = 1.0 / params.oversample
+    cp_overhead = n / (n + cp)
+    for ebn0_db, power in ((0.0, 1.0), (6.0, 0.1372), (-3.5, 2.25), (12.0, 0.0291)):
+        ebn0 = 10.0 ** (ebn0_db / 10.0)
+        want = float(np.sqrt(power / (2.0 * b * cp_overhead * occupied_fraction * ebn0)))
+        assert noise_sigma(params, scheme, ebn0_db, power) == want
 
 
 def test_awgn_zero_sigma_identity():

@@ -9,7 +9,6 @@ from paprsim import (
     ShapeError,
     band_gains,
     clip_baseband,
-    clip_passband,
     composed_filter,
     default_hpf_spec,
     design_equiripple,
@@ -18,7 +17,6 @@ from paprsim import (
     ofdm_modulate,
     oversample_extend,
     papr_db,
-    rms,
     upconvert,
 )
 from paprsim.harness import (
@@ -31,9 +29,11 @@ from paprsim.harness import (
 from oracles import (
     ORACLE_PLANS,
     analytic_envelope,
+    clip_passband,
     gaussian_tail,
     passband_clip_filter_blocks,
     passband_composed_filter,
+    rms,
 )
 
 PARAMS = OfdmParams()

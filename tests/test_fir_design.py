@@ -123,6 +123,9 @@ def test_weighted_design_ripple_ratio():
 def test_spec_validation():
     with pytest.raises(ConfigError):
         FirDesignSpec(30, ((0.0, 0.2), (0.3, 0.5)), (1.0, 0.0), (1.0, 1.0))  # even taps
+    for taps in (31.5, 31.0):  # unchecked, each failed in the design with a TypeError
+        with pytest.raises(ConfigError, match="num_taps must be an odd integer"):
+            FirDesignSpec(taps, ((0.0, 0.2), (0.3, 0.5)), (1.0, 0.0), (1.0, 1.0))
     with pytest.raises(ConfigError):
         FirDesignSpec(31, ((0.0, 0.3), (0.2, 0.5)), (1.0, 0.0), (1.0, 1.0))  # overlap
     with pytest.raises(ConfigError):

@@ -72,6 +72,28 @@ def test_seed_accepts_any_non_negative_integer():
         assert simulate_chain_ber(OfdmParams(), QPSK_ONLY[0], min_bits=1000, seed=seed)[0] == 0
 
 
+@pytest.mark.parametrize("min_bits", [-5, 0, 2.5], ids=repr)
+def test_min_bits_must_be_a_positive_integer(min_bits):
+    # Unchecked, each of these ran one 256-bit QPSK frame.
+    with pytest.raises(ConfigError, match="min_bits must be a positive integer"):
+        simulate_chain_ber(OfdmParams(), QPSK_ONLY[0], min_bits=min_bits)
+
+
+@pytest.mark.parametrize("key,value", [("n_symbols", 1500.5), ("bits_per_point", 2000.5)],
+                         ids=["n_symbols", "bits_per_point"])
+def test_spec_counts_must_be_positive_integers(key, value):
+    # Unchecked, n_symbols = 1500.5 failed inside the PAPR cell as an
+    # ExperimentError, and bits_per_point = 2000.5 ran.
+    with pytest.raises(ConfigError, match=f"{key} must be a positive integer"):
+        small_spec(**{key: value})
+
+
+def test_counts_accept_numpy_integers():
+    spec = small_spec(n_symbols=np.int64(1500), bits_per_point=np.int64(20_000))
+    assert (spec.n_symbols, spec.bits_per_point) == (1500, 20_000)
+    assert simulate_chain_ber(OfdmParams(), QPSK_ONLY[0], min_bits=np.int64(1000)) == (0, 1024)
+
+
 def test_read_point_needs_ten_expected_exceedances():
     # n_symbols * ccdf_read_point >= 10: the reference and benchmark products
     # sit exactly on the boundary and are accepted.

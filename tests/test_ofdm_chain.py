@@ -10,18 +10,22 @@ from paprsim import (
     default_hpf_spec,
     design_equiripple,
     demodulate_passband,
-    inserted_zero_bins,
     map_bits,
-    ofdm_demodulate,
     ofdm_modulate,
     oversample_extend,
     remove_cyclic_prefix,
-    rms,
     upconvert,
 )
 from paprsim.harness import _clip_filter_blocks, _receive_symbols, _tx_baseband_frames
 
-from oracles import ORACLE_PLANS, direct_oversampled_idft, passband_receive_symbols
+from oracles import (
+    ORACLE_PLANS,
+    direct_oversampled_idft,
+    inserted_zero_bins,
+    ofdm_demodulate,
+    passband_receive_symbols,
+    rms,
+)
 
 PARAMS = OfdmParams()  # 128 subcarriers, L=8, 1 MHz band at 2 MHz, cp 32
 
@@ -258,6 +262,21 @@ def test_up_down_round_trip_evm():
         err2 += np.abs(demodulate_passband(remove_cyclic_prefix(passband, cp), PARAMS) - frame) ** 2
     evm = np.sqrt(err2 / n_frames)  # unit-energy symbols
     assert np.max(evm) < 1e-12
+
+
+def test_upconvert_round_trip_on_a_high_carrier():
+    # 64 16-QAM frames on the high_carrier plan (k_c = 368 of N*L = 896).
+    # Both carriers reduce the phase k_c m mod N*L in integers, so the
+    # round trip is at round-off; with the float phase f_c m / f_s,
+    # upconvert's late samples put it 9.4e-13 off.
+    params, _ = ORACLE_PLANS["high_carrier"]
+    scheme, cp = ModScheme("qam", 16), params.cp_oversampled
+    rng = np.random.default_rng(0)
+    frames = map_bits(rng.integers(0, 2, (64, params.n_subcarriers * 4), dtype=np.uint8), scheme)
+    baseband = ofdm_modulate(oversample_extend(frames, params.oversample), params)
+    passband = upconvert(add_cyclic_prefix(baseband, cp), params)
+    got = demodulate_passband(remove_cyclic_prefix(passband, cp), params)
+    assert np.max(np.abs(got - frames)) < 1e-14
 
 
 def test_full_chain_zero_noise_ber_is_zero():
