@@ -15,7 +15,6 @@ from paprsim import (
     map_bits,
     ofdm_modulate,
     oversample_extend,
-    remove_cyclic_prefix,
     upconvert,
 )
 
@@ -59,7 +58,7 @@ passband = upconvert(with_cp, params)
 print(f"5. passband is real, mean power preserved within "
       f"{abs(np.mean(passband**2) / np.mean(np.abs(with_cp)**2) - 1):.1%}")
 
-stripped = remove_cyclic_prefix(passband, params.cp_oversampled)
+stripped = passband[params.cp_oversampled:]
 recovered = demodulate_passband(stripped, params)
 evm = np.sqrt(np.mean(np.abs(recovered - frame) ** 2))
 print(f"6. prefix strip + passband demodulate (mix-down and FFT, gain 1): "

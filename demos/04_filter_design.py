@@ -1,14 +1,15 @@
 """Equiripple FIR design: the high-pass of the composed filter.
 
 Designs the one filter the simulator uses, the composed filter's in-band
-high-pass, then reports ripple, attenuation, and the equiripple
-alternation structure.
+high-pass, then reports ripple, attenuation, and the minimax test: the
+max weighted error over the last pass's levelled error |delta|.
 
 Run:  python demos/04_filter_design.py
 """
 import numpy as np
 
-from paprsim import OfdmParams, alternation_count, amplitude_response, default_hpf_spec, design_equiripple
+from paprsim import OfdmParams, amplitude_response, default_hpf_spec, design_equiripple
+from paprsim.fir_design import MINIMAX_RTOL
 
 params = OfdmParams()
 spec = default_hpf_spec(params)
@@ -20,8 +21,8 @@ for (lo, hi), d in zip(spec.bands, spec.desired):
 print(f"  achieved ripple {fir.ripple:.3e} after {len(fir.delta_history)} exchange passes")
 print(f"  levelled error per pass: "
       + " -> ".join(f"{d:.2e}" for d in fir.delta_history))
-need = (spec.num_taps + 1) // 2 + 1
-print(f"  alternations touching the ripple: {alternation_count(fir)} (theory needs {need})")
+minimax = fir.ripple / abs(fir.delta_history[-1])
+print(f"  max error / |delta| = {minimax:.6f} (1 for the minimax; refused above {1 + MINIMAX_RTOL:g})")
 grid = np.linspace(*spec.bands[0], 2048)
 att = -20 * np.log10(np.max(np.abs(amplitude_response(fir, grid))))
 print(f"  stopband attenuation {att:.1f} dB")

@@ -29,10 +29,8 @@ from .errors import (
 from .fir_design import (
     FirDesignSpec,
     FirFilter,
-    alternation_count,
     amplitude_response,
     design_equiripple,
-    frequency_response,
 )
 from .harness import (
     BerRow,
@@ -55,7 +53,6 @@ from .ofdm_chain import (
     demodulate_passband,
     ofdm_modulate,
     oversample_extend,
-    remove_cyclic_prefix,
     upconvert,
 )
 
@@ -80,7 +77,6 @@ __all__ = [
     "ShapeError",
     "add_awgn",
     "add_cyclic_prefix",
-    "alternation_count",
     "amplitude_response",
     "band_gains",
     "ccdf_quantile",
@@ -96,13 +92,11 @@ __all__ = [
     "envelope_magnitude",
     "estimate_ccdf",
     "experiment_hpf",
-    "frequency_response",
     "map_bits",
     "noise_sigma",
     "ofdm_modulate",
     "oversample_extend",
     "papr_db",
-    "remove_cyclic_prefix",
     "run_ber_experiment",
     "run_papr_experiment",
     "simulate_chain_ber",

@@ -36,8 +36,8 @@ def clip_baseband(samples, amplitude: float, *, out=None) -> np.ndarray:
     overlap ``samples``: the samples are read after ``out`` is first
     written.
     """
-    if amplitude <= 0:
-        raise ConfigError("clip amplitude must be positive")
+    if not 0 < amplitude < np.inf:
+        raise ConfigError(f"clip amplitude must be positive and finite, got {amplitude!r}")
     samples = np.asarray(samples)
     if not np.issubdtype(samples.dtype, np.inexact):
         samples = samples.astype(float)

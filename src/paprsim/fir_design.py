@@ -246,40 +246,9 @@ def design_equiripple(spec: FirDesignSpec) -> FirFilter:
     )
 
 
-def frequency_response(fir: FirFilter, grid) -> np.ndarray:
-    """Complex response H(f) = sum_n h[n] exp(-j 2 pi f n) on a normalized grid."""
-    f = np.asarray(grid, dtype=float)
-    n = np.arange(len(fir.taps))
-    return np.exp(-2j * np.pi * np.outer(f, n)) @ fir.taps
-
-
 def amplitude_response(fir: FirFilter, grid) -> np.ndarray:
     """Real zero-phase amplitude A(f) of a symmetric filter on a normalized grid."""
     f = np.asarray(grid, dtype=float)
     mid = fir.group_delay
     m = np.arange(1, mid + 1)
     return fir.taps[mid] + 2.0 * (np.cos(2.0 * np.pi * np.outer(f, m)) @ fir.taps[mid + 1 :])
-
-
-def weighted_error(fir: FirFilter, total_points: int = 4096):
-    """Weighted approximation error of the design, on a fresh dense grid."""
-    freqs, desired, weights, _ = _dense_grid(fir.spec, total_points)
-    return freqs, weights * (desired - amplitude_response(fir, freqs))
-
-
-def alternation_count(fir: FirFilter, total_points: int = 4096, tol: float = 0.01) -> int:
-    """Number of alternating error extrema that touch the ripple level.
-
-    Counts maximal runs of near-ripple points (within ``tol`` relative of the
-    stored ripple) whose error signs alternate along the frequency axis.
-    """
-    _, err = weighted_error(fir, total_points)
-    touching = np.nonzero(np.abs(err) >= (1.0 - tol) * fir.ripple)[0]
-    count = 0
-    last_sign = 0.0
-    for idx in touching:
-        sign = np.sign(err[idx])
-        if sign != last_sign:
-            count += 1
-            last_sign = sign
-    return count

@@ -22,27 +22,31 @@ n_symbols. PAPR always refers to the complex envelope |x[m]|^2 of the
 oversampled symbol, never to the instantaneous real passband waveform, whose
 peaks carry an extra carrier-phase artifact of about 2.5 dB.
 
-Every chunked loop takes as many frames as fit ``_CHUNK_SAMPLES`` samples
-of its block length, so each per-chunk complex temporary fits 2 MB, the
-size of an L2 cache. The PAPR cell runs its chunks on W threads, W the
-number of CPUs the process may use (the calling thread and W - 1 helpers
-started for the cell), and splits the budget among them: a thread's chunk
-holds 1/W of it, so the chunks in flight together hold one budget. Each
-thread writes the outputs of map, extend, modulate, clip and composed
-filter into its own two block buffers, allocated once per cell, so only
-the envelope allocates an array of a chunk's size. The threads draw the chunks' bits in chunk order, one chunk at a time, and
-every row of a chunk is computed on its own (transforms, clipping and
-PAPR act per row), so results do not depend on the CPU count. The BER
-unit's loops stay on the calling thread.
+Both experiments run the same transmit chunk: one chunk of frames is
+mapped, extended, modulated and, when the cell clips, clipped and filtered,
+each stage writing into block buffers allocated once per cell
+(``_chunk_buffers``), so only the envelope, the carrier product inside
+``upconvert`` and the receiver's transform allocate arrays of a chunk's
+size. A chunk takes as many frames as fit ``_CHUNK_SAMPLES`` samples of its
+block length, so a chunk's complex block fits 2 MB, the size of an L2
+cache. The PAPR cell runs its chunks on W threads,
+W the number of CPUs the process may use (the calling thread and W - 1
+helpers started for the cell), and splits the budget among them: a
+thread's chunk holds 1/W of it, so the chunks in flight together hold one
+budget. The threads draw the chunks' bits in chunk order, one chunk at a
+time, and every row of a chunk is computed on its own (transforms,
+clipping and PAPR act per row), so results do not depend on the CPU count
+or the chunk length. The BER unit's loop runs on the calling thread.
 
 BER cells come in units, one per (scheme, cr), that share one transmission.
-A unit draws its bits once and runs the transmit path plus a cyclic prefix,
-clipped at cr * sigma (clipping is memoryless, so the first N*L clipped
-samples of a block are the symbol rotated by the prefix; they are filtered,
-upconverted and given a cyclic suffix, which is the filtered symbol behind a
-prefix rebuilt from its tail). It measures the transmit power and receives
-the blocks without noise: strip the prefix and demodulate, one real FFT per
-block read at the data bins (``demodulate_passband``). For an on-bin
+A unit draws its bits once and loops over chunks of them. Each chunk is
+transmitted, clipped at cr * sigma and filtered as in a PAPR cell, then
+given its cyclic prefix and upconverted. The chunk keeps the mean square
+of each passband block, prefix included, and receives the blocks without
+noise: strip the prefix and demodulate, one real FFT per block read at the
+data bins (``demodulate_passband``). Only the bits, the N data symbols of
+each block and its mean square grow with the unit; the transmit power is
+the mean of the per-block mean squares. For an on-bin
 carrier, mix-down and the FFT demodulator are diagonal in the DFT, so the
 receiver is linear and reads only the N data bins. White real passband
 noise of variance sigma_n^2 therefore reaches each data bin as circular
@@ -75,11 +79,11 @@ from .ofdm_chain import (
     OfdmParams,
     _data_bin_offsets,
     _require_block,
+    _require_int,
     add_cyclic_prefix,
     demodulate_passband,
     ofdm_modulate,
     oversample_extend,
-    remove_cyclic_prefix,
     upconvert,
 )
 
@@ -111,15 +115,6 @@ _PAIRS = {4: ("qpsk", "qam"), 8: ("8psk", "8qam"), 16: ("16psk", "16qam"), 32: (
 
 #: Samples per chunk of every chunked loop: a complex chunk is 2 MB.
 _CHUNK_SAMPLES = 2**17
-
-
-def _require_int(name: str, value, least: int) -> None:
-    """Raise ``ConfigError`` unless ``value`` is an integer of at least
-    ``least``: 0 for a seed, the entropy ``np.random.SeedSequence`` accepts,
-    and 1 for a count."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        kind = "non-negative" if least == 0 else "positive"
-        raise ConfigError(f"{name} must be a {kind} integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -261,20 +256,6 @@ def _clip_level(params: OfdmParams, cr: float) -> float:
     return cr * math.sqrt((n + 1) / (n * params.oversample))
 
 
-def _tx_baseband_frames(
-    bits: np.ndarray, scheme: ModScheme, params: OfdmParams, cp: bool
-) -> np.ndarray:
-    """Map bit rows to complex baseband blocks; one row per OFDM symbol."""
-    cp_n = params.cp_oversampled if cp else 0
-    out = np.empty((bits.shape[0], params.n_oversampled + cp_n), dtype=complex)
-    step = _chunk_frames(out.shape[1])
-    for start in range(0, bits.shape[0], step):
-        chunk = bits[start : start + step]
-        frames = _extend_rows(_map_rows(chunk, scheme), params.oversample)
-        out[start : start + chunk.shape[0]] = add_cyclic_prefix(_modulate_rows(frames, params), cp_n)
-    return out
-
-
 def envelope_magnitude(samples: np.ndarray, params: OfdmParams) -> np.ndarray:
     """|complex envelope| of in-band complex baseband blocks (..., N*L), such
     as ``composed_filter``'s output; PAPR of an OFDM symbol is defined on it.
@@ -299,34 +280,6 @@ def envelope_magnitude(samples: np.ndarray, params: OfdmParams) -> np.ndarray:
     return np.abs(samples)
 
 
-def _clip_filter_blocks(
-    baseband_blocks: np.ndarray,
-    amplitude: float,
-    params: OfdmParams,
-    hpf: fir_design.FirFilter,
-) -> np.ndarray:
-    """Envelope-clip, filter and upconvert prefixed baseband blocks; returns
-    passband blocks ready for the channel.
-
-    Clipping is memoryless, so the clipped first N*L samples of a block are
-    the clipped symbol rotated by the prefix. The composed filter is
-    circular, so filtering them, upconverting and appending a cyclic suffix
-    of prefix length gives the filtered symbol behind a prefix rebuilt from
-    its tail.
-    """
-    total = params.n_oversampled
-    out = np.empty(baseband_blocks.shape)
-    step = _chunk_frames(out.shape[1])
-    for start in range(0, baseband_blocks.shape[0], step):
-        symbols = baseband_blocks[start : start + step, :total]
-        chunk = _clip_magnitude_rows(symbols, amplitude)
-        passband = _upconvert_rows(_composed_rows(chunk, params, hpf), params)
-        rows = out[start : start + chunk.shape[0]]
-        rows[:, :total] = passband
-        rows[:, total:] = passband[:, : params.cp_oversampled]
-    return out
-
-
 def clip_attenuation(cr: float) -> float:
     """Bussgang gain of a magnitude clip on a complex-Gaussian OFDM envelope.
 
@@ -338,21 +291,6 @@ def clip_attenuation(cr: float) -> float:
     data-aided gain of the simulated chain to about 0.2 percent.
     """
     return 1.0 - math.exp(-cr * cr) + (math.sqrt(math.pi) / 2.0) * cr * math.erfc(cr)
-
-
-def _receive_symbols(rx_blocks: np.ndarray, params: OfdmParams) -> np.ndarray:
-    """Strip the prefix and demodulate received passband blocks; returns
-    their data symbols at gain 1, one row per block.
-
-    ``demodulate_passband`` does the mix-down and FFT demodulation of each
-    prefix-stripped block in one real FFT read at the data bins.
-    """
-    symbols = np.empty((rx_blocks.shape[0], params.n_subcarriers), dtype=complex)
-    step = _chunk_frames(rx_blocks.shape[1])
-    for start in range(0, rx_blocks.shape[0], step):
-        chunk = remove_cyclic_prefix(rx_blocks[start : start + step], params.cp_oversampled)
-        symbols[start : start + chunk.shape[0]] = _demodulate_rows(chunk, params)
-    return symbols
 
 
 def _add_bin_noise(symbols: np.ndarray, sigma_n: float, rng: np.random.Generator) -> np.ndarray:
@@ -378,23 +316,27 @@ def _noise_free_unit(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """The shared work of a BER unit: draw the bit rows, transmit them
-    (cr=None skips clipping and filtering) and receive them without noise.
-    Returns (bits, transmit power, received symbols); the power is the mean
-    square of the passband samples, prefix included, that the channel is
-    calibrated to. Unclipped, the symbols are the mapped symbols."""
+    (cr=None skips clipping and filtering) and receive them without noise,
+    one chunk at a time (``_ber_chunk``). Returns (bits, transmit power,
+    received symbols); the power is the mean square of the passband
+    samples, prefix included, that the channel is calibrated to, taken as
+    the mean of the per-block mean squares. Unclipped, the symbols are the
+    mapped symbols."""
+    if cr is not None and hpf is None:
+        raise ConfigError("clipping requested but no high-pass filter supplied")
+    amplitude = None if cr is None else _clip_level(params, cr)
     bits_per_frame = params.n_subcarriers * scheme.bits_per_symbol
     n_frames = max(1, math.ceil(min_bits / bits_per_frame))
     bits = _random_bits(rng, n_frames, bits_per_frame)
-    baseband = _tx_baseband_frames(bits, scheme, params, cp=params.cp_len > 0)
-    if cr is None:
-        blocks = _upconvert_rows(baseband, params)
-    elif hpf is None:
-        raise ConfigError("clipping requested but no high-pass filter supplied")
-    else:
-        blocks = _clip_filter_blocks(baseband, _clip_level(params, cr), params, hpf)
-    del baseband
-    power = float(np.mean(blocks**2))
-    return bits, power, _receive_symbols(blocks, params)
+    step = _chunk_frames(params.n_oversampled + params.cp_oversampled)
+    buffers = _chunk_buffers(min(step, n_frames), params)
+    received = np.empty((n_frames, params.n_subcarriers), dtype=complex)
+    block_power = np.empty(n_frames)
+    for start in range(0, n_frames, step):
+        rows = slice(start, start + step)
+        _ber_chunk(bits[rows], scheme, params, amplitude, hpf, buffers,
+                   received[rows], block_power[rows])
+    return bits, float(np.mean(block_power)), received
 
 
 def _ber_cells(
@@ -428,11 +370,42 @@ def _ber_cells(
 
 
 def _chunk_buffers(frames: int, params: OfdmParams) -> tuple[np.ndarray, ...]:
-    """One thread's buffers for PAPR chunks of up to ``frames`` frames: the
-    mapped symbols and two complex blocks (see ``_papr_chunk``)."""
-    blocks = (frames, params.n_oversampled)
-    return (np.empty((frames, params.n_subcarriers), complex),
-            np.empty(blocks, complex), np.empty(blocks, complex))
+    """One thread's buffers for chunks of up to ``frames`` frames, cut from
+    one complex allocation into three flat views: the mapped symbols, the
+    block and the scratch, which is wide enough for a prefixed block.
+    ``_rows`` gives a chunk its (frames, width) view of a buffer."""
+    widths = (params.n_subcarriers, params.n_oversampled,
+              params.n_oversampled + params.cp_oversampled)
+    ends = np.cumsum([frames * width for width in widths])
+    return tuple(np.split(np.empty(ends[-1], complex), ends[:-1]))
+
+
+def _rows(buffer: np.ndarray, dtype, count: int, width: int) -> np.ndarray:
+    """The first count * width items of a flat buffer viewed as ``dtype``,
+    shaped (count, width)."""
+    return buffer.view(dtype)[: count * width].reshape(count, width)
+
+
+def _baseband_chunk(
+    bits: np.ndarray, scheme: ModScheme, params: OfdmParams, buffers: tuple[np.ndarray, ...],
+) -> np.ndarray:
+    """Map, extend and modulate the frames ``bits`` holds; returns their
+    baseband, the buffers' block (the inverse transform runs in place)."""
+    count = bits.shape[0]
+    symbols = _map_rows(bits, scheme, out=_rows(buffers[0], complex, count, params.n_subcarriers))
+    block = _rows(buffers[1], complex, count, params.n_oversampled)
+    return _modulate_rows(_extend_rows(symbols, params.oversample, out=block), params, out=block)
+
+
+def _clip_filter_chunk(
+    baseband: np.ndarray, amplitude: float, params: OfdmParams, hpf: fir_design.FirFilter,
+    scratch: np.ndarray,
+) -> np.ndarray:
+    """Clip a chunk's baseband into ``scratch`` and write the composed
+    filter's output back over the baseband; returns it. So the clip reads
+    the block and writes the scratch, never its own input."""
+    clipped = _clip_magnitude_rows(baseband, amplitude, out=_rows(scratch, complex, *baseband.shape))
+    return _composed_rows(clipped, params, hpf, out=baseband)
 
 
 def _papr_chunk(
@@ -445,27 +418,46 @@ def _papr_chunk(
     holds into the two views.
 
     Every stage up to the composed filter writes into the thread's
-    ``buffers`` (``_chunk_buffers``). ``block`` holds the extended frames,
-    then the baseband (the inverse transform runs in place), then the
-    composed filter's spectrum and output. ``scratch`` holds the clipped
-    block; before the clip writes it, the first half of its bytes serves as
-    the real |x|^2 array. So the clip reads ``block`` and writes
-    ``scratch``, never its own input. The envelope stage is called as
+    ``buffers``. Before the clip writes the scratch, its bytes serve as the
+    real |x|^2 array. The envelope stage is called as
     ``envelope_magnitude(samples, params)``, the form perfbench's self-test
     substitutes, so it returns a new |y| array, which is squared in place.
     """
-    count = bits.shape[0]
-    symbols, block, scratch = (buffer[:count] for buffer in buffers)
-    power = scratch.view(float).reshape(-1)[: block.size].reshape(block.shape)
-    frames = _extend_rows(_map_rows(bits, scheme, out=symbols), params.oversample, out=block)
-    baseband = _modulate_rows(frames, params, out=block)
+    baseband = _baseband_chunk(bits, scheme, params, buffers)
+    power = _rows(buffers[2], float, *baseband.shape)
     # The unclipped symbol is in-band by construction, so its envelope is
     # the baseband signal itself.
     unclipped_papr[:] = _papr_db_rows(np.square(np.abs(baseband, out=power), out=power))
-    clipped = _clip_magnitude_rows(baseband, amplitude, out=scratch)
-    filtered = _composed_rows(clipped, params, hpf, out=block)
+    filtered = _clip_filter_chunk(baseband, amplitude, params, hpf, buffers[2])
     envelope = envelope_magnitude(filtered, params)
     processed_papr[:] = _papr_db_rows(np.square(envelope, out=envelope))
+
+
+def _ber_chunk(
+    bits: np.ndarray, scheme: ModScheme, params: OfdmParams, amplitude: float | None,
+    hpf: fir_design.FirFilter | None, buffers: tuple[np.ndarray, ...],
+    received: np.ndarray, block_power: np.ndarray,
+) -> None:
+    """One chunk of a BER unit: transmits the frames ``bits`` holds
+    (amplitude None skips clipping and filtering), then writes each block's
+    noise-free data symbols into ``received`` and the mean square of its
+    passband samples, prefix included, into ``block_power``.
+
+    The baseband and the filtered block are in the block buffer, as in a
+    PAPR chunk. The prefixed block is written into the scratch, its
+    passband into the block's bytes as floats and the passband's squares
+    into the scratch's bytes.
+    """
+    count, cp = bits.shape[0], params.cp_oversampled
+    width = params.n_oversampled + cp
+    baseband = _baseband_chunk(bits, scheme, params, buffers)
+    if amplitude is not None:
+        baseband = _clip_filter_chunk(baseband, amplitude, params, hpf, buffers[2])
+    prefixed = add_cyclic_prefix(baseband, cp, out=_rows(buffers[2], complex, count, width))
+    passband = _upconvert_rows(prefixed, params, out=_rows(buffers[1], float, count, width))
+    squares = np.square(passband, out=_rows(buffers[2], float, count, width))
+    np.mean(squares, axis=-1, out=block_power)
+    received[:] = _demodulate_rows(passband[:, cp:], params)
 
 
 def _papr_cell(

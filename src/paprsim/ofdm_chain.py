@@ -25,6 +25,14 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 
 
+def _require_int(name: str, value, least: int) -> None:
+    """Raise ``ConfigError`` unless ``value`` is an integer of at least
+    ``least``: 0 for a seed or a prefix length, 1 for a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        kind = "non-negative" if least == 0 else "positive"
+        raise ConfigError(f"{name} must be a {kind} integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class OfdmParams:
     """Physical-layer parameter set for one OFDM configuration.
@@ -45,15 +53,18 @@ class OfdmParams:
     cp_len: int = 32
 
     def __post_init__(self):
+        _require_int("n_subcarriers", self.n_subcarriers, 1)
+        _require_int("oversample", self.oversample, 1)
+        _require_int("cp_len", self.cp_len, 0)
         if self.n_subcarriers < 2:
             raise ConfigError("n_subcarriers must be >= 2")
         if self.n_subcarriers % 2:
             raise ConfigError("n_subcarriers must be even")
-        if self.oversample < 1:
-            raise ConfigError("oversample must be >= 1")
-        if self.bandwidth_hz <= 0:
-            raise ConfigError("bandwidth_hz must be positive")
-        if not 0 <= self.cp_len <= self.n_subcarriers:
+        if not 0 < self.bandwidth_hz < math.inf:
+            raise ConfigError(f"bandwidth_hz must be positive and finite, got {self.bandwidth_hz!r}")
+        if not math.isfinite(self.carrier_hz):
+            raise ConfigError(f"carrier_hz must be finite, got {self.carrier_hz!r}")
+        if self.cp_len > self.n_subcarriers:
             raise ConfigError("cp_len must satisfy 0 <= cp_len <= n_subcarriers")
         if self.carrier_hz < self.bandwidth_hz / 2:
             raise ConfigError(
@@ -161,24 +172,23 @@ def ofdm_modulate(frames, params: OfdmParams, *, out=None) -> np.ndarray:
     return np.fft.ifft(frames, axis=-1, norm="ortho", out=_out_array(out, frames.shape, complex))
 
 
-def add_cyclic_prefix(samples, cp_samples: int) -> np.ndarray:
-    """Prepend a copy of the last cp_samples samples of each block."""
+def add_cyclic_prefix(samples, cp_samples: int, *, out=None) -> np.ndarray:
+    """Prepend a copy of the last cp_samples samples of each block.
+
+    ``out``, an array of the samples' dtype and the prefixed shape (...,
+    cp_samples + n), receives the prefixed blocks in place of a new array.
+    It must not overlap the samples.
+    """
     samples = np.asarray(samples)
-    if cp_samples < 0 or cp_samples > samples.shape[-1]:
-        raise ShapeError(f"cp_samples = {cp_samples} exceeds signal length {samples.shape[-1]}")
-    if cp_samples == 0:
+    n = samples.shape[-1]
+    if cp_samples < 0 or cp_samples > n:
+        raise ShapeError(f"cp_samples = {cp_samples} exceeds signal length {n}")
+    if cp_samples == 0 and out is None:
         return samples
-    return np.concatenate([samples[..., -cp_samples:], samples], axis=-1)
-
-
-def remove_cyclic_prefix(samples, cp_samples: int) -> np.ndarray:
-    """Drop the first cp_samples samples of each block."""
-    samples = np.asarray(samples)
-    if cp_samples < 0 or cp_samples >= samples.shape[-1]:
-        raise ShapeError(
-            f"cp_samples = {cp_samples} must be < signal length {samples.shape[-1]}"
-        )
-    return samples[..., cp_samples:]
+    out = _out_array(out, samples.shape[:-1] + (cp_samples + n,), samples.dtype)
+    out[..., :cp_samples] = samples[..., n - cp_samples :]
+    out[..., cp_samples:] = samples
+    return out
 
 
 def _carrier(n: int, params: OfdmParams) -> np.ndarray:
@@ -190,13 +200,16 @@ def _carrier(n: int, params: OfdmParams) -> np.ndarray:
     return np.exp(2j * np.pi * turns)
 
 
-def upconvert(samples, params: OfdmParams) -> np.ndarray:
+def upconvert(samples, params: OfdmParams, *, out=None) -> np.ndarray:
     """Shift complex baseband (..., n) to a real passband at the carrier.
 
     The sqrt(2) factor keeps mean power equal between the two domains.
+    ``out``, a float array of the samples' shape, receives the passband in
+    place of a new array.
     """
     samples = np.asarray(samples)
-    return np.sqrt(2.0) * np.real(samples * _carrier(samples.shape[-1], params))
+    shifted = samples * _carrier(samples.shape[-1], params)
+    return np.multiply(np.sqrt(2.0), shifted.real, out=_out_array(out, samples.shape, float))
 
 
 def _data_bin_offsets(params: OfdmParams) -> np.ndarray:

@@ -11,17 +11,19 @@ the received symbols from the literal receiver (complex mixer, prefix
 strip, full complex FFT), which the library folds into one real FFT read
 at shifted bins, and the BER channel from the per-cell time-domain path (AWGN on
 every passband sample, then ``demodulate_passband``), which the library
-replaces by noise drawn at the data bins, and the PAPR cell from its
-whole-batch form, which the library streams chunk by chunk. The passband
-filter reads its per-bin gain from ``band_gains``, the one definition of
-that gain.
+replaces by noise drawn at the data bins, and the PAPR cell and the BER
+unit's transmission from their whole-batch forms, which the library
+streams chunk by chunk. The passband filter reads its per-bin gain from
+``band_gains``, the one definition of that gain.
 
 It also keeps the literal pieces of the textbook chain that the pipeline
 does not run: the RMS of a signal (the pipeline's clip level is the closed
 form sqrt((N+1)/(N*L))), the hard limiter of real passband samples (the
 pipeline clips the complex baseband), the baseband demodulator (the
-pipeline receives passband blocks with ``demodulate_passband``) and the
-index set of the inserted zero bins.
+pipeline receives passband blocks with ``demodulate_passband``), the
+prefix strip as a function, the index set of the inserted zero bins, and
+the descriptions of a FIR design (its complex response, its weighted
+error on a fresh grid and the count of its alternating extrema).
 """
 import numpy as np
 from scipy.optimize import linprog
@@ -31,21 +33,21 @@ from paprsim import (
     OfdmParams,
     ShapeError,
     add_awgn,
+    add_cyclic_prefix,
+    amplitude_response,
     band_gains,
     clip_baseband,
     composed_filter,
     demodulate_passband,
+    map_bits,
     noise_sigma,
+    ofdm_modulate,
+    oversample_extend,
     papr_db,
     upconvert,
 )
-from paprsim.harness import (
-    _clip_filter_blocks,
-    _clip_level,
-    _random_bits,
-    _tx_baseband_frames,
-    envelope_magnitude,
-)
+from paprsim.fir_design import _dense_grid
+from paprsim.harness import _clip_level, _random_bits, envelope_magnitude
 from paprsim.ofdm_chain import _require_block
 
 # Band plans of the fold-versus-oracle tests, with the ``default_hpf_spec``
@@ -74,6 +76,47 @@ def clip_passband(samples, amplitude: float) -> np.ndarray:
     if amplitude <= 0:
         raise ConfigError("clip amplitude must be positive")
     return np.clip(samples, -amplitude, amplitude)
+
+
+def remove_cyclic_prefix(samples, cp_samples: int) -> np.ndarray:
+    """Drop the first cp_samples samples of each block."""
+    samples = np.asarray(samples)
+    if cp_samples < 0 or cp_samples >= samples.shape[-1]:
+        raise ShapeError(
+            f"cp_samples = {cp_samples} must be < signal length {samples.shape[-1]}"
+        )
+    return samples[..., cp_samples:]
+
+
+def frequency_response(fir, grid) -> np.ndarray:
+    """Complex response H(f) = sum_n h[n] exp(-j 2 pi f n) on a normalized grid."""
+    f = np.asarray(grid, dtype=float)
+    n = np.arange(len(fir.taps))
+    return np.exp(-2j * np.pi * np.outer(f, n)) @ fir.taps
+
+
+def weighted_error(fir, total_points: int = 4096):
+    """Weighted approximation error of the design, on a fresh dense grid."""
+    freqs, desired, weights, _ = _dense_grid(fir.spec, total_points)
+    return freqs, weights * (desired - amplitude_response(fir, freqs))
+
+
+def alternation_count(fir, total_points: int = 4096, tol: float = 0.01) -> int:
+    """Number of alternating error extrema that touch the ripple level.
+
+    Counts maximal runs of near-ripple points (within ``tol`` relative of the
+    stored ripple) whose error signs alternate along the frequency axis.
+    """
+    _, err = weighted_error(fir, total_points)
+    touching = np.nonzero(np.abs(err) >= (1.0 - tol) * fir.ripple)[0]
+    count = 0
+    last_sign = 0.0
+    for idx in touching:
+        sign = np.sign(err[idx])
+        if sign != last_sign:
+            count += 1
+            last_sign = sign
+    return count
 
 
 def inserted_zero_bins(n_subcarriers: int, oversample: int) -> np.ndarray:
@@ -237,24 +280,37 @@ def passband_receive_symbols(blocks, params) -> np.ndarray:
     return spectrum[..., bins]
 
 
+def baseband_frames(bits, scheme, params) -> np.ndarray:
+    """Map, extend and modulate a whole batch of bit rows at once; returns
+    the baseband blocks (frames, N*L), no prefix."""
+    return ofdm_modulate(oversample_extend(map_bits(bits, scheme), params.oversample), params)
+
+
+def transmit_blocks(bits, scheme, params, cr, hpf) -> np.ndarray:
+    """The BER unit's transmission as one whole-batch chain: the baseband of
+    every frame, clipped at the closed-form level ``_clip_level(params, cr)``
+    and filtered unless cr is None, given its cyclic prefix and upconverted.
+    Returns the real passband blocks (frames, cp + N*L)."""
+    symbols = baseband_frames(bits, scheme, params)
+    if cr is not None:
+        symbols = composed_filter(clip_baseband(symbols, _clip_level(params, cr)), params, hpf)
+    return upconvert(add_cyclic_prefix(symbols, params.cp_oversampled), params)
+
+
 def time_domain_ber_cell(bits, scheme, params, cr, ebn0_db, hpf, rng):
     """The per-cell BER channel that the library's data-bin noise replaces,
-    on given bit rows: transmit them (the harness's own transmit, clipped at
-    the closed-form level ``_clip_level(params, cr)`` and filtered unless cr
-    is None), calibrate sigma_n to the mean square of the passband blocks,
-    prefix included, add white real Gaussian noise to every passband sample,
-    strip the prefix and demodulate with ``demodulate_passband``. Returns (power, sigma_n, clean, noisy): the
-    received symbols at gain 1 without and with the noise."""
-    baseband = _tx_baseband_frames(bits, scheme, params, cp=params.cp_len > 0)
-    if cr is None:
-        blocks = upconvert(baseband, params)
-    else:
-        blocks = _clip_filter_blocks(baseband, _clip_level(params, cr), params, hpf)
-    power = float(np.mean(blocks**2))
+    on given bit rows: transmit them (``transmit_blocks``), calibrate
+    sigma_n to the mean square of the passband blocks, prefix included,
+    taken as the mean of the per-block mean squares, add white real
+    Gaussian noise to every passband sample, strip the prefix and
+    demodulate with ``demodulate_passband``. Returns (power, sigma_n, clean,
+    noisy): the received symbols at gain 1 without and with the noise."""
+    blocks = transmit_blocks(bits, scheme, params, cr, hpf)
+    power = float(np.mean(np.mean(blocks**2, axis=-1)))
     sigma_n = noise_sigma(params, scheme, ebn0_db, power)
     cp_n = params.cp_oversampled
-    clean = demodulate_passband(blocks[:, cp_n:], params)
-    noisy = demodulate_passband(add_awgn(blocks, sigma_n, rng)[:, cp_n:], params)
+    clean = demodulate_passband(remove_cyclic_prefix(blocks, cp_n), params)
+    noisy = demodulate_passband(remove_cyclic_prefix(add_awgn(blocks, sigma_n, rng), cp_n), params)
     return power, sigma_n, clean, noisy
 
 
@@ -266,7 +322,7 @@ def batch_papr_cell(spec, scheme, cr, rng, hpf):
     PAPR, unclipped PAPR) in dB, one value per symbol."""
     params = spec.params
     bits = _random_bits(rng, spec.n_symbols, params.n_subcarriers * scheme.bits_per_symbol)
-    baseband = _tx_baseband_frames(bits, scheme, params, cp=False)
+    baseband = baseband_frames(bits, scheme, params)
     amplitude = _clip_level(params, cr)
     envelope = envelope_magnitude(
         composed_filter(clip_baseband(baseband, amplitude), params, hpf), params

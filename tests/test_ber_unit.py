@@ -1,7 +1,9 @@
-"""The BER unit: one transmission per (scheme, CR), noise drawn at the N
-data bins, checked against the per-cell time-domain path (AWGN on every
-passband sample, then ``demodulate_passband``) in ``oracles.py``."""
+"""The BER unit: one transmission per (scheme, CR), streamed chunk by chunk,
+noise drawn at the N data bins, checked against the per-cell time-domain
+path (AWGN on every passband sample, then ``demodulate_passband``) in
+``oracles.py``."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +47,53 @@ def test_noise_free_unit_equals_the_time_domain_path_bit_for_bit(plan, cr):
     assert power == want_power
     assert noise_sigma(params, scheme, 6.0, power) == want_sigma
     assert np.array_equal(clean, want_clean)
+
+
+@pytest.mark.parametrize("cr", [None, 1.2], ids=["unclipped", "cr1.2"])
+@pytest.mark.parametrize("plan", ["reference", "nyquist_edge"])
+def test_noise_free_unit_does_not_depend_on_the_chunk_length(monkeypatch, plan, cr):
+    # Chunks of 6 frames leave a ragged last chunk of 2 of the 98 frames;
+    # every row is computed on its own and the power is the mean of the
+    # per-block mean squares, so the unit is the same bit for bit.
+    params, _ = ORACLE_PLANS[plan]
+    scheme = ModScheme("qam", 16)
+    hpf = experiment_hpf(ExperimentSpec(params=params))
+    unchunked = _noise_free_unit(params, scheme, cr, hpf, 50_000, np.random.default_rng(35))
+    block_len = params.n_oversampled + params.cp_oversampled
+    monkeypatch.setattr(harness, "_CHUNK_SAMPLES", 6 * block_len)
+    assert harness._chunk_frames(block_len) == 6 and unchunked[0].shape[0] % 6 == 2
+    bits, power, clean = _noise_free_unit(params, scheme, cr, hpf, 50_000,
+                                          np.random.default_rng(35))
+    assert np.array_equal(bits, unchunked[0])
+    assert power == unchunked[1]
+    assert np.array_equal(clean, unchunked[2])
+
+
+def unit_peak_and_kept_bytes(min_bits):
+    """tracemalloc peak of one clipped QPSK unit on the reference plan, and
+    the bytes of the bits and symbols it returns."""
+    params = ORACLE_PLANS["reference"][0]
+    hpf = experiment_hpf(ExperimentSpec(params=params))
+    tracemalloc.start()
+    try:
+        bits, _, clean = _noise_free_unit(params, ModScheme.from_name("qpsk"), 1.0, hpf,
+                                          min_bits, np.random.default_rng(36))
+        return tracemalloc.get_traced_memory()[1], bits.nbytes + clean.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_ber_unit_memory_grows_only_by_what_it_keeps():
+    # From 2*10^5 to 8*10^5 bits the unit keeps 0.6 MB more bits and 4.8 MB
+    # more symbols. The slack covers the per-block mean squares (8 bytes a
+    # frame, 19 kB here) and allocator noise. A whole-unit complex block
+    # would grow by 16 bytes per passband sample, 58 MB here.
+    unit_peak_and_kept_bytes(20_000)  # caches filled once, outside the comparison
+    small_peak, small_kept = unit_peak_and_kept_bytes(200_000)
+    large_peak, large_kept = unit_peak_and_kept_bytes(800_000)
+    slack = 2**20
+    assert large_peak - small_peak <= large_kept - small_kept + slack, (
+        small_peak, large_peak, small_kept, large_kept)
 
 
 @pytest.mark.parametrize("scheme_name", ["16qam", "8qam", "32psk"])
@@ -171,7 +220,7 @@ def test_a_failing_unit_names_scheme_cr_and_ebn0(monkeypatch):
 
     # The shared transmit fails inside the unit's first cell.
     with monkeypatch.context() as m:
-        m.setattr(harness, "_clip_filter_blocks", boom)
+        m.setattr(harness, "_upconvert_rows", boom)
         with pytest.raises(ExperimentError, match=r"scheme=qpsk, cr=1, ebn0=4\b.*inner failure"):
             run_ber_experiment(spec)
 

@@ -62,6 +62,12 @@ def test_config_bad_syntax_and_types(tmp_path):
         parse_config(write_cfg(tmp_path, "schemes = qpsk, 7psk\n"))
 
 
+@pytest.mark.parametrize("key", ["bandwidth_hz", "carrier_hz"])
+def test_a_nan_frequency_is_a_config_error(tmp_path, capsys, key):
+    assert main([str(write_cfg(tmp_path, f"{key} = nan\n"))]) == 1
+    assert f"config error: {key} must be" in capsys.readouterr().err
+
+
 def test_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="no/such/file"):
         parse_config(tmp_path / "no" / "such" / "file.cfg")

@@ -7,6 +7,7 @@ from paprsim import (
     ModScheme,
     OfdmParams,
     ShapeError,
+    add_cyclic_prefix,
     band_gains,
     clip_baseband,
     composed_filter,
@@ -19,21 +20,18 @@ from paprsim import (
     papr_db,
     upconvert,
 )
-from paprsim.harness import (
-    ExperimentSpec,
-    _clip_filter_blocks,
-    _tx_baseband_frames,
-    envelope_magnitude,
-)
+from paprsim.harness import ExperimentSpec, _clip_level, envelope_magnitude
 
 from oracles import (
     ORACLE_PLANS,
     analytic_envelope,
+    baseband_frames,
     clip_passband,
     gaussian_tail,
     passband_clip_filter_blocks,
     passband_composed_filter,
     rms,
+    transmit_blocks,
 )
 
 PARAMS = OfdmParams()
@@ -63,6 +61,14 @@ def test_clip_amplitude_must_be_positive():
         for amplitude in (0.0, -1.0):
             with pytest.raises(ConfigError):
                 clip(np.ones(4), amplitude)
+
+
+@pytest.mark.parametrize("amplitude", [np.nan, np.inf])
+def test_clip_baseband_refuses_a_non_finite_amplitude(amplitude):
+    # A / max(|x|, A) is NaN for A = NaN or inf, so every output sample
+    # would be NaN.
+    with pytest.raises(ConfigError, match="positive and finite"):
+        clip_baseband(np.ones(4, dtype=complex), amplitude)
 
 
 def test_rms_examples():
@@ -232,10 +238,11 @@ def test_baseband_fold_matches_passband_oracle(plan):
     assert np.max(np.abs(envelope - want_envelope)) < 1e-12
     assert np.max(np.abs(papr_db(envelope) - papr_db(want_envelope))) < 1e-12
 
+    # The BER unit's transmission: clip, filter, prefix and upconvert.
     bits = rng.integers(0, 2, (40, params.n_subcarriers * scheme.bits_per_symbol), dtype=np.uint8)
-    blocks = _tx_baseband_frames(bits, scheme, params, cp=True)
-    got = _clip_filter_blocks(blocks, amplitude, params, hpf)
-    want = passband_clip_filter_blocks(blocks, amplitude, params, hpf)
+    got = transmit_blocks(bits, scheme, params, 0.9, hpf)
+    blocks = add_cyclic_prefix(baseband_frames(bits, scheme, params), params.cp_oversampled)
+    want = passband_clip_filter_blocks(blocks, _clip_level(params, 0.9), params, hpf)
     assert got.shape == want.shape == (40, params.n_oversampled + params.cp_oversampled)
     assert np.max(np.abs(got - want)) < 1e-12
 

@@ -8,15 +8,12 @@ from paprsim import (
     DesignError,
     FirDesignSpec,
     OfdmParams,
-    alternation_count,
     amplitude_response,
     default_hpf_spec,
     design_equiripple,
-    frequency_response,
 )
-from paprsim.fir_design import weighted_error
 
-from oracles import chebyshev_lp_ripple
+from oracles import alternation_count, chebyshev_lp_ripple, frequency_response, weighted_error
 
 LOWPASS = FirDesignSpec(31, ((0.0, 0.20), (0.26, 0.5)), (1.0, 0.0), (1.0, 1.0))
 IMAGE_LPF = FirDesignSpec(31, ((0.0, 0.0625), (0.25, 0.5)), (1.0, 0.0), (1.0, 1.0))

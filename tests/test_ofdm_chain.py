@@ -13,10 +13,8 @@ from paprsim import (
     map_bits,
     ofdm_modulate,
     oversample_extend,
-    remove_cyclic_prefix,
     upconvert,
 )
-from paprsim.harness import _clip_filter_blocks, _receive_symbols, _tx_baseband_frames
 
 from oracles import (
     ORACLE_PLANS,
@@ -24,7 +22,8 @@ from oracles import (
     inserted_zero_bins,
     ofdm_demodulate,
     passband_receive_symbols,
-    rms,
+    remove_cyclic_prefix,
+    transmit_blocks,
 )
 
 PARAMS = OfdmParams()  # 128 subcarriers, L=8, 1 MHz band at 2 MHz, cp 32
@@ -55,6 +54,22 @@ def test_params_validation():
     with pytest.raises(ConfigError):
         OfdmParams(carrier_hz=0.2e6)  # band dips below DC
     assert OfdmParams(n_subcarriers=64, oversample=4, carrier_hz=1e6).sample_hz == 4e6
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("n_subcarriers", 128.0, "n_subcarriers must be a positive integer"),
+    ("oversample", 8.5, "oversample must be a positive integer"),
+    ("cp_len", 32.5, "cp_len must be a non-negative integer"),
+    ("bandwidth_hz", float("nan"), "bandwidth_hz must be positive and finite"),
+    ("carrier_hz", float("nan"), "carrier_hz must be finite"),
+], ids=["n_subcarriers_float", "oversample_fraction", "cp_len_fraction", "bandwidth_nan",
+        "carrier_nan"])
+def test_params_refuse_non_integer_counts_and_non_finite_frequencies(field, value, message):
+    # Each passes the range checks: a float count would fail every cell at
+    # run time (a fractional prefix only the BER half), and a NaN frequency
+    # fails no comparison, so it would reach the rounding of the carrier bin.
+    with pytest.raises(ConfigError, match=message):
+        OfdmParams(**{field: value})
 
 
 def test_params_carrier_must_sit_on_a_bin():
@@ -306,14 +321,12 @@ def test_receive_fold_matches_passband_oracle(plan):
     rng = np.random.default_rng(15)
     scheme = ModScheme("qam", 16)
     bits = rng.integers(0, 2, (64, params.n_subcarriers * scheme.bits_per_symbol), dtype=np.uint8)
-    baseband = _tx_baseband_frames(bits, scheme, params, cp=True)
-    blocks = _clip_filter_blocks(baseband, 0.9 * rms(baseband), params, hpf)
+    blocks = transmit_blocks(bits, scheme, params, 0.9, hpf)
     want = passband_receive_symbols(blocks, params)
     symbols = remove_cyclic_prefix(blocks, params.cp_oversampled)
     got = demodulate_passband(symbols, params)
     assert got.shape == want.shape == (64, params.n_subcarriers)
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(blocks))
-    assert np.array_equal(_receive_symbols(blocks, params), got)
     batch = demodulate_passband(symbols.reshape(2, 32, -1), params)
     assert np.array_equal(batch, got.reshape(2, 32, -1))
 

@@ -12,6 +12,7 @@ from paprsim import (
     ExperimentSpec,
     ModScheme,
     OfdmParams,
+    add_cyclic_prefix,
     ofdm_modulate,
     oversample_extend,
     run_papr_experiment,
@@ -23,11 +24,10 @@ from paprsim.harness import (
     _clip_level,
     _papr_cell,
     _random_bits,
-    _tx_baseband_frames,
     experiment_hpf,
 )
 
-from oracles import ORACLE_PLANS, batch_papr_cell
+from oracles import ORACLE_PLANS, baseband_frames, batch_papr_cell
 
 # 1037 symbols leave a partial last chunk on every plan: 8 x 128 + 13 on the
 # reference plan, 5 x 204 + 17 on nyquist_edge, 7 x 146 + 15 on high_carrier.
@@ -99,7 +99,7 @@ def frame_power(params, scheme, cp, n_frames=1000, seed=43):
     cp), for random bits."""
     rng = np.random.default_rng(seed)
     bits = _random_bits(rng, n_frames, params.n_subcarriers * scheme.bits_per_symbol)
-    baseband = _tx_baseband_frames(bits, scheme, params, cp=cp)
+    baseband = add_cyclic_prefix(baseband_frames(bits, scheme, params), params.cp_oversampled * cp)
     return np.mean(np.square(baseband.real) + np.square(baseband.imag), axis=1)
 
 
