@@ -97,14 +97,30 @@ def composed_filter(
             "composed_filter takes the clipped complex baseband block, not "
             "upconvert(...) of it"
         )
+    return _filter_folded(samples, _composed_fold(params, hpf), out=out)
+
+
+def _composed_fold(params: OfdmParams, hpf: fir_design.FirFilter) -> tuple[np.ndarray, ...]:
+    """The composed filter's fold for one plan and high-pass: the band
+    bins' offsets j mod N*L, their image offsets -j - 2 k_c mod N*L, and
+    their ``band_gains``, halved at a band bin that is its own image. It
+    depends on neither the samples nor their count, so a cell computes it
+    once and hands it to every chunk."""
     total = params.n_oversampled
     band = params.occupied_bins
     offsets = (band - params.carrier_bin) % total
     images = (-band - params.carrier_bin) % total  # -j - 2 k_c
     gains = band_gains(params, hpf)[band]
     gains[(2 * band) % total == 0] /= 2
-    # The fold and the inverse transform reuse the forward transform's
-    # buffer: one block-sized allocation per call, none with ``out``.
+    return offsets, images, gains
+
+
+def _filter_folded(samples: np.ndarray, fold: tuple[np.ndarray, ...], *, out=None) -> np.ndarray:
+    """``composed_filter`` of checked complex blocks, given their
+    ``_composed_fold``. The fold and the inverse transform reuse the
+    forward transform's buffer: one block-sized allocation per call, none
+    with ``out``."""
+    offsets, images, gains = fold
     spectrum = np.fft.fft(samples, axis=-1, out=_out_array(out, samples.shape, samples.dtype))
     folded = (spectrum[..., offsets] + np.conj(spectrum[..., images])) * gains
     spectrum.fill(0)

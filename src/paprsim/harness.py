@@ -27,16 +27,23 @@ mapped, extended, modulated and, when the cell clips, clipped and filtered,
 each stage writing into block buffers allocated once per cell
 (``_chunk_buffers``), so only the envelope, the carrier product inside
 ``upconvert`` and the receiver's transform allocate arrays of a chunk's
-size. A chunk takes as many frames as fit ``_CHUNK_SAMPLES`` samples of its
-block length, so a chunk's complex block fits 2 MB, the size of an L2
-cache. The PAPR cell runs its chunks on W threads,
-W the number of CPUs the process may use (the calling thread and W - 1
-helpers started for the cell), and splits the budget among them: a
-thread's chunk holds 1/W of it, so the chunks in flight together hold one
-budget. The threads draw the chunks' bits in chunk order, one chunk at a
-time, and every row of a chunk is computed on its own (transforms,
-clipping and PAPR act per row), so results do not depend on the CPU count
-or the chunk length. The BER unit's loop runs on the calling thread.
+size. The composed filter's fold (``_composed_fold``) is computed once per
+cell or unit too. A chunk takes as many frames as fit ``_CHUNK_SAMPLES``
+samples of its block length, so a chunk's complex block fits 2 MB, the
+size of an L2 cache.
+
+One runner, ``_on_threads``, runs the PAPR cell's chunks, the BER unit's
+transmit chunks and its Eb/N0 points: on the calling thread and helpers
+started for the loop, one thread per full budget of the cell's or unit's
+block samples, up to W, the number of CPUs the process may use. So a
+loop of under two budgets stays on the calling thread. A thread's chunk
+holds 1/T of the budget, T the loop's thread count, so the chunks in
+flight together hold one budget. The PAPR cell's threads draw the chunks'
+bits in chunk order, one chunk at a time; the BER unit draws its bits up
+front, and each Eb/N0 point runs on one thread and draws its noise from
+its own generator in row order. Every row of a chunk is computed on its
+own (transforms, clipping, PAPR and the slicer act per row), so results
+depend on neither W nor the chunk length.
 
 BER cells come in units, one per (scheme, cr), that share one transmission.
 A unit draws its bits once and loops over chunks of them. Each chunk is
@@ -52,9 +59,10 @@ receiver is linear and reads only the N data bins. White real passband
 noise of variance sigma_n^2 therefore reaches each data bin as circular
 complex Gaussian noise of variance 2 sigma_n^2, independent across bins
 (prefix noise is discarded). Each Eb/N0 point calibrates sigma_n
-from the measured transmit power, draws only that bin noise, adds it to the
-noise-free symbols, divides by the closed-form gain clip_attenuation(cr),
-or by 1 unclipped, and slices. The unit draws from
+from the measured transmit power and loops over chunks of the noise-free
+symbols: it draws only that bin noise, adds it to the symbols, divides by
+the closed-form gain clip_attenuation(cr), or by 1 unclipped, slices and
+counts the bit errors. The unit draws from
 SeedSequence([master_seed, 1, unit_index]).spawn(1 + len(ebn0_grid_db)):
 child 0 for the bits, child 1 + i for the noise at Eb/N0 point i.
 """
@@ -71,7 +79,7 @@ import numpy as np
 
 from . import fir_design
 from .channel import add_awgn, noise_sigma
-from .clip_filter import clip_baseband, composed_filter, default_hpf_spec
+from .clip_filter import _composed_fold, _filter_folded, clip_baseband, default_hpf_spec
 from .constellation import SCHEME_NAMES, ModScheme, demap_symbols, map_bits
 from .errors import ConfigError, ExperimentError, ShapeError
 from .metrics import CcdfCurve, _papr_db_rows, ccdf_quantile, estimate_ccdf
@@ -90,14 +98,16 @@ from .ofdm_chain import (
 # The harness calls the layer functions through the stage names that
 # perfbench/interactions.json lists, because perfbench/spans.py times a stage
 # by wrapping that module-level name. Each name is bound to the public
-# function itself, so every stage keeps one implementation. The bindings go
-# once the stage table names the public functions (ROADMAP item 1).
+# function itself, or for the composed filter to the kernel the public
+# function runs once it has computed the fold, so every stage keeps one
+# implementation. The bindings go once the stage table names the public
+# functions (ROADMAP item 1).
 _map_rows = map_bits
 _extend_rows = oversample_extend
 _modulate_rows = ofdm_modulate
 _clip_magnitude_rows = clip_baseband
 _upconvert_rows = upconvert
-_composed_rows = composed_filter
+_composed_rows = _filter_folded
 _demodulate_rows = demodulate_passband
 _demap_rows = demap_symbols
 # Uncalled: the receiver has no low-pass (``_filter_rows``), and the
@@ -226,6 +236,72 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
+def _threads_for(samples: int) -> int:
+    """Threads for a loop over ``samples`` block samples: one per full
+    ``_CHUNK_SAMPLES`` budget, at most ``_worker_count()``, at least one.
+    A loop of under two budgets stays on the calling thread: split over
+    two threads, a loop of one or two budgets takes longer than on one."""
+    return max(1, min(_worker_count(), samples // _CHUNK_SAMPLES))
+
+
+def _chunking(frames: int, block_len: int) -> tuple[int, int]:
+    """(threads, frames per chunk) of a loop over ``frames`` blocks of
+    ``block_len`` samples. Each of the ``_threads_for`` threads takes
+    chunks of 1/threads of the budget, so the chunks in flight together
+    hold one budget; there are no more threads than chunks."""
+    threads = _threads_for(frames * block_len)
+    step = _chunk_frames(block_len * threads)
+    return min(threads, math.ceil(frames / step)), step
+
+
+def _on_threads(count: int, work, *, claim=None, threads: int) -> None:
+    """Call ``work(thread, index, claimed)`` for every index in range(count)
+    on min(threads, count) threads: the calling thread, numbered 0, and
+    helper threads numbered 1, 2, ... started for the call, so that
+    ``thread`` can pick buffers of its own.
+
+    The threads take the indices in order under one lock. ``claim(index)``,
+    if given, runs under that lock and its result is passed as ``claimed``
+    (None without ``claim``), so the claims follow index order whatever the
+    thread count. A failure stops the other threads before their next
+    index. Every helper has finished when the call returns or raises, and
+    it raises the first failure.
+    """
+    indices = iter(range(count))
+    lock = threading.Lock()
+    stop = threading.Event()
+    failures = []
+
+    def loop(thread):
+        try:
+            while True:
+                with lock:
+                    index = next(indices, None)
+                    if index is None or stop.is_set():
+                        return
+                    claimed = None if claim is None else claim(index)
+                work(thread, index, claimed)
+        except BaseException as exc:  # raised again by the calling thread below
+            stop.set()
+            failures.append(exc)
+
+    helpers = [threading.Thread(target=loop, args=(thread,), name=f"paprsim-runner-{thread}")
+               for thread in range(1, min(threads, count))]
+    for helper in helpers:
+        helper.start()
+    try:
+        loop(0)
+    finally:
+        # Once the calling thread's loop ends, every index is taken or one
+        # has failed; the flag also stops the helpers if the join is
+        # interrupted.
+        stop.set()
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[0]
+
+
 def _cell_rng(seed: int, kind: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, kind, index]))
 
@@ -242,9 +318,9 @@ def _chunk_frames(block_len: int) -> int:
     bits, so chunked ``_random_bits`` draws concatenate to one draw of all
     the rows: numpy draws a bounded uint8 in {0, 1} from one byte of a
     32-bit word, with no rejection, and each call starts on a fresh word.
-    The PAPR cell's W threads each take chunks of ``_chunk_frames(N*L*W)``
-    frames, so the chunks in flight together stay within one budget; the
-    draws, and so the results, are the same for every W.
+    A loop on T threads takes chunks of ``_chunk_frames(block_len * T)``
+    frames (``_chunking``), so the chunks in flight together stay within
+    one budget; the draws, and so the results, are the same for every T.
     """
     return max(2, _CHUNK_SAMPLES // block_len // 2 * 2)
 
@@ -293,18 +369,25 @@ def clip_attenuation(cr: float) -> float:
     return 1.0 - math.exp(-cr * cr) + (math.sqrt(math.pi) / 2.0) * cr * math.erfc(cr)
 
 
-def _add_bin_noise(symbols: np.ndarray, sigma_n: float, rng: np.random.Generator) -> np.ndarray:
+def _add_bin_noise(
+    symbols: np.ndarray, sigma_n: float, rng: np.random.Generator, *, out=None,
+) -> np.ndarray:
     """Return received data symbols (..., N) plus the data-bin read of white
     real passband noise of variance sigma_n^2: circular complex Gaussian
     noise of variance 2 sigma_n^2 at every bin. Draws 2N standard normals
-    per row; sigma_n = 0 draws nothing."""
+    per row, in row order, so chunks of rows drawn in turn from one
+    generator get the normals of one draw for all the rows; sigma_n = 0
+    draws nothing. ``out``, a C-contiguous complex array of the symbols'
+    shape, receives the result in place of a new array."""
+    if out is None:
+        out = np.empty(symbols.shape, complex)
     if sigma_n == 0:
-        return symbols.copy()
-    shape = symbols.shape[:-1] + (2 * symbols.shape[-1],)
-    noisy = rng.standard_normal(shape).view(complex)
-    noisy *= sigma_n
-    noisy += symbols
-    return noisy
+        out[...] = symbols
+        return out
+    rng.standard_normal(out=out.view(float))
+    out *= sigma_n
+    out += symbols
+    return out
 
 
 def _noise_free_unit(
@@ -321,21 +404,29 @@ def _noise_free_unit(
     received symbols); the power is the mean square of the passband
     samples, prefix included, that the channel is calibrated to, taken as
     the mean of the per-block mean squares. Unclipped, the symbols are the
-    mapped symbols."""
+    mapped symbols.
+
+    The bits are drawn up front and the chunks run on ``_on_threads``, one
+    thread per full budget of the unit's prefixed blocks (``_chunking``),
+    each thread with its own buffers. Every chunk writes its own rows."""
     if cr is not None and hpf is None:
         raise ConfigError("clipping requested but no high-pass filter supplied")
     amplitude = None if cr is None else _clip_level(params, cr)
+    fold = None if cr is None else _composed_fold(params, hpf)
     bits_per_frame = params.n_subcarriers * scheme.bits_per_symbol
     n_frames = max(1, math.ceil(min_bits / bits_per_frame))
     bits = _random_bits(rng, n_frames, bits_per_frame)
-    step = _chunk_frames(params.n_oversampled + params.cp_oversampled)
-    buffers = _chunk_buffers(min(step, n_frames), params)
+    threads, step = _chunking(n_frames, params.n_oversampled + params.cp_oversampled)
+    buffers = [_chunk_buffers(min(step, n_frames), params) for _ in range(threads)]
     received = np.empty((n_frames, params.n_subcarriers), dtype=complex)
     block_power = np.empty(n_frames)
-    for start in range(0, n_frames, step):
-        rows = slice(start, start + step)
-        _ber_chunk(bits[rows], scheme, params, amplitude, hpf, buffers,
+
+    def transmit(thread, index, _):
+        rows = slice(index * step, (index + 1) * step)
+        _ber_chunk(bits[rows], scheme, params, amplitude, fold, buffers[thread],
                    received[rows], block_power[rows])
+
+    _on_threads(math.ceil(n_frames / step), transmit, threads=threads)
     return bits, float(np.mean(block_power)), received
 
 
@@ -355,18 +446,58 @@ def _ber_cells(
 
     Nothing runs until the first value is asked for; the unit's transmit
     and noise-free receive then run once, before the first point.
+
+    The points run on the unit's T threads (``_chunking``) in batches of
+    T, one point per thread, each batch when its first value is asked for;
+    with T = 1 each point runs when it is asked for. A point loops over
+    chunks of the kept symbols, each 1/T of the budget: it draws the
+    chunk's noise from its own generator into its thread's buffer, adds
+    the symbols, divides by the gain, demaps and counts the errors, so it
+    makes no array of the unit's size. A failing point raises when its own
+    value is asked for.
     """
     seeds = np.random.SeedSequence(entropy).spawn(1 + len(ebn0_grid_db))
     bits, power, clean = _noise_free_unit(
         params, scheme, cr, hpf, min_bits, np.random.default_rng(seeds[0])
     )
     gain = clip_attenuation(cr) if cr is not None else 1.0
-    for ebn0_db, seed in zip(ebn0_grid_db, seeds[1:]):
+    # numpy divides a complex x by g + 0j as (x.real + x.imag * 0) * (1 / g)
+    # and (x.imag - x.real * 0) * (1 / g), so scaling both parts by 1 / g
+    # gives the same symbols, up to the sign of a zero part, which the
+    # slicer ignores, without the slower complex division.
+    scale = 1.0 / gain
+    n_frames, n = clean.shape
+    threads, _ = _chunking(n_frames, params.n_oversampled + params.cp_oversampled)
+    step = _chunk_frames(n * threads)
+    noise = [np.empty(min(step, n_frames) * n, complex) for _ in range(threads)]
+
+    def errors_at(thread, point):
+        ebn0_db = ebn0_grid_db[point]
         sigma_n = 0.0 if ebn0_db is None else noise_sigma(params, scheme, ebn0_db, power)
-        rx = _add_bin_noise(clean, sigma_n, np.random.default_rng(seed))
-        rx /= gain
-        rx_bits = _demap_rows(rx, scheme)
-        yield int(np.count_nonzero(bits != rx_bits)), bits.size
+        rng = np.random.default_rng(seeds[1 + point])
+        errors = 0
+        for start in range(0, n_frames, step):
+            rows = slice(start, start + step)
+            out = _rows(noise[thread], complex, *clean[rows].shape)
+            parts = _add_bin_noise(clean[rows], sigma_n, rng, out=out).view(float)
+            parts *= scale
+            errors += int(np.count_nonzero(bits[rows] != _demap_rows(out, scheme)))
+        return errors
+
+    for first in range(0, len(ebn0_grid_db), threads):
+        outcomes = [None] * min(threads, len(ebn0_grid_db) - first)
+
+        def run(thread, index, _):
+            try:
+                outcomes[index] = errors_at(thread, first + index)
+            except Exception as exc:  # raised when this point's value is asked for
+                outcomes[index] = exc
+
+        _on_threads(len(outcomes), run, threads=threads)
+        for outcome in outcomes:
+            if isinstance(outcome, Exception):
+                raise outcome
+            yield outcome, bits.size
 
 
 def _chunk_buffers(frames: int, params: OfdmParams) -> tuple[np.ndarray, ...]:
@@ -398,19 +529,19 @@ def _baseband_chunk(
 
 
 def _clip_filter_chunk(
-    baseband: np.ndarray, amplitude: float, params: OfdmParams, hpf: fir_design.FirFilter,
-    scratch: np.ndarray,
+    baseband: np.ndarray, amplitude: float, fold: tuple[np.ndarray, ...], scratch: np.ndarray,
 ) -> np.ndarray:
     """Clip a chunk's baseband into ``scratch`` and write the composed
-    filter's output back over the baseband; returns it. So the clip reads
-    the block and writes the scratch, never its own input."""
+    filter's output, given the cell's ``_composed_fold``, back over the
+    baseband; returns it. So the clip reads the block and writes the
+    scratch, never its own input."""
     clipped = _clip_magnitude_rows(baseband, amplitude, out=_rows(scratch, complex, *baseband.shape))
-    return _composed_rows(clipped, params, hpf, out=baseband)
+    return _composed_rows(clipped, fold, out=baseband)
 
 
 def _papr_chunk(
     bits: np.ndarray, scheme: ModScheme, params: OfdmParams, amplitude: float,
-    hpf: fir_design.FirFilter, buffers: tuple[np.ndarray, ...],
+    fold: tuple[np.ndarray, ...], buffers: tuple[np.ndarray, ...],
     unclipped_papr: np.ndarray, processed_papr: np.ndarray,
 ) -> None:
     """One chunk of a PAPR cell, on one of the cell's threads: writes the
@@ -428,14 +559,14 @@ def _papr_chunk(
     # The unclipped symbol is in-band by construction, so its envelope is
     # the baseband signal itself.
     unclipped_papr[:] = _papr_db_rows(np.square(np.abs(baseband, out=power), out=power))
-    filtered = _clip_filter_chunk(baseband, amplitude, params, hpf, buffers[2])
+    filtered = _clip_filter_chunk(baseband, amplitude, fold, buffers[2])
     envelope = envelope_magnitude(filtered, params)
     processed_papr[:] = _papr_db_rows(np.square(envelope, out=envelope))
 
 
 def _ber_chunk(
     bits: np.ndarray, scheme: ModScheme, params: OfdmParams, amplitude: float | None,
-    hpf: fir_design.FirFilter | None, buffers: tuple[np.ndarray, ...],
+    fold: tuple[np.ndarray, ...] | None, buffers: tuple[np.ndarray, ...],
     received: np.ndarray, block_power: np.ndarray,
 ) -> None:
     """One chunk of a BER unit: transmits the frames ``bits`` holds
@@ -452,7 +583,7 @@ def _ber_chunk(
     width = params.n_oversampled + cp
     baseband = _baseband_chunk(bits, scheme, params, buffers)
     if amplitude is not None:
-        baseband = _clip_filter_chunk(baseband, amplitude, params, hpf, buffers[2])
+        baseband = _clip_filter_chunk(baseband, amplitude, fold, buffers[2])
     prefixed = add_cyclic_prefix(baseband, cp, out=_rows(buffers[2], complex, count, width))
     passband = _upconvert_rows(prefixed, params, out=_rows(buffers[1], float, count, width))
     squares = np.square(passband, out=_rows(buffers[2], float, count, width))
@@ -467,60 +598,31 @@ def _papr_cell(
     """Clipped-and-filtered and unclipped PAPR CCDFs of one cell, streamed
     in one pass over the bits ``rng`` draws (see the module docstring).
 
-    The chunks run on W threads, W the number of CPUs the process may use:
-    the calling thread and W - 1 helper threads started for the cell. Each
-    thread has its own buffers (``_chunk_buffers``) and loops: under one
-    lock it takes the next chunk and draws that chunk's bits, so the draws
-    follow chunk order whatever W is; then it runs the chunk
-    (``_papr_chunk``) into disjoint rows of the two PAPR vectors. A failing
-    chunk stops the other threads before their next chunk, and every helper
-    has finished when the cell returns or raises.
+    The chunks run on ``_on_threads``, one thread per full budget of the
+    cell's blocks (``_chunking``), each thread with its own buffers
+    (``_chunk_buffers``). A chunk's bits are drawn as the chunk is claimed,
+    so the draws follow chunk order whatever the thread count; the chunk
+    (``_papr_chunk``) then writes its rows of the two PAPR vectors.
     """
-    # Imported here, not with the module: it costs milliseconds.
-    from concurrent.futures import ThreadPoolExecutor
-
     params = spec.params
     n = spec.n_symbols
     bits_per_frame = params.n_subcarriers * scheme.bits_per_symbol
     amplitude = _clip_level(params, cr)
-    workers = _worker_count()
-    step = _chunk_frames(params.n_oversampled * workers)
-    starts = iter(range(0, n, step))
-    draw = threading.Lock()
-    stop = threading.Event()
+    fold = _composed_fold(params, hpf)
+    threads, step = _chunking(n, params.n_oversampled)
+    buffers = [_chunk_buffers(min(step, n), params) for _ in range(threads)]
     unclipped_papr = np.empty(n)
     processed_papr = np.empty(n)
 
-    def run_chunks(buffers):
-        try:
-            while True:
-                with draw:
-                    start = next(starts, None)
-                    if start is None or stop.is_set():
-                        return
-                    bits = _random_bits(rng, min(step, n - start), bits_per_frame)
-                rows = slice(start, start + bits.shape[0])
-                _papr_chunk(bits, scheme, params, amplitude, hpf, buffers,
-                            unclipped_papr[rows], processed_papr[rows])
-        except BaseException:
-            stop.set()
-            raise
+    def draw(index):
+        return _random_bits(rng, min(step, n - index * step), bits_per_frame)
 
-    buffers = [_chunk_buffers(step, params) for _ in range(min(workers, math.ceil(n / step)))]
-    with ThreadPoolExecutor(max(len(buffers) - 1, 1), thread_name_prefix="paprsim-papr") as pool:
-        tasks = [pool.submit(run_chunks, own) for own in buffers[1:]]
-        try:
-            run_chunks(buffers[0])
-        finally:
-            # Once the calling thread's loop ends, every chunk is taken or
-            # the cell has failed, so a helper that has not started has
-            # nothing left to do.
-            stop.set()
-            for task in tasks:
-                task.cancel()
-    for task in tasks:  # leaving the with block joined the helpers
-        if not task.cancelled():
-            task.result()
+    def run(thread, index, bits):
+        rows = slice(index * step, (index + 1) * step)
+        _papr_chunk(bits, scheme, params, amplitude, fold, buffers[thread],
+                    unclipped_papr[rows], processed_papr[rows])
+
+    _on_threads(math.ceil(n / step), run, claim=draw, threads=threads)
 
     clipped_curve = estimate_ccdf(processed_papr, CCDF_THRESHOLDS_DB)
     unclipped_curve = estimate_ccdf(unclipped_papr, CCDF_THRESHOLDS_DB)
@@ -603,9 +705,11 @@ def simulate_chain_ber(
 def run_ber_experiment(spec: ExperimentSpec, progress=None) -> BerExperimentResult:
     """BER sweep over every (scheme, cr, ebn0) cell of the spec.
 
-    ``progress`` is called once per cell, in cell order, before the cell's
-    work; a (scheme, cr) unit's shared transmit and noise-free receive run
-    as part of its first cell.
+    ``progress`` is called once per cell, in cell order, on the calling
+    thread, before the cell's result is asked for; a (scheme, cr) unit's
+    shared transmit and noise-free receive run as part of its first cell,
+    and a batch of Eb/N0 points on the unit's threads as part of the
+    batch's first cell (see ``_ber_cells``).
     """
     hpf = experiment_hpf(spec)
     results: dict[tuple[str, float, float], tuple[int, int]] = {}

@@ -83,11 +83,14 @@ def unit_peak_and_kept_bytes(min_bits):
         tracemalloc.stop()
 
 
-def test_ber_unit_memory_grows_only_by_what_it_keeps():
+def test_ber_unit_memory_grows_only_by_what_it_keeps(monkeypatch):
     # From 2*10^5 to 8*10^5 bits the unit keeps 0.6 MB more bits and 4.8 MB
     # more symbols. The slack covers the per-block mean squares (8 bytes a
     # frame, 19 kB here) and allocator noise. A whole-unit complex block
-    # would grow by 16 bytes per passband sample, 58 MB here.
+    # would grow by 16 bytes per passband sample, 58 MB here. One worker:
+    # on threads the peak depends on how the threads' chunk temporaries
+    # overlap in time (test_ber_workers.py bounds the threaded peak).
+    monkeypatch.setattr(harness, "_worker_count", lambda: 1)
     unit_peak_and_kept_bytes(20_000)  # caches filled once, outside the comparison
     small_peak, small_kept = unit_peak_and_kept_bytes(200_000)
     large_peak, large_kept = unit_peak_and_kept_bytes(800_000)
@@ -104,9 +107,10 @@ def test_unclipped_unit_slices_the_sent_symbols(monkeypatch, plan, scheme_name):
     # by 1. A blind estimate from the received power carries the
     # sampling error of the mean symbol energy: up to 0.5 % on 16-QAM in
     # three draws of 2*10^4 bits.
+    # The point demaps its symbols chunk by chunk, in row order.
     params, _ = ORACLE_PLANS[plan]
     scheme = ModScheme.from_name(scheme_name)
-    seen = {}
+    seen = {"symbols": []}
     draw, demap = harness._random_bits, harness._demap_rows
 
     def bits_spy(rng, n_frames, bits_per_frame):
@@ -114,14 +118,14 @@ def test_unclipped_unit_slices_the_sent_symbols(monkeypatch, plan, scheme_name):
         return seen["bits"]
 
     def demap_spy(symbols, scheme):
-        seen["symbols"] = symbols.copy()
+        seen["symbols"].append(symbols.copy())
         return demap(symbols, scheme)
 
     monkeypatch.setattr(harness, "_random_bits", bits_spy)
     monkeypatch.setattr(harness, "_demap_rows", demap_spy)
     assert simulate_chain_ber(params, scheme, min_bits=20_000, seed=33)[0] == 0
     want = map_bits(seen["bits"], scheme)
-    np.testing.assert_allclose(seen["symbols"], want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.concatenate(seen["symbols"]), want, rtol=0, atol=1e-12)
 
 
 def iq_moments(noise):

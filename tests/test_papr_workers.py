@@ -1,8 +1,9 @@
 """The PAPR cell on worker threads, and the stage functions' ``out=``.
 
-A cell runs its chunks on as many threads as the process has CPUs; the
-results must not depend on that number, a failing chunk must stop the cell
-cleanly, and a forked child must be able to run a cell.
+A cell runs its chunks on the harness's thread runner, one thread per full
+chunk budget up to the number of CPUs; the results must not depend on that
+number, a failing chunk must stop the cell cleanly, and a forked child must
+be able to run a cell.
 """
 import multiprocessing
 import sys
@@ -23,7 +24,7 @@ from paprsim import (
     oversample_extend,
     run_papr_experiment,
 )
-from paprsim import harness
+from paprsim import clip_filter, harness
 from paprsim.harness import (
     ExperimentSpec,
     _cell_rng,
@@ -43,7 +44,7 @@ PLANS = [("reference", "16qam", 0.8), ("nyquist_edge", "8psk", 1.2),
 
 
 def helper_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("paprsim-papr")]
+    return [t for t in threading.enumerate() if t.name.startswith("paprsim-runner")]
 
 
 def cell_vectors(monkeypatch, spec, scheme, cr, hpf, workers):
@@ -122,6 +123,28 @@ def test_a_failing_chunk_stops_the_cell_and_leaves_nothing_behind(monkeypatch):
     assert len(calls) < chunks  # the other thread stopped before its next chunk
     monkeypatch.undo()
     assert run_papr_experiment(spec).rows == before
+
+
+def test_the_fold_is_computed_once_per_cell_and_unit(monkeypatch):
+    # The band and image offsets and the edge-halved gains depend only on
+    # the plan and the filter, so the chunks share one fold: band_gains runs
+    # once for a PAPR cell of 24 chunks and once for a clipped BER unit.
+    spec = ExperimentSpec(schemes=(ModScheme.from_name("qpsk"),), cr_values=(1.2,),
+                          n_symbols=1500, ccdf_read_point=1e-2)
+    hpf = experiment_hpf(spec)
+    gains, calls = clip_filter.band_gains, []
+
+    def spy(params, hpf):
+        calls.append(1)
+        return gains(params, hpf)
+
+    monkeypatch.setattr(clip_filter, "band_gains", spy)
+    monkeypatch.setattr(harness, "_worker_count", lambda: 2)
+    _papr_cell(spec, spec.schemes[0], 1.2, _cell_rng(spec.seed, 0, 0), hpf)
+    assert len(calls) == 1
+    harness._noise_free_unit(spec.params, spec.schemes[0], 1.2, hpf, 200_000,
+                             np.random.default_rng(3))
+    assert len(calls) == 2
 
 
 def _forked_papr_rows(spec, queue):
