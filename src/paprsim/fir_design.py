@@ -20,6 +20,17 @@ or at round-off, else ``DesignError``. A target whose first pass levels
 |delta| far below round-off has no such iterate: the exchange goes on to
 chase round-off extrema, and no pass is an equiripple design.
 
+The taps come from the best iterate's R + 1 reference frequencies, where
+its levelled values lie exactly on the cosine polynomial: a least-squares
+solve of that (R + 1) x R system by a short Householder QR in numpy. It
+runs no LAPACK routine, because LAPACK's least squares leaves threaded BLAS
+workers spinning for about 0.13 s of CPU after it returns, time taken from
+the simulation threads that follow a design. Sampling the interpolant on a
+uniform grid and taking one real FFT (the frequency-sampling step of
+McClellan, Parks & Rabiner) was rejected: inside wide transition gaps the
+interpolant amplifies round-off, and that route refused designs the
+reference-set solve accepts and accepted NaN designs.
+
 Frequencies are normalized to the sample rate, so the usable axis is
 [0, 0.5].
 """
@@ -150,6 +161,31 @@ def _select_extrema(err: np.ndarray, candidates: np.ndarray, target: int) -> np.
     return np.array(kept, dtype=int)
 
 
+def _reference_coefficients(cos_matrix, ref, levelled) -> np.ndarray:
+    """Cosine coefficients through ``levelled`` at the grid rows ``ref``.
+
+    Solves the (R + 1) x R least-squares system ``cos_matrix[ref] @ c =
+    levelled``, of full column rank for distinct reference frequencies, by
+    Householder QR. Each reflection is applied with one vector-matrix
+    product and one outer product, and the triangular solve is a loop of
+    dot products, so no LAPACK routine runs.
+    """
+    a = cos_matrix[ref]
+    b = np.array(levelled, dtype=float)
+    n = a.shape[1]
+    for k in range(n):
+        v = a[k:, k].copy()
+        norm = np.sqrt(v @ v)
+        v[0] += norm if v[0] >= 0.0 else -norm
+        v /= np.sqrt(v @ v)
+        a[k:, k:] -= np.outer(2.0 * v, v @ a[k:, k:])
+        b[k:] -= (2.0 * (v @ b[k:])) * v
+    coeffs = np.zeros(n)
+    for k in range(n - 1, -1, -1):
+        coeffs[k] = (b[k] - a[k, k + 1 : n] @ coeffs[k + 1 :]) / a[k, k]
+    return coeffs
+
+
 def design_equiripple(spec: FirDesignSpec) -> FirFilter:
     """Design a type-I equiripple filter for ``spec`` via Remez exchange."""
     n_coeffs = (spec.num_taps + 1) // 2
@@ -170,6 +206,7 @@ def design_equiripple(spec: FirDesignSpec) -> FirFilter:
     history: list[float] = []
     delta_history: list[float] = []
     delta = np.inf
+    best_error, best_pass = np.inf, 0
     converged = False
     for _ in range(MAX_ITERATIONS):
         x_ref = x_grid[ref]
@@ -189,8 +226,9 @@ def design_equiripple(spec: FirDesignSpec) -> FirFilter:
 
         err = weights * (desired - amplitude)
         history.append(float(np.max(np.abs(err))))
-        if history[-1] <= min(history):
-            best_pass, best_amplitude = len(history), amplitude
+        if history[-1] <= best_error:
+            best_error, best_pass = history[-1], len(history)
+            best_ref, best_levelled = ref, levelled
 
         if history[-1] <= 1e-12 * flat_scale:
             converged = True  # target is exactly representable (e.g. all-pass)
@@ -217,10 +255,18 @@ def design_equiripple(spec: FirDesignSpec) -> FirFilter:
             f"last delta {abs(delta):.6e}"
         )
 
-    # Recover cosine coefficients from the best iterate's amplitude samples.
-    # The amplitude is exactly representable, so least squares is just a
-    # stable change of basis.
-    coeffs, *_ = np.linalg.lstsq(cos_matrix, best_amplitude, rcond=None)
+    if not best_pass:
+        raise DesignError(
+            f"Remez exchange found no pass with a finite error in {len(history)} passes"
+        )
+
+    # Recover the cosine coefficients at the best iterate's reference set:
+    # its levelled values lie on the one cosine polynomial of R terms, so
+    # the (R + 1) x R system is consistent and its least-squares solution
+    # is that polynomial. The QR uses vector products only, as does the
+    # exchange loop; a LAPACK solve here would leave threaded BLAS workers
+    # spinning after the design (see the module docstring).
+    coeffs = _reference_coefficients(cos_matrix, best_ref, best_levelled)
     taps = np.zeros(spec.num_taps)
     mid = (spec.num_taps - 1) // 2
     taps[mid] = coeffs[0]
@@ -231,7 +277,9 @@ def design_equiripple(spec: FirDesignSpec) -> FirFilter:
     achieved = weights * (desired - cos_matrix @ coeffs)
     ripple = float(np.max(np.abs(achieved)))
     level = delta_history[best_pass - 1]
-    if ripple > (1.0 + MINIMAX_RTOL) * level and ripple > 1e-12 * flat_scale:
+    if not np.isfinite(ripple) or (
+        ripple > (1.0 + MINIMAX_RTOL) * level and ripple > 1e-12 * flat_scale
+    ):
         raise DesignError(
             f"Remez exchange stopped short of the minimax: max error {ripple:.6e} "
             f"exceeds |delta| {level:.6e} by more than {MINIMAX_RTOL:g} relative"

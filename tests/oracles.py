@@ -1,7 +1,9 @@
 """Independent reference computations used to check the library.
 
 Everything here deliberately avoids the library's own code paths: the
-minimax ripple comes from a linear program, transforms from dense matrix
+minimax ripple comes from a linear program, a FIR design's taps from
+LAPACK's least squares over the whole design grid (the library solves a
+QR at the exchange's reference set), transforms from dense matrix
 products, demapping from an exhaustive search, CCDFs from direct counting,
 the BER of a constellation under Gaussian (I, Q) errors from a Monte Carlo
 draw sliced by exhaustive search, the composed filter and the PAPR envelope
@@ -117,6 +119,28 @@ def alternation_count(fir, total_points: int = 4096, tol: float = 0.01) -> int:
             count += 1
             last_sign = sign
     return count
+
+
+def lstsq_coefficients(cos_matrix, ref, levelled) -> np.ndarray:
+    """The Remez exchange's former tap recovery, a drop-in for
+    ``fir_design._reference_coefficients``.
+
+    The iterate's barycentric interpolant through ``levelled`` at the
+    reference rows ``ref`` is sampled over the whole design grid (column 1
+    of ``cos_matrix`` is cos(2 pi f)), and LAPACK's least squares fits the
+    cosine coefficients to those samples.
+    """
+    x_grid = cos_matrix[:, 1]
+    x_ref = x_grid[ref]
+    diffs = x_ref[:, None] - x_ref[None, :]
+    np.fill_diagonal(diffs, 1.0)
+    gamma = 1.0 / np.prod(diffs, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kernel = gamma[None, :] / (x_grid[:, None] - x_ref[None, :])
+        amplitude = (kernel @ levelled) / kernel.sum(axis=1)
+    amplitude[ref] = levelled
+    coeffs, *_ = np.linalg.lstsq(cos_matrix, amplitude, rcond=None)
+    return coeffs
 
 
 def inserted_zero_bins(n_subcarriers: int, oversample: int) -> np.ndarray:

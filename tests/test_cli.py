@@ -133,6 +133,17 @@ def test_negative_seed_exits_one(tmp_path, capsys, how):
     assert not out_dir.exists()
 
 
+def test_a_failed_high_pass_design_exits_two(tmp_path, capsys):
+    # The exchange's first pass has a NaN error on this band plan; the
+    # design raised UnboundLocalError, a traceback with exit 1.
+    cfg = write_cfg(tmp_path, FAST_BODY + "hpf_stop_edge = 0.01\nhpf_pass_edge = 0.45\n")
+    args = [str(cfg), "--experiment", "papr", "--output-dir", str(tmp_path / "out")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Remez exchange" in err
+    assert "Traceback" not in err
+
+
 def test_invalid_config_writes_nothing(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "cr_values = -1\n")
     out_dir = tmp_path / "out"

@@ -13,7 +13,14 @@ from paprsim import (
     design_equiripple,
 )
 
-from oracles import alternation_count, chebyshev_lp_ripple, frequency_response, weighted_error
+from paprsim import fir_design
+from oracles import (
+    alternation_count,
+    chebyshev_lp_ripple,
+    frequency_response,
+    lstsq_coefficients,
+    weighted_error,
+)
 
 LOWPASS = FirDesignSpec(31, ((0.0, 0.20), (0.26, 0.5)), (1.0, 0.0), (1.0, 1.0))
 IMAGE_LPF = FirDesignSpec(31, ((0.0, 0.0625), (0.25, 0.5)), (1.0, 0.0), (1.0, 1.0))
@@ -167,10 +174,11 @@ SMALL_PLANS = (
 FIRST_PASS_LOWPASS = (2, 13, 14, 18, 25, 30, 32, 39)
 # SHA-256 over the little-endian taps of every other design: the reference
 # high-pass and low-pass, then each plan's high-pass and, except on the
-# plans above, its low-pass. The value is that of the exchange before it
-# kept its best iterate and checked for the minimax, on numpy 2.4 with
-# OpenBLAS; another BLAS may round the final least-squares step differently.
-OTHER_DESIGNS_SHA256 = "9ac351b8dd006448d676331025f395c63da60e2d43d8d40fb6a3368950e9c997"
+# plans above, its low-pass. The value is that of the exchange whose taps
+# are solved at the best iterate's reference set by the numpy-only
+# Householder QR; the exchange loop's matrix-vector products, on numpy 2.4
+# with OpenBLAS, are the only BLAS calls that can round differently.
+OTHER_DESIGNS_SHA256 = "0e1227b2ede45ead64f73d0f224b428d4a4382575276c7a13c1c5143ac434c76"
 
 
 def small_plan_params(plan):
@@ -189,17 +197,33 @@ def image_lowpass_spec(params):
     )
 
 
-def test_keeping_the_best_iterate_leaves_every_other_design_unchanged():
-    specs = [default_hpf_spec(OfdmParams()), image_lowpass_spec(OfdmParams())]
-    for index, plan in enumerate(SMALL_PLANS):
-        params = small_plan_params(plan)
-        specs.append(default_hpf_spec(params, plan[3]))
-        if index not in FIRST_PASS_LOWPASS:
-            specs.append(image_lowpass_spec(params))
+# 130 designs: the reference high-pass and low-pass, then each plan's
+# high-pass and low-pass. The even entries are the pipeline's high-passes.
+PLAN_SPECS = [default_hpf_spec(OfdmParams()), image_lowpass_spec(OfdmParams())]
+for _plan in SMALL_PLANS:
+    PLAN_SPECS += [default_hpf_spec(small_plan_params(_plan), _plan[3]),
+                   image_lowpass_spec(small_plan_params(_plan))]
+PIPELINE_HPFS = PLAN_SPECS[::2]
+
+
+def _design_or_error(spec):
+    try:
+        return design_equiripple(spec)
+    except DesignError as exc:
+        return exc
+
+
+@pytest.fixture(scope="module")
+def plan_designs():
+    return [_design_or_error(spec) for spec in PLAN_SPECS]
+
+
+def test_keeping_the_best_iterate_leaves_every_other_design_unchanged(plan_designs):
+    firs = [fir for fir in plan_designs if not isinstance(fir, DesignError)]
     digest = hashlib.sha256()
-    for spec in specs:
-        digest.update(design_equiripple(spec).taps.astype("<f8").tobytes())
-    assert len(specs) == 122
+    for fir in firs:
+        digest.update(fir.taps.astype("<f8").tobytes())
+    assert len(firs) == 122
     assert digest.hexdigest() == OTHER_DESIGNS_SHA256
 
 
@@ -207,3 +231,62 @@ def test_keeping_the_best_iterate_leaves_every_other_design_unchanged():
 def test_exchange_refuses_an_iterate_short_of_the_minimax(index):
     with pytest.raises(DesignError, match="short of the minimax"):
         design_equiripple(image_lowpass_spec(small_plan_params(SMALL_PLANS[index])))
+
+
+def test_reference_set_taps_match_the_lstsq_oracle(monkeypatch, plan_designs):
+    # The QR at the reference set and the former least squares over the
+    # whole grid fit the same cosine polynomial: equal taps to round-off on
+    # the pipeline's high-passes, and the same designs refused, which are
+    # the 8 first-pass low-passes.
+    monkeypatch.setattr(fir_design, "_reference_coefficients", lstsq_coefficients)
+    oracle = [_design_or_error(spec) for spec in PLAN_SPECS]
+    refused = [i for i, fir in enumerate(plan_designs) if isinstance(fir, DesignError)]
+    assert refused == [i for i, fir in enumerate(oracle) if isinstance(fir, DesignError)]
+    assert refused == [3 + 2 * index for index in FIRST_PASS_LOWPASS]
+    for spec, fir, want in zip(PLAN_SPECS, plan_designs, oracle):
+        if spec in PIPELINE_HPFS:
+            scale = np.max(np.abs(want.taps))
+            assert np.max(np.abs(fir.taps - want.taps)) <= 1e-12 * scale
+
+
+def test_designs_call_no_lapack(monkeypatch):
+    # LAPACK's least squares left threaded BLAS workers spinning for about
+    # 0.13 s of CPU after each design.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Remez design called LAPACK")
+
+    for name in ("lstsq", "qr", "svd", "solve", "pinv"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for spec in PIPELINE_HPFS:
+        assert design_equiripple(spec).ripple > 0.0
+
+
+def test_a_non_finite_recovery_is_refused(monkeypatch):
+    # A NaN ripple fails every comparison, so it must be refused explicitly.
+    def nan_coefficients(cos_matrix, ref, levelled):
+        return np.full(cos_matrix.shape[1], np.nan)
+
+    monkeypatch.setattr(fir_design, "_reference_coefficients", nan_coefficients)
+    with pytest.raises(DesignError, match="short of the minimax"):
+        design_equiripple(DEFAULT_HPF)
+
+
+@pytest.mark.parametrize("taps, stop_edge, pass_edge",
+                         [(81, 0.01, 0.45), (161, 0.1, 0.3), (201, 0.1, 0.3)])
+def test_a_first_pass_with_a_nan_error_is_a_design_error(taps, stop_edge, pass_edge):
+    # The first pass's barycentric weights reach 1e43 to 1e70 on these band
+    # plans, and at some grid points both sums cancel to 0, so its error is
+    # NaN. No later pass counted as the best, and the design raised
+    # UnboundLocalError.
+    spec = default_hpf_spec(OfdmParams(), taps, stop_edge, pass_edge)
+    with pytest.raises(DesignError):
+        design_equiripple(spec)
+
+
+def test_a_design_with_no_finite_pass_is_a_design_error(monkeypatch):
+    def nan_weights(x):
+        return np.full(x.size, np.nan)
+
+    monkeypatch.setattr(fir_design, "_barycentric_weights", nan_weights)
+    with pytest.raises(DesignError, match="no pass with a finite error"):
+        design_equiripple(DEFAULT_HPF)
