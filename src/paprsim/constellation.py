@@ -178,10 +178,21 @@ def map_bits(bits, scheme: ModScheme, *, out=None) -> np.ndarray:
         raise ShapeError(
             f"bit count {bits.shape[-1]} is not divisible by log2(M) = {k} for {scheme.name}"
         )
-    if bits.size and not ((bits == 0) | (bits == 1)).all():
+    kind = bits.dtype.kind
+    if kind == "u":  # one pass: no unsigned bit is below 0
+        valid = bits.size == 0 or bits.max() <= 1
+    else:  # bool bits are 0 or 1 by type
+        valid = kind == "b" or ((bits == 0) | (bits == 1)).all()
+    if not valid:
         raise ShapeError("bits must contain only 0 and 1")
-    groups = bits.reshape(bits.shape[:-1] + (-1, k)).astype(np.int64)
-    ints = groups @ (1 << np.arange(k - 1, -1, -1))
+    if kind not in "biu":
+        bits = bits.astype(np.intp)
+    groups = bits.reshape(bits.shape[:-1] + (bits.shape[-1] // k, k))
+    # Each label read as a big-endian integer, one bit column at a time.
+    ints = groups[..., 0].astype(np.intp)
+    for column in range(1, k):
+        ints <<= 1
+        ints |= groups[..., column]
     # Every label is in range, so "clip" never clips; it lets np.take write
     # into ``out`` directly instead of through a copy.
     out = _out_array(out, ints.shape, complex)
@@ -207,7 +218,9 @@ def demap_symbols(symbols, scheme: ModScheme) -> np.ndarray:
         idx = _psk_indices(flat, scheme.order)
     else:
         idx = _qam_indices(flat, scheme.order)
-    return np.take(table.labels, idx, axis=0).reshape(symbols.shape[:-1] + (-1,))
+    n = symbols.shape[-1] if symbols.ndim else 1
+    labels = np.take(table.labels, idx, axis=0)
+    return labels.reshape(symbols.shape[:-1] + (n * table.bits_per_symbol,))
 
 
 def _psk_indices(symbols: np.ndarray, order: int) -> np.ndarray:

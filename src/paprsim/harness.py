@@ -13,24 +13,27 @@ samples of the same mean power. So the clip level cr * sigma is known before
 any bit is drawn. The unclipped chain's gain at every data bin is exactly 1.
 
 PAPR cell: one pass over the cell's bits, drawn in chunks of frames. Per
-chunk: extend, modulate, read the unclipped PAPR, clip the envelope
-magnitude at cr * sigma (phase preserved, applied at baseband just before
-carrier modulation), apply the composed filter, which returns the complex
-envelope of the filtered passband symbol, so no passband samples are
-formed, and read the processed PAPR. Only the two PAPR vectors grow with
-n_symbols. PAPR always refers to the complex envelope |x[m]|^2 of the
-oversampled symbol, never to the instantaneous real passband waveform, whose
-peaks carry an extra carrier-phase artifact of about 2.5 dB.
+chunk: extend, modulate, take |x| once, read the unclipped PAPR from it,
+turn it into the clip's real factor A / max(|x|, A), A = cr * sigma (the
+magnitude clip with phase preserved, applied at baseband just before
+carrier modulation), apply the composed filter to the clipped real
+passband 2 Re(x c) * factor, which takes one real FFT and one inverse FFT
+and returns the complex envelope of the filtered passband symbol, and read
+the processed PAPR. So a chunk makes two complex transforms and one real
+one. Only the two PAPR vectors grow with n_symbols. PAPR always refers to
+the complex envelope |x[m]|^2 of the oversampled symbol, never to the
+instantaneous real passband waveform, whose peaks carry an extra
+carrier-phase artifact of about 2.5 dB.
 
 Both experiments run the same transmit chunk: one chunk of frames is
 mapped, extended, modulated and, when the cell clips, clipped and filtered,
 each stage writing into block buffers allocated once per cell
-(``_chunk_buffers``), so only the envelope, the carrier product inside
-``upconvert`` and the receiver's transform allocate arrays of a chunk's
-size. The composed filter's fold (``_composed_fold``) is computed once per
-cell or unit too. A chunk takes as many frames as fit ``_CHUNK_SAMPLES``
-samples of its block length, so a chunk's complex block fits 2 MB, the
-size of an L2 cache.
+(``_chunk_buffers``), so only the filter's real FFT, the envelope, the
+carrier product inside ``upconvert`` and the receiver's transform allocate
+arrays of a chunk's size. The composed filter's fold (``_composed_fold``)
+is computed once per cell or unit too. A chunk takes as many frames as fit
+``_CHUNK_SAMPLES`` samples of its block length, so a chunk's complex block
+fits 2 MB, the size of an L2 cache.
 
 One runner, ``_on_threads``, runs the PAPR cell's chunks, the BER unit's
 transmit chunks and its Eb/N0 points: on the calling thread and helpers
@@ -47,7 +50,9 @@ depend on neither W nor the chunk length.
 
 BER cells come in units, one per (scheme, cr), that share one transmission.
 A unit draws its bits once and loops over chunks of them. Each chunk is
-transmitted, clipped at cr * sigma and filtered as in a PAPR cell, then
+transmitted, clipped at cr * sigma by the same real factor and filtered as
+in a PAPR cell, except that the factor is applied to the block before the
+filter, which gives ``composed_filter(clip_baseband(x))`` bit for bit, then
 given its cyclic prefix and upconverted. The chunk keeps the mean square
 of each passband block, prefix included, and receives the blocks without
 noise: strip the prefix and demodulate, one real FFT per block read at the
@@ -73,13 +78,14 @@ import math
 import os
 import threading
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from . import fir_design
 from .channel import add_awgn, noise_sigma
-from .clip_filter import _composed_fold, _filter_folded, clip_baseband, default_hpf_spec
+from .clip_filter import _clip_factor, _composed_fold, _filter_folded, default_hpf_spec
 from .constellation import SCHEME_NAMES, ModScheme, demap_symbols, map_bits
 from .errors import ConfigError, ExperimentError, ShapeError
 from .metrics import CcdfCurve, _papr_db_rows, ccdf_quantile, estimate_ccdf
@@ -98,14 +104,14 @@ from .ofdm_chain import (
 # The harness calls the layer functions through the stage names that
 # perfbench/interactions.json lists, because perfbench/spans.py times a stage
 # by wrapping that module-level name. Each name is bound to the public
-# function itself, or for the composed filter to the kernel the public
-# function runs once it has computed the fold, so every stage keeps one
-# implementation. The bindings go once the stage table names the public
+# function itself, or for the clip and the composed filter to the kernel
+# the public function runs (the clip's real factor; the filter given its
+# fold), so every stage keeps one implementation. The bindings go once the stage table names the public
 # functions (ROADMAP item 1).
 _map_rows = map_bits
 _extend_rows = oversample_extend
 _modulate_rows = ofdm_modulate
-_clip_magnitude_rows = clip_baseband
+_clip_magnitude_rows = _clip_factor
 _upconvert_rows = upconvert
 _composed_rows = _filter_folded
 _demodulate_rows = demodulate_passband
@@ -332,6 +338,14 @@ def _clip_level(params: OfdmParams, cr: float) -> float:
     return cr * math.sqrt((n + 1) / (n * params.oversample))
 
 
+@lru_cache(maxsize=None)
+def _self_image_bins(params: OfdmParams) -> tuple[int, ...]:
+    """The band bins of a plan that are their own conjugate image: a band
+    edge at DC or at Nyquist. Most plans have none."""
+    band = params.occupied_bins
+    return tuple(int(k) for k in band[(2 * band) % params.n_oversampled == 0])
+
+
 def envelope_magnitude(samples: np.ndarray, params: OfdmParams) -> np.ndarray:
     """|complex envelope| of in-band complex baseband blocks (..., N*L), such
     as ``composed_filter``'s output; PAPR of an OFDM symbol is defined on it.
@@ -348,8 +362,7 @@ def envelope_magnitude(samples: np.ndarray, params: OfdmParams) -> np.ndarray:
     if not np.iscomplexobj(samples):
         raise ShapeError("envelope_magnitude takes complex baseband blocks, not passband")
     total = params.n_oversampled
-    band = params.occupied_bins
-    for k in band[(2 * band) % total == 0]:
+    for k in _self_image_bins(params):
         tone = np.exp(2j * np.pi * (k - params.carrier_bin) * np.arange(total) / total)
         coefficient = (samples @ tone.conj())[..., None] / total
         samples = samples + (np.conj(coefficient) if k == 0 else -coefficient) * tone
@@ -528,45 +541,47 @@ def _baseband_chunk(
     return _modulate_rows(_extend_rows(symbols, params.oversample, out=block), params, out=block)
 
 
-def _clip_filter_chunk(
-    baseband: np.ndarray, amplitude: float, fold: tuple[np.ndarray, ...], scratch: np.ndarray,
-) -> np.ndarray:
-    """Clip a chunk's baseband into ``scratch`` and write the composed
-    filter's output, given the cell's ``_composed_fold``, back over the
-    baseband; returns it. So the clip reads the block and writes the
-    scratch, never its own input."""
-    clipped = _clip_magnitude_rows(baseband, amplitude, out=_rows(scratch, complex, *baseband.shape))
-    return _composed_rows(clipped, fold, out=baseband)
+def _float_rows(scratch: np.ndarray, count: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two disjoint (count, width) float views of a thread's scratch, one
+    after the other: a chunk's |x| and the clip's factor. They fit in the
+    scratch's bytes, which hold count * (N*L + prefix) complex values."""
+    return (_rows(scratch, float, count, width),
+            _rows(scratch[count * width // 2 :], float, count, width))
 
 
 def _papr_chunk(
     bits: np.ndarray, scheme: ModScheme, params: OfdmParams, amplitude: float,
-    fold: tuple[np.ndarray, ...], buffers: tuple[np.ndarray, ...],
+    fold: tuple, buffers: tuple[np.ndarray, ...],
     unclipped_papr: np.ndarray, processed_papr: np.ndarray,
 ) -> None:
     """One chunk of a PAPR cell, on one of the cell's threads: writes the
     unclipped and the clipped-and-filtered PAPR of the frames ``bits``
     holds into the two views.
 
-    Every stage up to the composed filter writes into the thread's
-    ``buffers``. Before the clip writes the scratch, its bytes serve as the
-    real |x|^2 array. The envelope stage is called as
+    |x| of the baseband is taken once, into the scratch (``_float_rows``).
+    Its squares, written into the scratch's second view, give the unclipped
+    PAPR; the clip stage then turns |x| into the real factor A / max(|x|,
+    A) in that same view, and the composed filter takes the factor in
+    place of a clipped block (``_filter_folded``), writing the filtered
+    envelope over the baseband. The envelope stage is called as
     ``envelope_magnitude(samples, params)``, the form perfbench's self-test
     substitutes, so it returns a new |y| array, which is squared in place.
     """
     baseband = _baseband_chunk(bits, scheme, params, buffers)
-    power = _rows(buffers[2], float, *baseband.shape)
+    magnitude, second = _float_rows(buffers[2], *baseband.shape)
+    np.abs(baseband, out=magnitude)
     # The unclipped symbol is in-band by construction, so its envelope is
     # the baseband signal itself.
-    unclipped_papr[:] = _papr_db_rows(np.square(np.abs(baseband, out=power), out=power))
-    filtered = _clip_filter_chunk(baseband, amplitude, fold, buffers[2])
+    unclipped_papr[:] = _papr_db_rows(np.square(magnitude, out=second))
+    factor = _clip_magnitude_rows(magnitude, amplitude, out=second)
+    filtered = _composed_rows(baseband, fold, factor=factor, out=baseband)
     envelope = envelope_magnitude(filtered, params)
     processed_papr[:] = _papr_db_rows(np.square(envelope, out=envelope))
 
 
 def _ber_chunk(
     bits: np.ndarray, scheme: ModScheme, params: OfdmParams, amplitude: float | None,
-    fold: tuple[np.ndarray, ...] | None, buffers: tuple[np.ndarray, ...],
+    fold: tuple | None, buffers: tuple[np.ndarray, ...],
     received: np.ndarray, block_power: np.ndarray,
 ) -> None:
     """One chunk of a BER unit: transmits the frames ``bits`` holds
@@ -574,8 +589,9 @@ def _ber_chunk(
     noise-free data symbols into ``received`` and the mean square of its
     passband samples, prefix included, into ``block_power``.
 
-    The baseband and the filtered block are in the block buffer, as in a
-    PAPR chunk. The prefixed block is written into the scratch, its
+    The baseband is clipped in place by the clip stage's real factor, as in
+    a PAPR chunk, which gives ``clip_baseband``'s samples bit for bit, and
+    filtered in place. The prefixed block is written into the scratch, its
     passband into the block's bytes as floats and the passband's squares
     into the scratch's bytes.
     """
@@ -583,7 +599,10 @@ def _ber_chunk(
     width = params.n_oversampled + cp
     baseband = _baseband_chunk(bits, scheme, params, buffers)
     if amplitude is not None:
-        baseband = _clip_filter_chunk(baseband, amplitude, fold, buffers[2])
+        magnitude, factor = _float_rows(buffers[2], *baseband.shape)
+        _clip_magnitude_rows(np.abs(baseband, out=magnitude), amplitude, out=factor)
+        clipped = np.multiply(baseband, factor, out=baseband)
+        baseband = _composed_rows(clipped, fold, out=baseband)
     prefixed = add_cyclic_prefix(baseband, cp, out=_rows(buffers[2], complex, count, width))
     passband = _upconvert_rows(prefixed, params, out=_rows(buffers[1], float, count, width))
     squares = np.square(passband, out=_rows(buffers[2], float, count, width))

@@ -31,11 +31,12 @@ def papr_db(samples) -> np.ndarray:
 
 def _papr_db_rows(power: np.ndarray) -> np.ndarray:
     """:func:`papr_db` from instantaneous power |x|^2 (..., n), for callers
-    that already hold it."""
-    peak = np.max(power, axis=-1)
-    if np.any(peak == 0):
+    that already hold it. The two reductions are the ones ``np.max`` and
+    ``np.mean`` run, without their Python-level dispatch."""
+    peak = np.maximum.reduce(power, axis=-1)
+    if not peak.all():
         raise MetricError("papr of an all-zero signal is undefined")
-    return 10.0 * np.log10(peak / np.mean(power, axis=-1))
+    return 10.0 * np.log10(peak / (np.add.reduce(power, axis=-1) / power.shape[-1]))
 
 
 def estimate_ccdf(papr_values, thresholds_db) -> CcdfCurve:
@@ -44,6 +45,8 @@ def estimate_ccdf(papr_values, thresholds_db) -> CcdfCurve:
     thresholds = np.asarray(thresholds_db, dtype=float).reshape(-1)
     if values.size == 0:
         raise ShapeError("cannot estimate a CCDF from zero samples")
+    if np.isnan(values).any():
+        raise MetricError("cannot estimate a CCDF from NaN values")
     if thresholds.size == 0 or np.any(np.diff(thresholds) <= 0):
         raise ShapeError("thresholds must be non-empty and strictly ascending")
     ordered = np.sort(values)

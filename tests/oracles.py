@@ -16,7 +16,10 @@ every passband sample, then ``demodulate_passband``), which the library
 replaces by noise drawn at the data bins, and the PAPR cell and the BER
 unit's transmission from their whole-batch forms, which the library
 streams chunk by chunk. The passband filter reads its per-bin gain from
-``band_gains``, the one definition of that gain.
+``band_gains``, the one definition of that gain. The former bit mapper
+(an integer matrix product over an int64 copy of the bits) and PAPR read
+(``np.max`` and ``np.mean`` of |x|^2) check the library's faster forms,
+which must give the same values bit for bit.
 
 It also keeps the literal pieces of the textbook chain that the pipeline
 does not run: the RMS of a signal (the pipeline's clip level is the closed
@@ -40,6 +43,7 @@ from paprsim import (
     band_gains,
     clip_baseband,
     composed_filter,
+    constellation_points,
     demodulate_passband,
     map_bits,
     noise_sigma,
@@ -352,3 +356,20 @@ def batch_papr_cell(spec, scheme, cr, rng, hpf):
         composed_filter(clip_baseband(baseband, amplitude), params, hpf), params
     )
     return papr_db(envelope), papr_db(baseband)
+
+
+def map_bits_by_matmul(bits, scheme) -> np.ndarray:
+    """The former ``map_bits`` on valid bits: each group of log2(M) bits
+    read as a big-endian label by an int64 copy and an integer matrix
+    product, then looked up in the table."""
+    bits = np.asarray(bits)
+    k = scheme.bits_per_symbol
+    groups = bits.reshape(bits.shape[:-1] + (-1, k)).astype(np.int64)
+    return constellation_points(scheme).point_for_label[groups @ (1 << np.arange(k - 1, -1, -1))]
+
+
+def papr_db_max_mean(samples) -> np.ndarray:
+    """PAPR in dB of each block along the last axis, from ``np.max`` and
+    ``np.mean`` of the instantaneous power |x|^2."""
+    power = np.abs(np.asarray(samples)) ** 2
+    return 10.0 * np.log10(np.max(power, axis=-1) / np.mean(power, axis=-1))

@@ -4,7 +4,7 @@ import pytest
 from paprsim import ConfigError, ModScheme, ShapeError, constellation_points, demap_symbols, map_bits
 from paprsim.constellation import SCHEME_NAMES
 
-from oracles import brute_nearest_labels
+from oracles import brute_nearest_labels, map_bits_by_matmul
 
 ALL_SCHEMES = [ModScheme.from_name(n) for n in SCHEME_NAMES]
 
@@ -117,13 +117,36 @@ def test_map_bad_values():
 @pytest.mark.parametrize(
     "bits",
     [np.array([[0, 1], [1, 2]], dtype=np.uint8), np.array([[0, 1], [-1, 0]]),
-     np.array([[0.0, 1.0], [0.5, 1.0]])],
-    ids=["uint8-2", "int-minus-1", "float-half"],
+     np.array([[0.0, 1.0], [0.5, 1.0]]), np.array([[0.0, 1.0], [np.nan, 1.0]])],
+    ids=["uint8-2", "int-minus-1", "float-half", "float-nan"],
 )
 def test_map_bad_values_in_a_batch(bits):
-    # Integer arrays are range-checked by min/max; other dtypes by membership.
+    # Unsigned arrays are checked by their maximum, other dtypes by
+    # membership; bool bits need no check.
     with pytest.raises(ShapeError):
         map_bits(bits, ModScheme("psk", 4))
+
+
+@pytest.mark.parametrize("dtype", [bool, np.uint8, int, float], ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.name)
+def test_map_equals_the_matmul_form_bit_for_bit(scheme, dtype):
+    # Labels packed by shifts on intp, against the int64 matrix product
+    # they replaced; every label of the table occurs.
+    rng = np.random.default_rng(scheme.order + 3)
+    bits = rng.integers(0, 2, (3, 64, 32 * scheme.bits_per_symbol)).astype(dtype)
+    got = map_bits(bits, scheme)
+    assert got.shape == (3, 64, 32)
+    assert np.array_equal(got, map_bits_by_matmul(bits, scheme))
+    assert np.unique(got).size == scheme.order
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.name)
+def test_map_and_demap_an_empty_batch(scheme):
+    n, k = 128, scheme.bits_per_symbol
+    symbols = map_bits(np.zeros((0, n * k), dtype=np.uint8), scheme)
+    assert symbols.shape == (0, n) and symbols.dtype == complex
+    bits = demap_symbols(np.zeros((0, n), dtype=complex), scheme)
+    assert bits.shape == (0, n * k) and bits.dtype == np.uint8
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.name)

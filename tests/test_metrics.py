@@ -103,6 +103,13 @@ def test_ccdf_validation():
         estimate_ccdf([1.0], [2.0, 1.0])
 
 
+def test_ccdf_refuses_nan_values_and_counts_inf():
+    # A NaN sorts above every threshold, so it would count as exceeding all.
+    with pytest.raises(MetricError, match="NaN"):
+        estimate_ccdf([1.0, np.nan], [0.0, 1.0])
+    assert np.array_equal(estimate_ccdf([1.0, np.inf], [0.0, 1.0]).prob_exceed, [1.0, 0.5])
+
+
 def test_quantile_exact_grid_point():
     curve = estimate_ccdf([1.0, 2.0, 3.0, 4.0], [0.5, 1.5, 2.5, 3.5])
     # prob_exceed = [1, .75, .5, .25]; p = 0.5 sits exactly on 2.5

@@ -10,6 +10,8 @@ import pytest
 from paprsim import (
     SCHEME_NAMES,
     ExperimentSpec,
+    clip_baseband,
+    composed_filter,
     ModScheme,
     OfdmParams,
     add_cyclic_prefix,
@@ -18,16 +20,19 @@ from paprsim import (
     run_papr_experiment,
 )
 from paprsim import harness
+from paprsim.clip_filter import _clip_factor, _composed_fold, _filter_folded
 from paprsim.harness import (
     _cell_rng,
+    _chunk_buffers,
     _chunk_frames,
     _clip_level,
     _papr_cell,
+    _papr_chunk,
     _random_bits,
     experiment_hpf,
 )
 
-from oracles import ORACLE_PLANS, baseband_frames, batch_papr_cell
+from oracles import ORACLE_PLANS, baseband_frames, batch_papr_cell, papr_db_max_mean
 
 # 1037 symbols leave a partial last chunk on every plan: 8 x 128 + 13 on the
 # reference plan, 5 x 204 + 17 on nyquist_edge, 7 x 146 + 15 on high_carrier.
@@ -61,6 +66,65 @@ def test_streamed_cell_equals_the_whole_batch_cell(monkeypatch, plan, scheme_nam
         oracle = harness.estimate_ccdf(want, harness.CCDF_THRESHOLDS_DB)
         assert np.array_equal(curve.prob_exceed, oracle.prob_exceed)
         assert curve.sample_count == N_SYMBOLS
+
+
+@pytest.mark.parametrize("plan", sorted(ORACLE_PLANS))
+def test_papr_chunk_runs_two_inverse_and_one_real_transform(monkeypatch, plan):
+    # One chunk: the modulator's IFFT, the filter's real FFT of the clipped
+    # passband and its IFFT to the envelope. The clip stage runs once, on
+    # |x| of the unclipped baseband, and writes only its factor; the
+    # unclipped PAPR is the np.max / np.mean form of |x|^2 bit for bit.
+    params, edges = ORACLE_PLANS[plan]
+    scheme = ModScheme.from_name("16qam")
+    spec = ExperimentSpec(params=params, n_symbols=1000, ccdf_read_point=1e-2,
+                          hpf_stop_edge=edges.get("stop_edge"), hpf_pass_edge=edges.get("pass_edge"))
+    hpf = experiment_hpf(spec)
+    amplitude = _clip_level(params, 1.2)
+    bits = _random_bits(np.random.default_rng(47), 6, params.n_subcarriers * 4)
+    baseband = baseband_frames(bits, scheme, params)
+    calls = {"fft": 0, "ifft": 0, "rfft": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    clips = []
+
+    def clip_stage(samples, amplitude, *, out=None):
+        kept = samples.copy()
+        factor = _clip_factor(samples, amplitude, out=out)
+        clips.append((kept, samples.copy(), factor.copy()))
+        return factor
+
+    monkeypatch.setattr(harness, "_clip_magnitude_rows", clip_stage)
+    unclipped, processed = np.empty(6), np.empty(6)
+    _papr_chunk(bits, scheme, params, amplitude, _composed_fold(params, hpf),
+                _chunk_buffers(6, params), unclipped, processed)
+    monkeypatch.undo()
+    assert calls == {"fft": 0, "ifft": 2, "rfft": 1}
+    ((before, after, factor),) = clips
+    assert np.array_equal(before, np.abs(baseband)) and np.array_equal(after, before)
+    assert np.array_equal(factor, amplitude / np.maximum(np.abs(baseband), amplitude))
+    assert np.array_equal(unclipped, papr_db_max_mean(baseband))
+    want = papr_db_max_mean(harness.envelope_magnitude(
+        composed_filter(clip_baseband(baseband, amplitude), params, hpf), params))
+    np.testing.assert_allclose(processed, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("plan", sorted(ORACLE_PLANS))
+def test_filter_with_the_clip_factor_equals_the_filter_of_the_clipped_block(plan):
+    params, edges = ORACLE_PLANS[plan]
+    spec = ExperimentSpec(params=params, hpf_stop_edge=edges.get("stop_edge"),
+                          hpf_pass_edge=edges.get("pass_edge"))
+    hpf = experiment_hpf(spec)
+    rng = np.random.default_rng(48)
+    bits = _random_bits(rng, 5, params.n_subcarriers * 3)
+    baseband = baseband_frames(bits, ModScheme.from_name("8psk"), params)
+    amplitude = _clip_level(params, 0.9)
+    want = composed_filter(clip_baseband(baseband, amplitude), params, hpf)
+    factor = _clip_factor(np.abs(baseband), amplitude)
+    got = _filter_folded(baseband.copy(), _composed_fold(params, hpf), factor=factor)
+    assert np.max(np.abs(got - want)) < 1e-14
 
 
 @pytest.mark.parametrize("bits_per_symbol", [2, 3, 4, 5])
