@@ -48,8 +48,8 @@ def noise_sigma(
     """
     if not np.isfinite(ebn0_db):
         raise ConfigError("ebn0_db must be finite")
-    if signal_power <= 0:
-        raise ConfigError("signal_power must be positive")
+    if not 0 < signal_power < np.inf:
+        raise ConfigError(f"signal_power must be positive and finite, got {signal_power!r}")
     occupied_fraction = 1.0 / params.oversample
     cp_overhead = params.n_subcarriers / (params.n_subcarriers + params.cp_len)
     ebn0 = 10.0 ** (ebn0_db / 10.0)
@@ -66,8 +66,8 @@ def add_awgn(samples, sigma_n: float, rng) -> np.ndarray:
     is, so identical seeds give identical bytes. ``sigma_n = 0`` returns the
     input unchanged and draws nothing.
     """
-    if sigma_n < 0:
-        raise ConfigError("sigma_n must be non-negative")
+    if not 0 <= sigma_n < np.inf:
+        raise ConfigError(f"sigma_n must be non-negative and finite, got {sigma_n!r}")
     if sigma_n == 0:
         return samples
     samples = np.asarray(samples)

@@ -92,11 +92,12 @@ def composed_filter(
     the baseband block x: the second term is the part of the negative
     frequencies that upconversion folds onto the band. So one real FFT of
     that passband, the ``band_gains`` at the N + 1 contiguous band bins
-    k_c - N/2 .. k_c + N/2, placed at offsets j from DC, and one inverse
-    FFT give a block y with ``upconvert(y)`` equal to the passband composed
-    filter of ``upconvert(samples)``. A band bin at DC or Nyquist is its
-    own image, which the real FFT sums into it; the real passband holds it
-    once, so it gets half weight.
+    k_c - N/2 .. k_c + N/2 (``_filter_forward``), placed at offsets j from
+    DC, and one inverse FFT (``_filter_inverse``) give a block y with
+    ``upconvert(y)`` equal to the passband composed filter of
+    ``upconvert(samples)``. A band bin at DC or Nyquist is its own image,
+    which the real FFT sums into it; the real passband holds it once, so it
+    gets half weight.
 
     ``out``, an array of the samples' shape and dtype, receives the result
     in place of a new array; it may be ``samples`` itself.
@@ -108,46 +109,55 @@ def composed_filter(
             "composed_filter takes the clipped complex baseband block, not "
             "upconvert(...) of it"
         )
-    return _filter_folded(samples, _composed_fold(params, hpf), out=out)
+    out = _out_array(out, samples.shape, samples.dtype)
+    return _filter_inverse(_filter_forward(samples, _composed_fold(params, hpf), out=out), out)
 
 
 def _composed_fold(params: OfdmParams, hpf: fir_design.FirFilter) -> tuple:
     """The composed filter's fold for one plan and high-pass: the first band
-    bin k_c - N/2, the ``band_gains`` of the band bins below the carrier and
-    of those from it up, each halved at a band bin that is its own image,
-    and the carrier 2 c. It depends on neither the samples nor their count,
-    so a cell computes it once and hands it to every chunk."""
-    total, half = params.n_oversampled, params.n_subcarriers // 2
+    bin k_c - N/2, the ``band_gains`` of the N + 1 band bins, each halved
+    at a band bin that is its own image, and the carrier 2 c. It depends on
+    neither the samples nor their count, so a cell computes it once and
+    hands it to every chunk."""
+    total = params.n_oversampled
     band = params.occupied_bins
     gains = band_gains(params, hpf)[band]
     gains[(2 * band) % total == 0] /= 2
-    return int(band[0]), gains[:half], gains[half:], 2.0 * _carrier(total, params)
+    return int(band[0]), gains, 2.0 * _carrier(total, params)
 
 
-def _filter_folded(samples: np.ndarray, fold: tuple, *, factor=None, out=None) -> np.ndarray:
-    """``composed_filter`` of checked complex blocks x, given their
-    ``_composed_fold``, times the real ``factor`` (the clip's, see
-    ``_clip_factor``) when one is given: the filter then runs on the
-    passband 2 Re(x c) * factor, which is 2 Re(x * factor * c).
+def _filter_forward(samples: np.ndarray, fold: tuple, *, factor=None, out=None) -> np.ndarray:
+    """The forward half of ``composed_filter`` of checked complex blocks x,
+    given their ``_composed_fold``: the real FFT of the passband 2 Re(x c),
+    times the real ``factor`` (the clip's, see ``_clip_factor``) when one
+    is given, read at the N + 1 band bins k_c - N/2 .. k_c + N/2 and
+    multiplied by their gains. Returns those (..., N + 1) band bins Y[j],
+    j = -N/2 .. N/2, a view of the real FFT's output.
 
     x c is formed in ``out`` (a new array when None; it may be ``samples``
     itself), and the passband in ``factor``, which is overwritten. Besides a
     new ``out``, the real FFT's output is the only array the call allocates.
-    The band bins are placed back into ``out``, only the bins between the
-    band's two halves are zeroed, and the inverse transform runs in place.
     """
-    first, low_gains, high_gains, carrier = fold
-    half, total = low_gains.size, samples.shape[-1]
+    first, gains, carrier = fold
     product = np.multiply(samples, carrier, out=_out_array(out, samples.shape, samples.dtype))
     passband = product.real
     if factor is not None:
         passband = np.multiply(passband, factor, out=factor)
-    spectrum = np.fft.rfft(passband, axis=-1)
-    np.multiply(spectrum[..., first + half : first + 2 * half + 1], high_gains,
-                out=product[..., : half + 1])
-    np.multiply(spectrum[..., first : first + half], low_gains, out=product[..., total - half :])
-    product[..., half + 1 : total - half] = 0
-    return np.fft.ifft(product, axis=-1, out=product)
+    band = np.fft.rfft(passband, axis=-1)[..., first : first + gains.size]
+    return np.multiply(band, gains, out=band)
+
+
+def _filter_inverse(band: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The inverse half of ``composed_filter``: band bins Y[j], j = -N/2 ..
+    N/2 (``_filter_forward``), placed at offsets j from DC of the complex
+    blocks ``out`` (..., N*L), which are zero elsewhere, and inverse
+    transformed in place to the complex envelope. Only the bins between the
+    band's two halves are zeroed; every other bin of ``out`` is written."""
+    half, total = band.shape[-1] // 2, out.shape[-1]
+    out[..., : half + 1] = band[..., half:]
+    out[..., total - half :] = band[..., :half]
+    out[..., half + 1 : total - half] = 0
+    return np.fft.ifft(out, axis=-1, out=out)
 
 
 def default_hpf_spec(

@@ -25,15 +25,14 @@ the complex envelope |x[m]|^2 of the oversampled symbol, never to the
 instantaneous real passband waveform, whose peaks carry an extra
 carrier-phase artifact of about 2.5 dB.
 
-Both experiments run the same transmit chunk: one chunk of frames is
-mapped, extended, modulated and, when the cell clips, clipped and filtered,
-each stage writing into block buffers allocated once per cell
-(``_chunk_buffers``), so only the filter's real FFT, the envelope, the
-carrier product inside ``upconvert`` and the receiver's transform allocate
-arrays of a chunk's size. The composed filter's fold (``_composed_fold``)
-is computed once per cell or unit too. A chunk takes as many frames as fit
-``_CHUNK_SAMPLES`` samples of its block length, so a chunk's complex block
-fits 2 MB, the size of an L2 cache.
+Both experiments transmit a chunk of frames the same way: map, extend,
+modulate and, when the cell clips, clip and run the composed filter's
+forward half, each stage writing into block buffers allocated once per
+cell (``_chunk_buffers``), so only the filter's real FFT and the envelope
+allocate arrays of a chunk's size. The composed filter's fold
+(``_composed_fold``) is computed once per cell or unit too. A chunk takes
+as many frames as fit ``_CHUNK_SAMPLES`` samples of its block length, so a
+chunk's complex block fits 2 MB, the size of an L2 cache.
 
 One runner, ``_on_threads``, runs the PAPR cell's chunks, the BER unit's
 transmit chunks and its Eb/N0 points: on the calling thread and helpers
@@ -49,18 +48,21 @@ own (transforms, clipping, PAPR and the slicer act per row), so results
 depend on neither W nor the chunk length.
 
 BER cells come in units, one per (scheme, cr), that share one transmission.
-A unit draws its bits once and loops over chunks of them. Each chunk is
-transmitted, clipped at cr * sigma by the same real factor and filtered as
-in a PAPR cell, except that the factor is applied to the block before the
-filter, which gives ``composed_filter(clip_baseband(x))`` bit for bit, then
-given its cyclic prefix and upconverted. The chunk keeps the mean square
-of each passband block, prefix included, and receives the blocks without
-noise: strip the prefix and demodulate, one real FFT per block read at the
-data bins (``demodulate_passband``). Only the bits, the N data symbols of
-each block and its mean square grow with the unit; the transmit power is
-the mean of the per-block mean squares. For an on-bin
-carrier, mix-down and the FFT demodulator are diagonal in the DFT, so the
-receiver is linear and reads only the N data bins. White real passband
+A unit draws its bits once and loops over chunks of them (``_ber_chunk``).
+Each chunk's transmit ends at the band bins of each block's complex
+envelope: clipped at cr * sigma, the composed filter's forward half, as in
+a PAPR cell; unclipped, the extended frame. For an on-bin carrier,
+upconversion, mix-down and the FFT demodulator are diagonal in the DFT, so
+the literal chain (cyclic prefix, ``upconvert``, ``demodulate_passband``),
+the test oracle, reduces to two reads of those bins: the noise-free data
+symbols, and one inverse real FFT to the passband symbol, whose squares,
+and those of its last cp*L samples, which the prefix repeats, give the
+mean square of each prefixed passband block. So a clipped chunk makes one
+inverse FFT, one real FFT and one inverse real FFT, and an unclipped chunk
+one inverse real FFT. Only the bits, the N data symbols of each block and
+its mean square grow with the unit; the transmit power is the mean of the
+per-block mean squares. The receiver is linear and reads only the N data
+bins. White real passband
 noise of variance sigma_n^2 therefore reaches each data bin as circular
 complex Gaussian noise of variance 2 sigma_n^2, independent across bins
 (prefix noise is discarded). Each Eb/N0 point calibrates sigma_n
@@ -85,7 +87,13 @@ import numpy as np
 
 from . import fir_design
 from .channel import add_awgn, noise_sigma
-from .clip_filter import _clip_factor, _composed_fold, _filter_folded, default_hpf_spec
+from .clip_filter import (
+    _clip_factor,
+    _composed_fold,
+    _filter_forward,
+    _filter_inverse,
+    default_hpf_spec,
+)
 from .constellation import SCHEME_NAMES, ModScheme, demap_symbols, map_bits
 from .errors import ConfigError, ExperimentError, ShapeError
 from .metrics import CcdfCurve, _papr_db_rows, ccdf_quantile, estimate_ccdf
@@ -94,7 +102,6 @@ from .ofdm_chain import (
     _data_bin_offsets,
     _require_block,
     _require_int,
-    add_cyclic_prefix,
     demodulate_passband,
     ofdm_modulate,
     oversample_extend,
@@ -105,23 +112,25 @@ from .ofdm_chain import (
 # perfbench/interactions.json lists, because perfbench/spans.py times a stage
 # by wrapping that module-level name. Each name is bound to the public
 # function itself, or for the clip and the composed filter to the kernel
-# the public function runs (the clip's real factor; the filter given its
-# fold), so every stage keeps one implementation. The bindings go once the stage table names the public
-# functions (ROADMAP item 1).
+# the public function runs (the clip's real factor; the filter's forward
+# half, given its fold), so every stage keeps one implementation. The
+# bindings go once the stage table names the public functions (ROADMAP
+# item 1).
 _map_rows = map_bits
 _extend_rows = oversample_extend
 _modulate_rows = ofdm_modulate
 _clip_magnitude_rows = _clip_factor
-_upconvert_rows = upconvert
-_composed_rows = _filter_folded
-_demodulate_rows = demodulate_passband
+_composed_rows = _filter_forward
 _demap_rows = demap_symbols
-# Uncalled: the receiver has no low-pass (``_filter_rows``), and the
-# bin-domain BER unit adds no passband AWGN and runs no per-cell receiver.
+# Uncalled: the receiver has no low-pass (``_filter_rows``), the bin-domain
+# BER unit adds no passband AWGN and runs no per-cell receiver, and its
+# transmit ends at the band bins, so it neither upconverts nor demodulates.
 # Bound so that their traced stages report 0 calls instead of going missing.
 _filter_rows = demodulate_passband
 _awgn_rows = add_awgn
 _receive_bits = demodulate_passband
+_upconvert_rows = upconvert
+_demodulate_rows = demodulate_passband
 
 #: Default CCDF threshold grid (dB); 0.05 dB steps bound the quantile
 #: interpolation error well below the experiment tolerances.
@@ -424,6 +433,7 @@ def _noise_free_unit(
     each thread with its own buffers. Every chunk writes its own rows."""
     if cr is not None and hpf is None:
         raise ConfigError("clipping requested but no high-pass filter supplied")
+    _band_read(params)  # refuses a plan the receiver cannot serve
     amplitude = None if cr is None else _clip_level(params, cr)
     fold = None if cr is None else _composed_fold(params, hpf)
     bits_per_frame = params.n_subcarriers * scheme.bits_per_symbol
@@ -515,11 +525,10 @@ def _ber_cells(
 
 def _chunk_buffers(frames: int, params: OfdmParams) -> tuple[np.ndarray, ...]:
     """One thread's buffers for chunks of up to ``frames`` frames, cut from
-    one complex allocation into three flat views: the mapped symbols, the
-    block and the scratch, which is wide enough for a prefixed block.
-    ``_rows`` gives a chunk its (frames, width) view of a buffer."""
-    widths = (params.n_subcarriers, params.n_oversampled,
-              params.n_oversampled + params.cp_oversampled)
+    one complex allocation into three flat views: the mapped symbols, and
+    the block and the scratch, both block-wide. ``_rows`` gives a chunk its
+    (frames, width) view of a buffer."""
+    widths = (params.n_subcarriers, params.n_oversampled, params.n_oversampled)
     ends = np.cumsum([frames * width for width in widths])
     return tuple(np.split(np.empty(ends[-1], complex), ends[:-1]))
 
@@ -543,8 +552,8 @@ def _baseband_chunk(
 
 def _float_rows(scratch: np.ndarray, count: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Two disjoint (count, width) float views of a thread's scratch, one
-    after the other: a chunk's |x| and the clip's factor. They fit in the
-    scratch's bytes, which hold count * (N*L + prefix) complex values."""
+    after the other: a chunk's |x| and the clip's factor. They fill the
+    scratch's bytes, which hold count * N*L complex values."""
     return (_rows(scratch, float, count, width),
             _rows(scratch[count * width // 2 :], float, count, width))
 
@@ -562,10 +571,12 @@ def _papr_chunk(
     Its squares, written into the scratch's second view, give the unclipped
     PAPR; the clip stage then turns |x| into the real factor A / max(|x|,
     A) in that same view, and the composed filter takes the factor in
-    place of a clipped block (``_filter_folded``), writing the filtered
-    envelope over the baseband. The envelope stage is called as
-    ``envelope_magnitude(samples, params)``, the form perfbench's self-test
-    substitutes, so it returns a new |y| array, which is squared in place.
+    place of a clipped block: its forward half (``_filter_forward``) reads
+    the band bins of the clipped passband and its inverse half
+    (``_filter_inverse``) writes the filtered envelope over the baseband.
+    The envelope stage is called as ``envelope_magnitude(samples,
+    params)``, the form perfbench's self-test substitutes, so it returns a
+    new |y| array, which is squared in place.
     """
     baseband = _baseband_chunk(bits, scheme, params, buffers)
     magnitude, second = _float_rows(buffers[2], *baseband.shape)
@@ -574,7 +585,8 @@ def _papr_chunk(
     # the baseband signal itself.
     unclipped_papr[:] = _papr_db_rows(np.square(magnitude, out=second))
     factor = _clip_magnitude_rows(magnitude, amplitude, out=second)
-    filtered = _composed_rows(baseband, fold, factor=factor, out=baseband)
+    filtered = _filter_inverse(_composed_rows(baseband, fold, factor=factor, out=baseband),
+                               baseband)
     envelope = envelope_magnitude(filtered, params)
     processed_papr[:] = _papr_db_rows(np.square(envelope, out=envelope))
 
@@ -589,25 +601,71 @@ def _ber_chunk(
     noise-free data symbols into ``received`` and the mean square of its
     passband samples, prefix included, into ``block_power``.
 
-    The baseband is clipped in place by the clip stage's real factor, as in
-    a PAPR chunk, which gives ``clip_baseband``'s samples bit for bit, and
-    filtered in place. The prefixed block is written into the scratch, its
-    passband into the block's bytes as floats and the passband's squares
-    into the scratch's bytes.
+    The transmit ends at the block's band bins Y[j], j = -N/2..N/2, the DFT
+    of its complex envelope at offsets j from DC. Clipped, they are the
+    composed filter's forward half, given the clip's real factor as in a
+    PAPR chunk, and the data symbols are Y at the data bins over
+    sqrt(N*L). Unclipped, the data symbols are the mapped symbols, written
+    straight into ``received``, and Y is the extended frame times sqrt(N*L);
+    no modulator transform runs. Either way Y times the weights of
+    ``_band_read`` is the real FFT of the passband symbol at band bins k_c +
+    j (zero elsewhere), written into the scratch; one inverse real FFT
+    gives the passband symbol, as floats in the block's bytes. The prefix's
+    passband samples are the symbol's last cp*L samples, so their squares
+    are counted twice.
     """
-    count, cp = bits.shape[0], params.cp_oversampled
-    width = params.n_oversampled + cp
-    baseband = _baseband_chunk(bits, scheme, params, buffers)
-    if amplitude is not None:
-        magnitude, factor = _float_rows(buffers[2], *baseband.shape)
+    count, n, total = bits.shape[0], params.n_subcarriers, params.n_oversampled
+    half, first, cp = n // 2, params.carrier_bin - n // 2, params.cp_oversampled
+    data, weights = _band_read(params)
+    spectrum = _rows(buffers[2], complex, count, total // 2 + 1)
+    band = spectrum[:, first : first + n + 1]
+    if amplitude is None:
+        symbols = _map_rows(bits, scheme, out=received)
+        weights = weights * math.sqrt(total)
+        np.multiply(symbols[:, half:], weights[:half], out=band[:, :half])
+        np.multiply(symbols[:, : half + 1], weights[half:], out=band[:, half:])
+    else:
+        baseband = _baseband_chunk(bits, scheme, params, buffers)
+        magnitude, factor = _float_rows(buffers[2], count, total)
         _clip_magnitude_rows(np.abs(baseband, out=magnitude), amplitude, out=factor)
-        clipped = np.multiply(baseband, factor, out=baseband)
-        baseband = _composed_rows(clipped, fold, out=baseband)
-    prefixed = add_cyclic_prefix(baseband, cp, out=_rows(buffers[2], complex, count, width))
-    passband = _upconvert_rows(prefixed, params, out=_rows(buffers[1], float, count, width))
-    squares = np.square(passband, out=_rows(buffers[2], float, count, width))
-    np.mean(squares, axis=-1, out=block_power)
-    received[:] = _demodulate_rows(passband[:, cp:], params)
+        filtered = _composed_rows(baseband, fold, factor=factor, out=baseband)
+        np.take(filtered, data, axis=-1, out=received)
+        received *= 1.0 / math.sqrt(total)
+        np.multiply(filtered, weights, out=band)
+    spectrum[:, :first] = 0
+    spectrum[:, first + n + 1 :] = 0
+    passband = np.fft.irfft(spectrum, total, axis=-1, out=_rows(buffers[1], float, count, total))
+    squares = np.square(passband, out=passband)
+    np.add(np.add.reduce(squares, axis=-1), np.add.reduce(squares[:, total - cp :], axis=-1),
+           out=block_power)
+    block_power /= total + cp
+
+
+@lru_cache(maxsize=None)
+def _band_read(params: OfdmParams) -> tuple[np.ndarray, np.ndarray]:
+    """How a BER chunk reads a block's band bins Y[j], j = -N/2..N/2, held at
+    index j + N/2: the indices of the N data bins in frame order
+    (``_data_bin_offsets``, which refuses a plan the receiver cannot
+    serve), and the weights that turn Y into the real FFT of the block's
+    passband symbol at bins k_c + j. Read-only; one pair per plan.
+
+    ``upconvert`` of a prefixed block puts sample m of the symbol at carrier
+    phase phi c[m], phi = exp(j 2 pi k_c cp L / (N*L)) with the exponent
+    reduced mod N*L in integers, so the symbol's passband sqrt(2) Re(y c
+    phi) has the real FFT phi Y[j] / sqrt(2) at bin k_c + j. A band bin at
+    DC or Nyquist is its own image: the passband holds 2 Re(phi Y[j]) /
+    sqrt(2) there, so its weight is doubled and the inverse real FFT takes
+    the real part. ``demodulate_passband`` undoes phi and the sqrt(2), so
+    the data symbols are Y / sqrt(N*L).
+    """
+    n, total = params.n_subcarriers, params.n_oversampled
+    data = _data_bin_offsets(params) + n // 2
+    turns = params.carrier_bin * params.cp_oversampled % total / total
+    weights = np.full(n + 1, np.exp(2j * np.pi * turns) / math.sqrt(2.0))
+    for k in _self_image_bins(params):
+        weights[k - params.carrier_bin + n // 2] *= 2
+    data.flags.writeable = weights.flags.writeable = False
+    return data, weights
 
 
 def _papr_cell(
@@ -717,6 +775,8 @@ def simulate_chain_ber(
     """
     _require_int("seed", seed, 0)
     _require_int("min_bits", min_bits, 1)
+    if cr is not None and not 0 < cr < math.inf:
+        raise ConfigError(f"cr must be positive and finite, got {cr!r}")
     ((errors, total),) = _ber_cells(params, scheme, cr, (ebn0_db,), min_bits, hpf, [seed, 2, 0])
     return errors, total
 

@@ -20,33 +20,99 @@ from paprsim import (
     demodulate_passband,
     experiment_hpf,
     map_bits,
-    noise_sigma,
     run_ber_experiment,
     simulate_chain_ber,
 )
-from paprsim.harness import _add_bin_noise, _noise_free_unit, _random_bits
+from paprsim.clip_filter import _composed_fold
+from paprsim.harness import (
+    _add_bin_noise,
+    _ber_chunk,
+    _chunk_buffers,
+    _clip_level,
+    _noise_free_unit,
+    _random_bits,
+)
 
 from oracles import ORACLE_PLANS, time_domain_ber_cell
 
 NOISE_PLANS = ("reference", "nyquist_edge", "high_carrier")
+# The oracle plans and three plans whose prefix starts the carrier an
+# eighth, a quarter and a half turn off a whole turn (phi != 1, see
+# harness._band_read); on every oracle and benchmark plan phi = 1. The
+# power sees phi only through the prefix, and phi = -1 merely flips the
+# passband's sign, so a read that dropped phi fails on the quarter and
+# eighth turns, and one that conjugated it on the eighth turn alone.
+BER_PLANS = {
+    **ORACLE_PLANS,
+    "eighth_turn": (OfdmParams(n_subcarriers=64, oversample=8, carrier_hz=1.125e6, cp_len=1), {}),
+    "quarter_turn": (OfdmParams(n_subcarriers=128, oversample=8, carrier_hz=2.25e6, cp_len=1), {}),
+    "half_turn": (OfdmParams(n_subcarriers=64, oversample=6, carrier_hz=1.25e6, cp_len=6), {}),
+}
+
+
+def plan_hpf(plan):
+    params, edges = BER_PLANS[plan]
+    return experiment_hpf(ExperimentSpec(params=params, hpf_stop_edge=edges.get("stop_edge"),
+                                         hpf_pass_edge=edges.get("pass_edge")))
+
+
+def test_the_turn_plans_start_the_prefix_off_a_whole_carrier_turn():
+    # Carrier turns at the prefix's first sample, k_c cp L / (N*L) mod 1.
+    turns = {name: params.carrier_bin * params.cp_oversampled % params.n_oversampled
+             / params.n_oversampled for name, (params, _) in BER_PLANS.items()}
+    assert turns == {"reference": 0.0, "nyquist_edge": 0.0, "high_carrier": 0.0,
+                     "dc_edge": 0.0, "eighth_turn": 0.125, "quarter_turn": 0.25,
+                     "half_turn": 0.5}
 
 
 @pytest.mark.parametrize("cr", [None, 1.2], ids=["unclipped", "cr1.2"])
-@pytest.mark.parametrize("plan", ["reference", "nyquist_edge"])
-def test_noise_free_unit_equals_the_time_domain_path_bit_for_bit(plan, cr):
-    # Same bits: the unit's transmit power, sigma_n and noise-free received
-    # symbols are the per-cell path's, exactly.
-    params, _ = ORACLE_PLANS[plan]
+@pytest.mark.parametrize("plan", sorted(BER_PLANS))
+def test_noise_free_unit_equals_the_time_domain_path(plan, cr):
+    # Same bits. Unclipped, the received symbols are the mapped symbols
+    # exactly. The transmit power, and clipped the symbols, are the
+    # literal chain's (prefix, upconvert, real-FFT receiver) to round-off:
+    # the unit reads them from the band bins and one inverse real FFT.
+    params, _ = BER_PLANS[plan]
     scheme = ModScheme("qam", 16)
-    hpf = experiment_hpf(ExperimentSpec(params=params))
+    hpf = plan_hpf(plan)
     bits, power, clean = _noise_free_unit(params, scheme, cr, hpf, 50_000,
                                           np.random.default_rng(31))
     assert np.array_equal(bits, _random_bits(np.random.default_rng(31), *bits.shape))
-    want_power, want_sigma, want_clean, _ = time_domain_ber_cell(
+    want_power, _, want_clean, _ = time_domain_ber_cell(
         bits, scheme, params, cr, 6.0, hpf, np.random.default_rng(32))
-    assert power == want_power
-    assert noise_sigma(params, scheme, 6.0, power) == want_sigma
-    assert np.array_equal(clean, want_clean)
+    assert abs(power - want_power) <= 1e-14 * want_power, (power, want_power)
+    if cr is None:
+        assert np.array_equal(clean, map_bits(bits, scheme))
+    else:
+        assert np.max(np.abs(clean - want_clean)) <= 1e-14
+
+
+@pytest.mark.parametrize("cr", [None, 1.2], ids=["unclipped", "cr1.2"])
+@pytest.mark.parametrize("plan", sorted(BER_PLANS))
+def test_ber_chunk_transforms(monkeypatch, plan, cr):
+    # Clipped: the modulator's IFFT, the filter's forward real FFT and the
+    # inverse real FFT to the passband symbol. Unclipped: that inverse real
+    # FFT alone; no modulator transform runs.
+    params, _ = BER_PLANS[plan]
+    scheme = ModScheme("qam", 16)
+    amplitude = None if cr is None else _clip_level(params, cr)
+    fold = None if cr is None else _composed_fold(params, plan_hpf(plan))
+    bits = _random_bits(np.random.default_rng(49), 6, params.n_subcarriers * 4)
+    received = np.empty((6, params.n_subcarriers), complex)
+    calls = dict.fromkeys(("fft", "ifft", "rfft", "irfft"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    _ber_chunk(bits, scheme, params, amplitude, fold, _chunk_buffers(6, params),
+               received, np.empty(6))
+    monkeypatch.undo()
+    if cr is None:
+        assert calls == {"fft": 0, "ifft": 0, "rfft": 0, "irfft": 1}
+        assert np.array_equal(received, map_bits(bits, scheme))
+    else:
+        assert calls == {"fft": 0, "ifft": 1, "rfft": 1, "irfft": 1}
 
 
 @pytest.mark.parametrize("cr", [None, 1.2], ids=["unclipped", "cr1.2"])
@@ -124,8 +190,7 @@ def test_unclipped_unit_slices_the_sent_symbols(monkeypatch, plan, scheme_name):
     monkeypatch.setattr(harness, "_random_bits", bits_spy)
     monkeypatch.setattr(harness, "_demap_rows", demap_spy)
     assert simulate_chain_ber(params, scheme, min_bits=20_000, seed=33)[0] == 0
-    want = map_bits(seen["bits"], scheme)
-    np.testing.assert_allclose(np.concatenate(seen["symbols"]), want, rtol=0, atol=1e-12)
+    assert np.array_equal(np.concatenate(seen["symbols"]), map_bits(seen["bits"], scheme))
 
 
 def iq_moments(noise):
@@ -224,7 +289,7 @@ def test_a_failing_unit_names_scheme_cr_and_ebn0(monkeypatch):
 
     # The shared transmit fails inside the unit's first cell.
     with monkeypatch.context() as m:
-        m.setattr(harness, "_upconvert_rows", boom)
+        m.setattr(harness, "_composed_rows", boom)
         with pytest.raises(ExperimentError, match=r"scheme=qpsk, cr=1, ebn0=4\b.*inner failure"):
             run_ber_experiment(spec)
 

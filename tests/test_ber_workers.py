@@ -146,7 +146,7 @@ def test_a_failing_transmit_chunk_on_a_helper_names_the_first_cell(monkeypatch):
     block_len = SPEC.params.n_oversampled + SPEC.params.cp_oversampled
     monkeypatch.setattr(harness, "_worker_count", lambda: 2)
     monkeypatch.setattr(harness, "_CHUNK_SAMPLES", 4 * block_len)
-    failing_on_a_helper(monkeypatch, "_upconvert_rows")
+    failing_on_a_helper(monkeypatch, "_composed_rows")
     with pytest.raises(ExperimentError,
                        match=r"scheme=qpsk, cr=1\.2, ebn0=4\b.*failed on a helper"):
         run_ber_experiment(SPEC)

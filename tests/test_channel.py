@@ -37,6 +37,10 @@ def test_noise_sigma_power_proportionality():
 def test_noise_sigma_validation():
     with pytest.raises(ConfigError, match="signal_power"):
         noise_sigma(OfdmParams(), QPSK, 6.0, 0.0)
+    # Unchecked, a NaN or infinite power gave a NaN or infinite sigma_n.
+    for power in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigError, match="signal_power must be positive and finite"):
+            noise_sigma(OfdmParams(), QPSK, 6.0, power)
     for ebn0_db in (np.inf, -np.inf, np.nan):
         with pytest.raises(ConfigError, match="ebn0_db"):
             noise_sigma(OfdmParams(), QPSK, ebn0_db, 1.0)
@@ -81,6 +85,13 @@ def test_awgn_seed_determinism():
     assert np.array_equal(add_awgn(sig, 0.5, rng=np.random.default_rng(42)), a)
     with pytest.raises(ConfigError):
         add_awgn(sig, -0.1, rng=0)
+
+
+@pytest.mark.parametrize("sigma_n", [np.nan, np.inf], ids=repr)
+def test_awgn_refuses_a_non_finite_sigma(sigma_n):
+    # Unchecked, every output sample was NaN or infinite.
+    with pytest.raises(ConfigError, match="sigma_n must be non-negative and finite"):
+        add_awgn(np.ones(8), sigma_n, rng=0)
 
 
 def test_qpsk_calibration_single_point():

@@ -14,6 +14,7 @@ from paprsim import (
     clip_attenuation,
     emit_csv,
     estimate_ccdf,
+    experiment_hpf,
     run_ber_experiment,
     run_papr_experiment,
     simulate_chain_ber,
@@ -77,6 +78,16 @@ def test_min_bits_must_be_a_positive_integer(min_bits):
     # Unchecked, each of these ran one 256-bit QPSK frame.
     with pytest.raises(ConfigError, match="min_bits must be a positive integer"):
         simulate_chain_ber(OfdmParams(), QPSK_ONLY[0], min_bits=min_bits)
+
+
+@pytest.mark.parametrize("cr", [-1.0, 0.0, float("nan"), float("inf")], ids=repr)
+def test_chain_ber_refuses_a_non_positive_or_non_finite_cr(cr):
+    # Unchecked, cr = -1 returned a plausible count (the phase-flipped clip
+    # divided by a negative Bussgang gain), 0 a ZeroDivisionError, NaN a
+    # ShapeError in the demapper and inf a RuntimeWarning, then a ShapeError.
+    hpf = experiment_hpf(ExperimentSpec())
+    with pytest.raises(ConfigError, match="cr must be positive and finite"):
+        simulate_chain_ber(OfdmParams(), QPSK_ONLY[0], cr=cr, min_bits=1000, hpf=hpf)
 
 
 @pytest.mark.parametrize("key,value", [("n_symbols", 1500.5), ("bits_per_point", 2000.5)],
