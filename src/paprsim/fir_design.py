@@ -31,6 +31,15 @@ McClellan, Parks & Rabiner) was rejected: inside wide transition gaps the
 interpolant amplifies round-off, and that route refused designs the
 reference-set solve accepts and accepted NaN designs.
 
+No dense grid-by-coefficient cosine matrix is built. The QR takes the
+cosines of the R + 1 reference rows only; the minimax check sums the
+recovered series on the grid with numpy's ``chebval`` (Clenshaw's
+recurrence) in x = cos(2 pi f), since cos(2 pi n f) = T_n(x). The
+barycentric kernel lives in one grid-by-reference buffer per design,
+refilled on every pass. Index sets are merged by a sort and a neighbour
+compare, not ``np.unique`` or ``np.union1d``, which import ``numpy.ma``
+into a fresh process.
+
 Frequencies are normalized to the sample rate, so the usable axis is
 [0, 0.5].
 """
@@ -39,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 
 from .errors import ConfigError, DesignError
 
@@ -125,54 +135,60 @@ def _barycentric_weights(x: np.ndarray) -> np.ndarray:
     return 1.0 / np.prod(diffs, axis=1)
 
 
+def _sorted_distinct(indices: np.ndarray) -> np.ndarray:
+    """The distinct values of ``indices``, ascending."""
+    indices = np.sort(indices)
+    return indices[np.concatenate(([True], indices[1:] != indices[:-1]))]
+
+
 def _local_maxima(mag: np.ndarray, band_slices) -> np.ndarray:
     """Indices of local maxima of |error|, found per band so band edges count."""
     out = []
     for sl in band_slices:
         seg = mag[sl]
-        n = seg.size
-        if n == 1:
-            out.append(sl.start)
-            continue
-        left_ok = np.empty(n, dtype=bool)
-        right_ok = np.empty(n, dtype=bool)
+        left_ok = np.empty(seg.size, dtype=bool)
+        right_ok = np.empty(seg.size, dtype=bool)
         left_ok[0], left_ok[1:] = True, seg[1:] >= seg[:-1]
         right_ok[-1], right_ok[:-1] = True, seg[:-1] >= seg[1:]
-        out.extend(sl.start + np.nonzero(left_ok & right_ok)[0])
-    return np.array(sorted(out), dtype=int)
+        out.append(sl.start + np.flatnonzero(left_ok & right_ok))
+    return np.concatenate(out)
 
 
 def _select_extrema(err: np.ndarray, candidates: np.ndarray, target: int) -> np.ndarray:
     """Reduce alternation candidates to exactly ``target`` reference points."""
-    # Merge consecutive candidates with the same error sign, keeping the largest.
-    kept: list[int] = []
-    for idx in candidates:
-        if kept and np.sign(err[idx]) == np.sign(err[kept[-1]]):
-            if abs(err[idx]) > abs(err[kept[-1]]):
-                kept[-1] = idx
-        else:
-            kept.append(idx)
+    # Merge each run of consecutive candidates with one error sign into its
+    # first largest |error|: a stable sort by run, then by descending
+    # |error|, puts that candidate at the run's start. A NaN error has no
+    # sign equal to another, so it is a run of its own.
+    values = err[candidates]
+    signs, mag = np.sign(values), np.abs(values)
+    new_run = np.concatenate(([True], signs[1:] != signs[:-1]))
+    starts = np.flatnonzero(new_run)
+    first_max = np.lexsort((-mag, np.cumsum(new_run)))[starts]
+    kept, mag = candidates[first_max], mag[first_max]
     # Trim surplus alternations from the ends, dropping the smaller extremum.
-    while len(kept) > target:
-        if abs(err[kept[0]]) <= abs(err[kept[-1]]):
-            kept.pop(0)
+    lo, hi = 0, kept.size
+    while hi - lo > target:
+        if mag[lo] <= mag[hi - 1]:
+            lo += 1
         else:
-            kept.pop()
-    return np.array(kept, dtype=int)
+            hi -= 1
+    return kept[lo:hi]
 
 
-def _reference_coefficients(cos_matrix, ref, levelled) -> np.ndarray:
-    """Cosine coefficients through ``levelled`` at the grid rows ``ref``.
+def _reference_coefficients(freqs, ref, levelled) -> np.ndarray:
+    """Cosine coefficients through ``levelled`` at the grid frequencies
+    ``freqs[ref]``.
 
-    Solves the (R + 1) x R least-squares system ``cos_matrix[ref] @ c =
-    levelled``, of full column rank for distinct reference frequencies, by
-    Householder QR. Each reflection is applied with one vector-matrix
-    product and one outer product, and the triangular solve is a loop of
-    dot products, so no LAPACK routine runs.
+    Solves the (R + 1) x R least-squares system ``cos(2 pi outer(freqs[ref],
+    arange(R))) @ c = levelled``, of full column rank for distinct reference
+    frequencies, by Householder QR. Each reflection is applied with one
+    vector-matrix product and one outer product, and the triangular solve
+    is a loop of dot products, so no LAPACK routine runs.
     """
-    a = cos_matrix[ref]
     b = np.array(levelled, dtype=float)
-    n = a.shape[1]
+    n = b.size - 1
+    a = np.cos(2.0 * np.pi * np.outer(freqs[ref], np.arange(n)))
     for k in range(n):
         v = a[k:, k].copy()
         norm = np.sqrt(v @ v)
@@ -196,13 +212,14 @@ def design_equiripple(spec: FirDesignSpec) -> FirFilter:
             f"design grid has {freqs.size} points but {n_ref} references are needed"
         )
     x_grid = np.cos(2.0 * np.pi * freqs)
-    cos_matrix = np.cos(2.0 * np.pi * np.outer(freqs, np.arange(n_coeffs)))
     flat_scale = max(1.0, float(np.max(np.abs(desired) * weights)))
 
-    ref = np.unique(np.round(np.linspace(0, freqs.size - 1, n_ref)).astype(int))
+    ref = _sorted_distinct(np.round(np.linspace(0, freqs.size - 1, n_ref)).astype(int))
     if ref.size < n_ref:
         raise ConfigError("design grid too coarse for the requested tap count")
 
+    signs = np.where(np.arange(n_ref) % 2 == 0, 1.0, -1.0)
+    kernel = np.empty((freqs.size, n_ref))
     history: list[float] = []
     delta_history: list[float] = []
     delta = np.inf
@@ -211,7 +228,6 @@ def design_equiripple(spec: FirDesignSpec) -> FirFilter:
     for _ in range(MAX_ITERATIONS):
         x_ref = x_grid[ref]
         gamma = _barycentric_weights(x_ref)
-        signs = np.where(np.arange(n_ref) % 2 == 0, 1.0, -1.0)
         delta_new = (gamma @ desired[ref]) / (gamma @ (signs / weights[ref]))
         delta_history.append(abs(float(delta_new)))
         levelled = desired[ref] - signs * delta_new / weights[ref]
@@ -220,7 +236,8 @@ def design_equiripple(spec: FirDesignSpec) -> FirFilter:
         # Grid frequencies are distinct, so x collisions happen only at the
         # reference points themselves; patch those entries afterwards.
         with np.errstate(divide="ignore", invalid="ignore"):
-            kernel = gamma[None, :] / (x_grid[:, None] - x_ref[None, :])
+            np.subtract(x_grid[:, None], x_ref, out=kernel)
+            np.divide(gamma, kernel, out=kernel)
             amplitude = (kernel @ levelled) / kernel.sum(axis=1)
         amplitude[ref] = levelled
 
@@ -235,7 +252,7 @@ def design_equiripple(spec: FirDesignSpec) -> FirFilter:
             break
         # The current reference alternates at +-delta by construction, so
         # including it guarantees enough alternating candidates survive.
-        candidates = np.union1d(_local_maxima(np.abs(err), slices), ref)
+        candidates = _sorted_distinct(np.concatenate((_local_maxima(np.abs(err), slices), ref)))
         new_ref = _select_extrema(err, candidates, n_ref)
         if new_ref.size < n_ref:
             raise DesignError(
@@ -266,7 +283,7 @@ def design_equiripple(spec: FirDesignSpec) -> FirFilter:
     # is that polynomial. The QR uses vector products only, as does the
     # exchange loop; a LAPACK solve here would leave threaded BLAS workers
     # spinning after the design (see the module docstring).
-    coeffs = _reference_coefficients(cos_matrix, best_ref, best_levelled)
+    coeffs = _reference_coefficients(freqs, best_ref, best_levelled)
     taps = np.zeros(spec.num_taps)
     mid = (spec.num_taps - 1) // 2
     taps[mid] = coeffs[0]
@@ -274,7 +291,7 @@ def design_equiripple(spec: FirDesignSpec) -> FirFilter:
     taps[mid + 1 :] = half
     taps[:mid] = half[::-1]
 
-    achieved = weights * (desired - cos_matrix @ coeffs)
+    achieved = weights * (desired - chebval(x_grid, coeffs))
     ripple = float(np.max(np.abs(achieved)))
     level = delta_history[best_pass - 1]
     if not np.isfinite(ripple) or (

@@ -77,6 +77,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass, fields
@@ -188,8 +189,10 @@ class ExperimentSpec:
             )
         _require_int("bits_per_point", self.bits_per_point, 1)
         _require_int("seed", self.seed, 0)
-        if not all(np.isfinite(v) for v in self.ebn0_grid_db):
-            raise ConfigError("ebn0_grid_db values must be finite")
+        if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in self.ebn0_grid_db):
+            raise ConfigError(
+                f"ebn0_grid_db values must be finite numbers, got {self.ebn0_grid_db!r}"
+            )
         if len(set(self.ebn0_grid_db)) != len(self.ebn0_grid_db):
             raise ConfigError(f"ebn0_grid_db values must be distinct, got {self.ebn0_grid_db}")
         # Fail fast on a band plan that the high-pass or the receiver cannot serve.
@@ -199,11 +202,31 @@ class ExperimentSpec:
         _data_bin_offsets(self.params)
 
 
+#: The last high-pass ``experiment_hpf`` designed, as (spec, hpf).
+_hpf_slot: tuple | None = None
+
+
 def experiment_hpf(spec: ExperimentSpec) -> fir_design.FirFilter:
-    """Design the composed filter's high-pass once per experiment."""
-    return fir_design.design_equiripple(
+    """The composed filter's high-pass for ``spec``, designed once per spec.
+
+    ``run_papr_experiment`` and ``run_ber_experiment`` of one spec share a
+    design through a one-entry slot that holds the last spec and its
+    filter. It is hit by that same spec object only: every caller that
+    runs both experiments passes them one object, and identity needs no
+    hash and no comparison of fields. The slot keeps its spec alive, so
+    the identity cannot pass to another object. An equal copy, or another
+    spec with the same design target, designs again. A design that raises
+    is not kept.
+    """
+    global _hpf_slot
+    slot = _hpf_slot
+    if slot is not None and slot[0] is spec:
+        return slot[1]
+    hpf = fir_design.design_equiripple(
         default_hpf_spec(spec.params, spec.hpf_num_taps, spec.hpf_stop_edge, spec.hpf_pass_edge)
     )
+    _hpf_slot = (spec, hpf)
+    return hpf
 
 
 @dataclass(frozen=True)
@@ -788,8 +811,11 @@ def run_ber_experiment(spec: ExperimentSpec, progress=None) -> BerExperimentResu
     thread, before the cell's result is asked for; a (scheme, cr) unit's
     shared transmit and noise-free receive run as part of its first cell,
     and a batch of Eb/N0 points on the unit's threads as part of the
-    batch's first cell (see ``_ber_cells``).
+    batch's first cell (see ``_ber_cells``). An empty ``ebn0_grid_db``
+    is refused before the high-pass is designed.
     """
+    if len(spec.ebn0_grid_db) == 0:
+        raise ConfigError("ebn0_grid_db must be non-empty for a BER experiment")
     hpf = experiment_hpf(spec)
     results: dict[tuple[str, float, float], tuple[int, int]] = {}
     units = [(scheme, cr) for scheme in spec.schemes for cr in spec.cr_values]

@@ -172,23 +172,15 @@ def ofdm_modulate(frames, params: OfdmParams, *, out=None) -> np.ndarray:
     return np.fft.ifft(frames, axis=-1, norm="ortho", out=_out_array(out, frames.shape, complex))
 
 
-def add_cyclic_prefix(samples, cp_samples: int, *, out=None) -> np.ndarray:
-    """Prepend a copy of the last cp_samples samples of each block.
-
-    ``out``, an array of the samples' dtype and the prefixed shape (...,
-    cp_samples + n), receives the prefixed blocks in place of a new array.
-    It must not overlap the samples.
-    """
+def add_cyclic_prefix(samples, cp_samples: int) -> np.ndarray:
+    """Prepend a copy of the last cp_samples samples of each block."""
     samples = np.asarray(samples)
     n = samples.shape[-1]
     if cp_samples < 0 or cp_samples > n:
         raise ShapeError(f"cp_samples = {cp_samples} exceeds signal length {n}")
-    if cp_samples == 0 and out is None:
+    if cp_samples == 0:
         return samples
-    out = _out_array(out, samples.shape[:-1] + (cp_samples + n,), samples.dtype)
-    out[..., :cp_samples] = samples[..., n - cp_samples :]
-    out[..., cp_samples:] = samples
-    return out
+    return np.concatenate((samples[..., n - cp_samples :], samples), axis=-1)
 
 
 def _carrier(n: int, params: OfdmParams) -> np.ndarray:
@@ -200,16 +192,13 @@ def _carrier(n: int, params: OfdmParams) -> np.ndarray:
     return np.exp(2j * np.pi * turns)
 
 
-def upconvert(samples, params: OfdmParams, *, out=None) -> np.ndarray:
+def upconvert(samples, params: OfdmParams) -> np.ndarray:
     """Shift complex baseband (..., n) to a real passband at the carrier.
 
     The sqrt(2) factor keeps mean power equal between the two domains.
-    ``out``, a float array of the samples' shape, receives the passband in
-    place of a new array.
     """
     samples = np.asarray(samples)
-    shifted = samples * _carrier(samples.shape[-1], params)
-    return np.multiply(np.sqrt(2.0), shifted.real, out=_out_array(out, samples.shape, float))
+    return np.sqrt(2.0) * (samples * _carrier(samples.shape[-1], params)).real
 
 
 def _data_bin_offsets(params: OfdmParams) -> np.ndarray:

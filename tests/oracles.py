@@ -3,7 +3,10 @@
 Everything here deliberately avoids the library's own code paths: the
 minimax ripple comes from a linear program, a FIR design's taps from
 LAPACK's least squares over the whole design grid (the library solves a
-QR at the exchange's reference set), transforms from dense matrix
+QR at the exchange's reference set) and from that QR run on rows of the
+dense grid-by-coefficient cosine matrix, and its ripple from that matrix
+(the library builds no such matrix), the exchange's reference selection
+from its former loop over the candidates, transforms from dense matrix
 products, demapping from an exhaustive search, CCDFs from direct counting,
 the BER of a constellation under Gaussian (I, Q) errors from a Monte Carlo
 draw sliced by exhaustive search, the composed filter and the PAPR envelope
@@ -52,7 +55,7 @@ from paprsim import (
     papr_db,
     upconvert,
 )
-from paprsim.fir_design import _dense_grid
+from paprsim.fir_design import GRID_DENSITY, _dense_grid
 from paprsim.harness import _clip_level, _random_bits, envelope_magnitude
 from paprsim.ofdm_chain import _require_block
 
@@ -125,15 +128,21 @@ def alternation_count(fir, total_points: int = 4096, tol: float = 0.01) -> int:
     return count
 
 
-def lstsq_coefficients(cos_matrix, ref, levelled) -> np.ndarray:
-    """The Remez exchange's former tap recovery, a drop-in for
+def cosine_matrix(freqs, n_coeffs: int) -> np.ndarray:
+    """The dense design-grid matrix cos(2 pi f n), n = 0..n_coeffs-1."""
+    return np.cos(2.0 * np.pi * np.outer(freqs, np.arange(n_coeffs)))
+
+
+def lstsq_coefficients(freqs, ref, levelled) -> np.ndarray:
+    """The Remez exchange's least-squares tap recovery, a drop-in for
     ``fir_design._reference_coefficients``.
 
     The iterate's barycentric interpolant through ``levelled`` at the
-    reference rows ``ref`` is sampled over the whole design grid (column 1
-    of ``cos_matrix`` is cos(2 pi f)), and LAPACK's least squares fits the
-    cosine coefficients to those samples.
+    reference frequencies ``freqs[ref]`` is sampled over the whole design
+    grid, and LAPACK's least squares fits the cosine coefficients to those
+    samples.
     """
+    cos_matrix = cosine_matrix(freqs, len(levelled) - 1)
     x_grid = cos_matrix[:, 1]
     x_ref = x_grid[ref]
     diffs = x_ref[:, None] - x_ref[None, :]
@@ -145,6 +154,56 @@ def lstsq_coefficients(cos_matrix, ref, levelled) -> np.ndarray:
     amplitude[ref] = levelled
     coeffs, *_ = np.linalg.lstsq(cos_matrix, amplitude, rcond=None)
     return coeffs
+
+
+def dense_qr_coefficients(freqs, ref, levelled) -> np.ndarray:
+    """The reference-set Householder QR run on the rows ``ref`` of the
+    dense cosine matrix over the whole design grid, as the exchange ran it
+    while it built that matrix; a drop-in for
+    ``fir_design._reference_coefficients``."""
+    a = cosine_matrix(freqs, len(levelled) - 1)[ref]
+    b = np.array(levelled, dtype=float)
+    n = a.shape[1]
+    for k in range(n):
+        v = a[k:, k].copy()
+        norm = np.sqrt(v @ v)
+        v[0] += norm if v[0] >= 0.0 else -norm
+        v /= np.sqrt(v @ v)
+        a[k:, k:] -= np.outer(2.0 * v, v @ a[k:, k:])
+        b[k:] -= (2.0 * (v @ b[k:])) * v
+    coeffs = np.zeros(n)
+    for k in range(n - 1, -1, -1):
+        coeffs[k] = (b[k] - a[k, k + 1 : n] @ coeffs[k + 1 :]) / a[k, k]
+    return coeffs
+
+
+def select_extrema_by_loop(err, candidates, target: int) -> np.ndarray:
+    """The Remez exchange's former reference selection, a loop over the
+    candidates: merge consecutive candidates of one error sign, keeping
+    the first largest |error|, then trim the smaller end until ``target``
+    remain."""
+    kept: list[int] = []
+    for idx in candidates:
+        if kept and np.sign(err[idx]) == np.sign(err[kept[-1]]):
+            if abs(err[idx]) > abs(err[kept[-1]]):
+                kept[-1] = idx
+        else:
+            kept.append(idx)
+    while len(kept) > target:
+        if abs(err[kept[0]]) <= abs(err[kept[-1]]):
+            kept.pop(0)
+        else:
+            kept.pop()
+    return np.array(kept, dtype=int)
+
+
+def dense_ripple(fir) -> float:
+    """A design's max weighted error on its own design grid, its cosine
+    series summed as the dense cosine matrix times the coefficients."""
+    freqs, desired, weights, _ = _dense_grid(fir.spec, GRID_DENSITY * fir.spec.num_taps)
+    mid = fir.group_delay
+    coeffs = np.r_[fir.taps[mid], 2.0 * fir.taps[mid + 1 :]]
+    return float(np.max(np.abs(weights * (desired - cosine_matrix(freqs, mid + 1) @ coeffs))))
 
 
 def inserted_zero_bins(n_subcarriers: int, oversample: int) -> np.ndarray:

@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,10 +19,14 @@ from paprsim import (
 
 from paprsim import fir_design
 from oracles import (
+    ORACLE_PLANS,
     alternation_count,
     chebyshev_lp_ripple,
+    dense_qr_coefficients,
+    dense_ripple,
     frequency_response,
     lstsq_coefficients,
+    select_extrema_by_loop,
     weighted_error,
 )
 
@@ -263,8 +271,8 @@ def test_designs_call_no_lapack(monkeypatch):
 
 def test_a_non_finite_recovery_is_refused(monkeypatch):
     # A NaN ripple fails every comparison, so it must be refused explicitly.
-    def nan_coefficients(cos_matrix, ref, levelled):
-        return np.full(cos_matrix.shape[1], np.nan)
+    def nan_coefficients(freqs, ref, levelled):
+        return np.full(len(levelled) - 1, np.nan)
 
     monkeypatch.setattr(fir_design, "_reference_coefficients", nan_coefficients)
     with pytest.raises(DesignError, match="short of the minimax"):
@@ -290,3 +298,72 @@ def test_a_design_with_no_finite_pass_is_a_design_error(monkeypatch):
     monkeypatch.setattr(fir_design, "_barycentric_weights", nan_weights)
     with pytest.raises(DesignError, match="no pass with a finite error"):
         design_equiripple(DEFAULT_HPF)
+
+
+# Every design of this file, and the high-pass of each fold-versus-oracle
+# plan: those first, in the order PLAN_SPECS lists them, then the rest.
+ALL_DESIGN_SPECS = PLAN_SPECS + [
+    LOWPASS,
+    FirDesignSpec(21, ((0.0, 0.5),), (1.0,), (1.0,)),
+    FirDesignSpec(41, ((0.0, 0.18), (0.24, 0.5)), (1.0, 0.0), (1.0, 10.0)),
+    *(default_hpf_spec(OfdmParams(), *edges) for edges in
+      ((81, 0.01, 0.45), (161, 0.1, 0.3), (201, 0.1, 0.3))),
+    *(default_hpf_spec(params, **edges) for params, edges in ORACLE_PLANS.values()),
+]
+
+
+def test_taps_equal_the_dense_matrix_recovery_bit_for_bit(monkeypatch, plan_designs):
+    # The QR takes the cosines of the reference rows only, and the minimax
+    # check sums the series by Clenshaw's recurrence; the exchange that
+    # built the dense grid-by-coefficient cosine matrix read both from it.
+    # Same taps bit for bit, the same designs refused, and the ripple
+    # within round-off of the dense product's.
+    designs = plan_designs + [_design_or_error(spec) for spec in ALL_DESIGN_SPECS[len(PLAN_SPECS):]]
+    monkeypatch.setattr(fir_design, "_reference_coefficients", dense_qr_coefficients)
+    oracle = [_design_or_error(spec) for spec in ALL_DESIGN_SPECS]
+    assert sum(isinstance(fir, DesignError) for fir in designs) == 8 + 3
+    for fir, want in zip(designs, oracle):
+        if isinstance(want, DesignError):
+            assert isinstance(fir, DesignError) and str(fir) == str(want)
+            continue
+        assert np.array_equal(fir.taps, want.taps)
+        assert fir.delta_history == want.delta_history
+        assert fir.ripple == pytest.approx(dense_ripple(fir), rel=1e-9, abs=1e-15)
+    for spec, fir in zip(ALL_DESIGN_SPECS, designs):
+        if spec in PIPELINE_HPFS:
+            assert fir.ripple == pytest.approx(dense_ripple(fir), rel=1e-9)
+
+
+def test_a_design_does_not_import_numpy_ma():
+    # numpy's unique and union1d import numpy.ma, 15 to 20 ms in a fresh
+    # process, on their first call.
+    code = (
+        "import sys\n"
+        "from paprsim import OfdmParams, default_hpf_spec, design_equiripple\n"
+        "design_equiripple(default_hpf_spec(OfdmParams()))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+def test_reference_selection_equals_the_loop():
+    # Sign runs are merged in numpy; each run keeps its first largest
+    # |error|, as the loop did. Errors drawn from few levels tie often, and
+    # zeros, both signed zeros and NaN are runs the loop treats its own way.
+    rng = np.random.default_rng(20)
+    levels = np.array([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, np.nan])
+    for size in (1, 2, 5, 40, 200):
+        for _ in range(50):
+            err = rng.choice(levels, size) * rng.choice([1.0, 1.0 + 1e-15], size)
+            candidates = np.flatnonzero(rng.random(size) < 0.7)
+            if candidates.size == 0:  # the exchange's always hold its reference set
+                continue
+            for target in (1, 3, 10):
+                got = fir_design._select_extrema(err, candidates, target)
+                assert np.array_equal(got, select_extrema_by_loop(err, candidates, target))

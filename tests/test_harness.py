@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -7,6 +8,7 @@ import pytest
 
 from paprsim import (
     ConfigError,
+    DesignError,
     ExperimentError,
     ExperimentSpec,
     ModScheme,
@@ -21,6 +23,7 @@ from paprsim import (
     write_ber_curve_csv,
     write_ccdf_csv,
 )
+from paprsim import fir_design, harness
 
 QPSK_ONLY = (ModScheme.from_name("qpsk"),)
 PAIR_8 = (ModScheme.from_name("8psk"), ModScheme.from_name("8qam"))
@@ -113,6 +116,74 @@ def test_read_point_needs_ten_expected_exceedances():
     for n_symbols, read_point in ((1000, 1e-3), (1000, 9.99e-3), (10_000, 1e-4), (99_999, 1e-4)):
         with pytest.raises(ConfigError, match="expected exceedances"):
             small_spec(n_symbols=n_symbols, ccdf_read_point=read_point)
+
+
+@pytest.mark.parametrize("value", [None, "4", float("nan"), float("inf")], ids=repr)
+def test_ebn0_grid_values_must_be_finite_numbers(value):
+    # None and a string raised numpy's TypeError from np.isfinite.
+    with pytest.raises(ConfigError, match="ebn0_grid_db values must be finite numbers"):
+        small_spec(ebn0_grid_db=(8.0, value))
+
+
+@pytest.fixture
+def designs(monkeypatch):
+    """Specs of the high-pass designs run from here on, with an empty slot."""
+    calls = []
+    design = fir_design.design_equiripple
+
+    def counted(spec):
+        calls.append(spec)
+        return design(spec)
+
+    monkeypatch.setattr(fir_design, "design_equiripple", counted)
+    monkeypatch.setattr(harness, "_hpf_slot", None)
+    return calls
+
+
+def test_an_empty_ebn0_grid_is_refused_before_the_design(designs):
+    # It designed the high-pass and returned rows=().
+    spec = small_spec(ebn0_grid_db=())
+    with pytest.raises(ConfigError, match="ebn0_grid_db must be non-empty"):
+        run_ber_experiment(spec)
+    assert designs == []
+    assert len(run_papr_experiment(spec).rows) == 1
+
+
+def test_both_experiments_of_one_spec_share_one_design(designs):
+    spec = small_spec()
+    papr = run_papr_experiment(spec)
+    ber = run_ber_experiment(spec)
+    assert len(designs) == 1
+    harness._hpf_slot = None
+    assert papr.rows == run_papr_experiment(spec).rows and ber == run_ber_experiment(spec)
+    assert len(designs) == 2
+
+
+def test_the_slot_is_hit_by_the_same_spec_object_only(designs):
+    # An equal copy, or a spec that shares the design target, designs again.
+    spec = small_spec(seed=1)
+    hpf = experiment_hpf(spec)
+    assert experiment_hpf(spec) is hpf
+    assert len(designs) == 1
+    assert experiment_hpf(dataclasses.replace(spec)).spec == hpf.spec
+    assert experiment_hpf(small_spec(seed=2)).spec == hpf.spec
+    assert len(designs) == 3
+
+
+def test_a_design_that_raises_is_not_kept(designs, monkeypatch):
+    spec = small_spec()
+    design = fir_design.design_equiripple
+
+    def fail_once(target):
+        monkeypatch.setattr(fir_design, "design_equiripple", design)
+        raise DesignError("no minimax")
+
+    monkeypatch.setattr(fir_design, "design_equiripple", fail_once)
+    with pytest.raises(DesignError):
+        run_papr_experiment(spec)
+    assert harness._hpf_slot is None
+    experiment_hpf(spec)
+    assert designs == [experiment_hpf(spec).spec]
 
 
 def test_degenerate_clip_matches_unclipped():
