@@ -22,6 +22,12 @@ complex response: inside an FFT/IFFT pair a linear-phase multiplication
 would circularly delay the symbol and misalign it with its cyclic prefix,
 while the amplitude response applies the same magnitude shaping with no
 shift.
+
+``clip_baseband`` and ``composed_filter`` return new arrays and leave their
+input unchanged. The experiments call their kernels instead, in place on
+buffers of their own: the clip's real factor (``_clip_factor``), which
+the filter's forward half (``_filter_forward``) takes in place of a
+clipped block, and the inverse half (``_filter_inverse``).
 """
 from __future__ import annotations
 
@@ -29,32 +35,18 @@ import numpy as np
 
 from . import fir_design
 from .errors import ConfigError, ShapeError
-from .ofdm_chain import OfdmParams, _carrier, _out_array, _require_block
+from .ofdm_chain import OfdmParams, _carrier, _is_real, _require_block, _self_image_bins
 
 
-def clip_baseband(samples, amplitude: float, *, out=None) -> np.ndarray:
-    """Limit complex sample magnitudes to ``amplitude``, preserving phase.
-
-    ``out``, an array of the samples' shape and dtype (float for integer
-    samples), receives the result in place of a new array. It must not
-    overlap ``samples``: the samples are read after ``out`` is first
-    written.
-    """
+def clip_baseband(samples, amplitude: float) -> np.ndarray:
+    """Limit complex sample magnitudes to ``amplitude``, preserving phase:
+    the samples times the clip's real factor (``_clip_factor``)."""
     if not 0 < amplitude < np.inf:
         raise ConfigError(f"clip amplitude must be positive and finite, got {amplitude!r}")
     samples = np.asarray(samples)
     if not np.issubdtype(samples.dtype, np.inexact):
         samples = samples.astype(float)
-    out = _out_array(out, samples.shape, samples.dtype)
-    if np.may_share_memory(out, samples):
-        raise ShapeError("clip_baseband cannot write into its own samples")
-    # The factor is formed in ``out`` itself, as factor + 0j for complex
-    # samples, so the call allocates nothing of the block's size. numpy
-    # multiplies complex x by a real factor array as x * (factor + 0j) too,
-    # so the product is the same bit for bit.
-    np.abs(samples, out=out)
-    _clip_factor(out.real, amplitude, out=out.real)
-    return np.multiply(samples, out, out=out)
+    return samples * _clip_factor(np.abs(samples), amplitude)
 
 
 def _clip_factor(samples, amplitude: float, *, out=None) -> np.ndarray:
@@ -81,9 +73,7 @@ def band_gains(params: OfdmParams, hpf: fir_design.FirFilter) -> np.ndarray:
     return gains
 
 
-def composed_filter(
-    samples, params: OfdmParams, hpf: fir_design.FirFilter, *, out=None
-) -> np.ndarray:
+def composed_filter(samples, params: OfdmParams, hpf: fir_design.FirFilter) -> np.ndarray:
     """Composed filter of clipped complex baseband blocks (..., N*L), prefix
     excluded; returns the complex envelope of the filtered passband block.
 
@@ -97,10 +87,7 @@ def composed_filter(
     ``upconvert(y)`` equal to the passband composed filter of
     ``upconvert(samples)``. A band bin at DC or Nyquist is its own image,
     which the real FFT sums into it; the real passband holds it once, so it
-    gets half weight.
-
-    ``out``, an array of the samples' shape and dtype, receives the result
-    in place of a new array; it may be ``samples`` itself.
+    gets half weight. Both halves run in place on a copy of the samples.
     """
     samples = np.asarray(samples)
     _require_block(samples, params, "signal")
@@ -109,24 +96,24 @@ def composed_filter(
             "composed_filter takes the clipped complex baseband block, not "
             "upconvert(...) of it"
         )
-    out = _out_array(out, samples.shape, samples.dtype)
-    return _filter_inverse(_filter_forward(samples, _composed_fold(params, hpf), out=out), out)
+    block = samples.copy()
+    return _filter_inverse(_filter_forward(block, _composed_fold(params, hpf)), block)
 
 
 def _composed_fold(params: OfdmParams, hpf: fir_design.FirFilter) -> tuple:
     """The composed filter's fold for one plan and high-pass: the first band
     bin k_c - N/2, the ``band_gains`` of the N + 1 band bins, each halved
-    at a band bin that is its own image, and the carrier 2 c. It depends on
-    neither the samples nor their count, so a cell computes it once and
-    hands it to every chunk."""
-    total = params.n_oversampled
+    at a band bin that is its own image (``_self_image_bins``), and the
+    carrier 2 c. It depends on neither the samples nor their count, so a
+    cell computes it once and hands it to every chunk."""
     band = params.occupied_bins
     gains = band_gains(params, hpf)[band]
-    gains[(2 * band) % total == 0] /= 2
-    return int(band[0]), gains, 2.0 * _carrier(total, params)
+    for k in _self_image_bins(params):
+        gains[k - band[0]] /= 2
+    return int(band[0]), gains, 2.0 * _carrier(params.n_oversampled, params)
 
 
-def _filter_forward(samples: np.ndarray, fold: tuple, *, factor=None, out=None) -> np.ndarray:
+def _filter_forward(samples: np.ndarray, fold: tuple, *, factor=None) -> np.ndarray:
     """The forward half of ``composed_filter`` of checked complex blocks x,
     given their ``_composed_fold``: the real FFT of the passband 2 Re(x c),
     times the real ``factor`` (the clip's, see ``_clip_factor``) when one
@@ -134,13 +121,11 @@ def _filter_forward(samples: np.ndarray, fold: tuple, *, factor=None, out=None) 
     multiplied by their gains. Returns those (..., N + 1) band bins Y[j],
     j = -N/2 .. N/2, a view of the real FFT's output.
 
-    x c is formed in ``out`` (a new array when None; it may be ``samples``
-    itself), and the passband in ``factor``, which is overwritten. Besides a
-    new ``out``, the real FFT's output is the only array the call allocates.
+    x c is written over ``samples``, and the passband over ``factor``. The
+    real FFT's output is the only array the call allocates.
     """
     first, gains, carrier = fold
-    product = np.multiply(samples, carrier, out=_out_array(out, samples.shape, samples.dtype))
-    passband = product.real
+    passband = np.multiply(samples, carrier, out=samples).real
     if factor is not None:
         passband = np.multiply(passband, factor, out=factor)
     band = np.fft.rfft(passband, axis=-1)[..., first : first + gains.size]
@@ -173,6 +158,8 @@ def default_hpf_spec(
     the band. Edges are normalized to the sample rate and can be overridden
     from the experiment config.
     """
+    if not all(edge is None or _is_real(edge) for edge in (stop_edge, pass_edge)):
+        raise ConfigError(f"hpf edges must be numbers, got {stop_edge!r} and {pass_edge!r}")
     if stop_edge is None:
         stop_edge = (params.carrier_hz - 0.75 * params.bandwidth_hz) / params.sample_hz
     if pass_edge is None:

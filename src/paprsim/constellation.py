@@ -6,7 +6,9 @@ Square QAM (orders 4 and 16) is Gray labeled per axis, 8-QAM is a 4x2
 rectangle (four I levels, two Q levels) with per-axis Gray labels, and
 32-QAM is the 6x6 cross (corners removed) with labels assigned in canonical
 point order. QPSK and 4-QAM share the same point set but stay distinct
-schemes so experiment tables keep separate rows for them.
+schemes so experiment tables keep separate rows for them. Each table is
+built from its points and their label integers, a label's bits read as a
+big-endian integer; the bits are expanded from those once per table.
 
 Rectangular 8-QAM is the one improper table: its pseudo-variance E[X^2] is
 2/3, where every other table has E[X^2] = 0. Distortion that depends on the
@@ -93,67 +95,40 @@ class ConstellationTable:
         return self.labels.shape[1]
 
 
-def _gray(n: int) -> int:
+def _gray(n):
     return n ^ (n >> 1)
 
 
-def _int_to_bits(value: int, width: int) -> np.ndarray:
-    return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)
-
-
-def _axis_labels(n_levels: int) -> list[np.ndarray]:
-    """Gray labels for amplitude levels sorted ascending."""
-    width = n_levels.bit_length() - 1
-    return [_int_to_bits(_gray(i), width) for i in range(n_levels)]
-
-
 def _psk_table(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """PSK points and their label integers: point k is Gray labeled gray(k)."""
     # Points at angles 2*pi*(k + 1/2)/M so QPSK lands on the diagonals.
     k = np.arange(order)
-    points = np.exp(2j * np.pi * (k + 0.5) / order)
-    width = order.bit_length() - 1
-    labels = np.array([_int_to_bits(_gray(i), width) for i in range(order)], dtype=np.uint8)
-    return points, labels
+    return np.exp(2j * np.pi * (k + 0.5) / order), _gray(k)
 
 
 def _qam_table(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-energy QAM points, I level major, and their label integers. A
+    rectangle's point (i, q) is labeled gray(i) n_q + gray(q): per-axis Gray
+    labels, I bits first. The 32-cross, the 6x6 grid less its corners,
+    labels its n-th point gray(n)."""
+    n_i, n_q = {4: (2, 2), 8: (4, 2), 16: (4, 4), 32: (6, 6)}[order]
+    i, q = np.meshgrid(2.0 * np.arange(n_i) - (n_i - 1), 2.0 * np.arange(n_q) - (n_q - 1),
+                       indexing="ij")
     if order == 32:
-        levels = np.array([-5, -3, -1, 1, 3, 5], dtype=float)
-        grid = [
-            (i, q)
-            for i in levels
-            for q in levels
-            if not (abs(i) == 5 and abs(q) == 5)
-        ]
-        points = np.array([i + 1j * q for i, q in grid])
-        labels = np.array([_int_to_bits(_gray(n), 5) for n in range(32)], dtype=np.uint8)
+        keep = (np.abs(i) < 5) | (np.abs(q) < 5)
+        i, q, labels = i[keep], q[keep], _gray(np.arange(order))
     else:
-        shapes = {4: (2, 2), 8: (4, 2), 16: (4, 4)}
-        n_i, n_q = shapes[order]
-        i_levels = 2.0 * np.arange(n_i) - (n_i - 1)
-        q_levels = 2.0 * np.arange(n_q) - (n_q - 1)
-        i_labels = _axis_labels(n_i)
-        q_labels = _axis_labels(n_q)
-        pts, labs = [], []
-        for ii, i_val in enumerate(i_levels):
-            for qi, q_val in enumerate(q_levels):
-                pts.append(i_val + 1j * q_val)
-                labs.append(np.concatenate([i_labels[ii], q_labels[qi]]))
-        points = np.array(pts)
-        labels = np.array(labs, dtype=np.uint8)
-    points = points / np.sqrt(np.mean(np.abs(points) ** 2))
-    return points, labels
+        gray_i, gray_q = np.meshgrid(_gray(np.arange(n_i)), _gray(np.arange(n_q)), indexing="ij")
+        labels = (gray_i * n_q + gray_q).ravel()
+    points = (i + 1j * q).ravel()
+    return points / np.sqrt(np.mean(np.abs(points) ** 2)), labels
 
 
 @lru_cache(maxsize=None)
 def _table_cached(family: str, order: int) -> ConstellationTable:
-    if family == "psk":
-        points, labels = _psk_table(order)
-    else:
-        points, labels = _qam_table(order)
-    width = labels.shape[1]
-    weights = 1 << np.arange(width - 1, -1, -1)
-    label_ints = labels @ weights
+    points, label_ints = (_psk_table if family == "psk" else _qam_table)(order)
+    width = order.bit_length() - 1
+    labels = (label_ints[:, None] >> np.arange(width - 1, -1, -1) & 1).astype(np.uint8)
     point_for_label = np.empty(order, dtype=complex)
     point_for_label[label_ints] = points
     for arr in (points, labels, point_for_label):

@@ -85,8 +85,10 @@ class FirDesignSpec:
             if prev_hi is not None and lo <= prev_hi:
                 raise ConfigError("bands must be ascending with non-empty transition gaps")
             prev_hi = hi
-        if any(w <= 0 for w in self.weights):
-            raise ConfigError("weights must be positive")
+        if not all(0 < w < np.inf for w in self.weights):
+            raise ConfigError(f"weights must be positive and finite, got {self.weights!r}")
+        if not all(-np.inf < d < np.inf for d in self.desired):
+            raise ConfigError(f"desired gains must be finite, got {self.desired!r}")
 
 
 @dataclass(frozen=True)

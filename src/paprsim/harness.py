@@ -77,7 +77,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import os
 import threading
 from dataclasses import dataclass, fields
@@ -101,8 +100,10 @@ from .metrics import CcdfCurve, _papr_db_rows, ccdf_quantile, estimate_ccdf
 from .ofdm_chain import (
     OfdmParams,
     _data_bin_offsets,
+    _is_real,
     _require_block,
     _require_int,
+    _self_image_bins,
     demodulate_passband,
     ofdm_modulate,
     oversample_extend,
@@ -137,7 +138,8 @@ _demodulate_rows = demodulate_passband
 #: interpolation error well below the experiment tolerances.
 CCDF_THRESHOLDS_DB = np.arange(0.0, 25.0 + 1e-9, 0.05)
 
-_PAIRS = {4: ("qpsk", "qam"), 8: ("8psk", "8qam"), 16: ("16psk", "16qam"), 32: ("32psk", "32qam")}
+#: Each scheme's (PSK, QAM) pair of its order; SCHEME_NAMES lists the pairs in turn.
+_PAIRS = {name: pair for pair in zip(SCHEME_NAMES[::2], SCHEME_NAMES[1::2]) for name in pair}
 
 #: Samples per chunk of every chunked loop: a complex chunk is 2 MB.
 _CHUNK_SAMPLES = 2**17
@@ -162,14 +164,18 @@ class ExperimentSpec:
     hpf_pass_edge: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.params, OfdmParams):
+            raise ConfigError(f"params must be an OfdmParams, got {self.params!r}")
         if not self.schemes:
             raise ConfigError("schemes must be non-empty")
+        if not all(isinstance(s, ModScheme) for s in self.schemes):
+            raise ConfigError(f"schemes must hold ModScheme values, got {self.schemes!r}")
         if len({s.name for s in self.schemes}) != len(self.schemes):
             raise ConfigError("schemes must be unique")
         if not self.cr_values:
             raise ConfigError("cr_values must be non-empty")
-        if not all(0 < cr < math.inf for cr in self.cr_values):
-            raise ConfigError("cr_values must be positive and finite")
+        if not all(_is_real(cr) and 0 < cr < math.inf for cr in self.cr_values):
+            raise ConfigError(f"cr_values must be positive and finite, got {self.cr_values!r}")
         # Cells are keyed by value and curve files by the {cr:g} tag, so a
         # repeated value would silently collapse its cells into one.
         tags = [f"{cr:g}" for cr in self.cr_values]
@@ -178,7 +184,7 @@ class ExperimentSpec:
         _require_int("n_symbols", self.n_symbols, 1)
         if self.n_symbols < 1000:
             raise ConfigError("n_symbols must be >= 1000 for CCDF runs")
-        if not 0 < self.ccdf_read_point < 1:
+        if not (_is_real(self.ccdf_read_point) and 0 < self.ccdf_read_point < 1):
             raise ConfigError("ccdf_read_point must lie strictly between 0 and 1")
         # Below ~10 expected exceedances the quantile is only an interpolation
         # toward the sample maximum.
@@ -189,7 +195,7 @@ class ExperimentSpec:
             )
         _require_int("bits_per_point", self.bits_per_point, 1)
         _require_int("seed", self.seed, 0)
-        if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in self.ebn0_grid_db):
+        if not all(_is_real(v) and math.isfinite(v) for v in self.ebn0_grid_db):
             raise ConfigError(
                 f"ebn0_grid_db values must be finite numbers, got {self.ebn0_grid_db!r}"
             )
@@ -274,20 +280,15 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _threads_for(samples: int) -> int:
-    """Threads for a loop over ``samples`` block samples: one per full
-    ``_CHUNK_SAMPLES`` budget, at most ``_worker_count()``, at least one.
-    A loop of under two budgets stays on the calling thread: split over
-    two threads, a loop of one or two budgets takes longer than on one."""
-    return max(1, min(_worker_count(), samples // _CHUNK_SAMPLES))
-
-
 def _chunking(frames: int, block_len: int) -> tuple[int, int]:
     """(threads, frames per chunk) of a loop over ``frames`` blocks of
-    ``block_len`` samples. Each of the ``_threads_for`` threads takes
-    chunks of 1/threads of the budget, so the chunks in flight together
-    hold one budget; there are no more threads than chunks."""
-    threads = _threads_for(frames * block_len)
+    ``block_len`` samples: one thread per full ``_CHUNK_SAMPLES`` budget of
+    the blocks, at most ``_worker_count()``, at least one, and no more than
+    chunks. Each thread takes chunks of 1/threads of the budget, so the
+    chunks in flight together hold one budget."""
+    # A loop of under two budgets stays on the calling thread: split over
+    # two threads, a loop of one or two budgets takes longer than on one.
+    threads = max(1, min(_worker_count(), frames * block_len // _CHUNK_SAMPLES))
     step = _chunk_frames(block_len * threads)
     return min(threads, math.ceil(frames / step)), step
 
@@ -368,14 +369,6 @@ def _clip_level(params: OfdmParams, cr: float) -> float:
     the OFDM signal (see the module docstring)."""
     n = params.n_subcarriers
     return cr * math.sqrt((n + 1) / (n * params.oversample))
-
-
-@lru_cache(maxsize=None)
-def _self_image_bins(params: OfdmParams) -> tuple[int, ...]:
-    """The band bins of a plan that are their own conjugate image: a band
-    edge at DC or at Nyquist. Most plans have none."""
-    band = params.occupied_bins
-    return tuple(int(k) for k in band[(2 * band) % params.n_oversampled == 0])
 
 
 def envelope_magnitude(samples: np.ndarray, params: OfdmParams) -> np.ndarray:
@@ -608,8 +601,7 @@ def _papr_chunk(
     # the baseband signal itself.
     unclipped_papr[:] = _papr_db_rows(np.square(magnitude, out=second))
     factor = _clip_magnitude_rows(magnitude, amplitude, out=second)
-    filtered = _filter_inverse(_composed_rows(baseband, fold, factor=factor, out=baseband),
-                               baseband)
+    filtered = _filter_inverse(_composed_rows(baseband, fold, factor=factor), baseband)
     envelope = envelope_magnitude(filtered, params)
     processed_papr[:] = _papr_db_rows(np.square(envelope, out=envelope))
 
@@ -651,7 +643,7 @@ def _ber_chunk(
         baseband = _baseband_chunk(bits, scheme, params, buffers)
         magnitude, factor = _float_rows(buffers[2], count, total)
         _clip_magnitude_rows(np.abs(baseband, out=magnitude), amplitude, out=factor)
-        filtered = _composed_rows(baseband, fold, factor=factor, out=baseband)
+        filtered = _composed_rows(baseband, fold, factor=factor)
         np.take(filtered, data, axis=-1, out=received)
         received *= 1.0 / math.sqrt(total)
         np.multiply(filtered, weights, out=band)
@@ -751,28 +743,19 @@ def run_papr_experiment(spec: ExperimentSpec, progress=None) -> PaprExperimentRe
         quantiles[(scheme.name, cr)] = (q_clip, q_unclip)
         curves[(scheme.name, cr)] = PaprCurves(clipped_curve, unclipped_curve)
 
-    rows = []
-    for scheme in spec.schemes:
-        for cr in spec.cr_values:
-            q_clip, q_unclip = quantiles[(scheme.name, cr)]
-            rows.append(
-                PaprRow(
-                    scheme=scheme.name,
-                    cr=cr,
-                    papr_db_clipped_filtered=q_clip,
-                    papr_db_unclipped=q_unclip,
-                    difference_db=_pair_difference(
-                        quantiles, scheme, cr, value=lambda entry: entry[0]
-                    ),
-                )
-            )
-    return PaprExperimentResult(rows=tuple(rows), curves=curves)
+    # The dict holds the cells in cell order, the order of the rows.
+    rows = tuple(
+        PaprRow(name, cr, q_clip, q_unclip,
+                _pair_difference(quantiles, name, cr, value=lambda entry: entry[0]))
+        for (name, cr), (q_clip, q_unclip) in quantiles.items()
+    )
+    return PaprExperimentResult(rows=rows, curves=curves)
 
 
-def _pair_difference(table: dict, scheme: ModScheme, *key, value):
-    """PSK minus QAM of the same order at the same grid point, if both exist."""
-    psk_name, qam_name = _PAIRS[scheme.order]
-    psk_key, qam_key = (psk_name, *key), (qam_name, *key)
+def _pair_difference(table: dict, name: str, *key, value):
+    """PSK minus QAM of the same order as scheme ``name`` at the same grid
+    point, if both exist."""
+    psk_key, qam_key = ((pair, *key) for pair in _PAIRS[name])
     if psk_key in table and qam_key in table:
         return value(table[psk_key]) - value(table[qam_key])
     return None
@@ -839,25 +822,12 @@ def run_ber_experiment(spec: ExperimentSpec, progress=None) -> BerExperimentResu
                     f"ber cell failed (scheme={scheme.name}, cr={cr:g}, ebn0={ebn0:g}): {exc}"
                 ) from exc
 
-    rows = []
-    for scheme in spec.schemes:
-        for cr in spec.cr_values:
-            for ebn0 in spec.ebn0_grid_db:
-                errors, total = results[(scheme.name, cr, ebn0)]
-                rows.append(
-                    BerRow(
-                        scheme=scheme.name,
-                        cr=cr,
-                        ebn0_db=ebn0,
-                        bit_errors=errors,
-                        bits_total=total,
-                        ber=errors / total,
-                        difference=_pair_difference(
-                            results, scheme, cr, ebn0, value=lambda e: e[0] / e[1]
-                        ),
-                    )
-                )
-    return BerExperimentResult(rows=tuple(rows))
+    # The dict holds the cells in cell order, the order of the rows.
+    return BerExperimentResult(rows=tuple(
+        BerRow(name, cr, ebn0, errors, total, errors / total,
+               _pair_difference(results, name, cr, ebn0, value=lambda e: e[0] / e[1]))
+        for (name, cr, ebn0), (errors, total) in results.items()
+    ))
 
 
 def _format_cell(value) -> str:
@@ -868,42 +838,38 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _write_csv(path, header, rows) -> Path:
+    """Write a header and rows of cells to a UTF-8 CSV file."""
+    path = Path(path)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
 def emit_csv(rows, path, columns=None) -> Path:
     """Write dataclass rows to a CSV file with full-precision numbers.
 
     Output is deterministic: fixed column order, repr-format floats (exact
     on round trip), UTF-8, no timestamps.
     """
-    path = Path(path)
     if columns is None:
         if not rows:
             raise ConfigError("columns must be given explicitly for an empty row set")
         columns = [f.name for f in fields(rows[0])]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(_format_cell(getattr(row, name)) for name in columns)
-    return path
+    return _write_csv(path, columns,
+                      ([_format_cell(getattr(row, name)) for name in columns] for row in rows))
 
 
 def write_ccdf_csv(curve: CcdfCurve, path) -> Path:
     """Two-column plot data (threshold_db, prob_exceed) plus the sample count."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold_db", "prob_exceed", "sample_count"])
-        for t, p in zip(curve.thresholds_db, curve.prob_exceed):
-            writer.writerow([_format_cell(float(t)), _format_cell(float(p)), curve.sample_count])
-    return path
+    return _write_csv(path, ["threshold_db", "prob_exceed", "sample_count"],
+                      ([repr(float(t)), repr(float(p)), curve.sample_count]
+                       for t, p in zip(curve.thresholds_db, curve.prob_exceed)))
 
 
 def write_ber_curve_csv(points, path) -> Path:
     """Plot data for one (scheme, cr): rows of (ebn0_db, ber, sample_count)."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ebn0_db", "ber", "sample_count"])
-        for ebn0, ber, total in points:
-            writer.writerow([_format_cell(float(ebn0)), _format_cell(float(ber)), total])
-    return path
+    return _write_csv(path, ["ebn0_db", "ber", "sample_count"],
+                      ([repr(float(ebn0)), repr(float(ber)), total] for ebn0, ber, total in points))

@@ -18,7 +18,9 @@ frame order, so the round trip is exact to round-off.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +33,12 @@ def _require_int(name: str, value, least: int) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         kind = "non-negative" if least == 0 else "positive"
         raise ConfigError(f"{name} must be a {kind} integer, got {value!r}")
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number; a bool is not, as for
+    ``_require_int``."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -217,9 +225,17 @@ def _data_bin_offsets(params: OfdmParams) -> np.ndarray:
             "passband keeps only the real part of X[N/2]; use oversample >= 3"
         )
     offsets = np.r_[0 : n // 2 + 1, -n // 2 + 1 : 0]
-    if 2 * (params.carrier_bin + n // 2) == params.n_oversampled:
+    if params.carrier_bin + n // 2 in _self_image_bins(params):
         offsets[n // 2] = -(n // 2)
     return offsets
+
+
+@lru_cache(maxsize=None)
+def _self_image_bins(params: OfdmParams) -> tuple[int, ...]:
+    """The band bins of a plan that are their own conjugate image: a band
+    edge at DC or at Nyquist. Most plans have none."""
+    band = params.occupied_bins
+    return tuple(int(k) for k in band[(2 * band) % params.n_oversampled == 0])
 
 
 def demodulate_passband(samples, params: OfdmParams) -> np.ndarray:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,46 @@ def test_table_invariants(scheme):
     assert len(set(np.round(table.points, 12))) == scheme.order
     label_ints = {tuple(row) for row in table.labels}
     assert len(label_ints) == scheme.order
+
+
+# SHA-256 of the bytes of each table's points, labels and point_for_label,
+# taken from the tables as built before they were built from label integers.
+TABLE_SHA256 = {
+    "qpsk": ("56f2c6be174910bee57cbfdd065e7b8e57c2c4fbaa8d1701a968e66ff9c7ef2a",
+             "eddbfad5043d7f782086e4976c28f8d5a98199e02f2c893e891c4ad4da8e8573",
+             "66a2a69f17e7e33124f0bd80e88ca77c28edb4d8c8dfba38e4659b5168a4948c"),
+    "qam": ("396fa67b42551008ee291dff4a9d5b2e5ec5a845576e65fb6feac5500271efb1",
+            "0fe12ed7a2eb6806814ba347f882ee9e6ed89336d8033001e52ad0d8d629bdd3",
+            "396fa67b42551008ee291dff4a9d5b2e5ec5a845576e65fb6feac5500271efb1"),
+    "8psk": ("db8a0264f211a5ee57051b1f9d71b01be4709d0c6fe50c15657372cab175a68b",
+             "2f102b03d43064621e13d5521600c3ecd344a0d55a38e44f4e99f23d09a490ac",
+             "ff75e254e9fd056115ed1b1e7ace315b785e66cce252b472ea8b93feb7a3ed7e"),
+    "8qam": ("fb0e9b34c7f56db4410153ecee997ba2b02d99dffc31352045713f4356eaf89d",
+             "33a36cce3c8aed816b7d87f97e9396b1b0c55ba9a69e4b7d44f3c4c6a090d9f4",
+             "ab4369be04db1863b4b5b5af303b42fa861eee01eafd1629f6f996e1e2b392e9"),
+    "16psk": ("623297f0851d5e6db593d1653e50c7eb2cf236fd3af941765c81a3dca121ee51",
+              "4fe70cfd08c76576f5dbaf4301020577de72e19959ccca5e087d72bff28f4cd6",
+              "9b59e0b764e652f0ffa0013d35a1c6af689e916fb59bacb0e205267b3f0d2781"),
+    "16qam": ("fadc5967faf0cb3c51e73103d8a453da1358cbf554a72c7a2d2cbdfc3be31a8b",
+              "f513a6aafdef0967635fd607d3a486d2c9bc7d92cb9874dd409a0ced8079c860",
+              "699fba4b7ac8e9cbd1ab323653e03e52682d97dfeb6d69d1a88a1c5731d29978"),
+    "32psk": ("c89c78e89b45bbcaf915aebabd2dfa3bf144b2d3cd13a24fe9c2160ff513f7ff",
+              "84a054a3486ad675f0f872178a4d5736eeb93bed5d70206fee5ce2b1ad0ae7f1",
+              "f27ed152ecd620104f6331692ddf36034a8bfde593f96b04984df6c9a87e701b"),
+    "32qam": ("146dbdf0b502164e11bfe22c02814555f1e12d0741d3c00c433a98139356a511",
+              "84a054a3486ad675f0f872178a4d5736eeb93bed5d70206fee5ce2b1ad0ae7f1",
+              "dba0fc2a1d059eba5bb47e68362815b87fa553f98b4e2870b61ca37ef631d559"),
+}
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.name)
+def test_table_bytes_are_pinned(scheme):
+    table = constellation_points(scheme)
+    assert table.points.dtype == complex and table.point_for_label.dtype == complex
+    assert table.labels.dtype == np.uint8
+    got = tuple(hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+                for array in (table.points, table.labels, table.point_for_label))
+    assert got == TABLE_SHA256[scheme.name]
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.name)

@@ -146,6 +146,13 @@ def test_spec_validation():
         FirDesignSpec(31, ((0.0, 0.6),), (1.0,), (1.0,))  # edge beyond 0.5
     with pytest.raises(ConfigError):
         FirDesignSpec(31, ((0.0, 0.2),), (1.0,), (0.0,))  # zero weight
+    # Unchecked, each design warned of invalid values in numpy and then
+    # failed with "no pass with a finite error".
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ConfigError, match="weights must be positive and finite"):
+            FirDesignSpec(31, ((0.0, 0.2), (0.3, 0.5)), (1.0, 0.0), (1.0, bad))
+        with pytest.raises(ConfigError, match="desired gains must be finite"):
+            FirDesignSpec(31, ((0.0, 0.2), (0.3, 0.5)), (bad, 0.0), (1.0, 1.0))
 
 
 def test_infeasible_hpf_band_plan():

@@ -48,6 +48,26 @@ def test_spec_validation_messages():
         small_spec(ccdf_read_point=1.5)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("cr_values", ("1",), "cr_values must be positive and finite"),
+    ("cr_values", (True,), "cr_values must be positive and finite"),
+    ("cr_values", (1.0, None), "cr_values must be positive and finite"),
+    ("ccdf_read_point", "0.01", "ccdf_read_point must lie strictly between 0 and 1"),
+    ("ccdf_read_point", None, "ccdf_read_point must lie strictly between 0 and 1"),
+    ("hpf_stop_edge", "0.2", "hpf edges must be numbers"),
+    ("hpf_pass_edge", [0.2], "hpf edges must be numbers"),
+    ("schemes", ("qpsk",), "schemes must hold ModScheme values"),
+    ("schemes", (ModScheme.from_name("qpsk"), 4), "schemes must hold ModScheme values"),
+    ("params", {"n_subcarriers": 64}, "params must be an OfdmParams"),
+    ("params", None, "params must be an OfdmParams"),
+], ids=repr)
+def test_spec_fields_of_the_wrong_type_are_config_errors(field, value, message):
+    # Unchecked, each raised a TypeError or an AttributeError, or (True as a
+    # CR) ran as CR 1.
+    with pytest.raises(ConfigError, match=message):
+        small_spec(**{field: value})
+
+
 def test_repeated_grid_values_are_refused():
     # Cells are keyed by value, so a repeated value collapses its cells:
     # unchecked, cr_values (1.0, 1.0) x ebn0_grid_db (8.0, 8.0) computed four
@@ -118,9 +138,10 @@ def test_read_point_needs_ten_expected_exceedances():
             small_spec(n_symbols=n_symbols, ccdf_read_point=read_point)
 
 
-@pytest.mark.parametrize("value", [None, "4", float("nan"), float("inf")], ids=repr)
+@pytest.mark.parametrize("value", [None, "4", float("nan"), float("inf"), True], ids=repr)
 def test_ebn0_grid_values_must_be_finite_numbers(value):
-    # None and a string raised numpy's TypeError from np.isfinite.
+    # None and a string raised numpy's TypeError from np.isfinite; True ran
+    # as 1 dB.
     with pytest.raises(ConfigError, match="ebn0_grid_db values must be finite numbers"):
         small_spec(ebn0_grid_db=(8.0, value))
 

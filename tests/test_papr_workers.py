@@ -192,45 +192,43 @@ def garbage(shape):
 @pytest.mark.parametrize("plan", ["reference", "nyquist_edge"])
 def test_stage_out_paths_equal_the_allocating_paths(plan):
     # An out= prefilled with NaN shows any element a stage leaves unwritten.
-    params, scheme, bits, baseband, hpf = stage_inputs(plan)
+    params, scheme, bits, baseband, _ = stage_inputs(plan)
     n, total = params.n_subcarriers, params.n_oversampled
-    amplitude = _clip_level(params, 1.0)
     symbols = map_bits(bits, scheme)
     frames = oversample_extend(symbols, params.oversample)
-    clipped = clip_baseband(baseband, amplitude)
-    filtered = composed_filter(clipped, params, hpf)
     cases = [
         (symbols, lambda out: map_bits(bits, scheme, out=out)),
         (frames, lambda out: oversample_extend(symbols, params.oversample, out=out)),
         (baseband, lambda out: ofdm_modulate(frames, params, out=out)),
-        (clipped, lambda out: clip_baseband(baseband, amplitude, out=out)),
-        (filtered, lambda out: composed_filter(clipped, params, hpf, out=out)),
     ]
     for want, stage in cases:
         out = garbage(want.shape)
         assert stage(out) is out
         assert np.array_equal(out, want)
     assert symbols.shape == (bits.shape[0], n) and frames.shape[-1] == total
-    # In place where the docstrings allow it; the clip's input is unchanged.
+    # In place, as the docstring allows.
     block = frames.copy()
     assert np.array_equal(ofdm_modulate(block, params, out=block), baseband)
-    block = clipped.copy()
-    assert np.array_equal(composed_filter(block, params, hpf, out=block), filtered)
-    kept = baseband.copy()
-    clip_baseband(baseband, amplitude, out=garbage(baseband.shape))
-    assert np.array_equal(baseband, kept)
+
+
+@pytest.mark.parametrize("plan", ["reference", "nyquist_edge"])
+def test_clip_and_composed_filter_leave_their_input_unchanged(plan):
+    params, _, _, baseband, hpf = stage_inputs(plan)
+    clipped = clip_baseband(baseband, _clip_level(params, 1.0))
+    kept = baseband.copy(), clipped.copy()
+    filtered = composed_filter(clipped, params, hpf)
+    assert not np.array_equal(clipped, baseband) and not np.array_equal(filtered, clipped)
+    assert np.array_equal(baseband, kept[0]) and np.array_equal(clipped, kept[1])
 
 
 def test_stage_out_must_match_shape_and_dtype():
-    params, scheme, bits, baseband, hpf = stage_inputs()
+    params, scheme, bits, baseband, _ = stage_inputs()
     frames = oversample_extend(map_bits(bits, scheme), params.oversample)
     wrong = [np.empty(baseband.shape[:-1] + (7,), complex),
              np.empty((2,) + baseband.shape, complex), np.empty(baseband.shape, np.complex64)]
     calls = [
         lambda out: oversample_extend(map_bits(bits, scheme), params.oversample, out=out),
         lambda out: ofdm_modulate(frames, params, out=out),
-        lambda out: clip_baseband(baseband, 0.3, out=out),
-        lambda out: composed_filter(baseband, params, hpf, out=out),
     ]
     for call in calls:
         for out in wrong:
@@ -238,5 +236,3 @@ def test_stage_out_must_match_shape_and_dtype():
                 call(out)
     with pytest.raises(ShapeError, match="out must be"):
         map_bits(bits, scheme, out=np.empty((bits.shape[0], params.n_subcarriers)))
-    with pytest.raises(ShapeError, match="own samples"):
-        clip_baseband(baseband, 0.3, out=baseband)
