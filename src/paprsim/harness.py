@@ -42,10 +42,10 @@ loop of under two budgets stays on the calling thread. A thread's chunk
 holds 1/T of the budget, T the loop's thread count, so the chunks in
 flight together hold one budget. The PAPR cell's threads draw the chunks'
 bits in chunk order, one chunk at a time; the BER unit draws its bits up
-front, and each Eb/N0 point runs on one thread and draws its noise from
-its own generator in row order. Every row of a chunk is computed on its
-own (transforms, clipping, PAPR and the slicer act per row), so results
-depend on neither W nor the chunk length.
+front and its normals the same way as its transmit chunks, and each Eb/N0
+point runs on one thread and scales those normals in row order. Every row
+of a chunk is computed on its own (transforms, clipping, PAPR and the
+slicer act per row), so results depend on neither W nor the chunk length.
 
 BER cells come in units, one per (scheme, cr), that share one transmission.
 A unit draws its bits once and loops over chunks of them (``_ber_chunk``).
@@ -65,13 +65,17 @@ per-block mean squares. The receiver is linear and reads only the N data
 bins. White real passband
 noise of variance sigma_n^2 therefore reaches each data bin as circular
 complex Gaussian noise of variance 2 sigma_n^2, independent across bins
-(prefix noise is discarded). Each Eb/N0 point calibrates sigma_n
-from the measured transmit power and loops over chunks of the noise-free
-symbols: it draws only that bin noise, adds it to the symbols, divides by
-the closed-form gain clip_attenuation(cr), or by 1 unclipped, slices and
-counts the bit errors. The unit draws from
-SeedSequence([master_seed, 1, unit_index]).spawn(1 + len(ebn0_grid_db)):
-child 0 for the bits, child 1 + i for the noise at Eb/N0 point i.
+(prefix noise is discarded). The unit draws that bin noise once, as unit
+normals z, 2N standard normals a frame, alongside its transmit. Each
+Eb/N0 point calibrates sigma_n from the measured transmit power and loops
+over chunks of the noise-free symbols: it scales the chunk's rows of z by
+sigma_n, adds the symbols, divides by the closed-form gain
+clip_attenuation(cr), or by 1 unclipped, slices and counts the bit
+errors. The unit draws from SeedSequence([master_seed, 1,
+unit_index]).spawn(2): child 0 for the bits, child 1 for z. Every point
+of a unit scales the same z (common random numbers), so each cell has
+the distribution it would have with a draw of its own, but a unit's
+cells are correlated and are not independent samples of the BER curve.
 """
 from __future__ import annotations
 
@@ -79,6 +83,7 @@ import csv
 import math
 import os
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
@@ -166,6 +171,10 @@ class ExperimentSpec:
     def __post_init__(self):
         if not isinstance(self.params, OfdmParams):
             raise ConfigError(f"params must be an OfdmParams, got {self.params!r}")
+        for name in ("schemes", "cr_values", "ebn0_grid_db"):
+            value = getattr(self, name)
+            if isinstance(value, str) or not isinstance(value, Sequence):
+                raise ConfigError(f"{name} must be a sequence, got {value!r}")
         if not self.schemes:
             raise ConfigError("schemes must be non-empty")
         if not all(isinstance(s, ModScheme) for s in self.schemes):
@@ -408,22 +417,21 @@ def clip_attenuation(cr: float) -> float:
 
 
 def _add_bin_noise(
-    symbols: np.ndarray, sigma_n: float, rng: np.random.Generator, *, out=None,
+    symbols: np.ndarray, sigma_n: float, normals: np.ndarray | None, *, out=None,
 ) -> np.ndarray:
     """Return received data symbols (..., N) plus the data-bin read of white
     real passband noise of variance sigma_n^2: circular complex Gaussian
-    noise of variance 2 sigma_n^2 at every bin. Draws 2N standard normals
-    per row, in row order, so chunks of rows drawn in turn from one
-    generator get the normals of one draw for all the rows; sigma_n = 0
-    draws nothing. ``out``, a C-contiguous complex array of the symbols'
+    noise of variance 2 sigma_n^2 at every bin, formed as sigma_n times
+    ``normals``, a complex array of the symbols' shape whose real and
+    imaginary parts are standard normals. sigma_n = 0 reads no normals, so
+    they may be None. ``out``, a C-contiguous complex array of the symbols'
     shape, receives the result in place of a new array."""
     if out is None:
         out = np.empty(symbols.shape, complex)
     if sigma_n == 0:
         out[...] = symbols
         return out
-    rng.standard_normal(out=out.view(float))
-    out *= sigma_n
+    np.multiply(normals, sigma_n, out=out)
     out += symbols
     return out
 
@@ -435,18 +443,25 @@ def _noise_free_unit(
     hpf: fir_design.FirFilter | None,
     min_bits: int,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, float, np.ndarray]:
+    noise: np.random.Generator | None = None,
+) -> tuple:
     """The shared work of a BER unit: draw the bit rows, transmit them
     (cr=None skips clipping and filtering) and receive them without noise,
     one chunk at a time (``_ber_chunk``). Returns (bits, transmit power,
     received symbols); the power is the mean square of the passband
     samples, prefix included, that the channel is calibrated to, taken as
     the mean of the per-block mean squares. Unclipped, the symbols are the
-    mapped symbols.
+    mapped symbols. Given ``noise``, a generator, it also draws the unit's
+    normals, one complex array of the symbols' shape whose real and
+    imaginary parts are standard normals drawn in row order (2N a frame),
+    and returns them fourth.
 
     The bits are drawn up front and the chunks run on ``_on_threads``, one
     thread per full budget of the unit's prefixed blocks (``_chunking``),
-    each thread with its own buffers. Every chunk writes its own rows."""
+    each thread with its own buffers. Every chunk writes its own rows. A
+    chunk's normals are drawn as the chunk is claimed, so the draws follow
+    row order whatever the thread count and concatenate to one draw of all
+    the rows, while the other threads transmit."""
     if cr is not None and hpf is None:
         raise ConfigError("clipping requested but no high-pass filter supplied")
     _band_read(params)  # refuses a plan the receiver cannot serve
@@ -459,14 +474,20 @@ def _noise_free_unit(
     buffers = [_chunk_buffers(min(step, n_frames), params) for _ in range(threads)]
     received = np.empty((n_frames, params.n_subcarriers), dtype=complex)
     block_power = np.empty(n_frames)
+    normals = None if noise is None else np.empty_like(received)
+
+    def draw(index):
+        noise.standard_normal(out=normals[index * step : (index + 1) * step].view(float))
 
     def transmit(thread, index, _):
         rows = slice(index * step, (index + 1) * step)
         _ber_chunk(bits[rows], scheme, params, amplitude, fold, buffers[thread],
                    received[rows], block_power[rows])
 
-    _on_threads(math.ceil(n_frames / step), transmit, threads=threads)
-    return bits, float(np.mean(block_power)), received
+    _on_threads(math.ceil(n_frames / step), transmit,
+                claim=None if noise is None else draw, threads=threads)
+    unit = bits, float(np.mean(block_power)), received
+    return unit if noise is None else (*unit, normals)
 
 
 def _ber_cells(
@@ -480,25 +501,37 @@ def _ber_cells(
 ):
     """Yield (bit_errors, bits_total) for each Eb/N0 point of one (scheme,
     cr) unit. cr=None skips clipping and filtering, an Eb/N0 of None is a
-    noiseless channel. SeedSequence(entropy) spawns one child per draw:
-    child 0 for the bits, child 1 + i for the noise at Eb/N0 point i.
+    noiseless channel. SeedSequence(entropy).spawn(2) gives the unit's two
+    streams: child 0 for the bits, child 1 for the unit normals z that
+    every point shares (common random numbers). A unit whose points are
+    all noiseless draws no normals.
 
-    Nothing runs until the first value is asked for; the unit's transmit
-    and noise-free receive then run once, before the first point.
+    Nothing runs until the first value is asked for; the unit's transmit,
+    noise-free receive and draw of z then run once, before the first
+    point.
 
     The points run on the unit's T threads (``_chunking``) in batches of
     T, one point per thread, each batch when its first value is asked for;
     with T = 1 each point runs when it is asked for. A point loops over
-    chunks of the kept symbols, each 1/T of the budget: it draws the
-    chunk's noise from its own generator into its thread's buffer, adds
-    the symbols, divides by the gain, demaps and counts the errors, so it
-    makes no array of the unit's size. A failing point raises when its own
-    value is asked for.
+    chunks of the kept symbols, each 1/T of the budget: it writes sigma_n
+    times the chunk's rows of z into its thread's buffer, adds the symbols,
+    divides by the gain, demaps and counts the errors, so it makes no array
+    of the unit's size. A failing point raises when its own value is asked
+    for.
+
+    So point i receives (sigma_n(i) z + clean) / gain, the same operations
+    in the same order as a point with a draw of its own, and point 0 draws
+    what it drew when every point had its own child 1 + i. A unit's points
+    are correlated: for QPSK, the bit errors at an Eb/N0 include those at
+    every higher Eb/N0 of the unit.
     """
-    seeds = np.random.SeedSequence(entropy).spawn(1 + len(ebn0_grid_db))
-    bits, power, clean = _noise_free_unit(
-        params, scheme, cr, hpf, min_bits, np.random.default_rng(seeds[0])
+    bit_seed, noise_seed = np.random.SeedSequence(entropy).spawn(2)
+    noisy = any(ebn0_db is not None for ebn0_db in ebn0_grid_db)
+    bits, power, clean, *normals = _noise_free_unit(
+        params, scheme, cr, hpf, min_bits, np.random.default_rng(bit_seed),
+        np.random.default_rng(noise_seed) if noisy else None,
     )
+    normals = normals[0] if normals else None
     gain = clip_attenuation(cr) if cr is not None else 1.0
     # numpy divides a complex x by g + 0j as (x.real + x.imag * 0) * (1 / g)
     # and (x.imag - x.real * 0) * (1 / g), so scaling both parts by 1 / g
@@ -508,17 +541,17 @@ def _ber_cells(
     n_frames, n = clean.shape
     threads, _ = _chunking(n_frames, params.n_oversampled + params.cp_oversampled)
     step = _chunk_frames(n * threads)
-    noise = [np.empty(min(step, n_frames) * n, complex) for _ in range(threads)]
+    buffers = [np.empty(min(step, n_frames) * n, complex) for _ in range(threads)]
 
     def errors_at(thread, point):
         ebn0_db = ebn0_grid_db[point]
         sigma_n = 0.0 if ebn0_db is None else noise_sigma(params, scheme, ebn0_db, power)
-        rng = np.random.default_rng(seeds[1 + point])
         errors = 0
         for start in range(0, n_frames, step):
             rows = slice(start, start + step)
-            out = _rows(noise[thread], complex, *clean[rows].shape)
-            parts = _add_bin_noise(clean[rows], sigma_n, rng, out=out).view(float)
+            out = _rows(buffers[thread], complex, *clean[rows].shape)
+            z = None if normals is None else normals[rows]
+            parts = _add_bin_noise(clean[rows], sigma_n, z, out=out).view(float)
             parts *= scale
             errors += int(np.count_nonzero(bits[rows] != _demap_rows(out, scheme)))
         return errors

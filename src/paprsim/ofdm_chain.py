@@ -68,9 +68,9 @@ class OfdmParams:
             raise ConfigError("n_subcarriers must be >= 2")
         if self.n_subcarriers % 2:
             raise ConfigError("n_subcarriers must be even")
-        if not 0 < self.bandwidth_hz < math.inf:
+        if not (_is_real(self.bandwidth_hz) and 0 < self.bandwidth_hz < math.inf):
             raise ConfigError(f"bandwidth_hz must be positive and finite, got {self.bandwidth_hz!r}")
-        if not math.isfinite(self.carrier_hz):
+        if not (_is_real(self.carrier_hz) and math.isfinite(self.carrier_hz)):
             raise ConfigError(f"carrier_hz must be finite, got {self.carrier_hz!r}")
         if self.cp_len > self.n_subcarriers:
             raise ConfigError("cp_len must satisfy 0 <= cp_len <= n_subcarriers")

@@ -18,7 +18,10 @@ at shifted bins, and the BER channel from the per-cell time-domain path (AWGN on
 every passband sample, then ``demodulate_passband``), which the library
 replaces by noise drawn at the data bins, and the PAPR cell and the BER
 unit's transmission from their whole-batch forms, which the library
-streams chunk by chunk. The passband filter reads its per-bin gain from
+streams chunk by chunk, and a BER unit's Eb/N0 points from whole-unit
+arrays with any normals per point: the library scales one shared draw,
+and a draw of each point's own (``per_point_normals``) is how the points
+were drawn before. The passband filter reads its per-bin gain from
 ``band_gains``, the one definition of that gain. The former bit mapper
 (an integer matrix product over an int64 copy of the bits) and PAPR read
 (``np.max`` and ``np.mean`` of |x|^2) check the library's faster forms,
@@ -44,9 +47,11 @@ from paprsim import (
     add_cyclic_prefix,
     amplitude_response,
     band_gains,
+    clip_attenuation,
     clip_baseband,
     composed_filter,
     constellation_points,
+    demap_symbols,
     demodulate_passband,
     map_bits,
     noise_sigma,
@@ -399,6 +404,34 @@ def time_domain_ber_cell(bits, scheme, params, cr, ebn0_db, hpf, rng):
     clean = demodulate_passband(remove_cyclic_prefix(blocks, cp_n), params)
     noisy = demodulate_passband(remove_cyclic_prefix(add_awgn(blocks, sigma_n, rng), cp_n), params)
     return power, sigma_n, clean, noisy
+
+
+def complex_normals(rng, shape) -> np.ndarray:
+    """A complex array of ``shape`` whose real and imaginary parts are
+    standard normals, drawn in row order: 2N normals for a row of N."""
+    return rng.standard_normal((*shape[:-1], 2 * shape[-1])).view(complex)
+
+
+def per_point_normals(entropy, ebn0_grid_db, shape) -> list:
+    """The normals of a BER unit's Eb/N0 points when each point drew its
+    own: SeedSequence(entropy).spawn(1 + len(ebn0_grid_db)), child 1 + i
+    for point i, each a whole-unit draw."""
+    seeds = np.random.SeedSequence(entropy).spawn(1 + len(ebn0_grid_db))
+    return [complex_normals(np.random.default_rng(seed), shape) for seed in seeds[1:]]
+
+
+def ber_points(bits, power, clean, scheme, params, cr, ebn0_grid_db, normals) -> list:
+    """The error counts of a BER unit's Eb/N0 points on whole-unit arrays:
+    point i adds sigma_n(i) times ``normals[i]`` to the noise-free symbols
+    ``clean``, divides by the clipper's gain (1 unclipped) with numpy's
+    complex division and slices with ``demap_symbols``. An Eb/N0 of None
+    adds no noise."""
+    gain = 1.0 if cr is None else clip_attenuation(cr)
+    counts = []
+    for ebn0_db, z in zip(ebn0_grid_db, normals):
+        noisy = clean if ebn0_db is None else clean + noise_sigma(params, scheme, ebn0_db, power) * z
+        counts.append(int(np.count_nonzero(demap_symbols(noisy / gain, scheme) != bits)))
+    return counts
 
 
 def batch_papr_cell(spec, scheme, cr, rng, hpf):

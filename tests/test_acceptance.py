@@ -45,6 +45,7 @@ from oracles import (
     baseband_frames,
     chebyshev_lp_ripple,
     clip_passband,
+    complex_normals,
     direct_oversampled_idft,
     improper_gaussian_ber,
     ofdm_demodulate,
@@ -158,14 +159,14 @@ def replay_trend_cell(scheme: ModScheme, cr: float, hpf) -> dict:
     spec = TREND_SPEC
     params = spec.params
     units = [(s.name, c) for s in spec.schemes for c in spec.cr_values]
-    seeds = np.random.SeedSequence([spec.seed, 1, units.index((scheme.name, cr))]).spawn(
-        1 + len(spec.ebn0_grid_db))
+    seeds = np.random.SeedSequence([spec.seed, 1, units.index((scheme.name, cr))]).spawn(2)
     bits_per_frame = params.n_subcarriers * scheme.bits_per_symbol
     tx_bits, power, clean = _noise_free_unit(  # clean: noise-free, gain kept
         params, scheme, cr, hpf, spec.bits_per_point, np.random.default_rng(seeds[0]))
     sigma_n = noise_sigma(params, scheme, TREND_EBN0_DB, power)
     alpha = clip_attenuation(cr)
-    noisy = _add_bin_noise(clean, sigma_n, np.random.default_rng(seeds[1]))
+    noisy = _add_bin_noise(clean, sigma_n,
+                           complex_normals(np.random.default_rng(seeds[1]), clean.shape))
     equalized = noisy / alpha
     sent = map_bits(tx_bits.reshape(-1), scheme).reshape(equalized.shape)
 

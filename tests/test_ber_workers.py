@@ -16,10 +16,17 @@ import numpy as np
 import pytest
 
 import paprsim.harness as harness
-from paprsim import ExperimentError, ExperimentSpec, ModScheme, emit_csv, run_ber_experiment
+from paprsim import (
+    ExperimentError,
+    ExperimentSpec,
+    ModScheme,
+    emit_csv,
+    run_ber_experiment,
+    simulate_chain_ber,
+)
 from paprsim.harness import _ber_cells, _noise_free_unit, experiment_hpf
 
-from oracles import ORACLE_PLANS
+from oracles import ORACLE_PLANS, ber_points, per_point_normals
 
 # 97 frames of 16-QAM on a 128-subcarrier plan: an odd count, so every
 # even chunk length leaves a ragged last chunk.
@@ -65,9 +72,46 @@ def test_unit_and_counts_do_not_depend_on_the_worker_count(monkeypatch, plan, cr
     assert not runner_threads()
 
 
+@pytest.mark.parametrize("cr", [None, 1.2], ids=["unclipped", "cr1.2"])
+def test_every_point_scales_the_normals_point_0_drew_on_its_own(monkeypatch, cr):
+    # Point i of a unit adds sigma_n(i) times one draw of normals, the draw
+    # that point 0 made when each point drew its own, so point 0 and every
+    # single-point simulate_chain_ber keep their counts bit for bit, and
+    # the later points equal the oracle fed point 0's normals, on any
+    # worker count and chunk length.
+    params, _ = ORACLE_PLANS["reference"]
+    hpf = experiment_hpf(ExperimentSpec(params=params))
+    scheme = ModScheme("qam", 16)
+
+    def oracle(entropy, grid):
+        bit_seed = np.random.SeedSequence(entropy).spawn(1)[0]
+        bits, power, clean = _noise_free_unit(params, scheme, cr, hpf, MIN_BITS,
+                                              np.random.default_rng(bit_seed))
+        own = per_point_normals(entropy, grid, clean.shape)
+        return (ber_points(bits, power, clean, scheme, params, cr, grid, own),
+                ber_points(bits, power, clean, scheme, params, cr, grid, own[:1] * len(grid)))
+
+    own, shared = oracle([5, 1, 0], EBN0_DB)
+    (chain,), _ = oracle([5, 2, 0], (6.0,))
+    assert own[1:] != shared[1:]  # the two oracles tell the draws apart
+    for workers in (1, 2, 3):
+        for budget_blocks in (None, 4):
+            _, counts = unit_and_counts(monkeypatch, params, cr, hpf, workers, budget_blocks)
+            errors = [count for count, _ in counts]
+            assert errors[0] == own[0] and errors == shared, (workers, budget_blocks)
+            with monkeypatch.context() as m:
+                m.setattr(harness, "_worker_count", lambda: workers)
+                if budget_blocks is not None:
+                    block_len = params.n_oversampled + params.cp_oversampled
+                    m.setattr(harness, "_CHUNK_SAMPLES", budget_blocks * block_len)
+                got, _ = simulate_chain_ber(params, scheme, ebn0_db=6.0, cr=cr,
+                                            min_bits=MIN_BITS, seed=5, hpf=hpf)
+            assert got == chain, (workers, budget_blocks)
+
+
 def test_counts_with_more_workers_than_cpus_and_fast_thread_switching(monkeypatch):
-    # A race (a shared noise buffer, a chunk drawn from the wrong point's
-    # generator, a lost row of the symbols) would change a count or a symbol.
+    # A race (a shared noise buffer, normals drawn out of chunk order, a
+    # lost row of the symbols) would change a count or a symbol.
     params, _ = ORACLE_PLANS["reference"]
     hpf = experiment_hpf(ExperimentSpec(params=params))
     want = unit_and_counts(monkeypatch, params, 1.0, hpf, 1)
@@ -176,7 +220,8 @@ def test_a_failing_point_names_its_own_cell(monkeypatch):
 
 def cells_peak_and_kept_bytes(min_bits):
     """tracemalloc peak of one clipped QPSK unit with its 7 points on the
-    reference plan, and the bytes of the bits and symbols it keeps."""
+    reference plan, and the bytes of the bits, symbols and normals it
+    keeps."""
     params = ORACLE_PLANS["reference"][0]
     scheme = ModScheme.from_name("qpsk")
     hpf = experiment_hpf(ExperimentSpec(params=params))
@@ -188,15 +233,17 @@ def cells_peak_and_kept_bytes(min_bits):
     finally:
         tracemalloc.stop()
     frames = -(-min_bits // (params.n_subcarriers * scheme.bits_per_symbol))
-    return peak, frames * params.n_subcarriers * (scheme.bits_per_symbol + 16)
+    return peak, frames * params.n_subcarriers * (scheme.bits_per_symbol + 16 + 16)
 
 
 def test_ber_points_grow_only_by_what_the_unit_keeps(monkeypatch):
-    # From 2*10^5 to 8*10^5 bits the unit keeps 0.6 MB more bits and 4.8 MB
-    # more symbols. A point that drew its noise, demapped or compared its
-    # bits for the whole unit at once would add arrays of the unit's size:
-    # 3.2 MB of normals at 8*10^5 bits for the noise alone. One worker, so
-    # both peaks are deterministic (see the next test for threads).
+    # From 2*10^5 to 8*10^5 bits the unit keeps 0.6 MB more bits, 4.8 MB
+    # more symbols and 4.8 MB more normals: the unit keeps its one draw of
+    # normals, 16 bytes a symbol, by design, since every point scales it. A
+    # point that scaled its noise, demapped or compared its bits for the
+    # whole unit at once would add arrays of the unit's size: 6.4 MB at
+    # 8*10^5 bits for the scaled noise alone. One worker, so both peaks are
+    # deterministic (see the next test for threads).
     monkeypatch.setattr(harness, "_worker_count", lambda: 1)
     cells_peak_and_kept_bytes(20_000)  # caches filled once, outside the comparison
     small_peak, small_kept = cells_peak_and_kept_bytes(200_000)

@@ -60,10 +60,15 @@ def test_spec_validation_messages():
     ("schemes", (ModScheme.from_name("qpsk"), 4), "schemes must hold ModScheme values"),
     ("params", {"n_subcarriers": 64}, "params must be an OfdmParams"),
     ("params", None, "params must be an OfdmParams"),
+    ("cr_values", 1.0, "cr_values must be a sequence"),
+    ("ebn0_grid_db", 4.0, "ebn0_grid_db must be a sequence"),
+    ("schemes", ModScheme.from_name("qpsk"), "schemes must be a sequence"),
+    ("cr_values", "1.0", "cr_values must be a sequence"),
 ], ids=repr)
 def test_spec_fields_of_the_wrong_type_are_config_errors(field, value, message):
     # Unchecked, each raised a TypeError or an AttributeError, or (True as a
-    # CR) ran as CR 1.
+    # CR) ran as CR 1. A bare number or scheme in place of a grid raised
+    # "TypeError: ... is not iterable".
     with pytest.raises(ConfigError, match=message):
         small_spec(**{field: value})
 

@@ -62,12 +62,18 @@ def test_params_validation():
     ("cp_len", 32.5, "cp_len must be a non-negative integer"),
     ("bandwidth_hz", float("nan"), "bandwidth_hz must be positive and finite"),
     ("carrier_hz", float("nan"), "carrier_hz must be finite"),
+    ("bandwidth_hz", "1e6", "bandwidth_hz must be positive and finite"),
+    ("carrier_hz", "2e6", "carrier_hz must be finite"),
+    ("bandwidth_hz", True, "bandwidth_hz must be positive and finite"),
+    ("carrier_hz", True, "carrier_hz must be finite"),
 ], ids=["n_subcarriers_float", "oversample_fraction", "cp_len_fraction", "bandwidth_nan",
-        "carrier_nan"])
+        "carrier_nan", "bandwidth_str", "carrier_str", "bandwidth_bool", "carrier_bool"])
 def test_params_refuse_non_integer_counts_and_non_finite_frequencies(field, value, message):
     # Each passes the range checks: a float count would fail every cell at
     # run time (a fractional prefix only the BER half), and a NaN frequency
     # fails no comparison, so it would reach the rounding of the carrier bin.
+    # Unchecked, a string frequency raised a TypeError in the first
+    # comparison, and True passed as 1 Hz as far as the band checks.
     with pytest.raises(ConfigError, match=message):
         OfdmParams(**{field: value})
 
