@@ -32,7 +32,7 @@ import numpy as np
 
 from .constellation import ModScheme
 from .errors import ConfigError
-from .ofdm_chain import OfdmParams
+from .ofdm_chain import OfdmParams, _is_real
 
 
 def noise_sigma(
@@ -46,8 +46,8 @@ def noise_sigma(
     occupied fraction 1/L and cp_overhead N/(N + cp_len) come from
     ``params``; see the module docstring for the derivation.
     """
-    if not np.isfinite(ebn0_db):
-        raise ConfigError("ebn0_db must be finite")
+    if not (_is_real(ebn0_db) and np.isfinite(ebn0_db)):
+        raise ConfigError(f"ebn0_db must be a finite number, got {ebn0_db!r}")
     if not 0 < signal_power < np.inf:
         raise ConfigError(f"signal_power must be positive and finite, got {signal_power!r}")
     occupied_fraction = 1.0 / params.oversample

@@ -51,6 +51,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebval
 
 from .errors import ConfigError, DesignError
+from .ofdm_chain import _is_real
 
 GRID_DENSITY = 16  # dense-grid points per tap
 MAX_ITERATIONS = 50
@@ -80,14 +81,14 @@ class FirDesignSpec:
             raise ConfigError("bands, desired, and weights must have equal lengths")
         prev_hi = None
         for lo, hi in self.bands:
-            if not (0.0 <= lo < hi <= 0.5):
+            if not (_is_real(lo) and _is_real(hi) and 0.0 <= lo < hi <= 0.5):
                 raise ConfigError(f"band ({lo}, {hi}) must satisfy 0 <= lo < hi <= 0.5")
             if prev_hi is not None and lo <= prev_hi:
                 raise ConfigError("bands must be ascending with non-empty transition gaps")
             prev_hi = hi
-        if not all(0 < w < np.inf for w in self.weights):
+        if not all(_is_real(w) and 0 < w < np.inf for w in self.weights):
             raise ConfigError(f"weights must be positive and finite, got {self.weights!r}")
-        if not all(-np.inf < d < np.inf for d in self.desired):
+        if not all(_is_real(d) and -np.inf < d < np.inf for d in self.desired):
             raise ConfigError(f"desired gains must be finite, got {self.desired!r}")
 
 

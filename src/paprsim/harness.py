@@ -34,18 +34,18 @@ allocate arrays of a chunk's size. The composed filter's fold
 as many frames as fit ``_CHUNK_SAMPLES`` samples of its block length, so a
 chunk's complex block fits 2 MB, the size of an L2 cache.
 
-One runner, ``_on_threads``, runs the PAPR cell's chunks, the BER unit's
-transmit chunks and its Eb/N0 points: on the calling thread and helpers
-started for the loop, one thread per full budget of the cell's or unit's
-block samples, up to W, the number of CPUs the process may use. So a
-loop of under two budgets stays on the calling thread. A thread's chunk
-holds 1/T of the budget, T the loop's thread count, so the chunks in
-flight together hold one budget. The PAPR cell's threads draw the chunks'
-bits in chunk order, one chunk at a time; the BER unit draws its bits up
-front and its normals the same way as its transmit chunks, and each Eb/N0
-point runs on one thread and scales those normals in row order. Every row
-of a chunk is computed on its own (transforms, clipping, PAPR and the
-slicer act per row), so results depend on neither W nor the chunk length.
+One runner, ``_on_chunks``, runs every chunk loop: the PAPR cell's, the
+BER unit's transmit and each of its Eb/N0 points. It hands out slices of
+rows in row order to the calling thread and helpers started for the
+loop, one thread per full budget of the cell's or unit's block samples,
+up to W, the number of CPUs the process may use. So a loop of under two
+budgets stays on the calling thread. A thread's chunk holds 1/T of the
+budget, T the loop's thread count, so the chunks in flight together hold
+one budget. The PAPR cell's threads draw the chunks' bits in row order,
+one chunk at a time; the BER unit draws its bits up front and its
+normals the same way as its transmit chunks. Every row of a chunk is
+computed on its own (transforms, clipping, PAPR and the slicer act per
+row), so results depend on neither W nor the chunk length.
 
 BER cells come in units, one per (scheme, cr), that share one transmission.
 A unit draws its bits once and loops over chunks of them (``_ber_chunk``).
@@ -302,20 +302,21 @@ def _chunking(frames: int, block_len: int) -> tuple[int, int]:
     return min(threads, math.ceil(frames / step)), step
 
 
-def _on_threads(count: int, work, *, claim=None, threads: int) -> None:
-    """Call ``work(thread, index, claimed)`` for every index in range(count)
-    on min(threads, count) threads: the calling thread, numbered 0, and
+def _on_chunks(frames: int, step: int, work, *, claim=None, threads: int) -> None:
+    """Call ``work(thread, rows, claimed)`` for every chunk of range(frames),
+    ``rows`` the chunk's slice(start, min(start + step, frames)), on
+    min(threads, chunks) threads: the calling thread, numbered 0, and
     helper threads numbered 1, 2, ... started for the call, so that
     ``thread`` can pick buffers of its own.
 
-    The threads take the indices in order under one lock. ``claim(index)``,
-    if given, runs under that lock and its result is passed as ``claimed``
-    (None without ``claim``), so the claims follow index order whatever the
-    thread count. A failure stops the other threads before their next
-    index. Every helper has finished when the call returns or raises, and
-    it raises the first failure.
+    The threads take the chunks in row order under one lock.
+    ``claim(rows)``, if given, runs under that lock and its result is passed
+    as ``claimed`` (None without ``claim``), so the claims follow row order
+    whatever the thread count. A failure stops the other threads before
+    their next chunk. Every helper has finished when the call returns or
+    raises, and it raises the first failure.
     """
-    indices = iter(range(count))
+    chunks = (slice(start, min(start + step, frames)) for start in range(0, frames, step))
     lock = threading.Lock()
     stop = threading.Event()
     failures = []
@@ -324,23 +325,23 @@ def _on_threads(count: int, work, *, claim=None, threads: int) -> None:
         try:
             while True:
                 with lock:
-                    index = next(indices, None)
-                    if index is None or stop.is_set():
+                    rows = next(chunks, None)
+                    if rows is None or stop.is_set():
                         return
-                    claimed = None if claim is None else claim(index)
-                work(thread, index, claimed)
+                    claimed = None if claim is None else claim(rows)
+                work(thread, rows, claimed)
         except BaseException as exc:  # raised again by the calling thread below
             stop.set()
             failures.append(exc)
 
     helpers = [threading.Thread(target=loop, args=(thread,), name=f"paprsim-runner-{thread}")
-               for thread in range(1, min(threads, count))]
+               for thread in range(1, min(threads, math.ceil(frames / step)))]
     for helper in helpers:
         helper.start()
     try:
         loop(0)
     finally:
-        # Once the calling thread's loop ends, every index is taken or one
+        # Once the calling thread's loop ends, every chunk is taken or one
         # has failed; the flag also stops the helpers if the join is
         # interrupted.
         stop.set()
@@ -456,7 +457,7 @@ def _noise_free_unit(
     imaginary parts are standard normals drawn in row order (2N a frame),
     and returns them fourth.
 
-    The bits are drawn up front and the chunks run on ``_on_threads``, one
+    The bits are drawn up front and the chunks run on ``_on_chunks``, one
     thread per full budget of the unit's prefixed blocks (``_chunking``),
     each thread with its own buffers. Every chunk writes its own rows. A
     chunk's normals are drawn as the chunk is claimed, so the draws follow
@@ -476,16 +477,15 @@ def _noise_free_unit(
     block_power = np.empty(n_frames)
     normals = None if noise is None else np.empty_like(received)
 
-    def draw(index):
-        noise.standard_normal(out=normals[index * step : (index + 1) * step].view(float))
+    def draw(rows):
+        noise.standard_normal(out=normals[rows].view(float))
 
-    def transmit(thread, index, _):
-        rows = slice(index * step, (index + 1) * step)
+    def transmit(thread, rows, _):
         _ber_chunk(bits[rows], scheme, params, amplitude, fold, buffers[thread],
                    received[rows], block_power[rows])
 
-    _on_threads(math.ceil(n_frames / step), transmit,
-                claim=None if noise is None else draw, threads=threads)
+    _on_chunks(n_frames, step, transmit, claim=None if noise is None else draw,
+               threads=threads)
     unit = bits, float(np.mean(block_power)), received
     return unit if noise is None else (*unit, normals)
 
@@ -510,14 +510,13 @@ def _ber_cells(
     noise-free receive and draw of z then run once, before the first
     point.
 
-    The points run on the unit's T threads (``_chunking``) in batches of
-    T, one point per thread, each batch when its first value is asked for;
-    with T = 1 each point runs when it is asked for. A point loops over
-    chunks of the kept symbols, each 1/T of the budget: it writes sigma_n
-    times the chunk's rows of z into its thread's buffer, adds the symbols,
-    divides by the gain, demaps and counts the errors, so it makes no array
-    of the unit's size. A failing point raises when its own value is asked
-    for.
+    Each point runs when its value is asked for, and computes only its
+    own cell. It is a chunk loop on the unit's T threads (``_chunking``)
+    over the kept symbols, in chunks of at most 1/T of the budget and of
+    the rows: each chunk writes sigma_n times its rows of z into its
+    thread's buffer, adds the symbols, divides by the gain, demaps and
+    counts the errors into its thread's counter, so a point makes no array
+    of the unit's size. The point's count is the sum of the counters.
 
     So point i receives (sigma_n(i) z + clean) / gain, the same operations
     in the same order as a point with a draw of its own, and point 0 draws
@@ -540,36 +539,28 @@ def _ber_cells(
     scale = 1.0 / gain
     n_frames, n = clean.shape
     threads, _ = _chunking(n_frames, params.n_oversampled + params.cp_oversampled)
-    step = _chunk_frames(n * threads)
-    buffers = [np.empty(min(step, n_frames) * n, complex) for _ in range(threads)]
+    # Chunks of at most 1/T of the rows spread every point over all T
+    # threads: a reference 32-QAM unit has 313 frames, fewer than one
+    # 512-frame chunk of N-wide rows at two threads.
+    step = min(_chunk_frames(n * threads), math.ceil(n_frames / threads))
+    buffers = [np.empty(step * n, complex) for _ in range(threads)]
 
-    def errors_at(thread, point):
-        ebn0_db = ebn0_grid_db[point]
+    def errors_at(ebn0_db):
         sigma_n = 0.0 if ebn0_db is None else noise_sigma(params, scheme, ebn0_db, power)
-        errors = 0
-        for start in range(0, n_frames, step):
-            rows = slice(start, start + step)
+        errors = [0] * threads
+
+        def count(thread, rows, _):
             out = _rows(buffers[thread], complex, *clean[rows].shape)
             z = None if normals is None else normals[rows]
             parts = _add_bin_noise(clean[rows], sigma_n, z, out=out).view(float)
             parts *= scale
-            errors += int(np.count_nonzero(bits[rows] != _demap_rows(out, scheme)))
-        return errors
+            errors[thread] += int(np.count_nonzero(bits[rows] != _demap_rows(out, scheme)))
 
-    for first in range(0, len(ebn0_grid_db), threads):
-        outcomes = [None] * min(threads, len(ebn0_grid_db) - first)
+        _on_chunks(n_frames, step, count, threads=threads)
+        return sum(errors)
 
-        def run(thread, index, _):
-            try:
-                outcomes[index] = errors_at(thread, first + index)
-            except Exception as exc:  # raised when this point's value is asked for
-                outcomes[index] = exc
-
-        _on_threads(len(outcomes), run, threads=threads)
-        for outcome in outcomes:
-            if isinstance(outcome, Exception):
-                raise outcome
-            yield outcome, bits.size
+    for ebn0_db in ebn0_grid_db:
+        yield errors_at(ebn0_db), bits.size
 
 
 def _chunk_buffers(frames: int, params: OfdmParams) -> tuple[np.ndarray, ...]:
@@ -723,10 +714,10 @@ def _papr_cell(
     """Clipped-and-filtered and unclipped PAPR CCDFs of one cell, streamed
     in one pass over the bits ``rng`` draws (see the module docstring).
 
-    The chunks run on ``_on_threads``, one thread per full budget of the
+    The chunks run on ``_on_chunks``, one thread per full budget of the
     cell's blocks (``_chunking``), each thread with its own buffers
     (``_chunk_buffers``). A chunk's bits are drawn as the chunk is claimed,
-    so the draws follow chunk order whatever the thread count; the chunk
+    so the draws follow row order whatever the thread count; the chunk
     (``_papr_chunk``) then writes its rows of the two PAPR vectors.
     """
     params = spec.params
@@ -739,15 +730,14 @@ def _papr_cell(
     unclipped_papr = np.empty(n)
     processed_papr = np.empty(n)
 
-    def draw(index):
-        return _random_bits(rng, min(step, n - index * step), bits_per_frame)
+    def draw(rows):
+        return _random_bits(rng, rows.stop - rows.start, bits_per_frame)
 
-    def run(thread, index, bits):
-        rows = slice(index * step, (index + 1) * step)
+    def run(thread, rows, bits):
         _papr_chunk(bits, scheme, params, amplitude, fold, buffers[thread],
                     unclipped_papr[rows], processed_papr[rows])
 
-    _on_threads(math.ceil(n / step), run, claim=draw, threads=threads)
+    _on_chunks(n, step, run, claim=draw, threads=threads)
 
     clipped_curve = estimate_ccdf(processed_papr, CCDF_THRESHOLDS_DB)
     unclipped_curve = estimate_ccdf(unclipped_papr, CCDF_THRESHOLDS_DB)
@@ -814,7 +804,7 @@ def simulate_chain_ber(
     """
     _require_int("seed", seed, 0)
     _require_int("min_bits", min_bits, 1)
-    if cr is not None and not 0 < cr < math.inf:
+    if cr is not None and not (_is_real(cr) and 0 < cr < math.inf):
         raise ConfigError(f"cr must be positive and finite, got {cr!r}")
     ((errors, total),) = _ber_cells(params, scheme, cr, (ebn0_db,), min_bits, hpf, [seed, 2, 0])
     return errors, total
@@ -826,9 +816,8 @@ def run_ber_experiment(spec: ExperimentSpec, progress=None) -> BerExperimentResu
     ``progress`` is called once per cell, in cell order, on the calling
     thread, before the cell's result is asked for; a (scheme, cr) unit's
     shared transmit and noise-free receive run as part of its first cell,
-    and a batch of Eb/N0 points on the unit's threads as part of the
-    batch's first cell (see ``_ber_cells``). An empty ``ebn0_grid_db``
-    is refused before the high-pass is designed.
+    and every cell computes only its own Eb/N0 point (see ``_ber_cells``).
+    An empty ``ebn0_grid_db`` is refused before the high-pass is designed.
     """
     if len(spec.ebn0_grid_db) == 0:
         raise ConfigError("ebn0_grid_db must be non-empty for a BER experiment")

@@ -1,11 +1,12 @@
-"""The BER unit on the thread runner that the PAPR cell uses.
+"""The BER unit on the thread runner that the PAPR cell uses, and the runner.
 
-A unit's transmit chunks and its Eb/N0 points run on one thread per full
-chunk budget, up to the CPU count. The bits, the transmit power, the
-noise-free symbols and the error counts must not depend on the thread
-count or the chunk length, a unit under two budgets must stay on the
-calling thread, and a failure on a helper thread must surface as the
-failing cell's ``ExperimentError`` with no thread left behind.
+A unit's transmit chunks and each of its Eb/N0 points run as chunk loops
+on one thread per full chunk budget, up to the CPU count. The bits, the
+transmit power, the noise-free symbols and the error counts must not
+depend on the thread count or the chunk length, a unit under two budgets
+must stay on the calling thread, a cell must compute only its own point,
+and a failure on a helper thread must surface as the failing cell's
+``ExperimentError`` with no thread left behind.
 """
 import sys
 import threading
@@ -163,9 +164,60 @@ def threads_started(monkeypatch, min_bits):
 def test_a_unit_under_two_budgets_starts_no_helper_thread(monkeypatch):
     # 98 frames of 1280 samples are 0.96 budgets and 391 frames 3.8; at 2
     # CPUs the larger unit starts one helper for its transmit and one for
-    # its first batch of two points; the third point runs alone.
+    # each of its three points, whose chunks hold half the rows each.
     assert threads_started(monkeypatch, 50_000) == 0
-    assert threads_started(monkeypatch, 200_000) == 2
+    assert threads_started(monkeypatch, 200_000) == 4
+
+
+def test_the_first_cell_of_a_unit_demaps_only_its_own_point(monkeypatch):
+    # At 2 CPUs the 391-frame unit runs on 2 threads, and its first value
+    # demaps point 0's rows and none of the other points' rows.
+    monkeypatch.setattr(harness, "_worker_count", lambda: 2)
+    demapped = []
+    demap = harness._demap_rows
+
+    def spy(symbols, scheme):
+        demapped.append(symbols.shape[0])
+        return demap(symbols, scheme)
+
+    monkeypatch.setattr(harness, "_demap_rows", spy)
+    params, _ = ORACLE_PLANS["reference"]
+    hpf = experiment_hpf(ExperimentSpec(params=params))
+    cells = _ber_cells(params, ModScheme("qam", 16), 1.2, EBN0_DB, 200_000, hpf, [5, 1, 0])
+    next(cells)
+    assert sum(demapped) == 391
+    assert len(list(cells)) == 2 and sum(demapped) == 3 * 391
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_the_runner_hands_out_every_row_once_in_row_order(threads):
+    # 11 rows in chunks of 4: two full slices and a clamped last one.
+    want = [slice(0, 4), slice(4, 8), slice(8, 11)]
+    claims, done = [], []
+
+    def claim(rows):
+        claims.append(rows)
+        return rows.start
+
+    def work(thread, rows, claimed):
+        assert 0 <= thread < threads and claimed == rows.start
+        done.append(rows)
+
+    harness._on_chunks(11, 4, work, claim=claim, threads=threads)
+    assert claims == want
+    assert sorted(done, key=lambda rows: rows.start) == want
+    assert not runner_threads()
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_a_failing_chunk_raises_and_leaves_no_runner_thread(threads):
+    def work(thread, rows, _):
+        if rows.start == 4:
+            raise RuntimeError("chunk failed")
+
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        harness._on_chunks(11, 4, work, threads=threads)
+    assert not runner_threads()
 
 
 def failing_on_a_helper(monkeypatch, name):
@@ -198,8 +250,8 @@ def test_a_failing_transmit_chunk_on_a_helper_names_the_first_cell(monkeypatch):
 
 
 def test_a_failing_point_names_its_own_cell(monkeypatch):
-    # The second point fails while the first, in the same batch, succeeds:
-    # the error waits for the second point's cell.
+    # The second point fails after the first succeeds: the error belongs
+    # to the second point's cell.
     block_len = SPEC.params.n_oversampled + SPEC.params.cp_oversampled
     monkeypatch.setattr(harness, "_worker_count", lambda: 2)
     monkeypatch.setattr(harness, "_CHUNK_SAMPLES", 4 * block_len)

@@ -41,7 +41,8 @@ def test_noise_sigma_validation():
     for power in (np.nan, np.inf, -np.inf):
         with pytest.raises(ConfigError, match="signal_power must be positive and finite"):
             noise_sigma(OfdmParams(), QPSK, 6.0, power)
-    for ebn0_db in (np.inf, -np.inf, np.nan):
+    # Unchecked, "4" raised a TypeError and True ran as 1 dB.
+    for ebn0_db in (np.inf, -np.inf, np.nan, "4", True):
         with pytest.raises(ConfigError, match="ebn0_db"):
             noise_sigma(OfdmParams(), QPSK, ebn0_db, 1.0)
 

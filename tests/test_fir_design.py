@@ -153,6 +153,15 @@ def test_spec_validation():
             FirDesignSpec(31, ((0.0, 0.2), (0.3, 0.5)), (1.0, 0.0), (1.0, bad))
         with pytest.raises(ConfigError, match="desired gains must be finite"):
             FirDesignSpec(31, ((0.0, 0.2), (0.3, 0.5)), (bad, 0.0), (1.0, 1.0))
+    # Unchecked, a string raised a TypeError and a bool ran as 0 or 1.
+    for bands in (((False, 0.2), (0.3, 0.5)), ((0.0, 0.2), ("0.3", 0.5))):
+        with pytest.raises(ConfigError, match="band"):
+            FirDesignSpec(31, bands, (1.0, 0.0), (1.0, 1.0))
+    for bad in ("1", True):
+        with pytest.raises(ConfigError, match="weights must be positive and finite"):
+            FirDesignSpec(31, ((0.0, 0.2), (0.3, 0.5)), (1.0, 0.0), (1.0, bad))
+        with pytest.raises(ConfigError, match="desired gains must be finite"):
+            FirDesignSpec(31, ((0.0, 0.2), (0.3, 0.5)), (bad, 0.0), (1.0, 1.0))
 
 
 def test_infeasible_hpf_band_plan():

@@ -108,14 +108,22 @@ def test_min_bits_must_be_a_positive_integer(min_bits):
         simulate_chain_ber(OfdmParams(), QPSK_ONLY[0], min_bits=min_bits)
 
 
-@pytest.mark.parametrize("cr", [-1.0, 0.0, float("nan"), float("inf")], ids=repr)
+@pytest.mark.parametrize("cr", [-1.0, 0.0, float("nan"), float("inf"), "1", True], ids=repr)
 def test_chain_ber_refuses_a_non_positive_or_non_finite_cr(cr):
     # Unchecked, cr = -1 returned a plausible count (the phase-flipped clip
     # divided by a negative Bussgang gain), 0 a ZeroDivisionError, NaN a
-    # ShapeError in the demapper and inf a RuntimeWarning, then a ShapeError.
+    # ShapeError in the demapper and inf a RuntimeWarning, then a ShapeError;
+    # "1" raised a TypeError and True ran as CR 1.
     hpf = experiment_hpf(ExperimentSpec())
     with pytest.raises(ConfigError, match="cr must be positive and finite"):
         simulate_chain_ber(OfdmParams(), QPSK_ONLY[0], cr=cr, min_bits=1000, hpf=hpf)
+
+
+@pytest.mark.parametrize("ebn0_db", ["4", True], ids=repr)
+def test_chain_ber_refuses_a_non_number_ebn0(ebn0_db):
+    # Unchecked, "4" raised a TypeError and True ran as 1 dB.
+    with pytest.raises(ConfigError, match="ebn0_db must be a finite number"):
+        simulate_chain_ber(OfdmParams(), QPSK_ONLY[0], ebn0_db=ebn0_db, min_bits=1000)
 
 
 @pytest.mark.parametrize("key,value", [("n_symbols", 1500.5), ("bits_per_point", 2000.5)],
