@@ -48,7 +48,7 @@ def noise_sigma(
     """
     if not (_is_real(ebn0_db) and np.isfinite(ebn0_db)):
         raise ConfigError(f"ebn0_db must be a finite number, got {ebn0_db!r}")
-    if not 0 < signal_power < np.inf:
+    if not (_is_real(signal_power) and 0 < signal_power < np.inf):
         raise ConfigError(f"signal_power must be positive and finite, got {signal_power!r}")
     occupied_fraction = 1.0 / params.oversample
     cp_overhead = params.n_subcarriers / (params.n_subcarriers + params.cp_len)
@@ -66,7 +66,7 @@ def add_awgn(samples, sigma_n: float, rng) -> np.ndarray:
     is, so identical seeds give identical bytes. ``sigma_n = 0`` returns the
     input unchanged and draws nothing.
     """
-    if not 0 <= sigma_n < np.inf:
+    if not (_is_real(sigma_n) and 0 <= sigma_n < np.inf):
         raise ConfigError(f"sigma_n must be non-negative and finite, got {sigma_n!r}")
     if sigma_n == 0:
         return samples

@@ -1,8 +1,11 @@
 """Command-line front end: parse a config file, run experiments, write CSVs.
 
 Config format: one ``key = value`` assignment per line, ``#`` starts a
-comment, blank lines ignored. Lists are comma separated. Every key is
-optional; an empty file runs the reference parameter set end to end. See
+comment, blank lines ignored. Lists are comma separated. Each key sets the
+field of the same name of ``OfdmParams``, ``ExperimentSpec`` or
+``RunConfig`` (``_KEYS``), whose checks validate it; an unknown key is
+refused. Every key is optional: an absent key takes its field's default,
+so an empty file runs the reference parameter set end to end. See
 configs/reference.cfg for a fully annotated example and the README for the
 key table.
 
@@ -14,21 +17,20 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, replace
+from itertools import groupby
 from pathlib import Path
 
-from .constellation import SCHEME_NAMES, ModScheme
+from .constellation import ModScheme
 from .errors import ConfigError, PaprSimError
 from .harness import (
-    BerRow,
     ExperimentSpec,
-    PaprRow,
     emit_csv,
     run_ber_experiment,
     run_papr_experiment,
     write_ber_curve_csv,
     write_ccdf_csv,
 )
-from .ofdm_chain import OfdmParams
+from .ofdm_chain import OfdmParams, _is_int
 
 _EXPERIMENT_KINDS = ("papr", "ber", "both")
 
@@ -43,26 +45,42 @@ class RunConfig:
     write_curves: bool = True
     verbosity: int = 1
 
-
-def _parse_scalar(key: str, raw: str, kind):
-    try:
-        if kind is bool:
-            lowered = raw.lower()
-            if lowered in ("true", "yes", "1", "on"):
-                return True
-            if lowered in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(raw)
-        return kind(raw)
-    except ValueError:
-        raise ConfigError(f"{key} must be a {kind.__name__}, got {raw!r}") from None
+    def __post_init__(self):
+        if self.experiment not in _EXPERIMENT_KINDS:
+            raise ConfigError(
+                f"experiment must be one of {_EXPERIMENT_KINDS}, got {self.experiment!r}"
+            )
+        if not (_is_int(self.verbosity) and 0 <= self.verbosity <= 2):
+            raise ConfigError(f"verbosity must be 0, 1 or 2, got {self.verbosity!r}")
 
 
-def _parse_list(key: str, raw: str, kind):
-    items = [part.strip() for part in raw.split(",") if part.strip()]
-    if not items:
-        raise ConfigError(f"{key} must be a non-empty comma-separated list")
-    return tuple(_parse_scalar(key, item, kind) for item in items)
+def _scalar(kind):
+    """Parser of one ``kind`` value; a bool reads true/yes/1/on or false/no/0/off."""
+    def parse(key: str, raw: str):
+        try:
+            if kind is bool:
+                lowered = raw.lower()
+                if lowered in ("true", "yes", "1", "on"):
+                    return True
+                if lowered in ("false", "no", "0", "off"):
+                    return False
+                raise ValueError(raw)
+            return kind(raw)
+        except ValueError:
+            raise ConfigError(f"{key} must be a {kind.__name__}, got {raw!r}") from None
+    return parse
+
+
+def _list(kind):
+    """Parser of a non-empty comma-separated list of ``kind`` values, as a tuple."""
+    item = _scalar(kind)
+
+    def parse(key: str, raw: str):
+        items = [part.strip() for part in raw.split(",") if part.strip()]
+        if not items:
+            raise ConfigError(f"{key} must be a non-empty comma-separated list")
+        return tuple(item(key, part) for part in items)
+    return parse
 
 
 def _read_key_values(path: Path) -> dict[str, str]:
@@ -85,66 +103,44 @@ def _read_key_values(path: Path) -> dict[str, str]:
     return pairs
 
 
-# Per-key parsers; the two maps split keys between OfdmParams and ExperimentSpec.
-_INT = lambda k, v: _parse_scalar(k, v, int)  # noqa: E731
-_FLOAT = lambda k, v: _parse_scalar(k, v, float)  # noqa: E731
-
-_PARAM_KEYS = {
-    "n_subcarriers": _INT,
-    "oversample": _INT,
-    "bandwidth_hz": _FLOAT,
-    "carrier_hz": _FLOAT,
-    "cp_len": _INT,
-}
-_SPEC_KEYS = {
-    "cr_values": lambda k, v: _parse_list(k, v, float),
-    "ccdf_read_point": _FLOAT,
-    "n_symbols": _INT,
-    "ebn0_grid_db": lambda k, v: _parse_list(k, v, float),
-    "bits_per_point": _INT,
-    "seed": _INT,
-    "hpf_num_taps": _INT,
-    "hpf_stop_edge": _FLOAT,
-    "hpf_pass_edge": _FLOAT,
+#: Every config key: the dataclass whose field of the same name it sets,
+#: and the parser of its value. A key left out takes that field's default.
+_KEYS = {
+    "experiment": (RunConfig, _scalar(str.lower)),
+    "schemes": (ExperimentSpec, _list(ModScheme.from_name)),
+    "n_subcarriers": (OfdmParams, _scalar(int)),
+    "oversample": (OfdmParams, _scalar(int)),
+    "bandwidth_hz": (OfdmParams, _scalar(float)),
+    "carrier_hz": (OfdmParams, _scalar(float)),
+    "cp_len": (OfdmParams, _scalar(int)),
+    "cr_values": (ExperimentSpec, _list(float)),
+    "ccdf_read_point": (ExperimentSpec, _scalar(float)),
+    "n_symbols": (ExperimentSpec, _scalar(int)),
+    "ebn0_grid_db": (ExperimentSpec, _list(float)),
+    "bits_per_point": (ExperimentSpec, _scalar(int)),
+    "seed": (ExperimentSpec, _scalar(int)),
+    "hpf_num_taps": (ExperimentSpec, _scalar(int)),
+    "hpf_stop_edge": (ExperimentSpec, _scalar(float)),
+    "hpf_pass_edge": (ExperimentSpec, _scalar(float)),
+    "output_dir": (RunConfig, _scalar(Path)),
+    "write_curves": (RunConfig, _scalar(bool)),
+    "verbosity": (RunConfig, _scalar(int)),
 }
 
 
 def parse_config(path) -> RunConfig:
-    """Load and fully validate a config file; defaults fill absent keys."""
-    pairs = _read_key_values(Path(path))
-
-    experiment = pairs.pop("experiment", "both").lower()
-    if experiment not in _EXPERIMENT_KINDS:
-        raise ConfigError(f"experiment must be one of {_EXPERIMENT_KINDS}, got {experiment!r}")
-
-    schemes = tuple(ModScheme.from_name(n) for n in _parse_list(
-        "schemes", pairs.pop("schemes", ",".join(SCHEME_NAMES)), str))
-
-    param_kwargs = {}
-    for key, parse in _PARAM_KEYS.items():
-        if key in pairs:
-            param_kwargs[key] = parse(key, pairs.pop(key))
-    spec_kwargs = {}
-    for key, parse in _SPEC_KEYS.items():
-        if key in pairs:
-            spec_kwargs[key] = parse(key, pairs.pop(key))
-
-    output_dir = Path(pairs.pop("output_dir", "results"))
-    write_curves = _parse_scalar("write_curves", pairs.pop("write_curves", "true"), bool)
-    verbosity = _parse_scalar("verbosity", pairs.pop("verbosity", "1"), int)
-
-    if pairs:
-        raise ConfigError(f"unknown config key {sorted(pairs)[0]!r}")
-
-    params = OfdmParams(**param_kwargs)  # sample_hz is always bandwidth * oversample
-    spec = ExperimentSpec(params=params, schemes=schemes, **spec_kwargs)
-    return RunConfig(
-        experiment=experiment,
-        spec=spec,
-        output_dir=output_dir,
-        write_curves=write_curves,
-        verbosity=verbosity,
-    )
+    """Load and fully validate a config file. Keys are read in file order,
+    and an unknown key is refused; the dataclasses' defaults fill absent
+    keys and their own checks validate the values."""
+    kwargs = {OfdmParams: {}, ExperimentSpec: {}, RunConfig: {}}
+    for key, raw in _read_key_values(Path(path)).items():
+        if key not in _KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+        target, parse = _KEYS[key]
+        kwargs[target][key] = parse(key, raw)
+    # sample_hz is always bandwidth * oversample
+    spec = ExperimentSpec(params=OfdmParams(**kwargs[OfdmParams]), **kwargs[ExperimentSpec])
+    return RunConfig(spec=spec, **kwargs[RunConfig])
 
 
 def _cr_tag(cr: float) -> str:
@@ -159,8 +155,7 @@ def _run_and_write(cfg: RunConfig) -> list[Path]:
 
     if cfg.experiment in ("papr", "both"):
         result = run_papr_experiment(cfg.spec, progress=progress)
-        written.append(emit_csv(result.rows, out / "papr_table.csv",
-                                columns=[f.name for f in PaprRow.__dataclass_fields__.values()]))
+        written.append(emit_csv(result.rows, out / "papr_table.csv"))
         if cfg.write_curves:
             for (scheme, cr), curves in result.curves.items():
                 tag = f"{scheme}_cr{_cr_tag(cr)}"
@@ -173,18 +168,13 @@ def _run_and_write(cfg: RunConfig) -> list[Path]:
 
     if cfg.experiment in ("ber", "both"):
         result = run_ber_experiment(cfg.spec, progress=progress)
-        written.append(emit_csv(result.rows, out / "ber_table.csv",
-                                columns=[f.name for f in BerRow.__dataclass_fields__.values()]))
+        written.append(emit_csv(result.rows, out / "ber_table.csv"))
         if cfg.write_curves:
-            for scheme in cfg.spec.schemes:
-                for cr in cfg.spec.cr_values:
-                    points = [
-                        (row.ebn0_db, row.ber, row.bits_total)
-                        for row in result.rows
-                        if row.scheme == scheme.name and row.cr == cr
-                    ]
-                    tag = f"{scheme.name}_cr{_cr_tag(cr)}"
-                    written.append(write_ber_curve_csv(points, out / f"ber_curve_{tag}.csv"))
+            # The rows are in cell order, so each (scheme, cr) curve is one run of rows.
+            for (scheme, cr), rows in groupby(result.rows, key=lambda row: (row.scheme, row.cr)):
+                points = [(row.ebn0_db, row.ber, row.bits_total) for row in rows]
+                path = out / f"ber_curve_{scheme}_cr{_cr_tag(cr)}.csv"
+                written.append(write_ber_curve_csv(points, path))
         if cfg.verbosity > 0:
             print(f"ber: {len(result.rows)} rows -> {out / 'ber_table.csv'}")
 

@@ -41,7 +41,7 @@ from .ofdm_chain import OfdmParams, _carrier, _is_real, _require_block, _self_im
 def clip_baseband(samples, amplitude: float) -> np.ndarray:
     """Limit complex sample magnitudes to ``amplitude``, preserving phase:
     the samples times the clip's real factor (``_clip_factor``)."""
-    if not 0 < amplitude < np.inf:
+    if not (_is_real(amplitude) and 0 < amplitude < np.inf):
         raise ConfigError(f"clip amplitude must be positive and finite, got {amplitude!r}")
     samples = np.asarray(samples)
     if not np.issubdtype(samples.dtype, np.inexact):

@@ -51,7 +51,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebval
 
 from .errors import ConfigError, DesignError
-from .ofdm_chain import _is_real
+from .ofdm_chain import _is_int, _is_real
 
 GRID_DENSITY = 16  # dense-grid points per tap
 MAX_ITERATIONS = 50
@@ -75,8 +75,19 @@ class FirDesignSpec:
 
     def __post_init__(self):
         taps = self.num_taps
-        if not isinstance(taps, (int, np.integer)) or taps < 3 or taps % 2 == 0:
+        if not _is_int(taps) or taps < 3 or taps % 2 == 0:
             raise ConfigError("num_taps must be an odd integer >= 3")
+        # Stored as tuples, so a validated spec cannot change and is hashable.
+        try:
+            sequences = {"bands": tuple((lo, hi) for lo, hi in self.bands),
+                         "desired": tuple(self.desired), "weights": tuple(self.weights)}
+        except (TypeError, ValueError):
+            raise ConfigError(
+                "bands must be a sequence of (low, high) pairs, and desired and weights "
+                f"sequences, got {self.bands!r}, {self.desired!r} and {self.weights!r}"
+            ) from None
+        for name, value in sequences.items():
+            object.__setattr__(self, name, value)
         if not (len(self.bands) == len(self.desired) == len(self.weights)):
             raise ConfigError("bands, desired, and weights must have equal lengths")
         prev_hi = None

@@ -171,10 +171,12 @@ class ExperimentSpec:
     def __post_init__(self):
         if not isinstance(self.params, OfdmParams):
             raise ConfigError(f"params must be an OfdmParams, got {self.params!r}")
+        # Stored as tuples, so a validated spec cannot change and is hashable.
         for name in ("schemes", "cr_values", "ebn0_grid_db"):
             value = getattr(self, name)
             if isinstance(value, str) or not isinstance(value, Sequence):
                 raise ConfigError(f"{name} must be a sequence, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
         if not self.schemes:
             raise ConfigError("schemes must be non-empty")
         if not all(isinstance(s, ModScheme) for s in self.schemes):
@@ -217,31 +219,18 @@ class ExperimentSpec:
         _data_bin_offsets(self.params)
 
 
-#: The last high-pass ``experiment_hpf`` designed, as (spec, hpf).
-_hpf_slot: tuple | None = None
-
-
+@lru_cache(maxsize=1)
 def experiment_hpf(spec: ExperimentSpec) -> fir_design.FirFilter:
     """The composed filter's high-pass for ``spec``, designed once per spec.
 
-    ``run_papr_experiment`` and ``run_ber_experiment`` of one spec share a
-    design through a one-entry slot that holds the last spec and its
-    filter. It is hit by that same spec object only: every caller that
-    runs both experiments passes them one object, and identity needs no
-    hash and no comparison of fields. The slot keeps its spec alive, so
-    the identity cannot pass to another object. An equal copy, or another
-    spec with the same design target, designs again. A design that raises
-    is not kept.
+    The last spec's design is cached, so ``run_papr_experiment`` and
+    ``run_ber_experiment`` of one spec, or of equal specs, share it; another
+    spec designs again, even one with the same design target. A design
+    that raises is not kept.
     """
-    global _hpf_slot
-    slot = _hpf_slot
-    if slot is not None and slot[0] is spec:
-        return slot[1]
-    hpf = fir_design.design_equiripple(
+    return fir_design.design_equiripple(
         default_hpf_spec(spec.params, spec.hpf_num_taps, spec.hpf_stop_edge, spec.hpf_pass_edge)
     )
-    _hpf_slot = (spec, hpf)
-    return hpf
 
 
 @dataclass(frozen=True)
@@ -806,6 +795,8 @@ def simulate_chain_ber(
     _require_int("min_bits", min_bits, 1)
     if cr is not None and not (_is_real(cr) and 0 < cr < math.inf):
         raise ConfigError(f"cr must be positive and finite, got {cr!r}")
+    if ebn0_db is not None and not (_is_real(ebn0_db) and math.isfinite(ebn0_db)):
+        raise ConfigError(f"ebn0_db must be a finite number, got {ebn0_db!r}")
     ((errors, total),) = _ber_cells(params, scheme, cr, (ebn0_db,), min_bits, hpf, [seed, 2, 0])
     return errors, total
 

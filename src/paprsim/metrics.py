@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MetricError, ShapeError
+from .ofdm_chain import _is_real
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,8 @@ def estimate_ccdf(papr_values, thresholds_db) -> CcdfCurve:
         raise MetricError("cannot estimate a CCDF from NaN values")
     if thresholds.size == 0 or np.any(np.diff(thresholds) <= 0):
         raise ShapeError("thresholds must be non-empty and strictly ascending")
+    if not np.isfinite(thresholds).all():
+        raise ShapeError("thresholds must be finite")
     ordered = np.sort(values)
     n_at_or_below = np.searchsorted(ordered, thresholds, side="right")
     prob = (values.size - n_at_or_below) / values.size
@@ -63,7 +66,7 @@ def ccdf_quantile(curve: CcdfCurve, p: float) -> float:
     Linearly interpolates between the bracketing grid thresholds. Raises
     when p falls outside the probability range the curve actually achieves.
     """
-    if not 0 < p < 1:
+    if not (_is_real(p) and 0 < p < 1):
         raise MetricError("p must lie strictly between 0 and 1")
     prob = curve.prob_exceed
     t = curve.thresholds_db

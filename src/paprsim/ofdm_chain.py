@@ -27,10 +27,15 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer, a numpy one included; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _require_int(name: str, value, least: int) -> None:
     """Raise ``ConfigError`` unless ``value`` is an integer of at least
     ``least``: 0 for a seed or a prefix length, 1 for a count."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+    if not _is_int(value) or value < least:
         kind = "non-negative" if least == 0 else "positive"
         raise ConfigError(f"{name} must be a {kind} integer, got {value!r}")
 
@@ -157,8 +162,8 @@ def oversample_extend(frames, oversample: int, *, out=None) -> np.ndarray:
     n = frames.shape[-1]
     if n % 2:
         raise ConfigError("frame length N must be even")
-    if oversample < 1:
-        raise ConfigError("oversample factor must be >= 1")
+    if not _is_int(oversample) or oversample < 1:
+        raise ConfigError(f"oversample factor must be an integer >= 1, got {oversample!r}")
     total = n * oversample
     out = _out_array(out, frames.shape[:-1] + (total,), complex)
     out[..., : n // 2 + 1] = frames[..., : n // 2 + 1]
@@ -184,8 +189,10 @@ def add_cyclic_prefix(samples, cp_samples: int) -> np.ndarray:
     """Prepend a copy of the last cp_samples samples of each block."""
     samples = np.asarray(samples)
     n = samples.shape[-1]
-    if cp_samples < 0 or cp_samples > n:
-        raise ShapeError(f"cp_samples = {cp_samples} exceeds signal length {n}")
+    if not (_is_int(cp_samples) and 0 <= cp_samples <= n):
+        raise ShapeError(
+            f"cp_samples = {cp_samples!r} must be an integer from 0 to the signal length {n}"
+        )
     if cp_samples == 0:
         return samples
     return np.concatenate((samples[..., n - cp_samples :], samples), axis=-1)

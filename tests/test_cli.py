@@ -1,9 +1,11 @@
+import csv
+import dataclasses
 from pathlib import Path
 
 import pytest
 
-from paprsim import ConfigError
-from paprsim.cli import RunConfig, main, parse_config
+from paprsim import ConfigError, ExperimentSpec, OfdmParams
+from paprsim.cli import _KEYS, RunConfig, main, parse_config
 
 FAST_BODY = """
 # minimal fast run
@@ -189,3 +191,71 @@ def test_write_curves_toggle(tmp_path):
     out_dir = tmp_path / "out"
     assert main([str(cfg), "--output-dir", str(out_dir), "--experiment", "papr", "-q"]) == 0
     assert {p.name for p in out_dir.iterdir()} == {"papr_table.csv"}
+
+
+def test_every_key_names_a_field_of_its_target():
+    fields = {cls: {f.name for f in dataclasses.fields(cls)}
+              for cls in (OfdmParams, ExperimentSpec, RunConfig)}
+    for key, (target, _) in _KEYS.items():
+        assert key in fields[target], key
+    # Every field has a key but the two that hold a nested dataclass.
+    for cls, names in fields.items():
+        assert names - {"params", "spec"} == {k for k, (t, _) in _KEYS.items() if t is cls}
+
+
+def test_keys_are_read_in_file_order(tmp_path):
+    # The unknown key was reported after every other key had been parsed.
+    with pytest.raises(ConfigError, match="unknown config key 'foo'"):
+        parse_config(write_cfg(tmp_path, "foo = 1\nseed = abc\n"))
+    with pytest.raises(ConfigError, match="seed must be a int"):
+        parse_config(write_cfg(tmp_path, "seed = abc\nfoo = 1\n"))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("experiment", "nope", "experiment must be one of"),
+    ("verbosity", -4, "verbosity must be 0, 1 or 2"),
+    ("verbosity", 3, "verbosity must be 0, 1 or 2"),
+    ("verbosity", True, "verbosity must be 0, 1 or 2"),
+    ("verbosity", "1", "verbosity must be 0, 1 or 2"),
+    ("verbosity", 1.0, "verbosity must be 0, 1 or 2"),
+], ids=repr)
+def test_run_config_refuses_an_unknown_experiment_or_verbosity(field, value, message):
+    # Unchecked, experiment = "nope" ran nothing and wrote no file, and
+    # verbosity -4 ran with exit 0.
+    with pytest.raises(ConfigError, match=message):
+        RunConfig(**{field: value})
+    with pytest.raises(ConfigError, match=message):
+        dataclasses.replace(RunConfig(), **{field: value})
+
+
+@pytest.mark.parametrize("line", ["verbosity = -4", "experiment = nope"])
+def test_a_bad_run_key_exits_one(tmp_path, capsys, line):
+    out_dir = tmp_path / "out"
+    cfg = write_cfg(tmp_path, FAST_BODY + line + "\n")
+    assert main([str(cfg), "--output-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out_dir.exists()
+
+
+def test_each_ber_curve_file_holds_its_rows_of_the_table(tmp_path):
+    # Neither grid is sorted, so the files must follow the grid order.
+    cfg = write_cfg(tmp_path, "schemes = qpsk, 8qam\ncr_values = 1.4, 1.0\n"
+                    "ebn0_grid_db = 8, 4\nbits_per_point = 5000\n")
+    out_dir = tmp_path / "out"
+    assert main([str(cfg), "--output-dir", str(out_dir), "--experiment", "ber", "-q"]) == 0
+    with open(out_dir / "ber_table.csv", encoding="utf-8") as fh:
+        table = list(csv.DictReader(fh))
+    assert [(r["scheme"], r["cr"], r["ebn0_db"]) for r in table] == [
+        (scheme, cr, ebn0) for scheme in ("qpsk", "8qam") for cr in ("1.4", "1.0")
+        for ebn0 in ("8.0", "4.0")]
+    curves = sorted(p.name for p in out_dir.glob("ber_curve_*.csv"))
+    assert curves == ["ber_curve_8qam_cr1.csv", "ber_curve_8qam_cr1p4.csv",
+                      "ber_curve_qpsk_cr1.csv", "ber_curve_qpsk_cr1p4.csv"]
+    for scheme in ("qpsk", "8qam"):
+        for cr, tag in (("1.4", "1p4"), ("1.0", "1")):
+            with open(out_dir / f"ber_curve_{scheme}_cr{tag}.csv", encoding="utf-8") as fh:
+                curve = list(csv.DictReader(fh))
+            assert curve == [
+                {"ebn0_db": r["ebn0_db"], "ber": r["ber"], "sample_count": r["bits_total"]}
+                for r in table if (r["scheme"], r["cr"]) == (scheme, cr)
+            ]

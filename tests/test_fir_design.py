@@ -164,6 +164,29 @@ def test_spec_validation():
             FirDesignSpec(31, ((0.0, 0.2), (0.3, 0.5)), (bad, 0.0), (1.0, 1.0))
 
 
+@pytest.mark.parametrize("bands, desired, weights", [
+    (5, (1.0,), (1.0,)),
+    (((0.0, 0.2, 0.3),), (1.0,), (1.0,)),
+    ((0.2,), (1.0,), (1.0,)),
+    (((0.0, 0.2),), 0, (1.0,)),
+    (((0.0, 0.2),), (1.0,), 1.0),
+], ids=["bands=5", "a three-edge band", "a scalar band", "desired=0", "weights=1.0"])
+def test_a_malformed_spec_is_a_config_error(bands, desired, weights):
+    # Unchecked, each raised a TypeError or a ValueError.
+    with pytest.raises(ConfigError, match=r"bands must be a sequence of \(low, high\) pairs"):
+        FirDesignSpec(31, bands, desired, weights)
+
+
+def test_a_list_built_spec_stores_tuples_and_ignores_later_changes():
+    bands, desired, weights = [[0.0, 0.2], [0.3, 0.5]], [1.0, 0.0], [1.0, 1.0]
+    spec = FirDesignSpec(31, bands, desired, weights)
+    bands[1][0] = 0.1
+    desired.append(1.0)
+    weights[0] = -1.0
+    assert spec == FirDesignSpec(31, ((0.0, 0.2), (0.3, 0.5)), (1.0, 0.0), (1.0, 1.0))
+    assert hash(spec) == hash(FirDesignSpec(31, ((0.0, 0.2), (0.3, 0.5)), (1.0, 0.0), (1.0, 1.0)))
+
+
 def test_infeasible_hpf_band_plan():
     # Carrier at BW/2 puts the default stopband edge at or below DC.
     with pytest.raises(ConfigError):

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -119,11 +120,29 @@ def test_chain_ber_refuses_a_non_positive_or_non_finite_cr(cr):
         simulate_chain_ber(OfdmParams(), QPSK_ONLY[0], cr=cr, min_bits=1000, hpf=hpf)
 
 
-@pytest.mark.parametrize("ebn0_db", ["4", True], ids=repr)
-def test_chain_ber_refuses_a_non_number_ebn0(ebn0_db):
-    # Unchecked, "4" raised a TypeError and True ran as 1 dB.
+@pytest.mark.parametrize("ebn0_db", ["4", True, float("nan")], ids=repr)
+def test_chain_ber_refuses_a_non_number_ebn0(monkeypatch, ebn0_db):
+    # Unchecked, "4" raised a TypeError and True ran as 1 dB. Checked only
+    # by noise_sigma, each was refused after the unit had drawn its bits,
+    # transmitted and drawn its normals.
+    draws = []
+    monkeypatch.setattr(harness, "_random_bits", lambda *args: draws.append(args))
     with pytest.raises(ConfigError, match="ebn0_db must be a finite number"):
         simulate_chain_ber(OfdmParams(), QPSK_ONLY[0], ebn0_db=ebn0_db, min_bits=1000)
+    assert draws == []
+
+
+def test_a_list_built_spec_stores_tuples_and_ignores_later_changes():
+    # The spec kept the caller's lists: appending -1.0 to cr_values after
+    # validation made run_papr_experiment return a row for CR -1.
+    schemes, crs, grid = list(QPSK_ONLY), [1.0], [8.0]
+    spec = small_spec(schemes=schemes, cr_values=crs, ebn0_grid_db=grid)
+    assert (spec.schemes, spec.cr_values, spec.ebn0_grid_db) == (QPSK_ONLY, (1.0,), (8.0,))
+    schemes.append(PAIR_8[0])
+    crs.append(-1.0)
+    grid.append(float("nan"))
+    assert spec == small_spec() and hash(spec) == hash(small_spec())
+    assert [row.cr for row in run_papr_experiment(spec).rows] == [1.0]
 
 
 @pytest.mark.parametrize("key,value", [("n_symbols", 1500.5), ("bits_per_point", 2000.5)],
@@ -161,7 +180,7 @@ def test_ebn0_grid_values_must_be_finite_numbers(value):
 
 @pytest.fixture
 def designs(monkeypatch):
-    """Specs of the high-pass designs run from here on, with an empty slot."""
+    """Specs of the high-pass designs run from here on, with an empty cache."""
     calls = []
     design = fir_design.design_equiripple
 
@@ -170,7 +189,7 @@ def designs(monkeypatch):
         return design(spec)
 
     monkeypatch.setattr(fir_design, "design_equiripple", counted)
-    monkeypatch.setattr(harness, "_hpf_slot", None)
+    experiment_hpf.cache_clear()
     return calls
 
 
@@ -188,20 +207,21 @@ def test_both_experiments_of_one_spec_share_one_design(designs):
     papr = run_papr_experiment(spec)
     ber = run_ber_experiment(spec)
     assert len(designs) == 1
-    harness._hpf_slot = None
+    experiment_hpf.cache_clear()
     assert papr.rows == run_papr_experiment(spec).rows and ber == run_ber_experiment(spec)
     assert len(designs) == 2
 
 
-def test_the_slot_is_hit_by_the_same_spec_object_only(designs):
-    # An equal copy, or a spec that shares the design target, designs again.
+def test_the_cache_is_hit_by_an_equal_spec_only(designs):
+    # The same spec object and an equal copy share the design; a spec that
+    # only shares the design target designs again.
     spec = small_spec(seed=1)
     hpf = experiment_hpf(spec)
     assert experiment_hpf(spec) is hpf
+    assert experiment_hpf(dataclasses.replace(spec)) is hpf
     assert len(designs) == 1
-    assert experiment_hpf(dataclasses.replace(spec)).spec == hpf.spec
     assert experiment_hpf(small_spec(seed=2)).spec == hpf.spec
-    assert len(designs) == 3
+    assert len(designs) == 2
 
 
 def test_a_design_that_raises_is_not_kept(designs, monkeypatch):
@@ -215,7 +235,7 @@ def test_a_design_that_raises_is_not_kept(designs, monkeypatch):
     monkeypatch.setattr(fir_design, "design_equiripple", fail_once)
     with pytest.raises(DesignError):
         run_papr_experiment(spec)
-    assert harness._hpf_slot is None
+    assert experiment_hpf.cache_info().currsize == 0
     experiment_hpf(spec)
     assert designs == [experiment_hpf(spec).spec]
 
@@ -356,14 +376,33 @@ def test_noiseless_loopback_has_no_bit_errors(params, scheme):
 
 
 def test_experiment_error_context(monkeypatch):
-    import paprsim.harness as harness
-
     def boom(*args, **kwargs):
         raise ValueError("inner failure")
 
     monkeypatch.setattr(harness, "_papr_cell", boom)
     with pytest.raises(ExperimentError, match=r"scheme=qpsk, cr=1"):
         run_papr_experiment(small_spec())
+
+
+def test_papr_progress_once_per_cell_in_order_and_no_bits_before_it(monkeypatch):
+    # The benchmark times a cell from its progress call to the next one, so
+    # each cell's bit draws must follow its own call.
+    events = []
+    draw = harness._random_bits
+
+    def spy(rng, n_frames, bits_per_frame):
+        events.append("bits")
+        return draw(rng, n_frames, bits_per_frame)
+
+    monkeypatch.setattr(harness, "_random_bits", spy)
+    spec = small_spec(schemes=(QPSK_ONLY[0], PAIR_8[1]), cr_values=(1.0, 1.4))
+    run_papr_experiment(spec, progress=events.append)
+    expected = []
+    for scheme in spec.schemes:
+        for cr in spec.cr_values:
+            expected += [f"papr {scheme.name} cr={cr:g}", "bits"]
+    # A cell draws its bits one chunk at a time; its draws collapse to one.
+    assert [event for event, _ in groupby(events)] == expected
 
 
 def test_clip_attenuation_limits():

@@ -103,6 +103,15 @@ def test_ccdf_validation():
         estimate_ccdf([1.0], [2.0, 1.0])
 
 
+@pytest.mark.parametrize("thresholds", [[0.0, np.nan], [0.0, 5.0, np.inf], [-np.inf, 0.0]],
+                         ids=["nan", "inf", "-inf"])
+def test_ccdf_refuses_non_finite_thresholds(thresholds):
+    # A NaN threshold passed the ascending check, and an infinite one made
+    # ccdf_quantile return inf.
+    with pytest.raises(ShapeError, match="thresholds must be finite"):
+        estimate_ccdf([1.0, 2.0, 3.0], thresholds)
+
+
 def test_ccdf_refuses_nan_values_and_counts_inf():
     # A NaN sorts above every threshold, so it would count as exceeding all.
     with pytest.raises(MetricError, match="NaN"):
