@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .constellation import ModScheme
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .ofdm_chain import OfdmParams, _is_real
 
 
@@ -60,7 +60,9 @@ def noise_sigma(
 
 
 def add_awgn(samples, sigma_n: float, rng) -> np.ndarray:
-    """Add zero-mean white Gaussian noise of standard deviation ``sigma_n``.
+    """Add zero-mean white Gaussian noise of standard deviation ``sigma_n``
+    to real passband samples; complex samples are refused, since real
+    noise would leave their imaginary part noiseless.
 
     ``rng`` is a seed or a ``np.random.Generator``; a Generator is used as
     is, so identical seeds give identical bytes. ``sigma_n = 0`` returns the
@@ -68,6 +70,8 @@ def add_awgn(samples, sigma_n: float, rng) -> np.ndarray:
     """
     if not (_is_real(sigma_n) and 0 <= sigma_n < np.inf):
         raise ConfigError(f"sigma_n must be non-negative and finite, got {sigma_n!r}")
+    if np.iscomplexobj(samples):
+        raise ShapeError("add_awgn takes real passband samples, not complex baseband")
     if sigma_n == 0:
         return samples
     samples = np.asarray(samples)

@@ -46,6 +46,12 @@ class RunConfig:
     verbosity: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.spec, ExperimentSpec):
+            raise ConfigError(f"spec must be an ExperimentSpec, got {self.spec!r}")
+        if not isinstance(self.output_dir, Path):
+            raise ConfigError(f"output_dir must be a Path, got {self.output_dir!r}")
+        if not isinstance(self.write_curves, bool):
+            raise ConfigError(f"write_curves must be a bool, got {self.write_curves!r}")
         if self.experiment not in _EXPERIMENT_KINDS:
             raise ConfigError(
                 f"experiment must be one of {_EXPERIMENT_KINDS}, got {self.experiment!r}"

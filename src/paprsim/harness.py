@@ -13,37 +13,42 @@ samples of the same mean power. So the clip level cr * sigma is known before
 any bit is drawn. The unclipped chain's gain at every data bin is exactly 1.
 
 PAPR cell: one pass over the cell's bits, drawn in chunks of frames. Per
-chunk: extend, modulate, take |x| once, read the unclipped PAPR from it,
-turn it into the clip's real factor A / max(|x|, A), A = cr * sigma (the
-magnitude clip with phase preserved, applied at baseband just before
-carrier modulation), apply the composed filter to the clipped real
-passband 2 Re(x c) * factor, which takes one real FFT and one inverse FFT
-and returns the complex envelope of the filtered passband symbol, and read
-the processed PAPR. So a chunk makes two complex transforms and one real
-one. Only the two PAPR vectors grow with n_symbols. PAPR always refers to
-the complex envelope |x[m]|^2 of the oversampled symbol, never to the
-instantaneous real passband waveform, whose peaks carry an extra
-carrier-phase artifact of about 2.5 dB.
+chunk: extend, modulate, take |x| once, turn it into the clip's real
+factor A / max(|x|, A), A = cr * sigma (the magnitude clip with phase
+preserved, applied at baseband just before carrier modulation), apply the
+composed filter to the clipped real passband 2 Re(x c) * factor, which
+takes one real FFT and one inverse FFT and returns the complex envelope of
+the filtered passband symbol, and read the processed PAPR; the unclipped
+PAPR is read from the kept |x|. So a chunk makes two complex transforms
+and one real one. Only the two PAPR vectors grow with n_symbols. PAPR
+always refers to the complex envelope |x[m]|^2 of the oversampled symbol,
+never to the instantaneous real passband waveform, whose peaks carry an
+extra carrier-phase artifact of about 2.5 dB.
 
 Both experiments transmit a chunk of frames the same way: map, extend,
 modulate and, when the cell clips, clip and run the composed filter's
-forward half, each stage writing into block buffers allocated once per
-cell (``_chunk_buffers``), so only the filter's real FFT and the envelope
-allocate arrays of a chunk's size. The composed filter's fold
-(``_composed_fold``) is computed once per cell or unit too. A chunk takes
-as many frames as fit ``_CHUNK_SAMPLES`` samples of its block length, so a
-chunk's complex block fits 2 MB, the size of an L2 cache.
+forward half (``_clipped_band``, the one home of that sequence), each
+stage writing into block buffers allocated once per cell
+(``_chunk_buffers``), so only the filter's real FFT and the envelope
+allocate arrays of a chunk's size. The buffers are load-bearing: fresh
+block-sized arrays in every chunk cost page faults and system time that
+made a PAPR experiment about 1.45x slower on two CPUs (see the README).
+The composed filter's fold (``_composed_fold``) is computed once per cell
+or unit too. A chunk takes as many frames as fit ``_CHUNK_SAMPLES``
+samples of its block length, so a chunk's complex block fits 2 MB, the
+size of an L2 cache.
 
 One runner, ``_on_chunks``, runs every chunk loop: the PAPR cell's, the
 BER unit's transmit and each of its Eb/N0 points. It hands out slices of
 rows in row order to the calling thread and helpers started for the
 loop, one thread per full budget of the cell's or unit's block samples,
-up to W, the number of CPUs the process may use. So a loop of under two
-budgets stays on the calling thread. A thread's chunk holds 1/T of the
-budget, T the loop's thread count, so the chunks in flight together hold
-one budget. The PAPR cell's threads draw the chunks' bits in row order,
-one chunk at a time; the BER unit draws its bits up front and its
-normals the same way as its transmit chunks. Every row of a chunk is
+up to W, the number of CPUs the process may use, and returns what each
+chunk computed. So a loop of under two budgets stays on the calling
+thread. A thread's chunk holds 1/T of the budget, T the loop's thread
+count, so the chunks in flight together hold one budget. The PAPR cell's
+threads draw the chunks' bits in row order, one chunk at a time; the BER
+unit draws its bits up front and its normals the same way as its
+transmit chunks. Every row of a chunk is
 computed on its own (transforms, clipping, PAPR and the slicer act per
 row), so results depend on neither W nor the chunk length.
 
@@ -291,12 +296,13 @@ def _chunking(frames: int, block_len: int) -> tuple[int, int]:
     return min(threads, math.ceil(frames / step)), step
 
 
-def _on_chunks(frames: int, step: int, work, *, claim=None, threads: int) -> None:
+def _on_chunks(frames: int, step: int, work, *, claim=None, threads: int) -> list:
     """Call ``work(thread, rows, claimed)`` for every chunk of range(frames),
     ``rows`` the chunk's slice(start, min(start + step, frames)), on
     min(threads, chunks) threads: the calling thread, numbered 0, and
     helper threads numbered 1, 2, ... started for the call, so that
-    ``thread`` can pick buffers of its own.
+    ``thread`` can pick buffers of its own. Returns ``work``'s results, one
+    per chunk, in the order the chunks finished.
 
     The threads take the chunks in row order under one lock.
     ``claim(rows)``, if given, runs under that lock and its result is passed
@@ -308,7 +314,7 @@ def _on_chunks(frames: int, step: int, work, *, claim=None, threads: int) -> Non
     chunks = (slice(start, min(start + step, frames)) for start in range(0, frames, step))
     lock = threading.Lock()
     stop = threading.Event()
-    failures = []
+    failures, results = [], []
 
     def loop(thread):
         try:
@@ -318,7 +324,7 @@ def _on_chunks(frames: int, step: int, work, *, claim=None, threads: int) -> Non
                     if rows is None or stop.is_set():
                         return
                     claimed = None if claim is None else claim(rows)
-                work(thread, rows, claimed)
+                results.append(work(thread, rows, claimed))
         except BaseException as exc:  # raised again by the calling thread below
             stop.set()
             failures.append(exc)
@@ -338,6 +344,7 @@ def _on_chunks(frames: int, step: int, work, *, claim=None, threads: int) -> Non
             helper.join()
     if failures:
         raise failures[0]
+    return results
 
 
 def _cell_rng(seed: int, kind: int, index: int) -> np.random.Generator:
@@ -438,13 +445,13 @@ def _noise_free_unit(
     """The shared work of a BER unit: draw the bit rows, transmit them
     (cr=None skips clipping and filtering) and receive them without noise,
     one chunk at a time (``_ber_chunk``). Returns (bits, transmit power,
-    received symbols); the power is the mean square of the passband
-    samples, prefix included, that the channel is calibrated to, taken as
-    the mean of the per-block mean squares. Unclipped, the symbols are the
-    mapped symbols. Given ``noise``, a generator, it also draws the unit's
-    normals, one complex array of the symbols' shape whose real and
-    imaginary parts are standard normals drawn in row order (2N a frame),
-    and returns them fourth.
+    received symbols, normals); the power is the mean square of the
+    passband samples, prefix included, that the channel is calibrated to,
+    taken as the mean of the per-block mean squares. Unclipped, the symbols are the
+    mapped symbols. Fourth come the unit's normals: given ``noise``, a
+    generator, one complex array of the symbols' shape whose real and
+    imaginary parts are standard normals drawn in row order (2N a frame);
+    without it, None.
 
     The bits are drawn up front and the chunks run on ``_on_chunks``, one
     thread per full budget of the unit's prefixed blocks (``_chunking``),
@@ -475,8 +482,7 @@ def _noise_free_unit(
 
     _on_chunks(n_frames, step, transmit, claim=None if noise is None else draw,
                threads=threads)
-    unit = bits, float(np.mean(block_power)), received
-    return unit if noise is None else (*unit, normals)
+    return bits, float(np.mean(block_power)), received, normals
 
 
 def _ber_cells(
@@ -504,8 +510,8 @@ def _ber_cells(
     over the kept symbols, in chunks of at most 1/T of the budget and of
     the rows: each chunk writes sigma_n times its rows of z into its
     thread's buffer, adds the symbols, divides by the gain, demaps and
-    counts the errors into its thread's counter, so a point makes no array
-    of the unit's size. The point's count is the sum of the counters.
+    returns its error count, so a point makes no array of the unit's size.
+    The point's count is the sum of its chunks' counts.
 
     So point i receives (sigma_n(i) z + clean) / gain, the same operations
     in the same order as a point with a draw of its own, and point 0 draws
@@ -515,11 +521,10 @@ def _ber_cells(
     """
     bit_seed, noise_seed = np.random.SeedSequence(entropy).spawn(2)
     noisy = any(ebn0_db is not None for ebn0_db in ebn0_grid_db)
-    bits, power, clean, *normals = _noise_free_unit(
+    bits, power, clean, normals = _noise_free_unit(
         params, scheme, cr, hpf, min_bits, np.random.default_rng(bit_seed),
         np.random.default_rng(noise_seed) if noisy else None,
     )
-    normals = normals[0] if normals else None
     gain = clip_attenuation(cr) if cr is not None else 1.0
     # numpy divides a complex x by g + 0j as (x.real + x.imag * 0) * (1 / g)
     # and (x.imag - x.real * 0) * (1 / g), so scaling both parts by 1 / g
@@ -536,17 +541,15 @@ def _ber_cells(
 
     def errors_at(ebn0_db):
         sigma_n = 0.0 if ebn0_db is None else noise_sigma(params, scheme, ebn0_db, power)
-        errors = [0] * threads
 
         def count(thread, rows, _):
             out = _rows(buffers[thread], complex, *clean[rows].shape)
             z = None if normals is None else normals[rows]
             parts = _add_bin_noise(clean[rows], sigma_n, z, out=out).view(float)
             parts *= scale
-            errors[thread] += int(np.count_nonzero(bits[rows] != _demap_rows(out, scheme)))
+            return int(np.count_nonzero(bits[rows] != _demap_rows(out, scheme)))
 
-        _on_chunks(n_frames, step, count, threads=threads)
-        return sum(errors)
+        return sum(_on_chunks(n_frames, step, count, threads=threads))
 
     for ebn0_db in ebn0_grid_db:
         yield errors_at(ebn0_db), bits.size
@@ -568,23 +571,32 @@ def _rows(buffer: np.ndarray, dtype, count: int, width: int) -> np.ndarray:
     return buffer.view(dtype)[: count * width].reshape(count, width)
 
 
-def _baseband_chunk(
-    bits: np.ndarray, scheme: ModScheme, params: OfdmParams, buffers: tuple[np.ndarray, ...],
-) -> np.ndarray:
-    """Map, extend and modulate the frames ``bits`` holds; returns their
-    baseband, the buffers' block (the inverse transform runs in place)."""
-    count = bits.shape[0]
+def _clipped_band(
+    bits: np.ndarray, scheme: ModScheme, params: OfdmParams, amplitude: float,
+    fold: tuple, buffers: tuple[np.ndarray, ...],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The clipped transmit of the frames ``bits`` holds, shared by both
+    experiments' chunks, on one thread's buffers (``_chunk_buffers``).
+
+    Map, extend and modulate write into the buffers' symbols and block (the
+    inverse transform runs in place); |x| of the baseband goes into the
+    scratch's first float view and the clip's real factor A / max(|x|, A)
+    into its second, and the composed filter's forward half
+    (``_filter_forward``) takes the factor in place of a clipped block.
+    Returns (baseband, magnitude, band): the block, which the forward half
+    leaves holding x c, free for the inverse half to overwrite; |x|, which
+    nothing after the clip touches; and the band bins Y[j], j = -N/2..N/2.
+    """
+    count, total = bits.shape[0], params.n_oversampled
     symbols = _map_rows(bits, scheme, out=_rows(buffers[0], complex, count, params.n_subcarriers))
-    block = _rows(buffers[1], complex, count, params.n_oversampled)
-    return _modulate_rows(_extend_rows(symbols, params.oversample, out=block), params, out=block)
-
-
-def _float_rows(scratch: np.ndarray, count: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two disjoint (count, width) float views of a thread's scratch, one
-    after the other: a chunk's |x| and the clip's factor. They fill the
-    scratch's bytes, which hold count * N*L complex values."""
-    return (_rows(scratch, float, count, width),
-            _rows(scratch[count * width // 2 :], float, count, width))
+    block = _rows(buffers[1], complex, count, total)
+    frames = _extend_rows(symbols, params.oversample, out=block)
+    baseband = _modulate_rows(frames, params, out=block)
+    # The two float views fill the scratch's bytes, count * N*L complex values.
+    magnitude = np.abs(baseband, out=_rows(buffers[2], float, count, total))
+    factor = _clip_magnitude_rows(
+        magnitude, amplitude, out=_rows(buffers[2][count * total // 2 :], float, count, total))
+    return baseband, magnitude, _composed_rows(baseband, fold, factor=factor)
 
 
 def _papr_chunk(
@@ -596,25 +608,19 @@ def _papr_chunk(
     unclipped and the clipped-and-filtered PAPR of the frames ``bits``
     holds into the two views.
 
-    |x| of the baseband is taken once, into the scratch (``_float_rows``).
-    Its squares, written into the scratch's second view, give the unclipped
-    PAPR; the clip stage then turns |x| into the real factor A / max(|x|,
-    A) in that same view, and the composed filter takes the factor in
-    place of a clipped block: its forward half (``_filter_forward``) reads
-    the band bins of the clipped passband and its inverse half
-    (``_filter_inverse``) writes the filtered envelope over the baseband.
-    The envelope stage is called as ``envelope_magnitude(samples,
-    params)``, the form perfbench's self-test substitutes, so it returns a
-    new |y| array, which is squared in place.
+    The clipped transmit (``_clipped_band``) leaves |x| of the baseband in
+    the scratch; its squares, in place, give the unclipped PAPR. The
+    filter's inverse half (``_filter_inverse``) writes the filtered
+    envelope over the baseband. The envelope stage is called as
+    ``envelope_magnitude(samples, params)``, the form perfbench's self-test
+    substitutes, so it returns a new |y| array, which is squared in place.
     """
-    baseband = _baseband_chunk(bits, scheme, params, buffers)
-    magnitude, second = _float_rows(buffers[2], *baseband.shape)
-    np.abs(baseband, out=magnitude)
+    baseband, magnitude, band = _clipped_band(bits, scheme, params, amplitude, fold, buffers)
     # The unclipped symbol is in-band by construction, so its envelope is
     # the baseband signal itself.
-    unclipped_papr[:] = _papr_db_rows(np.square(magnitude, out=second))
-    factor = _clip_magnitude_rows(magnitude, amplitude, out=second)
-    filtered = _filter_inverse(_composed_rows(baseband, fold, factor=factor), baseband)
+    unclipped_papr[:] = _papr_db_rows(np.square(magnitude, out=magnitude))
+    filtered = _filter_inverse(band, baseband)
+    del band  # frees the real FFT's output before the envelope allocates
     envelope = envelope_magnitude(filtered, params)
     processed_papr[:] = _papr_db_rows(np.square(envelope, out=envelope))
 
@@ -630,15 +636,15 @@ def _ber_chunk(
     passband samples, prefix included, into ``block_power``.
 
     The transmit ends at the block's band bins Y[j], j = -N/2..N/2, the DFT
-    of its complex envelope at offsets j from DC. Clipped, they are the
-    composed filter's forward half, given the clip's real factor as in a
-    PAPR chunk, and the data symbols are Y at the data bins over
-    sqrt(N*L). Unclipped, the data symbols are the mapped symbols, written
-    straight into ``received``, and Y is the extended frame times sqrt(N*L);
-    no modulator transform runs. Either way Y times the weights of
-    ``_band_read`` is the real FFT of the passband symbol at band bins k_c +
-    j (zero elsewhere), written into the scratch; one inverse real FFT
-    gives the passband symbol, as floats in the block's bytes. The prefix's
+    of its complex envelope at offsets j from DC. Clipped, they come from
+    the clipped transmit a PAPR chunk runs too (``_clipped_band``), and
+    the data symbols are Y at the data bins over sqrt(N*L). Unclipped, the
+    data symbols are the mapped symbols, written straight into
+    ``received``, and Y is the extended frame times sqrt(N*L); no modulator
+    transform runs. Either way Y times the weights of ``_band_read`` is the
+    real FFT of the passband symbol at band bins k_c + j (zero elsewhere),
+    written into the scratch; one inverse real FFT gives the passband
+    symbol, as floats in the block's bytes. The prefix's
     passband samples are the symbol's last cp*L samples, so their squares
     are counted twice.
     """
@@ -653,10 +659,7 @@ def _ber_chunk(
         np.multiply(symbols[:, half:], weights[:half], out=band[:, :half])
         np.multiply(symbols[:, : half + 1], weights[half:], out=band[:, half:])
     else:
-        baseband = _baseband_chunk(bits, scheme, params, buffers)
-        magnitude, factor = _float_rows(buffers[2], count, total)
-        _clip_magnitude_rows(np.abs(baseband, out=magnitude), amplitude, out=factor)
-        filtered = _composed_rows(baseband, fold, factor=factor)
+        _, _, filtered = _clipped_band(bits, scheme, params, amplitude, fold, buffers)
         np.take(filtered, data, axis=-1, out=received)
         received *= 1.0 / math.sqrt(total)
         np.multiply(filtered, weights, out=band)

@@ -76,8 +76,8 @@ def test_noise_free_unit_equals_the_time_domain_path(plan, cr):
     params, _ = BER_PLANS[plan]
     scheme = ModScheme("qam", 16)
     hpf = plan_hpf(plan)
-    bits, power, clean = _noise_free_unit(params, scheme, cr, hpf, 50_000,
-                                          np.random.default_rng(31))
+    bits, power, clean, _ = _noise_free_unit(params, scheme, cr, hpf, 50_000,
+                                             np.random.default_rng(31))
     assert np.array_equal(bits, _random_bits(np.random.default_rng(31), *bits.shape))
     want_power, _, want_clean, _ = time_domain_ber_cell(
         bits, scheme, params, cr, 6.0, hpf, np.random.default_rng(32))
@@ -129,8 +129,8 @@ def test_noise_free_unit_does_not_depend_on_the_chunk_length(monkeypatch, plan, 
     block_len = params.n_oversampled + params.cp_oversampled
     monkeypatch.setattr(harness, "_CHUNK_SAMPLES", 6 * block_len)
     assert harness._chunk_frames(block_len) == 6 and unchunked[0].shape[0] % 6 == 2
-    bits, power, clean = _noise_free_unit(params, scheme, cr, hpf, 50_000,
-                                          np.random.default_rng(35))
+    bits, power, clean, _ = _noise_free_unit(params, scheme, cr, hpf, 50_000,
+                                             np.random.default_rng(35))
     assert np.array_equal(bits, unchunked[0])
     assert power == unchunked[1]
     assert np.array_equal(clean, unchunked[2])
@@ -143,8 +143,8 @@ def unit_peak_and_kept_bytes(min_bits):
     hpf = experiment_hpf(ExperimentSpec(params=params))
     tracemalloc.start()
     try:
-        bits, _, clean = _noise_free_unit(params, ModScheme.from_name("qpsk"), 1.0, hpf,
-                                          min_bits, np.random.default_rng(36))
+        bits, _, clean, _ = _noise_free_unit(params, ModScheme.from_name("qpsk"), 1.0, hpf,
+                                             min_bits, np.random.default_rng(36))
         return tracemalloc.get_traced_memory()[1], bits.nbytes + clean.nbytes
     finally:
         tracemalloc.stop()

@@ -40,7 +40,7 @@ def runner_threads():
 
 
 def unit_and_counts(monkeypatch, params, cr, hpf, workers, budget_blocks=None):
-    """The unit's (bits, power, symbols) and its points' counts with
+    """The unit's (bits, power, symbols, None) and its points' counts with
     ``workers`` CPUs and, if given, a budget of ``budget_blocks`` blocks."""
     with monkeypatch.context() as m:
         m.setattr(harness, "_worker_count", lambda: workers)
@@ -61,10 +61,10 @@ def test_unit_and_counts_do_not_depend_on_the_worker_count(monkeypatch, plan, cr
     # the points' chunks 40, 20 and 12 rows, all with a ragged last chunk.
     params, _ = ORACLE_PLANS[plan]
     hpf = experiment_hpf(ExperimentSpec(params=params))
-    (bits, power, clean), counts = unit_and_counts(monkeypatch, params, cr, hpf, 1)
+    (bits, power, clean, _), counts = unit_and_counts(monkeypatch, params, cr, hpf, 1)
     assert bits.shape[0] == 97
     for workers in (1, 2, 3):
-        (got_bits, got_power, got_clean), got_counts = unit_and_counts(
+        (got_bits, got_power, got_clean, _), got_counts = unit_and_counts(
             monkeypatch, params, cr, hpf, workers, budget_blocks=4)
         assert np.array_equal(got_bits, bits), workers
         assert got_power == power, workers
@@ -86,8 +86,8 @@ def test_every_point_scales_the_normals_point_0_drew_on_its_own(monkeypatch, cr)
 
     def oracle(entropy, grid):
         bit_seed = np.random.SeedSequence(entropy).spawn(1)[0]
-        bits, power, clean = _noise_free_unit(params, scheme, cr, hpf, MIN_BITS,
-                                              np.random.default_rng(bit_seed))
+        bits, power, clean, _ = _noise_free_unit(params, scheme, cr, hpf, MIN_BITS,
+                                                 np.random.default_rng(bit_seed))
         own = per_point_normals(entropy, grid, clean.shape)
         return (ber_points(bits, power, clean, scheme, params, cr, grid, own),
                 ber_points(bits, power, clean, scheme, params, cr, grid, own[:1] * len(grid)))
@@ -202,8 +202,10 @@ def test_the_runner_hands_out_every_row_once_in_row_order(threads):
     def work(thread, rows, claimed):
         assert 0 <= thread < threads and claimed == rows.start
         done.append(rows)
+        return rows.start
 
-    harness._on_chunks(11, 4, work, claim=claim, threads=threads)
+    # The runner returns what each chunk's work returned, one per chunk.
+    assert sorted(harness._on_chunks(11, 4, work, claim=claim, threads=threads)) == [0, 4, 8]
     assert claims == want
     assert sorted(done, key=lambda rows: rows.start) == want
     assert not runner_threads()

@@ -6,6 +6,7 @@ from paprsim import (
     ConfigError,
     ModScheme,
     OfdmParams,
+    ShapeError,
     add_awgn,
     demodulate_passband,
     noise_sigma,
@@ -86,6 +87,14 @@ def test_awgn_seed_determinism():
     assert np.array_equal(add_awgn(sig, 0.5, rng=np.random.default_rng(42)), a)
     with pytest.raises(ConfigError):
         add_awgn(sig, -0.1, rng=0)
+
+
+@pytest.mark.parametrize("sigma_n", [0.0, 1.0], ids=repr)
+def test_awgn_refuses_complex_samples(sigma_n):
+    # Unchecked, real noise reached only the real part:
+    # add_awgn(np.zeros(4, complex), 1.0, 0).imag was all zeros.
+    with pytest.raises(ShapeError, match="real passband samples"):
+        add_awgn(np.zeros(4, complex), sigma_n, rng=0)
 
 
 @pytest.mark.parametrize("sigma_n", [np.nan, np.inf], ids=repr)

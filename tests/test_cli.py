@@ -228,6 +228,22 @@ def test_run_config_refuses_an_unknown_experiment_or_verbosity(field, value, mes
         dataclasses.replace(RunConfig(), **{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("spec", None),
+    ("spec", OfdmParams()),
+    ("output_dir", "out"),
+    ("write_curves", "no"),
+    ("write_curves", 0),
+], ids=repr)
+def test_run_config_refuses_a_wrongly_typed_spec_output_dir_or_write_curves(field, value):
+    # Unchecked, output_dir = "out" was kept as a str, write_curves = "no"
+    # was kept and read as true, and spec = None was accepted.
+    with pytest.raises(ConfigError, match=f"{field} must be a"):
+        RunConfig(**{field: value})
+    with pytest.raises(ConfigError, match=f"{field} must be a"):
+        dataclasses.replace(RunConfig(), **{field: value})
+
+
 @pytest.mark.parametrize("line", ["verbosity = -4", "experiment = nope"])
 def test_a_bad_run_key_exits_one(tmp_path, capsys, line):
     out_dir = tmp_path / "out"

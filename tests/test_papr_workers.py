@@ -236,3 +236,49 @@ def test_stage_out_must_match_shape_and_dtype():
                 call(out)
     with pytest.raises(ShapeError, match="out must be"):
         map_bits(bits, scheme, out=np.empty((bits.shape[0], params.n_subcarriers)))
+
+
+@pytest.mark.parametrize("experiment", ["papr_cell", "clipped_ber_unit"])
+def test_the_stages_write_into_the_threads_buffers(monkeypatch, experiment):
+    # Stages that lost their out= would give the same numbers, so only this
+    # test sees it; fresh block-sized arrays per chunk cost a PAPR
+    # experiment page faults and system time (README, "How the pipeline
+    # works"). Both experiments run on 2 threads, one set of buffers each.
+    params = ORACLE_PLANS["reference"][0]
+    spec = ExperimentSpec(params=params, n_symbols=N_SYMBOLS, ccdf_read_point=1e-2)
+    hpf = experiment_hpf(spec)
+    scheme = ModScheme.from_name("16qam")
+    monkeypatch.setattr(harness, "_worker_count", lambda: 2)
+    buffers, outs = [], []
+    make = harness._chunk_buffers
+
+    def buffers_spy(frames, params):
+        buffers.append(make(frames, params))
+        return buffers[-1]
+
+    monkeypatch.setattr(harness, "_chunk_buffers", buffers_spy)
+    for name in ("_map_rows", "_extend_rows", "_modulate_rows"):
+        def stage(*args, out=None, _name=name, _stage=getattr(harness, name), **kwargs):
+            outs.append((_name, out))
+            return _stage(*args, out=out, **kwargs)
+        monkeypatch.setattr(harness, name, stage)
+    clip = harness._clip_magnitude_rows
+
+    def clip_stage(*args, **kwargs):
+        factor = clip(*args, **kwargs)
+        outs.append(("_clip_magnitude_rows", factor))
+        return factor
+
+    monkeypatch.setattr(harness, "_clip_magnitude_rows", clip_stage)
+    if experiment == "papr_cell":
+        _papr_cell(spec, scheme, 1.2, _cell_rng(spec.seed, 0, 0), hpf)
+    else:
+        block_len = params.n_oversampled + params.cp_oversampled
+        monkeypatch.setattr(harness, "_CHUNK_SAMPLES", 4 * block_len)
+        harness._noise_free_unit(params, scheme, 1.2, hpf, 49_500, np.random.default_rng(3))
+    assert len(buffers) == 2
+    assert {name for name, _ in outs} == {
+        "_map_rows", "_extend_rows", "_modulate_rows", "_clip_magnitude_rows"}
+    for name, out in outs:
+        assert out is not None, name
+        assert any(np.shares_memory(out, buffer) for own in buffers for buffer in own), name
