@@ -73,7 +73,8 @@ def _scalar(kind):
                 raise ValueError(raw)
             return kind(raw)
         except ValueError:
-            raise ConfigError(f"{key} must be a {kind.__name__}, got {raw!r}") from None
+            article = "an" if kind.__name__[0] in "aeiou" else "a"
+            raise ConfigError(f"{key} must be {article} {kind.__name__}, got {raw!r}") from None
     return parse
 
 
@@ -92,8 +93,12 @@ def _list(kind):
 def _read_key_values(path: Path) -> dict[str, str]:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, not UTF-8
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     pairs: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

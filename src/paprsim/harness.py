@@ -25,32 +25,40 @@ always refers to the complex envelope |x[m]|^2 of the oversampled symbol,
 never to the instantaneous real passband waveform, whose peaks carry an
 extra carrier-phase artifact of about 2.5 dB.
 
-Both experiments transmit a chunk of frames the same way: map, extend,
-modulate and, when the cell clips, clip and run the composed filter's
-forward half (``_clipped_band``, the one home of that sequence), each
-stage writing into block buffers allocated once per cell
+Both experiments walk their (scheme, cr) grid in one loop
+(``_walk_grid``): in grid order, unit i drawing from streams seeded by
+[master_seed, kind, i], kind 0 for PAPR and 1 for BER, and asked for one
+value per cell (the PAPR cell, or each Eb/N0 point of a BER unit) after
+the cell's progress call and inside its error wrapping.
+
+Both transmit on one loop (``_transmit``), in chunks of frames: map,
+extend, modulate and, when the cell clips, clip and run the composed
+filter's forward half (``_clipped_band``, the one home of that sequence),
+each stage writing into block buffers allocated once per cell or unit
 (``_chunk_buffers``), so only the filter's real FFT and the envelope
 allocate arrays of a chunk's size. The buffers are load-bearing: fresh
 block-sized arrays in every chunk cost page faults and system time that
 made a PAPR experiment about 1.45x slower on two CPUs (see the README).
-The composed filter's fold (``_composed_fold``) is computed once per cell
-or unit too. A chunk takes as many frames as fit ``_CHUNK_SAMPLES``
-samples of its block length, so a chunk's complex block fits 2 MB, the
-size of an L2 cache.
+The clip level and the composed filter's fold (``_composed_fold``) are
+computed once per loop too. A chunk takes as many frames as fit
+``_CHUNK_SAMPLES`` samples of the N*L-sample blocks it forms, so a
+chunk's complex block fits 2 MB, the size of an L2 cache. A BER chunk
+forms no prefixed block (it reads the prefix's power from the symbol),
+so both experiments size their chunks alike.
 
-One runner, ``_on_chunks``, runs every chunk loop: the PAPR cell's, the
-BER unit's transmit and each of its Eb/N0 points. It hands out slices of
-rows in row order to the calling thread and helpers started for the
-loop, one thread per full budget of the cell's or unit's block samples,
-up to W, the number of CPUs the process may use, and returns what each
-chunk computed. So a loop of under two budgets stays on the calling
-thread. A thread's chunk holds 1/T of the budget, T the loop's thread
-count, so the chunks in flight together hold one budget. The PAPR cell's
-threads draw the chunks' bits in row order, one chunk at a time; the BER
-unit draws its bits up front and its normals the same way as its
-transmit chunks. Every row of a chunk is
-computed on its own (transforms, clipping, PAPR and the slicer act per
-row), so results depend on neither W nor the chunk length.
+One runner, ``_on_chunks``, runs every chunk loop: the transmit loop and
+each Eb/N0 point of a BER unit. It hands out slices of rows in row order
+to the calling thread and helpers started for the loop, one thread per
+full budget of the loop's N*L-sample blocks, up to W, the number of CPUs
+the process may use, and returns what each chunk computed. So a loop of
+under two budgets stays on the calling thread. A thread's chunk holds 1/T
+of the budget, T the loop's thread count, so the chunks in flight together
+hold one budget. The transmit loop's claim hands each chunk its bits in
+row order under the runner's lock: the PAPR cell draws them there, one
+chunk at a time; the BER unit draws its bits up front and draws its
+normals there. Every row of a chunk is computed on its own (transforms,
+clipping, PAPR and the slicer act per row), so results depend on neither
+W nor the chunk length.
 
 BER cells come in units, one per (scheme, cr), that share one transmission.
 A unit draws its bits once and loops over chunks of them (``_ber_chunk``).
@@ -453,35 +461,27 @@ def _noise_free_unit(
     imaginary parts are standard normals drawn in row order (2N a frame);
     without it, None.
 
-    The bits are drawn up front and the chunks run on ``_on_chunks``, one
-    thread per full budget of the unit's prefixed blocks (``_chunking``),
-    each thread with its own buffers. Every chunk writes its own rows. A
-    chunk's normals are drawn as the chunk is claimed, so the draws follow
-    row order whatever the thread count and concatenate to one draw of all
-    the rows, while the other threads transmit."""
+    The bits are drawn up front, and the chunks run on the transmit loop
+    a PAPR cell runs too (``_transmit``). A chunk's claim draws its normals
+    and hands it its rows of the bits, so the draws follow row order
+    whatever the thread count and concatenate to one draw of all the rows,
+    while the other threads transmit. Every chunk writes its own rows."""
     if cr is not None and hpf is None:
         raise ConfigError("clipping requested but no high-pass filter supplied")
     _band_read(params)  # refuses a plan the receiver cannot serve
-    amplitude = None if cr is None else _clip_level(params, cr)
-    fold = None if cr is None else _composed_fold(params, hpf)
     bits_per_frame = params.n_subcarriers * scheme.bits_per_symbol
     n_frames = max(1, math.ceil(min_bits / bits_per_frame))
     bits = _random_bits(rng, n_frames, bits_per_frame)
-    threads, step = _chunking(n_frames, params.n_oversampled + params.cp_oversampled)
-    buffers = [_chunk_buffers(min(step, n_frames), params) for _ in range(threads)]
     received = np.empty((n_frames, params.n_subcarriers), dtype=complex)
     block_power = np.empty(n_frames)
     normals = None if noise is None else np.empty_like(received)
 
-    def draw(rows):
-        noise.standard_normal(out=normals[rows].view(float))
+    def claim(rows):
+        if noise is not None:
+            noise.standard_normal(out=normals[rows].view(float))
+        return bits[rows]
 
-    def transmit(thread, rows, _):
-        _ber_chunk(bits[rows], scheme, params, amplitude, fold, buffers[thread],
-                   received[rows], block_power[rows])
-
-    _on_chunks(n_frames, step, transmit, claim=None if noise is None else draw,
-               threads=threads)
+    _transmit(params, scheme, cr, hpf, n_frames, _ber_chunk, claim, received, block_power)
     return bits, float(np.mean(block_power)), received, normals
 
 
@@ -506,9 +506,9 @@ def _ber_cells(
     point.
 
     Each point runs when its value is asked for, and computes only its
-    own cell. It is a chunk loop on the unit's T threads (``_chunking``)
-    over the kept symbols, in chunks of at most 1/T of the budget and of
-    the rows: each chunk writes sigma_n times its rows of z into its
+    own cell. It is a chunk loop over the kept symbols on the unit's T
+    threads, T sized as the transmit's (``_chunking`` of the N*L-sample
+    blocks), in chunks of at most 1/T of the budget and of the rows: each chunk writes sigma_n times its rows of z into its
     thread's buffer, adds the symbols, divides by the gain, demaps and
     returns its error count, so a point makes no array of the unit's size.
     The point's count is the sum of its chunks' counts.
@@ -525,14 +525,13 @@ def _ber_cells(
         params, scheme, cr, hpf, min_bits, np.random.default_rng(bit_seed),
         np.random.default_rng(noise_seed) if noisy else None,
     )
-    gain = clip_attenuation(cr) if cr is not None else 1.0
-    # numpy divides a complex x by g + 0j as (x.real + x.imag * 0) * (1 / g)
-    # and (x.imag - x.real * 0) * (1 / g), so scaling both parts by 1 / g
-    # gives the same symbols, up to the sign of a zero part, which the
-    # slicer ignores, without the slower complex division.
-    scale = 1.0 / gain
+    # numpy divides a complex x by the gain g + 0j as (x.real + x.imag * 0)
+    # * (1 / g) and (x.imag - x.real * 0) * (1 / g), so scaling both parts
+    # by 1 / g gives the same symbols, up to the sign of a zero part, which
+    # the slicer ignores, without the slower complex division.
+    scale = 1.0 / (clip_attenuation(cr) if cr is not None else 1.0)
     n_frames, n = clean.shape
-    threads, _ = _chunking(n_frames, params.n_oversampled + params.cp_oversampled)
+    threads, _ = _chunking(n_frames, params.n_oversampled)
     # Chunks of at most 1/T of the rows spread every point over all T
     # threads: a reference 32-QAM unit has 313 frames, fewer than one
     # 512-frame chunk of N-wide rows at two threads.
@@ -699,6 +698,33 @@ def _band_read(params: OfdmParams) -> tuple[np.ndarray, np.ndarray]:
     return data, weights
 
 
+def _transmit(
+    params: OfdmParams, scheme: ModScheme, cr: float | None,
+    hpf: fir_design.FirFilter | None, frames: int, chunk, claim, *outs: np.ndarray,
+) -> None:
+    """The transmit loop of a PAPR cell and of a BER unit: call
+    ``chunk(bits, scheme, params, amplitude, fold, buffers, *views)`` for
+    every chunk of ``frames`` frames, ``bits`` what ``claim(rows)``
+    returned for the chunk's rows and ``views`` each of ``outs`` at those
+    rows. The clip level A = cr * sigma (``_clip_level``) and the composed
+    filter's fold (``_composed_fold``) are worked out once; cr=None makes
+    both None, which skips clipping and filtering.
+
+    The chunks run on ``_on_chunks``, one thread per full budget of the
+    frames' N*L-sample blocks (``_chunking``), each thread with its own
+    buffers (``_chunk_buffers``). ``claim`` runs under the runner's lock,
+    so draws made in it follow row order whatever the thread count."""
+    amplitude = None if cr is None else _clip_level(params, cr)
+    fold = None if cr is None else _composed_fold(params, hpf)
+    threads, step = _chunking(frames, params.n_oversampled)
+    buffers = [_chunk_buffers(min(step, frames), params) for _ in range(threads)]
+
+    def run(thread, rows, bits):
+        chunk(bits, scheme, params, amplitude, fold, buffers[thread], *(out[rows] for out in outs))
+
+    _on_chunks(frames, step, run, claim=claim, threads=threads)
+
+
 def _papr_cell(
     spec: ExperimentSpec, scheme: ModScheme, cr: float, rng: np.random.Generator,
     hpf: fir_design.FirFilter,
@@ -706,65 +732,61 @@ def _papr_cell(
     """Clipped-and-filtered and unclipped PAPR CCDFs of one cell, streamed
     in one pass over the bits ``rng`` draws (see the module docstring).
 
-    The chunks run on ``_on_chunks``, one thread per full budget of the
-    cell's blocks (``_chunking``), each thread with its own buffers
-    (``_chunk_buffers``). A chunk's bits are drawn as the chunk is claimed,
-    so the draws follow row order whatever the thread count; the chunk
+    The chunks run on the transmit loop a BER unit runs too
+    (``_transmit``). A chunk's bits are drawn as the chunk is claimed, so
+    the draws follow row order whatever the thread count; the chunk
     (``_papr_chunk``) then writes its rows of the two PAPR vectors.
     """
-    params = spec.params
-    n = spec.n_symbols
-    bits_per_frame = params.n_subcarriers * scheme.bits_per_symbol
-    amplitude = _clip_level(params, cr)
-    fold = _composed_fold(params, hpf)
-    threads, step = _chunking(n, params.n_oversampled)
-    buffers = [_chunk_buffers(min(step, n), params) for _ in range(threads)]
-    unclipped_papr = np.empty(n)
-    processed_papr = np.empty(n)
+    n, bits_per_frame = spec.n_symbols, spec.params.n_subcarriers * scheme.bits_per_symbol
+    unclipped_papr, processed_papr = np.empty(n), np.empty(n)
+    _transmit(spec.params, scheme, cr, hpf, n, _papr_chunk,
+              lambda rows: _random_bits(rng, rows.stop - rows.start, bits_per_frame),
+              unclipped_papr, processed_papr)
+    return (estimate_ccdf(processed_papr, CCDF_THRESHOLDS_DB),
+            estimate_ccdf(unclipped_papr, CCDF_THRESHOLDS_DB))
 
-    def draw(rows):
-        return _random_bits(rng, rows.stop - rows.start, bits_per_frame)
 
-    def run(thread, rows, bits):
-        _papr_chunk(bits, scheme, params, amplitude, fold, buffers[thread],
-                    unclipped_papr[rows], processed_papr[rows])
-
-    _on_chunks(n, step, run, claim=draw, threads=threads)
-
-    clipped_curve = estimate_ccdf(processed_papr, CCDF_THRESHOLDS_DB)
-    unclipped_curve = estimate_ccdf(unclipped_papr, CCDF_THRESHOLDS_DB)
-    return clipped_curve, unclipped_curve
+def _walk_grid(spec: ExperimentSpec, kind: int, unit, points, progress) -> dict:
+    """Walk the (scheme, cr) units of ``spec`` in order: the one grid walk
+    of both experiments. ``unit(scheme, cr, entropy)`` gets the entropy
+    [seed, kind, unit index] of its streams and returns an iterator with
+    one value per point of ``points``: (None,) for the one cell of a PAPR
+    unit (kind 0), the Eb/N0 grid for a BER unit (kind 1). Before each
+    value ``progress``, if given, is called with the cell's name, and a
+    failure is raised as the cell's ``ExperimentError``. Returns the values
+    keyed by (scheme name, cr, point), in cell order, the order of the rows.
+    """
+    name = ("papr", "ber")[kind]
+    results = {}
+    for index, (scheme, cr) in enumerate((s, cr) for s in spec.schemes for cr in spec.cr_values):
+        values = unit(scheme, cr, [spec.seed, kind, index])
+        for ebn0 in points:
+            at = "" if ebn0 is None else f"ebn0={ebn0:g}"
+            if progress:
+                progress(f"{name} {scheme.name} cr={cr:g}" + (at and f" {at} dB"))
+            try:
+                results[(scheme.name, cr, ebn0)] = next(values)
+            except Exception as exc:
+                cell = f"scheme={scheme.name}, cr={cr:g}" + (at and f", {at}")
+                raise ExperimentError(f"{name} cell failed ({cell}): {exc}") from exc
+    return results
 
 
 def run_papr_experiment(spec: ExperimentSpec, progress=None) -> PaprExperimentResult:
-    """PAPR CCDF sweep over every (scheme, cr) cell of the spec."""
+    """PAPR CCDF sweep over every (scheme, cr) cell of the spec, one cell a
+    unit on the grid walk (``_walk_grid``)."""
     hpf = experiment_hpf(spec)
-    quantiles: dict[tuple[str, float], tuple[float, float]] = {}
-    curves: dict[tuple[str, float], PaprCurves] = {}
-    cells = [(scheme, cr) for scheme in spec.schemes for cr in spec.cr_values]
-    for index, (scheme, cr) in enumerate(cells):
-        if progress:
-            progress(f"papr {scheme.name} cr={cr:g}")
-        try:
-            clipped_curve, unclipped_curve = _papr_cell(
-                spec, scheme, cr, _cell_rng(spec.seed, 0, index), hpf
-            )
-            q_clip = ccdf_quantile(clipped_curve, spec.ccdf_read_point)
-            q_unclip = ccdf_quantile(unclipped_curve, spec.ccdf_read_point)
-        except Exception as exc:
-            raise ExperimentError(
-                f"papr cell failed (scheme={scheme.name}, cr={cr:g}): {exc}"
-            ) from exc
-        quantiles[(scheme.name, cr)] = (q_clip, q_unclip)
-        curves[(scheme.name, cr)] = PaprCurves(clipped_curve, unclipped_curve)
 
-    # The dict holds the cells in cell order, the order of the rows.
-    rows = tuple(
-        PaprRow(name, cr, q_clip, q_unclip,
-                _pair_difference(quantiles, name, cr, value=lambda entry: entry[0]))
-        for (name, cr), (q_clip, q_unclip) in quantiles.items()
-    )
-    return PaprExperimentResult(rows=rows, curves=curves)
+    def unit(scheme, cr, entropy):
+        curves = PaprCurves(*_papr_cell(spec, scheme, cr, _cell_rng(*entropy), hpf))
+        yield (curves, ccdf_quantile(curves.clipped, spec.ccdf_read_point),
+               ccdf_quantile(curves.unclipped, spec.ccdf_read_point))
+
+    cells = _walk_grid(spec, 0, unit, (None,), progress)
+    rows = tuple(PaprRow(name, cr, q_clip, q_unclip,
+                         _pair_difference(cells, name, cr, None, value=lambda cell: cell[1]))
+                 for (name, cr, _), (_, q_clip, q_unclip) in cells.items())
+    return PaprExperimentResult(rows, {key[:2]: cell[0] for key, cell in cells.items()})
 
 
 def _pair_difference(table: dict, name: str, *key, value):
@@ -794,6 +816,12 @@ def simulate_chain_ber(
     SeedSequence([seed, 2, 0]).spawn(2): child 0 for the bits, child 1 for
     the noise.
     """
+    if not isinstance(params, OfdmParams):
+        raise ConfigError(f"params must be an OfdmParams, got {params!r}")
+    if not isinstance(scheme, ModScheme):
+        raise ConfigError(f"scheme must be a ModScheme, got {scheme!r}")
+    if hpf is not None and not isinstance(hpf, fir_design.FirFilter):
+        raise ConfigError(f"hpf must be None or a FirFilter, got {hpf!r}")
     _require_int("seed", seed, 0)
     _require_int("min_bits", min_bits, 1)
     if cr is not None and not (_is_real(cr) and 0 < cr < math.inf):
@@ -816,29 +844,9 @@ def run_ber_experiment(spec: ExperimentSpec, progress=None) -> BerExperimentResu
     if len(spec.ebn0_grid_db) == 0:
         raise ConfigError("ebn0_grid_db must be non-empty for a BER experiment")
     hpf = experiment_hpf(spec)
-    results: dict[tuple[str, float, float], tuple[int, int]] = {}
-    units = [(scheme, cr) for scheme in spec.schemes for cr in spec.cr_values]
-    for index, (scheme, cr) in enumerate(units):
-        cells = _ber_cells(
-            spec.params,
-            scheme,
-            cr,
-            spec.ebn0_grid_db,
-            spec.bits_per_point,
-            hpf,
-            [spec.seed, 1, index],
-        )
-        for ebn0 in spec.ebn0_grid_db:
-            if progress:
-                progress(f"ber {scheme.name} cr={cr:g} ebn0={ebn0:g} dB")
-            try:
-                results[(scheme.name, cr, ebn0)] = next(cells)
-            except Exception as exc:
-                raise ExperimentError(
-                    f"ber cell failed (scheme={scheme.name}, cr={cr:g}, ebn0={ebn0:g}): {exc}"
-                ) from exc
-
-    # The dict holds the cells in cell order, the order of the rows.
+    results = _walk_grid(spec, 1, lambda scheme, cr, entropy: _ber_cells(
+        spec.params, scheme, cr, spec.ebn0_grid_db, spec.bits_per_point, hpf, entropy,
+    ), spec.ebn0_grid_db, progress)
     return BerExperimentResult(rows=tuple(
         BerRow(name, cr, ebn0, errors, total, errors / total,
                _pair_difference(results, name, cr, ebn0, value=lambda e: e[0] / e[1]))

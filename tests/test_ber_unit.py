@@ -126,7 +126,7 @@ def test_noise_free_unit_does_not_depend_on_the_chunk_length(monkeypatch, plan, 
     scheme = ModScheme("qam", 16)
     hpf = experiment_hpf(ExperimentSpec(params=params))
     unchunked = _noise_free_unit(params, scheme, cr, hpf, 50_000, np.random.default_rng(35))
-    block_len = params.n_oversampled + params.cp_oversampled
+    block_len = params.n_oversampled
     monkeypatch.setattr(harness, "_CHUNK_SAMPLES", 6 * block_len)
     assert harness._chunk_frames(block_len) == 6 and unchunked[0].shape[0] % 6 == 2
     bits, power, clean, _ = _noise_free_unit(params, scheme, cr, hpf, 50_000,

@@ -45,8 +45,7 @@ def unit_and_counts(monkeypatch, params, cr, hpf, workers, budget_blocks=None):
     with monkeypatch.context() as m:
         m.setattr(harness, "_worker_count", lambda: workers)
         if budget_blocks is not None:
-            block_len = params.n_oversampled + params.cp_oversampled
-            m.setattr(harness, "_CHUNK_SAMPLES", budget_blocks * block_len)
+            m.setattr(harness, "_CHUNK_SAMPLES", budget_blocks * params.n_oversampled)
         scheme = ModScheme("qam", 16)
         unit = _noise_free_unit(params, scheme, cr, hpf, MIN_BITS, np.random.default_rng(37))
         counts = list(_ber_cells(params, scheme, cr, EBN0_DB, MIN_BITS, hpf, [5, 1, 0]))
@@ -58,7 +57,7 @@ def unit_and_counts(monkeypatch, params, cr, hpf, workers, budget_blocks=None):
 def test_unit_and_counts_do_not_depend_on_the_worker_count(monkeypatch, plan, cr):
     # A budget of 4 blocks puts the 97-frame unit over 24 budgets, so it
     # takes every worker: the transmit chunks hold 4, 2 and 2 frames and
-    # the points' chunks 40, 20 and 12 rows, all with a ragged last chunk.
+    # the points' chunks 32, 16 and 10 rows, all with a ragged last chunk.
     params, _ = ORACLE_PLANS[plan]
     hpf = experiment_hpf(ExperimentSpec(params=params))
     (bits, power, clean, _), counts = unit_and_counts(monkeypatch, params, cr, hpf, 1)
@@ -103,8 +102,7 @@ def test_every_point_scales_the_normals_point_0_drew_on_its_own(monkeypatch, cr)
             with monkeypatch.context() as m:
                 m.setattr(harness, "_worker_count", lambda: workers)
                 if budget_blocks is not None:
-                    block_len = params.n_oversampled + params.cp_oversampled
-                    m.setattr(harness, "_CHUNK_SAMPLES", budget_blocks * block_len)
+                    m.setattr(harness, "_CHUNK_SAMPLES", budget_blocks * params.n_oversampled)
                 got, _ = simulate_chain_ber(params, scheme, ebn0_db=6.0, cr=cr,
                                             min_bits=MIN_BITS, seed=5, hpf=hpf)
             assert got == chain, (workers, budget_blocks)
@@ -129,7 +127,7 @@ def test_counts_with_more_workers_than_cpus_and_fast_thread_switching(monkeypatc
 def test_csv_files_do_not_depend_on_the_worker_count(monkeypatch, tmp_path):
     spec = ExperimentSpec(schemes=(ModScheme.from_name("qpsk"), ModScheme.from_name("8qam")),
                           cr_values=(1.0,), ebn0_grid_db=(4.0, 8.0, 12.0), bits_per_point=40_000)
-    block_len = spec.params.n_oversampled + spec.params.cp_oversampled
+    block_len = spec.params.n_oversampled
     files = []
     for workers in (1, 2, 3):
         with monkeypatch.context() as m:
@@ -162,7 +160,7 @@ def threads_started(monkeypatch, min_bits):
 
 
 def test_a_unit_under_two_budgets_starts_no_helper_thread(monkeypatch):
-    # 98 frames of 1280 samples are 0.96 budgets and 391 frames 3.8; at 2
+    # 98 frames of 1024 samples are 0.77 budgets and 391 frames 3.05; at 2
     # CPUs the larger unit starts one helper for its transmit and one for
     # each of its three points, whose chunks hold half the rows each.
     assert threads_started(monkeypatch, 50_000) == 0
@@ -187,6 +185,35 @@ def test_the_first_cell_of_a_unit_demaps_only_its_own_point(monkeypatch):
     next(cells)
     assert sum(demapped) == 391
     assert len(list(cells)) == 2 and sum(demapped) == 3 * 391
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_ber_transmit_and_the_papr_cell_take_chunks_of_one_length(monkeypatch, workers):
+    # Both chunks form N*L-sample blocks, and both loops size their chunks
+    # by them. The BER transmit counted N*L + cp*L samples a frame, which
+    # no chunk forms, and took 102 or 50 frames where the PAPR cell took
+    # 128 or 64.
+    spec = ExperimentSpec(schemes=(ModScheme.from_name("qpsk"),), n_symbols=1000,
+                          ccdf_read_point=1e-2)
+    params, scheme = spec.params, spec.schemes[0]
+    assert params.cp_len > 0
+    hpf = experiment_hpf(spec)
+    monkeypatch.setattr(harness, "_worker_count", lambda: workers)
+    chunk_rows = []
+    map_rows = harness._map_rows
+
+    def spy(bits, scheme, out=None):
+        chunk_rows[-1].append(bits.shape[0])
+        return map_rows(bits, scheme, out=out)
+
+    monkeypatch.setattr(harness, "_map_rows", spy)
+    chunk_rows.append([])
+    harness._papr_cell(spec, scheme, 1.2, harness._cell_rng(0, 0, 0), hpf)
+    chunk_rows.append([])
+    _noise_free_unit(params, scheme, 1.2, hpf, 1000 * 256, np.random.default_rng(0))
+    papr, ber = chunk_rows
+    assert sum(papr) == sum(ber) == 1000
+    assert max(papr) == max(ber) == 128 // workers
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -241,7 +268,7 @@ SPEC = ExperimentSpec(schemes=(ModScheme.from_name("qpsk"),), cr_values=(1.2,),
 def test_a_failing_transmit_chunk_on_a_helper_names_the_first_cell(monkeypatch):
     # 157 frames in 40 budgets of 4 blocks: the helper takes some of the
     # 79 chunks however the threads are scheduled.
-    block_len = SPEC.params.n_oversampled + SPEC.params.cp_oversampled
+    block_len = SPEC.params.n_oversampled
     monkeypatch.setattr(harness, "_worker_count", lambda: 2)
     monkeypatch.setattr(harness, "_CHUNK_SAMPLES", 4 * block_len)
     failing_on_a_helper(monkeypatch, "_composed_rows")
@@ -254,7 +281,7 @@ def test_a_failing_transmit_chunk_on_a_helper_names_the_first_cell(monkeypatch):
 def test_a_failing_point_names_its_own_cell(monkeypatch):
     # The second point fails after the first succeeds: the error belongs
     # to the second point's cell.
-    block_len = SPEC.params.n_oversampled + SPEC.params.cp_oversampled
+    block_len = SPEC.params.n_oversampled
     monkeypatch.setattr(harness, "_worker_count", lambda: 2)
     monkeypatch.setattr(harness, "_CHUNK_SAMPLES", 4 * block_len)
     sigma = harness.noise_sigma

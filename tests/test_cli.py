@@ -56,7 +56,7 @@ def test_config_unknown_key(tmp_path):
 def test_config_bad_syntax_and_types(tmp_path):
     with pytest.raises(ConfigError, match="expected 'key = value'"):
         parse_config(write_cfg(tmp_path, "just words\n"))
-    with pytest.raises(ConfigError, match="seed must be a int"):
+    with pytest.raises(ConfigError, match="seed must be an int"):
         parse_config(write_cfg(tmp_path, "seed = abc\n"))
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config(write_cfg(tmp_path, "seed = 1\nseed = 2\n"))
@@ -84,6 +84,33 @@ def test_missing_config_exit_code(tmp_path, capsys):
     missing = tmp_path / "absent.cfg"
     assert main([str(missing)]) == 1
     assert str(missing) in capsys.readouterr().err
+
+
+def not_utf8_cfg(tmp_path: Path) -> Path:
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"seed = 1\xff\n")
+    return path
+
+
+@pytest.mark.parametrize("make", [lambda tmp_path: tmp_path, not_utf8_cfg],
+                         ids=["directory", "not_utf8"])
+def test_an_unreadable_config_exits_one(tmp_path, capsys, make):
+    # A directory raised IsADirectoryError and a 0xff byte UnicodeDecodeError,
+    # each a traceback.
+    path = make(tmp_path)
+    with pytest.raises(ConfigError, match="cannot read config file"):
+        parse_config(path)
+    assert main([str(path), "--output-dir", str(tmp_path / "out")]) == 1
+    assert f"config error: cannot read config file {path}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integer_keys_refuse_scientific_notation_with_an_int_message(tmp_path):
+    # Real-valued keys take 1e6; an integer key takes plain digits, and the
+    # message reads "an int".
+    assert parse_config(write_cfg(tmp_path, "carrier_hz = 2e6\n")).spec.params.carrier_hz == 2e6
+    with pytest.raises(ConfigError, match="bits_per_point must be an int, got '2e5'"):
+        parse_config(write_cfg(tmp_path, "bits_per_point = 2e5\n"))
 
 
 def test_read_point_below_sample_resolution_exits_one(tmp_path, capsys):
@@ -207,7 +234,7 @@ def test_keys_are_read_in_file_order(tmp_path):
     # The unknown key was reported after every other key had been parsed.
     with pytest.raises(ConfigError, match="unknown config key 'foo'"):
         parse_config(write_cfg(tmp_path, "foo = 1\nseed = abc\n"))
-    with pytest.raises(ConfigError, match="seed must be a int"):
+    with pytest.raises(ConfigError, match="seed must be an int"):
         parse_config(write_cfg(tmp_path, "seed = abc\nfoo = 1\n"))
 
 

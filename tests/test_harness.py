@@ -132,6 +132,25 @@ def test_chain_ber_refuses_a_non_number_ebn0(monkeypatch, ebn0_db):
     assert draws == []
 
 
+@pytest.mark.parametrize("argument, value, message", [
+    ("params", ExperimentSpec(), "params must be an OfdmParams"),
+    ("scheme", "qpsk", "scheme must be a ModScheme"),
+    ("hpf", np.ones(81), "hpf must be None or a FirFilter"),
+], ids=["params", "scheme", "hpf"])
+def test_chain_ber_refuses_a_wrongly_typed_argument(monkeypatch, argument, value, message):
+    # Each raised AttributeError deep in the unit: the params in the band
+    # read, the scheme in the frame size, the hpf in the composed filter.
+    draws = []
+    monkeypatch.setattr(harness, "_random_bits", lambda *args: draws.append(args))
+    arguments = dict(params=OfdmParams(), scheme=QPSK_ONLY[0],
+                     hpf=experiment_hpf(ExperimentSpec()))
+    arguments[argument] = value
+    with pytest.raises(ConfigError, match=message):
+        simulate_chain_ber(arguments.pop("params"), arguments.pop("scheme"), cr=1.2,
+                           min_bits=1000, **arguments)
+    assert draws == []
+
+
 def test_a_list_built_spec_stores_tuples_and_ignores_later_changes():
     # The spec kept the caller's lists: appending -1.0 to cr_values after
     # validation made run_papr_experiment return a row for CR -1.

@@ -273,8 +273,7 @@ def test_the_stages_write_into_the_threads_buffers(monkeypatch, experiment):
     if experiment == "papr_cell":
         _papr_cell(spec, scheme, 1.2, _cell_rng(spec.seed, 0, 0), hpf)
     else:
-        block_len = params.n_oversampled + params.cp_oversampled
-        monkeypatch.setattr(harness, "_CHUNK_SAMPLES", 4 * block_len)
+        monkeypatch.setattr(harness, "_CHUNK_SAMPLES", 4 * params.n_oversampled)
         harness._noise_free_unit(params, scheme, 1.2, hpf, 49_500, np.random.default_rng(3))
     assert len(buffers) == 2
     assert {name for name, _ in outs} == {
