@@ -16,6 +16,7 @@ transmitted symbols, such as clipping, inherits that impropriety.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -179,23 +180,56 @@ def demap_symbols(symbols, scheme: ModScheme) -> np.ndarray:
     label bits (..., n*k).
 
     Distance ties go to the lowest table index. The decision is an exact
-    slicer, O(1) per symbol whatever M: PSK quantises the angle, QAM rounds
-    each axis to the level grid (see :func:`_psk_indices` and
-    :func:`_qam_indices`). A NaN or infinite symbol has no nearest point
-    and raises ``ShapeError``.
+    slicer, O(1) per symbol whatever M. The two 4-point tables are decided
+    by sign (:func:`_four_point_bits`), the other PSK tables by quantising
+    the angle and the other QAM tables by rounding each axis to the level
+    grid (see :func:`_psk_indices` and :func:`_qam_indices`). A NaN or
+    infinite symbol has no nearest point and raises ``ShapeError``: the
+    check is one sum over the real and imaginary parts, finite only if
+    every part is, and a sum that is not (a NaN or infinite part, or
+    finite parts whose sum overflows) is checked part by part.
     """
     symbols = np.asarray(symbols, dtype=complex)
     table = constellation_points(scheme)
-    flat = symbols.reshape(-1)
-    if not np.isfinite(flat).all():
+    flat = np.ascontiguousarray(symbols.reshape(-1))
+    parts = flat.view(float)  # re, im of each symbol in turn
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.reduce(parts)
+    if not (math.isfinite(total) or np.isfinite(parts).all()):
         raise ShapeError("cannot demap NaN or infinite symbols")
+    n = symbols.shape[-1] if symbols.ndim else 1
+    shape = symbols.shape[:-1] + (n * table.bits_per_symbol,)
+    if scheme.order == 4:
+        return _four_point_bits(parts, scheme.family).reshape(shape)
     if scheme.family == "psk":
         idx = _psk_indices(flat, scheme.order)
     else:
         idx = _qam_indices(flat, scheme.order)
-    n = symbols.shape[-1] if symbols.ndim else 1
-    labels = np.take(table.labels, idx, axis=0)
-    return labels.reshape(symbols.shape[:-1] + (n * table.bits_per_symbol,))
+    return np.take(table.labels, idx, axis=0).reshape(shape)
+
+
+def _four_point_bits(parts: np.ndarray, family: str) -> np.ndarray:
+    """Label bits of QPSK or 4-QAM symbols given as their interleaved real
+    and imaginary parts, decided by sign, exactly.
+
+    4-QAM labels (re, im) by (re > 0, im > 0): the nearest level of each
+    axis, a tie at 0 (either sign) to the lower level. QPSK point k sits
+    in quadrant k + 1 and is labeled gray(k): 00, 01, 11, 10, which are
+    (im < 0, re < 0). On an axis the two nearest points tie and the lower
+    index wins, which the signs give everywhere but on the imaginary axis
+    below 0 (re = +-0, im < 0), where points 2 and 3 tie and point 2's
+    label 11 is taken; the origin goes to point 0. A float part is
+    compared with 0 exactly, so a symbol off the axes, however near one,
+    is decided by its quadrant.
+    """
+    if family == "qam":
+        return (parts > 0).view(np.uint8)
+    re, im = parts[0::2], parts[1::2]
+    bits = np.empty(parts.shape, bool)
+    np.less(im, 0, out=bits[0::2])
+    np.less(re, 0, out=bits[1::2])
+    bits[1::2] |= bits[0::2] & (re == 0)
+    return bits.view(np.uint8)
 
 
 def _psk_indices(symbols: np.ndarray, order: int) -> np.ndarray:
@@ -211,7 +245,9 @@ def _psk_indices(symbols: np.ndarray, order: int) -> np.ndarray:
     snapped to its exact multiple of M/8, so the tie rule holds however
     arctan2 rounds there.
     """
-    re, im = symbols.real, symbols.imag
+    # Contiguous copies: arctan2 and abs on the strided parts take about
+    # twice as long, and give the same values.
+    re, im = np.ascontiguousarray(symbols.real), np.ascontiguousarray(symbols.imag)
     t = np.arctan2(im, re)
     t /= 2.0 * np.pi / order
     diagonal = np.abs(re) == np.abs(im)
@@ -251,18 +287,23 @@ def _qam_indices(symbols: np.ndarray, order: int) -> np.ndarray:
     level, so a tie goes to the lower level: the cell of x is ceil(x). A
     corner cell of the 32-cross has no point; there the nearer neighbour is
     the one that keeps the axis with the larger |coordinate|, and a tie on
-    the diagonal goes to the one with the lower I level.
+    the diagonal goes to the one with the lower I level. The coordinates
+    are compared before the division, which can round two of them to one
+    value, or both of a huge symbol to inf, which the clamp takes to the
+    edge level.
     """
     spacing, grid = _qam_grid(order)
     n_i, n_q = grid.shape
-    x, y = symbols.real / spacing, symbols.imag / spacing
+    with np.errstate(over="ignore"):
+        x, y = symbols.real / spacing, symbols.imag / spacing
     i = np.clip(np.ceil(x), 1 - n_i // 2, n_i // 2).astype(np.intp) + (n_i // 2 - 1)
     q = np.clip(np.ceil(y), 1 - n_q // 2, n_q // 2).astype(np.intp) + (n_q // 2 - 1)
     idx = np.take(grid, i * n_q + q)
     corner = np.flatnonzero(idx < 0)
     if corner.size:
-        ax, ay = np.abs(x[corner]), np.abs(y[corner])
-        keep_i = (ax > ay) | ((ax == ay) & (x[corner] < 0))
+        re, im = symbols.real[corner], symbols.imag[corner]
+        ax, ay = np.abs(re), np.abs(im)
+        keep_i = (ax > ay) | ((ax == ay) & (re < 0))
         ci, cq = i[corner], q[corner]
         ci = np.where(keep_i, ci, np.where(ci == 0, 1, n_i - 2))
         cq = np.where(keep_i, np.where(cq == 0, 1, n_q - 2), cq)

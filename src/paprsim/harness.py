@@ -34,11 +34,17 @@ the cell's progress call and inside its error wrapping.
 Both transmit on one loop (``_transmit``), in chunks of frames: map,
 extend, modulate and, when the cell clips, clip and run the composed
 filter's forward half (``_clipped_band``, the one home of that sequence),
-each stage writing into block buffers allocated once per cell or unit
+each stage writing into block buffers, one set per thread
 (``_chunk_buffers``), so only the filter's real FFT and the envelope
-allocate arrays of a chunk's size. The buffers are load-bearing: fresh
-block-sized arrays in every chunk cost page faults and system time that
-made a PAPR experiment about 1.45x slower on two CPUs (see the README).
+allocate arrays of a chunk's size. The grid walk allocates them once per
+experiment call (``_workspace``), and a BER experiment its unit arrays
+(received symbols, normals, block powers) once, at its largest unit; each
+unit takes views of them, and the Eb/N0 points take their rows from the
+transmit's scratch. The buffers are load-bearing: fresh block-sized arrays
+cost page faults and system time, which made a PAPR experiment about
+1.45x slower on two CPUs when every chunk allocated them, and cost a BER
+experiment about 15k minor faults an operation on two CPUs when every
+unit and Eb/N0 point did (see the README).
 The clip level and the composed filter's fold (``_composed_fold``) are
 computed once per loop too. A chunk takes as many frames as fit
 ``_CHUNK_SAMPLES`` samples of the N*L-sample blocks it forms, so a
@@ -449,6 +455,7 @@ def _noise_free_unit(
     min_bits: int,
     rng: np.random.Generator,
     noise: np.random.Generator | None = None,
+    space: tuple | None = None,
 ) -> tuple:
     """The shared work of a BER unit: draw the bit rows, transmit them
     (cr=None skips clipping and filtering) and receive them without noise,
@@ -461,6 +468,12 @@ def _noise_free_unit(
     imaginary parts are standard normals drawn in row order (2N a frame);
     without it, None.
 
+    The symbols, the normals and the block powers are the first rows of
+    the unit arrays of ``space``, the experiment's ``_workspace``, and the
+    chunks run on its threads' buffers, so the next unit of the experiment
+    overwrites them. Without ``space`` the unit makes a workspace of its
+    own, fresh arrays for this unit alone.
+
     The bits are drawn up front, and the chunks run on the transmit loop
     a PAPR cell runs too (``_transmit``). A chunk's claim draws its normals
     and hands it its rows of the bits, so the draws follow row order
@@ -469,20 +482,18 @@ def _noise_free_unit(
     if cr is not None and hpf is None:
         raise ConfigError("clipping requested but no high-pass filter supplied")
     _band_read(params)  # refuses a plan the receiver cannot serve
-    bits_per_frame = params.n_subcarriers * scheme.bits_per_symbol
-    n_frames = max(1, math.ceil(min_bits / bits_per_frame))
-    bits = _random_bits(rng, n_frames, bits_per_frame)
-    received = np.empty((n_frames, params.n_subcarriers), dtype=complex)
-    block_power = np.empty(n_frames)
-    normals = None if noise is None else np.empty_like(received)
+    n_frames = _unit_frames(params, scheme, min_bits)
+    bits = _random_bits(rng, n_frames, params.n_subcarriers * scheme.bits_per_symbol)
+    buffers, *arrays = space or _workspace(params, [n_frames], ber=True, noisy=noise is not None)
+    received, normals, block_power = (None if a is None else a[:n_frames] for a in arrays)
 
     def claim(rows):
         if noise is not None:
             noise.standard_normal(out=normals[rows].view(float))
         return bits[rows]
 
-    _transmit(params, scheme, cr, hpf, n_frames, _ber_chunk, claim, received, block_power)
-    return bits, float(np.mean(block_power)), received, normals
+    _transmit(params, scheme, cr, hpf, n_frames, _ber_chunk, claim, buffers, received, block_power)
+    return bits, float(np.mean(block_power)), received, None if noise is None else normals
 
 
 def _ber_cells(
@@ -493,6 +504,7 @@ def _ber_cells(
     min_bits: int,
     hpf: fir_design.FirFilter | None,
     entropy: list[int],
+    space: tuple | None = None,
 ):
     """Yield (bit_errors, bits_total) for each Eb/N0 point of one (scheme,
     cr) unit. cr=None skips clipping and filtering, an Eb/N0 of None is a
@@ -503,15 +515,21 @@ def _ber_cells(
 
     Nothing runs until the first value is asked for; the unit's transmit,
     noise-free receive and draw of z then run once, before the first
-    point.
+    point. They, and every point, work in ``space``, the experiment's
+    ``_workspace`` (see ``_noise_free_unit``); without it the unit makes
+    one of its own. So a unit's values must all be read before the next
+    unit of the same workspace starts.
 
     Each point runs when its value is asked for, and computes only its
     own cell. It is a chunk loop over the kept symbols on the unit's T
     threads, T sized as the transmit's (``_chunking`` of the N*L-sample
-    blocks), in chunks of at most 1/T of the budget and of the rows: each chunk writes sigma_n times its rows of z into its
-    thread's buffer, adds the symbols, divides by the gain, demaps and
-    returns its error count, so a point makes no array of the unit's size.
-    The point's count is the sum of its chunks' counts.
+    blocks), in chunks of at most 1/T of the rows and of as many N-wide
+    rows as the transmit's chunk of N*L-sample blocks fills: each chunk
+    writes sigma_n times its rows of z into its thread's transmit scratch,
+    which the transmit no longer needs, adds the symbols, divides by the
+    gain, demaps and returns its error count, so a point allocates no
+    array of the unit's size and no buffer of its own. The point's count
+    is the sum of its chunks' counts.
 
     So point i receives (sigma_n(i) z + clean) / gain, the same operations
     in the same order as a point with a draw of its own, and point 0 draws
@@ -521,9 +539,11 @@ def _ber_cells(
     """
     bit_seed, noise_seed = np.random.SeedSequence(entropy).spawn(2)
     noisy = any(ebn0_db is not None for ebn0_db in ebn0_grid_db)
+    space = space or _workspace(
+        params, [_unit_frames(params, scheme, min_bits)], ber=True, noisy=noisy)
     bits, power, clean, normals = _noise_free_unit(
         params, scheme, cr, hpf, min_bits, np.random.default_rng(bit_seed),
-        np.random.default_rng(noise_seed) if noisy else None,
+        np.random.default_rng(noise_seed) if noisy else None, space,
     )
     # numpy divides a complex x by the gain g + 0j as (x.real + x.imag * 0)
     # * (1 / g) and (x.imag - x.real * 0) * (1 / g), so scaling both parts
@@ -531,18 +551,19 @@ def _ber_cells(
     # the slicer ignores, without the slower complex division.
     scale = 1.0 / (clip_attenuation(cr) if cr is not None else 1.0)
     n_frames, n = clean.shape
-    threads, _ = _chunking(n_frames, params.n_oversampled)
-    # Chunks of at most 1/T of the rows spread every point over all T
-    # threads: a reference 32-QAM unit has 313 frames, fewer than one
-    # 512-frame chunk of N-wide rows at two threads.
-    step = min(_chunk_frames(n * threads), math.ceil(n_frames / threads))
-    buffers = [np.empty(step * n, complex) for _ in range(threads)]
+    threads, step = _chunking(n_frames, params.n_oversampled)
+    # A transmit chunk's scratch holds step * L rows of N. Chunks of at
+    # most 1/T of the rows spread every point over all T threads: a
+    # reference 32-QAM unit has 313 frames, fewer than one 512-row chunk at
+    # two threads.
+    step = min(step * params.oversample, math.ceil(n_frames / threads))
+    scratch = [buffers[2] for buffers in space[0]]
 
     def errors_at(ebn0_db):
         sigma_n = 0.0 if ebn0_db is None else noise_sigma(params, scheme, ebn0_db, power)
 
         def count(thread, rows, _):
-            out = _rows(buffers[thread], complex, *clean[rows].shape)
+            out = _rows(scratch[thread], complex, *clean[rows].shape)
             z = None if normals is None else normals[rows]
             parts = _add_bin_noise(clean[rows], sigma_n, z, out=out).view(float)
             parts *= scale
@@ -558,10 +579,40 @@ def _chunk_buffers(frames: int, params: OfdmParams) -> tuple[np.ndarray, ...]:
     """One thread's buffers for chunks of up to ``frames`` frames, cut from
     one complex allocation into three flat views: the mapped symbols, and
     the block and the scratch, both block-wide. ``_rows`` gives a chunk its
-    (frames, width) view of a buffer."""
+    (frames, width) view of a buffer. ``_workspace`` makes one set per
+    thread for a whole experiment call; every chunk loop of the call, the
+    Eb/N0 points' included, works in them."""
     widths = (params.n_subcarriers, params.n_oversampled, params.n_oversampled)
     ends = np.cumsum([frames * width for width in widths])
     return tuple(np.split(np.empty(ends[-1], complex), ends[:-1]))
+
+
+def _unit_frames(params: OfdmParams, scheme: ModScheme, min_bits: int) -> int:
+    """Frames of a BER unit of at least ``min_bits`` bits, at least one."""
+    return max(1, math.ceil(min_bits / (params.n_subcarriers * scheme.bits_per_symbol)))
+
+
+def _workspace(params: OfdmParams, unit_frames, ber: bool, noisy: bool = False) -> tuple:
+    """The arrays that the units of one experiment call share, for units
+    of the given frame counts, allocated once: first a list of chunk
+    buffers (``_chunk_buffers``), one set per thread that any unit's
+    transmit loop runs on (``_chunking``), each holding the largest chunk
+    any unit hands that thread; then, for BER units, the unit arrays at
+    the largest unit's frames: the received symbols and, for ``noisy``
+    units (None otherwise), the normals, complex (frames, N), and the
+    block powers, (frames,). A unit takes the first rows of each and
+    overwrites what the unit before it left."""
+    loops = []  # (threads, frames per chunk) of each unit's transmit loop
+    for frames in unit_frames:
+        threads, step = _chunking(frames, params.n_oversampled)
+        loops.append((threads, min(step, frames)))
+    buffers = [_chunk_buffers(max(size for threads, size in loops if threads > thread), params)
+               for thread in range(max(threads for threads, _ in loops))]
+    if not ber:
+        return (buffers,)
+    frames, n = max(unit_frames), params.n_subcarriers
+    normals = np.empty((frames, n), complex) if noisy else None
+    return buffers, np.empty((frames, n), complex), normals, np.empty(frames)
 
 
 def _rows(buffer: np.ndarray, dtype, count: int, width: int) -> np.ndarray:
@@ -700,24 +751,25 @@ def _band_read(params: OfdmParams) -> tuple[np.ndarray, np.ndarray]:
 
 def _transmit(
     params: OfdmParams, scheme: ModScheme, cr: float | None,
-    hpf: fir_design.FirFilter | None, frames: int, chunk, claim, *outs: np.ndarray,
+    hpf: fir_design.FirFilter | None, frames: int, chunk, claim,
+    buffers: list[tuple[np.ndarray, ...]], *outs: np.ndarray,
 ) -> None:
     """The transmit loop of a PAPR cell and of a BER unit: call
-    ``chunk(bits, scheme, params, amplitude, fold, buffers, *views)`` for
-    every chunk of ``frames`` frames, ``bits`` what ``claim(rows)``
-    returned for the chunk's rows and ``views`` each of ``outs`` at those
-    rows. The clip level A = cr * sigma (``_clip_level``) and the composed
-    filter's fold (``_composed_fold``) are worked out once; cr=None makes
-    both None, which skips clipping and filtering.
+    ``chunk(bits, scheme, params, amplitude, fold, buffers[thread],
+    *views)`` for every chunk of ``frames`` frames, ``bits`` what
+    ``claim(rows)`` returned for the chunk's rows and ``views`` each of
+    ``outs`` at those rows. The clip level A = cr * sigma (``_clip_level``)
+    and the composed filter's fold (``_composed_fold``) are worked out
+    once; cr=None makes both None, which skips clipping and filtering.
 
     The chunks run on ``_on_chunks``, one thread per full budget of the
-    frames' N*L-sample blocks (``_chunking``), each thread with its own
-    buffers (``_chunk_buffers``). ``claim`` runs under the runner's lock,
-    so draws made in it follow row order whatever the thread count."""
+    frames' N*L-sample blocks (``_chunking``), each thread in its own set
+    of ``buffers``, the experiment's (``_workspace``), which allocates
+    none. ``claim`` runs under the runner's lock, so draws made in it
+    follow row order whatever the thread count."""
     amplitude = None if cr is None else _clip_level(params, cr)
     fold = None if cr is None else _composed_fold(params, hpf)
     threads, step = _chunking(frames, params.n_oversampled)
-    buffers = [_chunk_buffers(min(step, frames), params) for _ in range(threads)]
 
     def run(thread, rows, bits):
         chunk(bits, scheme, params, amplitude, fold, buffers[thread], *(out[rows] for out in outs))
@@ -727,39 +779,49 @@ def _transmit(
 
 def _papr_cell(
     spec: ExperimentSpec, scheme: ModScheme, cr: float, rng: np.random.Generator,
-    hpf: fir_design.FirFilter,
+    hpf: fir_design.FirFilter, space: tuple | None = None,
 ):
     """Clipped-and-filtered and unclipped PAPR CCDFs of one cell, streamed
     in one pass over the bits ``rng`` draws (see the module docstring).
 
     The chunks run on the transmit loop a BER unit runs too
-    (``_transmit``). A chunk's bits are drawn as the chunk is claimed, so
-    the draws follow row order whatever the thread count; the chunk
-    (``_papr_chunk``) then writes its rows of the two PAPR vectors.
+    (``_transmit``), on the buffers of ``space``, the experiment's
+    ``_workspace``, or without it of a workspace of the cell's own. A
+    chunk's bits are drawn as the chunk is claimed, so the draws follow
+    row order whatever the thread count; the chunk (``_papr_chunk``) then
+    writes its rows of the two PAPR vectors.
     """
     n, bits_per_frame = spec.n_symbols, spec.params.n_subcarriers * scheme.bits_per_symbol
+    (buffers,) = space or _workspace(spec.params, [n], ber=False)
     unclipped_papr, processed_papr = np.empty(n), np.empty(n)
     _transmit(spec.params, scheme, cr, hpf, n, _papr_chunk,
               lambda rows: _random_bits(rng, rows.stop - rows.start, bits_per_frame),
-              unclipped_papr, processed_papr)
+              buffers, unclipped_papr, processed_papr)
     return (estimate_ccdf(processed_papr, CCDF_THRESHOLDS_DB),
             estimate_ccdf(unclipped_papr, CCDF_THRESHOLDS_DB))
 
 
 def _walk_grid(spec: ExperimentSpec, kind: int, unit, points, progress) -> dict:
     """Walk the (scheme, cr) units of ``spec`` in order: the one grid walk
-    of both experiments. ``unit(scheme, cr, entropy)`` gets the entropy
-    [seed, kind, unit index] of its streams and returns an iterator with
-    one value per point of ``points``: (None,) for the one cell of a PAPR
-    unit (kind 0), the Eb/N0 grid for a BER unit (kind 1). Before each
-    value ``progress``, if given, is called with the cell's name, and a
-    failure is raised as the cell's ``ExperimentError``. Returns the values
-    keyed by (scheme name, cr, point), in cell order, the order of the rows.
+    of both experiments. ``unit(scheme, cr, entropy, space)`` gets the
+    entropy [seed, kind, unit index] of its streams and the experiment's
+    ``_workspace``, made once here for every unit of the call (a PAPR cell
+    of n_symbols frames, or a BER unit of bits_per_point bits), and
+    returns an iterator with one value per point of ``points``: (None,)
+    for the one cell of a PAPR unit (kind 0), the Eb/N0 grid for a BER
+    unit (kind 1). Every value of a unit is read before the next unit
+    starts, so the units can share the workspace. Before each value
+    ``progress``, if given, is called with the cell's name, and a failure
+    is raised as the cell's ``ExperimentError``. Returns the values keyed
+    by (scheme name, cr, point), in cell order, the order of the rows.
     """
     name = ("papr", "ber")[kind]
+    space = _workspace(spec.params, [
+        _unit_frames(spec.params, scheme, spec.bits_per_point) if kind else spec.n_symbols
+        for scheme in spec.schemes], ber=kind == 1, noisy=kind == 1)
     results = {}
     for index, (scheme, cr) in enumerate((s, cr) for s in spec.schemes for cr in spec.cr_values):
-        values = unit(scheme, cr, [spec.seed, kind, index])
+        values = unit(scheme, cr, [spec.seed, kind, index], space)
         for ebn0 in points:
             at = "" if ebn0 is None else f"ebn0={ebn0:g}"
             if progress:
@@ -777,8 +839,8 @@ def run_papr_experiment(spec: ExperimentSpec, progress=None) -> PaprExperimentRe
     unit on the grid walk (``_walk_grid``)."""
     hpf = experiment_hpf(spec)
 
-    def unit(scheme, cr, entropy):
-        curves = PaprCurves(*_papr_cell(spec, scheme, cr, _cell_rng(*entropy), hpf))
+    def unit(scheme, cr, entropy, space):
+        curves = PaprCurves(*_papr_cell(spec, scheme, cr, _cell_rng(*entropy), hpf, space))
         yield (curves, ccdf_quantile(curves.clipped, spec.ccdf_read_point),
                ccdf_quantile(curves.unclipped, spec.ccdf_read_point))
 
@@ -844,8 +906,8 @@ def run_ber_experiment(spec: ExperimentSpec, progress=None) -> BerExperimentResu
     if len(spec.ebn0_grid_db) == 0:
         raise ConfigError("ebn0_grid_db must be non-empty for a BER experiment")
     hpf = experiment_hpf(spec)
-    results = _walk_grid(spec, 1, lambda scheme, cr, entropy: _ber_cells(
-        spec.params, scheme, cr, spec.ebn0_grid_db, spec.bits_per_point, hpf, entropy,
+    results = _walk_grid(spec, 1, lambda scheme, cr, entropy, space: _ber_cells(
+        spec.params, scheme, cr, spec.ebn0_grid_db, spec.bits_per_point, hpf, entropy, space,
     ), spec.ebn0_grid_db, progress)
     return BerExperimentResult(rows=tuple(
         BerRow(name, cr, ebn0, errors, total, errors / total,

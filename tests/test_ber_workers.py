@@ -57,7 +57,7 @@ def unit_and_counts(monkeypatch, params, cr, hpf, workers, budget_blocks=None):
 def test_unit_and_counts_do_not_depend_on_the_worker_count(monkeypatch, plan, cr):
     # A budget of 4 blocks puts the 97-frame unit over 24 budgets, so it
     # takes every worker: the transmit chunks hold 4, 2 and 2 frames and
-    # the points' chunks 32, 16 and 10 rows, all with a ragged last chunk.
+    # the points' chunks 32, 16 and 16 rows, all with a ragged last chunk.
     params, _ = ORACLE_PLANS[plan]
     hpf = experiment_hpf(ExperimentSpec(params=params))
     (bits, power, clean, _), counts = unit_and_counts(monkeypatch, params, cr, hpf, 1)

@@ -314,18 +314,66 @@ def test_demap_tie_breaks_to_lowest_index():
     assert np.array_equal(got, table.labels[min(tied)])
 
 
+@pytest.mark.parametrize("scheme", [ModScheme("psk", 4), ModScheme("qam", 4)], ids=lambda s: s.name)
+def test_four_point_slicers_are_exact_on_and_near_the_axes(scheme):
+    # The points sit at (+-a, +-a), so a symbol's nearest points are those
+    # whose signs agree with its nonzero parts: a part of the other sign,
+    # however small, is strictly farther, and a zero part of either sign
+    # ties. The lowest index of them wins. Signed zeros on all four
+    # half-axes and at the origin, subnormal, tiny and huge parts.
+    table = constellation_points(scheme)
+    magnitudes = (0.0, np.nextafter(0.0, 1.0), 1e-300, 1e-17, 1.0, 1e300)
+    symbols, want = [], []
+    for x in magnitudes:
+        for y in magnitudes:
+            for sx in (1.0, -1.0):
+                for sy in (1.0, -1.0):
+                    re, im = sx * x, sy * y
+                    symbols.append(complex(re, im))
+                    want.append(min(k for k, p in enumerate(table.points)
+                                    if (re == 0 or (re > 0) == (p.real > 0))
+                                    and (im == 0 or (im > 0) == (p.imag > 0))))
+    symbols = np.array(symbols)
+    assert np.signbit(symbols.real).sum() == np.signbit(symbols.imag).sum() == symbols.size // 2
+    got = demap_symbols(symbols, scheme).reshape(symbols.size, -1)
+    assert np.array_equal(got, table.labels[want])
+
+
+def test_qpsk_decides_a_symbol_near_an_axis_by_its_quadrant():
+    # arctan2 rounds these angles onto an axis, where the tie rule would
+    # pick the other point of the tie.
+    qpsk = ModScheme("psk", 4)
+    assert demap_symbols([-1 - 1e-17j], qpsk).tolist() == [1, 1]
+    assert demap_symbols([-1e-17 + 1j], qpsk).tolist() == [0, 1]
+
+
 @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.name)
 @pytest.mark.parametrize(
-    "bad", [complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0), complex(0.5, -np.inf)],
-    ids=["nan_re", "nan_im", "inf_re", "inf_im"],
+    "bad", [complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0), complex(0.5, -np.inf),
+            complex(-np.inf, 0.5), complex(np.inf, -np.inf)],
+    ids=["nan_re", "nan_im", "inf_re", "inf_im", "minus_inf_re", "inf_minus_inf"],
 )
 def test_demap_refuses_non_finite_symbols(scheme, bad):
     # A slicer would cast NaN to an arbitrary integer and clamp inf to an
-    # edge point; neither has a nearest table point.
-    symbols = np.full((2, 3), 0.1 + 0.2j)
-    symbols[1, 2] = bad
-    with pytest.raises(ShapeError, match="NaN or infinite"):
-        demap_symbols(symbols, scheme)
+    # edge point; neither has a nearest table point. The check sums the
+    # parts, so the bad symbol is tried in every position.
+    for position in np.ndindex(2, 3):
+        symbols = np.full((2, 3), 0.1 + 0.2j)
+        symbols[position] = bad
+        with pytest.raises(ShapeError, match="NaN or infinite"):
+            demap_symbols(symbols, scheme)
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.name)
+def test_demap_decides_huge_symbols_whose_parts_sum_past_the_float_range(scheme):
+    # 1.7e308 + 1.6e308j lies in a corner cell of the 32-cross, off its
+    # diagonal, though both parts divided by the level spacing overflow.
+    huge = np.array([1e308 + 1e308j, 1.7e308 + 0.3e308j, -1e308 + 1.7e308j, 0.5e308 - 1.7e308j,
+                     -1.7e308 - 1.7e308j, 1.7e308 + 1.6e308j, -1.6e308 - 1.7e308j])
+    with np.errstate(over="ignore"):
+        assert np.isinf(huge.view(float).sum())
+    # Scaling by a power of two is exact and keeps every decision.
+    assert np.array_equal(demap_symbols(huge, scheme), demap_symbols(huge * 2.0**-1000, scheme))
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.name)

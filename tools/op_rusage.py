@@ -1,0 +1,92 @@
+"""Replay a benchmark workload's operations in this process and report what
+they cost the process: wall, user and system time, minor page faults and
+peak RSS, numbers that ``perfbench/run.py`` does not report.
+
+The operations are those ``perfbench/workloads.py`` builds for the first
+``--steps`` steps (default: the workload's traced prefix) at ``--seed``.
+One unmeasured round runs them first, so imports, FFT plans and the
+library's caches are warm; then each of ``--rounds`` rounds runs them all
+once, and the median round is printed, in total and per operation.
+Results are not checked; ``perfbench/run.py`` does that.
+
+Usage: python tools/op_rusage.py WORKLOAD [--steps S] [--rounds K] [--seed N]
+
+The library uses every CPU the process may run on, so
+``taskset -c 0 python tools/op_rusage.py ber_sweep`` measures one CPU.
+"""
+from __future__ import annotations
+
+import argparse
+import os
+import resource
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import paprsim  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+
+def run(op) -> bool:
+    """Run one operation; False if the program refused or failed it."""
+    try:
+        if op.kind == "papr":
+            paprsim.run_papr_experiment(op.spec)
+        elif op.kind == "ber":
+            paprsim.run_ber_experiment(op.spec)
+        elif op.kind == "loopback":
+            paprsim.simulate_chain_ber(op.params, op.scheme, min_bits=op.min_bits, seed=op.seed)
+        else:
+            return False
+    except paprsim.PaprSimError:
+        return False
+    return True
+
+
+def measure(ops) -> tuple[dict, int]:
+    """One round over ``ops``: its wall, user and system seconds and minor
+    page faults, and how many operations failed."""
+    before, start = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
+    failed = sum(not run(op) for op in ops)
+    wall, after = time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF)
+    return {
+        "wall_s": wall,
+        "user_s": after.ru_utime - before.ru_utime,
+        "system_s": after.ru_stime - before.ru_stime,
+        "minor_faults": after.ru_minflt - before.ru_minflt,
+    }, failed
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("workload", choices=sorted(WORKLOADS))
+    parser.add_argument("--steps", type=int, default=None)
+    parser.add_argument("--rounds", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=31001)
+    args = parser.parse_args(argv)
+    workload = WORKLOADS[args.workload]
+    steps = workload.trace_steps if args.steps is None else args.steps
+    if steps < 1 or args.rounds < 1:
+        parser.error("--steps and --rounds must be at least 1")
+    ops = workload.run_ops(args.seed, steps)
+    measure(ops)  # warm-up round
+    rounds = [measure(ops) for _ in range(args.rounds)]
+    failed = rounds[0][1]
+    print(f"{args.workload}: {len(ops)} operations a round ({failed} failed), seed {args.seed}, "
+          f"{args.rounds} rounds after one warm-up, {len(os.sched_getaffinity(0))} CPUs")
+    for name in ("wall_s", "user_s", "system_s", "minor_faults"):
+        median = statistics.median(r[name] for r, _ in rounds)
+        low, high = min(r[name] for r, _ in rounds), max(r[name] for r, _ in rounds)
+        print(f"  {name:<13} median {median:>10.6g} a round [{low:.6g}, {high:.6g}], "
+              f"{median / len(ops):.6g} an operation")
+    # ru_maxrss is in KiB on Linux.
+    print(f"  max_rss_mb    {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.2f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
