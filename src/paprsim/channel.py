@@ -1,30 +1,7 @@
 """AWGN channel with Eb/N0 calibration for real passband signals.
 
-Noise sigma derivation
-----------------------
-Let P be the mean square of the transmitted passband samples, b = log2(M)
-the bits per constellation symbol, L the oversampling factor, and
-cp_overhead = N / (N + cp_len) the fraction of airtime carrying data.
-
-Per transmitted block of (N + cp_len) * L samples the energy is
-P * (N + cp_len) * L and the information content is N * b bits, so the
-energy per information bit, charging the cyclic prefix's airtime to the
-bit, is
-
-    Eb = P * (N + cp) * L / (N * b) = P * L / (b * cp_overhead).
-
-Real white noise of per-sample variance sigma_n^2 has one-sided density
-N0 = 2 sigma_n^2 in these discrete-time units. Setting Eb / N0 to the
-requested ratio g and solving:
-
-    sigma_n^2 = P * L / (2 * b * cp_overhead * g).
-
-The factor L appears because only a 1/L fraction of the sampled bandwidth
-is occupied: at a fixed in-band noise density, faster sampling spreads more
-total noise power across the full rate. With cp_len = 0 this convention
-reproduces the textbook curves exactly (uncoded QPSK sits on
-0.5 * erfc(sqrt(Eb/N0))); with a prefix the whole BER curve shifts right by
-10 log10(1 / cp_overhead) because prefix energy buys no data.
+``noise_sigma`` charges the cyclic prefix's airtime to the energy per bit;
+the derivation is README section 2.
 """
 from __future__ import annotations
 
@@ -44,7 +21,9 @@ def noise_sigma(
     ``signal_power`` is the mean square of the passband samples actually
     transmitted (after any clipping and filtering), prefix included. The
     occupied fraction 1/L and cp_overhead N/(N + cp_len) come from
-    ``params``; see the module docstring for the derivation.
+    ``params``. Returns sqrt(P * L / (2 * b * cp_overhead * 10^(ebn0_db /
+    10))) (README section 2); a non-finite ``ebn0_db`` or a power that is
+    not positive and finite raises ``ConfigError``.
     """
     if not (_is_real(ebn0_db) and np.isfinite(ebn0_db)):
         raise ConfigError(f"ebn0_db must be a finite number, got {ebn0_db!r}")

@@ -1,27 +1,13 @@
 """Amplitude clipping at a clipping ratio and the composed frequency-domain filter.
 
-The clip level is A = CR * sigma where sigma is the RMS of the OFDM
-signal, sqrt((N+1)/(N*L)) (see ``harness``). The clipper acts on the
-complex baseband just before carrier modulation: it limits each sample's
-magnitude to A and preserves its phase, which is a multiplication by the
-real factor A / max(|x|, A).
-
-The composed filter is defined on the real passband symbol (N*L samples,
-no prefix): zero every DFT bin outside the occupied band and its conjugate
-image, and scale the rest by the high-pass filter's zero-phase amplitude
-response (``band_gains``), as in Armstrong's clip-and-filter (Electron.
-Lett. 38(5), 2002). The passband is real, so one real FFT gives every bin
-the filter keeps: the band bins k_c + j, j = -N/2..N/2, which
-``demodulate_passband`` reads too. For an on-bin carrier the filtered
-passband is the upconversion of one complex baseband block, whose DFT
-holds the band bins at offsets j from DC, so ``composed_filter`` returns
-that block, the complex envelope, with one inverse FFT.
-
-The filter multiplies by the zero-phase amplitude rather than the causal
-complex response: inside an FFT/IFFT pair a linear-phase multiplication
-would circularly delay the symbol and misalign it with its cyclic prefix,
-while the amplitude response applies the same magnitude shaping with no
-shift.
+The clip level is A = CR * sigma, sigma the closed-form RMS of the OFDM
+signal (README section 1). The clipper limits each complex baseband
+sample's magnitude to A and keeps its phase: a multiplication by the real
+factor A / max(|x|, A) (README section 6). The composed filter zeroes
+every bin of the real passband symbol outside the occupied band and its
+image and scales the band by the high-pass's zero-phase amplitude
+response (``band_gains``); ``composed_filter`` computes it on the complex
+baseband by one real FFT and one inverse FFT (README section 5).
 
 ``clip_baseband`` and ``composed_filter`` return new arrays and leave their
 input unchanged. The experiments call their kernels instead, in place on
@@ -75,19 +61,10 @@ def band_gains(params: OfdmParams, hpf: fir_design.FirFilter) -> np.ndarray:
 
 def composed_filter(samples, params: OfdmParams, hpf: fir_design.FirFilter) -> np.ndarray:
     """Composed filter of clipped complex baseband blocks (..., N*L), prefix
-    excluded; returns the complex envelope of the filtered passband block.
-
-    The real passband 2 Re(x c), c = exp(j 2 pi k_c m / (N*L)), has the real
-    FFT C[j] + conj(C[-j - 2 k_c]) at band bin k_c + j, with C the DFT of
-    the baseband block x: the second term is the part of the negative
-    frequencies that upconversion folds onto the band. So one real FFT of
-    that passband, the ``band_gains`` at the N + 1 contiguous band bins
-    k_c - N/2 .. k_c + N/2 (``_filter_forward``), placed at offsets j from
-    DC, and one inverse FFT (``_filter_inverse``) give a block y with
-    ``upconvert(y)`` equal to the passband composed filter of
-    ``upconvert(samples)``. A band bin at DC or Nyquist is its own image,
-    which the real FFT sums into it; the real passband holds it once, so it
-    gets half weight. Both halves run in place on a copy of the samples.
+    excluded. Returns the complex envelope y of the filtered passband
+    block: ``upconvert(y)`` is the passband composed filter of
+    ``upconvert(samples)`` (README section 5). Both halves run in place on
+    a copy of the samples; real input is refused with ``ShapeError``.
     """
     samples = np.asarray(samples)
     _require_block(samples, params, "signal")
@@ -103,9 +80,9 @@ def composed_filter(samples, params: OfdmParams, hpf: fir_design.FirFilter) -> n
 def _composed_fold(params: OfdmParams, hpf: fir_design.FirFilter) -> tuple:
     """The composed filter's fold for one plan and high-pass: the first band
     bin k_c - N/2, the ``band_gains`` of the N + 1 band bins, each halved
-    at a band bin that is its own image (``_self_image_bins``), and the
-    carrier 2 c. It depends on neither the samples nor their count, so a
-    cell computes it once and hands it to every chunk."""
+    at a band bin that is its own image (``_self_image_bins``, README
+    section 5), and the carrier 2 c. It depends on neither the samples nor
+    their count, so a cell computes it once and hands it to every chunk."""
     band = params.occupied_bins
     gains = band_gains(params, hpf)[band]
     for k in _self_image_bins(params):

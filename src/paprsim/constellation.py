@@ -179,15 +179,12 @@ def demap_symbols(symbols, scheme: ModScheme) -> np.ndarray:
     """Hard-decide symbols (..., n) to the nearest table points and emit their
     label bits (..., n*k).
 
-    Distance ties go to the lowest table index. The decision is an exact
-    slicer, O(1) per symbol whatever M. The two 4-point tables are decided
-    by sign (:func:`_four_point_bits`), the other PSK tables by quantising
-    the angle and the other QAM tables by rounding each axis to the level
-    grid (see :func:`_psk_indices` and :func:`_qam_indices`). A NaN or
-    infinite symbol has no nearest point and raises ``ShapeError``: the
-    check is one sum over the real and imaginary parts, finite only if
-    every part is, and a sum that is not (a NaN or infinite part, or
-    finite parts whose sum overflows) is checked part by part.
+    The decision is a slicer, O(1) per symbol whatever M, and a distance
+    tie goes to the lowest table index (README section 10): the two
+    4-point tables by sign (:func:`_four_point_bits`), the other PSK tables
+    by the angle (:func:`_psk_indices`) and the other QAM tables by
+    rounding each axis to the level grid (:func:`_qam_indices`). A NaN or
+    infinite symbol has no nearest point and raises ``ShapeError``.
     """
     symbols = np.asarray(symbols, dtype=complex)
     table = constellation_points(scheme)
@@ -210,17 +207,12 @@ def demap_symbols(symbols, scheme: ModScheme) -> np.ndarray:
 
 def _four_point_bits(parts: np.ndarray, family: str) -> np.ndarray:
     """Label bits of QPSK or 4-QAM symbols given as their interleaved real
-    and imaginary parts, decided by sign, exactly.
+    and imaginary parts, decided by sign, exactly (README section 10).
 
-    4-QAM labels (re, im) by (re > 0, im > 0): the nearest level of each
-    axis, a tie at 0 (either sign) to the lower level. QPSK point k sits
-    in quadrant k + 1 and is labeled gray(k): 00, 01, 11, 10, which are
-    (im < 0, re < 0). On an axis the two nearest points tie and the lower
-    index wins, which the signs give everywhere but on the imaginary axis
-    below 0 (re = +-0, im < 0), where points 2 and 3 tie and point 2's
-    label 11 is taken; the origin goes to point 0. A float part is
-    compared with 0 exactly, so a symbol off the axes, however near one,
-    is decided by its quadrant.
+    4-QAM labels (re, im) by (re > 0, im > 0). QPSK point k sits in
+    quadrant k + 1 and is labeled gray(k): 00, 01, 11, 10, which are
+    (im < 0, re < 0), but for the tie on the imaginary axis below 0
+    (re = +-0, im < 0), where point 2's label 11 is taken.
     """
     if family == "qam":
         return (parts > 0).view(np.uint8)
@@ -232,33 +224,39 @@ def _four_point_bits(parts: np.ndarray, family: str) -> np.ndarray:
     return bits.view(np.uint8)
 
 
-def _psk_indices(symbols: np.ndarray, order: int) -> np.ndarray:
-    """Nearest PSK point. Point k sits at angle 2 pi (k + 1/2) / M, so with
-    the angle t in units of 2 pi / M, point k owns t in (k, k + 1]: a tie at
-    t = b goes to b - 1, the lower index. The exception is t = 0, where
-    points M-1 and 0 meet, and the origin, where all meet; both give 0.
+#: (a, c) of the ray at angle q pi / 4, q = 0..7: a re + c im is the side
+#: of a symbol from that ray, positive counterclockwise of it.
+_RAY_SIDES = np.array([(0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1), (1, 0), (1, 1)],
+                      dtype=float)
 
-    A float can lie exactly on a decision boundary only on the axes and the
-    diagonals. On the axes arctan2 returns its exact special values (0, pi/2
-    and pi, rounded as the constant pi is), so t is exact after the division
-    by 2 pi / M, a power-of-two fraction of pi. On the diagonals t is
-    snapped to its exact multiple of M/8, so the tie rule holds however
-    arctan2 rounds there.
+
+def _psk_indices(symbols: np.ndarray, order: int) -> np.ndarray:
+    """Nearest PSK point by the angle t = arctan2(im, re) in units of
+    2 pi / M (README section 10): index ceil(t) - 1. arctan2 can round an
+    angle near a boundary onto it, so the symbols whose t is a whole number
+    b are decided again by the exact sign of their side of that boundary
+    (``_RAY_SIDES``) when it is an axis or a diagonal, the only boundaries
+    a float can lie on; a side of zero, or another boundary, goes to the
+    lower index b - 1, and to 0 at b = 0 and at the origin.
     """
-    # Contiguous copies: arctan2 and abs on the strided parts take about
-    # twice as long, and give the same values.
+    # Contiguous copies: arctan2 on the strided parts takes about twice as
+    # long, and gives the same values.
     re, im = np.ascontiguousarray(symbols.real), np.ascontiguousarray(symbols.imag)
     t = np.arctan2(im, re)
     t /= 2.0 * np.pi / order
-    diagonal = np.abs(re) == np.abs(im)
-    snapped = np.round(t[diagonal] * (8 / order)) * (order / 8)
-    snapped[re[diagonal] == 0] = 0.0  # the origin, whatever the signs of its zeros
-    t[diagonal] = snapped
-    at_zero = t == 0
-    idx = np.ceil(t, out=t).astype(np.intp)
+    idx = np.ceil(t)
+    on = np.flatnonzero(idx == t)
+    idx = idx.astype(np.intp)
+    if on.size:
+        x, y, b = re[on], im[on], idx[on]
+        ray, off_ray = np.divmod(8 * b, order)
+        a, c = _RAY_SIDES[ray & 7].T * (off_ray == 0)
+        with np.errstate(over="ignore"):  # the sign survives an overflow
+            side = a * x + c * y
+        idx[on] += side > 0
+        idx[on[(side == 0) & ((b == 0) | ((x == 0) & (y == 0)))]] = 1
     idx -= 1
     idx &= order - 1  # M is a power of two
-    idx[at_zero] = 0
     return idx
 
 
@@ -279,18 +277,14 @@ def _qam_grid(order: int) -> tuple[float, np.ndarray]:
 
 
 def _qam_indices(symbols: np.ndarray, order: int) -> np.ndarray:
-    """Nearest QAM point: round each axis to its level grid, with a clamp.
+    """Nearest QAM point: round each axis to its level grid, with a clamp,
+    and a 32-cross corner cell to its nearer neighbour (README section 10).
 
     In units of the level spacing the levels sit at half-integers and the
-    decision boundaries at the integers between them, which the division
-    recovers exactly. Table indices grow with the I level, then the Q
-    level, so a tie goes to the lower level: the cell of x is ceil(x). A
-    corner cell of the 32-cross has no point; there the nearer neighbour is
-    the one that keeps the axis with the larger |coordinate|, and a tie on
-    the diagonal goes to the one with the lower I level. The coordinates
-    are compared before the division, which can round two of them to one
-    value, or both of a huge symbol to inf, which the clamp takes to the
-    edge level.
+    boundaries at the integers between them, so the cell of x is ceil(x),
+    the lower level on a tie. Corner symbols are compared before the
+    division, which can round two coordinates to one value, or both of a
+    huge symbol to inf, which the clamp takes to the edge level.
     """
     spacing, grid = _qam_grid(order)
     n_i, n_q = grid.shape

@@ -24,12 +24,12 @@ The taps come from the best iterate's R + 1 reference frequencies, where
 its levelled values lie exactly on the cosine polynomial: a least-squares
 solve of that (R + 1) x R system by a short Householder QR in numpy. It
 runs no LAPACK routine, because LAPACK's least squares leaves threaded BLAS
-workers spinning for about 0.13 s of CPU after it returns, time taken from
-the simulation threads that follow a design. Sampling the interpolant on a
-uniform grid and taking one real FFT (the frequency-sampling step of
-McClellan, Parks & Rabiner) was rejected: inside wide transition gaps the
-interpolant amplifies round-off, and that route refused designs the
-reference-set solve accepts and accepted NaN designs.
+workers spinning after it returns, taking CPU time from the simulation
+threads that follow a design. The frequency-sampling step of McClellan,
+Parks & Rabiner (the interpolant on a uniform grid, then one real FFT) is
+not used: inside wide transition gaps the interpolant amplifies
+round-off, so that route refuses designs the reference-set solve accepts
+and accepts NaN designs.
 
 No dense grid-by-coefficient cosine matrix is built. The QR takes the
 cosines of the R + 1 reference rows only; the minimax check sums the

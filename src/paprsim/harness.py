@@ -1,100 +1,28 @@
 """Experiment orchestration: PAPR and BER sweeps over scheme and clipping ratio.
 
-Both experiments walk a deterministic grid of cells, and every random draw
-comes from a stream derived from the master seed and the cell's place in the
-grid, so results are a pure function of the experiment spec. A PAPR cell
-draws from SeedSequence([master_seed, 0, cell_index]).
+Both experiments walk their (scheme, cr) grid in one loop (``_walk_grid``),
+which seeds each unit's streams by its place in the grid (README section
+8), and transmit on one chunked loop (``_transmit``) that runs on the
+threads of ``_on_chunks``, each in buffers allocated once per experiment
+call (``_workspace``; README "Loops, threads and buffers"). The clip level
+cr * sigma is known before any bit is drawn (README section 1).
 
-sigma, the denominator of the clipping ratio CR = A / sigma, is the RMS of
-the OFDM signal, sqrt((N+1)/(N*L)): the constellation tables have unit mean
-energy, ``oversample_extend`` fills N + 1 of the N*L bins (X[N/2] at both
-band edges) and ``ofdm_modulate`` is unitary. A cyclic prefix repeats
-samples of the same mean power. So the clip level cr * sigma is known before
-any bit is drawn. The unclipped chain's gain at every data bin is exactly 1.
+PAPR cell: one pass over the cell's bits, drawn in chunks of frames. A
+chunk maps, extends and modulates them, takes |x| once, clips by the real
+factor A / max(|x|, A) inside the composed filter's forward half (README
+sections 5 and 6), and reads the unclipped PAPR from |x| and the processed
+PAPR from the filtered envelope (README section 7). Only the two PAPR
+vectors grow with n_symbols.
 
-PAPR cell: one pass over the cell's bits, drawn in chunks of frames. Per
-chunk: extend, modulate, take |x| once, turn it into the clip's real
-factor A / max(|x|, A), A = cr * sigma (the magnitude clip with phase
-preserved, applied at baseband just before carrier modulation), apply the
-composed filter to the clipped real passband 2 Re(x c) * factor, which
-takes one real FFT and one inverse FFT and returns the complex envelope of
-the filtered passband symbol, and read the processed PAPR; the unclipped
-PAPR is read from the kept |x|. So a chunk makes two complex transforms
-and one real one. Only the two PAPR vectors grow with n_symbols. PAPR
-always refers to the complex envelope |x[m]|^2 of the oversampled symbol,
-never to the instantaneous real passband waveform, whose peaks carry an
-extra carrier-phase artifact of about 2.5 dB.
-
-Both experiments walk their (scheme, cr) grid in one loop
-(``_walk_grid``): in grid order, unit i drawing from streams seeded by
-[master_seed, kind, i], kind 0 for PAPR and 1 for BER, and asked for one
-value per cell (the PAPR cell, or each Eb/N0 point of a BER unit) after
-the cell's progress call and inside its error wrapping.
-
-Both transmit on one loop (``_transmit``), in chunks of frames: map,
-extend, modulate and, when the cell clips, clip and run the composed
-filter's forward half (``_clipped_band``, the one home of that sequence),
-each stage writing into block buffers, one set per thread
-(``_chunk_buffers``), so only the filter's real FFT and the envelope
-allocate arrays of a chunk's size. The grid walk allocates them once per
-experiment call (``_workspace``), and a BER experiment its unit arrays
-(received symbols, normals, block powers) once, at its largest unit; each
-unit takes views of them, and the Eb/N0 points take their rows from the
-transmit's scratch. The buffers are load-bearing: fresh block-sized arrays
-cost page faults and system time, which made a PAPR experiment about
-1.45x slower on two CPUs when every chunk allocated them, and cost a BER
-experiment about 15k minor faults an operation on two CPUs when every
-unit and Eb/N0 point did (see the README).
-The clip level and the composed filter's fold (``_composed_fold``) are
-computed once per loop too. A chunk takes as many frames as fit
-``_CHUNK_SAMPLES`` samples of the N*L-sample blocks it forms, so a
-chunk's complex block fits 2 MB, the size of an L2 cache. A BER chunk
-forms no prefixed block (it reads the prefix's power from the symbol),
-so both experiments size their chunks alike.
-
-One runner, ``_on_chunks``, runs every chunk loop: the transmit loop and
-each Eb/N0 point of a BER unit. It hands out slices of rows in row order
-to the calling thread and helpers started for the loop, one thread per
-full budget of the loop's N*L-sample blocks, up to W, the number of CPUs
-the process may use, and returns what each chunk computed. So a loop of
-under two budgets stays on the calling thread. A thread's chunk holds 1/T
-of the budget, T the loop's thread count, so the chunks in flight together
-hold one budget. The transmit loop's claim hands each chunk its bits in
-row order under the runner's lock: the PAPR cell draws them there, one
-chunk at a time; the BER unit draws its bits up front and draws its
-normals there. Every row of a chunk is computed on its own (transforms,
-clipping, PAPR and the slicer act per row), so results depend on neither
-W nor the chunk length.
-
-BER cells come in units, one per (scheme, cr), that share one transmission.
-A unit draws its bits once and loops over chunks of them (``_ber_chunk``).
-Each chunk's transmit ends at the band bins of each block's complex
-envelope: clipped at cr * sigma, the composed filter's forward half, as in
-a PAPR cell; unclipped, the extended frame. For an on-bin carrier,
-upconversion, mix-down and the FFT demodulator are diagonal in the DFT, so
-the literal chain (cyclic prefix, ``upconvert``, ``demodulate_passband``),
-the test oracle, reduces to two reads of those bins: the noise-free data
-symbols, and one inverse real FFT to the passband symbol, whose squares,
-and those of its last cp*L samples, which the prefix repeats, give the
-mean square of each prefixed passband block. So a clipped chunk makes one
-inverse FFT, one real FFT and one inverse real FFT, and an unclipped chunk
-one inverse real FFT. Only the bits, the N data symbols of each block and
-its mean square grow with the unit; the transmit power is the mean of the
-per-block mean squares. The receiver is linear and reads only the N data
-bins. White real passband
-noise of variance sigma_n^2 therefore reaches each data bin as circular
-complex Gaussian noise of variance 2 sigma_n^2, independent across bins
-(prefix noise is discarded). The unit draws that bin noise once, as unit
-normals z, 2N standard normals a frame, alongside its transmit. Each
-Eb/N0 point calibrates sigma_n from the measured transmit power and loops
-over chunks of the noise-free symbols: it scales the chunk's rows of z by
-sigma_n, adds the symbols, divides by the closed-form gain
-clip_attenuation(cr), or by 1 unclipped, slices and counts the bit
-errors. The unit draws from SeedSequence([master_seed, 1,
-unit_index]).spawn(2): child 0 for the bits, child 1 for z. Every point
-of a unit scales the same z (common random numbers), so each cell has
-the distribution it would have with a draw of its own, but a unit's
-cells are correlated and are not independent samples of the BER curve.
+BER unit, one per (scheme, cr), whose Eb/N0 cells share one transmission:
+it draws its bits, transmits them chunk by chunk to the band bins, reads
+the noise-free data symbols and the transmit power there (README section
+3), and draws its unit normals z. Each Eb/N0 point calibrates sigma_n from
+that power (README section 2), adds sigma_n z as the data-bin noise
+(README section 4), divides by ``clip_attenuation(cr)``, slices and counts
+the bit errors. Every point scales the same z (README section 9), so a
+unit's cells are correlated and are not independent samples of the BER
+curve.
 """
 from __future__ import annotations
 
@@ -123,6 +51,7 @@ from .errors import ConfigError, ExperimentError, ShapeError
 from .metrics import CcdfCurve, _papr_db_rows, ccdf_quantile, estimate_ccdf
 from .ofdm_chain import (
     OfdmParams,
+    _carrier_turns,
     _data_bin_offsets,
     _is_real,
     _require_block,
@@ -371,36 +300,25 @@ def _random_bits(rng: np.random.Generator, n_frames: int, bits_per_frame: int) -
 
 def _chunk_frames(block_len: int) -> int:
     """Frames per chunk for blocks of ``block_len`` samples: the share of
-    ``_CHUNK_SAMPLES``, rounded down to an even count, at least 2.
-
-    An even chunk of rows of N * log2(M) bits (N even) is a multiple of 4
-    bits, so chunked ``_random_bits`` draws concatenate to one draw of all
-    the rows: numpy draws a bounded uint8 in {0, 1} from one byte of a
-    32-bit word, with no rejection, and each call starts on a fresh word.
-    A loop on T threads takes chunks of ``_chunk_frames(block_len * T)``
-    frames (``_chunking``), so the chunks in flight together stay within
-    one budget; the draws, and so the results, are the same for every T.
-    """
+    ``_CHUNK_SAMPLES``, rounded down to an even count, at least 2, so that
+    chunked ``_random_bits`` draws concatenate to one draw of all the rows
+    (README section 8)."""
     return max(2, _CHUNK_SAMPLES // block_len // 2 * 2)
 
 
 def _clip_level(params: OfdmParams, cr: float) -> float:
     """Clip amplitude A = cr * sigma, sigma = sqrt((N+1)/(N*L)) the RMS of
-    the OFDM signal (see the module docstring)."""
+    the OFDM signal (README section 1)."""
     n = params.n_subcarriers
     return cr * math.sqrt((n + 1) / (n * params.oversample))
 
 
 def envelope_magnitude(samples: np.ndarray, params: OfdmParams) -> np.ndarray:
     """|complex envelope| of in-band complex baseband blocks (..., N*L), such
-    as ``composed_filter``'s output; PAPR of an OFDM symbol is defined on it.
-
-    The envelope is |y|, with the band-edge bins that are their own
-    conjugate image weighted as the analytic signal of ``upconvert(y)``
-    weights them: an edge at Nyquist is left out, and an edge at DC counts
-    twice its real part. Each such bin is one tone whose coefficient is a
-    single DFT bin, so the correction is O(N*L) and runs only on those
-    plans. Returns a real (..., N*L) array.
+    as ``composed_filter``'s output, on which the PAPR of an OFDM symbol is
+    defined: the analytic signal of ``upconvert(y)``, which is |y| but at a
+    band edge on DC or Nyquist (README section 7). Returns a real (...,
+    N*L) array; real input is refused with ``ShapeError``.
     """
     samples = np.asarray(samples)
     _require_block(samples, params, "signal")
@@ -415,15 +333,9 @@ def envelope_magnitude(samples: np.ndarray, params: OfdmParams) -> np.ndarray:
 
 
 def clip_attenuation(cr: float) -> float:
-    """Bussgang gain of a magnitude clip on a complex-Gaussian OFDM envelope.
-
-    The Rayleigh-envelope soft limiter attenuates the useful signal by
-    alpha = 1 - exp(-CR^2) + (sqrt(pi)/2) CR erfc(CR); the in-band residue
-    after filtering is distortion uncorrelated with the data. For an improper
-    constellation (rectangular 8-QAM, E[X^2] != 0) that distortion is
-    improper too: its variance is unequal on I and Q. Matches the measured
-    data-aided gain of the simulated chain to about 0.2 percent.
-    """
+    """Bussgang gain alpha = 1 - exp(-CR^2) + (sqrt(pi)/2) CR erfc(CR) of a
+    magnitude clip at ``cr`` on a complex-Gaussian OFDM envelope, by which
+    the receiver divides (README section 6)."""
     return 1.0 - math.exp(-cr * cr) + (math.sqrt(math.pi) / 2.0) * cr * math.erfc(cr)
 
 
@@ -431,12 +343,11 @@ def _add_bin_noise(
     symbols: np.ndarray, sigma_n: float, normals: np.ndarray | None, *, out=None,
 ) -> np.ndarray:
     """Return received data symbols (..., N) plus the data-bin read of white
-    real passband noise of variance sigma_n^2: circular complex Gaussian
-    noise of variance 2 sigma_n^2 at every bin, formed as sigma_n times
-    ``normals``, a complex array of the symbols' shape whose real and
-    imaginary parts are standard normals. sigma_n = 0 reads no normals, so
-    they may be None. ``out``, a C-contiguous complex array of the symbols'
-    shape, receives the result in place of a new array."""
+    real passband noise of variance sigma_n^2 (README section 4): sigma_n
+    times ``normals``, a complex array of the symbols' shape whose parts
+    are standard normals. sigma_n = 0 reads no normals, so they may be
+    None. ``out``, a C-contiguous complex array of the symbols' shape,
+    receives the result in place of a new array."""
     if out is None:
         out = np.empty(symbols.shape, complex)
     if sigma_n == 0:
@@ -459,26 +370,19 @@ def _noise_free_unit(
 ) -> tuple:
     """The shared work of a BER unit: draw the bit rows, transmit them
     (cr=None skips clipping and filtering) and receive them without noise,
-    one chunk at a time (``_ber_chunk``). Returns (bits, transmit power,
-    received symbols, normals); the power is the mean square of the
-    passband samples, prefix included, that the channel is calibrated to,
-    taken as the mean of the per-block mean squares. Unclipped, the symbols are the
-    mapped symbols. Fourth come the unit's normals: given ``noise``, a
-    generator, one complex array of the symbols' shape whose real and
-    imaginary parts are standard normals drawn in row order (2N a frame);
-    without it, None.
+    one chunk at a time (``_ber_chunk``, README section 3). Returns (bits,
+    transmit power, received symbols, normals): the power is the mean of
+    the per-block mean squares of the passband samples, prefix included;
+    unclipped, the symbols are the mapped symbols; the normals, given
+    ``noise``, a generator, are a complex array of the symbols' shape whose
+    parts are standard normals drawn in row order (2N a frame), else None.
 
-    The symbols, the normals and the block powers are the first rows of
-    the unit arrays of ``space``, the experiment's ``_workspace``, and the
-    chunks run on its threads' buffers, so the next unit of the experiment
-    overwrites them. Without ``space`` the unit makes a workspace of its
-    own, fresh arrays for this unit alone.
-
-    The bits are drawn up front, and the chunks run on the transmit loop
-    a PAPR cell runs too (``_transmit``). A chunk's claim draws its normals
-    and hands it its rows of the bits, so the draws follow row order
-    whatever the thread count and concatenate to one draw of all the rows,
-    while the other threads transmit. Every chunk writes its own rows."""
+    The bits are drawn up front; each chunk's claim draws its normals and
+    hands it its rows of the bits (README section 8). The symbols, normals
+    and block powers are the first rows of the unit arrays of ``space``,
+    the experiment's ``_workspace``, on whose buffers the chunks run, so
+    the next unit of the experiment overwrites them; without ``space`` the
+    unit makes a workspace of its own."""
     if cr is not None and hpf is None:
         raise ConfigError("clipping requested but no high-pass filter supplied")
     _band_read(params)  # refuses a plan the receiver cannot serve
@@ -509,33 +413,23 @@ def _ber_cells(
     """Yield (bit_errors, bits_total) for each Eb/N0 point of one (scheme,
     cr) unit. cr=None skips clipping and filtering, an Eb/N0 of None is a
     noiseless channel. SeedSequence(entropy).spawn(2) gives the unit's two
-    streams: child 0 for the bits, child 1 for the unit normals z that
-    every point shares (common random numbers). A unit whose points are
-    all noiseless draws no normals.
+    streams (README section 8): child 0 for the bits, child 1 for the unit
+    normals z that every point shares (README section 9). A unit whose
+    points are all noiseless draws no normals.
 
     Nothing runs until the first value is asked for; the unit's transmit,
-    noise-free receive and draw of z then run once, before the first
-    point. They, and every point, work in ``space``, the experiment's
-    ``_workspace`` (see ``_noise_free_unit``); without it the unit makes
-    one of its own. So a unit's values must all be read before the next
-    unit of the same workspace starts.
+    noise-free receive and draw of z then run once, in ``space``, the
+    experiment's ``_workspace`` (see ``_noise_free_unit``). So a unit's
+    values must all be read before the next unit of the same workspace
+    starts.
 
-    Each point runs when its value is asked for, and computes only its
-    own cell. It is a chunk loop over the kept symbols on the unit's T
-    threads, T sized as the transmit's (``_chunking`` of the N*L-sample
-    blocks), in chunks of at most 1/T of the rows and of as many N-wide
-    rows as the transmit's chunk of N*L-sample blocks fills: each chunk
-    writes sigma_n times its rows of z into its thread's transmit scratch,
-    which the transmit no longer needs, adds the symbols, divides by the
-    gain, demaps and returns its error count, so a point allocates no
-    array of the unit's size and no buffer of its own. The point's count
-    is the sum of its chunks' counts.
-
-    So point i receives (sigma_n(i) z + clean) / gain, the same operations
-    in the same order as a point with a draw of its own, and point 0 draws
-    what it drew when every point had its own child 1 + i. A unit's points
-    are correlated: for QPSK, the bit errors at an Eb/N0 include those at
-    every higher Eb/N0 of the unit.
+    Each point runs when its value is asked for and computes only its own
+    cell: a chunk loop over the kept symbols on the unit's threads, in
+    chunks of at most 1/T of the rows for T threads. A chunk writes sigma_n
+    times its rows of z into its thread's transmit scratch, adds the
+    symbols, divides by the gain, demaps and returns its error count, so a
+    point allocates no array of the unit's size; the point's count is the
+    sum of its chunks' counts.
     """
     bit_seed, noise_seed = np.random.SeedSequence(entropy).spawn(2)
     noisy = any(ebn0_db is not None for ebn0_db in ebn0_grid_db)
@@ -553,9 +447,8 @@ def _ber_cells(
     n_frames, n = clean.shape
     threads, step = _chunking(n_frames, params.n_oversampled)
     # A transmit chunk's scratch holds step * L rows of N. Chunks of at
-    # most 1/T of the rows spread every point over all T threads: a
-    # reference 32-QAM unit has 313 frames, fewer than one 512-row chunk at
-    # two threads.
+    # most 1/T of the rows spread every point over all T threads, also in a
+    # unit smaller than one chunk.
     step = min(step * params.oversample, math.ceil(n_frames / threads))
     scratch = [buffers[2] for buffers in space[0]]
 
@@ -580,8 +473,7 @@ def _chunk_buffers(frames: int, params: OfdmParams) -> tuple[np.ndarray, ...]:
     one complex allocation into three flat views: the mapped symbols, and
     the block and the scratch, both block-wide. ``_rows`` gives a chunk its
     (frames, width) view of a buffer. ``_workspace`` makes one set per
-    thread for a whole experiment call; every chunk loop of the call, the
-    Eb/N0 points' included, works in them."""
+    thread for a whole experiment call."""
     widths = (params.n_subcarriers, params.n_oversampled, params.n_oversampled)
     ends = np.cumsum([frames * width for width in widths])
     return tuple(np.split(np.empty(ends[-1], complex), ends[:-1]))
@@ -630,12 +522,12 @@ def _clipped_band(
 
     Map, extend and modulate write into the buffers' symbols and block (the
     inverse transform runs in place); |x| of the baseband goes into the
-    scratch's first float view and the clip's real factor A / max(|x|, A)
-    into its second, and the composed filter's forward half
-    (``_filter_forward``) takes the factor in place of a clipped block.
-    Returns (baseband, magnitude, band): the block, which the forward half
-    leaves holding x c, free for the inverse half to overwrite; |x|, which
-    nothing after the clip touches; and the band bins Y[j], j = -N/2..N/2.
+    scratch's first float view and the clip's real factor into its second,
+    which the composed filter's forward half (``_filter_forward``) takes in
+    place of a clipped block (README sections 5 and 6). Returns (baseband,
+    magnitude, band): the block, which the forward half leaves holding
+    x c, free for the inverse half to overwrite; |x|, which nothing after
+    the clip touches; and the band bins Y[j], j = -N/2..N/2.
     """
     count, total = bits.shape[0], params.n_oversampled
     symbols = _map_rows(bits, scheme, out=_rows(buffers[0], complex, count, params.n_subcarriers))
@@ -661,9 +553,10 @@ def _papr_chunk(
     The clipped transmit (``_clipped_band``) leaves |x| of the baseband in
     the scratch; its squares, in place, give the unclipped PAPR. The
     filter's inverse half (``_filter_inverse``) writes the filtered
-    envelope over the baseband. The envelope stage is called as
-    ``envelope_magnitude(samples, params)``, the form perfbench's self-test
-    substitutes, so it returns a new |y| array, which is squared in place.
+    envelope over the baseband (README section 7). The envelope stage is
+    called as ``envelope_magnitude(samples, params)``, the form perfbench's
+    self-test substitutes, so it returns a new |y| array, which is squared
+    in place.
     """
     baseband, magnitude, band = _clipped_band(bits, scheme, params, amplitude, fold, buffers)
     # The unclipped symbol is in-band by construction, so its envelope is
@@ -685,18 +578,14 @@ def _ber_chunk(
     noise-free data symbols into ``received`` and the mean square of its
     passband samples, prefix included, into ``block_power``.
 
-    The transmit ends at the block's band bins Y[j], j = -N/2..N/2, the DFT
-    of its complex envelope at offsets j from DC. Clipped, they come from
-    the clipped transmit a PAPR chunk runs too (``_clipped_band``), and
-    the data symbols are Y at the data bins over sqrt(N*L). Unclipped, the
-    data symbols are the mapped symbols, written straight into
-    ``received``, and Y is the extended frame times sqrt(N*L); no modulator
-    transform runs. Either way Y times the weights of ``_band_read`` is the
-    real FFT of the passband symbol at band bins k_c + j (zero elsewhere),
-    written into the scratch; one inverse real FFT gives the passband
-    symbol, as floats in the block's bytes. The prefix's
-    passband samples are the symbol's last cp*L samples, so their squares
-    are counted twice.
+    The transmit ends at the block's band bins Y[j], j = -N/2..N/2: clipped,
+    from the clipped transmit a PAPR chunk runs too (``_clipped_band``);
+    unclipped, from the mapped symbols, written straight into
+    ``received``, with no modulator transform. Y times the weights of
+    ``_band_read``, in the scratch, takes one inverse real FFT to the
+    passband symbol, as floats in the block's bytes, whose squares and
+    those of its last cp*L samples give the block's mean square (README
+    section 3).
     """
     count, n, total = bits.shape[0], params.n_subcarriers, params.n_oversampled
     half, first, cp = n // 2, params.carrier_bin - n // 2, params.cp_oversampled
@@ -728,20 +617,12 @@ def _band_read(params: OfdmParams) -> tuple[np.ndarray, np.ndarray]:
     index j + N/2: the indices of the N data bins in frame order
     (``_data_bin_offsets``, which refuses a plan the receiver cannot
     serve), and the weights that turn Y into the real FFT of the block's
-    passband symbol at bins k_c + j. Read-only; one pair per plan.
-
-    ``upconvert`` of a prefixed block puts sample m of the symbol at carrier
-    phase phi c[m], phi = exp(j 2 pi k_c cp L / (N*L)) with the exponent
-    reduced mod N*L in integers, so the symbol's passband sqrt(2) Re(y c
-    phi) has the real FFT phi Y[j] / sqrt(2) at bin k_c + j. A band bin at
-    DC or Nyquist is its own image: the passband holds 2 Re(phi Y[j]) /
-    sqrt(2) there, so its weight is doubled and the inverse real FFT takes
-    the real part. ``demodulate_passband`` undoes phi and the sqrt(2), so
-    the data symbols are Y / sqrt(N*L).
+    passband symbol at bins k_c + j: phi / sqrt(2), doubled at a band bin
+    on DC or Nyquist (README section 3). Read-only; one pair per plan.
     """
-    n, total = params.n_subcarriers, params.n_oversampled
+    n = params.n_subcarriers
     data = _data_bin_offsets(params) + n // 2
-    turns = params.carrier_bin * params.cp_oversampled % total / total
+    turns = _carrier_turns(params.cp_oversampled, params)
     weights = np.full(n + 1, np.exp(2j * np.pi * turns) / math.sqrt(2.0))
     for k in _self_image_bins(params):
         weights[k - params.carrier_bin + n // 2] *= 2
@@ -762,11 +643,10 @@ def _transmit(
     and the composed filter's fold (``_composed_fold``) are worked out
     once; cr=None makes both None, which skips clipping and filtering.
 
-    The chunks run on ``_on_chunks``, one thread per full budget of the
-    frames' N*L-sample blocks (``_chunking``), each thread in its own set
-    of ``buffers``, the experiment's (``_workspace``), which allocates
-    none. ``claim`` runs under the runner's lock, so draws made in it
-    follow row order whatever the thread count."""
+    The chunks run on ``_on_chunks`` (``_chunking``), each thread in its
+    own set of ``buffers``, the experiment's (``_workspace``). ``claim``
+    runs under the runner's lock, so draws made in it follow row order
+    whatever the thread count (README section 8)."""
     amplitude = None if cr is None else _clip_level(params, cr)
     fold = None if cr is None else _composed_fold(params, hpf)
     threads, step = _chunking(frames, params.n_oversampled)
@@ -784,12 +664,10 @@ def _papr_cell(
     """Clipped-and-filtered and unclipped PAPR CCDFs of one cell, streamed
     in one pass over the bits ``rng`` draws (see the module docstring).
 
-    The chunks run on the transmit loop a BER unit runs too
-    (``_transmit``), on the buffers of ``space``, the experiment's
-    ``_workspace``, or without it of a workspace of the cell's own. A
-    chunk's bits are drawn as the chunk is claimed, so the draws follow
-    row order whatever the thread count; the chunk (``_papr_chunk``) then
-    writes its rows of the two PAPR vectors.
+    The chunks (``_papr_chunk``) run on the transmit loop (``_transmit``),
+    on the buffers of ``space``, the experiment's ``_workspace``, or
+    without it of a workspace of the cell's own. A chunk's bits are drawn
+    as the chunk is claimed (README section 8).
     """
     n, bits_per_frame = spec.n_symbols, spec.params.n_subcarriers * scheme.bits_per_symbol
     (buffers,) = space or _workspace(spec.params, [n], ber=False)
@@ -874,9 +752,8 @@ def simulate_chain_ber(
 
     Returns (bit_errors, bits_total). With cr=None and ebn0_db=None this is
     the noiseless loopback of the full modulation chain. It is one BER unit
-    with a single Eb/N0 point (see the module docstring), seeded by
-    SeedSequence([seed, 2, 0]).spawn(2): child 0 for the bits, child 1 for
-    the noise.
+    with a single Eb/N0 point, seeded by SeedSequence([seed, 2, 0])
+    (README section 8).
     """
     if not isinstance(params, OfdmParams):
         raise ConfigError(f"params must be an OfdmParams, got {params!r}")

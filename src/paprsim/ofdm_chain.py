@@ -198,13 +198,18 @@ def add_cyclic_prefix(samples, cp_samples: int) -> np.ndarray:
     return np.concatenate((samples[..., n - cp_samples :], samples), axis=-1)
 
 
-def _carrier(n: int, params: OfdmParams) -> np.ndarray:
-    """exp(j 2 pi f_c m / f_s) for m = 0..n-1. The phase f_c m / f_s is
-    k_c m / (N*L) turns, reduced mod N*L in integers before dividing, so a
-    late sample carries no round-off from whole turns."""
+def _carrier_turns(m, params: OfdmParams):
+    """The carrier phase f_c m / f_s of sample m (an integer or an integer
+    array) in turns: k_c m / (N*L), reduced mod N*L in integers before
+    dividing, so a late sample carries no round-off from whole turns
+    (README section 3)."""
     total = params.n_oversampled
-    turns = params.carrier_bin * np.arange(n) % total / total
-    return np.exp(2j * np.pi * turns)
+    return params.carrier_bin * m % total / total
+
+
+def _carrier(n: int, params: OfdmParams) -> np.ndarray:
+    """exp(j 2 pi f_c m / f_s) for m = 0..n-1 (``_carrier_turns``)."""
+    return np.exp(2j * np.pi * _carrier_turns(np.arange(n), params))
 
 
 def upconvert(samples, params: OfdmParams) -> np.ndarray:
@@ -218,12 +223,9 @@ def upconvert(samples, params: OfdmParams) -> np.ndarray:
 
 def _data_bin_offsets(params: OfdmParams) -> np.ndarray:
     """Offset j from the carrier bin of each data bin, in frame order:
-    0..N/2, then -N/2+1..-1 (X[0..N/2], then X[N/2+1..N-1]).
-
-    X[N/2] is sent at both band edges. When k_c + N/2 is the Nyquist bin, a
-    real signal keeps only the real part of that copy, so the offset of
-    slot N/2 becomes -N/2, the other copy. With L = 2 the band fills
-    [0, f_s/2], both copies are on DC or Nyquist and the plan is refused.
+    0..N/2, then -N/2+1..-1 (X[0..N/2], then X[N/2+1..N-1]). When k_c + N/2
+    is the Nyquist bin, slot N/2 reads the other copy of X[N/2], at -N/2;
+    a plan with L = 2 raises ``ConfigError`` (README section 3).
     """
     n = params.n_subcarriers
     if params.oversample == 2:
@@ -252,16 +254,10 @@ def demodulate_passband(samples, params: OfdmParams) -> np.ndarray:
     The receiver in one transform: mix down by sqrt(2) exp(-j 2 pi f_c m /
     f_s), with the carrier phase counted from the start of the cyclic
     prefix as ``upconvert`` of a prefixed block sets it, forward-transform
-    (unitary) and read the data bins. For an on-bin carrier that chain is
-    diagonal in the DFT: data bin j is the real FFT's bin k_c + j, scaled by
-    sqrt(2 / (N*L)), so the unclipped gain is exactly 1. The 2 f_c image of
-    the mix-down lands on bins -(2 k_c + j), never on a data bin, so no
-    image-reject filter is needed. On a plan whose band edge k_c + N/2 is
-    the Nyquist bin, X[N/2] is read from its copy at k_c - N/2; on a plan
-    whose band edge k_c - N/2 is DC, from its copy at k_c + N/2. No data bin
-    is then DC or Nyquist, so white real noise of variance sigma_n^2 reaches
-    each data bin as independent circular complex noise of variance
-    2 sigma_n^2.
+    (unitary) and read the data bins. For an on-bin carrier that is the
+    real FFT's bin k_c + j times sqrt(2 / (N*L)), at gain exactly 1
+    unclipped (README section 3). Complex input is refused with
+    ``ShapeError``.
     """
     samples = np.asarray(samples)
     _require_block(samples, params, "signal")
@@ -270,9 +266,8 @@ def demodulate_passband(samples, params: OfdmParams) -> np.ndarray:
             "demodulate_passband takes real passband blocks, not complex baseband"
         )
     total = params.n_oversampled
-    # Carrier phase at the first input sample, in turns, reduced mod N*L
-    # before dividing so that a whole number of turns gives exactly 1.
-    turns = (params.carrier_bin * params.cp_oversampled) % total / total
+    # The carrier phase at the first input sample, the prefix's length.
+    turns = _carrier_turns(params.cp_oversampled, params)
     scale = np.sqrt(2.0 / total) * np.exp(-2j * np.pi * turns)
     bins = params.carrier_bin + _data_bin_offsets(params)
     return np.fft.rfft(samples, axis=-1)[..., bins] * scale

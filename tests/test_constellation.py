@@ -1,4 +1,6 @@
 import hashlib
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -347,9 +349,47 @@ def test_qpsk_decides_a_symbol_near_an_axis_by_its_quadrant():
     assert demap_symbols([-1e-17 + 1j], qpsk).tolist() == [0, 1]
 
 
+def near_ray_cases(order):
+    """Symbols one ulp or 1e-17 off the axes and diagonals, and the table
+    index of the nearest point, decided in exact rationals.
+
+    Ray q, at angle q pi / 4, is the boundary b = q M / 8 between points
+    b - 1 and b (mod M). A symbol this near it is nearest one of those two:
+    point b when it lies counterclockwise of the ray, point b - 1 when
+    clockwise, and the lower index of the two when on it."""
+    symbols, want = [], []
+    rays = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
+    for q, (dx, dy) in enumerate(rays):
+        b = q * order // 8
+        for radius in (0.5, 1.0, 3.0):
+            for axis in (0, 1):
+                for move in ("up", "down", "plus", "minus"):
+                    part = [radius * dx, radius * dy]
+                    if move in ("up", "down"):
+                        toward = math.inf if move == "up" else -math.inf
+                        part[axis] = float(np.nextafter(part[axis], toward))
+                    else:
+                        part[axis] += 1e-17 if move == "plus" else -1e-17
+                    side = Fraction(dx) * Fraction(part[1]) - Fraction(dy) * Fraction(part[0])
+                    below, above = (b - 1) % order, b % order
+                    symbols.append(complex(*part))
+                    want.append(above if side > 0 else below if side < 0 else min(below, above))
+    return np.array(symbols), np.array(want)
+
+
+@pytest.mark.parametrize("order", [8, 16, 32])
+def test_psk_slicer_decides_symbols_next_to_the_axes_and_diagonals_exactly(order):
+    # arctan2 rounds many of these angles onto the ray, where the tie rule
+    # alone would pick the lower index whichever side the symbol is on.
+    scheme = ModScheme("psk", order)
+    symbols, want = near_ray_cases(order)
+    got = demap_symbols(symbols, scheme).reshape(symbols.size, -1)
+    assert np.array_equal(got, constellation_points(scheme).labels[want])
+
+
 @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.name)
 @pytest.mark.parametrize(
-    "bad", [complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0), complex(0.5, -np.inf),
+    "bad",[complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0), complex(0.5, -np.inf),
             complex(-np.inf, 0.5), complex(np.inf, -np.inf)],
     ids=["nan_re", "nan_im", "inf_re", "inf_im", "minus_inf_re", "inf_minus_inf"],
 )

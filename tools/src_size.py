@@ -1,8 +1,11 @@
-"""Count the code lines of ``src/paprsim`` and the names in ``paprsim.__all__``.
+"""Count the lines and code lines of ``src/paprsim`` and the names in
+``paprsim.__all__``.
 
-A code line is a line that holds part of a token other than a comment, a
-docstring or a line break, so docstrings, comments and blank lines are
-left out. Prints each module's count, the total and ``len(__all__)``.
+A module's lines are its newline count, what ``cat src/paprsim/*.py | wc
+-l`` sums. A code line is a line that holds part of a token other than a
+comment, a docstring or a line break, so docstrings, comments and blank
+lines are left out. Prints both counts for each module, both totals and
+``len(__all__)``.
 
 Usage: python tools/src_size.py [source directory]
 """
@@ -51,12 +54,15 @@ def all_names(src: Path) -> int:
 
 def main(argv: list[str]) -> int:
     src = Path(argv[0]) if argv else SRC
-    total = 0
+    total_lines = total_code = 0
+    print(f"{'module':<18}{'lines':>6}{'code':>6}")
     for path in sorted(src.glob("*.py")):
-        count = code_lines(path.read_text(encoding="utf-8"))
-        total += count
-        print(f"{path.name:<18}{count:>6}")
-    print(f"{'total':<18}{total:>6}")
+        source = path.read_text(encoding="utf-8")
+        lines, code = source.count("\n"), code_lines(source)
+        total_lines += lines
+        total_code += code
+        print(f"{path.name:<18}{lines:>6}{code:>6}")
+    print(f"{'total':<18}{total_lines:>6}{total_code:>6}")
     print(f"{'__all__':<18}{all_names(src):>6}")
     return 0
 
