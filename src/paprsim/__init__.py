@@ -37,14 +37,11 @@ from .harness import (
     ExperimentSpec,
     PaprRow,
     clip_attenuation,
-    emit_csv,
     envelope_magnitude,
     experiment_hpf,
     run_ber_experiment,
     run_papr_experiment,
     simulate_chain_ber,
-    write_ber_curve_csv,
-    write_ccdf_csv,
 )
 from .metrics import CcdfCurve, ccdf_quantile, estimate_ccdf, papr_db
 from .ofdm_chain import (
@@ -88,7 +85,6 @@ __all__ = [
     "demap_symbols",
     "demodulate_passband",
     "design_equiripple",
-    "emit_csv",
     "envelope_magnitude",
     "estimate_ccdf",
     "experiment_hpf",
@@ -101,6 +97,4 @@ __all__ = [
     "run_papr_experiment",
     "simulate_chain_ber",
     "upconvert",
-    "write_ber_curve_csv",
-    "write_ccdf_csv",
 ]

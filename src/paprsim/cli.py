@@ -5,31 +5,29 @@ comment, blank lines ignored. Lists are comma separated. Each key sets the
 field of the same name of ``OfdmParams``, ``ExperimentSpec`` or
 ``RunConfig`` (``_KEYS``), whose checks validate it; an unknown key is
 refused. Every key is optional: an absent key takes its field's default,
-so an empty file runs the reference parameter set end to end. See
-configs/reference.cfg for a fully annotated example and the README for the
-key table.
+so an empty file runs the reference parameter set end to end. Each flag
+but ``--help`` is a key too (``--seed`` is ``seed``, ``-q`` is
+``verbosity = 0``), parsed the same way and set over the file's value.
+See configs/reference.cfg for a fully annotated example and the README
+for the key table.
 
-Exit codes: 0 success, 1 configuration problem, 2 runtime failure,
-3 output I/O failure.
+This module writes every output file (``_write_csv``).
+
+Exit codes: 0 success, 1 configuration problem or command-line usage
+error, 2 runtime failure, 3 output I/O failure.
 """
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields
 from itertools import groupby
 from pathlib import Path
 
 from .constellation import ModScheme
 from .errors import ConfigError, PaprSimError
-from .harness import (
-    ExperimentSpec,
-    emit_csv,
-    run_ber_experiment,
-    run_papr_experiment,
-    write_ber_curve_csv,
-    write_ccdf_csv,
-)
+from .harness import BerRow, ExperimentSpec, PaprRow, run_ber_experiment, run_papr_experiment
 from .ofdm_chain import OfdmParams, _is_int
 
 _EXPERIMENT_KINDS = ("papr", "ber", "both")
@@ -140,11 +138,16 @@ _KEYS = {
 
 
 def parse_config(path) -> RunConfig:
-    """Load and fully validate a config file. Keys are read in file order,
-    and an unknown key is refused; the dataclasses' defaults fill absent
-    keys and their own checks validate the values."""
+    """Load and fully validate a config file (``_run_config``)."""
+    return _run_config(_read_key_values(Path(path)))
+
+
+def _run_config(pairs: dict[str, str]) -> RunConfig:
+    """The run that ``key: raw value`` pairs describe. Keys are read in
+    order, and an unknown key is refused; the dataclasses' defaults fill
+    absent keys and their own checks validate the values."""
     kwargs = {OfdmParams: {}, ExperimentSpec: {}, RunConfig: {}}
-    for key, raw in _read_key_values(Path(path)).items():
+    for key, raw in pairs.items():
         if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         target, parse = _KEYS[key]
@@ -152,6 +155,25 @@ def parse_config(path) -> RunConfig:
     # sample_hz is always bandwidth * oversample
     spec = ExperimentSpec(params=OfdmParams(**kwargs[OfdmParams]), **kwargs[ExperimentSpec])
     return RunConfig(spec=spec, **kwargs[RunConfig])
+
+
+def _cell(value) -> str:
+    """One CSV cell: a float in shortest round-trip form, None as empty."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def _write_csv(path: Path, header, rows) -> Path:
+    """Write a header and rows of values to a UTF-8 CSV file. The bytes
+    depend on the values alone: fixed column order, no timestamps."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_cell(value) for value in row] for row in rows)
+    return path
 
 
 def _cr_tag(cr: float) -> str:
@@ -166,26 +188,30 @@ def _run_and_write(cfg: RunConfig) -> list[Path]:
 
     if cfg.experiment in ("papr", "both"):
         result = run_papr_experiment(cfg.spec, progress=progress)
-        written.append(emit_csv(result.rows, out / "papr_table.csv"))
+        written.append(_write_csv(out / "papr_table.csv", [f.name for f in fields(PaprRow)],
+                                  map(astuple, result.rows)))
         if cfg.write_curves:
             for (scheme, cr), curves in result.curves.items():
-                tag = f"{scheme}_cr{_cr_tag(cr)}"
-                written.append(write_ccdf_csv(curves.clipped, out / f"papr_ccdf_{tag}.csv"))
-                written.append(
-                    write_ccdf_csv(curves.unclipped, out / f"papr_ccdf_{tag}_unclipped.csv")
-                )
+                for curve, suffix in ((curves.clipped, ""), (curves.unclipped, "_unclipped")):
+                    path = out / f"papr_ccdf_{scheme}_cr{_cr_tag(cr)}{suffix}.csv"
+                    written.append(_write_csv(
+                        path, ["threshold_db", "prob_exceed", "sample_count"],
+                        ((t, p, curve.sample_count)
+                         for t, p in zip(curve.thresholds_db, curve.prob_exceed))))
         if cfg.verbosity > 0:
             _print_papr_summary(result)
 
     if cfg.experiment in ("ber", "both"):
         result = run_ber_experiment(cfg.spec, progress=progress)
-        written.append(emit_csv(result.rows, out / "ber_table.csv"))
+        written.append(_write_csv(out / "ber_table.csv", [f.name for f in fields(BerRow)],
+                                  map(astuple, result.rows)))
         if cfg.write_curves:
             # The rows are in cell order, so each (scheme, cr) curve is one run of rows.
             for (scheme, cr), rows in groupby(result.rows, key=lambda row: (row.scheme, row.cr)):
-                points = [(row.ebn0_db, row.ber, row.bits_total) for row in rows]
-                path = out / f"ber_curve_{scheme}_cr{_cr_tag(cr)}.csv"
-                written.append(write_ber_curve_csv(points, path))
+                written.append(_write_csv(
+                    out / f"ber_curve_{scheme}_cr{_cr_tag(cr)}.csv",
+                    ["ebn0_db", "ber", "sample_count"],
+                    ((row.ebn0_db, row.ber, row.bits_total) for row in rows)))
         if cfg.verbosity > 0:
             print(f"ber: {len(result.rows)} rows -> {out / 'ber_table.csv'}")
 
@@ -210,30 +236,26 @@ def main(argv=None) -> int:
     )
     parser.add_argument("config", nargs="?", help="config file (key = value lines); "
                         "omit to run the reference defaults")
-    parser.add_argument("--output-dir", help="override the output directory")
-    parser.add_argument("--seed", type=int, help="override the master seed")
-    parser.add_argument("--experiment", choices=_EXPERIMENT_KINDS, help="override experiment kind")
+    # Each flag's dest is the config key it sets; its value is parsed as that key's.
+    parser.add_argument("--output-dir", help="set output_dir")
+    parser.add_argument("--seed", help="set seed, the master seed")
+    parser.add_argument("--experiment", help="set experiment: papr, ber or both")
     verb = parser.add_mutually_exclusive_group()
-    verb.add_argument("-q", "--quiet", action="store_true", help="suppress the run summary")
-    verb.add_argument("-v", "--verbose", action="store_true", help="print per-cell progress")
+    verb.add_argument("-q", "--quiet", dest="verbosity", action="store_const", const="0",
+                      help="suppress the run summary (verbosity = 0)")
+    verb.add_argument("-v", "--verbose", dest="verbosity", action="store_const", const="2",
+                      help="print per-cell progress (verbosity = 2)")
 
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        args = vars(parser.parse_args(argv))
+    except SystemExit as exc:  # --help exits 0, a usage error 2
+        return 1 if exc.code else 0
 
+    config = args.pop("config")
     try:
-        cfg = parse_config(args.config) if args.config else RunConfig()
-        if args.seed is not None:
-            cfg = replace(cfg, spec=replace(cfg.spec, seed=args.seed))
-        if args.output_dir is not None:
-            cfg = replace(cfg, output_dir=Path(args.output_dir))
-        if args.experiment is not None:
-            cfg = replace(cfg, experiment=args.experiment)
-        if args.quiet:
-            cfg = replace(cfg, verbosity=0)
-        elif args.verbose:
-            cfg = replace(cfg, verbosity=2)
+        pairs = _read_key_values(Path(config)) if config else {}
+        pairs.update((key, raw) for key, raw in args.items() if raw is not None)
+        cfg = _run_config(pairs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -26,14 +26,12 @@ curve.
 """
 from __future__ import annotations
 
-import csv
 import math
 import os
 import threading
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -336,6 +334,8 @@ def clip_attenuation(cr: float) -> float:
     """Bussgang gain alpha = 1 - exp(-CR^2) + (sqrt(pi)/2) CR erfc(CR) of a
     magnitude clip at ``cr`` on a complex-Gaussian OFDM envelope, by which
     the receiver divides (README section 6)."""
+    if not (_is_real(cr) and 0 < cr < math.inf):
+        raise ConfigError(f"cr must be positive and finite, got {cr!r}")
     return 1.0 - math.exp(-cr * cr) + (math.sqrt(math.pi) / 2.0) * cr * math.erfc(cr)
 
 
@@ -763,8 +763,8 @@ def simulate_chain_ber(
         raise ConfigError(f"hpf must be None or a FirFilter, got {hpf!r}")
     _require_int("seed", seed, 0)
     _require_int("min_bits", min_bits, 1)
-    if cr is not None and not (_is_real(cr) and 0 < cr < math.inf):
-        raise ConfigError(f"cr must be positive and finite, got {cr!r}")
+    if cr is not None:
+        clip_attenuation(cr)  # refuses a cr that is not positive and finite
     if ebn0_db is not None and not (_is_real(ebn0_db) and math.isfinite(ebn0_db)):
         raise ConfigError(f"ebn0_db must be a finite number, got {ebn0_db!r}")
     ((errors, total),) = _ber_cells(params, scheme, cr, (ebn0_db,), min_bits, hpf, [seed, 2, 0])
@@ -791,48 +791,3 @@ def run_ber_experiment(spec: ExperimentSpec, progress=None) -> BerExperimentResu
                _pair_difference(results, name, cr, ebn0, value=lambda e: e[0] / e[1]))
         for (name, cr, ebn0), (errors, total) in results.items()
     ))
-
-
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
-def _write_csv(path, header, rows) -> Path:
-    """Write a header and rows of cells to a UTF-8 CSV file."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path
-
-
-def emit_csv(rows, path, columns=None) -> Path:
-    """Write dataclass rows to a CSV file with full-precision numbers.
-
-    Output is deterministic: fixed column order, repr-format floats (exact
-    on round trip), UTF-8, no timestamps.
-    """
-    if columns is None:
-        if not rows:
-            raise ConfigError("columns must be given explicitly for an empty row set")
-        columns = [f.name for f in fields(rows[0])]
-    return _write_csv(path, columns,
-                      ([_format_cell(getattr(row, name)) for name in columns] for row in rows))
-
-
-def write_ccdf_csv(curve: CcdfCurve, path) -> Path:
-    """Two-column plot data (threshold_db, prob_exceed) plus the sample count."""
-    return _write_csv(path, ["threshold_db", "prob_exceed", "sample_count"],
-                      ([repr(float(t)), repr(float(p)), curve.sample_count]
-                       for t, p in zip(curve.thresholds_db, curve.prob_exceed)))
-
-
-def write_ber_curve_csv(points, path) -> Path:
-    """Plot data for one (scheme, cr): rows of (ebn0_db, ber, sample_count)."""
-    return _write_csv(path, ["ebn0_db", "ber", "sample_count"],
-                      ([repr(float(ebn0)), repr(float(ber)), total] for ebn0, ber, total in points))

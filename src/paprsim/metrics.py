@@ -27,6 +27,8 @@ def papr_db(samples) -> np.ndarray:
     samples = np.asarray(samples)
     if samples.size == 0:
         raise ShapeError("papr of an empty signal is undefined")
+    if not np.issubdtype(samples.dtype, np.inexact):  # squaring an integer type wraps
+        samples = samples.astype(float)
     return _papr_db_rows(np.abs(samples) ** 2)
 
 

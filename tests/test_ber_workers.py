@@ -8,6 +8,7 @@ must stay on the calling thread, a cell must compute only its own point,
 and a failure on a helper thread must surface as the failing cell's
 ``ExperimentError`` with no thread left behind.
 """
+import dataclasses
 import sys
 import threading
 import tracemalloc
@@ -18,13 +19,14 @@ import pytest
 
 import paprsim.harness as harness
 from paprsim import (
+    BerRow,
     ExperimentError,
     ExperimentSpec,
     ModScheme,
-    emit_csv,
     run_ber_experiment,
     simulate_chain_ber,
 )
+from paprsim.cli import _write_csv
 from paprsim.harness import _ber_cells, _noise_free_unit, experiment_hpf
 
 from oracles import ORACLE_PLANS, ber_points, per_point_normals
@@ -128,12 +130,14 @@ def test_csv_files_do_not_depend_on_the_worker_count(monkeypatch, tmp_path):
     spec = ExperimentSpec(schemes=(ModScheme.from_name("qpsk"), ModScheme.from_name("8qam")),
                           cr_values=(1.0,), ebn0_grid_db=(4.0, 8.0, 12.0), bits_per_point=40_000)
     block_len = spec.params.n_oversampled
+    header = [f.name for f in dataclasses.fields(BerRow)]
     files = []
     for workers in (1, 2, 3):
         with monkeypatch.context() as m:
             m.setattr(harness, "_worker_count", lambda: workers)
             m.setattr(harness, "_CHUNK_SAMPLES", 8 * block_len)
-            files.append(emit_csv(run_ber_experiment(spec).rows, tmp_path / f"ber{workers}.csv"))
+            rows = map(dataclasses.astuple, run_ber_experiment(spec).rows)
+            files.append(_write_csv(tmp_path / f"ber{workers}.csv", header, rows))
     assert files[0].read_bytes() == files[1].read_bytes() == files[2].read_bytes()
 
 

@@ -4,8 +4,15 @@ from pathlib import Path
 
 import pytest
 
-from paprsim import ConfigError, ExperimentSpec, OfdmParams
-from paprsim.cli import _KEYS, RunConfig, main, parse_config
+from paprsim import (
+    BerRow,
+    ConfigError,
+    ExperimentSpec,
+    OfdmParams,
+    run_ber_experiment,
+    run_papr_experiment,
+)
+from paprsim.cli import _KEYS, RunConfig, _write_csv, main, parse_config
 
 FAST_BODY = """
 # minimal fast run
@@ -78,6 +85,42 @@ def test_config_missing_file(tmp_path):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "paprsim" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["--nosuch"], ["-q", "-v"], ["a.cfg", "b.cfg"]], ids=repr)
+def test_a_usage_error_exits_one(argv, capsys):
+    # argparse's exit 2 was returned as is, the code of a runtime failure.
+    assert main(argv) == 1
+    assert "usage: paprsim" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, line", [(["--seed", "abc"], "seed = abc"),
+                                        (["--experiment", "foo"], "experiment = foo"),
+                                        (["--seed", "1.5"], "seed = 1.5")], ids=repr)
+def test_a_bad_flag_value_exits_one_as_its_key_in_a_file(tmp_path, capsys, flag, line):
+    # --seed abc and --experiment foo were argparse usage errors, exit 2.
+    out_dir = tmp_path / "out"
+    assert main([str(write_cfg(tmp_path, line + "\n")), "--output-dir", str(out_dir)]) == 1
+    from_file = capsys.readouterr().err
+    assert main(flag + ["--output-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err == from_file
+    assert from_file.startswith("config error: ")
+    assert not out_dir.exists()
+
+
+def test_flags_override_the_file_keys(tmp_path, capsys):
+    file_keys = "seed = 5\nexperiment = ber\nverbosity = 2\noutput_dir = unused\n"
+    cfg = write_cfg(tmp_path, FAST_BODY + file_keys)
+    out_dir = tmp_path / "out"
+    flags = ["--seed", "777", "--experiment", "papr", "-q", "--output-dir", str(out_dir)]
+    assert main([str(cfg)] + flags) == 0
+    assert capsys.readouterr() == ("", "")
+    assert {p.name for p in out_dir.iterdir()} == {
+        "papr_table.csv", "papr_ccdf_qpsk_cr1.csv", "papr_ccdf_qpsk_cr1_unclipped.csv"}
+    want = tmp_path / "want"
+    assert main([str(write_cfg(tmp_path, FAST_BODY + "seed = 777\n", "want.cfg")),
+                 "--experiment", "papr", "-q", "--output-dir", str(want)]) == 0
+    assert (out_dir / "papr_table.csv").read_bytes() == (want / "papr_table.csv").read_bytes()
 
 
 def test_missing_config_exit_code(tmp_path, capsys):
@@ -302,3 +345,48 @@ def test_each_ber_curve_file_holds_its_rows_of_the_table(tmp_path):
                 {"ebn0_db": r["ebn0_db"], "ber": r["ber"], "sample_count": r["bits_total"]}
                 for r in table if (r["scheme"], r["cr"]) == (scheme, cr)
             ]
+
+
+def test_csv_round_trip(tmp_path):
+    path = _write_csv(tmp_path / "out.csv", ["name", "value", "count", "note"],
+                      [("a", 0.1 + 0.2, 3, None), ("b", 1e-17, 0, "x")])
+    with open(path, newline="", encoding="utf-8") as fh:
+        records = list(csv.DictReader(fh))
+    assert float(records[0]["value"]) == 0.1 + 0.2  # exact round trip
+    assert records[0]["note"] == ""
+    assert records[1]["name"] == "b"
+    assert float(records[1]["value"]) == 1e-17
+    assert int(records[1]["count"]) == 0
+
+
+def test_an_empty_table_writes_its_header(tmp_path):
+    header = [f.name for f in dataclasses.fields(BerRow)]
+    path = _write_csv(tmp_path / "empty.csv", header, [])
+    assert path.read_bytes() == ",".join(header).encode("utf-8") + b"\r\n"
+
+
+def test_csv_deterministic_bytes(tmp_path):
+    rows = [("a", 1.25, 1, None)]
+    one = _write_csv(tmp_path / "one.csv", ["name", "value", "count", "note"], rows)
+    two = _write_csv(tmp_path / "two.csv", ["name", "value", "count", "note"], rows)
+    assert one.read_bytes() == two.read_bytes()
+
+
+def test_the_curve_files_hold_the_experiments_curves(tmp_path):
+    cfg = write_cfg(tmp_path, FAST_BODY)
+    out_dir = tmp_path / "out"
+    assert main([str(cfg), "--output-dir", str(out_dir), "-q"]) == 0
+    spec = parse_config(cfg).spec
+    ((_, curves),) = run_papr_experiment(spec).curves.items()
+    for curve, name in ((curves.clipped, "papr_ccdf_qpsk_cr1.csv"),
+                        (curves.unclipped, "papr_ccdf_qpsk_cr1_unclipped.csv")):
+        with open(out_dir / name, newline="", encoding="utf-8") as fh:
+            assert next(csv.reader(fh)) == ["threshold_db", "prob_exceed", "sample_count"]
+            rows = list(csv.reader(fh))
+        assert [float(t) for t, _, _ in rows] == list(curve.thresholds_db)
+        assert [float(p) for _, p, _ in rows] == list(curve.prob_exceed)
+        assert {int(n) for _, _, n in rows} == {curve.sample_count}
+    with open(out_dir / "ber_curve_qpsk_cr1.csv", newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh)) == [["ebn0_db", "ber", "sample_count"]] + [
+            [repr(row.ebn0_db), repr(row.ber), str(row.bits_total)]
+            for row in run_ber_experiment(spec).rows]

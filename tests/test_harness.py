@@ -1,7 +1,5 @@
-import csv
 import dataclasses
 import math
-from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
@@ -15,14 +13,10 @@ from paprsim import (
     ModScheme,
     OfdmParams,
     clip_attenuation,
-    emit_csv,
-    estimate_ccdf,
     experiment_hpf,
     run_ber_experiment,
     run_papr_experiment,
     simulate_chain_ber,
-    write_ber_curve_csv,
-    write_ccdf_csv,
 )
 from paprsim import fir_design, harness
 
@@ -427,49 +421,6 @@ def test_papr_progress_once_per_cell_in_order_and_no_bits_before_it(monkeypatch)
 def test_clip_attenuation_limits():
     assert clip_attenuation(8.0) == pytest.approx(1.0, abs=1e-9)
     assert 0.0 < clip_attenuation(0.3) < clip_attenuation(1.0) < 1.0
-
-
-@dataclass(frozen=True)
-class Row:
-    name: str
-    value: float
-    count: int
-    note: str | None
-
-
-def test_emit_csv_round_trip(tmp_path):
-    rows = [Row("a", 0.1 + 0.2, 3, None), Row("b", 1e-17, 0, "x")]
-    path = emit_csv(rows, tmp_path / "out.csv")
-    with open(path, newline="", encoding="utf-8") as fh:
-        records = list(csv.DictReader(fh))
-    assert float(records[0]["value"]) == 0.1 + 0.2  # exact round trip
-    assert records[0]["note"] == ""
-    assert records[1]["name"] == "b"
-    assert int(records[1]["count"]) == 0
-
-
-def test_emit_csv_empty_rows(tmp_path):
-    path = emit_csv([], tmp_path / "empty.csv", columns=["a", "b"])
-    assert path.read_bytes() == b"a,b\r\n"
-    with pytest.raises(ConfigError):
-        emit_csv([], tmp_path / "bad.csv")
-
-
-def test_emit_csv_deterministic_bytes(tmp_path):
-    rows = [Row("a", 1.25, 1, None)]
-    p1 = emit_csv(rows, tmp_path / "one.csv")
-    p2 = emit_csv(rows, tmp_path / "two.csv")
-    assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_curve_csv_writers(tmp_path):
-    curve = estimate_ccdf([1.0, 2.0, 3.0], [0.5, 1.5, 2.5])
-    path = write_ccdf_csv(curve, tmp_path / "c.csv")
-    lines = path.read_text(encoding="utf-8").strip().splitlines()
-    assert lines[0] == "threshold_db,prob_exceed,sample_count"
-    assert len(lines) == 4
-    ber_path = write_ber_curve_csv([(4.0, 0.01, 1000)], tmp_path / "b.csv")
-    assert "ebn0_db,ber,sample_count" in ber_path.read_text(encoding="utf-8")
 
 
 def test_default_spec_mirrors_reference_parameters():

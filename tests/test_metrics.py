@@ -30,6 +30,16 @@ def test_papr_single_pulse():
     assert papr_db(sig) == pytest.approx(10 * np.log10(n), abs=1e-12)
 
 
+@pytest.mark.parametrize("samples, want", [
+    (np.array([100, 1], np.int8), 10 * np.log10(2 * 100**2 / (100**2 + 1))),
+    (np.array([2**32, 2**31]), 10 * np.log10(2 * 4 / 5)),
+], ids=["int8", "int64"])
+def test_papr_of_integer_samples_squares_in_floating_point(samples, want):
+    # |x|^2 was squared in the integer type and wrapped: 2.747 dB for the
+    # int8 pair and 3.010 dB for the int64 pair.
+    assert papr_db(samples) == pytest.approx(want, rel=1e-12)
+
+
 def test_papr_errors():
     with pytest.raises(ShapeError):
         papr_db(np.array([]))
