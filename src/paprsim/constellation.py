@@ -61,17 +61,11 @@ class ModScheme:
     @classmethod
     def from_name(cls, name: str) -> "ModScheme":
         key = name.strip().lower()
-        if key == "qpsk":
-            return cls("psk", 4)
-        if key == "qam":
-            return cls("qam", 4)
-        for order in SUPPORTED_ORDERS:
-            for family in ("psk", "qam"):
-                if key == f"{order}{family}":
-                    return cls(family, order)
-        raise ConfigError(
-            f"unknown modulation scheme {name!r}; valid names: {', '.join(SCHEME_NAMES)}"
-        )
+        if key not in SCHEME_NAMES:
+            raise ConfigError(
+                f"unknown modulation scheme {name!r}; valid names: {', '.join(SCHEME_NAMES)}"
+            )
+        return cls(key[-3:], 4 if key in ("qpsk", "qam") else int(key[:-3]))
 
 
 @dataclass(frozen=True)

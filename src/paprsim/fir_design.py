@@ -220,17 +220,14 @@ def design_equiripple(spec: FirDesignSpec) -> FirFilter:
     """Design a type-I equiripple filter for ``spec`` via Remez exchange."""
     n_coeffs = (spec.num_taps + 1) // 2
     n_ref = n_coeffs + 1
+    # Every band gets max(2, round(GRID_DENSITY * num_taps * width / total))
+    # points, so the grid holds at least 0.8 GRID_DENSITY num_taps of them and
+    # the evenly spread initial references are distinct (test_fir_design).
     freqs, desired, weights, slices = _dense_grid(spec, GRID_DENSITY * spec.num_taps)
-    if freqs.size < n_ref:
-        raise ConfigError(
-            f"design grid has {freqs.size} points but {n_ref} references are needed"
-        )
     x_grid = np.cos(2.0 * np.pi * freqs)
     flat_scale = max(1.0, float(np.max(np.abs(desired) * weights)))
 
-    ref = _sorted_distinct(np.round(np.linspace(0, freqs.size - 1, n_ref)).astype(int))
-    if ref.size < n_ref:
-        raise ConfigError("design grid too coarse for the requested tap count")
+    ref = np.round(np.linspace(0, freqs.size - 1, n_ref)).astype(int)
 
     signs = np.where(np.arange(n_ref) % 2 == 0, 1.0, -1.0)
     kernel = np.empty((freqs.size, n_ref))
@@ -238,7 +235,6 @@ def design_equiripple(spec: FirDesignSpec) -> FirFilter:
     delta_history: list[float] = []
     delta = np.inf
     best_error, best_pass = np.inf, 0
-    converged = False
     for _ in range(MAX_ITERATIONS):
         x_ref = x_grid[ref]
         gamma = _barycentric_weights(x_ref)
@@ -262,8 +258,7 @@ def design_equiripple(spec: FirDesignSpec) -> FirFilter:
             best_ref, best_levelled = ref, levelled
 
         if history[-1] <= 1e-12 * flat_scale:
-            converged = True  # target is exactly representable (e.g. all-pass)
-            break
+            break  # target is exactly representable (e.g. all-pass)
         # The current reference alternates at +-delta by construction, so
         # including it guarantees enough alternating candidates survive.
         candidates = _sorted_distinct(np.concatenate((_local_maxima(np.abs(err), slices), ref)))
@@ -273,14 +268,12 @@ def design_equiripple(spec: FirDesignSpec) -> FirFilter:
                 f"exchange lost alternation structure ({new_ref.size} of {n_ref} "
                 f"references); last delta {abs(delta_new):.6e}"
             )
-        stable = new_ref.size == ref.size and np.array_equal(new_ref, ref)
+        stable = np.array_equal(new_ref, ref)
         delta_stable = abs(abs(delta_new) - abs(delta)) <= DELTA_RTOL * abs(delta_new) + 1e-15
         ref, delta = new_ref, delta_new
         if stable or delta_stable:
-            converged = True
             break
-
-    if not converged:
+    else:
         raise DesignError(
             f"Remez exchange did not converge in {MAX_ITERATIONS} iterations; "
             f"last delta {abs(delta):.6e}"

@@ -88,6 +88,7 @@ _demodulate_rows = demodulate_passband
 #: Default CCDF threshold grid (dB); 0.05 dB steps bound the quantile
 #: interpolation error well below the experiment tolerances.
 CCDF_THRESHOLDS_DB = np.arange(0.0, 25.0 + 1e-9, 0.05)
+CCDF_THRESHOLDS_DB.setflags(write=False)
 
 #: Each scheme's (PSK, QAM) pair of its order; SCHEME_NAMES lists the pairs in turn.
 _PAIRS = {name: pair for pair in zip(SCHEME_NAMES[::2], SCHEME_NAMES[1::2]) for name in pair}

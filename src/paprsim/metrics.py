@@ -45,7 +45,8 @@ def _papr_db_rows(power: np.ndarray) -> np.ndarray:
 def estimate_ccdf(papr_values, thresholds_db) -> CcdfCurve:
     """Fraction of samples strictly above each threshold."""
     values = np.asarray(papr_values, dtype=float).reshape(-1)
-    thresholds = np.asarray(thresholds_db, dtype=float).reshape(-1)
+    # A copy, so that the curve does not change with its caller's array.
+    thresholds = np.array(thresholds_db, dtype=float).reshape(-1)
     if values.size == 0:
         raise ShapeError("cannot estimate a CCDF from zero samples")
     if np.isnan(values).any():
@@ -72,18 +73,13 @@ def ccdf_quantile(curve: CcdfCurve, p: float) -> float:
         raise MetricError("p must lie strictly between 0 and 1")
     prob = curve.prob_exceed
     t = curve.thresholds_db
-    if p >= prob[0]:
+    if not prob[-1] <= p < prob[0]:
         raise MetricError(
-            f"p = {p:g} is at or above the largest achieved exceedance {prob[0]:g}; "
-            f"achievable range is ({prob[-1]:g}, {prob[0]:g})"
+            f"p = {p:g} is outside the curve's achievable range [{prob[-1]:g}, {prob[0]:g})"
         )
-    if p < prob[-1]:
-        raise MetricError(
-            f"p = {p:g} is below the smallest achieved exceedance {prob[-1]:g}; "
-            f"achievable range is ({prob[-1]:g}, {prob[0]:g})"
-        )
+    # The first threshold with prob <= p; p < prob[0] puts it past the first.
     idx = int(np.argmax(prob <= p))
-    if prob[idx] == p or prob[idx - 1] == prob[idx]:
+    if prob[idx] == p:
         return float(t[idx])
     frac = (prob[idx - 1] - p) / (prob[idx - 1] - prob[idx])
     return float(t[idx - 1] + frac * (t[idx] - t[idx - 1]))

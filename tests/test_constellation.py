@@ -429,6 +429,9 @@ def test_scheme_names_round_trip():
         assert ModScheme.from_name(name).name == name
     assert ModScheme.from_name("qpsk") == ModScheme("psk", 4)
     assert ModScheme.from_name("qam") == ModScheme("qam", 4)
+    assert ModScheme.from_name(" QPSK ") == ModScheme("psk", 4)
+    assert ModScheme.from_name("16QAM") == ModScheme("qam", 16)
+    assert ModScheme.from_name("\t32Psk\n") == ModScheme("psk", 32)
 
 
 def test_scheme_validation():
@@ -436,5 +439,7 @@ def test_scheme_validation():
         ModScheme("psk", 64)
     with pytest.raises(ConfigError):
         ModScheme("pam", 4)
-    with pytest.raises(ConfigError):
-        ModScheme.from_name("64qam")
+    # Only the names of SCHEME_NAMES: order 4 is spelled "qpsk" and "qam".
+    for name in ("64qam", "4psk", "4qam", "08psk", "16 psk"):
+        with pytest.raises(ConfigError, match="unknown modulation scheme"):
+            ModScheme.from_name(name)

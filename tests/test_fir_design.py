@@ -406,3 +406,31 @@ def test_reference_selection_equals_the_loop():
             for target in (1, 3, 10):
                 got = fir_design._select_extrema(err, candidates, target)
                 assert np.array_equal(got, select_extrema_by_loop(err, candidates, target))
+
+
+def _narrow_bands(taps: int, count: int) -> FirDesignSpec:
+    step = 0.5 / count
+    bands = tuple((i * step, (i + 0.4) * step) for i in range(count))
+    return FirDesignSpec(taps, bands, tuple(i % 2 for i in range(count)), (1.0,) * count)
+
+
+@pytest.mark.parametrize("taps", [3, 81, 161])
+@pytest.mark.parametrize("bands", ["one", "20", "just over 6.4 per tap"])
+def test_the_design_grid_holds_distinct_initial_references(taps, bands):
+    # design_equiripple checks neither the grid size nor the initial
+    # references, because this bound holds for every spec. _dense_grid gives
+    # a band of width w max(2, round(x)) points, x = GRID_DENSITY taps w / W
+    # for bands of total width W, so the x sum to GRID_DENSITY taps. Rounding
+    # costs a band at most 1/2, so k bands get at least max(2 k,
+    # GRID_DENSITY taps - k / 2) >= 0.8 GRID_DENSITY taps points (the two
+    # meet at k = 6.4 taps, where equal bands of x just under 2.5 get 2).
+    # The n_ref = (taps + 3) / 2 initial references are spread evenly over
+    # the N points, (N - 1) / (n_ref - 1) >= 2 (12.8 taps - 1) / (taps + 1)
+    # >= 18.7 points apart for taps >= 3, so rounding them to indices keeps
+    # them at least 18 apart.
+    count = {"one": 1, "20": 20, "just over 6.4 per tap": int(6.4 * taps) + 1}[bands]
+    freqs = fir_design._dense_grid(_narrow_bands(taps, count), fir_design.GRID_DENSITY * taps)[0]
+    n_ref = (taps + 3) // 2
+    assert freqs.size >= 0.8 * fir_design.GRID_DENSITY * taps >= n_ref
+    ref = np.round(np.linspace(0, freqs.size - 1, n_ref)).astype(int)
+    assert np.diff(ref).min() >= 18

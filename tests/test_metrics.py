@@ -13,6 +13,7 @@ from paprsim import (
     oversample_extend,
     papr_db,
 )
+from paprsim import harness
 
 from oracles import brute_ccdf
 
@@ -129,6 +130,16 @@ def test_ccdf_refuses_nan_values_and_counts_inf():
     assert np.array_equal(estimate_ccdf([1.0, np.inf], [0.0, 1.0]).prob_exceed, [1.0, 0.5])
 
 
+def test_a_curve_keeps_its_thresholds_when_the_callers_array_changes():
+    thresholds = np.array([0.5, 1.5, 2.5])
+    curve = estimate_ccdf([1.0, 2.0, 3.0], thresholds)
+    thresholds[:] = 0.0
+    assert np.array_equal(curve.thresholds_db, [0.5, 1.5, 2.5])
+    assert not curve.thresholds_db.flags.writeable
+    # Every PAPR curve of a run is built on the harness grid, which stays fixed.
+    assert not harness.CCDF_THRESHOLDS_DB.flags.writeable
+
+
 def test_quantile_exact_grid_point():
     curve = estimate_ccdf([1.0, 2.0, 3.0, 4.0], [0.5, 1.5, 2.5, 3.5])
     # prob_exceed = [1, .75, .5, .25]; p = 0.5 sits exactly on 2.5
@@ -139,6 +150,7 @@ def test_quantile_out_of_range():
     curve = estimate_ccdf([1.0, 2.0, 3.0, 4.0], [0.5, 1.5, 2.5, 3.5])
     with pytest.raises(MetricError):
         ccdf_quantile(curve, 0.01)  # below the smallest achieved exceedance
+    assert ccdf_quantile(curve, 0.25) == 3.5  # the smallest is in range
     with pytest.raises(MetricError):
         ccdf_quantile(curve, 1.0)  # boundary excluded by contract
     clipped_top = estimate_ccdf([1.0, 2.0, 3.0], [1.5, 2.5])  # prob starts at 2/3
