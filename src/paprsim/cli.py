@@ -100,11 +100,8 @@ def _read_key_values(path: Path) -> dict[str, str]:
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line.strip()!r}")
-        key, _, value = stripped.partition("=")
-        key, value = key.strip(), value.strip()
-        if not key or not value:
+        key, sep, value = (part.strip() for part in stripped.partition("="))
+        if not (key and sep and value):
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line.strip()!r}")
         if key in pairs:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")

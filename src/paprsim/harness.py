@@ -4,15 +4,18 @@ Both experiments walk their (scheme, cr) grid in one loop (``_walk_grid``),
 which seeds each unit's streams by its place in the grid (README section
 8), and transmit on one chunked loop (``_transmit``) that runs on the
 threads of ``_on_chunks``, each in buffers allocated once per experiment
-call (``_workspace``; README "Loops, threads and buffers"). The clip level
-cr * sigma is known before any bit is drawn (README section 1).
+call (``_workspace``; README "Loops, threads and buffers"). The grid walk
+hands its workspace to every unit; ``simulate_chain_ber``, one unit on its
+own, is the only other caller that allocates one. The clip level cr *
+sigma is known before any bit is drawn (README section 1).
 
 PAPR cell: one pass over the cell's bits, drawn in chunks of frames. A
 chunk maps, extends and modulates them, takes |x| once, clips by the real
 factor A / max(|x|, A) inside the composed filter's forward half (README
-sections 5 and 6), and reads the unclipped PAPR from |x| and the processed
-PAPR from the filtered envelope (README section 7). Only the two PAPR
-vectors grow with n_symbols.
+sections 5 and 6), and reads the unclipped PAPR from the envelope of x,
+which is |x| but at a band edge on DC or Nyquist, and the processed PAPR
+from the filtered envelope (README section 7). Only the two PAPR vectors
+grow with n_symbols.
 
 BER unit, one per (scheme, cr), whose Eb/N0 cells share one transmission:
 it draws its bits, transmits them chunk by chunk to the band bins, reads
@@ -289,10 +292,6 @@ def _on_chunks(frames: int, step: int, work, *, claim=None, threads: int) -> lis
     return results
 
 
-def _cell_rng(seed: int, kind: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, kind, index]))
-
-
 def _random_bits(rng: np.random.Generator, n_frames: int, bits_per_frame: int) -> np.ndarray:
     return rng.integers(0, 2, size=(n_frames, bits_per_frame), dtype=np.uint8)
 
@@ -327,7 +326,8 @@ def envelope_magnitude(samples: np.ndarray, params: OfdmParams) -> np.ndarray:
     for k in _self_image_bins(params):
         tone = np.exp(2j * np.pi * (k - params.carrier_bin) * np.arange(total) / total)
         coefficient = (samples @ tone.conj())[..., None] / total
-        samples = samples + (np.conj(coefficient) if k == 0 else -coefficient) * tone
+        correction = (np.conj(coefficient) if k == 0 else -coefficient) * tone
+        samples = np.add(samples, correction, out=correction)
     return np.abs(samples)
 
 
@@ -341,16 +341,14 @@ def clip_attenuation(cr: float) -> float:
 
 
 def _add_bin_noise(
-    symbols: np.ndarray, sigma_n: float, normals: np.ndarray | None, *, out=None,
+    symbols: np.ndarray, sigma_n: float, normals: np.ndarray | None, *, out: np.ndarray,
 ) -> np.ndarray:
-    """Return received data symbols (..., N) plus the data-bin read of white
+    """Write into ``out``, a C-contiguous complex array of their shape, and
+    return received data symbols (..., N) plus the data-bin read of white
     real passband noise of variance sigma_n^2 (README section 4): sigma_n
     times ``normals``, a complex array of the symbols' shape whose parts
     are standard normals. sigma_n = 0 reads no normals, so they may be
-    None. ``out``, a C-contiguous complex array of the symbols' shape,
-    receives the result in place of a new array."""
-    if out is None:
-        out = np.empty(symbols.shape, complex)
+    None."""
     if sigma_n == 0:
         out[...] = symbols
         return out
@@ -366,8 +364,8 @@ def _noise_free_unit(
     hpf: fir_design.FirFilter | None,
     min_bits: int,
     rng: np.random.Generator,
-    noise: np.random.Generator | None = None,
-    space: tuple | None = None,
+    noise: np.random.Generator | None,
+    space: tuple,
 ) -> tuple:
     """The shared work of a BER unit: draw the bit rows, transmit them
     (cr=None skips clipping and filtering) and receive them without noise,
@@ -381,15 +379,13 @@ def _noise_free_unit(
     The bits are drawn up front; each chunk's claim draws its normals and
     hands it its rows of the bits (README section 8). The symbols, normals
     and block powers are the first rows of the unit arrays of ``space``,
-    the experiment's ``_workspace``, on whose buffers the chunks run, so
-    the next unit of the experiment overwrites them; without ``space`` the
-    unit makes a workspace of its own."""
-    if cr is not None and hpf is None:
-        raise ConfigError("clipping requested but no high-pass filter supplied")
-    _band_read(params)  # refuses a plan the receiver cannot serve
+    the caller's ``_workspace`` (``noisy`` if ``noise`` is given), on whose
+    buffers the chunks run, so the next unit of that workspace overwrites
+    them. The caller has checked the plan, and that clipping has its
+    high-pass."""
     n_frames = _unit_frames(params, scheme, min_bits)
     bits = _random_bits(rng, n_frames, params.n_subcarriers * scheme.bits_per_symbol)
-    buffers, *arrays = space or _workspace(params, [n_frames], ber=True, noisy=noise is not None)
+    buffers, *arrays = space
     received, normals, block_power = (None if a is None else a[:n_frames] for a in arrays)
 
     def claim(rows):
@@ -405,11 +401,11 @@ def _ber_cells(
     params: OfdmParams,
     scheme: ModScheme,
     cr: float | None,
-    ebn0_grid_db,
-    min_bits: int,
     hpf: fir_design.FirFilter | None,
+    min_bits: int,
+    ebn0_grid_db,
     entropy: list[int],
-    space: tuple | None = None,
+    space: tuple,
 ):
     """Yield (bit_errors, bits_total) for each Eb/N0 point of one (scheme,
     cr) unit. cr=None skips clipping and filtering, an Eb/N0 of None is a
@@ -420,9 +416,9 @@ def _ber_cells(
 
     Nothing runs until the first value is asked for; the unit's transmit,
     noise-free receive and draw of z then run once, in ``space``, the
-    experiment's ``_workspace`` (see ``_noise_free_unit``). So a unit's
-    values must all be read before the next unit of the same workspace
-    starts.
+    caller's ``_workspace``, noisy unless every point is noiseless (see
+    ``_noise_free_unit``). So a unit's values must all be read before the
+    next unit of the same workspace starts.
 
     Each point runs when its value is asked for and computes only its own
     cell: a chunk loop over the kept symbols on the unit's threads, in
@@ -434,8 +430,6 @@ def _ber_cells(
     """
     bit_seed, noise_seed = np.random.SeedSequence(entropy).spawn(2)
     noisy = any(ebn0_db is not None for ebn0_db in ebn0_grid_db)
-    space = space or _workspace(
-        params, [_unit_frames(params, scheme, min_bits)], ber=True, noisy=noisy)
     bits, power, clean, normals = _noise_free_unit(
         params, scheme, cr, hpf, min_bits, np.random.default_rng(bit_seed),
         np.random.default_rng(noise_seed) if noisy else None, space,
@@ -486,8 +480,9 @@ def _unit_frames(params: OfdmParams, scheme: ModScheme, min_bits: int) -> int:
 
 
 def _workspace(params: OfdmParams, unit_frames, ber: bool, noisy: bool = False) -> tuple:
-    """The arrays that the units of one experiment call share, for units
-    of the given frame counts, allocated once: first a list of chunk
+    """The arrays that the units of one experiment call (``_walk_grid``),
+    or the one unit of ``simulate_chain_ber``, share, for units of the
+    given frame counts, allocated once: first a list of chunk
     buffers (``_chunk_buffers``), one set per thread that any unit's
     transmit loop runs on (``_chunking``), each holding the largest chunk
     any unit hands that thread; then, for BER units, the unit arrays at
@@ -552,16 +547,19 @@ def _papr_chunk(
     holds into the two views.
 
     The clipped transmit (``_clipped_band``) leaves |x| of the baseband in
-    the scratch; its squares, in place, give the unclipped PAPR. The
-    filter's inverse half (``_filter_inverse``) writes the filtered
-    envelope over the baseband (README section 7). The envelope stage is
+    the scratch, which is the unclipped envelope but on a plan with a band
+    edge on DC or Nyquist (README section 7). There the block, which the
+    forward half left holding x c, is divided by c back to x and the
+    envelope read from it. The envelope's squares, in place, give the
+    unclipped PAPR. The filter's inverse half (``_filter_inverse``) then
+    writes the filtered envelope over the block. The envelope stage is
     called as ``envelope_magnitude(samples, params)``, the form perfbench's
     self-test substitutes, so it returns a new |y| array, which is squared
     in place.
     """
     baseband, magnitude, band = _clipped_band(bits, scheme, params, amplitude, fold, buffers)
-    # The unclipped symbol is in-band by construction, so its envelope is
-    # the baseband signal itself.
+    if _self_image_bins(params):
+        magnitude = envelope_magnitude(np.divide(baseband, fold[2], out=baseband), params)
     unclipped_papr[:] = _papr_db_rows(np.square(magnitude, out=magnitude))
     filtered = _filter_inverse(band, baseband)
     del band  # frees the real FFT's output before the envelope allocates
@@ -645,7 +643,7 @@ def _transmit(
     once; cr=None makes both None, which skips clipping and filtering.
 
     The chunks run on ``_on_chunks`` (``_chunking``), each thread in its
-    own set of ``buffers``, the experiment's (``_workspace``). ``claim``
+    own set of ``buffers``, the caller's (``_workspace``). ``claim``
     runs under the runner's lock, so draws made in it follow row order
     whatever the thread count (README section 8)."""
     amplitude = None if cr is None else _clip_level(params, cr)
@@ -660,22 +658,20 @@ def _transmit(
 
 def _papr_cell(
     spec: ExperimentSpec, scheme: ModScheme, cr: float, rng: np.random.Generator,
-    hpf: fir_design.FirFilter, space: tuple | None = None,
+    hpf: fir_design.FirFilter, space: tuple,
 ):
     """Clipped-and-filtered and unclipped PAPR CCDFs of one cell, streamed
     in one pass over the bits ``rng`` draws (see the module docstring).
 
     The chunks (``_papr_chunk``) run on the transmit loop (``_transmit``),
-    on the buffers of ``space``, the experiment's ``_workspace``, or
-    without it of a workspace of the cell's own. A chunk's bits are drawn
-    as the chunk is claimed (README section 8).
+    on the buffers of ``space``, the experiment's ``_workspace``. A chunk's
+    bits are drawn as the chunk is claimed (README section 8).
     """
     n, bits_per_frame = spec.n_symbols, spec.params.n_subcarriers * scheme.bits_per_symbol
-    (buffers,) = space or _workspace(spec.params, [n], ber=False)
     unclipped_papr, processed_papr = np.empty(n), np.empty(n)
     _transmit(spec.params, scheme, cr, hpf, n, _papr_chunk,
               lambda rows: _random_bits(rng, rows.stop - rows.start, bits_per_frame),
-              buffers, unclipped_papr, processed_papr)
+              space[0], unclipped_papr, processed_papr)
     return (estimate_ccdf(processed_papr, CCDF_THRESHOLDS_DB),
             estimate_ccdf(unclipped_papr, CCDF_THRESHOLDS_DB))
 
@@ -719,7 +715,7 @@ def run_papr_experiment(spec: ExperimentSpec, progress=None) -> PaprExperimentRe
     hpf = experiment_hpf(spec)
 
     def unit(scheme, cr, entropy, space):
-        curves = PaprCurves(*_papr_cell(spec, scheme, cr, _cell_rng(*entropy), hpf, space))
+        curves = PaprCurves(*_papr_cell(spec, scheme, cr, np.random.default_rng(entropy), hpf, space))
         yield (curves, ccdf_quantile(curves.clipped, spec.ccdf_read_point),
                ccdf_quantile(curves.unclipped, spec.ccdf_read_point))
 
@@ -754,7 +750,8 @@ def simulate_chain_ber(
     Returns (bit_errors, bits_total). With cr=None and ebn0_db=None this is
     the noiseless loopback of the full modulation chain. It is one BER unit
     with a single Eb/N0 point, seeded by SeedSequence([seed, 2, 0])
-    (README section 8).
+    (README section 8), in a workspace of its own. Every argument and the
+    plan are checked before any bit is drawn.
     """
     if not isinstance(params, OfdmParams):
         raise ConfigError(f"params must be an OfdmParams, got {params!r}")
@@ -762,14 +759,18 @@ def simulate_chain_ber(
         raise ConfigError(f"scheme must be a ModScheme, got {scheme!r}")
     if hpf is not None and not isinstance(hpf, fir_design.FirFilter):
         raise ConfigError(f"hpf must be None or a FirFilter, got {hpf!r}")
+    if cr is not None and hpf is None:
+        raise ConfigError("clipping requested but no high-pass filter supplied")
+    _data_bin_offsets(params)  # refuses a plan the receiver cannot serve
     _require_int("seed", seed, 0)
     _require_int("min_bits", min_bits, 1)
     if cr is not None:
         clip_attenuation(cr)  # refuses a cr that is not positive and finite
     if ebn0_db is not None and not (_is_real(ebn0_db) and math.isfinite(ebn0_db)):
         raise ConfigError(f"ebn0_db must be a finite number, got {ebn0_db!r}")
-    ((errors, total),) = _ber_cells(params, scheme, cr, (ebn0_db,), min_bits, hpf, [seed, 2, 0])
-    return errors, total
+    space = _workspace(params, [_unit_frames(params, scheme, min_bits)], ber=True,
+                       noisy=ebn0_db is not None)
+    return next(_ber_cells(params, scheme, cr, hpf, min_bits, (ebn0_db,), [seed, 2, 0], space))
 
 
 def run_ber_experiment(spec: ExperimentSpec, progress=None) -> BerExperimentResult:
@@ -785,7 +786,7 @@ def run_ber_experiment(spec: ExperimentSpec, progress=None) -> BerExperimentResu
         raise ConfigError("ebn0_grid_db must be non-empty for a BER experiment")
     hpf = experiment_hpf(spec)
     results = _walk_grid(spec, 1, lambda scheme, cr, entropy, space: _ber_cells(
-        spec.params, scheme, cr, spec.ebn0_grid_db, spec.bits_per_point, hpf, entropy, space,
+        spec.params, scheme, cr, hpf, spec.bits_per_point, spec.ebn0_grid_db, entropy, space,
     ), spec.ebn0_grid_db, progress)
     return BerExperimentResult(rows=tuple(
         BerRow(name, cr, ebn0, errors, total, errors / total,

@@ -438,7 +438,8 @@ def batch_papr_cell(spec, scheme, cr, rng, hpf):
     """The PAPR cell in its whole-batch form, which the library streams:
     draw every bit row at once, modulate the whole batch, clip it at the
     closed-form level ``_clip_level(params, cr)``, apply the composed filter
-    and read the envelope PAPR of every symbol. Returns (clipped-and-filtered
+    and read the envelope PAPR of every symbol, the unclipped one from the
+    literal analytic envelope of its passband. Returns (clipped-and-filtered
     PAPR, unclipped PAPR) in dB, one value per symbol."""
     params = spec.params
     bits = _random_bits(rng, spec.n_symbols, params.n_subcarriers * scheme.bits_per_symbol)
@@ -447,7 +448,7 @@ def batch_papr_cell(spec, scheme, cr, rng, hpf):
     envelope = envelope_magnitude(
         composed_filter(clip_baseband(baseband, amplitude), params, hpf), params
     )
-    return papr_db(envelope), papr_db(baseband)
+    return papr_db(envelope), papr_db(analytic_envelope(upconvert(baseband, params), params))
 
 
 def map_bits_by_matmul(bits, scheme) -> np.ndarray:

@@ -34,9 +34,10 @@ from paprsim import (
 from paprsim.fir_design import FirDesignSpec
 from paprsim.harness import (
     _add_bin_noise,
-    _cell_rng,
     _noise_free_unit,
     _random_bits,
+    _unit_frames,
+    _workspace,
     envelope_magnitude,
 )
 
@@ -161,12 +162,14 @@ def replay_trend_cell(scheme: ModScheme, cr: float, hpf) -> dict:
     units = [(s.name, c) for s in spec.schemes for c in spec.cr_values]
     seeds = np.random.SeedSequence([spec.seed, 1, units.index((scheme.name, cr))]).spawn(2)
     bits_per_frame = params.n_subcarriers * scheme.bits_per_symbol
+    space = _workspace(params, [_unit_frames(params, scheme, spec.bits_per_point)], ber=True)
     tx_bits, power, clean, _ = _noise_free_unit(  # clean: noise-free, gain kept
-        params, scheme, cr, hpf, spec.bits_per_point, np.random.default_rng(seeds[0]))
+        params, scheme, cr, hpf, spec.bits_per_point, np.random.default_rng(seeds[0]), None, space)
     sigma_n = noise_sigma(params, scheme, TREND_EBN0_DB, power)
     alpha = clip_attenuation(cr)
     noisy = _add_bin_noise(clean, sigma_n,
-                           complex_normals(np.random.default_rng(seeds[1]), clean.shape))
+                           complex_normals(np.random.default_rng(seeds[1]), clean.shape),
+                           out=np.empty_like(clean))
     equalized = noisy / alpha
     sent = map_bits(tx_bits.reshape(-1), scheme).reshape(equalized.shape)
 
@@ -317,7 +320,7 @@ def test_05_awgn_calibration_unclipped_qpsk():
 
 
 def test_06_clip_hard_bound_and_idempotence():
-    rng = _cell_rng(606, 0, 0)
+    rng = np.random.default_rng([606, 0, 0])
     scheme = ModScheme("psk", 4)
     total_frames = 100_000
     chunk_frames = 2_500
@@ -346,7 +349,7 @@ def test_06_clip_hard_bound_and_idempotence():
 
 
 def test_07_peak_regrowth_after_filtering():
-    rng = _cell_rng(707, 0, 0)
+    rng = np.random.default_rng([707, 0, 0])
     scheme = ModScheme("psk", 4)
     hpf = experiment_hpf(ExperimentSpec())
     bits = _random_bits(rng, 1000, PARAMS.n_subcarriers * 2)

@@ -32,6 +32,8 @@ from paprsim.harness import (
     _clip_level,
     _noise_free_unit,
     _random_bits,
+    _unit_frames,
+    _workspace,
 )
 
 from oracles import ORACLE_PLANS, complex_normals, time_domain_ber_cell
@@ -49,6 +51,18 @@ BER_PLANS = {
     "quarter_turn": (OfdmParams(n_subcarriers=128, oversample=8, carrier_hz=2.25e6, cp_len=1), {}),
     "half_turn": (OfdmParams(n_subcarriers=64, oversample=6, carrier_hz=1.25e6, cp_len=6), {}),
 }
+
+
+def unit_space(params, scheme, min_bits, noisy=True):
+    """A workspace for one BER unit of ``min_bits`` bits, made as
+    ``simulate_chain_ber`` makes its own."""
+    return _workspace(params, [_unit_frames(params, scheme, min_bits)], ber=True, noisy=noisy)
+
+
+def noise_free_unit(params, scheme, cr, hpf, min_bits, rng):
+    """``_noise_free_unit`` without normals, in a workspace of its own."""
+    space = unit_space(params, scheme, min_bits, noisy=False)
+    return _noise_free_unit(params, scheme, cr, hpf, min_bits, rng, None, space)
 
 
 def plan_hpf(plan):
@@ -76,8 +90,8 @@ def test_noise_free_unit_equals_the_time_domain_path(plan, cr):
     params, _ = BER_PLANS[plan]
     scheme = ModScheme("qam", 16)
     hpf = plan_hpf(plan)
-    bits, power, clean, _ = _noise_free_unit(params, scheme, cr, hpf, 50_000,
-                                             np.random.default_rng(31))
+    bits, power, clean, _ = noise_free_unit(params, scheme, cr, hpf, 50_000,
+                                            np.random.default_rng(31))
     assert np.array_equal(bits, _random_bits(np.random.default_rng(31), *bits.shape))
     want_power, _, want_clean, _ = time_domain_ber_cell(
         bits, scheme, params, cr, 6.0, hpf, np.random.default_rng(32))
@@ -125,12 +139,12 @@ def test_noise_free_unit_does_not_depend_on_the_chunk_length(monkeypatch, plan, 
     params, _ = ORACLE_PLANS[plan]
     scheme = ModScheme("qam", 16)
     hpf = experiment_hpf(ExperimentSpec(params=params))
-    unchunked = _noise_free_unit(params, scheme, cr, hpf, 50_000, np.random.default_rng(35))
+    unchunked = noise_free_unit(params, scheme, cr, hpf, 50_000, np.random.default_rng(35))
     block_len = params.n_oversampled
     monkeypatch.setattr(harness, "_CHUNK_SAMPLES", 6 * block_len)
     assert harness._chunk_frames(block_len) == 6 and unchunked[0].shape[0] % 6 == 2
-    bits, power, clean, _ = _noise_free_unit(params, scheme, cr, hpf, 50_000,
-                                             np.random.default_rng(35))
+    bits, power, clean, _ = noise_free_unit(params, scheme, cr, hpf, 50_000,
+                                            np.random.default_rng(35))
     assert np.array_equal(bits, unchunked[0])
     assert power == unchunked[1]
     assert np.array_equal(clean, unchunked[2])
@@ -143,8 +157,8 @@ def unit_peak_and_kept_bytes(min_bits):
     hpf = experiment_hpf(ExperimentSpec(params=params))
     tracemalloc.start()
     try:
-        bits, _, clean, _ = _noise_free_unit(params, ModScheme.from_name("qpsk"), 1.0, hpf,
-                                             min_bits, np.random.default_rng(36))
+        bits, _, clean, _ = noise_free_unit(params, ModScheme.from_name("qpsk"), 1.0, hpf,
+                                            min_bits, np.random.default_rng(36))
         return tracemalloc.get_traced_memory()[1], bits.nbytes + clean.nbytes
     finally:
         tracemalloc.stop()
@@ -211,8 +225,8 @@ def test_qpsk_bit_errors_nest_across_the_eb_n0_grid(monkeypatch, cr):
     monkeypatch.setattr(harness, "_demap_rows", demap_spy)
     spec, scheme = ExperimentSpec(), ModScheme.from_name("qpsk")
     grid, entropy = spec.ebn0_grid_db, [spec.seed, 1, 0]
-    counts = list(_ber_cells(spec.params, scheme, cr, grid, spec.bits_per_point,
-                             experiment_hpf(spec), entropy))
+    counts = list(_ber_cells(spec.params, scheme, cr, experiment_hpf(spec), spec.bits_per_point,
+                             grid, entropy, unit_space(spec.params, scheme, spec.bits_per_point)))
     bit_seed = np.random.SeedSequence(entropy).spawn(1)[0]
     bits_per_frame = spec.params.n_subcarriers * scheme.bits_per_symbol
     bits = _random_bits(np.random.default_rng(bit_seed), counts[0][1] // bits_per_frame,
@@ -245,7 +259,9 @@ def test_a_noiseless_unit_draws_no_normals(monkeypatch, cr):
     calls = {}
     for grid in ((None,), (None, None), (None, 8.0)):
         CountingGenerator.normal_calls = 0
-        counts = list(_ber_cells(params, ModScheme("qam", 16), cr, grid, 50_000, hpf, [3, 1, 0]))
+        scheme, noisy = ModScheme("qam", 16), any(ebn0 is not None for ebn0 in grid)
+        counts = list(_ber_cells(params, scheme, cr, hpf, 50_000, grid, [3, 1, 0],
+                                 unit_space(params, scheme, 50_000, noisy)))
         calls[grid] = CountingGenerator.normal_calls
         if cr is None:
             assert counts[0] == (0, 50_176), grid
@@ -276,7 +292,8 @@ def test_bin_noise_matches_time_domain_noise_per_bin(plan):
     passband = add_awgn(np.zeros((n_frames, block)), sigma_n, rng)
     time_domain = demodulate_passband(passband[:, params.cp_oversampled:], params)
     zeros = np.zeros((n_frames, params.n_subcarriers), dtype=complex)
-    bin_domain = _add_bin_noise(zeros, sigma_n, complex_normals(rng, zeros.shape))
+    bin_domain = _add_bin_noise(zeros, sigma_n, complex_normals(rng, zeros.shape),
+                                out=np.empty_like(zeros))
     (want, want_se), (got, got_se) = iq_moments(time_domain), iq_moments(bin_domain)
     z = np.abs(got - want) / np.hypot(got_se, want_se)
     assert np.count_nonzero(z >= 4.0) <= 1 and np.max(z) < 5.0, np.argwhere(z >= 4.0)

@@ -27,7 +27,13 @@ from paprsim import (
     simulate_chain_ber,
 )
 from paprsim.cli import _write_csv
-from paprsim.harness import _ber_cells, _noise_free_unit, experiment_hpf
+from paprsim.harness import (
+    _ber_cells,
+    _noise_free_unit,
+    _unit_frames,
+    _workspace,
+    experiment_hpf,
+)
 
 from oracles import ORACLE_PLANS, ber_points, per_point_normals
 
@@ -35,6 +41,12 @@ from oracles import ORACLE_PLANS, ber_points, per_point_normals
 # even chunk length leaves a ragged last chunk.
 MIN_BITS = 49_500
 EBN0_DB = (2.0, 6.0, 10.0)
+
+
+def unit_space(params, scheme, min_bits, noisy=True):
+    """A workspace for one BER unit of ``min_bits`` bits, made as
+    ``simulate_chain_ber`` makes its own."""
+    return _workspace(params, [_unit_frames(params, scheme, min_bits)], ber=True, noisy=noisy)
 
 
 def runner_threads():
@@ -49,8 +61,10 @@ def unit_and_counts(monkeypatch, params, cr, hpf, workers, budget_blocks=None):
         if budget_blocks is not None:
             m.setattr(harness, "_CHUNK_SAMPLES", budget_blocks * params.n_oversampled)
         scheme = ModScheme("qam", 16)
-        unit = _noise_free_unit(params, scheme, cr, hpf, MIN_BITS, np.random.default_rng(37))
-        counts = list(_ber_cells(params, scheme, cr, EBN0_DB, MIN_BITS, hpf, [5, 1, 0]))
+        unit = _noise_free_unit(params, scheme, cr, hpf, MIN_BITS, np.random.default_rng(37),
+                                None, unit_space(params, scheme, MIN_BITS, noisy=False))
+        counts = list(_ber_cells(params, scheme, cr, hpf, MIN_BITS, EBN0_DB, [5, 1, 0],
+                                 unit_space(params, scheme, MIN_BITS)))
     return unit, counts
 
 
@@ -87,8 +101,9 @@ def test_every_point_scales_the_normals_point_0_drew_on_its_own(monkeypatch, cr)
 
     def oracle(entropy, grid):
         bit_seed = np.random.SeedSequence(entropy).spawn(1)[0]
-        bits, power, clean, _ = _noise_free_unit(params, scheme, cr, hpf, MIN_BITS,
-                                                 np.random.default_rng(bit_seed))
+        bits, power, clean, _ = _noise_free_unit(
+            params, scheme, cr, hpf, MIN_BITS, np.random.default_rng(bit_seed), None,
+            unit_space(params, scheme, MIN_BITS, noisy=False))
         own = per_point_normals(entropy, grid, clean.shape)
         return (ber_points(bits, power, clean, scheme, params, cr, grid, own),
                 ber_points(bits, power, clean, scheme, params, cr, grid, own[:1] * len(grid)))
@@ -159,7 +174,9 @@ def threads_started(monkeypatch, min_bits):
         m.setattr(harness, "_worker_count", lambda: 2)
         params, _ = ORACLE_PLANS["reference"]
         hpf = experiment_hpf(ExperimentSpec(params=params))
-        list(_ber_cells(params, ModScheme("qam", 16), 1.2, EBN0_DB, min_bits, hpf, [5, 1, 0]))
+        scheme = ModScheme("qam", 16)
+        list(_ber_cells(params, scheme, 1.2, hpf, min_bits, EBN0_DB, [5, 1, 0],
+                        unit_space(params, scheme, min_bits)))
     return CountingThread.started
 
 
@@ -185,7 +202,9 @@ def test_the_first_cell_of_a_unit_demaps_only_its_own_point(monkeypatch):
     monkeypatch.setattr(harness, "_demap_rows", spy)
     params, _ = ORACLE_PLANS["reference"]
     hpf = experiment_hpf(ExperimentSpec(params=params))
-    cells = _ber_cells(params, ModScheme("qam", 16), 1.2, EBN0_DB, 200_000, hpf, [5, 1, 0])
+    scheme = ModScheme("qam", 16)
+    cells = _ber_cells(params, scheme, 1.2, hpf, 200_000, EBN0_DB, [5, 1, 0],
+                       unit_space(params, scheme, 200_000))
     next(cells)
     assert sum(demapped) == 391
     assert len(list(cells)) == 2 and sum(demapped) == 3 * 391
@@ -212,9 +231,11 @@ def test_the_ber_transmit_and_the_papr_cell_take_chunks_of_one_length(monkeypatc
 
     monkeypatch.setattr(harness, "_map_rows", spy)
     chunk_rows.append([])
-    harness._papr_cell(spec, scheme, 1.2, harness._cell_rng(0, 0, 0), hpf)
+    harness._papr_cell(spec, scheme, 1.2, np.random.default_rng([0, 0, 0]), hpf,
+                       _workspace(params, [spec.n_symbols], ber=False))
     chunk_rows.append([])
-    _noise_free_unit(params, scheme, 1.2, hpf, 1000 * 256, np.random.default_rng(0))
+    _noise_free_unit(params, scheme, 1.2, hpf, 1000 * 256, np.random.default_rng(0), None,
+                     unit_space(params, scheme, 1000 * 256, noisy=False))
     papr, ber = chunk_rows
     assert sum(papr) == sum(ber) == 1000
     assert max(papr) == max(ber) == 128 // workers
@@ -313,7 +334,8 @@ def cells_peak_and_kept_bytes(min_bits):
     grid = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0)
     tracemalloc.start()
     try:
-        list(_ber_cells(params, scheme, 1.0, grid, min_bits, hpf, [7, 1, 0]))
+        list(_ber_cells(params, scheme, 1.0, hpf, min_bits, grid, [7, 1, 0],
+                        unit_space(params, scheme, min_bits)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

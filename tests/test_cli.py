@@ -71,6 +71,25 @@ def test_config_bad_syntax_and_types(tmp_path):
         parse_config(write_cfg(tmp_path, "schemes = qpsk, 7psk\n"))
 
 
+@pytest.mark.parametrize("line, message", [
+    ("write_curves = maybe", "write_curves must be a bool, got 'maybe'"),
+    ("cr_values = ,", "cr_values must be a non-empty comma-separated list"),
+    ("= 1", "run.cfg:1: expected 'key = value', got '= 1'"),
+    ("seed =", "run.cfg:1: expected 'key = value', got 'seed ='"),
+], ids=repr)
+def test_a_malformed_line_exits_one(tmp_path, capsys, line, message):
+    out_dir = tmp_path / "out"
+    assert main([str(write_cfg(tmp_path, line + "\n")), "--output-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("word", ["yes", "on", "1", "TRUE"])
+def test_write_curves_reads_every_true_word(tmp_path, word):
+    assert parse_config(write_cfg(tmp_path, f"write_curves = {word}\n")).write_curves is True
+
+
 @pytest.mark.parametrize("key", ["bandwidth_hz", "carrier_hz"])
 def test_a_nan_frequency_is_a_config_error(tmp_path, capsys, key):
     assert main([str(write_cfg(tmp_path, f"{key} = nan\n"))]) == 1
@@ -241,6 +260,21 @@ def test_ber_run_quiet(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     assert (out_dir / "ber_table.csv").exists()
     assert (out_dir / "ber_curve_qpsk_cr1.csv").exists()
+
+
+def test_a_ber_run_prints_its_table_line_at_verbosity_one(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main([str(write_cfg(tmp_path, FAST_BODY)), "--output-dir", str(out_dir),
+                 "--experiment", "ber"]) == 0
+    assert f"ber: 1 rows -> {out_dir / 'ber_table.csv'}" in capsys.readouterr().out.splitlines()
+
+
+def test_an_output_dir_that_names_a_file_exits_three(tmp_path, capsys):
+    taken = write_cfg(tmp_path, "", "taken")
+    assert main([str(write_cfg(tmp_path, FAST_BODY)), "--output-dir", str(taken),
+                 "--experiment", "papr", "-q"]) == 3
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    assert taken.read_text(encoding="utf-8") == ""
 
 
 def test_seed_override_changes_output(tmp_path):

@@ -126,6 +126,12 @@ def test_clip_baseband_examples():
     assert np.array_equal(clip_baseband(inside, 1.0), inside)
 
 
+def test_clip_baseband_clips_integer_samples_as_floats():
+    # Integer samples are cast, not refused: the clip's factor is real.
+    got = clip_baseband(np.array([3, -4, 1]), 2.0)
+    assert got.dtype == np.float64 and np.array_equal(got, [2.0, -2.0, 1.0])
+
+
 def test_clip_baseband_is_bit_identical_to_the_where_form():
     # One scale pass, x * (A / max(|x|, A)), against the select-and-divide
     # form it replaced: zeros, samples exactly on the clip level, and a batch.

@@ -4,8 +4,9 @@ and docstrings that point at them.
 Each identity of the chain is derived in one numbered section, which names
 the tests that check it as ``tests/<file>.py::<name>``. These tests fail
 when a cited test no longer exists, when a numbered section cites none,
-or when a docstring cites a section that is not there, as
-``tests/test_api.py`` pins the public names.
+when a docstring cites a section that is not there, or when the README
+backticks a private ``_name`` that no module of ``src/paprsim`` defines,
+as ``tests/test_api.py`` pins the public names.
 """
 import ast
 import re
@@ -64,3 +65,24 @@ def test_every_section_a_docstring_cites_exists():
                                       re.sub(r"\s+", " ", path.read_text(encoding="utf-8")))}
     assert cited
     assert not [(name, number) for name, number in cited if number not in SECTIONS]
+
+
+def defined_names(path: Path) -> set[str]:
+    """Every function, class and method a module defines, and the names its
+    top level assigns."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = {node.name for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        names.update(target.id for target in targets if isinstance(target, ast.Name))
+    return names
+
+
+def test_every_private_name_the_readme_cites_exists():
+    # A cut or a rename in src/ must take the README's mention with it.
+    cited = {name for span in re.findall(r"`([^`\n]+)`", README)
+             for name in re.findall(r"(?<![^\s(,])(?:[A-Za-z]\w*\.)*(_[A-Za-z]\w*)", span)}
+    assert cited
+    defined = set().union(*map(defined_names, (ROOT / "src" / "paprsim").glob("*.py")))
+    assert not sorted(cited - defined)

@@ -177,6 +177,14 @@ def test_a_malformed_spec_is_a_config_error(bands, desired, weights):
         FirDesignSpec(31, bands, desired, weights)
 
 
+@pytest.mark.parametrize("desired, weights", [((1.0,), (1.0, 1.0)), ((1.0, 0.0), (1.0,))],
+                         ids=["short desired", "short weights"])
+def test_a_spec_whose_lists_differ_in_length_is_refused(desired, weights):
+    with pytest.raises(ConfigError,
+                       match="^bands, desired, and weights must have equal lengths$"):
+        FirDesignSpec(31, ((0.0, 0.2), (0.3, 0.5)), desired, weights)
+
+
 def test_a_list_built_spec_stores_tuples_and_ignores_later_changes():
     bands, desired, weights = [[0.0, 0.2], [0.3, 0.5]], [1.0, 0.0], [1.0, 1.0]
     spec = FirDesignSpec(31, bands, desired, weights)

@@ -43,6 +43,13 @@ def test_spec_validation_messages():
         small_spec(ccdf_read_point=1.5)
 
 
+def test_spec_refuses_a_repeated_scheme_and_an_empty_cr_grid():
+    with pytest.raises(ConfigError, match="^schemes must be unique$"):
+        small_spec(schemes=QPSK_ONLY * 2)
+    with pytest.raises(ConfigError, match="^cr_values must be non-empty$"):
+        small_spec(cr_values=())
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("cr_values", ("1",), "cr_values must be positive and finite"),
     ("cr_values", (True,), "cr_values must be positive and finite"),
@@ -142,6 +149,14 @@ def test_chain_ber_refuses_a_wrongly_typed_argument(monkeypatch, argument, value
     with pytest.raises(ConfigError, match=message):
         simulate_chain_ber(arguments.pop("params"), arguments.pop("scheme"), cr=1.2,
                            min_bits=1000, **arguments)
+    assert draws == []
+
+
+def test_chain_ber_refuses_a_clip_without_a_high_pass_before_drawing(monkeypatch):
+    draws = []
+    monkeypatch.setattr(harness, "_random_bits", lambda *args: draws.append(args))
+    with pytest.raises(ConfigError, match="^clipping requested but no high-pass filter supplied$"):
+        simulate_chain_ber(OfdmParams(), QPSK_ONLY[0], cr=1.0, min_bits=1000)
     assert draws == []
 
 

@@ -56,6 +56,13 @@ def test_params_validation():
     assert OfdmParams(n_subcarriers=64, oversample=4, carrier_hz=1e6).sample_hz == 4e6
 
 
+def test_params_refuse_a_single_subcarrier():
+    # 1 passes the positive-integer check; the band needs N/2 bins on each
+    # side of the carrier.
+    with pytest.raises(ConfigError, match="^n_subcarriers must be >= 2$"):
+        OfdmParams(n_subcarriers=1)
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("n_subcarriers", 128.0, "n_subcarriers must be a positive integer"),
     ("oversample", 8.5, "oversample must be a positive integer"),

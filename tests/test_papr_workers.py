@@ -27,10 +27,11 @@ from paprsim import (
 from paprsim import clip_filter, harness
 from paprsim.harness import (
     ExperimentSpec,
-    _cell_rng,
     _chunk_frames,
     _clip_level,
     _papr_cell,
+    _unit_frames,
+    _workspace,
     experiment_hpf,
 )
 
@@ -41,6 +42,19 @@ from oracles import ORACLE_PLANS
 N_SYMBOLS = 1037
 PLANS = [("reference", "16qam", 0.8), ("nyquist_edge", "8psk", 1.2),
          ("high_carrier", "32qam", 1.0)]
+
+
+def papr_cell(spec, scheme, cr, hpf):
+    """The spec's first PAPR cell at (scheme, cr), in a workspace of its own."""
+    return _papr_cell(spec, scheme, cr, np.random.default_rng([spec.seed, 0, 0]), hpf,
+                      _workspace(spec.params, [spec.n_symbols], ber=False))
+
+
+def noise_free_unit(params, scheme, cr, hpf, min_bits):
+    """A BER unit's noise-free transmit and receive, in a workspace of its own."""
+    space = _workspace(params, [_unit_frames(params, scheme, min_bits)], ber=True)
+    harness._noise_free_unit(params, scheme, cr, hpf, min_bits, np.random.default_rng(3), None,
+                             space)
 
 
 def helper_threads():
@@ -59,7 +73,7 @@ def cell_vectors(monkeypatch, spec, scheme, cr, hpf, workers):
         return estimate(papr_values, thresholds_db)
 
     monkeypatch.setattr(harness, "estimate_ccdf", spy)
-    curves = _papr_cell(spec, scheme, cr, _cell_rng(spec.seed, 0, 0), hpf)
+    curves = papr_cell(spec, scheme, cr, hpf)
     monkeypatch.undo()
     return values, curves
 
@@ -140,10 +154,9 @@ def test_the_fold_is_computed_once_per_cell_and_unit(monkeypatch):
 
     monkeypatch.setattr(clip_filter, "band_gains", spy)
     monkeypatch.setattr(harness, "_worker_count", lambda: 2)
-    _papr_cell(spec, spec.schemes[0], 1.2, _cell_rng(spec.seed, 0, 0), hpf)
+    papr_cell(spec, spec.schemes[0], 1.2, hpf)
     assert len(calls) == 1
-    harness._noise_free_unit(spec.params, spec.schemes[0], 1.2, hpf, 200_000,
-                             np.random.default_rng(3))
+    noise_free_unit(spec.params, spec.schemes[0], 1.2, hpf, 200_000)
     assert len(calls) == 2
 
 
@@ -271,10 +284,10 @@ def test_the_stages_write_into_the_threads_buffers(monkeypatch, experiment):
 
     monkeypatch.setattr(harness, "_clip_magnitude_rows", clip_stage)
     if experiment == "papr_cell":
-        _papr_cell(spec, scheme, 1.2, _cell_rng(spec.seed, 0, 0), hpf)
+        papr_cell(spec, scheme, 1.2, hpf)
     else:
         monkeypatch.setattr(harness, "_CHUNK_SAMPLES", 4 * params.n_oversampled)
-        harness._noise_free_unit(params, scheme, 1.2, hpf, 49_500, np.random.default_rng(3))
+        noise_free_unit(params, scheme, 1.2, hpf, 49_500)
     assert len(buffers) == 2
     assert {name for name, _ in outs} == {
         "_map_rows", "_extend_rows", "_modulate_rows", "_clip_magnitude_rows"}

@@ -12,7 +12,7 @@ import pytest
 from paprsim import ExperimentSpec, ModScheme, run_ber_experiment, run_papr_experiment
 from paprsim import harness
 from paprsim.constellation import SCHEME_NAMES
-from paprsim.harness import _ber_cells, _cell_rng, _papr_cell, experiment_hpf
+from paprsim.harness import _ber_cells, _papr_cell, _unit_frames, _workspace, experiment_hpf
 
 from oracles import ORACLE_PLANS
 
@@ -41,8 +41,10 @@ def test_each_ber_unit_equals_the_unit_on_its_own(monkeypatch, workers, order):
     hpf = experiment_hpf(spec)
     rows = run_ber_experiment(spec).rows
     for index, scheme in enumerate(spec.schemes):
-        alone = list(_ber_cells(spec.params, scheme, 1.2, EBN0_DB, spec.bits_per_point, hpf,
-                                [spec.seed, 1, index]))
+        space = _workspace(spec.params, [_unit_frames(spec.params, scheme, spec.bits_per_point)],
+                           ber=True, noisy=True)
+        alone = list(_ber_cells(spec.params, scheme, 1.2, hpf, spec.bits_per_point, EBN0_DB,
+                                [spec.seed, 1, index], space))
         got = [(row.bit_errors, row.bits_total) for row in rows if row.scheme == scheme.name]
         assert got == alone, scheme.name
         assert any(errors for errors, _ in alone), scheme.name  # the noise reached the slicer
@@ -57,7 +59,9 @@ def test_each_papr_cell_equals_the_cell_on_its_own(monkeypatch, workers):
     curves = run_papr_experiment(spec).curves
     cells = [(scheme, cr) for scheme in spec.schemes for cr in spec.cr_values]
     for index, (scheme, cr) in enumerate(cells):
-        clipped, unclipped = _papr_cell(spec, scheme, cr, _cell_rng(spec.seed, 0, index), hpf)
+        rng = np.random.default_rng([spec.seed, 0, index])
+        clipped, unclipped = _papr_cell(spec, scheme, cr, rng, hpf,
+                                        _workspace(spec.params, [spec.n_symbols], ber=False))
         got = curves[(scheme.name, cr)]
         assert np.array_equal(got.clipped.prob_exceed, clipped.prob_exceed), (scheme.name, cr)
         assert np.array_equal(got.unclipped.prob_exceed, unclipped.prob_exceed), (scheme.name, cr)
