@@ -4,10 +4,13 @@ Both experiments walk their (scheme, cr) grid in one loop (``_walk_grid``),
 which seeds each unit's streams by its place in the grid (README section
 8), and transmit on one chunked loop (``_transmit``) that runs on the
 threads of ``_on_chunks``, each in buffers allocated once per experiment
-call (``_workspace``; README "Loops, threads and buffers"). The grid walk
-hands its workspace to every unit; ``simulate_chain_ber``, one unit on its
-own, is the only other caller that allocates one. The clip level cr *
-sigma is known before any bit is drawn (README section 1).
+call (``_workspace``; README "Loops, threads and buffers"). The helper
+threads belong to the call too: each starts when a chunk loop of the call
+first needs it, serves every later loop, and is joined when the call
+returns or raises. The grid walk hands its workspace to every unit;
+``simulate_chain_ber``, one unit on its own, is the only other caller that
+makes one. The clip level cr * sigma is known before any bit is drawn
+(README section 1).
 
 PAPR cell: one pass over the cell's bits, drawn in chunks of frames. A
 chunk maps, extends and modulates them, takes |x| once, clips by the real
@@ -31,8 +34,10 @@ from __future__ import annotations
 
 import math
 import os
+import queue
 import threading
 from collections.abc import Sequence
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -169,18 +174,23 @@ class ExperimentSpec:
         _data_bin_offsets(self.params)
 
 
-@lru_cache(maxsize=1)
 def experiment_hpf(spec: ExperimentSpec) -> fir_design.FirFilter:
-    """The composed filter's high-pass for ``spec``, designed once per spec.
+    """The composed filter's high-pass for ``spec``, designed once per
+    design target (``default_hpf_spec``).
 
-    The last spec's design is cached, so ``run_papr_experiment`` and
-    ``run_ber_experiment`` of one spec, or of equal specs, share it; another
-    spec designs again, even one with the same design target. A design
-    that raises is not kept.
+    The last target's design is cached (``_design_hpf``), so every spec
+    with that target, whatever its seed, schemes, CRs or sizes, shares it;
+    another target designs again. A design that raises is not kept.
     """
-    return fir_design.design_equiripple(
+    return _design_hpf(
         default_hpf_spec(spec.params, spec.hpf_num_taps, spec.hpf_stop_edge, spec.hpf_pass_edge)
     )
+
+
+@lru_cache(maxsize=1)
+def _design_hpf(target: fir_design.FirDesignSpec) -> fir_design.FirFilter:
+    """``fir_design.design_equiripple(target)``, kept for the last target."""
+    return fir_design.design_equiripple(target)
 
 
 @dataclass(frozen=True)
@@ -241,11 +251,60 @@ def _chunking(frames: int, block_len: int) -> tuple[int, int]:
     return min(threads, math.ceil(frames / step)), step
 
 
-def _on_chunks(frames: int, step: int, work, *, claim=None, threads: int) -> list:
+class _Helpers:
+    """The helper threads of one experiment call (``_workspace``). Helper
+    t, named paprsim-runner-t, starts the first time a chunk loop of the
+    call needs t helpers, and runs the jobs of every later loop from an
+    inbox of its own; ``close`` stops and joins them all. They are daemon
+    threads, so a set that is never closed cannot keep the process alive."""
+
+    def __init__(self):
+        self._inboxes, self._threads = [], []
+
+    def run(self, count: int, job) -> list[threading.Event]:
+        """Hand ``job(t)``, which must not raise, to helpers t = 1..count,
+        starting those not yet running. Returns one event per helper, set
+        once its ``job`` has returned."""
+        while len(self._threads) < count:
+            self._inboxes.append(queue.SimpleQueue())
+            self._threads.append(threading.Thread(
+                target=_serve, args=(self._inboxes[-1],),
+                name=f"paprsim-runner-{len(self._inboxes)}", daemon=True))
+            self._threads[-1].start()
+        done = [threading.Event() for _ in range(count)]
+        for thread, event in enumerate(done, 1):
+            self._inboxes[thread - 1].put((job, thread, event))
+        return done
+
+    def close(self) -> None:
+        """Stop every helper once it has run the jobs it was handed, and
+        join it."""
+        for inbox in self._inboxes:
+            inbox.put(None)
+        for helper in self._threads:
+            helper.join()
+
+
+def _serve(inbox: queue.SimpleQueue) -> None:
+    """A helper's loop: run each (job, thread, done) from ``inbox`` as
+    ``job(thread)``, which keeps its own failures, and set ``done``, until
+    None arrives. A finished job is dropped before the wait for the next,
+    so that the helper does not hold the arrays of a loop that has
+    returned."""
+    for job, thread, done in iter(inbox.get, None):
+        job(thread)
+        done.set()
+        del job
+
+
+def _on_chunks(
+    frames: int, step: int, work, *, claim=None, threads: int, helpers: _Helpers,
+) -> list:
     """Call ``work(thread, rows, claimed)`` for every chunk of range(frames),
     ``rows`` the chunk's slice(start, min(start + step, frames)), on
     min(threads, chunks) threads: the calling thread, numbered 0, and
-    helper threads numbered 1, 2, ... started for the call, so that
+    ``helpers`` 1, 2, ..., the running helper threads of the experiment
+    call (``_Helpers``), started here only if not yet running, so that
     ``thread`` can pick buffers of its own. Returns ``work``'s results, one
     per chunk, in the order the chunks finished.
 
@@ -253,8 +312,8 @@ def _on_chunks(frames: int, step: int, work, *, claim=None, threads: int) -> lis
     ``claim(rows)``, if given, runs under that lock and its result is passed
     as ``claimed`` (None without ``claim``), so the claims follow row order
     whatever the thread count. A failure stops the other threads before
-    their next chunk. Every helper has finished when the call returns or
-    raises, and it raises the first failure.
+    their next chunk. Every helper has finished its share when the call
+    returns or raises, and it raises the first failure.
     """
     chunks = (slice(start, min(start + step, frames)) for start in range(0, frames, step))
     lock = threading.Lock()
@@ -274,19 +333,16 @@ def _on_chunks(frames: int, step: int, work, *, claim=None, threads: int) -> lis
             stop.set()
             failures.append(exc)
 
-    helpers = [threading.Thread(target=loop, args=(thread,), name=f"paprsim-runner-{thread}")
-               for thread in range(1, min(threads, math.ceil(frames / step)))]
-    for helper in helpers:
-        helper.start()
+    done = helpers.run(min(threads, math.ceil(frames / step)) - 1, loop)
     try:
         loop(0)
     finally:
         # Once the calling thread's loop ends, every chunk is taken or one
-        # has failed; the flag also stops the helpers if the join is
+        # has failed; the flag also stops the helpers if the wait is
         # interrupted.
         stop.set()
-        for helper in helpers:
-            helper.join()
+        for event in done:
+            event.wait()
     if failures:
         raise failures[0]
     return results
@@ -385,15 +441,14 @@ def _noise_free_unit(
     high-pass."""
     n_frames = _unit_frames(params, scheme, min_bits)
     bits = _random_bits(rng, n_frames, params.n_subcarriers * scheme.bits_per_symbol)
-    buffers, *arrays = space
-    received, normals, block_power = (None if a is None else a[:n_frames] for a in arrays)
+    received, normals, block_power = (None if a is None else a[:n_frames] for a in space[2:])
 
     def claim(rows):
         if noise is not None:
             noise.standard_normal(out=normals[rows].view(float))
         return bits[rows]
 
-    _transmit(params, scheme, cr, hpf, n_frames, _ber_chunk, claim, buffers, received, block_power)
+    _transmit(params, scheme, cr, hpf, n_frames, _ber_chunk, claim, space, received, block_power)
     return bits, float(np.mean(block_power)), received, None if noise is None else normals
 
 
@@ -457,7 +512,7 @@ def _ber_cells(
             parts *= scale
             return int(np.count_nonzero(bits[rows] != _demap_rows(out, scheme)))
 
-        return sum(_on_chunks(n_frames, step, count, threads=threads))
+        return sum(_on_chunks(n_frames, step, count, threads=threads, helpers=space[1]))
 
     for ebn0_db in ebn0_grid_db:
         yield errors_at(ebn0_db), bits.size
@@ -479,28 +534,34 @@ def _unit_frames(params: OfdmParams, scheme: ModScheme, min_bits: int) -> int:
     return max(1, math.ceil(min_bits / (params.n_subcarriers * scheme.bits_per_symbol)))
 
 
-def _workspace(params: OfdmParams, unit_frames, ber: bool, noisy: bool = False) -> tuple:
-    """The arrays that the units of one experiment call (``_walk_grid``),
-    or the one unit of ``simulate_chain_ber``, share, for units of the
-    given frame counts, allocated once: first a list of chunk
-    buffers (``_chunk_buffers``), one set per thread that any unit's
-    transmit loop runs on (``_chunking``), each holding the largest chunk
-    any unit hands that thread; then, for BER units, the unit arrays at
-    the largest unit's frames: the received symbols and, for ``noisy``
-    units (None otherwise), the normals, complex (frames, N), and the
-    block powers, (frames,). A unit takes the first rows of each and
-    overwrites what the unit before it left."""
+@contextmanager
+def _workspace(params: OfdmParams, unit_frames, ber: bool, noisy: bool = False):
+    """A context that gives what the units of one experiment call
+    (``_walk_grid``), or the one unit of ``simulate_chain_ber``, share,
+    for units of the given frame counts, made once, and stops the call's
+    helper threads when it exits, however it exits. It gives a tuple:
+    first a list of chunk buffers (``_chunk_buffers``), one set per thread
+    that any unit's transmit loop runs on (``_chunking``), each holding
+    the largest chunk any unit hands that thread; then the call's helper
+    threads (``_Helpers``), none running yet, of which the call's loops
+    start at most one fewer than there are buffer sets; then, for BER
+    units, the unit arrays at the largest unit's frames: the received
+    symbols and, for ``noisy`` units (None otherwise), the normals,
+    complex (frames, N), and the block powers, (frames,). A unit takes
+    the first rows of each and overwrites what the unit before it left."""
     loops = []  # (threads, frames per chunk) of each unit's transmit loop
     for frames in unit_frames:
         threads, step = _chunking(frames, params.n_oversampled)
         loops.append((threads, min(step, frames)))
     buffers = [_chunk_buffers(max(size for threads, size in loops if threads > thread), params)
                for thread in range(max(threads for threads, _ in loops))]
-    if not ber:
-        return (buffers,)
-    frames, n = max(unit_frames), params.n_subcarriers
-    normals = np.empty((frames, n), complex) if noisy else None
-    return buffers, np.empty((frames, n), complex), normals, np.empty(frames)
+    arrays = ()
+    if ber:
+        frames, n = max(unit_frames), params.n_subcarriers
+        normals = np.empty((frames, n), complex) if noisy else None
+        arrays = np.empty((frames, n), complex), normals, np.empty(frames)
+    with closing(_Helpers()) as helpers:
+        yield (buffers, helpers, *arrays)
 
 
 def _rows(buffer: np.ndarray, dtype, count: int, width: int) -> np.ndarray:
@@ -631,29 +692,29 @@ def _band_read(params: OfdmParams) -> tuple[np.ndarray, np.ndarray]:
 
 def _transmit(
     params: OfdmParams, scheme: ModScheme, cr: float | None,
-    hpf: fir_design.FirFilter | None, frames: int, chunk, claim,
-    buffers: list[tuple[np.ndarray, ...]], *outs: np.ndarray,
+    hpf: fir_design.FirFilter | None, frames: int, chunk, claim, space: tuple,
+    *outs: np.ndarray,
 ) -> None:
     """The transmit loop of a PAPR cell and of a BER unit: call
-    ``chunk(bits, scheme, params, amplitude, fold, buffers[thread],
+    ``chunk(bits, scheme, params, amplitude, fold, space[0][thread],
     *views)`` for every chunk of ``frames`` frames, ``bits`` what
     ``claim(rows)`` returned for the chunk's rows and ``views`` each of
     ``outs`` at those rows. The clip level A = cr * sigma (``_clip_level``)
     and the composed filter's fold (``_composed_fold``) are worked out
     once; cr=None makes both None, which skips clipping and filtering.
 
-    The chunks run on ``_on_chunks`` (``_chunking``), each thread in its
-    own set of ``buffers``, the caller's (``_workspace``). ``claim``
-    runs under the runner's lock, so draws made in it follow row order
-    whatever the thread count (README section 8)."""
+    The chunks run on ``_on_chunks`` (``_chunking``) with the helpers of
+    ``space``, the caller's ``_workspace``, each thread in its own set of
+    its buffers. ``claim`` runs under the runner's lock, so draws made in
+    it follow row order whatever the thread count (README section 8)."""
     amplitude = None if cr is None else _clip_level(params, cr)
     fold = None if cr is None else _composed_fold(params, hpf)
     threads, step = _chunking(frames, params.n_oversampled)
 
     def run(thread, rows, bits):
-        chunk(bits, scheme, params, amplitude, fold, buffers[thread], *(out[rows] for out in outs))
+        chunk(bits, scheme, params, amplitude, fold, space[0][thread], *(out[rows] for out in outs))
 
-    _on_chunks(frames, step, run, claim=claim, threads=threads)
+    _on_chunks(frames, step, run, claim=claim, threads=threads, helpers=space[1])
 
 
 def _papr_cell(
@@ -671,7 +732,7 @@ def _papr_cell(
     unclipped_papr, processed_papr = np.empty(n), np.empty(n)
     _transmit(spec.params, scheme, cr, hpf, n, _papr_chunk,
               lambda rows: _random_bits(rng, rows.stop - rows.start, bits_per_frame),
-              space[0], unclipped_papr, processed_papr)
+              space, unclipped_papr, processed_papr)
     return (estimate_ccdf(processed_papr, CCDF_THRESHOLDS_DB),
             estimate_ccdf(unclipped_papr, CCDF_THRESHOLDS_DB))
 
@@ -685,27 +746,29 @@ def _walk_grid(spec: ExperimentSpec, kind: int, unit, points, progress) -> dict:
     returns an iterator with one value per point of ``points``: (None,)
     for the one cell of a PAPR unit (kind 0), the Eb/N0 grid for a BER
     unit (kind 1). Every value of a unit is read before the next unit
-    starts, so the units can share the workspace. Before each value
+    starts, so the units can share the workspace and its helper threads,
+    which are joined when the walk returns or raises. Before each value
     ``progress``, if given, is called with the cell's name, and a failure
     is raised as the cell's ``ExperimentError``. Returns the values keyed
     by (scheme name, cr, point), in cell order, the order of the rows.
     """
     name = ("papr", "ber")[kind]
-    space = _workspace(spec.params, [
-        _unit_frames(spec.params, scheme, spec.bits_per_point) if kind else spec.n_symbols
-        for scheme in spec.schemes], ber=kind == 1, noisy=kind == 1)
+    frames = [_unit_frames(spec.params, scheme, spec.bits_per_point) if kind else spec.n_symbols
+              for scheme in spec.schemes]
     results = {}
-    for index, (scheme, cr) in enumerate((s, cr) for s in spec.schemes for cr in spec.cr_values):
-        values = unit(scheme, cr, [spec.seed, kind, index], space)
-        for ebn0 in points:
-            at = "" if ebn0 is None else f"ebn0={ebn0:g}"
-            if progress:
-                progress(f"{name} {scheme.name} cr={cr:g}" + (at and f" {at} dB"))
-            try:
-                results[(scheme.name, cr, ebn0)] = next(values)
-            except Exception as exc:
-                cell = f"scheme={scheme.name}, cr={cr:g}" + (at and f", {at}")
-                raise ExperimentError(f"{name} cell failed ({cell}): {exc}") from exc
+    with _workspace(spec.params, frames, ber=kind == 1, noisy=kind == 1) as space:
+        for index, (scheme, cr) in enumerate((s, cr) for s in spec.schemes
+                                             for cr in spec.cr_values):
+            values = unit(scheme, cr, [spec.seed, kind, index], space)
+            for ebn0 in points:
+                at = "" if ebn0 is None else f"ebn0={ebn0:g}"
+                if progress:
+                    progress(f"{name} {scheme.name} cr={cr:g}" + (at and f" {at} dB"))
+                try:
+                    results[(scheme.name, cr, ebn0)] = next(values)
+                except Exception as exc:
+                    cell = f"scheme={scheme.name}, cr={cr:g}" + (at and f", {at}")
+                    raise ExperimentError(f"{name} cell failed ({cell}): {exc}") from exc
     return results
 
 
@@ -750,8 +813,9 @@ def simulate_chain_ber(
     Returns (bit_errors, bits_total). With cr=None and ebn0_db=None this is
     the noiseless loopback of the full modulation chain. It is one BER unit
     with a single Eb/N0 point, seeded by SeedSequence([seed, 2, 0])
-    (README section 8), in a workspace of its own. Every argument and the
-    plan are checked before any bit is drawn.
+    (README section 8), in a workspace of its own, whose helper threads
+    are joined before it returns or raises. Every argument and the plan
+    are checked before any bit is drawn.
     """
     if not isinstance(params, OfdmParams):
         raise ConfigError(f"params must be an OfdmParams, got {params!r}")
@@ -768,9 +832,9 @@ def simulate_chain_ber(
         clip_attenuation(cr)  # refuses a cr that is not positive and finite
     if ebn0_db is not None and not (_is_real(ebn0_db) and math.isfinite(ebn0_db)):
         raise ConfigError(f"ebn0_db must be a finite number, got {ebn0_db!r}")
-    space = _workspace(params, [_unit_frames(params, scheme, min_bits)], ber=True,
-                       noisy=ebn0_db is not None)
-    return next(_ber_cells(params, scheme, cr, hpf, min_bits, (ebn0_db,), [seed, 2, 0], space))
+    with _workspace(params, [_unit_frames(params, scheme, min_bits)], ber=True,
+                    noisy=ebn0_db is not None) as space:
+        return next(_ber_cells(params, scheme, cr, hpf, min_bits, (ebn0_db,), [seed, 2, 0], space))
 
 
 def run_ber_experiment(spec: ExperimentSpec, progress=None) -> BerExperimentResult:

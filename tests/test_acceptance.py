@@ -162,9 +162,11 @@ def replay_trend_cell(scheme: ModScheme, cr: float, hpf) -> dict:
     units = [(s.name, c) for s in spec.schemes for c in spec.cr_values]
     seeds = np.random.SeedSequence([spec.seed, 1, units.index((scheme.name, cr))]).spawn(2)
     bits_per_frame = params.n_subcarriers * scheme.bits_per_symbol
-    space = _workspace(params, [_unit_frames(params, scheme, spec.bits_per_point)], ber=True)
-    tx_bits, power, clean, _ = _noise_free_unit(  # clean: noise-free, gain kept
-        params, scheme, cr, hpf, spec.bits_per_point, np.random.default_rng(seeds[0]), None, space)
+    with _workspace(params, [_unit_frames(params, scheme, spec.bits_per_point)],
+                    ber=True) as space:
+        tx_bits, power, clean, _ = _noise_free_unit(  # clean: noise-free, gain kept
+            params, scheme, cr, hpf, spec.bits_per_point, np.random.default_rng(seeds[0]), None,
+            space)
     sigma_n = noise_sigma(params, scheme, TREND_EBN0_DB, power)
     alpha = clip_attenuation(cr)
     noisy = _add_bin_noise(clean, sigma_n,

@@ -53,16 +53,18 @@ BER_PLANS = {
 }
 
 
-def unit_space(params, scheme, min_bits, noisy=True):
-    """A workspace for one BER unit of ``min_bits`` bits, made as
-    ``simulate_chain_ber`` makes its own."""
-    return _workspace(params, [_unit_frames(params, scheme, min_bits)], ber=True, noisy=noisy)
+def unit_cells(params, scheme, cr, hpf, min_bits, grid, entropy, noisy=True):
+    """Every (bit_errors, bits_total) of a unit, in a workspace of its own
+    made as ``simulate_chain_ber`` makes its own."""
+    with _workspace(params, [_unit_frames(params, scheme, min_bits)], ber=True,
+                    noisy=noisy) as space:
+        return list(_ber_cells(params, scheme, cr, hpf, min_bits, grid, entropy, space))
 
 
 def noise_free_unit(params, scheme, cr, hpf, min_bits, rng):
     """``_noise_free_unit`` without normals, in a workspace of its own."""
-    space = unit_space(params, scheme, min_bits, noisy=False)
-    return _noise_free_unit(params, scheme, cr, hpf, min_bits, rng, None, space)
+    with _workspace(params, [_unit_frames(params, scheme, min_bits)], ber=True) as space:
+        return _noise_free_unit(params, scheme, cr, hpf, min_bits, rng, None, space)
 
 
 def plan_hpf(plan):
@@ -225,8 +227,8 @@ def test_qpsk_bit_errors_nest_across_the_eb_n0_grid(monkeypatch, cr):
     monkeypatch.setattr(harness, "_demap_rows", demap_spy)
     spec, scheme = ExperimentSpec(), ModScheme.from_name("qpsk")
     grid, entropy = spec.ebn0_grid_db, [spec.seed, 1, 0]
-    counts = list(_ber_cells(spec.params, scheme, cr, experiment_hpf(spec), spec.bits_per_point,
-                             grid, entropy, unit_space(spec.params, scheme, spec.bits_per_point)))
+    counts = unit_cells(spec.params, scheme, cr, experiment_hpf(spec), spec.bits_per_point,
+                        grid, entropy)
     bit_seed = np.random.SeedSequence(entropy).spawn(1)[0]
     bits_per_frame = spec.params.n_subcarriers * scheme.bits_per_symbol
     bits = _random_bits(np.random.default_rng(bit_seed), counts[0][1] // bits_per_frame,
@@ -260,8 +262,7 @@ def test_a_noiseless_unit_draws_no_normals(monkeypatch, cr):
     for grid in ((None,), (None, None), (None, 8.0)):
         CountingGenerator.normal_calls = 0
         scheme, noisy = ModScheme("qam", 16), any(ebn0 is not None for ebn0 in grid)
-        counts = list(_ber_cells(params, scheme, cr, hpf, 50_000, grid, [3, 1, 0],
-                                 unit_space(params, scheme, 50_000, noisy)))
+        counts = unit_cells(params, scheme, cr, hpf, 50_000, grid, [3, 1, 0], noisy)
         calls[grid] = CountingGenerator.normal_calls
         if cr is None:
             assert counts[0] == (0, 50_176), grid

@@ -13,6 +13,7 @@ import sys
 import threading
 import tracemalloc
 import types
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -45,8 +46,21 @@ EBN0_DB = (2.0, 6.0, 10.0)
 
 def unit_space(params, scheme, min_bits, noisy=True):
     """A workspace for one BER unit of ``min_bits`` bits, made as
-    ``simulate_chain_ber`` makes its own."""
+    ``simulate_chain_ber`` makes its own; its helper threads stop when the
+    ``with`` block exits."""
     return _workspace(params, [_unit_frames(params, scheme, min_bits)], ber=True, noisy=noisy)
+
+
+def noise_free(params, scheme, cr, hpf, min_bits, rng):
+    """``_noise_free_unit`` without normals, in a workspace of its own."""
+    with unit_space(params, scheme, min_bits, noisy=False) as space:
+        return _noise_free_unit(params, scheme, cr, hpf, min_bits, rng, None, space)
+
+
+def unit_cells(params, scheme, cr, hpf, min_bits, grid, entropy):
+    """Every (bit_errors, bits_total) of a noisy unit, in a workspace of its own."""
+    with unit_space(params, scheme, min_bits) as space:
+        return list(_ber_cells(params, scheme, cr, hpf, min_bits, grid, entropy, space))
 
 
 def runner_threads():
@@ -61,10 +75,8 @@ def unit_and_counts(monkeypatch, params, cr, hpf, workers, budget_blocks=None):
         if budget_blocks is not None:
             m.setattr(harness, "_CHUNK_SAMPLES", budget_blocks * params.n_oversampled)
         scheme = ModScheme("qam", 16)
-        unit = _noise_free_unit(params, scheme, cr, hpf, MIN_BITS, np.random.default_rng(37),
-                                None, unit_space(params, scheme, MIN_BITS, noisy=False))
-        counts = list(_ber_cells(params, scheme, cr, hpf, MIN_BITS, EBN0_DB, [5, 1, 0],
-                                 unit_space(params, scheme, MIN_BITS)))
+        unit = noise_free(params, scheme, cr, hpf, MIN_BITS, np.random.default_rng(37))
+        counts = unit_cells(params, scheme, cr, hpf, MIN_BITS, EBN0_DB, [5, 1, 0])
     return unit, counts
 
 
@@ -101,9 +113,8 @@ def test_every_point_scales_the_normals_point_0_drew_on_its_own(monkeypatch, cr)
 
     def oracle(entropy, grid):
         bit_seed = np.random.SeedSequence(entropy).spawn(1)[0]
-        bits, power, clean, _ = _noise_free_unit(
-            params, scheme, cr, hpf, MIN_BITS, np.random.default_rng(bit_seed), None,
-            unit_space(params, scheme, MIN_BITS, noisy=False))
+        bits, power, clean, _ = noise_free(params, scheme, cr, hpf, MIN_BITS,
+                                           np.random.default_rng(bit_seed))
         own = per_point_normals(entropy, grid, clean.shape)
         return (ber_points(bits, power, clean, scheme, params, cr, grid, own),
                 ber_points(bits, power, clean, scheme, params, cr, grid, own[:1] * len(grid)))
@@ -175,17 +186,17 @@ def threads_started(monkeypatch, min_bits):
         params, _ = ORACLE_PLANS["reference"]
         hpf = experiment_hpf(ExperimentSpec(params=params))
         scheme = ModScheme("qam", 16)
-        list(_ber_cells(params, scheme, 1.2, hpf, min_bits, EBN0_DB, [5, 1, 0],
-                        unit_space(params, scheme, min_bits)))
+        unit_cells(params, scheme, 1.2, hpf, min_bits, EBN0_DB, [5, 1, 0])
     return CountingThread.started
 
 
 def test_a_unit_under_two_budgets_starts_no_helper_thread(monkeypatch):
     # 98 frames of 1024 samples are 0.77 budgets and 391 frames 3.05; at 2
-    # CPUs the larger unit starts one helper for its transmit and one for
-    # each of its three points, whose chunks hold half the rows each.
+    # CPUs the larger unit's transmit starts the workspace's one helper,
+    # and its three points, whose chunks hold half the rows each, hand
+    # their share to that helper: one start for the four loops, not four.
     assert threads_started(monkeypatch, 50_000) == 0
-    assert threads_started(monkeypatch, 200_000) == 4
+    assert threads_started(monkeypatch, 200_000) == 1
 
 
 def test_the_first_cell_of_a_unit_demaps_only_its_own_point(monkeypatch):
@@ -203,11 +214,11 @@ def test_the_first_cell_of_a_unit_demaps_only_its_own_point(monkeypatch):
     params, _ = ORACLE_PLANS["reference"]
     hpf = experiment_hpf(ExperimentSpec(params=params))
     scheme = ModScheme("qam", 16)
-    cells = _ber_cells(params, scheme, 1.2, hpf, 200_000, EBN0_DB, [5, 1, 0],
-                       unit_space(params, scheme, 200_000))
-    next(cells)
-    assert sum(demapped) == 391
-    assert len(list(cells)) == 2 and sum(demapped) == 3 * 391
+    with unit_space(params, scheme, 200_000) as space:
+        cells = _ber_cells(params, scheme, 1.2, hpf, 200_000, EBN0_DB, [5, 1, 0], space)
+        next(cells)
+        assert sum(demapped) == 391
+        assert len(list(cells)) == 2 and sum(demapped) == 3 * 391
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -231,11 +242,10 @@ def test_the_ber_transmit_and_the_papr_cell_take_chunks_of_one_length(monkeypatc
 
     monkeypatch.setattr(harness, "_map_rows", spy)
     chunk_rows.append([])
-    harness._papr_cell(spec, scheme, 1.2, np.random.default_rng([0, 0, 0]), hpf,
-                       _workspace(params, [spec.n_symbols], ber=False))
+    with _workspace(params, [spec.n_symbols], ber=False) as space:
+        harness._papr_cell(spec, scheme, 1.2, np.random.default_rng([0, 0, 0]), hpf, space)
     chunk_rows.append([])
-    _noise_free_unit(params, scheme, 1.2, hpf, 1000 * 256, np.random.default_rng(0), None,
-                     unit_space(params, scheme, 1000 * 256, noisy=False))
+    noise_free(params, scheme, 1.2, hpf, 1000 * 256, np.random.default_rng(0))
     papr, ber = chunk_rows
     assert sum(papr) == sum(ber) == 1000
     assert max(papr) == max(ber) == 128 // workers
@@ -257,7 +267,9 @@ def test_the_runner_hands_out_every_row_once_in_row_order(threads):
         return rows.start
 
     # The runner returns what each chunk's work returned, one per chunk.
-    assert sorted(harness._on_chunks(11, 4, work, claim=claim, threads=threads)) == [0, 4, 8]
+    with closing(harness._Helpers()) as helpers:
+        got = harness._on_chunks(11, 4, work, claim=claim, threads=threads, helpers=helpers)
+    assert sorted(got) == [0, 4, 8]
     assert claims == want
     assert sorted(done, key=lambda rows: rows.start) == want
     assert not runner_threads()
@@ -269,8 +281,8 @@ def test_a_failing_chunk_raises_and_leaves_no_runner_thread(threads):
         if rows.start == 4:
             raise RuntimeError("chunk failed")
 
-    with pytest.raises(RuntimeError, match="chunk failed"):
-        harness._on_chunks(11, 4, work, threads=threads)
+    with closing(harness._Helpers()) as helpers, pytest.raises(RuntimeError, match="chunk failed"):
+        harness._on_chunks(11, 4, work, threads=threads, helpers=helpers)
     assert not runner_threads()
 
 
@@ -334,8 +346,7 @@ def cells_peak_and_kept_bytes(min_bits):
     grid = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0)
     tracemalloc.start()
     try:
-        list(_ber_cells(params, scheme, 1.0, hpf, min_bits, grid, [7, 1, 0],
-                        unit_space(params, scheme, min_bits)))
+        unit_cells(params, scheme, 1.0, hpf, min_bits, grid, [7, 1, 0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -217,7 +217,7 @@ def designs(monkeypatch):
         return design(spec)
 
     monkeypatch.setattr(fir_design, "design_equiripple", counted)
-    experiment_hpf.cache_clear()
+    harness._design_hpf.cache_clear()
     return calls
 
 
@@ -235,21 +235,26 @@ def test_both_experiments_of_one_spec_share_one_design(designs):
     papr = run_papr_experiment(spec)
     ber = run_ber_experiment(spec)
     assert len(designs) == 1
-    experiment_hpf.cache_clear()
+    harness._design_hpf.cache_clear()
     assert papr.rows == run_papr_experiment(spec).rows and ber == run_ber_experiment(spec)
     assert len(designs) == 2
 
 
-def test_the_cache_is_hit_by_an_equal_spec_only(designs):
-    # The same spec object and an equal copy share the design; a spec that
-    # only shares the design target designs again.
+def test_the_cache_is_hit_by_an_equal_design_target_only(designs):
+    # Specs that differ only in seed, schemes, CRs or sizes share the
+    # design target, so they share one design; each experiment of a
+    # benchmark or a sweep draws a new seed. Another target designs again,
+    # and coming back to the first designs it again: one target is kept.
     spec = small_spec(seed=1)
     hpf = experiment_hpf(spec)
-    assert experiment_hpf(spec) is hpf
-    assert experiment_hpf(dataclasses.replace(spec)) is hpf
+    for other in (spec, dataclasses.replace(spec), small_spec(seed=2), small_spec(schemes=PAIR_8),
+                  small_spec(cr_values=(0.8, 1.4)),
+                  small_spec(n_symbols=3000, bits_per_point=50_000, ebn0_grid_db=(4.0, 8.0))):
+        assert experiment_hpf(other) is hpf
     assert len(designs) == 1
-    assert experiment_hpf(small_spec(seed=2)).spec == hpf.spec
-    assert len(designs) == 2
+    assert experiment_hpf(small_spec(hpf_num_taps=61)).spec.num_taps == 61
+    assert experiment_hpf(spec).spec == hpf.spec
+    assert designs == [hpf.spec, designs[1], hpf.spec]
 
 
 def test_a_design_that_raises_is_not_kept(designs, monkeypatch):
@@ -263,7 +268,7 @@ def test_a_design_that_raises_is_not_kept(designs, monkeypatch):
     monkeypatch.setattr(fir_design, "design_equiripple", fail_once)
     with pytest.raises(DesignError):
         run_papr_experiment(spec)
-    assert experiment_hpf.cache_info().currsize == 0
+    assert harness._design_hpf.cache_info().currsize == 0
     experiment_hpf(spec)
     assert designs == [experiment_hpf(spec).spec]
 

@@ -60,10 +60,10 @@ def streamed_cell(monkeypatch, spec, scheme, cr, hpf):
         values.append(np.array(papr_values))
         return estimate(papr_values, thresholds_db)
 
-    with monkeypatch.context() as m:
+    with monkeypatch.context() as m, _workspace(spec.params, [spec.n_symbols], ber=False) as space:
         m.setattr(harness, "estimate_ccdf", spy)
         curves = _papr_cell(spec, scheme, cr, np.random.default_rng([spec.seed, 0, 0]), hpf,
-                            _workspace(spec.params, [spec.n_symbols], ber=False))
+                            space)
     return curves, values
 
 

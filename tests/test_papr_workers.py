@@ -46,15 +46,15 @@ PLANS = [("reference", "16qam", 0.8), ("nyquist_edge", "8psk", 1.2),
 
 def papr_cell(spec, scheme, cr, hpf):
     """The spec's first PAPR cell at (scheme, cr), in a workspace of its own."""
-    return _papr_cell(spec, scheme, cr, np.random.default_rng([spec.seed, 0, 0]), hpf,
-                      _workspace(spec.params, [spec.n_symbols], ber=False))
+    with _workspace(spec.params, [spec.n_symbols], ber=False) as space:
+        return _papr_cell(spec, scheme, cr, np.random.default_rng([spec.seed, 0, 0]), hpf, space)
 
 
 def noise_free_unit(params, scheme, cr, hpf, min_bits):
     """A BER unit's noise-free transmit and receive, in a workspace of its own."""
-    space = _workspace(params, [_unit_frames(params, scheme, min_bits)], ber=True)
-    harness._noise_free_unit(params, scheme, cr, hpf, min_bits, np.random.default_rng(3), None,
-                             space)
+    with _workspace(params, [_unit_frames(params, scheme, min_bits)], ber=True) as space:
+        harness._noise_free_unit(params, scheme, cr, hpf, min_bits, np.random.default_rng(3),
+                                 None, space)
 
 
 def helper_threads():

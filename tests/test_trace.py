@@ -31,7 +31,7 @@ UNCALLED = {"ofdm_chain.upconvert", "channel.awgn", "harness.receive", "ofdm_cha
 def test_the_tracer_binds_and_counts_every_stage_the_pipeline_runs(monkeypatch):
     # The tracer keeps one span stack for all threads.
     monkeypatch.setattr(harness, "_worker_count", lambda: 1)
-    harness.experiment_hpf.cache_clear()  # so that the design runs traced
+    harness._design_hpf.cache_clear()  # so that the design runs traced
     spec = ExperimentSpec(schemes=(ModScheme.from_name("qpsk"), ModScheme.from_name("16qam")),
                           cr_values=(1.0,), n_symbols=1000, ebn0_grid_db=(8.0,),
                           bits_per_point=20_000, ccdf_read_point=1e-2)

@@ -41,10 +41,10 @@ def test_each_ber_unit_equals_the_unit_on_its_own(monkeypatch, workers, order):
     hpf = experiment_hpf(spec)
     rows = run_ber_experiment(spec).rows
     for index, scheme in enumerate(spec.schemes):
-        space = _workspace(spec.params, [_unit_frames(spec.params, scheme, spec.bits_per_point)],
-                           ber=True, noisy=True)
-        alone = list(_ber_cells(spec.params, scheme, 1.2, hpf, spec.bits_per_point, EBN0_DB,
-                                [spec.seed, 1, index], space))
+        with _workspace(spec.params, [_unit_frames(spec.params, scheme, spec.bits_per_point)],
+                        ber=True, noisy=True) as space:
+            alone = list(_ber_cells(spec.params, scheme, 1.2, hpf, spec.bits_per_point, EBN0_DB,
+                                    [spec.seed, 1, index], space))
         got = [(row.bit_errors, row.bits_total) for row in rows if row.scheme == scheme.name]
         assert got == alone, scheme.name
         assert any(errors for errors, _ in alone), scheme.name  # the noise reached the slicer
@@ -60,8 +60,8 @@ def test_each_papr_cell_equals_the_cell_on_its_own(monkeypatch, workers):
     cells = [(scheme, cr) for scheme in spec.schemes for cr in spec.cr_values]
     for index, (scheme, cr) in enumerate(cells):
         rng = np.random.default_rng([spec.seed, 0, index])
-        clipped, unclipped = _papr_cell(spec, scheme, cr, rng, hpf,
-                                        _workspace(spec.params, [spec.n_symbols], ber=False))
+        with _workspace(spec.params, [spec.n_symbols], ber=False) as space:
+            clipped, unclipped = _papr_cell(spec, scheme, cr, rng, hpf, space)
         got = curves[(scheme.name, cr)]
         assert np.array_equal(got.clipped.prob_exceed, clipped.prob_exceed), (scheme.name, cr)
         assert np.array_equal(got.unclipped.prob_exceed, unclipped.prob_exceed), (scheme.name, cr)

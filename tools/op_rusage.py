@@ -1,6 +1,8 @@
 """Replay a benchmark workload's operations in this process and report what
-they cost the process: wall, user and system time, minor page faults and
-peak RSS, numbers that ``perfbench/run.py`` does not report.
+they cost the process: wall, user and system time, minor page faults,
+voluntary and involuntary context switches (``ru_nvcsw``, ``ru_nivcsw``),
+the library's helper threads started and peak RSS, numbers that
+``perfbench/run.py`` does not report.
 
 The operations are those ``perfbench/workloads.py`` builds for the first
 ``--steps`` steps (default: the workload's traced prefix) at ``--seed``.
@@ -13,6 +15,8 @@ Usage: python tools/op_rusage.py WORKLOAD [--steps S] [--rounds K] [--seed N]
 
 The library uses every CPU the process may run on, so
 ``taskset -c 0 python tools/op_rusage.py ber_sweep`` measures one CPU.
+Helper threads are counted by wrapping ``threading.Thread.start`` in this
+process for threads named ``paprsim-runner*``.
 """
 from __future__ import annotations
 
@@ -21,6 +25,7 @@ import os
 import resource
 import statistics
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -47,10 +52,27 @@ def run(op) -> bool:
     return True
 
 
-def measure(ops) -> tuple[dict, int]:
-    """One round over ``ops``: its wall, user and system seconds and minor
-    page faults, and how many operations failed."""
-    before, start = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
+def count_helper_starts() -> list[int]:
+    """Wrap ``threading.Thread.start`` in this process; returns a one-item
+    list that counts the starts of threads named ``paprsim-runner*``."""
+    starts, start = [0], threading.Thread.start
+
+    def counted(thread):
+        if thread.name.startswith("paprsim-runner"):
+            starts[0] += 1
+        start(thread)
+
+    threading.Thread.start = counted
+    return starts
+
+
+def measure(ops, helper_starts: list[int]) -> tuple[dict, int]:
+    """One round over ``ops``: its wall, user and system seconds, minor
+    page faults, voluntary and involuntary context switches and helper
+    threads started (``helper_starts``, from ``count_helper_starts``), and
+    how many operations failed."""
+    starts, before = helper_starts[0], resource.getrusage(resource.RUSAGE_SELF)
+    start = time.perf_counter()
     failed = sum(not run(op) for op in ops)
     wall, after = time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF)
     return {
@@ -58,6 +80,9 @@ def measure(ops) -> tuple[dict, int]:
         "user_s": after.ru_utime - before.ru_utime,
         "system_s": after.ru_stime - before.ru_stime,
         "minor_faults": after.ru_minflt - before.ru_minflt,
+        "nvcsw": after.ru_nvcsw - before.ru_nvcsw,
+        "nivcsw": after.ru_nivcsw - before.ru_nivcsw,
+        "helper_starts": helper_starts[0] - starts,
     }, failed
 
 
@@ -73,12 +98,14 @@ def main(argv: list[str]) -> int:
     if steps < 1 or args.rounds < 1:
         parser.error("--steps and --rounds must be at least 1")
     ops = workload.run_ops(args.seed, steps)
-    measure(ops)  # warm-up round
-    rounds = [measure(ops) for _ in range(args.rounds)]
+    helper_starts = count_helper_starts()
+    measure(ops, helper_starts)  # warm-up round
+    rounds = [measure(ops, helper_starts) for _ in range(args.rounds)]
     failed = rounds[0][1]
     print(f"{args.workload}: {len(ops)} operations a round ({failed} failed), seed {args.seed}, "
           f"{args.rounds} rounds after one warm-up, {len(os.sched_getaffinity(0))} CPUs")
-    for name in ("wall_s", "user_s", "system_s", "minor_faults"):
+    for name in ("wall_s", "user_s", "system_s", "minor_faults", "nvcsw", "nivcsw",
+                 "helper_starts"):
         median = statistics.median(r[name] for r, _ in rounds)
         low, high = min(r[name] for r, _ in rounds), max(r[name] for r, _ in rounds)
         print(f"  {name:<13} median {median:>10.6g} a round [{low:.6g}, {high:.6g}], "
