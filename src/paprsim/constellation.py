@@ -120,10 +120,19 @@ def _qam_table(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
+def _label_bits(width: int) -> np.ndarray:
+    """The bits of every label integer of ``width`` bits: row L holds L's
+    bits, big-endian, uint8 (2^width, width). Read-only."""
+    ints = np.arange(1 << width)
+    bits = (ints[:, None] >> np.arange(width - 1, -1, -1) & 1).astype(np.uint8)
+    bits.setflags(write=False)
+    return bits
+
+
+@lru_cache(maxsize=None)
 def _table_cached(family: str, order: int) -> ConstellationTable:
     points, label_ints = (_psk_table if family == "psk" else _qam_table)(order)
-    width = order.bit_length() - 1
-    labels = (label_ints[:, None] >> np.arange(width - 1, -1, -1) & 1).astype(np.uint8)
+    labels = _label_bits(order.bit_length() - 1)[label_ints]
     point_for_label = np.empty(order, dtype=complex)
     point_for_label[label_ints] = points
     for arr in (points, labels, point_for_label):
@@ -136,11 +145,12 @@ def constellation_points(scheme: ModScheme) -> ConstellationTable:
     return _table_cached(scheme.family, scheme.order)
 
 
-def map_bits(bits, scheme: ModScheme, *, out=None) -> np.ndarray:
+def map_bits(bits, scheme: ModScheme, *, out=None, labels=None) -> np.ndarray:
     """Map 0/1 bits (..., n*k) to complex symbols (..., n), k = log2(M).
 
     ``out``, a complex (..., n) array, receives the symbols in place of a
-    new array.
+    new array. ``labels``, if given, a uint8 (..., n) array, receives each
+    symbol's label integer, its k bits read as a big-endian integer.
     """
     bits = np.asarray(bits)
     k = scheme.bits_per_symbol
@@ -163,6 +173,8 @@ def map_bits(bits, scheme: ModScheme, *, out=None) -> np.ndarray:
     for column in range(1, k):
         ints <<= 1
         ints |= groups[..., column]
+    if labels is not None:
+        _out_array(labels, ints.shape, np.uint8)[...] = ints
     # Every label is in range, so "clip" never clips; it lets np.take write
     # into ``out`` directly instead of through a copy.
     out = _out_array(out, ints.shape, complex)
@@ -173,127 +185,262 @@ def demap_symbols(symbols, scheme: ModScheme) -> np.ndarray:
     """Hard-decide symbols (..., n) to the nearest table points and emit their
     label bits (..., n*k).
 
-    The decision is a slicer, O(1) per symbol whatever M, and a distance
-    tie goes to the lowest table index (README section 10): the two
-    4-point tables by sign (:func:`_four_point_bits`), the other PSK tables
-    by the angle (:func:`_psk_indices`) and the other QAM tables by
-    rounding each axis to the level grid (:func:`_qam_indices`). A NaN or
-    infinite symbol has no nearest point and raises ``ShapeError``.
+    The decision is the slicer a BER point runs (:func:`_slice_labels`,
+    README section 10): O(1) per symbol whatever M, exact, and a distance
+    tie goes to the lowest table index. Its label integers are expanded to
+    bits here. A NaN or infinite symbol has no nearest point and raises
+    ``ShapeError``.
     """
     symbols = np.asarray(symbols, dtype=complex)
-    table = constellation_points(scheme)
     flat = np.ascontiguousarray(symbols.reshape(-1))
-    parts = flat.view(float)  # re, im of each symbol in turn
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = np.add.reduce(parts)
-    if not (math.isfinite(total) or np.isfinite(parts).all()):
-        raise ShapeError("cannot demap NaN or infinite symbols")
+    labels = _slice_labels(flat, scheme, np.empty(2 * flat.size))
+    k = scheme.bits_per_symbol
     n = symbols.shape[-1] if symbols.ndim else 1
-    shape = symbols.shape[:-1] + (n * table.bits_per_symbol,)
-    if scheme.order == 4:
-        return _four_point_bits(parts, scheme.family).reshape(shape)
-    if scheme.family == "psk":
-        idx = _psk_indices(flat, scheme.order)
-    else:
-        idx = _qam_indices(flat, scheme.order)
-    return np.take(table.labels, idx, axis=0).reshape(shape)
+    return np.take(_label_bits(k), labels, axis=0).reshape(symbols.shape[:-1] + (n * k,))
 
 
-def _four_point_bits(parts: np.ndarray, family: str) -> np.ndarray:
-    """Label bits of QPSK or 4-QAM symbols given as their interleaved real
-    and imaginary parts, decided by sign, exactly (README section 10).
+def _slice_labels(
+    symbols: np.ndarray, scheme: ModScheme, work: np.ndarray, finite: bool = False,
+) -> np.ndarray:
+    """The label integers of the table points nearest ``symbols``, a
+    C-contiguous complex array, as uint8 of its shape: the one decision of
+    ``demap_symbols`` and of a BER point (README section 10), by family
+    (:func:`_psk_labels`, :func:`_qam_labels`). ``work``, a float array of
+    at least 2 * symbols.size items, holds the temporaries and the labels,
+    which are a view of its bytes; a caller that hands in a buffer of its
+    own allocates nothing of the symbols' size. A NaN or infinite symbol
+    raises ``ShapeError``, after one sum over the parts, finite only when
+    every part is (an overflowing sum is checked part by part), unless
+    ``finite`` says the caller has shown every symbol finite.
+    """
+    parts = symbols.reshape(-1).view(float)  # re, im of each symbol in turn
+    if not finite:
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.add.reduce(parts)
+        if not (math.isfinite(total) or np.isfinite(parts).all()):
+            raise ShapeError("cannot demap NaN or infinite symbols")
+    decide = _psk_labels if scheme.family == "psk" else _qam_labels
+    return decide(parts, scheme.order, work).reshape(symbols.shape)
 
-    4-QAM labels (re, im) by (re > 0, im > 0). QPSK point k sits in
-    quadrant k + 1 and is labeled gray(k): 00, 01, 11, 10, which are
+
+def _sign_labels(parts: np.ndarray, work: np.ndarray, negative: bool) -> np.ndarray:
+    """Labels 2 b_re + b_im (``negative`` False) or b_re + 2 b_im (True) of
+    the symbols whose interleaved parts are ``parts``, b a part's sign bit:
+    part > 0, or part < 0 if ``negative``. One comparison over the parts
+    writes the pairs (b_re, b_im) as little-endian 16-bit words b_re +
+    256 b_im, whose products with 0x0201 or 0x0102 hold the label in their
+    high byte; the labels are written to the bytes of ``work`` after the
+    pairs."""
+    n = parts.size // 2
+    signs = work.view(np.uint8)[: 2 * n]
+    (np.less if negative else np.greater)(parts, 0, out=signs.view(bool))
+    pairs = signs.view("<u2")
+    pairs *= 0x0102 if negative else 0x0201
+    labels = work.view(np.uint8)[2 * n : 3 * n]
+    np.right_shift(pairs, 8, out=labels, casting="unsafe")
+    return labels
+
+
+#: How near a whole number t = arctan2(im, re) / (2 pi / M) must lie for a
+#: PSK symbol to be decided by its exact side of that boundary: 2^-40, about
+#: 9.1e-13, over 300 times the largest error of t measured (README section 10).
+_NEAR_WHOLE = 2.0**-40
+
+#: cos(k pi / 16), k = 0..8, as double-double (hi, lo) pairs, hi + lo within
+#: 2^-106 of the cosine; cos(pi / 2) is exactly 0.
+_COS_SIXTEENTHS = (
+    (1.0, 0.0),
+    (0.9807852804032304, 1.8546939997825006e-17),
+    (0.9238795325112867, 1.7645047084336677e-17),
+    (0.8314696123025452, 1.4073856984728024e-18),
+    (0.7071067811865476, -4.833646656726457e-17),
+    (0.5555702330196022, 4.709410940561677e-17),
+    (0.3826834323650898, -1.0050772696461588e-17),
+    (0.19509032201612828, -7.991079068461731e-18),
+    (0.0, 0.0),
+)
+
+
+def _cos_sixteenths(j: int) -> tuple[float, float]:
+    """cos(j pi / 16) as a double-double pair, any integer j, from the
+    first quadrant by symmetry: exact signs and zeros."""
+    j %= 32
+    if j > 16:
+        j = 32 - j
+    if j > 8:
+        hi, lo = _COS_SIXTEENTHS[16 - j]
+        return -hi, -lo
+    return _COS_SIXTEENTHS[j]
+
+
+#: cos and sin of the boundary angles j pi / 16, j = 0..31, each as (hi, lo):
+#: columns cos hi, cos lo, sin hi, sin lo.
+_BOUNDARY_TURNS = np.array([_cos_sixteenths(j) + _cos_sixteenths(j - 8) for j in range(32)])
+_BOUNDARY_TURNS.setflags(write=False)
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of a into hi + lo, each of at most 26 significant
+    bits, exactly, for |a| < 2^995."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's exact product: (p, e) with p = fl(a b) and p + e = a b
+    exactly, where a b neither overflows nor comes near the subnormal
+    range, or where b is 0 or a power of two."""
+    p = a * b
+    (a_hi, a_lo), (b_hi, b_lo) = _split(a), _split(b)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _boundary_decisions(x: np.ndarray, y: np.ndarray, whole: np.ndarray, order: int) -> np.ndarray:
+    """Table indices of PSK symbols x + iy next to boundary b = ``whole`` (a
+    float integer), the ray at theta_b = 2 pi b / M between points b - 1 and
+    b: point b when the side y cos theta_b - x sin theta_b is positive, b - 1
+    when negative (README section 10). The side is summed from Dekker's
+    exact products with the double-double cosine and sine, so only its
+    low-order terms round. A side of zero, which a float symbol can have
+    only on an axis or a diagonal, where the cosine and sine are 0 and
+    +-1 or equal in size, so that the side is exactly 0, ties: the lower
+    index, b - 1, but 0 at b = 0 and at the origin.
+
+    Parts are first scaled by a power of two, which keeps the sign of the
+    side, when the larger lies outside [2^-500, 2^500], to [1/2, 1). A
+    part that the scaling takes below the subnormal range is at least
+    2^1000 times smaller than the other, so the symbol is next to an axis,
+    where the side is that part times 0 or +-1; it becomes the least
+    subnormal of its sign, which keeps the side's sign.
+    """
+    b = whole.astype(np.intp)
+    exponent = np.frexp(np.maximum(np.abs(x), np.abs(y)))[1]
+    shift = np.where(np.abs(exponent) > 500, -exponent, 0)
+    x, y = (np.where((part != 0) & (scaled == 0), np.copysign(5e-324, part), scaled)
+            for part, scaled in ((x, np.ldexp(x, shift)), (y, np.ldexp(y, shift))))
+    cos_hi, cos_lo, sin_hi, sin_lo = _BOUNDARY_TURNS[b * (32 // order) % 32].T
+    (p, p_err), (q, q_err) = _two_product(y, cos_hi), _two_product(x, sin_hi)
+    side = (p - q) + ((p_err - q_err) + (y * cos_lo - x * sin_lo))
+    index = b - 1 + (side > 0)
+    index[(side == 0) & ((b % order == 0) | ((x == 0) & (y == 0)))] = 0
+    return index & (order - 1)
+
+
+def _psk_labels(parts: np.ndarray, order: int, work: np.ndarray) -> np.ndarray:
+    """Labels of the nearest PSK points to the symbols whose interleaved
+    parts are ``parts``, in ``work`` (README section 10).
+
+    QPSK by sign: point k sits in quadrant k + 1 and is labeled gray(k):
     (im < 0, re < 0), but for the tie on the imaginary axis below 0
     (re = +-0, im < 0), where point 2's label 11 is taken.
+
+    Other orders by the angle t = arctan2(im, re) in units of 2 pi / M:
+    point k owns t in (k, k + 1], so its index is ceil(t) - 1 (mod M) and
+    its label the Gray code of that. A symbol whose t lies within
+    ``_NEAR_WHOLE`` of a whole number b, which includes every t that
+    arctan2's rounding could have moved across b, is decided by its exact
+    side of that boundary instead (``_boundary_decisions``). Two
+    reductions over t's distance below its ceiling find whether any does.
     """
-    if family == "qam":
-        return (parts > 0).view(np.uint8)
-    re, im = parts[0::2], parts[1::2]
-    bits = np.empty(parts.shape, bool)
-    np.less(im, 0, out=bits[0::2])
-    np.less(re, 0, out=bits[1::2])
-    bits[1::2] |= bits[0::2] & (re == 0)
-    return bits.view(np.uint8)
+    n = parts.size // 2
+    if order == 4:
+        labels = _sign_labels(parts, work, negative=True)
+        zero = np.equal(parts, 0, out=work.view(bool)[: 2 * n])  # over the spent pairs
+        if zero.any():
+            tie = np.flatnonzero(zero[0::2])
+            labels[tie] |= parts[2 * tie + 1] < 0
+        return labels
+    # Contiguous parts: arctan2 on the strided parts takes about twice as long.
+    t, ceil_t = work[:n], work[n : 2 * n]
+    np.copyto(t, parts[0::2])
+    np.copyto(ceil_t, parts[1::2])
+    np.arctan2(ceil_t, t, out=t)
+    t *= order / (2.0 * math.pi)
+    np.ceil(t, out=ceil_t)
+    below = np.subtract(ceil_t, t, out=t)  # in [0, 1)
+    near = None
+    if (np.minimum.reduce(below, initial=1.0) <= _NEAR_WHOLE
+            or np.maximum.reduce(below, initial=0.0) >= 1.0 - _NEAR_WHOLE):
+        near = np.flatnonzero((below <= _NEAR_WHOLE) | (below >= 1.0 - _NEAR_WHOLE))
+        decided = _boundary_decisions(parts[2 * near], parts[2 * near + 1],
+                                      ceil_t[near] - (below[near] > 0.5), order)
+    # ceil(t) - 1 + M lies in [M/2 - 1, 3M/2], so the byte cast is exact.
+    ceil_t += order - 1
+    labels, shifted = work.view(np.uint8)[:n], work.view(np.uint8)[n : 2 * n]
+    np.copyto(labels, ceil_t, casting="unsafe")
+    labels &= order - 1
+    np.right_shift(labels, 1, out=shifted)
+    labels ^= shifted  # the Gray code k ^ (k >> 1)
+    if near is not None:
+        labels[near] = _gray(decided)
+    return labels
 
 
-#: (a, c) of the ray at angle q pi / 4, q = 0..7: a re + c im is the side
-#: of a symbol from that ray, positive counterclockwise of it.
-_RAY_SIDES = np.array([(0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1), (1, 0), (1, 1)],
-                      dtype=float)
-
-
-def _psk_indices(symbols: np.ndarray, order: int) -> np.ndarray:
-    """Nearest PSK point by the angle t = arctan2(im, re) in units of
-    2 pi / M (README section 10): index ceil(t) - 1. arctan2 can round an
-    angle near a boundary onto it, so the symbols whose t is a whole number
-    b are decided again by the exact sign of their side of that boundary
-    (``_RAY_SIDES``) when it is an axis or a diagonal, the only boundaries
-    a float can lie on; a side of zero, or another boundary, goes to the
-    lower index b - 1, and to 0 at b = 0 and at the origin.
-    """
-    # Contiguous copies: arctan2 on the strided parts takes about twice as
-    # long, and gives the same values.
-    re, im = np.ascontiguousarray(symbols.real), np.ascontiguousarray(symbols.imag)
-    t = np.arctan2(im, re)
-    t /= 2.0 * np.pi / order
-    idx = np.ceil(t)
-    on = np.flatnonzero(idx == t)
-    idx = idx.astype(np.intp)
-    if on.size:
-        x, y, b = re[on], im[on], idx[on]
-        ray, off_ray = np.divmod(8 * b, order)
-        a, c = _RAY_SIDES[ray & 7].T * (off_ray == 0)
-        with np.errstate(over="ignore"):  # the sign survives an overflow
-            side = a * x + c * y
-        idx[on] += side > 0
-        idx[on[(side == 0) & ((b == 0) | ((x == 0) & (y == 0)))]] = 1
-    idx -= 1
-    idx &= order - 1  # M is a power of two
-    return idx
+#: The label of a 32-QAM grid cell that has no point.
+_CORNER = 0xFF
 
 
 @lru_cache(maxsize=None)
 def _qam_grid(order: int) -> tuple[float, np.ndarray]:
     """The QAM table as a level grid: the level spacing d, with the levels
-    at odd multiples of d/2, and the table index of each (I level, Q level)
-    cell, -1 where the 32-cross has no point."""
-    points = constellation_points(ModScheme("qam", order)).points
+    at odd multiples of d/2, and the label integer of each (I level, Q
+    level) cell, ``_CORNER`` where the 32-cross has no point."""
+    table = constellation_points(ModScheme("qam", order))
+    points, k = table.points, table.bits_per_symbol
     spacing = 2.0 * float(np.min(np.abs(points.real)))
     i_odd = np.round(2.0 * points.real / spacing).astype(int)
     q_odd = np.round(2.0 * points.imag / spacing).astype(int)
     n_i, n_q = i_odd.max() + 1, q_odd.max() + 1
-    grid = np.full((n_i, n_q), -1, dtype=np.intp)
-    grid[(i_odd + n_i - 1) // 2, (q_odd + n_q - 1) // 2] = np.arange(order)
-    grid.setflags(write=False)
-    return spacing, grid
+    cells = np.full((n_i, n_q), _CORNER, dtype=np.uint8)
+    cells[(i_odd + n_i - 1) // 2, (q_odd + n_q - 1) // 2] = table.labels @ (1 << np.arange(k)[::-1])
+    cells.setflags(write=False)
+    return spacing, cells
 
 
-def _qam_indices(symbols: np.ndarray, order: int) -> np.ndarray:
-    """Nearest QAM point: round each axis to its level grid, with a clamp,
-    and a 32-cross corner cell to its nearer neighbour (README section 10).
+def _qam_labels(parts: np.ndarray, order: int, work: np.ndarray) -> np.ndarray:
+    """Labels of the nearest QAM points to the symbols whose interleaved
+    parts are ``parts``, in ``work`` (README section 10).
 
-    In units of the level spacing the levels sit at half-integers and the
-    boundaries at the integers between them, so the cell of x is ceil(x),
-    the lower level on a tie. Corner symbols are compared before the
+    4-QAM by sign: the label is (re > 0, im > 0). Other orders round each
+    axis to its level grid, with a clamp: in units of the level spacing
+    the levels sit at half-integers and the boundaries at the integers
+    between them, so the cell of x is ceil(x), the lower level on a tie.
+    The clamped cells index a table of labels. A 32-cross corner cell,
+    which has no point, goes to its nearer neighbour, compared before the
     division, which can round two coordinates to one value, or both of a
     huge symbol to inf, which the clamp takes to the edge level.
     """
-    spacing, grid = _qam_grid(order)
-    n_i, n_q = grid.shape
+    n = parts.size // 2
+    if order == 4:
+        return _sign_labels(parts, work, negative=False)
+    spacing, cells = _qam_grid(order)
+    n_i, n_q = cells.shape
+    x, y = work[:n], work[n : 2 * n]
     with np.errstate(over="ignore"):
-        x, y = symbols.real / spacing, symbols.imag / spacing
-    i = np.clip(np.ceil(x), 1 - n_i // 2, n_i // 2).astype(np.intp) + (n_i // 2 - 1)
-    q = np.clip(np.ceil(y), 1 - n_q // 2, n_q // 2).astype(np.intp) + (n_q // 2 - 1)
-    idx = np.take(grid, i * n_q + q)
-    corner = np.flatnonzero(idx < 0)
-    if corner.size:
-        re, im = symbols.real[corner], symbols.imag[corner]
-        ax, ay = np.abs(re), np.abs(im)
-        keep_i = (ax > ay) | ((ax == ay) & (re < 0))
-        ci, cq = i[corner], q[corner]
-        ci = np.where(keep_i, ci, np.where(ci == 0, 1, n_i - 2))
-        cq = np.where(keep_i, np.where(cq == 0, 1, n_q - 2), cq)
-        idx[corner] = grid[ci, cq]
-    return idx
+        np.divide(parts[0::2], spacing, out=x)
+        np.divide(parts[1::2], spacing, out=y)
+    for axis, levels in ((x, n_i), (y, n_q)):
+        np.ceil(axis, out=axis)
+        np.clip(axis, 1 - levels // 2, levels // 2, out=axis)
+    # The cell's flat index (i + n_i/2 - 1) n_q + q + n_q/2 - 1, a small
+    # whole number, so exact as a float.
+    x *= n_q
+    x += y
+    x += (n_i // 2 - 1) * n_q + n_q // 2 - 1
+    index = y.view(np.intp)[:n]
+    np.copyto(index, x, casting="unsafe")
+    labels = work.view(np.uint8)[:n]
+    np.take(cells.reshape(-1), index, out=labels, mode="clip")
+    if order == 32:
+        in_corner = np.equal(labels, _CORNER, out=work.view(bool)[n : 2 * n])
+        if in_corner.any():
+            corner = np.flatnonzero(in_corner)
+            re, im = parts[2 * corner], parts[2 * corner + 1]
+            ax, ay = np.abs(re), np.abs(im)
+            keep_i = (ax > ay) | ((ax == ay) & (re < 0))
+            ci, cq = np.divmod(index[corner], n_q)
+            ci = np.where(keep_i, ci, np.where(ci == 0, 1, n_i - 2))
+            cq = np.where(keep_i, np.where(cq == 0, 1, n_q - 2), cq)
+            labels[corner] = cells[ci, cq]
+    return labels

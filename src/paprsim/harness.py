@@ -21,14 +21,16 @@ from the filtered envelope (README section 7). Only the two PAPR vectors
 grow with n_symbols.
 
 BER unit, one per (scheme, cr), whose Eb/N0 cells share one transmission:
-it draws its bits, transmits them chunk by chunk to the band bins, reads
-the noise-free data symbols and the transmit power there (README section
-3), and draws its unit normals z. Each Eb/N0 point calibrates sigma_n from
+it draws its bits chunk by chunk, transmits them to the band bins, keeps
+each symbol's label integer, one byte, in place of its bits, reads the
+noise-free data symbols and the transmit power there (README section 3),
+and draws its unit normals z. Each Eb/N0 point calibrates sigma_n from
 that power (README section 2), adds sigma_n z as the data-bin noise
-(README section 4), divides by ``clip_attenuation(cr)``, slices and counts
-the bit errors. Every point scales the same z (README section 9), so a
-unit's cells are correlated and are not independent samples of the BER
-curve.
+(README section 4), divides by ``clip_attenuation(cr)``, slices to label
+integers in the thread's idle transmit block and counts the bit errors as
+the set bits of those labels XOR the sent ones (README section 10). Every
+point scales the same z (README section 9), so a unit's cells are
+correlated and are not independent samples of the BER curve.
 """
 from __future__ import annotations
 
@@ -52,7 +54,7 @@ from .clip_filter import (
     _filter_inverse,
     default_hpf_spec,
 )
-from .constellation import SCHEME_NAMES, ModScheme, demap_symbols, map_bits
+from .constellation import SCHEME_NAMES, ModScheme, _slice_labels, map_bits
 from .errors import ConfigError, ExperimentError, ShapeError
 from .metrics import CcdfCurve, _papr_db_rows, ccdf_quantile, estimate_ccdf
 from .ofdm_chain import (
@@ -72,9 +74,10 @@ from .ofdm_chain import (
 # The harness calls the layer functions through the stage names that
 # perfbench/interactions.json lists, because perfbench/spans.py times a stage
 # by wrapping that module-level name. Each name is bound to the public
-# function itself, or for the clip and the composed filter to the kernel
-# the public function runs (the clip's real factor; the filter's forward
-# half, given its fold), so every stage keeps one implementation. The
+# function itself, or for the clip, the composed filter and the demapper to
+# the kernel the public function runs (the clip's real factor; the
+# filter's forward half, given its fold; the slicer's label integers), so
+# every stage keeps one implementation. The
 # bindings go once the stage table names the public functions (ROADMAP
 # item 1).
 _map_rows = map_bits
@@ -82,7 +85,7 @@ _extend_rows = oversample_extend
 _modulate_rows = ofdm_modulate
 _clip_magnitude_rows = _clip_factor
 _composed_rows = _filter_forward
-_demap_rows = demap_symbols
+_demap_rows = _slice_labels
 # Uncalled: the receiver has no low-pass (``_filter_rows``), the bin-domain
 # BER unit adds no passband AWGN and runs no per-cell receiver, and its
 # transmit ends at the band bins, so it neither upconverts nor demodulates.
@@ -425,31 +428,36 @@ def _noise_free_unit(
 ) -> tuple:
     """The shared work of a BER unit: draw the bit rows, transmit them
     (cr=None skips clipping and filtering) and receive them without noise,
-    one chunk at a time (``_ber_chunk``, README section 3). Returns (bits,
-    transmit power, received symbols, normals): the power is the mean of
-    the per-block mean squares of the passband samples, prefix included;
-    unclipped, the symbols are the mapped symbols; the normals, given
-    ``noise``, a generator, are a complex array of the symbols' shape whose
-    parts are standard normals drawn in row order (2N a frame), else None.
+    one chunk at a time (``_ber_chunk``, README section 3). Returns (sent,
+    transmit power, received symbols, normals): ``sent`` holds each
+    symbol's label integer, uint8 (frames, N), one byte a symbol in place
+    of its bits; the power is the mean of the per-block mean squares of
+    the passband samples, prefix included; unclipped, the symbols are the
+    mapped symbols; the normals, given ``noise``, a generator, are a
+    complex array of the symbols' shape whose parts are standard normals
+    drawn in row order (2N a frame), else None.
 
-    The bits are drawn up front; each chunk's claim draws its normals and
-    hands it its rows of the bits (README section 8). The symbols, normals
-    and block powers are the first rows of the unit arrays of ``space``,
-    the caller's ``_workspace`` (``noisy`` if ``noise`` is given), on whose
-    buffers the chunks run, so the next unit of that workspace overwrites
-    them. The caller has checked the plan, and that clipping has its
-    high-pass."""
+    Each chunk's claim draws its bit rows and its normals, so that the
+    draws follow row order and the chunked bit draws concatenate to one
+    draw of all the rows (README section 8); no array of the unit's bits
+    is kept. The labels, symbols, normals and block powers are the first
+    rows of the unit arrays of ``space``, the caller's ``_workspace``
+    (``noisy`` if ``noise`` is given), on whose buffers the chunks run, so
+    the next unit of that workspace overwrites them. The caller has
+    checked the plan, and that clipping has its high-pass."""
     n_frames = _unit_frames(params, scheme, min_bits)
-    bits = _random_bits(rng, n_frames, params.n_subcarriers * scheme.bits_per_symbol)
-    received, normals, block_power = (None if a is None else a[:n_frames] for a in space[2:])
+    bits_per_frame = params.n_subcarriers * scheme.bits_per_symbol
+    received, normals, block_power, sent = (None if a is None else a[:n_frames]
+                                            for a in space[2:])
 
     def claim(rows):
         if noise is not None:
             noise.standard_normal(out=normals[rows].view(float))
-        return bits[rows]
+        return _random_bits(rng, rows.stop - rows.start, bits_per_frame)
 
-    _transmit(params, scheme, cr, hpf, n_frames, _ber_chunk, claim, space, received, block_power)
-    return bits, float(np.mean(block_power)), received, None if noise is None else normals
+    _transmit(params, scheme, cr, hpf, n_frames, _ber_chunk, claim, space, received, block_power,
+              sent)
+    return sent, float(np.mean(block_power)), received, None if noise is None else normals
 
 
 def _ber_cells(
@@ -479,21 +487,27 @@ def _ber_cells(
     cell: a chunk loop over the kept symbols on the unit's threads, in
     chunks of at most 1/T of the rows for T threads. A chunk writes sigma_n
     times its rows of z into its thread's transmit scratch, adds the
-    symbols, divides by the gain, demaps and returns its error count, so a
-    point allocates no array of the unit's size; the point's count is the
-    sum of its chunks' counts.
+    symbols and divides by the gain there; the slicer (``_demap_rows``,
+    README section 10) writes the label integers it decides, and keeps its
+    temporaries, in the thread's transmit block, idle during the points,
+    and skips its non-finite check where the point's bound shows every
+    symbol finite; the chunk's count is the popcount of those labels XOR
+    the sent ones. So a point allocates nothing of its chunks' size, and
+    its count is the sum of its chunks' counts.
     """
     bit_seed, noise_seed = np.random.SeedSequence(entropy).spawn(2)
     noisy = any(ebn0_db is not None for ebn0_db in ebn0_grid_db)
-    bits, power, clean, normals = _noise_free_unit(
+    sent, power, clean, normals = _noise_free_unit(
         params, scheme, cr, hpf, min_bits, np.random.default_rng(bit_seed),
         np.random.default_rng(noise_seed) if noisy else None, space,
     )
     # numpy divides a complex x by the gain g + 0j as (x.real + x.imag * 0)
     # * (1 / g) and (x.imag - x.real * 0) * (1 / g), so scaling both parts
     # by 1 / g gives the same symbols, up to the sign of a zero part, which
-    # the slicer ignores, without the slower complex division.
-    scale = 1.0 / (clip_attenuation(cr) if cr is not None else 1.0)
+    # the slicer ignores, without the slower complex division. The 4-point
+    # tables are decided by the signs of the parts, which scaling by
+    # 1 / g >= 1 keeps, so their points, like unclipped ones, skip it.
+    scale = 1.0 if cr is None or scheme.order == 4 else 1.0 / clip_attenuation(cr)
     n_frames, n = clean.shape
     threads, step = _chunking(n_frames, params.n_oversampled)
     # A transmit chunk's scratch holds step * L rows of N. Chunks of at
@@ -501,21 +515,51 @@ def _ber_cells(
     # unit smaller than one chunk.
     step = min(step * params.oversample, math.ceil(n_frames / threads))
     scratch = [buffers[2] for buffers in space[0]]
+    # The slicer's buffer: the block as floats, two for each of the up to
+    # step * N symbols of a point chunk.
+    work = [buffers[1].view(float) for buffers in space[0]]
+    # The slicer refuses a non-finite symbol. A point's symbols, (sigma_n z
+    # + clean) * scale, cannot be one while (sigma_n max|z| + max|clean|)
+    # * scale stays below 2^1020, which leaves room for the roundings of
+    # the three operations; a part of z or clean that is NaN or infinite
+    # makes its bound NaN or infinite. Such a point's slicer skips its
+    # check, and any other point's keeps it.
+    clean_bound = _part_bound(clean)
+    normals_bound = 0.0 if normals is None else _part_bound(normals)
 
     def errors_at(ebn0_db):
         sigma_n = 0.0 if ebn0_db is None else noise_sigma(params, scheme, ebn0_db, power)
+        finite = (sigma_n * normals_bound + clean_bound) * scale < 2.0**1020
 
         def count(thread, rows, _):
             out = _rows(scratch[thread], complex, *clean[rows].shape)
             z = None if normals is None else normals[rows]
             parts = _add_bin_noise(clean[rows], sigma_n, z, out=out).view(float)
-            parts *= scale
-            return int(np.count_nonzero(bits[rows] != _demap_rows(out, scheme)))
+            if scale != 1.0:
+                parts *= scale
+            received = _demap_rows(out, scheme, work[thread], finite)
+            return _bit_count(np.bitwise_xor(received, sent[rows], out=received))
 
         return sum(_on_chunks(n_frames, step, count, threads=threads, helpers=space[1]))
 
     for ebn0_db in ebn0_grid_db:
-        yield errors_at(ebn0_db), bits.size
+        yield errors_at(ebn0_db), clean.size * scheme.bits_per_symbol
+
+
+def _part_bound(values: np.ndarray) -> float:
+    """max - min of the parts of a C-contiguous complex array and 0: at
+    least the largest |part|, and NaN or infinite if a part is."""
+    parts = values.reshape(-1).view(float)
+    return float(np.maximum.reduce(parts, initial=0.0) - np.minimum.reduce(parts, initial=0.0))
+
+
+def _bit_count(values: np.ndarray) -> int:
+    """The number of set bits of a C-contiguous uint8 array, counted eight
+    bytes a word."""
+    flat = values.reshape(-1)
+    whole = flat.size // 8 * 8
+    count = int(np.bitwise_count(flat[:whole].view(np.uint64)).sum())
+    return count + int(np.bitwise_count(flat[whole:]).sum()) if whole < flat.size else count
 
 
 def _chunk_buffers(frames: int, params: OfdmParams) -> tuple[np.ndarray, ...]:
@@ -547,8 +591,9 @@ def _workspace(params: OfdmParams, unit_frames, ber: bool, noisy: bool = False):
     start at most one fewer than there are buffer sets; then, for BER
     units, the unit arrays at the largest unit's frames: the received
     symbols and, for ``noisy`` units (None otherwise), the normals,
-    complex (frames, N), and the block powers, (frames,). A unit takes
-    the first rows of each and overwrites what the unit before it left."""
+    complex (frames, N), the block powers, (frames,), and the sent label
+    integers, uint8 (frames, N), one byte a symbol. A unit takes the first
+    rows of each and overwrites what the unit before it left."""
     loops = []  # (threads, frames per chunk) of each unit's transmit loop
     for frames in unit_frames:
         threads, step = _chunking(frames, params.n_oversampled)
@@ -559,7 +604,8 @@ def _workspace(params: OfdmParams, unit_frames, ber: bool, noisy: bool = False):
     if ber:
         frames, n = max(unit_frames), params.n_subcarriers
         normals = np.empty((frames, n), complex) if noisy else None
-        arrays = np.empty((frames, n), complex), normals, np.empty(frames)
+        arrays = (np.empty((frames, n), complex), normals, np.empty(frames),
+                  np.empty((frames, n), np.uint8))
     with closing(_Helpers()) as helpers:
         yield (buffers, helpers, *arrays)
 
@@ -572,10 +618,11 @@ def _rows(buffer: np.ndarray, dtype, count: int, width: int) -> np.ndarray:
 
 def _clipped_band(
     bits: np.ndarray, scheme: ModScheme, params: OfdmParams, amplitude: float,
-    fold: tuple, buffers: tuple[np.ndarray, ...],
+    fold: tuple, buffers: tuple[np.ndarray, ...], labels: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The clipped transmit of the frames ``bits`` holds, shared by both
-    experiments' chunks, on one thread's buffers (``_chunk_buffers``).
+    experiments' chunks, on one thread's buffers (``_chunk_buffers``);
+    the map writes the symbols' label integers into ``labels`` if given.
 
     Map, extend and modulate write into the buffers' symbols and block (the
     inverse transform runs in place); |x| of the baseband goes into the
@@ -587,7 +634,8 @@ def _clipped_band(
     the clip touches; and the band bins Y[j], j = -N/2..N/2.
     """
     count, total = bits.shape[0], params.n_oversampled
-    symbols = _map_rows(bits, scheme, out=_rows(buffers[0], complex, count, params.n_subcarriers))
+    symbols = _map_rows(bits, scheme, out=_rows(buffers[0], complex, count, params.n_subcarriers),
+                        labels=labels)
     block = _rows(buffers[1], complex, count, total)
     frames = _extend_rows(symbols, params.oversample, out=block)
     baseband = _modulate_rows(frames, params, out=block)
@@ -631,10 +679,11 @@ def _papr_chunk(
 def _ber_chunk(
     bits: np.ndarray, scheme: ModScheme, params: OfdmParams, amplitude: float | None,
     fold: tuple | None, buffers: tuple[np.ndarray, ...],
-    received: np.ndarray, block_power: np.ndarray,
+    received: np.ndarray, block_power: np.ndarray, sent: np.ndarray,
 ) -> None:
     """One chunk of a BER unit: transmits the frames ``bits`` holds
-    (amplitude None skips clipping and filtering), then writes each block's
+    (amplitude None skips clipping and filtering), writing each symbol's
+    label integer into ``sent`` as it maps them, then writes each block's
     noise-free data symbols into ``received`` and the mean square of its
     passband samples, prefix included, into ``block_power``.
 
@@ -653,12 +702,12 @@ def _ber_chunk(
     spectrum = _rows(buffers[2], complex, count, total // 2 + 1)
     band = spectrum[:, first : first + n + 1]
     if amplitude is None:
-        symbols = _map_rows(bits, scheme, out=received)
+        symbols = _map_rows(bits, scheme, out=received, labels=sent)
         weights = weights * math.sqrt(total)
         np.multiply(symbols[:, half:], weights[:half], out=band[:, :half])
         np.multiply(symbols[:, : half + 1], weights[half:], out=band[:, half:])
     else:
-        _, _, filtered = _clipped_band(bits, scheme, params, amplitude, fold, buffers)
+        _, _, filtered = _clipped_band(bits, scheme, params, amplitude, fold, buffers, sent)
         np.take(filtered, data, axis=-1, out=received)
         received *= 1.0 / math.sqrt(total)
         np.multiply(filtered, weights, out=band)

@@ -420,6 +420,15 @@ def per_point_normals(entropy, ebn0_grid_db, shape) -> list:
     return [complex_normals(np.random.default_rng(seed), shape) for seed in seeds[1:]]
 
 
+def label_bits(labels, scheme) -> np.ndarray:
+    """The bits (..., n*k) of label integers (..., n), each label's k bits
+    in big-endian order, as ``map_bits`` reads them."""
+    k = scheme.bits_per_symbol
+    labels = np.asarray(labels)
+    bits = (labels[..., None].astype(int) >> np.arange(k - 1, -1, -1)) & 1
+    return bits.astype(np.uint8).reshape(labels.shape[:-1] + (labels.shape[-1] * k,))
+
+
 def ber_points(bits, power, clean, scheme, params, cr, ebn0_grid_db, normals) -> list:
     """The error counts of a BER unit's Eb/N0 points on whole-unit arrays:
     point i adds sigma_n(i) times ``normals[i]`` to the noise-free symbols

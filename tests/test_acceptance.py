@@ -49,6 +49,7 @@ from oracles import (
     complex_normals,
     direct_oversampled_idft,
     improper_gaussian_ber,
+    label_bits,
     ofdm_demodulate,
 )
 
@@ -164,9 +165,10 @@ def replay_trend_cell(scheme: ModScheme, cr: float, hpf) -> dict:
     bits_per_frame = params.n_subcarriers * scheme.bits_per_symbol
     with _workspace(params, [_unit_frames(params, scheme, spec.bits_per_point)],
                     ber=True) as space:
-        tx_bits, power, clean, _ = _noise_free_unit(  # clean: noise-free, gain kept
+        sent, power, clean, _ = _noise_free_unit(  # clean: noise-free, gain kept
             params, scheme, cr, hpf, spec.bits_per_point, np.random.default_rng(seeds[0]), None,
             space)
+    tx_bits = label_bits(sent, scheme)
     sigma_n = noise_sigma(params, scheme, TREND_EBN0_DB, power)
     alpha = clip_attenuation(cr)
     noisy = _add_bin_noise(clean, sigma_n,

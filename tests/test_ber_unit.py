@@ -14,6 +14,7 @@ from paprsim import (
     ExperimentSpec,
     ModScheme,
     OfdmParams,
+    ShapeError,
     add_awgn,
     clip_attenuation,
     demap_symbols,
@@ -24,6 +25,7 @@ from paprsim import (
     simulate_chain_ber,
 )
 from paprsim.clip_filter import _composed_fold
+from paprsim.constellation import SCHEME_NAMES
 from paprsim.harness import (
     _add_bin_noise,
     _ber_cells,
@@ -36,7 +38,7 @@ from paprsim.harness import (
     _workspace,
 )
 
-from oracles import ORACLE_PLANS, complex_normals, time_domain_ber_cell
+from oracles import ORACLE_PLANS, ber_points, complex_normals, label_bits, time_domain_ber_cell
 
 NOISE_PLANS = ("reference", "nyquist_edge", "high_carrier")
 # The oracle plans and three plans whose prefix starts the carrier an
@@ -85,16 +87,18 @@ def test_the_turn_plans_start_the_prefix_off_a_whole_carrier_turn():
 @pytest.mark.parametrize("cr", [None, 1.2], ids=["unclipped", "cr1.2"])
 @pytest.mark.parametrize("plan", sorted(BER_PLANS))
 def test_noise_free_unit_equals_the_time_domain_path(plan, cr):
-    # Same bits. Unclipped, the received symbols are the mapped symbols
-    # exactly. The transmit power, and clipped the symbols, are the
-    # literal chain's (prefix, upconvert, real-FFT receiver) to round-off:
-    # the unit reads them from the band bins and one inverse real FFT.
+    # Same bits, whose label integers the unit keeps. Unclipped, the
+    # received symbols are the mapped symbols exactly. The transmit power,
+    # and clipped the symbols, are the literal chain's (prefix, upconvert,
+    # real-FFT receiver) to round-off: the unit reads them from the band
+    # bins and one inverse real FFT.
     params, _ = BER_PLANS[plan]
     scheme = ModScheme("qam", 16)
     hpf = plan_hpf(plan)
-    bits, power, clean, _ = noise_free_unit(params, scheme, cr, hpf, 50_000,
+    sent, power, clean, _ = noise_free_unit(params, scheme, cr, hpf, 50_000,
                                             np.random.default_rng(31))
-    assert np.array_equal(bits, _random_bits(np.random.default_rng(31), *bits.shape))
+    bits = _random_bits(np.random.default_rng(31), sent.shape[0], sent.shape[1] * 4)
+    assert sent.dtype == np.uint8 and np.array_equal(label_bits(sent, scheme), bits)
     want_power, _, want_clean, _ = time_domain_ber_cell(
         bits, scheme, params, cr, 6.0, hpf, np.random.default_rng(32))
     assert abs(power - want_power) <= 1e-14 * want_power, (power, want_power)
@@ -116,6 +120,7 @@ def test_ber_chunk_transforms(monkeypatch, plan, cr):
     fold = None if cr is None else _composed_fold(params, plan_hpf(plan))
     bits = _random_bits(np.random.default_rng(49), 6, params.n_subcarriers * 4)
     received = np.empty((6, params.n_subcarriers), complex)
+    sent = np.empty((6, params.n_subcarriers), np.uint8)
     calls = dict.fromkeys(("fft", "ifft", "rfft", "irfft"), 0)
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
@@ -123,8 +128,9 @@ def test_ber_chunk_transforms(monkeypatch, plan, cr):
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
     _ber_chunk(bits, scheme, params, amplitude, fold, _chunk_buffers(6, params),
-               received, np.empty(6))
+               received, np.empty(6), sent)
     monkeypatch.undo()
+    assert np.array_equal(label_bits(sent, scheme), bits)
     if cr is None:
         assert calls == {"fft": 0, "ifft": 0, "rfft": 0, "irfft": 1}
         assert np.array_equal(received, map_bits(bits, scheme))
@@ -145,30 +151,30 @@ def test_noise_free_unit_does_not_depend_on_the_chunk_length(monkeypatch, plan, 
     block_len = params.n_oversampled
     monkeypatch.setattr(harness, "_CHUNK_SAMPLES", 6 * block_len)
     assert harness._chunk_frames(block_len) == 6 and unchunked[0].shape[0] % 6 == 2
-    bits, power, clean, _ = noise_free_unit(params, scheme, cr, hpf, 50_000,
+    sent, power, clean, _ = noise_free_unit(params, scheme, cr, hpf, 50_000,
                                             np.random.default_rng(35))
-    assert np.array_equal(bits, unchunked[0])
+    assert np.array_equal(sent, unchunked[0])
     assert power == unchunked[1]
     assert np.array_equal(clean, unchunked[2])
 
 
 def unit_peak_and_kept_bytes(min_bits):
     """tracemalloc peak of one clipped QPSK unit on the reference plan, and
-    the bytes of the bits and symbols it returns."""
+    the bytes of the sent labels and symbols it returns."""
     params = ORACLE_PLANS["reference"][0]
     hpf = experiment_hpf(ExperimentSpec(params=params))
     tracemalloc.start()
     try:
-        bits, _, clean, _ = noise_free_unit(params, ModScheme.from_name("qpsk"), 1.0, hpf,
+        sent, _, clean, _ = noise_free_unit(params, ModScheme.from_name("qpsk"), 1.0, hpf,
                                             min_bits, np.random.default_rng(36))
-        return tracemalloc.get_traced_memory()[1], bits.nbytes + clean.nbytes
+        return tracemalloc.get_traced_memory()[1], sent.nbytes + clean.nbytes
     finally:
         tracemalloc.stop()
 
 
 def test_ber_unit_memory_grows_only_by_what_it_keeps(monkeypatch):
-    # From 2*10^5 to 8*10^5 bits the unit keeps 0.6 MB more bits and 4.8 MB
-    # more symbols. The slack covers the per-block mean squares (8 bytes a
+    # From 2*10^5 to 8*10^5 bits the unit keeps 0.3 MB more sent labels,
+    # one byte a symbol, and 4.8 MB more symbols. The slack covers the per-block mean squares (8 bytes a
     # frame, 19 kB here) and allocator noise. A whole-unit complex block
     # would grow by 16 bytes per passband sample, 58 MB here. One worker:
     # on threads the peak depends on how the threads' chunk temporaries
@@ -190,24 +196,29 @@ def test_unclipped_unit_slices_the_sent_symbols(monkeypatch, plan, scheme_name):
     # by 1. A blind estimate from the received power carries the
     # sampling error of the mean symbol energy: up to 0.5 % on 16-QAM in
     # three draws of 2*10^4 bits.
-    # The point demaps its symbols chunk by chunk, in row order.
+    # The point demaps its symbols chunk by chunk, in row order, and the
+    # slicer's labels are those of the sent bits.
     params, _ = ORACLE_PLANS[plan]
     scheme = ModScheme.from_name(scheme_name)
-    seen = {"symbols": []}
+    seen = {"bits": [], "symbols": [], "labels": []}
     draw, demap = harness._random_bits, harness._demap_rows
 
     def bits_spy(rng, n_frames, bits_per_frame):
-        seen["bits"] = draw(rng, n_frames, bits_per_frame)
-        return seen["bits"]
+        seen["bits"].append(draw(rng, n_frames, bits_per_frame))
+        return seen["bits"][-1]
 
-    def demap_spy(symbols, scheme):
+    def demap_spy(symbols, scheme, *args):
         seen["symbols"].append(symbols.copy())
-        return demap(symbols, scheme)
+        labels = demap(symbols, scheme, *args)
+        seen["labels"].append(labels.copy())  # the point XORs the labels in place
+        return labels
 
     monkeypatch.setattr(harness, "_random_bits", bits_spy)
     monkeypatch.setattr(harness, "_demap_rows", demap_spy)
     assert simulate_chain_ber(params, scheme, min_bits=20_000, seed=33)[0] == 0
-    assert np.array_equal(np.concatenate(seen["symbols"]), map_bits(seen["bits"], scheme))
+    bits = np.concatenate(seen["bits"])
+    assert np.array_equal(np.concatenate(seen["symbols"]), map_bits(bits, scheme))
+    assert np.array_equal(label_bits(np.concatenate(seen["labels"]), scheme), bits)
 
 
 @pytest.mark.parametrize("cr", [None, 1.0], ids=["unclipped", "cr1.0"])
@@ -220,9 +231,10 @@ def test_qpsk_bit_errors_nest_across_the_eb_n0_grid(monkeypatch, cr):
     monkeypatch.setattr(harness, "_worker_count", lambda: 1)
     labels, demap = [], harness._demap_rows
 
-    def demap_spy(symbols, scheme):
-        labels.append(demap(symbols, scheme))
-        return labels[-1]
+    def demap_spy(symbols, scheme, *args):
+        received = demap(symbols, scheme, *args)
+        labels.append(received.copy())  # the point XORs the labels in place
+        return received
 
     monkeypatch.setattr(harness, "_demap_rows", demap_spy)
     spec, scheme = ExperimentSpec(), ModScheme.from_name("qpsk")
@@ -234,7 +246,7 @@ def test_qpsk_bit_errors_nest_across_the_eb_n0_grid(monkeypatch, cr):
     bits = _random_bits(np.random.default_rng(bit_seed), counts[0][1] // bits_per_frame,
                         bits_per_frame)
     # One worker: the points demap in grid order, each chunk by chunk in row order.
-    masks = np.concatenate(labels).reshape(len(grid), *bits.shape) != bits
+    masks = label_bits(np.concatenate(labels), scheme).reshape(len(grid), *bits.shape) != bits
     assert [int(np.count_nonzero(mask)) for mask in masks] == [errors for errors, _ in counts]
     for point in range(1, len(grid)):
         assert not np.any(masks[point] & ~masks[point - 1]), grid[point]
@@ -373,13 +385,73 @@ def test_a_failing_unit_names_scheme_cr_and_ebn0(monkeypatch):
     # A later point fails in its own cell.
     demap, calls = harness._demap_rows, []
 
-    def second_fails(symbols, scheme):
+    def second_fails(symbols, scheme, *args):
         calls.append(None)
         if len(calls) == 2:
             raise ValueError("inner failure")
-        return demap(symbols, scheme)
+        return demap(symbols, scheme, *args)
 
     monkeypatch.setattr(harness, "_demap_rows", second_fails)
     with pytest.raises(ExperimentError, match=r"scheme=qpsk, cr=1, ebn0=8\b"):
         run_ber_experiment(spec)
 
+
+
+@pytest.mark.parametrize("cr", [None, 1.2], ids=["unclipped", "cr1.2"])
+@pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
+def test_a_point_counts_the_bits_demap_symbols_gets_wrong(scheme_name, cr):
+    # A point counts the set bits of its decided labels XOR the sent ones;
+    # that is count_nonzero(bits != demap_symbols(...)) on the unit's own
+    # symbols, normals and bits, whole-unit, for every scheme, with a noise
+    # level that leaves errors and a noiseless point, error-free unclipped.
+    params, _ = ORACLE_PLANS["reference"]
+    scheme, hpf = ModScheme.from_name(scheme_name), plan_hpf("reference")
+    grid, entropy, min_bits = (0.0, 6.0, None), [9, 1, 3], 30_000
+    counts = unit_cells(params, scheme, cr, hpf, min_bits, grid, entropy)
+    bit_seed, noise_seed = np.random.SeedSequence(entropy).spawn(2)
+    with _workspace(params, [_unit_frames(params, scheme, min_bits)], ber=True,
+                    noisy=True) as space:
+        sent, power, clean, normals = _noise_free_unit(
+            params, scheme, cr, hpf, min_bits, np.random.default_rng(bit_seed),
+            np.random.default_rng(noise_seed), space)
+        want = ber_points(label_bits(sent, scheme), power, clean, scheme, params, cr, grid,
+                          [normals] * len(grid))
+    assert [errors for errors, _ in counts] == want
+    assert want[0] > 0 and (cr is not None or want[-1] == 0)
+    assert {total for _, total in counts} == {sent.size * scheme.bits_per_symbol}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
+def test_a_non_finite_symbol_reaching_a_point_fails_as_its_cell(monkeypatch, scheme_name, bad):
+    # The second point's noise level is NaN or infinite, so are its
+    # symbols, and the slicer, whose check that point's bound keeps,
+    # refuses them: that cell fails, named, and the first has its count.
+    spec = ExperimentSpec(schemes=(ModScheme.from_name(scheme_name),), cr_values=(1.0,),
+                          ebn0_grid_db=(4.0, 8.0), bits_per_point=2000)
+    sigma, cells = harness.noise_sigma, []
+
+    def poisoned(params, scheme, ebn0_db, power):
+        return bad if ebn0_db == 8.0 else sigma(params, scheme, ebn0_db, power)
+
+    monkeypatch.setattr(harness, "noise_sigma", poisoned)
+    with pytest.raises(ExperimentError, match=rf"scheme={scheme_name}, cr=1, ebn0=8\b.*"
+                                              "cannot demap NaN or infinite symbols"):
+        run_ber_experiment(spec, progress=cells.append)
+    assert len(cells) == 2
+
+
+@pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
+def test_a_non_finite_noise_free_symbol_is_refused(monkeypatch, scheme_name):
+    # A NaN among a unit's noise-free symbols makes every point's bound NaN,
+    # so even the noiseless point's slicer checks, and refuses it.
+    scheme, map_rows = ModScheme.from_name(scheme_name), harness._map_rows
+
+    def poisoned(bits, scheme, *, out=None, labels=None):
+        symbols = map_rows(bits, scheme, out=out, labels=labels)
+        symbols[-1, -1] = complex(0.0, np.nan)
+        return symbols
+
+    monkeypatch.setattr(harness, "_map_rows", poisoned)
+    with pytest.raises(ShapeError, match="cannot demap NaN or infinite symbols"):
+        simulate_chain_ber(OfdmParams(), scheme, min_bits=2000)

@@ -36,7 +36,7 @@ from paprsim.harness import (
     experiment_hpf,
 )
 
-from oracles import ORACLE_PLANS, ber_points, per_point_normals
+from oracles import ORACLE_PLANS, ber_points, label_bits, per_point_normals
 
 # 97 frames of 16-QAM on a 128-subcarrier plan: an odd count, so every
 # even chunk length leaves a ragged last chunk.
@@ -68,7 +68,7 @@ def runner_threads():
 
 
 def unit_and_counts(monkeypatch, params, cr, hpf, workers, budget_blocks=None):
-    """The unit's (bits, power, symbols, None) and its points' counts with
+    """The unit's (sent labels, power, symbols, None) and its points' counts with
     ``workers`` CPUs and, if given, a budget of ``budget_blocks`` blocks."""
     with monkeypatch.context() as m:
         m.setattr(harness, "_worker_count", lambda: workers)
@@ -88,12 +88,12 @@ def test_unit_and_counts_do_not_depend_on_the_worker_count(monkeypatch, plan, cr
     # the points' chunks 32, 16 and 16 rows, all with a ragged last chunk.
     params, _ = ORACLE_PLANS[plan]
     hpf = experiment_hpf(ExperimentSpec(params=params))
-    (bits, power, clean, _), counts = unit_and_counts(monkeypatch, params, cr, hpf, 1)
-    assert bits.shape[0] == 97
+    (sent, power, clean, _), counts = unit_and_counts(monkeypatch, params, cr, hpf, 1)
+    assert sent.shape[0] == 97
     for workers in (1, 2, 3):
-        (got_bits, got_power, got_clean, _), got_counts = unit_and_counts(
+        (got_sent, got_power, got_clean, _), got_counts = unit_and_counts(
             monkeypatch, params, cr, hpf, workers, budget_blocks=4)
-        assert np.array_equal(got_bits, bits), workers
+        assert np.array_equal(got_sent, sent), workers
         assert got_power == power, workers
         assert np.array_equal(got_clean, clean), workers
         assert got_counts == counts, workers
@@ -113,8 +113,9 @@ def test_every_point_scales_the_normals_point_0_drew_on_its_own(monkeypatch, cr)
 
     def oracle(entropy, grid):
         bit_seed = np.random.SeedSequence(entropy).spawn(1)[0]
-        bits, power, clean, _ = noise_free(params, scheme, cr, hpf, MIN_BITS,
+        sent, power, clean, _ = noise_free(params, scheme, cr, hpf, MIN_BITS,
                                            np.random.default_rng(bit_seed))
+        bits = label_bits(sent, scheme)
         own = per_point_normals(entropy, grid, clean.shape)
         return (ber_points(bits, power, clean, scheme, params, cr, grid, own),
                 ber_points(bits, power, clean, scheme, params, cr, grid, own[:1] * len(grid)))
@@ -206,9 +207,10 @@ def test_the_first_cell_of_a_unit_demaps_only_its_own_point(monkeypatch):
     demapped = []
     demap = harness._demap_rows
 
-    def spy(symbols, scheme):
-        demapped.append(symbols.shape[0])
-        return demap(symbols, scheme)
+    def spy(symbols, scheme, *args):
+        labels = demap(symbols, scheme, *args)
+        demapped.append(labels.shape[0])
+        return labels
 
     monkeypatch.setattr(harness, "_demap_rows", spy)
     params, _ = ORACLE_PLANS["reference"]
@@ -236,9 +238,9 @@ def test_the_ber_transmit_and_the_papr_cell_take_chunks_of_one_length(monkeypatc
     chunk_rows = []
     map_rows = harness._map_rows
 
-    def spy(bits, scheme, out=None):
+    def spy(bits, scheme, out=None, labels=None):
         chunk_rows[-1].append(bits.shape[0])
-        return map_rows(bits, scheme, out=out)
+        return map_rows(bits, scheme, out=out, labels=labels)
 
     monkeypatch.setattr(harness, "_map_rows", spy)
     chunk_rows.append([])

@@ -2,13 +2,14 @@ import hashlib
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from paprsim import ConfigError, ModScheme, ShapeError, constellation_points, demap_symbols, map_bits
-from paprsim.constellation import SCHEME_NAMES
+from paprsim.constellation import _BOUNDARY_TURNS, SCHEME_NAMES, _slice_labels
 
-from oracles import brute_nearest_labels, map_bits_by_matmul
+from oracles import brute_nearest_labels, label_bits, map_bits_by_matmul
 
 ALL_SCHEMES = [ModScheme.from_name(n) for n in SCHEME_NAMES]
 
@@ -443,3 +444,149 @@ def test_scheme_validation():
     for name in ("64qam", "4psk", "4qam", "08psk", "16 psk"):
         with pytest.raises(ConfigError, match="unknown modulation scheme"):
             ModScheme.from_name(name)
+
+
+
+def ulps_from(value: float, steps: int) -> float:
+    """The float ``steps`` ulps above ``value`` (below it if negative)."""
+    for _ in range(abs(steps)):
+        value = float(np.nextafter(value, math.copysign(math.inf, steps)))
+    return value
+
+
+def boundary_ulp_cases(order):
+    """Every symbol 0 to 4 ulps, each part moved either way, from every
+    boundary of M-PSK at radii 0.5, 1 and 3, and the table index of its
+    nearest point by a 40-digit reference.
+
+    Boundary b is the ray at theta = 2 pi b / M between points b - 1 and b;
+    the symbols lie so near it that one of those two is nearest: b when
+    the side y cos theta - x sin theta is positive, b - 1 when negative,
+    the lower index when zero. ``mpmath.cospi`` and ``sinpi`` are exact on
+    the axes and equal on the diagonals, so a float on those rays has a
+    side of exactly zero. Each walk starts at the ray's point rounded to
+    floats."""
+    symbols, want = [], []
+    with mpmath.workdps(40):
+        for b in range(order):
+            turn = mpmath.mpf(2 * b) / order
+            c, s = mpmath.cospi(turn), mpmath.sinpi(turn)
+            for radius in (0.5, 1.0, 3.0):
+                for dx in range(-4, 5):
+                    for dy in range(-4, 5):
+                        x, y = ulps_from(float(radius * c), dx), ulps_from(float(radius * s), dy)
+                        side = mpmath.mpf(y) * c - mpmath.mpf(x) * s
+                        symbols.append(complex(x, y))
+                        want.append(b if side > 0 else b - 1 if side < 0 else min(b, (b - 1) % order))
+    return np.array(symbols), np.array(want) % order
+
+
+@pytest.mark.parametrize("order", [8, 16, 32])
+def test_psk_slicer_decides_symbols_within_four_ulps_of_every_boundary_exactly(order):
+    # arctan2 rounds the angle of many of these symbols across or onto a
+    # boundary that is neither an axis nor a diagonal; the symbols whose
+    # angle lies near a whole number of sectors are decided by their exact
+    # side of the boundary.
+    scheme = ModScheme("psk", order)
+    symbols, want = boundary_ulp_cases(order)
+    assert symbols.size == order * 3 * 81
+    got = demap_symbols(symbols, scheme).reshape(symbols.size, -1)
+    wrong = np.flatnonzero(np.any(got != constellation_points(scheme).labels[want], axis=1))
+    assert wrong.size == 0, symbols[wrong[:10]]
+
+
+def test_the_boundary_constants_are_double_doubles_of_the_cosines_and_sines():
+    # cos and sin of j pi / 16, j = 0..31, as hi + lo within 2^-106 of the
+    # 40-digit value, hi the double nearest it and lo the double nearest
+    # the rest; on the axes exactly 0 and +-1.
+    assert _BOUNDARY_TURNS.shape == (32, 4)
+    with mpmath.workdps(40):
+        for j, (cos_hi, cos_lo, sin_hi, sin_lo) in enumerate(_BOUNDARY_TURNS):
+            for hi, lo, f in ((cos_hi, cos_lo, mpmath.cos), (sin_hi, sin_lo, mpmath.sin)):
+                exact = f(mpmath.pi * j / 16)
+                assert abs(mpmath.mpf(hi) + mpmath.mpf(lo) - exact) <= mpmath.mpf(2) ** -106, j
+                if j % 8 == 0:
+                    assert lo == 0 and hi in (-1.0, 0.0, 1.0), j
+                else:
+                    assert hi == float(exact) and lo == float(exact - mpmath.mpf(hi)), j
+
+
+def nearest_float_cases(order):
+    """Float symbols closer to a boundary of M-PSK that is neither an axis
+    nor a diagonal than any other float of their size, and the table index
+    of their nearest point by a 60-digit reference.
+
+    With the ray at theta, the convergents p/q of |tan theta|'s continued
+    fraction with q < 2^53 are its best rational approximations, so
+    (q, p - 1), (q, p) and (q, p + 1), signed into theta's quadrant, lie
+    within about 2^-106 of the radius of the ray; they are taken at
+    scales 2^-600, 1 and 2^600. Only symbols within 10^-6 of the radius
+    are kept, where the ray's two points are the nearest."""
+    symbols, want = [], []
+    with mpmath.workdps(60):
+        for b in range(order):
+            if 8 * b % order == 0:
+                continue
+            theta = 2 * mpmath.pi * b / order
+            c, s = mpmath.cos(theta), mpmath.sin(theta)
+            rest, (h, h_prev), (k, k_prev) = abs(s / c), (1, 0), (0, 1)
+            while True:
+                whole = int(mpmath.floor(rest))
+                h, h_prev, k, k_prev = whole * h + h_prev, h, whole * k + k_prev, k
+                if k >= 2**53:
+                    break
+                for p in (h - 1, h, h + 1):
+                    for scale in (2.0**-600, 1.0, 2.0**600):
+                        x, y = math.copysign(k * scale, c), math.copysign(p * scale, s)
+                        side = mpmath.mpf(y) * c - mpmath.mpf(x) * s
+                        if p < 2**53 and abs(side) < 1e-6 * mpmath.hypot(x, y):
+                            symbols.append(complex(x, y))
+                            want.append(b if side > 0 else (b - 1) % order)
+                rest = 1 / (rest - whole)
+    return np.array(symbols), np.array(want)
+
+
+@pytest.mark.parametrize("order", [16, 32])
+def test_psk_slicer_decides_the_floats_nearest_each_boundary_exactly(order):
+    scheme = ModScheme("psk", order)
+    symbols, want = nearest_float_cases(order)
+    assert symbols.size > 100 * order
+    got = demap_symbols(symbols, scheme).reshape(symbols.size, -1)
+    wrong = np.flatnonzero(np.any(got != constellation_points(scheme).labels[want], axis=1))
+    assert wrong.size == 0, symbols[wrong[:10]]
+
+
+def tie_sets(scheme):
+    """Every tie and near-tie symbol set of this file for ``scheme``: the
+    exact ties (origin, signed zeros, PSK boundaries, QAM midpoints, the
+    cross's corner diagonals), the four-point signed-zero and magnitude
+    grid, PSK symbols one ulp and 1e-17 off the axes and diagonals and 0 to
+    4 ulps from every boundary, and huge finite symbols."""
+    magnitudes = (0.0, 5e-324, 1e-300, 1e-17, 1.0, 1e300)
+    sets = [exact_tie_cases(scheme)[0],
+            np.array([complex(sx * x, sy * y) for x in magnitudes for y in magnitudes
+                      for sx in (1.0, -1.0) for sy in (1.0, -1.0)]),
+            np.array([1e308 + 1e308j, 1.7e308 + 0.3e308j, -1e308 + 1.7e308j, 0.5e308 - 1.7e308j,
+                      -1.7e308 - 1.7e308j, 1.7e308 + 1.6e308j, -1.6e308 - 1.7e308j])]
+    if scheme.family == "psk" and scheme.order > 4:
+        sets += [near_ray_cases(scheme.order)[0], boundary_ulp_cases(scheme.order)[0]]
+    return np.concatenate(sets)
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.name)
+def test_the_point_slicer_labels_expand_to_the_bits_of_demap_symbols(scheme):
+    # A BER point slices (rows, N) chunks into a thread's buffer, longer
+    # than the chunk and holding the previous chunk's values; its label
+    # integers must expand to exactly demap_symbols' bits, on noisy chunks
+    # and on every tie set.
+    table = constellation_points(scheme)
+    rng = np.random.default_rng(scheme.order)
+    noisy = table.points[rng.integers(0, scheme.order, (37, 128))] + np.array(
+        [0.05, 0.3, 1.0, 3.0])[rng.integers(0, 4, (37, 128))] * (
+        rng.standard_normal((37, 128)) + 1j * rng.standard_normal((37, 128)))
+    ties = tie_sets(scheme)[None, :]
+    work = rng.standard_normal(2 * max(noisy.size, ties.size) + 100)
+    for symbols in (noisy, noisy[:5], ties, np.zeros((0, 128), complex)):
+        labels = _slice_labels(symbols, scheme, work)
+        assert labels.dtype == np.uint8 and labels.shape == symbols.shape
+        assert np.array_equal(label_bits(labels, scheme), demap_symbols(symbols, scheme))

@@ -9,6 +9,11 @@ The operations are those ``perfbench/workloads.py`` builds for the first
 One unmeasured round runs them first, so imports, FFT plans and the
 library's caches are warm; then each of ``--rounds`` rounds runs them all
 once, and the median round is printed, in total and per operation.
+For the BER experiments among the operations it also prints, per scheme,
+the median time of a (scheme, CR) unit's first cell, which runs the
+unit's transmit and its first Eb/N0 point, and of its later points, each
+timed from the cell's progress call to the next one or to the end of its
+experiment, over all measured rounds.
 Results are not checked; ``perfbench/run.py`` does that.
 
 Usage: python tools/op_rusage.py WORKLOAD [--steps S] [--rounds K] [--seed N]
@@ -27,6 +32,7 @@ import statistics
 import sys
 import threading
 import time
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,13 +42,45 @@ import paprsim  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
-def run(op) -> bool:
-    """Run one operation; False if the program refused or failed it."""
+class CellClock:
+    """A BER experiment's ``progress`` callback that times each cell from
+    its call to the next one, or to ``stop``, and keeps the times by
+    scheme: ``first`` for a unit's first cell, ``later`` for its other
+    points."""
+
+    def __init__(self):
+        self.first, self.later = defaultdict(list), defaultdict(list)
+        self._open = self._unit = None
+
+    def __call__(self, cell: str) -> None:
+        now = time.perf_counter()
+        self.stop(now)
+        self._open = (cell, now)
+
+    def stop(self, now: float | None = None) -> None:
+        """End the open cell, if any, at ``now`` (default: the present)."""
+        if self._open is None:
+            return
+        now = time.perf_counter() if now is None else now
+        (cell, start), self._open = self._open, None
+        _, scheme, cr, *_ = cell.split()  # "ber SCHEME cr=CR ebn0=E dB"
+        times = self.later if (scheme, cr) == self._unit else self.first
+        times[scheme].append(now - start)
+        self._unit = (scheme, cr)
+
+
+def run(op, clock: CellClock | None = None) -> bool:
+    """Run one operation, timing its BER cells on ``clock`` if given;
+    False if the program refused or failed it."""
     try:
         if op.kind == "papr":
             paprsim.run_papr_experiment(op.spec)
         elif op.kind == "ber":
-            paprsim.run_ber_experiment(op.spec)
+            try:
+                paprsim.run_ber_experiment(op.spec, progress=clock)
+            finally:
+                if clock is not None:
+                    clock.stop()
         elif op.kind == "loopback":
             paprsim.simulate_chain_ber(op.params, op.scheme, min_bits=op.min_bits, seed=op.seed)
         else:
@@ -66,14 +104,14 @@ def count_helper_starts() -> list[int]:
     return starts
 
 
-def measure(ops, helper_starts: list[int]) -> tuple[dict, int]:
+def measure(ops, helper_starts: list[int], clock: CellClock | None = None) -> tuple[dict, int]:
     """One round over ``ops``: its wall, user and system seconds, minor
     page faults, voluntary and involuntary context switches and helper
     threads started (``helper_starts``, from ``count_helper_starts``), and
-    how many operations failed."""
+    how many operations failed. BER cells are timed on ``clock``."""
     starts, before = helper_starts[0], resource.getrusage(resource.RUSAGE_SELF)
     start = time.perf_counter()
-    failed = sum(not run(op) for op in ops)
+    failed = sum(not run(op, clock) for op in ops)
     wall, after = time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF)
     return {
         "wall_s": wall,
@@ -100,7 +138,8 @@ def main(argv: list[str]) -> int:
     ops = workload.run_ops(args.seed, steps)
     helper_starts = count_helper_starts()
     measure(ops, helper_starts)  # warm-up round
-    rounds = [measure(ops, helper_starts) for _ in range(args.rounds)]
+    clock = CellClock()
+    rounds = [measure(ops, helper_starts, clock) for _ in range(args.rounds)]
     failed = rounds[0][1]
     print(f"{args.workload}: {len(ops)} operations a round ({failed} failed), seed {args.seed}, "
           f"{args.rounds} rounds after one warm-up, {len(os.sched_getaffinity(0))} CPUs")
@@ -112,6 +151,12 @@ def main(argv: list[str]) -> int:
               f"{median / len(ops):.6g} an operation")
     # ru_maxrss is in KiB on Linux.
     print(f"  max_rss_mb    {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.2f}")
+    if clock.first:
+        print("  BER cells, median ms (cells timed): a unit's first cell, its later points")
+    for scheme in clock.first:
+        first, later = clock.first[scheme], clock.later[scheme]
+        print(f"    {scheme:<6} first {1e3 * statistics.median(first):8.3f} ({len(first)})"
+              + (f"  later {1e3 * statistics.median(later):7.3f} ({len(later)})" if later else ""))
     return 0
 
 
