@@ -242,89 +242,54 @@ def _sign_labels(parts: np.ndarray, work: np.ndarray, negative: bool) -> np.ndar
 
 
 #: How near a whole number t = arctan2(im, re) / (2 pi / M) must lie for a
-#: PSK symbol to be decided by its exact side of that boundary: 2^-40, about
-#: 9.1e-13, over 300 times the largest error of t measured (README section 10).
+#: PSK symbol to be decided by its exact side of that boundary, in integers
+#: (``_boundary_decisions``): 2^-40, about 9.1e-13, over 300 times the
+#: largest error of t measured (README section 10).
 _NEAR_WHOLE = 2.0**-40
 
-#: cos(k pi / 16), k = 0..8, as double-double (hi, lo) pairs, hi + lo within
-#: 2^-106 of the cosine; cos(pi / 2) is exactly 0.
-_COS_SIXTEENTHS = (
-    (1.0, 0.0),
-    (0.9807852804032304, 1.8546939997825006e-17),
-    (0.9238795325112867, 1.7645047084336677e-17),
-    (0.8314696123025452, 1.4073856984728024e-18),
-    (0.7071067811865476, -4.833646656726457e-17),
-    (0.5555702330196022, 4.709410940561677e-17),
-    (0.3826834323650898, -1.0050772696461588e-17),
-    (0.19509032201612828, -7.991079068461731e-18),
-    (0.0, 0.0),
-)
+
+def _fixed_cosines() -> tuple[int, ...]:
+    """cos(j pi / 16) 2^256, j = 0..31, each the integer nearest it: j = 0..8
+    by the half-angle formula cos(a / 2) = sqrt((1 + cos a) / 2) from
+    cos 0 = 1 and cos(pi / 2) = 0, by ``math.isqrt`` with 64 guard bits,
+    and the rest by symmetry. So they are 0 and +-2^256 on the axes, and
+    cos and sin have one magnitude on the diagonals."""
+    one = 1 << 320
+    cos = [one] + [0] * 8
+    for j in (4, 2, 6, 1, 3, 5, 7):
+        twice = cos[2 * j] if j <= 4 else -cos[16 - 2 * j]
+        cos[j] = math.isqrt((one + twice) << 319)
+    first = [(c + (1 << 63)) >> 64 for c in cos]
+    folded = (min(j, 32 - j) for j in range(32))  # cos(2 pi - a) = cos a
+    return tuple(first[j] if j <= 8 else -first[16 - j] for j in folded)
 
 
-def _cos_sixteenths(j: int) -> tuple[float, float]:
-    """cos(j pi / 16) as a double-double pair, any integer j, from the
-    first quadrant by symmetry: exact signs and zeros."""
-    j %= 32
-    if j > 16:
-        j = 32 - j
-    if j > 8:
-        hi, lo = _COS_SIXTEENTHS[16 - j]
-        return -hi, -lo
-    return _COS_SIXTEENTHS[j]
-
-
-#: cos and sin of the boundary angles j pi / 16, j = 0..31, each as (hi, lo):
-#: columns cos hi, cos lo, sin hi, sin lo.
-_BOUNDARY_TURNS = np.array([_cos_sixteenths(j) + _cos_sixteenths(j - 8) for j in range(32)])
-_BOUNDARY_TURNS.setflags(write=False)
-
-
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Veltkamp's split of a into hi + lo, each of at most 26 significant
-    bits, exactly, for |a| < 2^995."""
-    c = 134217729.0 * a  # 2^27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dekker's exact product: (p, e) with p = fl(a b) and p + e = a b
-    exactly, where a b neither overflows nor comes near the subnormal
-    range, or where b is 0 or a power of two."""
-    p = a * b
-    (a_hi, a_lo), (b_hi, b_lo) = _split(a), _split(b)
-    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+#: cos(j pi / 16) 2^256 to the nearest integer, j = 0..31; sin(j pi / 16)
+#: is entry j - 8.
+_FIXED_COS = _fixed_cosines()
 
 
 def _boundary_decisions(x: np.ndarray, y: np.ndarray, whole: np.ndarray, order: int) -> np.ndarray:
     """Table indices of PSK symbols x + iy next to boundary b = ``whole`` (a
     float integer), the ray at theta_b = 2 pi b / M between points b - 1 and
     b: point b when the side y cos theta_b - x sin theta_b is positive, b - 1
-    when negative (README section 10). The side is summed from Dekker's
-    exact products with the double-double cosine and sine, so only its
-    low-order terms round. A side of zero, which a float symbol can have
-    only on an axis or a diagonal, where the cosine and sine are 0 and
-    +-1 or equal in size, so that the side is exactly 0, ties: the lower
-    index, b - 1, but 0 at b = 0 and at the origin.
-
-    Parts are first scaled by a power of two, which keeps the sign of the
-    side, when the larger lies outside [2^-500, 2^500], to [1/2, 1). A
-    part that the scaling takes below the subnormal range is at least
-    2^1000 times smaller than the other, so the symbol is next to an axis,
-    where the side is that part times 0 or +-1; it becomes the least
-    subnormal of its sign, which keeps the side's sign.
+    when negative (README section 10). The side is taken in integers, one
+    symbol at a time: each part is an integer over a power of two
+    (``float.as_integer_ratio``), so the side times both powers is an
+    integer at any magnitude, with cos theta_b and sin theta_b held as
+    the integers nearest them times 2^256 (``_FIXED_COS``). A side of
+    zero, which a float symbol can have only on an axis or a diagonal,
+    where those integers are 0 and +-2^256 or equal in size, ties: the
+    lower index, b - 1, but 0 at b = 0 and at the origin.
     """
-    b = whole.astype(np.intp)
-    exponent = np.frexp(np.maximum(np.abs(x), np.abs(y)))[1]
-    shift = np.where(np.abs(exponent) > 500, -exponent, 0)
-    x, y = (np.where((part != 0) & (scaled == 0), np.copysign(5e-324, part), scaled)
-            for part, scaled in ((x, np.ldexp(x, shift)), (y, np.ldexp(y, shift))))
-    cos_hi, cos_lo, sin_hi, sin_lo = _BOUNDARY_TURNS[b * (32 // order) % 32].T
-    (p, p_err), (q, q_err) = _two_product(y, cos_hi), _two_product(x, sin_hi)
-    side = (p - q) + ((p_err - q_err) + (y * cos_lo - x * sin_lo))
-    index = b - 1 + (side > 0)
-    index[(side == 0) & ((b % order == 0) | ((x == 0) & (y == 0)))] = 0
-    return index & (order - 1)
+    indices = []
+    for re, im, b in zip(x.tolist(), y.tolist(), whole.astype(int).tolist()):
+        (px, qx), (py, qy) = re.as_integer_ratio(), im.as_integer_ratio()
+        j = b * (32 // order)
+        side = py * qx * _FIXED_COS[j % 32] - px * qy * _FIXED_COS[(j - 8) % 32]
+        on_zero = side == 0 and (b % order == 0 or re == im == 0)
+        indices.append(0 if on_zero else b - (side <= 0))
+    return np.array(indices, dtype=np.intp) & (order - 1)
 
 
 def _psk_labels(parts: np.ndarray, order: int, work: np.ndarray) -> np.ndarray:
@@ -339,9 +304,10 @@ def _psk_labels(parts: np.ndarray, order: int, work: np.ndarray) -> np.ndarray:
     point k owns t in (k, k + 1], so its index is ceil(t) - 1 (mod M) and
     its label the Gray code of that. A symbol whose t lies within
     ``_NEAR_WHOLE`` of a whole number b, which includes every t that
-    arctan2's rounding could have moved across b, is decided by its exact
-    side of that boundary instead (``_boundary_decisions``). Two
-    reductions over t's distance below its ceiling find whether any does.
+    arctan2's rounding could have moved across b, is decided instead by its
+    exact side of that boundary, in Python integers, one symbol at a time
+    (``_boundary_decisions``). Two reductions over t's distance below its
+    ceiling find whether any does.
     """
     n = parts.size // 2
     if order == 4:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from paprsim import ConfigError, ModScheme, ShapeError, constellation_points, demap_symbols, map_bits
-from paprsim.constellation import _BOUNDARY_TURNS, SCHEME_NAMES, _slice_labels
+from paprsim.constellation import _FIXED_COS, SCHEME_NAMES, _slice_labels
 
 from oracles import brute_nearest_labels, label_bits, map_bits_by_matmul
 
@@ -350,6 +350,10 @@ def test_qpsk_decides_a_symbol_near_an_axis_by_its_quadrant():
     assert demap_symbols([-1e-17 + 1j], qpsk).tolist() == [0, 1]
 
 
+#: The directions of the axes and diagonals, ray q at angle q pi / 4.
+RAYS = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
+
+
 def near_ray_cases(order):
     """Symbols one ulp or 1e-17 off the axes and diagonals, and the table
     index of the nearest point, decided in exact rationals.
@@ -359,8 +363,7 @@ def near_ray_cases(order):
     point b when it lies counterclockwise of the ray, point b - 1 when
     clockwise, and the lower index of the two when on it."""
     symbols, want = [], []
-    rays = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
-    for q, (dx, dy) in enumerate(rays):
+    for q, (dx, dy) in enumerate(RAYS):
         b = q * order // 8
         for radius in (0.5, 1.0, 3.0):
             for axis in (0, 1):
@@ -495,20 +498,22 @@ def test_psk_slicer_decides_symbols_within_four_ulps_of_every_boundary_exactly(o
     assert wrong.size == 0, symbols[wrong[:10]]
 
 
-def test_the_boundary_constants_are_double_doubles_of_the_cosines_and_sines():
-    # cos and sin of j pi / 16, j = 0..31, as hi + lo within 2^-106 of the
-    # 40-digit value, hi the double nearest it and lo the double nearest
-    # the rest; on the axes exactly 0 and +-1.
-    assert _BOUNDARY_TURNS.shape == (32, 4)
-    with mpmath.workdps(40):
-        for j, (cos_hi, cos_lo, sin_hi, sin_lo) in enumerate(_BOUNDARY_TURNS):
-            for hi, lo, f in ((cos_hi, cos_lo, mpmath.cos), (sin_hi, sin_lo, mpmath.sin)):
-                exact = f(mpmath.pi * j / 16)
-                assert abs(mpmath.mpf(hi) + mpmath.mpf(lo) - exact) <= mpmath.mpf(2) ** -106, j
-                if j % 8 == 0:
-                    assert lo == 0 and hi in (-1.0, 0.0, 1.0), j
-                else:
-                    assert hi == float(exact) and lo == float(exact - mpmath.mpf(hi)), j
+def test_the_boundary_constants_are_the_cosines_and_sines_times_2_to_the_256():
+    # cos and sin of j pi / 16, j = 0..31, as integers within 2 units of
+    # their 90-digit values times 2^256; exactly 0 and +-2^256 on the axes,
+    # and one magnitude for both on the diagonals, so that a float symbol
+    # on those rays has a side of exactly zero.
+    one = 2**256
+    assert len(_FIXED_COS) == 32
+    with mpmath.workdps(90):
+        for j in range(32):
+            cos, sin = _FIXED_COS[j], _FIXED_COS[j - 8]
+            assert abs(cos - mpmath.cospi(mpmath.mpf(j) / 16) * one) <= 2, j
+            assert abs(sin - mpmath.sinpi(mpmath.mpf(j) / 16) * one) <= 2, j
+            if j % 8 == 0:
+                assert sorted((abs(cos), abs(sin))) == [0, one], j
+            if j % 8 == 4:
+                assert abs(cos) == abs(sin), j
 
 
 def nearest_float_cases(order):
@@ -521,7 +526,10 @@ def nearest_float_cases(order):
     (q, p - 1), (q, p) and (q, p + 1), signed into theta's quadrant, lie
     within about 2^-106 of the radius of the ray; they are taken at
     scales 2^-600, 1 and 2^600. Only symbols within 10^-6 of the radius
-    are kept, where the ray's two points are the nearest."""
+    are kept, where the ray's two points are the nearest. Each lies more
+    than 2^-250 of its radius from the ray, the margin by which the exact
+    side's constants, within 2^-256 of cos theta and sin theta, keep its
+    sign."""
     symbols, want = [], []
     with mpmath.workdps(60):
         for b in range(order):
@@ -540,6 +548,7 @@ def nearest_float_cases(order):
                         x, y = math.copysign(k * scale, c), math.copysign(p * scale, s)
                         side = mpmath.mpf(y) * c - mpmath.mpf(x) * s
                         if p < 2**53 and abs(side) < 1e-6 * mpmath.hypot(x, y):
+                            assert abs(side) > mpmath.mpf(2) ** -250 * mpmath.hypot(x, y)
                             symbols.append(complex(x, y))
                             want.append(b if side > 0 else (b - 1) % order)
                 rest = 1 / (rest - whole)
@@ -556,12 +565,66 @@ def test_psk_slicer_decides_the_floats_nearest_each_boundary_exactly(order):
     assert wrong.size == 0, symbols[wrong[:10]]
 
 
+def extreme_magnitude_cases(order):
+    """Symbols at every boundary of M-PSK at radii 2^-1070, 1e-310, 1e-300,
+    1e300 and 1.7e308, each part moved by -2, 0 or +2 ulps, and subnormal
+    parts beside huge ones next to the axes, with the table index of each
+    one's nearest point.
+
+    The nearest point is b - 1 or b, with b the boundary nearest the
+    symbol's angle, found from the float angle: point b when the side
+    y cos theta_b - x sin theta_b is positive, b - 1 when negative, the
+    lower index when zero. On the axes and diagonals the side has the sign
+    of dx y - dy x, (dx, dy) the ray's direction, decided exactly in
+    rationals, so a symbol on the ray ties whatever the working precision.
+    Elsewhere the side is taken by ``mpmath`` at 700 digits, more than the
+    2^-2098 from 5e-324 to 1.7e308 spans."""
+    symbols = [complex(1e300, 5e-324), complex(1e300, -5e-324), complex(1.7e308, -5e-324)]
+    symbols += [complex(sx * 5e-324, sy * 1.7e308) for sx in (1, -1) for sy in (1, -1)]
+    with mpmath.workdps(40):
+        for b in range(order):
+            turn = mpmath.mpf(2 * b) / order
+            cos, sin = float(mpmath.cospi(turn)), float(mpmath.sinpi(turn))
+            for radius in (2.0**-1070, 1e-310, 1e-300, 1e300, 1.7e308):
+                for dx in (-2, 0, 2):
+                    for dy in (-2, 0, 2):
+                        symbols.append(complex(ulps_from(radius * cos, dx),
+                                               ulps_from(radius * sin, dy)))
+    want = []
+    with mpmath.workdps(700):
+        for z in symbols:
+            x, y = z.real, z.imag
+            b = round(math.atan2(y, x) * order / (2 * math.pi)) % order
+            if 8 * b % order == 0:
+                dx, dy = RAYS[8 * b // order]
+                side = dx * Fraction(y) - dy * Fraction(x)
+            else:
+                turn = mpmath.mpf(2 * b) / order
+                side = mpmath.mpf(y) * mpmath.cospi(turn) - mpmath.mpf(x) * mpmath.sinpi(turn)
+            below = (b - 1) % order
+            want.append(b if side > 0 else below if side < 0 else min(b, below))
+    return np.array(symbols), np.array(want)
+
+
+@pytest.mark.parametrize("order", [8, 16, 32])
+def test_psk_slicer_decides_symbols_at_extreme_magnitudes_exactly(order):
+    # Subnormal and huge parts, where products of the parts with a cosine
+    # leave the float range; the exact side takes them as integers.
+    scheme = ModScheme("psk", order)
+    symbols, want = extreme_magnitude_cases(order)
+    assert symbols.size == 7 + order * 5 * 9 and np.isfinite(symbols).all()
+    got = demap_symbols(symbols, scheme).reshape(symbols.size, -1)
+    wrong = np.flatnonzero(np.any(got != constellation_points(scheme).labels[want], axis=1))
+    assert wrong.size == 0, symbols[wrong[:10]]
+
+
 def tie_sets(scheme):
     """Every tie and near-tie symbol set of this file for ``scheme``: the
     exact ties (origin, signed zeros, PSK boundaries, QAM midpoints, the
     cross's corner diagonals), the four-point signed-zero and magnitude
-    grid, PSK symbols one ulp and 1e-17 off the axes and diagonals and 0 to
-    4 ulps from every boundary, and huge finite symbols."""
+    grid, PSK symbols one ulp and 1e-17 off the axes and diagonals, 0 to
+    4 ulps from every boundary and at extreme magnitudes, and huge finite
+    symbols."""
     magnitudes = (0.0, 5e-324, 1e-300, 1e-17, 1.0, 1e300)
     sets = [exact_tie_cases(scheme)[0],
             np.array([complex(sx * x, sy * y) for x in magnitudes for y in magnitudes
@@ -569,7 +632,8 @@ def tie_sets(scheme):
             np.array([1e308 + 1e308j, 1.7e308 + 0.3e308j, -1e308 + 1.7e308j, 0.5e308 - 1.7e308j,
                       -1.7e308 - 1.7e308j, 1.7e308 + 1.6e308j, -1.6e308 - 1.7e308j])]
     if scheme.family == "psk" and scheme.order > 4:
-        sets += [near_ray_cases(scheme.order)[0], boundary_ulp_cases(scheme.order)[0]]
+        sets += [near_ray_cases(scheme.order)[0], boundary_ulp_cases(scheme.order)[0],
+                 extreme_magnitude_cases(scheme.order)[0]]
     return np.concatenate(sets)
 
 

@@ -1,8 +1,10 @@
 """Replay a benchmark workload's operations in this process and report what
 they cost the process: wall, user and system time, minor page faults,
 voluntary and involuntary context switches (``ru_nvcsw``, ``ru_nivcsw``),
-the library's helper threads started and peak RSS, numbers that
-``perfbench/run.py`` does not report.
+the library's helper threads started, the 8-, 16- and 32-PSK symbols
+the measured rounds sliced and how many of them took the exact
+near-boundary path, and peak RSS, numbers that ``perfbench/run.py`` does
+not report.
 
 The operations are those ``perfbench/workloads.py`` builds for the first
 ``--steps`` steps (default: the workload's traced prefix) at ``--seed``.
@@ -21,7 +23,9 @@ Usage: python tools/op_rusage.py WORKLOAD [--steps S] [--rounds K] [--seed N]
 The library uses every CPU the process may run on, so
 ``taskset -c 0 python tools/op_rusage.py ber_sweep`` measures one CPU.
 Helper threads are counted by wrapping ``threading.Thread.start`` in this
-process for threads named ``paprsim-runner*``.
+process for threads named ``paprsim-runner*``, and PSK symbols by wrapping
+``constellation._psk_labels`` (orders above 4) and
+``constellation._boundary_decisions``.
 """
 from __future__ import annotations
 
@@ -39,6 +43,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import paprsim  # noqa: E402
+from paprsim import constellation  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
@@ -104,6 +109,32 @@ def count_helper_starts() -> list[int]:
     return starts
 
 
+def count_psk_symbols() -> dict[str, int]:
+    """Wrap ``constellation._psk_labels`` and ``_boundary_decisions`` in
+    this process; returns a dict that counts the 8-, 16- and 32-PSK symbols
+    sliced (``psk_sliced``) and those decided by their exact side of a
+    boundary (``psk_near_boundary``), on any thread."""
+    counts, lock = {"psk_sliced": 0, "psk_near_boundary": 0}, threading.Lock()
+    psk_labels, boundary_decisions = constellation._psk_labels, constellation._boundary_decisions
+
+    def add(name: str, n: int) -> None:
+        with lock:
+            counts[name] += n
+
+    def counted_labels(parts, order, work):
+        if order > 4:
+            add("psk_sliced", parts.size // 2)
+        return psk_labels(parts, order, work)
+
+    def counted_decisions(x, y, whole, order):
+        add("psk_near_boundary", x.size)
+        return boundary_decisions(x, y, whole, order)
+
+    constellation._psk_labels = counted_labels
+    constellation._boundary_decisions = counted_decisions
+    return counts
+
+
 def measure(ops, helper_starts: list[int], clock: CellClock | None = None) -> tuple[dict, int]:
     """One round over ``ops``: its wall, user and system seconds, minor
     page faults, voluntary and involuntary context switches and helper
@@ -138,7 +169,7 @@ def main(argv: list[str]) -> int:
     ops = workload.run_ops(args.seed, steps)
     helper_starts = count_helper_starts()
     measure(ops, helper_starts)  # warm-up round
-    clock = CellClock()
+    clock, psk_counts = CellClock(), count_psk_symbols()
     rounds = [measure(ops, helper_starts, clock) for _ in range(args.rounds)]
     failed = rounds[0][1]
     print(f"{args.workload}: {len(ops)} operations a round ({failed} failed), seed {args.seed}, "
@@ -149,6 +180,8 @@ def main(argv: list[str]) -> int:
         low, high = min(r[name] for r, _ in rounds), max(r[name] for r, _ in rounds)
         print(f"  {name:<13} median {median:>10.6g} a round [{low:.6g}, {high:.6g}], "
               f"{median / len(ops):.6g} an operation")
+    print(f"  psk_symbols   {psk_counts['psk_sliced']} sliced at orders 8-32 in the "
+          f"{args.rounds} rounds, {psk_counts['psk_near_boundary']} of them near a boundary")
     # ru_maxrss is in KiB on Linux.
     print(f"  max_rss_mb    {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.2f}")
     if clock.first:
