@@ -251,6 +251,9 @@ def main(argv=None) -> int:
     config = args.pop("config")
     try:
         pairs = _read_key_values(Path(config)) if config else {}
+        for key, raw in args.items():
+            if raw is not None and not raw.strip():  # as a config file's blank value
+                raise ConfigError(f"--{key.replace('_', '-')} must not be blank, got {raw!r}")
         pairs.update((key, raw) for key, raw in args.items() if raw is not None)
         cfg = _run_config(pairs)
     except ConfigError as exc:

@@ -13,12 +13,13 @@ makes one. The clip level cr * sigma is known before any bit is drawn
 (README section 1).
 
 PAPR cell: one pass over the cell's bits, drawn in chunks of frames. A
-chunk maps, extends and modulates them, takes |x| once, clips by the real
-factor A / max(|x|, A) inside the composed filter's forward half (README
-sections 5 and 6), and reads the unclipped PAPR from the envelope of x,
-which is |x| but at a band edge on DC or Nyquist, and the processed PAPR
-from the filtered envelope (README section 7). Only the two PAPR vectors
-grow with n_symbols.
+chunk maps, extends and modulates them and takes |x| once (``_baseband``),
+clips by the real factor A / max(|x|, A) inside the composed filter's
+forward half (``_clip_filter``; README sections 5 and 6), and reads the
+unclipped PAPR from the envelope of x, which is |x| but at a band edge on
+DC or Nyquist, where it is read from x before the forward half, and the
+processed PAPR from the filtered envelope (README section 7). Only the two
+PAPR vectors grow with n_symbols.
 
 BER unit, one per (scheme, cr), whose Eb/N0 cells share one transmission:
 it draws its bits chunk by chunk, transmits them to the band bins, keeps
@@ -616,34 +617,35 @@ def _rows(buffer: np.ndarray, dtype, count: int, width: int) -> np.ndarray:
     return buffer.view(dtype)[: count * width].reshape(count, width)
 
 
-def _clipped_band(
-    bits: np.ndarray, scheme: ModScheme, params: OfdmParams, amplitude: float,
-    fold: tuple, buffers: tuple[np.ndarray, ...], labels: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The clipped transmit of the frames ``bits`` holds, shared by both
-    experiments' chunks, on one thread's buffers (``_chunk_buffers``);
-    the map writes the symbols' label integers into ``labels`` if given.
-
-    Map, extend and modulate write into the buffers' symbols and block (the
-    inverse transform runs in place); |x| of the baseband goes into the
-    scratch's first float view and the clip's real factor into its second,
-    which the composed filter's forward half (``_filter_forward``) takes in
-    place of a clipped block (README sections 5 and 6). Returns (baseband,
-    magnitude, band): the block, which the forward half leaves holding
-    x c, free for the inverse half to overwrite; |x|, which nothing after
-    the clip touches; and the band bins Y[j], j = -N/2..N/2.
-    """
+def _baseband(bits: np.ndarray, scheme: ModScheme, params: OfdmParams, buffers: tuple,
+              labels: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The unclipped transmit of the frames ``bits`` holds, shared by both
+    experiments' chunks, on one thread's buffers (``_chunk_buffers``):
+    map, extend and modulate write into the buffers' symbols and block (the
+    inverse transform runs in place), and the map writes the symbols' label
+    integers into ``labels`` if given. Returns (x, |x|): the block, and its
+    magnitude in the scratch's first float view."""
     count, total = bits.shape[0], params.n_oversampled
     symbols = _map_rows(bits, scheme, out=_rows(buffers[0], complex, count, params.n_subcarriers),
                         labels=labels)
-    block = _rows(buffers[1], complex, count, total)
-    frames = _extend_rows(symbols, params.oversample, out=block)
-    baseband = _modulate_rows(frames, params, out=block)
+    block = _extend_rows(symbols, params.oversample, out=_rows(buffers[1], complex, count, total))
+    baseband = _modulate_rows(block, params, out=block)
+    return baseband, np.abs(baseband, out=_rows(buffers[2], float, count, total))
+
+
+def _clip_filter(baseband: np.ndarray, magnitude: np.ndarray, amplitude: float, fold: tuple,
+                 buffers: tuple) -> np.ndarray:
+    """The clip and the composed filter's forward half of a block x and its
+    magnitude from ``_baseband``: the clip's real factor A / max(|x|, A)
+    goes into the scratch's second float view, and the forward half
+    (``_filter_forward``) takes it in place of a clipped block (README
+    sections 5 and 6). Returns the band bins Y[j], j = -N/2..N/2. The
+    forward half leaves x c in the block, free for the inverse half to
+    overwrite; nothing here touches |x|."""
     # The two float views fill the scratch's bytes, count * N*L complex values.
-    magnitude = np.abs(baseband, out=_rows(buffers[2], float, count, total))
     factor = _clip_magnitude_rows(
-        magnitude, amplitude, out=_rows(buffers[2][count * total // 2 :], float, count, total))
-    return baseband, magnitude, _composed_rows(baseband, fold, factor=factor)
+        magnitude, amplitude, out=_rows(buffers[2][magnitude.size // 2 :], float, *magnitude.shape))
+    return _composed_rows(baseband, fold, factor=factor)
 
 
 def _papr_chunk(
@@ -655,21 +657,20 @@ def _papr_chunk(
     unclipped and the clipped-and-filtered PAPR of the frames ``bits``
     holds into the two views.
 
-    The clipped transmit (``_clipped_band``) leaves |x| of the baseband in
-    the scratch, which is the unclipped envelope but on a plan with a band
-    edge on DC or Nyquist (README section 7). There the block, which the
-    forward half left holding x c, is divided by c back to x and the
-    envelope read from it. The envelope's squares, in place, give the
-    unclipped PAPR. The filter's inverse half (``_filter_inverse``) then
-    writes the filtered envelope over the block. The envelope stage is
-    called as ``envelope_magnitude(samples, params)``, the form perfbench's
-    self-test substitutes, so it returns a new |y| array, which is squared
-    in place.
+    ``_baseband`` leaves |x| in the scratch, which is the unclipped
+    envelope but on a plan with a band edge on DC or Nyquist (README
+    section 7). There the envelope is read from x before the clip and the
+    forward half (``_clip_filter``) overwrite it. The envelope's squares,
+    in place, give the unclipped PAPR. The filter's inverse half
+    (``_filter_inverse``) then writes the filtered envelope over the block.
+    The envelope stage is called as ``envelope_magnitude(samples,
+    params)``, the form perfbench's self-test substitutes, so it returns a
+    new |y| array, which is squared in place.
     """
-    baseband, magnitude, band = _clipped_band(bits, scheme, params, amplitude, fold, buffers)
-    if _self_image_bins(params):
-        magnitude = envelope_magnitude(np.divide(baseband, fold[2], out=baseband), params)
-    unclipped_papr[:] = _papr_db_rows(np.square(magnitude, out=magnitude))
+    baseband, magnitude = _baseband(bits, scheme, params, buffers)
+    envelope = envelope_magnitude(baseband, params) if _self_image_bins(params) else magnitude
+    band = _clip_filter(baseband, magnitude, amplitude, fold, buffers)
+    unclipped_papr[:] = _papr_db_rows(np.square(envelope, out=envelope))
     filtered = _filter_inverse(band, baseband)
     del band  # frees the real FFT's output before the envelope allocates
     envelope = envelope_magnitude(filtered, params)
@@ -688,9 +689,9 @@ def _ber_chunk(
     passband samples, prefix included, into ``block_power``.
 
     The transmit ends at the block's band bins Y[j], j = -N/2..N/2: clipped,
-    from the clipped transmit a PAPR chunk runs too (``_clipped_band``);
-    unclipped, from the mapped symbols, written straight into
-    ``received``, with no modulator transform. Y times the weights of
+    from the transmit a PAPR chunk runs too (``_baseband``, then
+    ``_clip_filter``); unclipped, from the mapped symbols, written straight
+    into ``received``, with no modulator transform. Y times the weights of
     ``_band_read``, in the scratch, takes one inverse real FFT to the
     passband symbol, as floats in the block's bytes, whose squares and
     those of its last cp*L samples give the block's mean square (README
@@ -707,7 +708,8 @@ def _ber_chunk(
         np.multiply(symbols[:, half:], weights[:half], out=band[:, :half])
         np.multiply(symbols[:, : half + 1], weights[half:], out=band[:, half:])
     else:
-        _, _, filtered = _clipped_band(bits, scheme, params, amplitude, fold, buffers, sent)
+        filtered = _clip_filter(*_baseband(bits, scheme, params, buffers, sent), amplitude, fold,
+                                buffers)
         np.take(filtered, data, axis=-1, out=received)
         received *= 1.0 / math.sqrt(total)
         np.multiply(filtered, weights, out=band)

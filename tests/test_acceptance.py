@@ -32,14 +32,7 @@ from paprsim import (
     upconvert,
 )
 from paprsim.fir_design import FirDesignSpec
-from paprsim.harness import (
-    _add_bin_noise,
-    _noise_free_unit,
-    _random_bits,
-    _unit_frames,
-    _workspace,
-    envelope_magnitude,
-)
+from paprsim.harness import _add_bin_noise, _random_bits, envelope_magnitude
 
 from oracles import (
     alternation_count,
@@ -52,6 +45,7 @@ from oracles import (
     label_bits,
     ofdm_demodulate,
 )
+from units import noise_free_unit
 
 PARAMS = OfdmParams()  # reference set: N=128, L=8, 1 MHz band, 2 MHz carrier, cp 32
 TREND_EBN0_DB = 12.0  # fixed moderate operating point for the BER trend grid
@@ -163,11 +157,8 @@ def replay_trend_cell(scheme: ModScheme, cr: float, hpf) -> dict:
     units = [(s.name, c) for s in spec.schemes for c in spec.cr_values]
     seeds = np.random.SeedSequence([spec.seed, 1, units.index((scheme.name, cr))]).spawn(2)
     bits_per_frame = params.n_subcarriers * scheme.bits_per_symbol
-    with _workspace(params, [_unit_frames(params, scheme, spec.bits_per_point)],
-                    ber=True) as space:
-        sent, power, clean, _ = _noise_free_unit(  # clean: noise-free, gain kept
-            params, scheme, cr, hpf, spec.bits_per_point, np.random.default_rng(seeds[0]), None,
-            space)
+    sent, power, clean, _ = noise_free_unit(  # clean: noise-free, gain kept
+        params, scheme, cr, hpf, spec.bits_per_point, seeds[0])
     tx_bits = label_bits(sent, scheme)
     sigma_n = noise_sigma(params, scheme, TREND_EBN0_DB, power)
     alpha = clip_attenuation(cr)

@@ -26,19 +26,10 @@ from paprsim import (
 )
 from paprsim.clip_filter import _composed_fold
 from paprsim.constellation import SCHEME_NAMES
-from paprsim.harness import (
-    _add_bin_noise,
-    _ber_cells,
-    _ber_chunk,
-    _chunk_buffers,
-    _clip_level,
-    _noise_free_unit,
-    _random_bits,
-    _unit_frames,
-    _workspace,
-)
+from paprsim.harness import _add_bin_noise, _ber_chunk, _chunk_buffers, _clip_level, _random_bits
 
 from oracles import ORACLE_PLANS, ber_points, complex_normals, label_bits, time_domain_ber_cell
+from units import noise_free_unit, unit_cells
 
 NOISE_PLANS = ("reference", "nyquist_edge", "high_carrier")
 # The oracle plans and three plans whose prefix starts the carrier an
@@ -53,20 +44,6 @@ BER_PLANS = {
     "quarter_turn": (OfdmParams(n_subcarriers=128, oversample=8, carrier_hz=2.25e6, cp_len=1), {}),
     "half_turn": (OfdmParams(n_subcarriers=64, oversample=6, carrier_hz=1.25e6, cp_len=6), {}),
 }
-
-
-def unit_cells(params, scheme, cr, hpf, min_bits, grid, entropy, noisy=True):
-    """Every (bit_errors, bits_total) of a unit, in a workspace of its own
-    made as ``simulate_chain_ber`` makes its own."""
-    with _workspace(params, [_unit_frames(params, scheme, min_bits)], ber=True,
-                    noisy=noisy) as space:
-        return list(_ber_cells(params, scheme, cr, hpf, min_bits, grid, entropy, space))
-
-
-def noise_free_unit(params, scheme, cr, hpf, min_bits, rng):
-    """``_noise_free_unit`` without normals, in a workspace of its own."""
-    with _workspace(params, [_unit_frames(params, scheme, min_bits)], ber=True) as space:
-        return _noise_free_unit(params, scheme, cr, hpf, min_bits, rng, None, space)
 
 
 def plan_hpf(plan):
@@ -95,8 +72,7 @@ def test_noise_free_unit_equals_the_time_domain_path(plan, cr):
     params, _ = BER_PLANS[plan]
     scheme = ModScheme("qam", 16)
     hpf = plan_hpf(plan)
-    sent, power, clean, _ = noise_free_unit(params, scheme, cr, hpf, 50_000,
-                                            np.random.default_rng(31))
+    sent, power, clean, _ = noise_free_unit(params, scheme, cr, hpf, 50_000, 31)
     bits = _random_bits(np.random.default_rng(31), sent.shape[0], sent.shape[1] * 4)
     assert sent.dtype == np.uint8 and np.array_equal(label_bits(sent, scheme), bits)
     want_power, _, want_clean, _ = time_domain_ber_cell(
@@ -147,12 +123,11 @@ def test_noise_free_unit_does_not_depend_on_the_chunk_length(monkeypatch, plan, 
     params, _ = ORACLE_PLANS[plan]
     scheme = ModScheme("qam", 16)
     hpf = experiment_hpf(ExperimentSpec(params=params))
-    unchunked = noise_free_unit(params, scheme, cr, hpf, 50_000, np.random.default_rng(35))
+    unchunked = noise_free_unit(params, scheme, cr, hpf, 50_000, 35)
     block_len = params.n_oversampled
     monkeypatch.setattr(harness, "_CHUNK_SAMPLES", 6 * block_len)
     assert harness._chunk_frames(block_len) == 6 and unchunked[0].shape[0] % 6 == 2
-    sent, power, clean, _ = noise_free_unit(params, scheme, cr, hpf, 50_000,
-                                            np.random.default_rng(35))
+    sent, power, clean, _ = noise_free_unit(params, scheme, cr, hpf, 50_000, 35)
     assert np.array_equal(sent, unchunked[0])
     assert power == unchunked[1]
     assert np.array_equal(clean, unchunked[2])
@@ -166,7 +141,7 @@ def unit_peak_and_kept_bytes(min_bits):
     tracemalloc.start()
     try:
         sent, _, clean, _ = noise_free_unit(params, ModScheme.from_name("qpsk"), 1.0, hpf,
-                                            min_bits, np.random.default_rng(36))
+                                            min_bits, 36)
         return tracemalloc.get_traced_memory()[1], sent.nbytes + clean.nbytes
     finally:
         tracemalloc.stop()
@@ -273,8 +248,8 @@ def test_a_noiseless_unit_draws_no_normals(monkeypatch, cr):
     calls = {}
     for grid in ((None,), (None, None), (None, 8.0)):
         CountingGenerator.normal_calls = 0
-        scheme, noisy = ModScheme("qam", 16), any(ebn0 is not None for ebn0 in grid)
-        counts = unit_cells(params, scheme, cr, hpf, 50_000, grid, [3, 1, 0], noisy)
+        scheme = ModScheme("qam", 16)
+        counts = unit_cells(params, scheme, cr, hpf, 50_000, grid, [3, 1, 0])
         calls[grid] = CountingGenerator.normal_calls
         if cr is None:
             assert counts[0] == (0, 50_176), grid
@@ -408,14 +383,10 @@ def test_a_point_counts_the_bits_demap_symbols_gets_wrong(scheme_name, cr):
     scheme, hpf = ModScheme.from_name(scheme_name), plan_hpf("reference")
     grid, entropy, min_bits = (0.0, 6.0, None), [9, 1, 3], 30_000
     counts = unit_cells(params, scheme, cr, hpf, min_bits, grid, entropy)
-    bit_seed, noise_seed = np.random.SeedSequence(entropy).spawn(2)
-    with _workspace(params, [_unit_frames(params, scheme, min_bits)], ber=True,
-                    noisy=True) as space:
-        sent, power, clean, normals = _noise_free_unit(
-            params, scheme, cr, hpf, min_bits, np.random.default_rng(bit_seed),
-            np.random.default_rng(noise_seed), space)
-        want = ber_points(label_bits(sent, scheme), power, clean, scheme, params, cr, grid,
-                          [normals] * len(grid))
+    sent, power, clean, normals = noise_free_unit(params, scheme, cr, hpf, min_bits,
+                                                  *np.random.SeedSequence(entropy).spawn(2))
+    want = ber_points(label_bits(sent, scheme), power, clean, scheme, params, cr, grid,
+                      [normals] * len(grid))
     assert [errors for errors, _ in counts] == want
     assert want[0] > 0 and (cr is not None or want[-1] == 0)
     assert {total for _, total in counts} == {sent.size * scheme.bits_per_symbol}

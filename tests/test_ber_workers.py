@@ -28,43 +28,15 @@ from paprsim import (
     simulate_chain_ber,
 )
 from paprsim.cli import _write_csv
-from paprsim.harness import (
-    _ber_cells,
-    _noise_free_unit,
-    _unit_frames,
-    _workspace,
-    experiment_hpf,
-)
+from paprsim.harness import _ber_cells, experiment_hpf
 
 from oracles import ORACLE_PLANS, ber_points, label_bits, per_point_normals
+from units import noise_free_unit, papr_cell, runner_threads, unit_cells, unit_space
 
 # 97 frames of 16-QAM on a 128-subcarrier plan: an odd count, so every
 # even chunk length leaves a ragged last chunk.
 MIN_BITS = 49_500
 EBN0_DB = (2.0, 6.0, 10.0)
-
-
-def unit_space(params, scheme, min_bits, noisy=True):
-    """A workspace for one BER unit of ``min_bits`` bits, made as
-    ``simulate_chain_ber`` makes its own; its helper threads stop when the
-    ``with`` block exits."""
-    return _workspace(params, [_unit_frames(params, scheme, min_bits)], ber=True, noisy=noisy)
-
-
-def noise_free(params, scheme, cr, hpf, min_bits, rng):
-    """``_noise_free_unit`` without normals, in a workspace of its own."""
-    with unit_space(params, scheme, min_bits, noisy=False) as space:
-        return _noise_free_unit(params, scheme, cr, hpf, min_bits, rng, None, space)
-
-
-def unit_cells(params, scheme, cr, hpf, min_bits, grid, entropy):
-    """Every (bit_errors, bits_total) of a noisy unit, in a workspace of its own."""
-    with unit_space(params, scheme, min_bits) as space:
-        return list(_ber_cells(params, scheme, cr, hpf, min_bits, grid, entropy, space))
-
-
-def runner_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("paprsim-runner")]
 
 
 def unit_and_counts(monkeypatch, params, cr, hpf, workers, budget_blocks=None):
@@ -75,7 +47,7 @@ def unit_and_counts(monkeypatch, params, cr, hpf, workers, budget_blocks=None):
         if budget_blocks is not None:
             m.setattr(harness, "_CHUNK_SAMPLES", budget_blocks * params.n_oversampled)
         scheme = ModScheme("qam", 16)
-        unit = noise_free(params, scheme, cr, hpf, MIN_BITS, np.random.default_rng(37))
+        unit = noise_free_unit(params, scheme, cr, hpf, MIN_BITS, 37)
         counts = unit_cells(params, scheme, cr, hpf, MIN_BITS, EBN0_DB, [5, 1, 0])
     return unit, counts
 
@@ -113,8 +85,7 @@ def test_every_point_scales_the_normals_point_0_drew_on_its_own(monkeypatch, cr)
 
     def oracle(entropy, grid):
         bit_seed = np.random.SeedSequence(entropy).spawn(1)[0]
-        sent, power, clean, _ = noise_free(params, scheme, cr, hpf, MIN_BITS,
-                                           np.random.default_rng(bit_seed))
+        sent, power, clean, _ = noise_free_unit(params, scheme, cr, hpf, MIN_BITS, bit_seed)
         bits = label_bits(sent, scheme)
         own = per_point_normals(entropy, grid, clean.shape)
         return (ber_points(bits, power, clean, scheme, params, cr, grid, own),
@@ -244,10 +215,9 @@ def test_the_ber_transmit_and_the_papr_cell_take_chunks_of_one_length(monkeypatc
 
     monkeypatch.setattr(harness, "_map_rows", spy)
     chunk_rows.append([])
-    with _workspace(params, [spec.n_symbols], ber=False) as space:
-        harness._papr_cell(spec, scheme, 1.2, np.random.default_rng([0, 0, 0]), hpf, space)
+    papr_cell(spec, scheme, 1.2)
     chunk_rows.append([])
-    noise_free(params, scheme, 1.2, hpf, 1000 * 256, np.random.default_rng(0))
+    noise_free_unit(params, scheme, 1.2, hpf, 1000 * 256, 0)
     papr, ber = chunk_rows
     assert sum(papr) == sum(ber) == 1000
     assert max(papr) == max(ber) == 128 // workers

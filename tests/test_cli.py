@@ -127,6 +127,18 @@ def test_a_bad_flag_value_exits_one_as_its_key_in_a_file(tmp_path, capsys, flag,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("blank", ["", " "], ids=["empty", "space"])
+@pytest.mark.parametrize("flag", ["--output-dir", "--seed", "--experiment"])
+def test_a_blank_flag_value_exits_one_as_a_blank_value_in_a_file(tmp_path, monkeypatch, capsys,
+                                                                 flag, blank):
+    # --output-dir '' exited 0 and wrote its CSVs into the current directory.
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, FAST_BODY)
+    assert main([str(cfg), flag, blank, "-q"]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert [path.name for path in tmp_path.iterdir()] == ["run.cfg"]
+
+
 def test_flags_override_the_file_keys(tmp_path, capsys):
     file_keys = "seed = 5\nexperiment = ber\nverbosity = 2\noutput_dir = unused\n"
     cfg = write_cfg(tmp_path, FAST_BODY + file_keys)

@@ -22,12 +22,9 @@ from paprsim import (
 )
 
 from oracles import ORACLE_PLANS
+from units import runner_threads, spy_chunk_buffers
 
 TWO_SCHEMES = (ModScheme.from_name("qpsk"), ModScheme.from_name("16qam"))
-
-
-def runner_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("paprsim-runner")]
 
 
 @pytest.fixture
@@ -76,14 +73,7 @@ def test_a_call_starts_one_helper_fewer_than_its_buffer_sets(monkeypatch, starte
                           ccdf_read_point=1e-2, ebn0_grid_db=(4.0, 8.0), bits_per_point=40_000)
     monkeypatch.setattr(harness, "_worker_count", lambda: workers)
     monkeypatch.setattr(harness, "_CHUNK_SAMPLES", 8 * spec.params.n_oversampled)
-    buffer_sets = []
-    make = harness._chunk_buffers
-
-    def spy(frames, params):
-        buffer_sets.append(frames)
-        return make(frames, params)
-
-    monkeypatch.setattr(harness, "_chunk_buffers", spy)
+    buffer_sets = spy_chunk_buffers(monkeypatch)
     want = [f"paprsim-runner-{thread}" for thread in range(1, workers)]
     for run in (run_papr_experiment, run_ber_experiment):
         buffer_sets.clear()

@@ -26,13 +26,11 @@ from paprsim.harness import (
     _chunk_buffers,
     _chunk_frames,
     _clip_level,
-    _papr_cell,
     _papr_chunk,
     _random_bits,
-    _workspace,
     experiment_hpf,
 )
-from paprsim.ofdm_chain import _self_image_bins
+from paprsim.metrics import _papr_db_rows
 
 from oracles import (
     ORACLE_PLANS,
@@ -41,30 +39,13 @@ from oracles import (
     batch_papr_cell,
     papr_db_max_mean,
 )
+from units import papr_cell_vectors
 
 # 1037 symbols leave a partial last chunk on every plan: 8 x 128 + 13 on the
 # reference plan, 5 x 204 + 17 on nyquist_edge, 7 x 146 + 15 on high_carrier.
 N_SYMBOLS = 1037
 STREAM_CASES = [("reference", "16qam", 0.8), ("nyquist_edge", "8psk", 1.2),
                 ("high_carrier", "32qam", 1.0)]
-
-
-def streamed_cell(monkeypatch, spec, scheme, cr, hpf):
-    """The spec's first PAPR cell at (scheme, cr), streamed in a workspace
-    of its own: its (clipped, unclipped) curves, and the (clipped,
-    unclipped) PAPR vectors it estimated them from."""
-    values = []
-    estimate = harness.estimate_ccdf
-
-    def spy(papr_values, thresholds_db):
-        values.append(np.array(papr_values))
-        return estimate(papr_values, thresholds_db)
-
-    with monkeypatch.context() as m, _workspace(spec.params, [spec.n_symbols], ber=False) as space:
-        m.setattr(harness, "estimate_ccdf", spy)
-        curves = _papr_cell(spec, scheme, cr, np.random.default_rng([spec.seed, 0, 0]), hpf,
-                            space)
-    return curves, values
 
 
 @pytest.mark.parametrize("plan, scheme_name, cr", STREAM_CASES, ids=[c[0] for c in STREAM_CASES])
@@ -75,7 +56,7 @@ def test_streamed_cell_equals_the_whole_batch_cell(monkeypatch, plan, scheme_nam
                           n_symbols=N_SYMBOLS, ccdf_read_point=1e-2)
     assert N_SYMBOLS % _chunk_frames(params.n_oversampled)
     hpf = experiment_hpf(spec)
-    streamed, values = streamed_cell(monkeypatch, spec, scheme, cr, hpf)
+    streamed, values = papr_cell_vectors(monkeypatch, spec, scheme, cr)
     batch = batch_papr_cell(spec, scheme, cr, np.random.default_rng([spec.seed, 0, 0]), hpf)
 
     for curve, got, want in zip(streamed, values, batch):
@@ -90,29 +71,35 @@ def test_unclipped_papr_on_an_edge_plan_is_that_of_the_analytic_envelope(monkeyp
     # A band edge on DC or Nyquist is its own image, so the envelope of an
     # unclipped symbol is not |x| there (README section 7): on 16-QAM the
     # two PAPR reads differ by over 0.2 dB. The streamed read must be the
-    # literal analytic envelope's of upconvert(x), on every chunk.
+    # literal analytic envelope's of upconvert(x), on every chunk, and
+    # envelope_magnitude's of x bit for bit: a chunk reads it from x before
+    # the clip and the forward half overwrite the block. Read from the
+    # forward half's x c divided back by c, 302 (nyquist_edge) and 241
+    # (dc_edge) of the 1037 values differed in their last bits.
     params, edges = ORACLE_PLANS[plan]
     scheme = ModScheme.from_name("16qam")
     spec = ExperimentSpec(params=params, schemes=(scheme,), cr_values=(1.2,),
                           n_symbols=N_SYMBOLS, ccdf_read_point=1e-2,
                           hpf_stop_edge=edges.get("stop_edge"),
                           hpf_pass_edge=edges.get("pass_edge"))
-    _, (_, unclipped) = streamed_cell(monkeypatch, spec, scheme, 1.2, experiment_hpf(spec))
+    _, (_, unclipped) = papr_cell_vectors(monkeypatch, spec, scheme, 1.2)
     bits = _random_bits(np.random.default_rng([spec.seed, 0, 0]), N_SYMBOLS,
                         params.n_subcarriers * scheme.bits_per_symbol)
     baseband = baseband_frames(bits, scheme, params)
     want = papr_db_max_mean(analytic_envelope(upconvert(baseband, params), params))
     np.testing.assert_allclose(unclipped, want, rtol=0, atol=1e-12)
     assert np.max(np.abs(want - papr_db_max_mean(baseband))) > 0.2
+    envelope = harness.envelope_magnitude(baseband, params)
+    assert np.array_equal(unclipped, _papr_db_rows(envelope**2))
 
 
 @pytest.mark.parametrize("plan", sorted(ORACLE_PLANS))
 def test_papr_chunk_runs_two_inverse_and_one_real_transform(monkeypatch, plan):
     # One chunk: the modulator's IFFT, the filter's real FFT of the clipped
     # passband and its IFFT to the envelope. The clip stage runs once, on
-    # |x| of the unclipped baseband, and writes only its factor; but on an
-    # edge plan, the unclipped PAPR is the np.max / np.mean form of |x|^2
-    # bit for bit.
+    # |x| of the unclipped baseband, and writes only its factor. On every
+    # plan the unclipped PAPR is the np.max / np.mean form of the
+    # envelope's squares bit for bit.
     params, edges = ORACLE_PLANS[plan]
     scheme = ModScheme.from_name("16qam")
     spec = ExperimentSpec(params=params, n_symbols=1000, ccdf_read_point=1e-2,
@@ -144,11 +131,9 @@ def test_papr_chunk_runs_two_inverse_and_one_real_transform(monkeypatch, plan):
     ((before, after, factor),) = clips
     assert np.array_equal(before, np.abs(baseband)) and np.array_equal(after, before)
     assert np.array_equal(factor, amplitude / np.maximum(np.abs(baseband), amplitude))
-    if _self_image_bins(params):  # the unclipped envelope is not |x| (README section 7)
-        np.testing.assert_allclose(unclipped, papr_db_max_mean(
-            harness.envelope_magnitude(baseband, params)), rtol=0, atol=1e-12)
-    else:
-        assert np.array_equal(unclipped, papr_db_max_mean(baseband))
+    # The unclipped envelope is |x| but on an edge plan (README section 7).
+    envelope = harness.envelope_magnitude(baseband, params)
+    assert np.array_equal(unclipped, papr_db_max_mean(envelope))
     want = papr_db_max_mean(harness.envelope_magnitude(
         composed_filter(clip_baseband(baseband, amplitude), params, hpf), params))
     np.testing.assert_allclose(processed, want, rtol=0, atol=1e-12)

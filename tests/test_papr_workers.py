@@ -7,7 +7,6 @@ be able to run a cell.
 """
 import multiprocessing
 import sys
-import threading
 import warnings
 
 import numpy as np
@@ -25,17 +24,10 @@ from paprsim import (
     run_papr_experiment,
 )
 from paprsim import clip_filter, harness
-from paprsim.harness import (
-    ExperimentSpec,
-    _chunk_frames,
-    _clip_level,
-    _papr_cell,
-    _unit_frames,
-    _workspace,
-    experiment_hpf,
-)
+from paprsim.harness import ExperimentSpec, _chunk_frames, _clip_level, experiment_hpf
 
 from oracles import ORACLE_PLANS
+from units import noise_free_unit, papr_cell, papr_cell_vectors, runner_threads, spy_chunk_buffers
 
 # 1037 symbols leave a partial last chunk at every worker count below, on
 # every plan (the first assertion of the test checks it).
@@ -44,36 +36,11 @@ PLANS = [("reference", "16qam", 0.8), ("nyquist_edge", "8psk", 1.2),
          ("high_carrier", "32qam", 1.0)]
 
 
-def papr_cell(spec, scheme, cr, hpf):
-    """The spec's first PAPR cell at (scheme, cr), in a workspace of its own."""
-    with _workspace(spec.params, [spec.n_symbols], ber=False) as space:
-        return _papr_cell(spec, scheme, cr, np.random.default_rng([spec.seed, 0, 0]), hpf, space)
-
-
-def noise_free_unit(params, scheme, cr, hpf, min_bits):
-    """A BER unit's noise-free transmit and receive, in a workspace of its own."""
-    with _workspace(params, [_unit_frames(params, scheme, min_bits)], ber=True) as space:
-        harness._noise_free_unit(params, scheme, cr, hpf, min_bits, np.random.default_rng(3),
-                                 None, space)
-
-
-def helper_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("paprsim-runner")]
-
-
-def cell_vectors(monkeypatch, spec, scheme, cr, hpf, workers):
+def cell_vectors(monkeypatch, spec, scheme, cr, workers):
     """The cell's (processed, unclipped) PAPR vectors and curves with the
     given number of workers."""
     monkeypatch.setattr(harness, "_worker_count", lambda: workers)
-    values = []
-    estimate = harness.estimate_ccdf
-
-    def spy(papr_values, thresholds_db):
-        values.append(np.array(papr_values))
-        return estimate(papr_values, thresholds_db)
-
-    monkeypatch.setattr(harness, "estimate_ccdf", spy)
-    curves = papr_cell(spec, scheme, cr, hpf)
+    curves, values = papr_cell_vectors(monkeypatch, spec, scheme, cr)
     monkeypatch.undo()
     return values, curves
 
@@ -84,16 +51,15 @@ def test_papr_vectors_do_not_depend_on_the_worker_count(monkeypatch, plan, schem
     scheme = ModScheme.from_name(scheme_name)
     spec = ExperimentSpec(params=params, schemes=(scheme,), cr_values=(cr,),
                           n_symbols=N_SYMBOLS, ccdf_read_point=1e-2)
-    hpf = experiment_hpf(spec)
-    one_values, one_curves = cell_vectors(monkeypatch, spec, scheme, cr, hpf, 1)
+    one_values, one_curves = cell_vectors(monkeypatch, spec, scheme, cr, 1)
     for workers in (2, 3):
         assert N_SYMBOLS % _chunk_frames(params.n_oversampled * workers)
-        values, curves = cell_vectors(monkeypatch, spec, scheme, cr, hpf, workers)
+        values, curves = cell_vectors(monkeypatch, spec, scheme, cr, workers)
         for got, want in zip(values, one_values):
             assert np.array_equal(got, want), workers
         for got, want in zip(curves, one_curves):
             assert np.array_equal(got.prob_exceed, want.prob_exceed)
-    assert not helper_threads()
+    assert not runner_threads()
 
 
 def test_more_workers_than_cpus_with_fast_thread_switching(monkeypatch):
@@ -103,12 +69,11 @@ def test_more_workers_than_cpus_with_fast_thread_switching(monkeypatch):
     scheme = ModScheme.from_name("qpsk")
     spec = ExperimentSpec(params=params, schemes=(scheme,), cr_values=(1.0,),
                           n_symbols=N_SYMBOLS, ccdf_read_point=1e-2)
-    hpf = experiment_hpf(spec)
-    want, _ = cell_vectors(monkeypatch, spec, scheme, 1.0, hpf, 1)
+    want, _ = cell_vectors(monkeypatch, spec, scheme, 1.0, 1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got, _ = cell_vectors(monkeypatch, spec, scheme, 1.0, hpf, 6)
+        got, _ = cell_vectors(monkeypatch, spec, scheme, 1.0, 6)
     finally:
         sys.setswitchinterval(interval)
     for a, b in zip(got, want):
@@ -133,7 +98,7 @@ def test_a_failing_chunk_stops_the_cell_and_leaves_nothing_behind(monkeypatch):
     monkeypatch.setattr(harness, "_clip_magnitude_rows", failing_clip)
     with pytest.raises(ExperimentError, match=r"scheme=qpsk, cr=1\.2.*third chunk"):
         run_papr_experiment(spec)
-    assert not helper_threads()
+    assert not runner_threads()
     assert len(calls) < chunks  # the other thread stopped before its next chunk
     monkeypatch.undo()
     assert run_papr_experiment(spec).rows == before
@@ -154,9 +119,9 @@ def test_the_fold_is_computed_once_per_cell_and_unit(monkeypatch):
 
     monkeypatch.setattr(clip_filter, "band_gains", spy)
     monkeypatch.setattr(harness, "_worker_count", lambda: 2)
-    papr_cell(spec, spec.schemes[0], 1.2, hpf)
+    papr_cell(spec, spec.schemes[0], 1.2)
     assert len(calls) == 1
-    noise_free_unit(spec.params, spec.schemes[0], 1.2, hpf, 200_000)
+    noise_free_unit(spec.params, spec.schemes[0], 1.2, hpf, 200_000, 3)
     assert len(calls) == 2
 
 
@@ -262,14 +227,7 @@ def test_the_stages_write_into_the_threads_buffers(monkeypatch, experiment):
     hpf = experiment_hpf(spec)
     scheme = ModScheme.from_name("16qam")
     monkeypatch.setattr(harness, "_worker_count", lambda: 2)
-    buffers, outs = [], []
-    make = harness._chunk_buffers
-
-    def buffers_spy(frames, params):
-        buffers.append(make(frames, params))
-        return buffers[-1]
-
-    monkeypatch.setattr(harness, "_chunk_buffers", buffers_spy)
+    buffers, outs = spy_chunk_buffers(monkeypatch), []
     for name in ("_map_rows", "_extend_rows", "_modulate_rows"):
         def stage(*args, out=None, _name=name, _stage=getattr(harness, name), **kwargs):
             outs.append((_name, out))
@@ -284,13 +242,13 @@ def test_the_stages_write_into_the_threads_buffers(monkeypatch, experiment):
 
     monkeypatch.setattr(harness, "_clip_magnitude_rows", clip_stage)
     if experiment == "papr_cell":
-        papr_cell(spec, scheme, 1.2, hpf)
+        papr_cell(spec, scheme, 1.2)
     else:
         monkeypatch.setattr(harness, "_CHUNK_SAMPLES", 4 * params.n_oversampled)
-        noise_free_unit(params, scheme, 1.2, hpf, 49_500)
+        noise_free_unit(params, scheme, 1.2, hpf, 49_500, 3)
     assert len(buffers) == 2
     assert {name for name, _ in outs} == {
         "_map_rows", "_extend_rows", "_modulate_rows", "_clip_magnitude_rows"}
     for name, out in outs:
         assert out is not None, name
-        assert any(np.shares_memory(out, buffer) for own in buffers for buffer in own), name
+        assert any(np.shares_memory(out, buffer) for _, own in buffers for buffer in own), name

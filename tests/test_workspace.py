@@ -12,9 +12,10 @@ import pytest
 from paprsim import ExperimentSpec, ModScheme, run_ber_experiment, run_papr_experiment
 from paprsim import harness
 from paprsim.constellation import SCHEME_NAMES
-from paprsim.harness import _ber_cells, _papr_cell, _unit_frames, _workspace, experiment_hpf
+from paprsim.harness import experiment_hpf
 
 from oracles import ORACLE_PLANS
+from units import papr_cell, spy_chunk_buffers, unit_cells
 
 SCHEMES = tuple(ModScheme.from_name(name) for name in SCHEME_NAMES)
 EBN0_DB = (2.0, 8.0)
@@ -41,10 +42,8 @@ def test_each_ber_unit_equals_the_unit_on_its_own(monkeypatch, workers, order):
     hpf = experiment_hpf(spec)
     rows = run_ber_experiment(spec).rows
     for index, scheme in enumerate(spec.schemes):
-        with _workspace(spec.params, [_unit_frames(spec.params, scheme, spec.bits_per_point)],
-                        ber=True, noisy=True) as space:
-            alone = list(_ber_cells(spec.params, scheme, 1.2, hpf, spec.bits_per_point, EBN0_DB,
-                                    [spec.seed, 1, index], space))
+        alone = unit_cells(spec.params, scheme, 1.2, hpf, spec.bits_per_point, EBN0_DB,
+                           [spec.seed, 1, index])
         got = [(row.bit_errors, row.bits_total) for row in rows if row.scheme == scheme.name]
         assert got == alone, scheme.name
         assert any(errors for errors, _ in alone), scheme.name  # the noise reached the slicer
@@ -55,13 +54,10 @@ def test_each_papr_cell_equals_the_cell_on_its_own(monkeypatch, workers):
     spec = ExperimentSpec(params=ORACLE_PLANS["reference"][0], schemes=SCHEMES,
                           cr_values=(1.0, 1.4), n_symbols=1000, ccdf_read_point=1e-2, seed=43)
     monkeypatch.setattr(harness, "_worker_count", lambda: workers)
-    hpf = experiment_hpf(spec)
     curves = run_papr_experiment(spec).curves
     cells = [(scheme, cr) for scheme in spec.schemes for cr in spec.cr_values]
     for index, (scheme, cr) in enumerate(cells):
-        rng = np.random.default_rng([spec.seed, 0, index])
-        with _workspace(spec.params, [spec.n_symbols], ber=False) as space:
-            clipped, unclipped = _papr_cell(spec, scheme, cr, rng, hpf, space)
+        clipped, unclipped = papr_cell(spec, scheme, cr, index)
         got = curves[(scheme.name, cr)]
         assert np.array_equal(got.clipped.prob_exceed, clipped.prob_exceed), (scheme.name, cr)
         assert np.array_equal(got.unclipped.prob_exceed, unclipped.prob_exceed), (scheme.name, cr)
@@ -76,16 +72,9 @@ def test_an_experiment_call_makes_one_set_of_buffers_per_thread(monkeypatch, wor
                           ebn0_grid_db=EBN0_DB, bits_per_point=20_000)
     monkeypatch.setattr(harness, "_worker_count", lambda: workers)
     monkeypatch.setattr(harness, "_CHUNK_SAMPLES", 16 * spec.params.n_oversampled)
-    made = []
-    make = harness._chunk_buffers
-
-    def spy(frames, params):
-        made.append(frames)
-        return make(frames, params)
-
-    monkeypatch.setattr(harness, "_chunk_buffers", spy)
+    made = spy_chunk_buffers(monkeypatch)
     run_papr_experiment(spec)
-    assert made == [16 // workers] * workers
+    assert [frames for frames, _ in made] == [16 // workers] * workers
     made.clear()
     run_ber_experiment(spec)
-    assert made == [16 // workers] * workers
+    assert [frames for frames, _ in made] == [16 // workers] * workers
