@@ -251,10 +251,12 @@ def main(argv=None) -> int:
     config = args.pop("config")
     try:
         pairs = _read_key_values(Path(config)) if config else {}
-        for key, raw in args.items():
-            if raw is not None and not raw.strip():  # as a config file's blank value
-                raise ConfigError(f"--{key.replace('_', '-')} must not be blank, got {raw!r}")
-        pairs.update((key, raw) for key, raw in args.items() if raw is not None)
+        # Stripped and refused when blank, as a config file's values are.
+        flags = {key: raw.strip() for key, raw in args.items() if raw is not None}
+        for key, value in flags.items():
+            if not value:
+                raise ConfigError(f"--{key.replace('_', '-')} must not be blank, got {args[key]!r}")
+        pairs.update(flags)
         cfg = _run_config(pairs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

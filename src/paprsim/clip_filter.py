@@ -13,7 +13,9 @@ baseband by one real FFT and one inverse FFT (README section 5).
 input unchanged. The experiments call their kernels instead, in place on
 buffers of their own: the clip's real factor (``_clip_factor``), which
 the filter's forward half (``_filter_forward``) takes in place of a
-clipped block, and the inverse half (``_filter_inverse``).
+clipped block, and the inverse half (``_filter_inverse``). The forward
+half also takes the passband it forms, so the clip levels of a PAPR
+sweep share one carrier product.
 """
 from __future__ import annotations
 
@@ -98,11 +100,15 @@ def _filter_forward(samples: np.ndarray, fold: tuple, *, factor=None) -> np.ndar
     multiplied by their gains. Returns those (..., N + 1) band bins Y[j],
     j = -N/2 .. N/2, a view of the real FFT's output.
 
-    x c is written over ``samples``, and the passband over ``factor``. The
-    real FFT's output is the only array the call allocates.
+    2 x c is written over complex ``samples``. Real ``samples`` are taken
+    as that passband already formed, the real view of blocks that hold
+    2 x c, and are left as they are. The passband times the factor is
+    written over ``factor``. The real FFT's output is the only array the
+    call allocates.
     """
     first, gains, carrier = fold
-    passband = np.multiply(samples, carrier, out=samples).real
+    passband = (np.multiply(samples, carrier, out=samples).real if np.iscomplexobj(samples)
+                else samples)
     if factor is not None:
         passband = np.multiply(passband, factor, out=factor)
     band = np.fft.rfft(passband, axis=-1)[..., first : first + gains.size]

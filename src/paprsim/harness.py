@@ -1,10 +1,10 @@
 """Experiment orchestration: PAPR and BER sweeps over scheme and clipping ratio.
 
-Both experiments walk their (scheme, cr) grid in one loop (``_walk_grid``),
-which seeds each unit's streams by its place in the grid (README section
-8), and transmit on one chunked loop (``_transmit``) that runs on the
-threads of ``_on_chunks``, each in buffers allocated once per experiment
-call (``_workspace``; README "Loops, threads and buffers"). The helper
+Both experiments walk their grid in one loop (``_walk_grid``), which seeds
+each unit's streams by a key of its own (README section 8), and transmit on
+one chunked loop (``_transmit``) that runs on the threads of
+``_on_chunks``, each in buffers allocated once per experiment call
+(``_workspace``; README "Loops, threads and buffers"). The helper
 threads belong to the call too: each starts when a chunk loop of the call
 first needs it, serves every later loop, and is joined when the call
 returns or raises. The grid walk hands its workspace to every unit;
@@ -12,14 +12,17 @@ returns or raises. The grid walk hands its workspace to every unit;
 makes one. The clip level cr * sigma is known before any bit is drawn
 (README section 1).
 
-PAPR cell: one pass over the cell's bits, drawn in chunks of frames. A
-chunk maps, extends and modulates them and takes |x| once (``_baseband``),
-clips by the real factor A / max(|x|, A) inside the composed filter's
-forward half (``_clip_filter``; README sections 5 and 6), and reads the
-unclipped PAPR from the envelope of x, which is |x| but at a band edge on
-DC or Nyquist, where it is read from x before the forward half, and the
-processed PAPR from the filtered envelope (README section 7). Only the two
-PAPR vectors grow with n_symbols.
+PAPR unit, one per scheme, whose CR cells clip one baseband: one pass over
+the scheme's bits, drawn in chunks of frames from a stream keyed by the
+scheme's place in SCHEME_NAMES. A chunk maps, extends and modulates them
+and takes |x| once (``_baseband``). Each CR then clips by the real factor
+A / max(|x|, A) inside the composed filter's forward half (``_clip_filter``;
+README sections 5 and 6), whose carrier product the first CR forms for
+all, and reads its processed PAPR from the filtered envelope. The
+unclipped PAPR is read once, from the envelope of x, which is |x| but at a
+band edge on DC or Nyquist (README section 7). Only the PAPR vectors, one unclipped and one
+per CR, grow with n_symbols. A scheme's cells share their draws (README
+section 9), so they are correlated.
 
 BER unit, one per (scheme, cr), whose Eb/N0 cells share one transmission:
 it draws its bits chunk by chunk, transmits them to the band bins, keeps
@@ -35,6 +38,7 @@ correlated and are not independent samples of the BER curve.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import queue
@@ -456,8 +460,10 @@ def _noise_free_unit(
             noise.standard_normal(out=normals[rows].view(float))
         return _random_bits(rng, rows.stop - rows.start, bits_per_frame)
 
-    _transmit(params, scheme, cr, hpf, n_frames, _ber_chunk, claim, space, received, block_power,
-              sent)
+    amplitude = None if cr is None else _clip_level(params, cr)
+    fold = None if cr is None else _composed_fold(params, hpf)
+    _transmit(params, scheme, amplitude, fold, n_frames, _ber_chunk, claim, space, received,
+              block_power, sent)
     return sent, float(np.mean(block_power)), received, None if noise is None else normals
 
 
@@ -563,13 +569,19 @@ def _bit_count(values: np.ndarray) -> int:
     return count + int(np.bitwise_count(flat[whole:]).sum()) if whole < flat.size else count
 
 
-def _chunk_buffers(frames: int, params: OfdmParams) -> tuple[np.ndarray, ...]:
+def _chunk_buffers(frames: int, params: OfdmParams, spare: bool = False) -> tuple[np.ndarray, ...]:
     """One thread's buffers for chunks of up to ``frames`` frames, cut from
     one complex allocation into three flat views: the mapped symbols, and
-    the block and the scratch, both block-wide. ``_rows`` gives a chunk its
-    (frames, width) view of a buffer. ``_workspace`` makes one set per
-    thread for a whole experiment call."""
-    widths = (params.n_subcarriers, params.n_oversampled, params.n_oversampled)
+    the block and the scratch, both block-wide. With ``spare``, the
+    scratch is half a block wider, so that its second float view, which
+    holds a PAPR chunk's clip factor, begins a complex view a block wide:
+    the spare, into which a chunk of several clip levels writes every
+    level's filtered envelope but the last, once the forward half has read
+    the factor. ``_rows`` gives a chunk its (frames, width) view of a
+    buffer. ``_workspace`` makes one set per thread for a whole experiment
+    call."""
+    total = params.n_oversampled
+    widths = (params.n_subcarriers, total, total * 3 // 2 if spare else total)
     ends = np.cumsum([frames * width for width in widths])
     return tuple(np.split(np.empty(ends[-1], complex), ends[:-1]))
 
@@ -580,14 +592,16 @@ def _unit_frames(params: OfdmParams, scheme: ModScheme, min_bits: int) -> int:
 
 
 @contextmanager
-def _workspace(params: OfdmParams, unit_frames, ber: bool, noisy: bool = False):
+def _workspace(params: OfdmParams, unit_frames, ber: bool, noisy: bool = False,
+               spare: bool = False):
     """A context that gives what the units of one experiment call
     (``_walk_grid``), or the one unit of ``simulate_chain_ber``, share,
     for units of the given frame counts, made once, and stops the call's
     helper threads when it exits, however it exits. It gives a tuple:
-    first a list of chunk buffers (``_chunk_buffers``), one set per thread
-    that any unit's transmit loop runs on (``_chunking``), each holding
-    the largest chunk any unit hands that thread; then the call's helper
+    first a list of chunk buffers (``_chunk_buffers``, with the spare
+    if ``spare``, which PAPR units of several CRs need), one set per
+    thread that any unit's transmit loop runs on (``_chunking``), each
+    holding the largest chunk any unit hands that thread; then the call's helper
     threads (``_Helpers``), none running yet, of which the call's loops
     start at most one fewer than there are buffer sets; then, for BER
     units, the unit arrays at the largest unit's frames: the received
@@ -599,7 +613,8 @@ def _workspace(params: OfdmParams, unit_frames, ber: bool, noisy: bool = False):
     for frames in unit_frames:
         threads, step = _chunking(frames, params.n_oversampled)
         loops.append((threads, min(step, frames)))
-    buffers = [_chunk_buffers(max(size for threads, size in loops if threads > thread), params)
+    buffers = [_chunk_buffers(max(size for threads, size in loops if threads > thread), params,
+                              spare)
                for thread in range(max(threads for threads, _ in loops))]
     arrays = ()
     if ber:
@@ -639,42 +654,59 @@ def _clip_filter(baseband: np.ndarray, magnitude: np.ndarray, amplitude: float, 
     magnitude from ``_baseband``: the clip's real factor A / max(|x|, A)
     goes into the scratch's second float view, and the forward half
     (``_filter_forward``) takes it in place of a clipped block (README
-    sections 5 and 6). Returns the band bins Y[j], j = -N/2..N/2. The
-    forward half leaves x c in the block, free for the inverse half to
-    overwrite; nothing here touches |x|."""
-    # The two float views fill the scratch's bytes, count * N*L complex values.
+    sections 5 and 6). Returns the band bins Y[j], j = -N/2..N/2. Given x,
+    the forward half leaves 2 x c in the block, free for the inverse half
+    to overwrite; given the block's real view once it holds 2 x c, the
+    passband, it leaves the block as it is. Nothing here touches |x|."""
+    # The two float views fill the scratch's first count * N*L complex values.
     factor = _clip_magnitude_rows(
         magnitude, amplitude, out=_rows(buffers[2][magnitude.size // 2 :], float, *magnitude.shape))
     return _composed_rows(baseband, fold, factor=factor)
 
 
 def _papr_chunk(
-    bits: np.ndarray, scheme: ModScheme, params: OfdmParams, amplitude: float,
+    bits: np.ndarray, scheme: ModScheme, params: OfdmParams, amplitudes: tuple[float, ...],
     fold: tuple, buffers: tuple[np.ndarray, ...],
-    unclipped_papr: np.ndarray, processed_papr: np.ndarray,
+    unclipped_papr: np.ndarray, *processed_paprs: np.ndarray,
 ) -> None:
-    """One chunk of a PAPR cell, on one of the cell's threads: writes the
-    unclipped and the clipped-and-filtered PAPR of the frames ``bits``
-    holds into the two views.
+    """One chunk of a scheme's PAPR unit, on one of the unit's threads:
+    writes the unclipped PAPR of the frames ``bits`` holds into
+    ``unclipped_papr``, and their clipped-and-filtered PAPR at each clip
+    level of ``amplitudes`` into the matching view of ``processed_paprs``.
 
-    ``_baseband`` leaves |x| in the scratch, which is the unclipped
-    envelope but on a plan with a band edge on DC or Nyquist (README
-    section 7). There the envelope is read from x before the clip and the
-    forward half (``_clip_filter``) overwrite it. The envelope's squares,
-    in place, give the unclipped PAPR. The filter's inverse half
-    (``_filter_inverse``) then writes the filtered envelope over the block.
+    The work before the clip runs once: ``_baseband`` leaves |x| in the
+    scratch, which is the unclipped envelope but on a plan with a band
+    edge on DC or Nyquist (README section 7), where the envelope is read
+    from x first. Each level forms its clip factor from the kept |x| and
+    runs the forward half (``_clip_filter``): the first level's forms
+    2 x c over x just before it reads it, while the block is in cache,
+    and the later levels' take the block's real view, the passband
+    2 Re(x c) it formed. Once the last level's factor is formed, |x| is
+    free, and the envelope's squares, in place, give the unclipped PAPR.
+    The inverse half (``_filter_inverse``) writes each level's filtered
+    envelope into the spare, the complex view a block wide that begins at
+    the factor (``_chunk_buffers``), or, for the last level, over the
+    block, so a single level needs no spare.
     The envelope stage is called as ``envelope_magnitude(samples,
     params)``, the form perfbench's self-test substitutes, so it returns a
     new |y| array, which is squared in place.
     """
     baseband, magnitude = _baseband(bits, scheme, params, buffers)
     envelope = envelope_magnitude(baseband, params) if _self_image_bins(params) else magnitude
-    band = _clip_filter(baseband, magnitude, amplitude, fold, buffers)
-    unclipped_papr[:] = _papr_db_rows(np.square(envelope, out=envelope))
-    filtered = _filter_inverse(band, baseband)
-    del band  # frees the real FFT's output before the envelope allocates
-    envelope = envelope_magnitude(filtered, params)
-    processed_papr[:] = _papr_db_rows(np.square(envelope, out=envelope))
+    samples = baseband
+    for level, (amplitude, processed_papr) in enumerate(zip(amplitudes, processed_paprs), 1):
+        band = _clip_filter(samples, magnitude, amplitude, fold, buffers)
+        samples = baseband.real
+        if level == len(amplitudes):
+            unclipped_papr[:] = _papr_db_rows(np.square(envelope, out=envelope))
+            out = baseband
+        else:
+            out = _rows(buffers[2][magnitude.size // 2 :], complex, *baseband.shape)
+        filtered = _filter_inverse(band, out)
+        del band  # frees the real FFT's output before the envelope allocates
+        processed = envelope_magnitude(filtered, params)
+        processed_papr[:] = _papr_db_rows(np.square(processed, out=processed))
+        del processed  # frees it before the next level's real FFT allocates
 
 
 def _ber_chunk(
@@ -742,24 +774,22 @@ def _band_read(params: OfdmParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _transmit(
-    params: OfdmParams, scheme: ModScheme, cr: float | None,
-    hpf: fir_design.FirFilter | None, frames: int, chunk, claim, space: tuple,
-    *outs: np.ndarray,
+    params: OfdmParams, scheme: ModScheme, amplitude, fold: tuple | None, frames: int, chunk,
+    claim, space: tuple, *outs: np.ndarray,
 ) -> None:
-    """The transmit loop of a PAPR cell and of a BER unit: call
+    """The transmit loop of a PAPR unit and of a BER unit: call
     ``chunk(bits, scheme, params, amplitude, fold, space[0][thread],
     *views)`` for every chunk of ``frames`` frames, ``bits`` what
     ``claim(rows)`` returned for the chunk's rows and ``views`` each of
-    ``outs`` at those rows. The clip level A = cr * sigma (``_clip_level``)
-    and the composed filter's fold (``_composed_fold``) are worked out
-    once; cr=None makes both None, which skips clipping and filtering.
+    ``outs`` at those rows. The caller works out the clip level A = cr *
+    sigma (``_clip_level``), or a PAPR unit's tuple of them, one per CR,
+    and the composed filter's fold (``_composed_fold``) once; a BER unit's
+    None for both skips clipping and filtering.
 
     The chunks run on ``_on_chunks`` (``_chunking``) with the helpers of
     ``space``, the caller's ``_workspace``, each thread in its own set of
     its buffers. ``claim`` runs under the runner's lock, so draws made in
     it follow row order whatever the thread count (README section 8)."""
-    amplitude = None if cr is None else _clip_level(params, cr)
-    fold = None if cr is None else _composed_fold(params, hpf)
     threads, step = _chunking(frames, params.n_oversampled)
 
     def run(thread, rows, bits):
@@ -769,36 +799,45 @@ def _transmit(
 
 
 def _papr_cell(
-    spec: ExperimentSpec, scheme: ModScheme, cr: float, rng: np.random.Generator,
+    spec: ExperimentSpec, scheme: ModScheme, rng: np.random.Generator,
     hpf: fir_design.FirFilter, space: tuple,
 ):
-    """Clipped-and-filtered and unclipped PAPR CCDFs of one cell, streamed
-    in one pass over the bits ``rng`` draws (see the module docstring).
+    """A scheme's PAPR unit: the clipped-and-filtered PAPR CCDF at each CR
+    of ``spec``, in its order, and the one unclipped CCDF that every CR
+    shares, streamed in one pass over the bits ``rng`` draws (see the
+    module docstring). Returns (clipped curves, unclipped curve).
 
     The chunks (``_papr_chunk``) run on the transmit loop (``_transmit``),
-    on the buffers of ``space``, the experiment's ``_workspace``. A chunk's
-    bits are drawn as the chunk is claimed (README section 8).
+    on the buffers of ``space``, the experiment's ``_workspace``, which
+    has the spare if there are several CRs. A chunk's bits are drawn
+    as the chunk is claimed (README section 8). The unit keeps one
+    unclipped PAPR vector and one processed vector per CR.
     """
     n, bits_per_frame = spec.n_symbols, spec.params.n_subcarriers * scheme.bits_per_symbol
-    unclipped_papr, processed_papr = np.empty(n), np.empty(n)
-    _transmit(spec.params, scheme, cr, hpf, n, _papr_chunk,
+    unclipped_papr, processed_paprs = np.empty(n), [np.empty(n) for _ in spec.cr_values]
+    _transmit(spec.params, scheme, tuple(_clip_level(spec.params, cr) for cr in spec.cr_values),
+              _composed_fold(spec.params, hpf), n, _papr_chunk,
               lambda rows: _random_bits(rng, rows.stop - rows.start, bits_per_frame),
-              space, unclipped_papr, processed_papr)
-    return (estimate_ccdf(processed_papr, CCDF_THRESHOLDS_DB),
+              space, unclipped_papr, *processed_paprs)
+    return (tuple(estimate_ccdf(papr, CCDF_THRESHOLDS_DB) for papr in processed_paprs),
             estimate_ccdf(unclipped_papr, CCDF_THRESHOLDS_DB))
 
 
 def _walk_grid(spec: ExperimentSpec, kind: int, unit, points, progress) -> dict:
-    """Walk the (scheme, cr) units of ``spec`` in order: the one grid walk
-    of both experiments. ``unit(scheme, cr, entropy, space)`` gets the
-    entropy [seed, kind, unit index] of its streams and the experiment's
-    ``_workspace``, made once here for every unit of the call (a PAPR cell
-    of n_symbols frames, or a BER unit of bits_per_point bits), and
-    returns an iterator with one value per point of ``points``: (None,)
-    for the one cell of a PAPR unit (kind 0), the Eb/N0 grid for a BER
-    unit (kind 1). Every value of a unit is read before the next unit
-    starts, so the units can share the workspace and its helper threads,
-    which are joined when the walk returns or raises. Before each value
+    """Walk the units of ``spec`` in order: the one grid walk of both
+    experiments. ``unit(scheme, crs, entropy, space)`` gets the CRs it
+    covers, the entropy of its streams (README section 8) and the
+    experiment's ``_workspace``, made once here for every unit of the call
+    (a PAPR unit of n_symbols frames, or a BER unit of bits_per_point
+    bits), and returns an iterator with one value per (cr, point) of
+    ``crs`` and ``points``, CR-major. A PAPR unit (kind 0) is a scheme:
+    it covers every CR, its entropy is [seed, 0, the scheme's place in
+    SCHEME_NAMES], and ``points`` is (None,); the workspace has the spare
+    if there are several CRs. A BER unit (kind 1) is a (scheme, cr)
+    pair: its entropy is [seed, 1, unit index], and ``points`` is the
+    Eb/N0 grid. Every value of a unit is read before the next unit starts,
+    so the units can share the workspace and its helper threads, which are
+    joined when the walk returns or raises. Before each value
     ``progress``, if given, is called with the cell's name, and a failure
     is raised as the cell's ``ExperimentError``. Returns the values keyed
     by (scheme name, cr, point), in cell order, the order of the rows.
@@ -806,12 +845,17 @@ def _walk_grid(spec: ExperimentSpec, kind: int, unit, points, progress) -> dict:
     name = ("papr", "ber")[kind]
     frames = [_unit_frames(spec.params, scheme, spec.bits_per_point) if kind else spec.n_symbols
               for scheme in spec.schemes]
+    if kind:
+        units = [(s, (cr,), index)
+                 for index, (s, cr) in enumerate(itertools.product(spec.schemes, spec.cr_values))]
+    else:
+        units = [(s, spec.cr_values, SCHEME_NAMES.index(s.name)) for s in spec.schemes]
     results = {}
-    with _workspace(spec.params, frames, ber=kind == 1, noisy=kind == 1) as space:
-        for index, (scheme, cr) in enumerate((s, cr) for s in spec.schemes
-                                             for cr in spec.cr_values):
-            values = unit(scheme, cr, [spec.seed, kind, index], space)
-            for ebn0 in points:
+    with _workspace(spec.params, frames, ber=kind == 1, noisy=kind == 1,
+                    spare=kind == 0 and len(spec.cr_values) > 1) as space:
+        for scheme, crs, key in units:
+            values = unit(scheme, crs, [spec.seed, kind, key], space)
+            for cr, ebn0 in itertools.product(crs, points):
                 at = "" if ebn0 is None else f"ebn0={ebn0:g}"
                 if progress:
                     progress(f"{name} {scheme.name} cr={cr:g}" + (at and f" {at} dB"))
@@ -824,14 +868,23 @@ def _walk_grid(spec: ExperimentSpec, kind: int, unit, points, progress) -> dict:
 
 
 def run_papr_experiment(spec: ExperimentSpec, progress=None) -> PaprExperimentResult:
-    """PAPR CCDF sweep over every (scheme, cr) cell of the spec, one cell a
-    unit on the grid walk (``_walk_grid``)."""
+    """PAPR CCDF sweep over every (scheme, cr) cell of the spec, one scheme
+    a unit on the grid walk (``_walk_grid``).
+
+    ``progress`` is called once per cell, in cell order, on the calling
+    thread, before the cell's result is asked for. A scheme's first CR
+    cell carries its unit's whole pass (``_papr_cell``): every CR's PAPR
+    vectors and curves. Its later CR cells only read their curves. Every
+    cell of a scheme holds the same unclipped curve.
+    """
     hpf = experiment_hpf(spec)
 
-    def unit(scheme, cr, entropy, space):
-        curves = PaprCurves(*_papr_cell(spec, scheme, cr, np.random.default_rng(entropy), hpf, space))
-        yield (curves, ccdf_quantile(curves.clipped, spec.ccdf_read_point),
-               ccdf_quantile(curves.unclipped, spec.ccdf_read_point))
+    def unit(scheme, crs, entropy, space):
+        clipped, unclipped = _papr_cell(spec, scheme, np.random.default_rng(entropy), hpf, space)
+        unclipped_db = ccdf_quantile(unclipped, spec.ccdf_read_point)
+        for curve in clipped:
+            yield (PaprCurves(curve, unclipped), ccdf_quantile(curve, spec.ccdf_read_point),
+                   unclipped_db)
 
     cells = _walk_grid(spec, 0, unit, (None,), progress)
     rows = tuple(PaprRow(name, cr, q_clip, q_unclip,
@@ -900,8 +953,8 @@ def run_ber_experiment(spec: ExperimentSpec, progress=None) -> BerExperimentResu
     if len(spec.ebn0_grid_db) == 0:
         raise ConfigError("ebn0_grid_db must be non-empty for a BER experiment")
     hpf = experiment_hpf(spec)
-    results = _walk_grid(spec, 1, lambda scheme, cr, entropy, space: _ber_cells(
-        spec.params, scheme, cr, hpf, spec.bits_per_point, spec.ebn0_grid_db, entropy, space,
+    results = _walk_grid(spec, 1, lambda scheme, crs, entropy, space: _ber_cells(
+        spec.params, scheme, *crs, hpf, spec.bits_per_point, spec.ebn0_grid_db, entropy, space,
     ), spec.ebn0_grid_db, progress)
     return BerExperimentResult(rows=tuple(
         BerRow(name, cr, ebn0, errors, total, errors / total,

@@ -450,3 +450,18 @@ def test_10_run_determinism(tmp_path):
         "run determinism",
         f"two identical runs produced {len(names_a)} byte-identical CSV files",
     )
+
+
+def test_a_one_cell_spec_gives_the_reference_run_s_cell(papr_result):
+    # A scheme's stream is keyed by its place in SCHEME_NAMES, and each CR
+    # of a shared pass equals a pass of that CR alone, so a one-cell spec
+    # reproduces its cell of the reference run exactly.
+    spec = ExperimentSpec(schemes=(ModScheme.from_name("16qam"),), cr_values=(1.2,))
+    alone = run_papr_experiment(spec)
+    (row,) = alone.rows
+    (want,) = [r for r in papr_result.rows if (r.scheme, r.cr) == ("16qam", 1.2)]
+    assert (row.papr_db_clipped_filtered, row.papr_db_unclipped) == (
+        want.papr_db_clipped_filtered, want.papr_db_unclipped)
+    for got, ref in zip(vars(alone.curves[("16qam", 1.2)]).values(),
+                        vars(papr_result.curves[("16qam", 1.2)]).values()):
+        assert np.array_equal(got.prob_exceed, ref.prob_exceed) and got.sample_count == 10_000

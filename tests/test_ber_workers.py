@@ -31,7 +31,7 @@ from paprsim.cli import _write_csv
 from paprsim.harness import _ber_cells, experiment_hpf
 
 from oracles import ORACLE_PLANS, ber_points, label_bits, per_point_normals
-from units import noise_free_unit, papr_cell, runner_threads, unit_cells, unit_space
+from units import noise_free_unit, papr_unit, runner_threads, unit_cells, unit_space
 
 # 97 frames of 16-QAM on a 128-subcarrier plan: an odd count, so every
 # even chunk length leaves a ragged last chunk.
@@ -200,8 +200,8 @@ def test_the_ber_transmit_and_the_papr_cell_take_chunks_of_one_length(monkeypatc
     # by them. The BER transmit counted N*L + cp*L samples a frame, which
     # no chunk forms, and took 102 or 50 frames where the PAPR cell took
     # 128 or 64.
-    spec = ExperimentSpec(schemes=(ModScheme.from_name("qpsk"),), n_symbols=1000,
-                          ccdf_read_point=1e-2)
+    spec = ExperimentSpec(schemes=(ModScheme.from_name("qpsk"),), cr_values=(1.2,),
+                          n_symbols=1000, ccdf_read_point=1e-2)
     params, scheme = spec.params, spec.schemes[0]
     assert params.cp_len > 0
     hpf = experiment_hpf(spec)
@@ -215,7 +215,7 @@ def test_the_ber_transmit_and_the_papr_cell_take_chunks_of_one_length(monkeypatc
 
     monkeypatch.setattr(harness, "_map_rows", spy)
     chunk_rows.append([])
-    papr_cell(spec, scheme, 1.2)
+    papr_unit(spec, scheme)
     chunk_rows.append([])
     noise_free_unit(params, scheme, 1.2, hpf, 1000 * 256, 0)
     papr, ber = chunk_rows

@@ -139,6 +139,21 @@ def test_a_blank_flag_value_exits_one_as_a_blank_value_in_a_file(tmp_path, monke
     assert [path.name for path in tmp_path.iterdir()] == ["run.cfg"]
 
 
+@pytest.mark.parametrize("flag, padded", [("--experiment", " papr"), ("--output-dir", " out ")],
+                         ids=["experiment", "output-dir"])
+def test_a_flag_value_is_stripped_as_a_value_in_a_file(tmp_path, monkeypatch, capsys, flag, padded):
+    # --experiment ' papr' exited 1, and --output-dir ' out ' wrote into a
+    # directory whose name began with a space.
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, FAST_BODY + "experiment = papr\noutput_dir = out\n")
+    assert main([str(cfg), flag, padded, "-q"]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["out", "run.cfg"]
+    assert main([str(cfg), "-q", "--output-dir", "want"]) == 0
+    assert (tmp_path / "out" / "papr_table.csv").read_bytes() == (
+        tmp_path / "want" / "papr_table.csv").read_bytes()
+
+
 def test_flags_override_the_file_keys(tmp_path, capsys):
     file_keys = "seed = 5\nexperiment = ber\nverbosity = 2\noutput_dir = unused\n"
     cfg = write_cfg(tmp_path, FAST_BODY + file_keys)

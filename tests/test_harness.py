@@ -419,7 +419,8 @@ def test_experiment_error_context(monkeypatch):
 
 def test_papr_progress_once_per_cell_in_order_and_no_bits_before_it(monkeypatch):
     # The benchmark times a cell from its progress call to the next one, so
-    # each cell's bit draws must follow its own call.
+    # each unit's bit draws must follow its first cell's call. A scheme is
+    # one unit, whose first CR cell draws the bits that every CR clips.
     events = []
     draw = harness._random_bits
 
@@ -432,9 +433,8 @@ def test_papr_progress_once_per_cell_in_order_and_no_bits_before_it(monkeypatch)
     run_papr_experiment(spec, progress=events.append)
     expected = []
     for scheme in spec.schemes:
-        for cr in spec.cr_values:
-            expected += [f"papr {scheme.name} cr={cr:g}", "bits"]
-    # A cell draws its bits one chunk at a time; its draws collapse to one.
+        expected += [f"papr {scheme.name} cr=1", "bits", f"papr {scheme.name} cr=1.4"]
+    # A unit draws its bits one chunk at a time; its draws collapse to one.
     assert [event for event, _ in groupby(events)] == expected
 
 

@@ -1,6 +1,7 @@
 """The streamed PAPR cell: one pass over chunked bit draws, the closed-form
 clip level (sigma = sqrt((N+1)/(N*L)), the RMS of the OFDM signal), and
 memory that does not grow with n_symbols."""
+import dataclasses
 import math
 import tracemalloc
 
@@ -39,7 +40,7 @@ from oracles import (
     batch_papr_cell,
     papr_db_max_mean,
 )
-from units import papr_cell_vectors
+from units import papr_stream, papr_unit
 
 # 1037 symbols leave a partial last chunk on every plan: 8 x 128 + 13 on the
 # reference plan, 5 x 204 + 17 on nyquist_edge, 7 x 146 + 15 on high_carrier.
@@ -56,10 +57,10 @@ def test_streamed_cell_equals_the_whole_batch_cell(monkeypatch, plan, scheme_nam
                           n_symbols=N_SYMBOLS, ccdf_read_point=1e-2)
     assert N_SYMBOLS % _chunk_frames(params.n_oversampled)
     hpf = experiment_hpf(spec)
-    streamed, values = papr_cell_vectors(monkeypatch, spec, scheme, cr)
-    batch = batch_papr_cell(spec, scheme, cr, np.random.default_rng([spec.seed, 0, 0]), hpf)
+    ((clipped,), unclipped), ((processed,), unclipped_values) = papr_unit(spec, scheme)
+    batch = batch_papr_cell(spec, scheme, cr, papr_stream(spec, scheme), hpf)
 
-    for curve, got, want in zip(streamed, values, batch):
+    for curve, got, want in zip((clipped, unclipped), (processed, unclipped_values), batch):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         oracle = harness.estimate_ccdf(want, harness.CCDF_THRESHOLDS_DB)
         assert np.array_equal(curve.prob_exceed, oracle.prob_exceed)
@@ -82,8 +83,8 @@ def test_unclipped_papr_on_an_edge_plan_is_that_of_the_analytic_envelope(monkeyp
                           n_symbols=N_SYMBOLS, ccdf_read_point=1e-2,
                           hpf_stop_edge=edges.get("stop_edge"),
                           hpf_pass_edge=edges.get("pass_edge"))
-    _, (_, unclipped) = papr_cell_vectors(monkeypatch, spec, scheme, 1.2)
-    bits = _random_bits(np.random.default_rng([spec.seed, 0, 0]), N_SYMBOLS,
+    _, (_, unclipped) = papr_unit(spec, scheme)
+    bits = _random_bits(papr_stream(spec, scheme), N_SYMBOLS,
                         params.n_subcarriers * scheme.bits_per_symbol)
     baseband = baseband_frames(bits, scheme, params)
     want = papr_db_max_mean(analytic_envelope(upconvert(baseband, params), params))
@@ -124,7 +125,7 @@ def test_papr_chunk_runs_two_inverse_and_one_real_transform(monkeypatch, plan):
 
     monkeypatch.setattr(harness, "_clip_magnitude_rows", clip_stage)
     unclipped, processed = np.empty(6), np.empty(6)
-    _papr_chunk(bits, scheme, params, amplitude, _composed_fold(params, hpf),
+    _papr_chunk(bits, scheme, params, (amplitude,), _composed_fold(params, hpf),
                 _chunk_buffers(6, params), unclipped, processed)
     monkeypatch.undo()
     assert calls == {"fft": 0, "ifft": 2, "rfft": 1}
@@ -137,6 +138,53 @@ def test_papr_chunk_runs_two_inverse_and_one_real_transform(monkeypatch, plan):
     want = papr_db_max_mean(harness.envelope_magnitude(
         composed_filter(clip_baseband(baseband, amplitude), params, hpf), params))
     np.testing.assert_allclose(processed, want, rtol=0, atol=1e-12)
+
+
+SHARED_CRS = (0.8, 1.2, 1.6)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("plan", ["reference", "dc_edge", "nyquist_edge"])
+def test_each_cr_of_a_shared_pass_equals_a_one_cr_pass(monkeypatch, plan, workers):
+    # A scheme's CRs clip one baseband: each CR's vectors must be those of a
+    # spec with that CR alone, on the same stream, bit for bit, also where
+    # the unclipped envelope is not |x| (README section 7).
+    params, edges = ORACLE_PLANS[plan]
+    scheme = ModScheme.from_name("16qam")
+    spec = ExperimentSpec(params=params, schemes=(scheme,), cr_values=SHARED_CRS,
+                          n_symbols=N_SYMBOLS, ccdf_read_point=1e-2,
+                          hpf_stop_edge=edges.get("stop_edge"), hpf_pass_edge=edges.get("pass_edge"))
+    monkeypatch.setattr(harness, "_worker_count", lambda: workers)
+    (clipped, unclipped), (processed, unclipped_values) = papr_unit(spec, scheme)
+    assert len(clipped) == len(processed) == len(SHARED_CRS)
+    for cr, curve, values in zip(SHARED_CRS, clipped, processed):
+        ((alone_curve,), _), ((alone,), alone_unclipped) = papr_unit(
+            dataclasses.replace(spec, cr_values=(cr,)), scheme)
+        assert np.array_equal(values, alone), cr
+        assert np.array_equal(unclipped_values, alone_unclipped), cr
+        assert np.array_equal(curve.prob_exceed, alone_curve.prob_exceed), cr
+    # The levels differ, so no level read another's envelope.
+    assert not np.array_equal(processed[0], processed[-1])
+
+
+def test_a_unit_modulates_each_chunk_once_for_all_its_crs(monkeypatch):
+    # Draw, map, extend and modulate run once a chunk; the clip, the forward
+    # half's real FFT and the envelope run once a chunk per CR.
+    spec = ExperimentSpec(schemes=(ModScheme.from_name("8psk"),), cr_values=SHARED_CRS,
+                          n_symbols=N_SYMBOLS, ccdf_read_point=1e-2)
+    monkeypatch.setattr(harness, "_worker_count", lambda: 1)
+    calls = {name: 0 for name in ("_random_bits", "_map_rows", "_extend_rows", "_modulate_rows",
+                                  "_clip_magnitude_rows", "_composed_rows")}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(harness, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(harness, name, counted)
+    run_papr_experiment(spec)
+    chunks = -(-N_SYMBOLS // _chunk_frames(spec.params.n_oversampled))
+    assert calls == {"_random_bits": chunks, "_map_rows": chunks, "_extend_rows": chunks,
+                     "_modulate_rows": chunks, "_clip_magnitude_rows": 3 * chunks,
+                     "_composed_rows": 3 * chunks}
 
 
 @pytest.mark.parametrize("plan", sorted(ORACLE_PLANS))
@@ -236,9 +284,9 @@ def test_parseval_energy_counts_the_band_edge_bin_twice():
     assert np.sum(np.abs(block) ** 2) == pytest.approx(2 * (25.0 + 1.0) + 4.0, rel=1e-13)
 
 
-def _papr_peak_bytes(n_symbols: int) -> int:
+def _papr_peak_bytes(n_symbols: int, cr_values=(1.0,)) -> int:
     spec = ExperimentSpec(params=OfdmParams(), schemes=(ModScheme.from_name("qpsk"),),
-                          cr_values=(1.0,), n_symbols=n_symbols, ccdf_read_point=1e-2)
+                          cr_values=cr_values, n_symbols=n_symbols, ccdf_read_point=1e-2)
     tracemalloc.start()
     try:
         run_papr_experiment(spec)
@@ -251,3 +299,19 @@ def test_papr_cell_memory_is_flat_in_n_symbols():
     _papr_peak_bytes(1000)  # caches filled once, outside the comparison
     small, large = _papr_peak_bytes(2000), _papr_peak_bytes(8000)
     assert abs(large - small) <= 0.1 * small, (small, large)
+
+
+@pytest.mark.parametrize("n_crs", [2, 5])
+def test_each_extra_cr_adds_only_the_spare_and_its_vector_to_the_peak(monkeypatch, n_crs):
+    # One thread: the spare widens its scratch by half a chunk of 128
+    # blocks of 1024 complex samples, 1 MiB. Each extra CR keeps one
+    # float64 PAPR vector of n_symbols. The 512 bytes a CR leave room for
+    # its array objects.
+    monkeypatch.setattr(harness, "_worker_count", lambda: 1)
+    crs = (0.8, 1.0, 1.2, 1.4, 1.6)
+    _papr_peak_bytes(1000)  # caches filled once, outside the comparison
+    one = _papr_peak_bytes(2000)
+    many = _papr_peak_bytes(2000, crs[:n_crs])
+    spare = _chunk_frames(OfdmParams().n_oversampled) * OfdmParams().n_oversampled * 8
+    extra = (n_crs - 1) * (2000 * 8 + 512)
+    assert spare <= many - one <= spare + extra, (one, many)

@@ -5,6 +5,7 @@ chunk budget up to the number of CPUs; the results must not depend on that
 number, a failing chunk must stop the cell cleanly, and a forked child must
 be able to run a cell.
 """
+import dataclasses
 import multiprocessing
 import sys
 import warnings
@@ -27,7 +28,7 @@ from paprsim import clip_filter, harness
 from paprsim.harness import ExperimentSpec, _chunk_frames, _clip_level, experiment_hpf
 
 from oracles import ORACLE_PLANS
-from units import noise_free_unit, papr_cell, papr_cell_vectors, runner_threads, spy_chunk_buffers
+from units import noise_free_unit, papr_unit, runner_threads, spy_chunk_buffers
 
 # 1037 symbols leave a partial last chunk at every worker count below, on
 # every plan (the first assertion of the test checks it).
@@ -36,13 +37,13 @@ PLANS = [("reference", "16qam", 0.8), ("nyquist_edge", "8psk", 1.2),
          ("high_carrier", "32qam", 1.0)]
 
 
-def cell_vectors(monkeypatch, spec, scheme, cr, workers):
-    """The cell's (processed, unclipped) PAPR vectors and curves with the
-    given number of workers."""
+def cell_vectors(monkeypatch, spec, scheme, workers):
+    """The one-CR cell's (processed, unclipped) PAPR vectors and (clipped,
+    unclipped) curves with the given number of workers."""
     monkeypatch.setattr(harness, "_worker_count", lambda: workers)
-    curves, values = papr_cell_vectors(monkeypatch, spec, scheme, cr)
+    ((clipped,), unclipped), ((processed,), unclipped_values) = papr_unit(spec, scheme)
     monkeypatch.undo()
-    return values, curves
+    return (processed, unclipped_values), (clipped, unclipped)
 
 
 @pytest.mark.parametrize("plan, scheme_name, cr", PLANS, ids=[p[0] for p in PLANS])
@@ -51,10 +52,10 @@ def test_papr_vectors_do_not_depend_on_the_worker_count(monkeypatch, plan, schem
     scheme = ModScheme.from_name(scheme_name)
     spec = ExperimentSpec(params=params, schemes=(scheme,), cr_values=(cr,),
                           n_symbols=N_SYMBOLS, ccdf_read_point=1e-2)
-    one_values, one_curves = cell_vectors(monkeypatch, spec, scheme, cr, 1)
+    one_values, one_curves = cell_vectors(monkeypatch, spec, scheme, 1)
     for workers in (2, 3):
         assert N_SYMBOLS % _chunk_frames(params.n_oversampled * workers)
-        values, curves = cell_vectors(monkeypatch, spec, scheme, cr, workers)
+        values, curves = cell_vectors(monkeypatch, spec, scheme, workers)
         for got, want in zip(values, one_values):
             assert np.array_equal(got, want), workers
         for got, want in zip(curves, one_curves):
@@ -69,15 +70,37 @@ def test_more_workers_than_cpus_with_fast_thread_switching(monkeypatch):
     scheme = ModScheme.from_name("qpsk")
     spec = ExperimentSpec(params=params, schemes=(scheme,), cr_values=(1.0,),
                           n_symbols=N_SYMBOLS, ccdf_read_point=1e-2)
-    want, _ = cell_vectors(monkeypatch, spec, scheme, 1.0, 1)
+    want, _ = cell_vectors(monkeypatch, spec, scheme, 1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got, _ = cell_vectors(monkeypatch, spec, scheme, 1.0, 6)
+        got, _ = cell_vectors(monkeypatch, spec, scheme, 6)
     finally:
         sys.setswitchinterval(interval)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
+
+
+def test_shared_crs_on_more_workers_than_cpus_with_fast_thread_switching(monkeypatch):
+    # Each thread keeps |x| and the passband for its chunk's CRs and writes
+    # every CR but the last into its own spare; a thread that read another's
+    # would change a vector.
+    params, _ = ORACLE_PLANS["reference"]
+    scheme = ModScheme.from_name("8qam")
+    spec = ExperimentSpec(params=params, schemes=(scheme,), cr_values=(0.8, 1.2, 1.6),
+                          n_symbols=N_SYMBOLS, ccdf_read_point=1e-2)
+    monkeypatch.setattr(harness, "_worker_count", lambda: 1)
+    _, want = papr_unit(spec, scheme)
+    monkeypatch.setattr(harness, "_worker_count", lambda: 6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _, got = papr_unit(spec, scheme)
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip([*got[0], got[1]], [*want[0], want[1]], strict=True):
+        assert np.array_equal(a, b)
+    assert not runner_threads()
 
 
 def test_a_failing_chunk_stops_the_cell_and_leaves_nothing_behind(monkeypatch):
@@ -119,7 +142,7 @@ def test_the_fold_is_computed_once_per_cell_and_unit(monkeypatch):
 
     monkeypatch.setattr(clip_filter, "band_gains", spy)
     monkeypatch.setattr(harness, "_worker_count", lambda: 2)
-    papr_cell(spec, spec.schemes[0], 1.2)
+    papr_unit(spec, spec.schemes[0])
     assert len(calls) == 1
     noise_free_unit(spec.params, spec.schemes[0], 1.2, hpf, 200_000, 3)
     assert len(calls) == 2
@@ -242,7 +265,7 @@ def test_the_stages_write_into_the_threads_buffers(monkeypatch, experiment):
 
     monkeypatch.setattr(harness, "_clip_magnitude_rows", clip_stage)
     if experiment == "papr_cell":
-        papr_cell(spec, scheme, 1.2)
+        papr_unit(dataclasses.replace(spec, cr_values=(1.2,)), scheme)
     else:
         monkeypatch.setattr(harness, "_CHUNK_SAMPLES", 4 * params.n_oversampled)
         noise_free_unit(params, scheme, 1.2, hpf, 49_500, 3)

@@ -6,6 +6,8 @@ at its largest unit; every unit then works in views of them. A unit must
 see nothing another unit left there: each unit of an experiment must give
 what it gives run on its own, on fresh arrays.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from paprsim.constellation import SCHEME_NAMES
 from paprsim.harness import experiment_hpf
 
 from oracles import ORACLE_PLANS
-from units import papr_cell, spy_chunk_buffers, unit_cells
+from units import papr_unit, spy_chunk_buffers, unit_cells
 
 SCHEMES = tuple(ModScheme.from_name(name) for name in SCHEME_NAMES)
 EBN0_DB = (2.0, 8.0)
@@ -55,18 +57,18 @@ def test_each_papr_cell_equals_the_cell_on_its_own(monkeypatch, workers):
                           cr_values=(1.0, 1.4), n_symbols=1000, ccdf_read_point=1e-2, seed=43)
     monkeypatch.setattr(harness, "_worker_count", lambda: workers)
     curves = run_papr_experiment(spec).curves
-    cells = [(scheme, cr) for scheme in spec.schemes for cr in spec.cr_values]
-    for index, (scheme, cr) in enumerate(cells):
-        clipped, unclipped = papr_cell(spec, scheme, cr, index)
-        got = curves[(scheme.name, cr)]
-        assert np.array_equal(got.clipped.prob_exceed, clipped.prob_exceed), (scheme.name, cr)
-        assert np.array_equal(got.unclipped.prob_exceed, unclipped.prob_exceed), (scheme.name, cr)
+    for scheme in spec.schemes:
+        (clipped, unclipped), _ = papr_unit(spec, scheme)
+        for cr, curve in zip(spec.cr_values, clipped, strict=True):
+            got = curves[(scheme.name, cr)]
+            assert np.array_equal(got.clipped.prob_exceed, curve.prob_exceed), (scheme.name, cr)
+            assert np.array_equal(got.unclipped.prob_exceed, unclipped.prob_exceed), (scheme.name, cr)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_an_experiment_call_makes_one_set_of_buffers_per_thread(monkeypatch, workers):
-    # 2 CRs x 8 schemes: 16 PAPR cells, or 16 BER units of 2 points each,
-    # each transmitting on `workers` threads.
+    # 2 CRs x 8 schemes: 8 PAPR units of 2 CRs each, or 16 BER units of 2
+    # points each, each transmitting on `workers` threads.
     spec = ExperimentSpec(params=ORACLE_PLANS["reference"][0], schemes=SCHEMES,
                           cr_values=(1.0, 1.4), n_symbols=1000, ccdf_read_point=1e-2,
                           ebn0_grid_db=EBN0_DB, bits_per_point=20_000)
@@ -78,3 +80,24 @@ def test_an_experiment_call_makes_one_set_of_buffers_per_thread(monkeypatch, wor
     made.clear()
     run_ber_experiment(spec)
     assert [frames for frames, _ in made] == [16 // workers] * workers
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_only_a_papr_call_of_several_crs_makes_the_spare(monkeypatch, workers):
+    # A one-CR PAPR call (as every papr_ccdf operation is) and every BER
+    # call make the buffers of before; a PAPR call of several CRs widens
+    # each thread's scratch by half a block, in the same allocation.
+    spec = ExperimentSpec(params=ORACLE_PLANS["reference"][0], schemes=SCHEMES[:2],
+                          cr_values=(1.0, 1.4), n_symbols=1000, ccdf_read_point=1e-2,
+                          ebn0_grid_db=EBN0_DB, bits_per_point=20_000)
+    monkeypatch.setattr(harness, "_worker_count", lambda: workers)
+    monkeypatch.setattr(harness, "_CHUNK_SAMPLES", 16 * spec.params.n_oversampled)
+    made = spy_chunk_buffers(monkeypatch)
+    block = spec.params.n_oversampled * 16 // workers
+    for run, crs, scratch in ((run_papr_experiment, (1.0,), block),
+                              (run_papr_experiment, (1.0, 1.4), block * 3 // 2),
+                              (run_ber_experiment, (1.0, 1.4), block)):
+        made.clear()
+        run(dataclasses.replace(spec, cr_values=crs))
+        assert [[b.size for b in buffers] for _, buffers in made] == [
+            [block // spec.params.oversample, block, scratch]] * workers, (run.__name__, crs)

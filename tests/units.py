@@ -2,39 +2,43 @@
 
 Each unit helper runs one unit in a workspace of its own, made as
 ``simulate_chain_ber`` makes its own, whose helper threads are joined
-before it returns: a PAPR cell, a BER unit's noise-free transmit and
-receive, and a BER unit's cells; a PAPR cell can also give its PAPR
-vectors. Two more list the live helper threads and spy on the chunk
-buffers. The harness's functions are looked up when a helper runs, so a
-test's monkeypatches reach them.
+before it returns: a scheme's PAPR unit over the spec's CRs, with the
+PAPR vectors it estimated its curves from, a BER unit's noise-free
+transmit and receive, and a BER unit's cells. Two more list the live
+helper threads and spy on the chunk buffers. The harness's functions are
+looked up when a helper runs, so a test's monkeypatches reach them.
 """
 import threading
+from unittest import mock
 
 import numpy as np
 
 from paprsim import harness
+from paprsim.constellation import SCHEME_NAMES
 
 
-def papr_cell(spec, scheme, cr, index=0):
-    """The (clipped, unclipped) CCDF curves of the spec's PAPR cell at
-    (scheme, cr), its bits seeded as the grid's cell ``index``."""
-    with harness._workspace(spec.params, [spec.n_symbols], ber=False) as space:
-        return harness._papr_cell(spec, scheme, cr, np.random.default_rng([spec.seed, 0, index]),
-                                  harness.experiment_hpf(spec), space)
+def papr_stream(spec, scheme):
+    """The generator of a scheme's PAPR bits: SeedSequence([seed, 0, the
+    scheme's place in SCHEME_NAMES])."""
+    return np.random.default_rng([spec.seed, 0, SCHEME_NAMES.index(scheme.name)])
 
 
-def papr_cell_vectors(monkeypatch, spec, scheme, cr):
-    """``papr_cell``'s curves, and the (clipped, unclipped) PAPR vectors
-    the cell estimated them from."""
+def papr_unit(spec, scheme):
+    """The PAPR unit of ``scheme`` over every CR of ``spec``, its bits
+    drawn from ``papr_stream``, as the grid runs it. Returns its curves,
+    ((clipped curve per CR), unclipped curve), and the PAPR vectors it
+    estimated them from, ((processed vector per CR), unclipped vector)."""
     values, estimate = [], harness.estimate_ccdf
 
     def spy(papr_values, thresholds_db):
         values.append(np.array(papr_values))
         return estimate(papr_values, thresholds_db)
 
-    with monkeypatch.context() as m:
-        m.setattr(harness, "estimate_ccdf", spy)
-        return papr_cell(spec, scheme, cr), values
+    with mock.patch.object(harness, "estimate_ccdf", spy), harness._workspace(
+            spec.params, [spec.n_symbols], ber=False, spare=len(spec.cr_values) > 1) as space:
+        curves = harness._papr_cell(spec, scheme, papr_stream(spec, scheme),
+                                    harness.experiment_hpf(spec), space)
+    return curves, (tuple(values[:-1]), values[-1])
 
 
 def unit_space(params, scheme, min_bits, noisy=True):
@@ -72,8 +76,8 @@ def spy_chunk_buffers(monkeypatch) -> list:
     makes from now on."""
     made, make = [], harness._chunk_buffers
 
-    def spy(frames, params):
-        made.append((frames, make(frames, params)))
+    def spy(frames, params, spare=False):
+        made.append((frames, make(frames, params, spare)))
         return made[-1][1]
 
     monkeypatch.setattr(harness, "_chunk_buffers", spy)

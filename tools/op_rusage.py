@@ -11,11 +11,13 @@ The operations are those ``perfbench/workloads.py`` builds for the first
 One unmeasured round runs them first, so imports, FFT plans and the
 library's caches are warm; then each of ``--rounds`` rounds runs them all
 once, and the median round is printed, in total and per operation.
-For the BER experiments among the operations it also prints, per scheme,
-the median time of a (scheme, CR) unit's first cell, which runs the
-unit's transmit and its first Eb/N0 point, and of its later points, each
+For the experiments among the operations it also prints, per scheme,
+the median time of a unit's first cell and of its later cells, each
 timed from the cell's progress call to the next one or to the end of its
-experiment, over all measured rounds.
+experiment, over all measured rounds. A PAPR unit is a scheme: its first
+CR cell runs the pass that every CR of the scheme shares, and its later
+CR cells only read their curves. A BER unit is a (scheme, CR) pair: its
+first cell runs the unit's transmit and its first Eb/N0 point.
 Results are not checked; ``perfbench/run.py`` does that.
 
 Usage: python tools/op_rusage.py WORKLOAD [--steps S] [--rounds K] [--seed N]
@@ -48,10 +50,11 @@ from workloads import WORKLOADS  # noqa: E402
 
 
 class CellClock:
-    """A BER experiment's ``progress`` callback that times each cell from
-    its call to the next one, or to ``stop``, and keeps the times by
-    scheme: ``first`` for a unit's first cell, ``later`` for its other
-    points."""
+    """An experiment's ``progress`` callback that times each cell from its
+    call to the next one, or to ``stop``, and keeps the times by (kind,
+    scheme): ``first`` for a unit's first cell, ``later`` for its other
+    cells. A PAPR unit is a scheme ("papr SCHEME cr=CR"), a BER unit a
+    (scheme, CR) pair ("ber SCHEME cr=CR ebn0=E dB")."""
 
     def __init__(self):
         self.first, self.later = defaultdict(list), defaultdict(list)
@@ -59,30 +62,34 @@ class CellClock:
 
     def __call__(self, cell: str) -> None:
         now = time.perf_counter()
-        self.stop(now)
+        self._close(now)
         self._open = (cell, now)
 
-    def stop(self, now: float | None = None) -> None:
-        """End the open cell, if any, at ``now`` (default: the present)."""
+    def stop(self) -> None:
+        """End the experiment: its open cell, if any, ends now, and the
+        next experiment's first cell starts a unit."""
+        self._close(time.perf_counter())
+        self._unit = None
+
+    def _close(self, now: float) -> None:
         if self._open is None:
             return
-        now = time.perf_counter() if now is None else now
         (cell, start), self._open = self._open, None
-        _, scheme, cr, *_ = cell.split()  # "ber SCHEME cr=CR ebn0=E dB"
-        times = self.later if (scheme, cr) == self._unit else self.first
-        times[scheme].append(now - start)
-        self._unit = (scheme, cr)
+        kind, scheme, cr, *_ = cell.split()
+        unit = (kind, scheme) if kind == "papr" else (kind, scheme, cr)
+        times = self.later if unit == self._unit else self.first
+        times[(kind, scheme)].append(now - start)
+        self._unit = unit
 
 
 def run(op, clock: CellClock | None = None) -> bool:
-    """Run one operation, timing its BER cells on ``clock`` if given;
-    False if the program refused or failed it."""
+    """Run one operation, timing its cells on ``clock`` if given; False if
+    the program refused or failed it."""
+    experiments = {"papr": paprsim.run_papr_experiment, "ber": paprsim.run_ber_experiment}
     try:
-        if op.kind == "papr":
-            paprsim.run_papr_experiment(op.spec)
-        elif op.kind == "ber":
+        if op.kind in experiments:
             try:
-                paprsim.run_ber_experiment(op.spec, progress=clock)
+                experiments[op.kind](op.spec, progress=clock)
             finally:
                 if clock is not None:
                     clock.stop()
@@ -139,7 +146,7 @@ def measure(ops, helper_starts: list[int], clock: CellClock | None = None) -> tu
     """One round over ``ops``: its wall, user and system seconds, minor
     page faults, voluntary and involuntary context switches and helper
     threads started (``helper_starts``, from ``count_helper_starts``), and
-    how many operations failed. BER cells are timed on ``clock``."""
+    how many operations failed. Cells are timed on ``clock``."""
     starts, before = helper_starts[0], resource.getrusage(resource.RUSAGE_SELF)
     start = time.perf_counter()
     failed = sum(not run(op, clock) for op in ops)
@@ -184,12 +191,16 @@ def main(argv: list[str]) -> int:
           f"{args.rounds} rounds, {psk_counts['psk_near_boundary']} of them near a boundary")
     # ru_maxrss is in KiB on Linux.
     print(f"  max_rss_mb    {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.2f}")
-    if clock.first:
-        print("  BER cells, median ms (cells timed): a unit's first cell, its later points")
-    for scheme in clock.first:
-        first, later = clock.first[scheme], clock.later[scheme]
-        print(f"    {scheme:<6} first {1e3 * statistics.median(first):8.3f} ({len(first)})"
-              + (f"  later {1e3 * statistics.median(later):7.3f} ({len(later)})" if later else ""))
+    for kind, unit in (("papr", "a scheme's first CR cell, its later CR cells"),
+                       ("ber", "a (scheme, CR) unit's first cell, its later points")):
+        keys = [key for key in clock.first if key[0] == kind]
+        if keys:
+            print(f"  {kind.upper()} cells, median ms (cells timed): {unit}")
+        for key in keys:
+            first, later = clock.first[key], clock.later[key]
+            print(f"    {key[1]:<6} first {1e3 * statistics.median(first):8.3f} ({len(first)})"
+                  + (f"  later {1e3 * statistics.median(later):7.3f} ({len(later)})"
+                     if later else ""))
     return 0
 
 
