@@ -28,8 +28,9 @@ BER unit, one per (scheme, cr), whose Eb/N0 cells share one transmission:
 it draws its bits chunk by chunk, transmits them to the band bins, keeps
 each symbol's label integer, one byte, in place of its bits, reads the
 noise-free data symbols and the transmit power there (README section 3),
-and draws its unit normals z. Each Eb/N0 point calibrates sigma_n from
-that power (README section 2), adds sigma_n z as the data-bin noise
+and draws its unit normals z in one draw, which the transmit loop's last
+thread makes before it takes a chunk. Each Eb/N0 point calibrates sigma_n
+from that power (README section 2), adds sigma_n z as the data-bin noise
 (README section 4), divides by ``clip_attenuation(cr)``, slices to label
 integers in the thread's idle transmit block and counts the bit errors as
 the set bits of those labels XOR the sent ones (README section 10). Every
@@ -306,7 +307,7 @@ def _serve(inbox: queue.SimpleQueue) -> None:
 
 
 def _on_chunks(
-    frames: int, step: int, work, *, claim=None, threads: int, helpers: _Helpers,
+    frames: int, step: int, work, *, claim=None, first=None, threads: int, helpers: _Helpers,
 ) -> list:
     """Call ``work(thread, rows, claimed)`` for every chunk of range(frames),
     ``rows`` the chunk's slice(start, min(start + step, frames)), on
@@ -319,17 +320,27 @@ def _on_chunks(
     The threads take the chunks in row order under one lock.
     ``claim(rows)``, if given, runs under that lock and its result is passed
     as ``claimed`` (None without ``claim``), so the claims follow row order
-    whatever the thread count. A failure stops the other threads before
-    their next chunk. Every helper has finished its share when the call
-    returns or raises, and it raises the first failure.
+    whatever the thread count. ``first()``, if given, runs once, outside
+    the lock, on the last of the threads before it takes its first chunk,
+    so on two or more threads the others take chunks meanwhile. A failure
+    stops the other threads before their next chunk. Every helper has
+    finished its share when the call returns or raises, and it raises the
+    first failure.
     """
     chunks = (slice(start, min(start + step, frames)) for start in range(0, frames, step))
     lock = threading.Lock()
     stop = threading.Event()
     failures, results = [], []
+    count = min(threads, math.ceil(frames / step))
 
-    def loop(thread):
+    # ``first`` and the last thread's number are bound as defaults, not
+    # closed over: each closure cell is an allocation that lives as long as
+    # the loop, and tests/test_papr_stream.py bounds a PAPR call's
+    # tracemalloc peak to within 512 bytes a CR.
+    def loop(thread, first=first, last=count - 1):
         try:
+            if first is not None and thread == last:
+                first()
             while True:
                 with lock:
                     rows = next(chunks, None)
@@ -341,7 +352,7 @@ def _on_chunks(
             stop.set()
             failures.append(exc)
 
-    done = helpers.run(min(threads, math.ceil(frames / step)) - 1, loop)
+    done = helpers.run(count - 1, loop)
     try:
         loop(0)
     finally:
@@ -357,7 +368,28 @@ def _on_chunks(
 
 
 def _random_bits(rng: np.random.Generator, n_frames: int, bits_per_frame: int) -> np.ndarray:
-    return rng.integers(0, 2, size=(n_frames, bits_per_frame), dtype=np.uint8)
+    """``rng.integers(0, 2, (n_frames, bits_per_frame), dtype=np.uint8)``
+    bit for bit, for a PCG64 generator such as ``default_rng`` makes: each
+    bit the top bit of one byte of the bit generator's raw 64-bit words
+    (README section 8).
+
+    numpy draws a bit as the top bit of one byte of a 32-bit word, and its
+    32-bit words are the low then the high half of each 64-bit word, so a
+    draw that starts on a fresh word reads the raw words' bytes in memory
+    order. A half word that an earlier draw left buffered gives the first
+    bits (up to 4), and ``rng.integers`` draws them, as it draws the bits
+    of a last partial word, buffering its half as numpy's one draw would."""
+    bits = np.empty((n_frames, bits_per_frame), np.uint8)
+    flat, bit_generator = bits.reshape(-1), rng.bit_generator
+    head = min(flat.size, 4) if bit_generator.state["has_uint32"] else 0
+    end = head + (flat.size - head) // 8 * 8
+    if head:
+        flat[:head] = rng.integers(0, 2, head, dtype=np.uint8)
+    raw = bit_generator.random_raw((end - head) // 8).astype("<u8", copy=False)
+    np.right_shift(raw.view(np.uint8), 7, out=flat[head:end])
+    if end < flat.size:
+        flat[end:] = rng.integers(0, 2, flat.size - end, dtype=np.uint8)
+    return bits
 
 
 def _chunk_frames(block_len: int) -> int:
@@ -439,32 +471,38 @@ def _noise_free_unit(
     of its bits; the power is the mean of the per-block mean squares of
     the passband samples, prefix included; unclipped, the symbols are the
     mapped symbols; the normals, given ``noise``, a generator, are a
-    complex array of the symbols' shape whose parts are standard normals
-    drawn in row order (2N a frame), else None.
+    complex array of the symbols' shape whose parts are standard normals,
+    one draw of all the rows (``_unit_normals``), else None.
 
-    Each chunk's claim draws its bit rows and its normals, so that the
-    draws follow row order and the chunked bit draws concatenate to one
-    draw of all the rows (README section 8); no array of the unit's bits
-    is kept. The labels, symbols, normals and block powers are the first
-    rows of the unit arrays of ``space``, the caller's ``_workspace``
-    (``noisy`` if ``noise`` is given), on whose buffers the chunks run, so
-    the next unit of that workspace overwrites them. The caller has
-    checked the plan, and that clipping has its high-pass."""
+    Each chunk's claim draws only its bit rows, so that the draws follow
+    row order and the chunked bit draws concatenate to one draw of all the
+    rows (README section 8); no array of the unit's bits is kept. The
+    transmit loop's last thread draws the normals before it takes its
+    first chunk (``_on_chunks``), outside the claim lock. The labels,
+    symbols, normals and block powers are the first rows of the unit
+    arrays of ``space``, the caller's ``_workspace`` (``noisy`` if
+    ``noise`` is given), on whose buffers the chunks run, so the next unit
+    of that workspace overwrites them. The caller has checked the plan,
+    and that clipping has its high-pass."""
     n_frames = _unit_frames(params, scheme, min_bits)
     bits_per_frame = params.n_subcarriers * scheme.bits_per_symbol
     received, normals, block_power, sent = (None if a is None else a[:n_frames]
                                             for a in space[2:])
-
-    def claim(rows):
-        if noise is not None:
-            noise.standard_normal(out=normals[rows].view(float))
-        return _random_bits(rng, rows.stop - rows.start, bits_per_frame)
-
     amplitude = None if cr is None else _clip_level(params, cr)
     fold = None if cr is None else _composed_fold(params, hpf)
-    _transmit(params, scheme, amplitude, fold, n_frames, _ber_chunk, claim, space, received,
-              block_power, sent)
+    _transmit(params, scheme, amplitude, fold, n_frames, _ber_chunk,
+              lambda rows: _random_bits(rng, rows.stop - rows.start, bits_per_frame),
+              space, received, block_power, sent,
+              first=None if noise is None else lambda: _unit_normals(noise, normals))
     return sent, float(np.mean(block_power)), received, None if noise is None else normals
+
+
+def _unit_normals(noise: np.random.Generator, normals: np.ndarray) -> None:
+    """Fill ``normals``, a C-contiguous complex array, with one
+    ``standard_normal`` draw of ``noise``, two parts a value in row order.
+    numpy's ziggurat carries nothing from one call to the next, so this
+    equals the draws of the rows chunk by chunk in row order."""
+    noise.standard_normal(out=normals.view(float))
 
 
 def _ber_cells(
@@ -706,7 +744,9 @@ def _papr_chunk(
         del band  # frees the real FFT's output before the envelope allocates
         processed = envelope_magnitude(filtered, params)
         processed_papr[:] = _papr_db_rows(np.square(processed, out=processed))
-        del processed  # frees it before the next level's real FFT allocates
+        # Frees the envelope and the level's views before the next level's
+        # real FFT allocates.
+        del processed, filtered, out
 
 
 def _ber_chunk(
@@ -775,7 +815,7 @@ def _band_read(params: OfdmParams) -> tuple[np.ndarray, np.ndarray]:
 
 def _transmit(
     params: OfdmParams, scheme: ModScheme, amplitude, fold: tuple | None, frames: int, chunk,
-    claim, space: tuple, *outs: np.ndarray,
+    claim, space: tuple, *outs: np.ndarray, first=None,
 ) -> None:
     """The transmit loop of a PAPR unit and of a BER unit: call
     ``chunk(bits, scheme, params, amplitude, fold, space[0][thread],
@@ -788,14 +828,16 @@ def _transmit(
 
     The chunks run on ``_on_chunks`` (``_chunking``) with the helpers of
     ``space``, the caller's ``_workspace``, each thread in its own set of
-    its buffers. ``claim`` runs under the runner's lock, so draws made in
-    it follow row order whatever the thread count (README section 8)."""
+    its buffers. ``claim``, the bit draw, runs under the runner's lock, so
+    the draws follow row order whatever the thread count (README section
+    8). ``first()``, if given, a BER unit's draw of its normals, runs on
+    the loop's last thread before that thread takes a chunk."""
     threads, step = _chunking(frames, params.n_oversampled)
 
     def run(thread, rows, bits):
         chunk(bits, scheme, params, amplitude, fold, space[0][thread], *(out[rows] for out in outs))
 
-    _on_chunks(frames, step, run, claim=claim, threads=threads, helpers=space[1])
+    _on_chunks(frames, step, run, claim=claim, first=first, threads=threads, helpers=space[1])
 
 
 def _papr_cell(

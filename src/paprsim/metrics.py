@@ -22,11 +22,13 @@ def papr_db(samples) -> np.ndarray:
     """Peak-to-average power ratio in dB of each block along the last axis.
 
     Samples (..., n) give PAPR values of shape (...); a single block gives a
-    scalar.
+    scalar. A NaN or infinite sample raises ``MetricError``.
     """
     samples = np.asarray(samples)
     if samples.size == 0:
         raise ShapeError("papr of an empty signal is undefined")
+    if not np.isfinite(samples).all():
+        raise MetricError("papr of a signal with a NaN or infinite sample is undefined")
     if not np.issubdtype(samples.dtype, np.inexact):  # squaring an integer type wraps
         samples = samples.astype(float)
     return _papr_db_rows(np.abs(samples) ** 2)

@@ -3,6 +3,7 @@ noise drawn at the N data bins, checked against the per-cell time-domain
 path (AWGN on every passband sample, then ``demodulate_passband``) in
 ``oracles.py``."""
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -254,6 +255,74 @@ def test_a_noiseless_unit_draws_no_normals(monkeypatch, cr):
         if cr is None:
             assert counts[0] == (0, 50_176), grid
     assert calls[(None,)] == calls[(None, None)] == 0 and calls[(None, 8.0)] > 0, calls
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_unit_s_normals_are_one_draw_of_all_its_rows(monkeypatch, workers):
+    # 391 frames of QPSK: 4 transmit chunks on one CPU, 7 on two threads
+    # when 2 CPUs are there. The loop's last thread draws the normals before
+    # its first chunk: the calling thread alone, or the helper beside it.
+    params, _ = ORACLE_PLANS["reference"]
+    monkeypatch.setattr(harness, "_worker_count", lambda: workers)
+    drawn_on, draw = [], harness._unit_normals
+
+    def spy(noise, normals):
+        drawn_on.append(threading.current_thread().name)
+        draw(noise, normals)
+
+    monkeypatch.setattr(harness, "_unit_normals", spy)
+    _, _, clean, normals = noise_free_unit(params, ModScheme.from_name("qpsk"), 1.2,
+                                           experiment_hpf(ExperimentSpec()), 100_000, 37, 38)
+    want = np.random.default_rng(38).standard_normal((clean.shape[0], 2 * clean.shape[1]))
+    assert np.array_equal(normals.view(float), want)
+    assert drawn_on == ["MainThread" if workers == 1 else "paprsim-runner-1"]
+
+
+class ClaimWatch(np.random.Generator):
+    """A generator that records each ``standard_normal`` call made while
+    its thread runs a transmit claim (``in_claim``)."""
+
+    in_claim, normals_in_claim, normal_calls = set(), [], [0]
+
+    def standard_normal(self, *args, **kwargs):
+        self.normal_calls[0] += 1
+        if threading.get_ident() in self.in_claim:
+            self.normals_in_claim.append(threading.current_thread().name)
+        return super().standard_normal(*args, **kwargs)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_no_claim_draws_a_normal(monkeypatch, workers):
+    # The claim lock holds only the bit draw: each claim draws its rows'
+    # bits once, and the unit's one normals draw runs outside every claim.
+    # 391 frames of QPSK take 4 transmit chunks on one CPU, 7 on two.
+    params, _ = ORACLE_PLANS["reference"]
+    monkeypatch.setattr(harness, "_worker_count", lambda: workers)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: ClaimWatch(np.random.PCG64(seed)))
+    ClaimWatch.in_claim, ClaimWatch.normals_in_claim, ClaimWatch.normal_calls = set(), [], [0]
+    claims, bit_draws, on_chunks, draw = [0], [0], harness._on_chunks, harness._random_bits
+
+    def bits_spy(*args):
+        bit_draws[0] += 1
+        return draw(*args)
+
+    def watched(frames, step, work, *, claim=None, **kwargs):
+        def watched_claim(rows):
+            claims[0] += 1
+            ClaimWatch.in_claim.add(threading.get_ident())
+            try:
+                return claim(rows)
+            finally:
+                ClaimWatch.in_claim.discard(threading.get_ident())
+
+        return on_chunks(frames, step, work, claim=claim and watched_claim, **kwargs)
+
+    monkeypatch.setattr(harness, "_random_bits", bits_spy)
+    monkeypatch.setattr(harness, "_on_chunks", watched)
+    unit_cells(params, ModScheme.from_name("qpsk"), 1.2, experiment_hpf(ExperimentSpec()),
+               100_000, (4.0, 8.0), [5, 1, 0])
+    assert claims[0] == bit_draws[0] == {1: 4, 2: 7}[workers]
+    assert ClaimWatch.normal_calls == [1] and ClaimWatch.normals_in_claim == []
 
 
 def iq_moments(noise):

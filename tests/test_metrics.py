@@ -48,6 +48,19 @@ def test_papr_errors():
         papr_db(np.zeros(8))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.nan, 0)],
+                         ids=["nan", "inf", "-inf", "inf_imag", "nan_real"])
+def test_papr_refuses_a_non_finite_sample(bad):
+    # Unchecked, a NaN sample or an infinite one gave nan with a
+    # RuntimeWarning: a number, not a failure.
+    samples = np.ones((2, 8), dtype=complex if isinstance(bad, complex) else float)
+    samples[1, 3] = bad
+    with pytest.raises(MetricError, match="NaN or infinite"):
+        papr_db(samples)
+    with pytest.raises(MetricError, match="NaN or infinite"):
+        papr_db(samples[1])
+
+
 def test_papr_per_block_along_last_axis():
     rng = np.random.default_rng(14)
     batch = rng.normal(size=(2, 3, 64)) + 1j * rng.normal(size=(2, 3, 64))

@@ -55,3 +55,26 @@ def test_a_ber_unit_is_a_scheme_and_cr(op_rusage, monkeypatch):
     ])
     assert first == {("ber", "qpsk"): [4.0, 5.0], ("papr", "qpsk"): [9.0]}
     assert later == {("ber", "qpsk"): [1.0, 2.0]}
+
+
+@pytest.mark.parametrize("ebn0_db, normals_drawn", [(4.0, 1), (None, 0)], ids=["noisy", "noiseless"])
+def test_the_draw_clocks_time_each_bit_draw_and_each_unit_s_normals(
+        op_rusage, monkeypatch, ebn0_db, normals_drawn):
+    # A fake clock that moves one second a read makes each timed draw one
+    # second. One BER unit of 2000 QPSK bits is one transmit chunk: one bit
+    # draw, and one normals draw if its point is noisy.
+    from paprsim import ModScheme, OfdmParams, harness, simulate_chain_ber
+
+    for name in ("_random_bits", "_unit_normals"):  # restored when the test ends
+        monkeypatch.setattr(harness, name, getattr(harness, name))
+    now = [0.0]
+
+    def tick():
+        now[0] += 1.0
+        return now[0]
+
+    monkeypatch.setattr(op_rusage, "time", types.SimpleNamespace(perf_counter=tick))
+    draws = op_rusage.time_draws()
+    simulate_chain_ber(OfdmParams(), ModScheme.from_name("qpsk"), ebn0_db=ebn0_db,
+                       min_bits=2000, seed=5)
+    assert draws == {"bits_s": 1.0, "normals_s": float(normals_drawn)}

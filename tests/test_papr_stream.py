@@ -220,6 +220,48 @@ def test_chunked_bit_draws_equal_one_draw(bits_per_symbol, n_subcarriers, n_fram
     assert np.array_equal(np.concatenate(parts), one)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 41, 2014])
+@pytest.mark.parametrize("n_subcarriers, bits_per_symbol", [(6, 3), (6, 5), (10, 3), (128, 5)])
+def test_bit_draws_equal_numpy_s_bounded_draw_across_buffered_half_words(
+        seed, n_subcarriers, bits_per_symbol):
+    # Bits come from the raw 64-bit words; numpy's integers(0, 2, uint8)
+    # is the reference. With N = 2 mod 4 and k odd, a 2-frame chunk is 4
+    # mod 8 bits and leaves half a word buffered for the next chunk; 29
+    # frames in 2-frame chunks end on an odd chunk of one frame.
+    bits_per_frame = n_subcarriers * bits_per_symbol
+    want = np.random.default_rng(seed).integers(0, 2, (29, bits_per_frame), dtype=np.uint8)
+    assert np.array_equal(_random_bits(np.random.default_rng(seed), 29, bits_per_frame), want)
+    rng, parts, buffered = np.random.default_rng(seed), [], []
+    for start in range(0, 29, 2):
+        buffered.append(rng.bit_generator.state["has_uint32"])
+        parts.append(_random_bits(rng, min(2, 29 - start), bits_per_frame))
+    assert np.array_equal(np.concatenate(parts), want)
+    assert any(buffered) == (n_subcarriers % 4 == 2)
+
+
+@pytest.mark.parametrize("sizes", [(4, 3), (4, 1, 9), (12, 2, 17), (1, 5, 8, 7), (20, 0, 36)])
+def test_each_bit_draw_equals_numpy_s_draw_of_its_size(sizes):
+    # Any run of draws, also of sizes that are not whole words or that end
+    # inside a buffered half word, takes the bits numpy's draws would.
+    rng, reference = np.random.default_rng(43), np.random.default_rng(43)
+    for size in sizes:
+        got = _random_bits(rng, 1, size)
+        assert np.array_equal(got, reference.integers(0, 2, (1, size), dtype=np.uint8)), sizes
+        assert got.dtype == np.uint8 and got.flags.c_contiguous
+    # The generators agree on what the next draw reads: the 128-bit state
+    # and a buffered half word, if any (a spent one is never read again).
+    got, want = rng.bit_generator.state, reference.bit_generator.state
+    assert got["state"] == want["state"] and got["has_uint32"] == want["has_uint32"]
+    assert not got["has_uint32"] or got["uinteger"] == want["uinteger"]
+
+
+def test_the_bits_of_one_seed_are_pinned():
+    # A literal, so that a numpy change to Generator.integers or to PCG64
+    # cannot move the reference of the tests above along with the draw.
+    want = "1100100111111011001101101000011111010111"
+    assert "".join(map(str, _random_bits(np.random.default_rng(2014), 1, 40)[0])) == want
+
+
 def test_chunk_frames_fit_the_budget_and_stay_even():
     assert _chunk_frames(1024) == 128
     assert _chunk_frames(640) == 204

@@ -1,10 +1,11 @@
 """Replay a benchmark workload's operations in this process and report what
 they cost the process: wall, user and system time, minor page faults,
 voluntary and involuntary context switches (``ru_nvcsw``, ``ru_nivcsw``),
-the library's helper threads started, the 8-, 16- and 32-PSK symbols
-the measured rounds sliced and how many of them took the exact
-near-boundary path, and peak RSS, numbers that ``perfbench/run.py`` does
-not report.
+the library's helper threads started, the seconds spent drawing bits
+(``harness._random_bits``) and drawing BER units' normals
+(``harness._unit_normals``), the 8-, 16- and 32-PSK symbols the measured
+rounds sliced and how many of them took the exact near-boundary path,
+and peak RSS, numbers that ``perfbench/run.py`` does not report.
 
 The operations are those ``perfbench/workloads.py`` builds for the first
 ``--steps`` steps (default: the workload's traced prefix) at ``--seed``.
@@ -25,7 +26,10 @@ Usage: python tools/op_rusage.py WORKLOAD [--steps S] [--rounds K] [--seed N]
 The library uses every CPU the process may run on, so
 ``taskset -c 0 python tools/op_rusage.py ber_sweep`` measures one CPU.
 Helper threads are counted by wrapping ``threading.Thread.start`` in this
-process for threads named ``paprsim-runner*``, and PSK symbols by wrapping
+process for threads named ``paprsim-runner*``, draws by wrapping
+``harness._random_bits`` and ``harness._unit_normals`` (seconds summed over
+the threads that drew; a unit's normals are drawn beside its transmit
+chunks on two or more CPUs), and PSK symbols by wrapping
 ``constellation._psk_labels`` (orders above 4) and
 ``constellation._boundary_decisions``.
 """
@@ -45,7 +49,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import paprsim  # noqa: E402
-from paprsim import constellation  # noqa: E402
+from paprsim import constellation, harness  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
@@ -116,6 +120,28 @@ def count_helper_starts() -> list[int]:
     return starts
 
 
+def time_draws() -> dict[str, float]:
+    """Wrap ``harness._random_bits`` and ``harness._unit_normals`` in this
+    process; returns a dict of the seconds spent in each, ``bits_s`` and
+    ``normals_s``, summed over the threads that drew."""
+    seconds, lock = {"bits_s": 0.0, "normals_s": 0.0}, threading.Lock()
+
+    def timed(name: str, draw):
+        def wrapper(*args):
+            start = time.perf_counter()
+            try:
+                return draw(*args)
+            finally:
+                with lock:
+                    seconds[name] += time.perf_counter() - start
+
+        return wrapper
+
+    harness._random_bits = timed("bits_s", harness._random_bits)
+    harness._unit_normals = timed("normals_s", harness._unit_normals)
+    return seconds
+
+
 def count_psk_symbols() -> dict[str, int]:
     """Wrap ``constellation._psk_labels`` and ``_boundary_decisions`` in
     this process; returns a dict that counts the 8-, 16- and 32-PSK symbols
@@ -142,12 +168,15 @@ def count_psk_symbols() -> dict[str, int]:
     return counts
 
 
-def measure(ops, helper_starts: list[int], clock: CellClock | None = None) -> tuple[dict, int]:
+def measure(ops, helper_starts: list[int], draws: dict[str, float],
+            clock: CellClock | None = None) -> tuple[dict, int]:
     """One round over ``ops``: its wall, user and system seconds, minor
-    page faults, voluntary and involuntary context switches and helper
-    threads started (``helper_starts``, from ``count_helper_starts``), and
-    how many operations failed. Cells are timed on ``clock``."""
-    starts, before = helper_starts[0], resource.getrusage(resource.RUSAGE_SELF)
+    page faults, voluntary and involuntary context switches, helper
+    threads started (``helper_starts``, from ``count_helper_starts``) and
+    draw seconds (``draws``, from ``time_draws``), and how many operations
+    failed. Cells are timed on ``clock``."""
+    drawn, starts = dict(draws), helper_starts[0]
+    before = resource.getrusage(resource.RUSAGE_SELF)
     start = time.perf_counter()
     failed = sum(not run(op, clock) for op in ops)
     wall, after = time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF)
@@ -159,6 +188,7 @@ def measure(ops, helper_starts: list[int], clock: CellClock | None = None) -> tu
         "nvcsw": after.ru_nvcsw - before.ru_nvcsw,
         "nivcsw": after.ru_nivcsw - before.ru_nivcsw,
         "helper_starts": helper_starts[0] - starts,
+        **{name: draws[name] - drawn[name] for name in draws},
     }, failed
 
 
@@ -174,15 +204,15 @@ def main(argv: list[str]) -> int:
     if steps < 1 or args.rounds < 1:
         parser.error("--steps and --rounds must be at least 1")
     ops = workload.run_ops(args.seed, steps)
-    helper_starts = count_helper_starts()
-    measure(ops, helper_starts)  # warm-up round
+    helper_starts, draws = count_helper_starts(), time_draws()
+    measure(ops, helper_starts, draws)  # warm-up round
     clock, psk_counts = CellClock(), count_psk_symbols()
-    rounds = [measure(ops, helper_starts, clock) for _ in range(args.rounds)]
+    rounds = [measure(ops, helper_starts, draws, clock) for _ in range(args.rounds)]
     failed = rounds[0][1]
     print(f"{args.workload}: {len(ops)} operations a round ({failed} failed), seed {args.seed}, "
           f"{args.rounds} rounds after one warm-up, {len(os.sched_getaffinity(0))} CPUs")
     for name in ("wall_s", "user_s", "system_s", "minor_faults", "nvcsw", "nivcsw",
-                 "helper_starts"):
+                 "helper_starts", "bits_s", "normals_s"):
         median = statistics.median(r[name] for r, _ in rounds)
         low, high = min(r[name] for r, _ in rounds), max(r[name] for r, _ in rounds)
         print(f"  {name:<13} median {median:>10.6g} a round [{low:.6g}, {high:.6g}], "
