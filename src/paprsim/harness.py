@@ -333,13 +333,9 @@ def _on_chunks(
     failures, results = [], []
     count = min(threads, math.ceil(frames / step))
 
-    # ``first`` and the last thread's number are bound as defaults, not
-    # closed over: each closure cell is an allocation that lives as long as
-    # the loop, and tests/test_papr_stream.py bounds a PAPR call's
-    # tracemalloc peak to within 512 bytes a CR.
-    def loop(thread, first=first, last=count - 1):
+    def loop(thread):
         try:
-            if first is not None and thread == last:
+            if first is not None and thread == count - 1:
                 first()
             while True:
                 with lock:
@@ -375,21 +371,15 @@ def _random_bits(rng: np.random.Generator, n_frames: int, bits_per_frame: int) -
 
     numpy draws a bit as the top bit of one byte of a 32-bit word, and its
     32-bit words are the low then the high half of each 64-bit word, so a
-    draw that starts on a fresh word reads the raw words' bytes in memory
-    order. A half word that an earlier draw left buffered gives the first
-    bits (up to 4), and ``rng.integers`` draws them, as it draws the bits
-    of a last partial word, buffering its half as numpy's one draw would."""
-    bits = np.empty((n_frames, bits_per_frame), np.uint8)
-    flat, bit_generator = bits.reshape(-1), rng.bit_generator
-    head = min(flat.size, 4) if bit_generator.state["has_uint32"] else 0
-    end = head + (flat.size - head) // 8 * 8
-    if head:
-        flat[:head] = rng.integers(0, 2, head, dtype=np.uint8)
-    raw = bit_generator.random_raw((end - head) // 8).astype("<u8", copy=False)
-    np.right_shift(raw.view(np.uint8), 7, out=flat[head:end])
-    if end < flat.size:
-        flat[end:] = rng.integers(0, 2, flat.size - end, dtype=np.uint8)
-    return bits
+    draw of whole 64-bit words that starts on a fresh word reads the raw
+    words' bytes in memory order. Any other draw, of a partial word or
+    after an earlier draw left a half word buffered, is made by
+    ``integers``."""
+    size = n_frames * bits_per_frame
+    if size % 8 or rng.bit_generator.state["has_uint32"]:
+        return rng.integers(0, 2, (n_frames, bits_per_frame), dtype=np.uint8)
+    raw = rng.bit_generator.random_raw(size // 8).astype("<u8", copy=False)
+    return np.right_shift(raw.view(np.uint8), 7).reshape(n_frames, bits_per_frame)
 
 
 def _chunk_frames(block_len: int) -> int:

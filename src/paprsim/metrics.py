@@ -27,10 +27,10 @@ def papr_db(samples) -> np.ndarray:
     samples = np.asarray(samples)
     if samples.size == 0:
         raise ShapeError("papr of an empty signal is undefined")
-    if not np.isfinite(samples).all():
-        raise MetricError("papr of a signal with a NaN or infinite sample is undefined")
     if not np.issubdtype(samples.dtype, np.inexact):  # squaring an integer type wraps
         samples = samples.astype(float)
+    if not np.isfinite(samples).all():
+        raise MetricError("papr of a signal with a NaN or infinite sample is undefined")
     return _papr_db_rows(np.abs(samples) ** 2)
 
 

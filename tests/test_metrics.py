@@ -61,6 +61,17 @@ def test_papr_refuses_a_non_finite_sample(bad):
         papr_db(samples[1])
 
 
+def test_papr_converts_object_samples_before_its_checks():
+    # Python ints past int64 and dtype=object numbers become floats, as
+    # before the finiteness check; an object infinity is refused after.
+    big = [2**70, 2**70, 2**71, 2**70]
+    assert np.asarray(big).dtype == object
+    assert papr_db(big) == pytest.approx(10 * np.log10(4 / 1.75))
+    assert papr_db(np.array([1, 1, 2, 1], dtype=object)) == pytest.approx(10 * np.log10(4 / 1.75))
+    with pytest.raises(MetricError, match="NaN or infinite"):
+        papr_db(np.array([1, float("inf")], dtype=object))
+
+
 def test_papr_per_block_along_last_axis():
     rng = np.random.default_rng(14)
     batch = rng.normal(size=(2, 3, 64)) + 1j * rng.normal(size=(2, 3, 64))
