@@ -14,8 +14,9 @@ input unchanged. The experiments call their kernels instead, in place on
 buffers of their own: the clip's real factor (``_clip_factor``), which
 the filter's forward half (``_filter_forward``) takes in place of a
 clipped block, and the inverse half (``_filter_inverse``). The forward
-half also takes the passband it forms, so the clip levels of a PAPR
-sweep share one carrier product.
+half takes the real passband Re(x c), which the experiments' modulator
+leaves in the real view of its block by placing each frame on the
+carrier bin, so no chunk forms a carrier product.
 """
 from __future__ import annotations
 
@@ -65,8 +66,10 @@ def composed_filter(samples, params: OfdmParams, hpf: fir_design.FirFilter) -> n
     """Composed filter of clipped complex baseband blocks (..., N*L), prefix
     excluded. Returns the complex envelope y of the filtered passband
     block: ``upconvert(y)`` is the passband composed filter of
-    ``upconvert(samples)`` (README section 5). Both halves run in place on
-    a copy of the samples; real input is refused with ``ShapeError``.
+    ``upconvert(samples)`` (README section 5). The forward half reads the
+    real view of x c, the samples times the carrier (``_carrier``), and
+    the inverse half overwrites that product; real input is refused with
+    ``ShapeError``.
     """
     samples = np.asarray(samples)
     _require_block(samples, params, "signal")
@@ -75,43 +78,41 @@ def composed_filter(samples, params: OfdmParams, hpf: fir_design.FirFilter) -> n
             "composed_filter takes the clipped complex baseband block, not "
             "upconvert(...) of it"
         )
-    block = samples.copy()
-    return _filter_inverse(_filter_forward(block, _composed_fold(params, hpf)), block)
+    shifted = samples * _carrier(params.n_oversampled, params)
+    return _filter_inverse(_filter_forward(shifted.real, _composed_fold(params, hpf)), shifted)
 
 
 def _composed_fold(params: OfdmParams, hpf: fir_design.FirFilter) -> tuple:
     """The composed filter's fold for one plan and high-pass: the first band
-    bin k_c - N/2, the ``band_gains`` of the N + 1 band bins, each halved
-    at a band bin that is its own image (``_self_image_bins``, README
-    section 5), and the carrier 2 c. It depends on neither the samples nor
-    their count, so a cell computes it once and hands it to every chunk."""
+    bin k_c - N/2 and twice the ``band_gains`` of the N + 1 band bins, the
+    2 of the passband 2 Re(x c), each halved at a band bin that is its own
+    image (``_self_image_bins``, README section 5). It depends on neither
+    the samples nor their count, so a cell computes it once and hands it
+    to every chunk."""
     band = params.occupied_bins
-    gains = band_gains(params, hpf)[band]
+    gains = 2.0 * band_gains(params, hpf)[band]
     for k in _self_image_bins(params):
         gains[k - band[0]] /= 2
-    return int(band[0]), gains, 2.0 * _carrier(params.n_oversampled, params)
+    return int(band[0]), gains
 
 
 def _filter_forward(samples: np.ndarray, fold: tuple, *, factor=None) -> np.ndarray:
-    """The forward half of ``composed_filter`` of checked complex blocks x,
-    given their ``_composed_fold``: the real FFT of the passband 2 Re(x c),
-    times the real ``factor`` (the clip's, see ``_clip_factor``) when one
-    is given, read at the N + 1 band bins k_c - N/2 .. k_c + N/2 and
-    multiplied by their gains. Returns those (..., N + 1) band bins Y[j],
-    j = -N/2 .. N/2, a view of the real FFT's output.
+    """The forward half of ``composed_filter`` of checked blocks, given the
+    real view Re(x c) of their carrier-placed form and their
+    ``_composed_fold``: the real FFT of that passband, times the real
+    ``factor`` (the clip's, see ``_clip_factor``) when one is given, read
+    at the N + 1 band bins k_c - N/2 .. k_c + N/2 and multiplied by their
+    gains, which carry the passband's factor 2. Returns those (..., N + 1)
+    band bins Y[j], j = -N/2 .. N/2, a view of the real FFT's output.
 
-    2 x c is written over complex ``samples``. Real ``samples`` are taken
-    as that passband already formed, the real view of blocks that hold
-    2 x c, and are left as they are. The passband times the factor is
+    ``samples`` are left as they are; the passband times the factor is
     written over ``factor``. The real FFT's output is the only array the
     call allocates.
     """
-    first, gains, carrier = fold
-    passband = (np.multiply(samples, carrier, out=samples).real if np.iscomplexobj(samples)
-                else samples)
+    first, gains = fold
     if factor is not None:
-        passband = np.multiply(passband, factor, out=factor)
-    band = np.fft.rfft(passband, axis=-1)[..., first : first + gains.size]
+        samples = np.multiply(samples, factor, out=factor)
+    band = np.fft.rfft(samples, axis=-1)[..., first : first + gains.size]
     return np.multiply(band, gains, out=band)
 
 

@@ -14,15 +14,18 @@ makes one. The clip level cr * sigma is known before any bit is drawn
 
 PAPR unit, one per scheme, whose CR cells clip one baseband: one pass over
 the scheme's bits, drawn in chunks of frames from a stream keyed by the
-scheme's place in SCHEME_NAMES. A chunk maps, extends and modulates them
-and takes |x| once (``_baseband``). Each CR then clips by the real factor
-A / max(|x|, A) inside the composed filter's forward half (``_clip_filter``;
-README sections 5 and 6), whose carrier product the first CR forms for
-all, and reads its processed PAPR from the filtered envelope. The
-unclipped PAPR is read once, from the envelope of x, which is |x| but at a
-band edge on DC or Nyquist (README section 7). Only the PAPR vectors, one unclipped and one
-per CR, grow with n_symbols. A scheme's cells share their draws (README
-section 9), so they are correlated.
+scheme's place in SCHEME_NAMES. A chunk maps them, places each frame on
+the carrier bin and modulates it, which gives x c, the baseband block
+times the carrier, whose real view is the passband the composed filter
+reads (README section 5), and takes |x c| = |x| once (``_baseband``).
+Each CR then clips by the real factor A / max(|x|, A) inside the
+filter's forward half (``_clip_filter``; README sections 5 and 6) and
+reads its processed PAPR from the filtered envelope. The unclipped PAPR
+is read once, from the envelope of x, which is |x| but at a band edge on
+DC or Nyquist, where it is read from x c (README section 7). Only the
+PAPR vectors, one unclipped and one per CR, grow with n_symbols. A
+scheme's cells share their draws (README section 9), so they are
+correlated.
 
 BER unit, one per (scheme, cr), whose Eb/N0 cells share one transmission:
 it draws its bits chunk by chunk, transmits them to the band bins, keeps
@@ -71,23 +74,24 @@ from .ofdm_chain import (
     _require_block,
     _require_int,
     _self_image_bins,
+    _place_frames,
     demodulate_passband,
     ofdm_modulate,
-    oversample_extend,
     upconvert,
 )
 
 # The harness calls the layer functions through the stage names that
 # perfbench/interactions.json lists, because perfbench/spans.py times a stage
 # by wrapping that module-level name. Each name is bound to the public
-# function itself, or for the clip, the composed filter and the demapper to
-# the kernel the public function runs (the clip's real factor; the
-# filter's forward half, given its fold; the slicer's label integers), so
-# every stage keeps one implementation. The
-# bindings go once the stage table names the public functions (ROADMAP
-# item 1).
+# function itself, or for the extend, the clip, the composed filter and the
+# demapper to the kernel the public function runs (the frame placed on a
+# given bin, here the carrier's; the clip's real factor; the filter's
+# forward half, given its fold; the slicer's label integers), so every
+# stage keeps one implementation. The extend's kernel keeps the public
+# function's parameter names, which the tracer reads. The bindings go once
+# the stage table names the public functions (ROADMAP item 1).
 _map_rows = map_bits
-_extend_rows = oversample_extend
+_extend_rows = _place_frames
 _modulate_rows = ofdm_modulate
 _clip_magnitude_rows = _clip_factor
 _composed_rows = _filter_forward
@@ -408,9 +412,18 @@ def envelope_magnitude(samples: np.ndarray, params: OfdmParams) -> np.ndarray:
     _require_block(samples, params, "signal")
     if not np.iscomplexobj(samples):
         raise ShapeError("envelope_magnitude takes complex baseband blocks, not passband")
+    return _envelope(samples, params, -params.carrier_bin)
+
+
+def _envelope(samples: np.ndarray, params: OfdmParams, shift: int) -> np.ndarray:
+    """``envelope_magnitude`` of checked blocks whose bins sit ``shift``
+    bins from the passband's: -k_c for the complex envelope y, 0 for y c,
+    the modulator's carrier-placed block. A band edge on passband bin k,
+    DC or Nyquist, is the block's tone k + shift, so y c takes tone k
+    where y takes tone k - k_c, and |y c| = |y| (README section 7)."""
     total = params.n_oversampled
     for k in _self_image_bins(params):
-        tone = np.exp(2j * np.pi * (k - params.carrier_bin) * np.arange(total) / total)
+        tone = np.exp(2j * np.pi * (k + shift) * np.arange(total) / total)
         coefficient = (samples @ tone.conj())[..., None] / total
         correction = (np.conj(coefficient) if k == 0 else -coefficient) * tone
         samples = np.add(samples, correction, out=correction)
@@ -664,32 +677,34 @@ def _baseband(bits: np.ndarray, scheme: ModScheme, params: OfdmParams, buffers: 
               labels: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The unclipped transmit of the frames ``bits`` holds, shared by both
     experiments' chunks, on one thread's buffers (``_chunk_buffers``):
-    map, extend and modulate write into the buffers' symbols and block (the
-    inverse transform runs in place), and the map writes the symbols' label
-    integers into ``labels`` if given. Returns (x, |x|): the block, and its
+    map, place on the carrier bin and modulate write into the buffers'
+    symbols and block (the inverse transform runs in place), and the map
+    writes the symbols' label integers into ``labels`` if given. The block
+    is x c, the baseband x times the carrier, since the carrier sits on a
+    DFT bin (README section 5). Returns (x c, |x|): the block, and its
     magnitude in the scratch's first float view."""
     count, total = bits.shape[0], params.n_oversampled
     symbols = _map_rows(bits, scheme, out=_rows(buffers[0], complex, count, params.n_subcarriers),
                         labels=labels)
-    block = _extend_rows(symbols, params.oversample, out=_rows(buffers[1], complex, count, total))
-    baseband = _modulate_rows(block, params, out=block)
-    return baseband, np.abs(baseband, out=_rows(buffers[2], float, count, total))
+    block = _extend_rows(symbols, params.oversample, params.carrier_bin,
+                         out=_rows(buffers[1], complex, count, total))
+    shifted = _modulate_rows(block, params, out=block)
+    return shifted, np.abs(shifted, out=_rows(buffers[2], float, count, total))
 
 
-def _clip_filter(baseband: np.ndarray, magnitude: np.ndarray, amplitude: float, fold: tuple,
+def _clip_filter(shifted: np.ndarray, magnitude: np.ndarray, amplitude: float, fold: tuple,
                  buffers: tuple) -> np.ndarray:
-    """The clip and the composed filter's forward half of a block x and its
-    magnitude from ``_baseband``: the clip's real factor A / max(|x|, A)
-    goes into the scratch's second float view, and the forward half
-    (``_filter_forward``) takes it in place of a clipped block (README
-    sections 5 and 6). Returns the band bins Y[j], j = -N/2..N/2. Given x,
-    the forward half leaves 2 x c in the block, free for the inverse half
-    to overwrite; given the block's real view once it holds 2 x c, the
-    passband, it leaves the block as it is. Nothing here touches |x|."""
+    """The clip and the composed filter's forward half of a block x c and
+    its magnitude |x| from ``_baseband``: the clip's real factor
+    A / max(|x|, A) goes into the scratch's second float view, and the
+    forward half (``_filter_forward``) takes it, with the block's real
+    view, the passband Re(x c), in place of a clipped block (README
+    sections 5 and 6). Returns the band bins Y[j], j = -N/2..N/2. Nothing
+    here writes the block or |x|."""
     # The two float views fill the scratch's first count * N*L complex values.
     factor = _clip_magnitude_rows(
         magnitude, amplitude, out=_rows(buffers[2][magnitude.size // 2 :], float, *magnitude.shape))
-    return _composed_rows(baseband, fold, factor=factor)
+    return _composed_rows(shifted.real, fold, factor=factor)
 
 
 def _papr_chunk(
@@ -702,41 +717,37 @@ def _papr_chunk(
     ``unclipped_papr``, and their clipped-and-filtered PAPR at each clip
     level of ``amplitudes`` into the matching view of ``processed_paprs``.
 
-    The work before the clip runs once: ``_baseband`` leaves |x| in the
-    scratch, which is the unclipped envelope but on a plan with a band
-    edge on DC or Nyquist (README section 7), where the envelope is read
-    from x first. Each level forms its clip factor from the kept |x| and
-    runs the forward half (``_clip_filter``): the first level's forms
-    2 x c over x just before it reads it, while the block is in cache,
-    and the later levels' take the block's real view, the passband
-    2 Re(x c) it formed. Once the last level's factor is formed, |x| is
-    free, and the envelope's squares, in place, give the unclipped PAPR.
-    The inverse half (``_filter_inverse``) writes each level's filtered
-    envelope into the spare, the complex view a block wide that begins at
-    the factor (``_chunk_buffers``), or, for the last level, over the
-    block, so a single level needs no spare.
+    The work before the clip runs once: ``_baseband`` leaves x c in the
+    block and |x| in the scratch, which is the unclipped envelope but on a
+    plan with a band edge on DC or Nyquist (README section 7), where the
+    envelope is read from x c (``_envelope``). Each level forms its clip
+    factor from the kept |x| and runs the forward half (``_clip_filter``)
+    on the block's real view, so a one-level chunk makes two complex
+    transforms and one real one, and no carrier product, and each further
+    level one complex and one real transform more. Once the last level's
+    factor is formed, |x| is free, and the envelope's squares, in place,
+    give the unclipped PAPR. The inverse half (``_filter_inverse``) writes
+    each level's filtered envelope into the spare, the complex view a
+    block wide that begins at the factor (``_chunk_buffers``), or, for the
+    last level, over the block, so a single level needs no spare.
     The envelope stage is called as ``envelope_magnitude(samples,
     params)``, the form perfbench's self-test substitutes, so it returns a
     new |y| array, which is squared in place.
     """
-    baseband, magnitude = _baseband(bits, scheme, params, buffers)
-    envelope = envelope_magnitude(baseband, params) if _self_image_bins(params) else magnitude
-    samples = baseband
+    shifted, magnitude = _baseband(bits, scheme, params, buffers)
+    envelope = _envelope(shifted, params, 0) if _self_image_bins(params) else magnitude
     for level, (amplitude, processed_papr) in enumerate(zip(amplitudes, processed_paprs), 1):
-        band = _clip_filter(samples, magnitude, amplitude, fold, buffers)
-        samples = baseband.real
+        band = _clip_filter(shifted, magnitude, amplitude, fold, buffers)
         if level == len(amplitudes):
             unclipped_papr[:] = _papr_db_rows(np.square(envelope, out=envelope))
-            out = baseband
+            out = shifted
         else:
-            out = _rows(buffers[2][magnitude.size // 2 :], complex, *baseband.shape)
+            out = _rows(buffers[2][magnitude.size // 2 :], complex, *shifted.shape)
         filtered = _filter_inverse(band, out)
         del band  # frees the real FFT's output before the envelope allocates
         processed = envelope_magnitude(filtered, params)
         processed_papr[:] = _papr_db_rows(np.square(processed, out=processed))
-        # Frees the envelope and the level's views before the next level's
-        # real FFT allocates.
-        del processed, filtered, out
+        del processed  # frees the envelope before the next level's real FFT allocates
 
 
 def _ber_chunk(
@@ -751,8 +762,9 @@ def _ber_chunk(
     passband samples, prefix included, into ``block_power``.
 
     The transmit ends at the block's band bins Y[j], j = -N/2..N/2: clipped,
-    from the transmit a PAPR chunk runs too (``_baseband``, then
-    ``_clip_filter``); unclipped, from the mapped symbols, written straight
+    from the transmit a PAPR chunk runs too (``_baseband``, whose
+    carrier-placed block the forward half reads, then ``_clip_filter``);
+    unclipped, from the mapped symbols, written straight
     into ``received``, with no modulator transform. Y times the weights of
     ``_band_read``, in the scratch, takes one inverse real FFT to the
     passband symbol, as floats in the block's bytes, whose squares and

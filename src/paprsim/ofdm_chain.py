@@ -13,7 +13,10 @@ Zero-insertion layout: bins 0..N/2 hold the first half of the original
 frame and the top N/2 bins hold the second half starting at X[N/2], so the
 edge value X[N/2] appears at both band edges and the N*(L-1) - 1 bins
 between them are exactly zero. The receiver reads the N data bins back in
-frame order, so the round trip is exact to round-off.
+frame order, so the round trip is exact to round-off. The experiments
+place the frame the same way around the carrier's bin k_c in place of
+DC (``_place_frames``), so that the inverse DFT gives the baseband block
+times the carrier (README section 5).
 """
 from __future__ import annotations
 
@@ -158,17 +161,31 @@ def oversample_extend(frames, oversample: int, *, out=None) -> np.ndarray:
     ``out``, a complex (..., N*L) array, receives the result in place of a
     new array; every bin of it is written, the inserted zeros included.
     """
+    return _place_frames(frames, oversample, out=out)
+
+
+def _place_frames(frames, oversample: int, carrier_bin: int = 0, *, out=None) -> np.ndarray:
+    """The zero-inserted frames (..., N*L) of N-bin frames (..., N), centred
+    on bin k = ``carrier_bin``: X[0..N/2] at bins k..k+N/2, X[N/2..N-1] at
+    bins k-N/2..k-1 mod N*L, so X[N/2] sits on both band edges, and zeros
+    elsewhere. k = 0 is ``oversample_extend``; for a plan's carrier bin
+    k_c, the unitary inverse DFT of the result is x c, the baseband block
+    x times the carrier c[m] = exp(j 2 pi k_c m / (N*L)) (README section
+    5). k is 0 or lies in N/2 .. N*L - N/2 - 1, as ``OfdmParams`` keeps
+    k_c. ``out`` as for ``oversample_extend``.
+    """
     frames = np.asarray(frames, dtype=complex)
     n = frames.shape[-1]
     if n % 2:
         raise ConfigError("frame length N must be even")
     if not _is_int(oversample) or oversample < 1:
         raise ConfigError(f"oversample factor must be an integer >= 1, got {oversample!r}")
-    total = n * oversample
+    total, half = n * oversample, n // 2
     out = _out_array(out, frames.shape[:-1] + (total,), complex)
-    out[..., : n // 2 + 1] = frames[..., : n // 2 + 1]
-    out[..., n // 2 + 1 : total - n // 2] = 0
-    out[..., total - n // 2 :] = frames[..., n // 2 :]
+    out[...] = 0
+    out[..., carrier_bin : carrier_bin + half + 1] = frames[..., : half + 1]
+    # At k = 0 the lower half wraps to the top bins: a negative start.
+    out[..., carrier_bin - half : carrier_bin or None] = frames[..., half:]
     return out
 
 

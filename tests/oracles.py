@@ -18,7 +18,8 @@ at shifted bins, and the BER channel from the per-cell time-domain path (AWGN on
 every passband sample, then ``demodulate_passband``), which the library
 replaces by noise drawn at the data bins, and the PAPR cell and the BER
 unit's transmission from their whole-batch forms, which the library
-streams chunk by chunk, and a BER unit's Eb/N0 points from whole-unit
+streams chunk by chunk (``carrier_frames`` rolls the extended frame to
+the carrier bin, where the library places it), and a BER unit's Eb/N0 points from whole-unit
 arrays with any normals per point: the library scales one shared draw,
 and a draw of each point's own (``per_point_normals``) is how the points
 were drawn before. The passband filter reads its per-bin gain from
@@ -376,6 +377,15 @@ def baseband_frames(bits, scheme, params) -> np.ndarray:
     """Map, extend and modulate a whole batch of bit rows at once; returns
     the baseband blocks (frames, N*L), no prefix."""
     return ofdm_modulate(oversample_extend(map_bits(bits, scheme), params.oversample), params)
+
+
+def carrier_frames(bits, scheme, params) -> np.ndarray:
+    """The experiments' modulator output for a whole batch of bit rows: the
+    extended frames rolled up by the carrier bin k_c, then modulated, so
+    each block is x c, the baseband block times the carrier, as the
+    harness's chunks form it bit for bit."""
+    frames = oversample_extend(map_bits(bits, scheme), params.oversample)
+    return ofdm_modulate(np.roll(frames, params.carrier_bin, axis=-1), params)
 
 
 def transmit_blocks(bits, scheme, params, cr, hpf) -> np.ndarray:

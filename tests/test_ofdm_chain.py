@@ -15,9 +15,11 @@ from paprsim import (
     oversample_extend,
     upconvert,
 )
+from paprsim.ofdm_chain import _carrier, _place_frames
 
 from oracles import (
     ORACLE_PLANS,
+    baseband_frames,
     direct_oversampled_idft,
     inserted_zero_bins,
     ofdm_demodulate,
@@ -121,6 +123,41 @@ def test_extend_index_sets(n, l):
 def test_extend_odd_n_rejected():
     with pytest.raises(ConfigError):
         oversample_extend(np.ones(5, dtype=complex), 2)
+
+
+@pytest.mark.parametrize("n,l", [(8, 1), (8, 2), (16, 4), (128, 8)])
+def test_extend_is_the_placement_at_bin_0(n, l):
+    rng = np.random.default_rng(n + l)
+    frames = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+    assert np.array_equal(oversample_extend(frames, l), _place_frames(frames, l, 0))
+    assert np.array_equal(oversample_extend(frames, l), _place_frames(frames, l))
+
+
+@pytest.mark.parametrize("plan", sorted(ORACLE_PLANS))
+def test_the_placement_at_the_carrier_bin_is_the_extension_rolled_there(plan):
+    # Every bin of out= is written, the zeros on both sides of the band too.
+    params, _ = ORACLE_PLANS[plan]
+    rng = np.random.default_rng(17)
+    frames = rng.normal(size=(3, params.n_subcarriers)) + 1j * rng.normal(size=(3, params.n_subcarriers))
+    out = np.full((3, params.n_oversampled), np.nan, complex)
+    got = _place_frames(frames, params.oversample, params.carrier_bin, out=out)
+    assert got is out
+    want = np.roll(oversample_extend(frames, params.oversample), params.carrier_bin, axis=-1)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("plan", sorted(ORACLE_PLANS))
+def test_modulating_the_frame_placed_at_the_carrier_gives_x_times_the_carrier(plan):
+    # An on-bin carrier shifts the spectrum by k_c bins, so the modulator
+    # writes x c directly (README section 5).
+    params, _ = ORACLE_PLANS[plan]
+    scheme = ModScheme.from_name("16qam")
+    bits = np.random.default_rng(19).integers(0, 2, (20, params.n_subcarriers * 4), dtype=np.uint8)
+    baseband = baseband_frames(bits, scheme, params)
+    frames = _place_frames(map_bits(bits, scheme), params.oversample, params.carrier_bin)
+    got = ofdm_modulate(frames, params)
+    want = baseband * _carrier(params.n_oversampled, params)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(baseband))
 
 
 def test_modulate_zero_frame():

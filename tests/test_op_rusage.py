@@ -1,4 +1,5 @@
-"""``tools/op_rusage.py``'s cell clock, on synthetic progress messages.
+"""``tools/op_rusage.py``'s cell clock, on synthetic progress messages, and
+its draw and stage clocks, on a fake clock.
 
 A PAPR unit is a scheme, whose first CR cell carries the pass every CR
 shares; a BER unit is a (scheme, CR) pair, whose first cell carries its
@@ -78,3 +79,29 @@ def test_the_draw_clocks_time_each_bit_draw_and_each_unit_s_normals(
     simulate_chain_ber(OfdmParams(), ModScheme.from_name("qpsk"), ebn0_db=ebn0_db,
                        min_bits=2000, seed=5)
     assert draws == {"bits_s": 1.0, "normals_s": float(normals_drawn)}
+
+
+def test_the_stage_clocks_time_every_stage_a_papr_chunk_calls(op_rusage, monkeypatch):
+    # On the fake clock each timed call takes one second, so a stage's
+    # seconds equal its calls. One thread, 1000 QPSK symbols at two CRs:
+    # 8 chunks of up to 128 frames, each modulated once and clipped,
+    # filtered and read twice, and its unclipped PAPR read once.
+    from paprsim import ExperimentSpec, ModScheme, harness, run_papr_experiment
+
+    for name in op_rusage.STAGES:  # restored when the test ends
+        monkeypatch.setattr(harness, name, getattr(harness, name))
+    monkeypatch.setattr(harness, "_worker_count", lambda: 1)
+    now = [0.0]
+
+    def tick():
+        now[0] += 1.0
+        return now[0]
+
+    monkeypatch.setattr(op_rusage, "time", types.SimpleNamespace(perf_counter=tick))
+    seconds, calls = op_rusage.time_calls({name: name for name in op_rusage.STAGES})
+    run_papr_experiment(ExperimentSpec(schemes=(ModScheme.from_name("qpsk"),), cr_values=(1.0, 1.4),
+                                       n_symbols=1000, ccdf_read_point=1e-2))
+    assert calls == {"_random_bits": 8, "_map_rows": 8, "_extend_rows": 8, "_modulate_rows": 8,
+                     "_clip_magnitude_rows": 16, "_composed_rows": 16, "_filter_inverse": 16,
+                     "envelope_magnitude": 16, "_papr_db_rows": 24}
+    assert seconds == {name: float(count) for name, count in calls.items()}

@@ -38,9 +38,10 @@ from oracles import (
     analytic_envelope,
     baseband_frames,
     batch_papr_cell,
+    carrier_frames,
     papr_db_max_mean,
 )
-from units import papr_stream, papr_unit
+from units import noise_free_unit, papr_stream, papr_unit, spy_chunk_buffers
 
 # 1037 symbols leave a partial last chunk on every plan: 8 x 128 + 13 on the
 # reference plan, 5 x 204 + 17 on nyquist_edge, 7 x 146 + 15 on high_carrier.
@@ -72,11 +73,10 @@ def test_unclipped_papr_on_an_edge_plan_is_that_of_the_analytic_envelope(monkeyp
     # A band edge on DC or Nyquist is its own image, so the envelope of an
     # unclipped symbol is not |x| there (README section 7): on 16-QAM the
     # two PAPR reads differ by over 0.2 dB. The streamed read must be the
-    # literal analytic envelope's of upconvert(x), on every chunk, and
-    # envelope_magnitude's of x bit for bit: a chunk reads it from x before
-    # the clip and the forward half overwrite the block. Read from the
-    # forward half's x c divided back by c, 302 (nyquist_edge) and 241
-    # (dc_edge) of the 1037 values differed in their last bits.
+    # literal analytic envelope's of upconvert(x), on every chunk, and bit
+    # for bit the envelope of x c, the modulator's carrier-placed block,
+    # read with the edge tone at its own bin (harness._envelope): a chunk
+    # reads it before the last level's inverse half overwrites the block.
     params, edges = ORACLE_PLANS[plan]
     scheme = ModScheme.from_name("16qam")
     spec = ExperimentSpec(params=params, schemes=(scheme,), cr_values=(1.2,),
@@ -90,7 +90,7 @@ def test_unclipped_papr_on_an_edge_plan_is_that_of_the_analytic_envelope(monkeyp
     want = papr_db_max_mean(analytic_envelope(upconvert(baseband, params), params))
     np.testing.assert_allclose(unclipped, want, rtol=0, atol=1e-12)
     assert np.max(np.abs(want - papr_db_max_mean(baseband))) > 0.2
-    envelope = harness.envelope_magnitude(baseband, params)
+    envelope = harness._envelope(carrier_frames(bits, scheme, params), params, 0)
     assert np.array_equal(unclipped, _papr_db_rows(envelope**2))
 
 
@@ -98,9 +98,9 @@ def test_unclipped_papr_on_an_edge_plan_is_that_of_the_analytic_envelope(monkeyp
 def test_papr_chunk_runs_two_inverse_and_one_real_transform(monkeypatch, plan):
     # One chunk: the modulator's IFFT, the filter's real FFT of the clipped
     # passband and its IFFT to the envelope. The clip stage runs once, on
-    # |x| of the unclipped baseband, and writes only its factor. On every
-    # plan the unclipped PAPR is the np.max / np.mean form of the
-    # envelope's squares bit for bit.
+    # |x c| of the modulator's carrier-placed block, and writes only its
+    # factor. On every plan the unclipped PAPR is the np.max / np.mean form
+    # of the squares of that block's envelope bit for bit.
     params, edges = ORACLE_PLANS[plan]
     scheme = ModScheme.from_name("16qam")
     spec = ExperimentSpec(params=params, n_symbols=1000, ccdf_read_point=1e-2,
@@ -109,6 +109,7 @@ def test_papr_chunk_runs_two_inverse_and_one_real_transform(monkeypatch, plan):
     amplitude = _clip_level(params, 1.2)
     bits = _random_bits(np.random.default_rng(47), 6, params.n_subcarriers * 4)
     baseband = baseband_frames(bits, scheme, params)
+    shifted = carrier_frames(bits, scheme, params)
     calls = {"fft": 0, "ifft": 0, "rfft": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
@@ -130,10 +131,10 @@ def test_papr_chunk_runs_two_inverse_and_one_real_transform(monkeypatch, plan):
     monkeypatch.undo()
     assert calls == {"fft": 0, "ifft": 2, "rfft": 1}
     ((before, after, factor),) = clips
-    assert np.array_equal(before, np.abs(baseband)) and np.array_equal(after, before)
-    assert np.array_equal(factor, amplitude / np.maximum(np.abs(baseband), amplitude))
+    assert np.array_equal(before, np.abs(shifted)) and np.array_equal(after, before)
+    assert np.array_equal(factor, amplitude / np.maximum(np.abs(shifted), amplitude))
     # The unclipped envelope is |x| but on an edge plan (README section 7).
-    envelope = harness.envelope_magnitude(baseband, params)
+    envelope = harness._envelope(shifted, params, 0)
     assert np.array_equal(unclipped, papr_db_max_mean(envelope))
     want = papr_db_max_mean(harness.envelope_magnitude(
         composed_filter(clip_baseband(baseband, amplitude), params, hpf), params))
@@ -187,6 +188,33 @@ def test_a_unit_modulates_each_chunk_once_for_all_its_crs(monkeypatch):
                      "_composed_rows": 3 * chunks}
 
 
+@pytest.mark.parametrize("experiment", ["papr_unit", "clipped_ber_unit"])
+def test_the_forward_half_reads_the_real_view_of_the_block(monkeypatch, experiment):
+    # The modulator leaves x c in the block, so no chunk forms a complex
+    # product of a whole block: the forward half gets the block's real
+    # view, Re(x c), the passband itself.
+    params = ORACLE_PLANS["high_carrier"][0]
+    spec = ExperimentSpec(params=params, schemes=(ModScheme.from_name("8qam"),),
+                          cr_values=SHARED_CRS, n_symbols=N_SYMBOLS, ccdf_read_point=1e-2)
+    monkeypatch.setattr(harness, "_worker_count", lambda: 1)
+    buffers, seen, forward = spy_chunk_buffers(monkeypatch), [], harness._composed_rows
+
+    def spy(samples, fold, *, factor=None):
+        seen.append(samples)
+        return forward(samples, fold, factor=factor)
+
+    monkeypatch.setattr(harness, "_composed_rows", spy)
+    if experiment == "papr_unit":
+        papr_unit(spec, spec.schemes[0])
+    else:
+        noise_free_unit(params, spec.schemes[0], 1.2, experiment_hpf(spec), 20_000, 3)
+    ((_, (_, block, _)),) = buffers
+    assert seen
+    for samples in seen:
+        assert samples.dtype == float and samples.strides[-1] == 16
+        assert samples.__array_interface__["data"][0] == block.__array_interface__["data"][0]
+
+
 @pytest.mark.parametrize("plan", sorted(ORACLE_PLANS))
 def test_filter_with_the_clip_factor_equals_the_filter_of_the_clipped_block(plan):
     params, edges = ORACLE_PLANS[plan]
@@ -198,9 +226,12 @@ def test_filter_with_the_clip_factor_equals_the_filter_of_the_clipped_block(plan
     baseband = baseband_frames(bits, ModScheme.from_name("8psk"), params)
     amplitude = _clip_level(params, 0.9)
     want = composed_filter(clip_baseband(baseband, amplitude), params, hpf)
-    factor = _clip_factor(np.abs(baseband), amplitude)
-    out = baseband.copy()
-    got = _filter_inverse(_filter_forward(out, _composed_fold(params, hpf), factor=factor), out)
+    # The chunk's form: the passband is the real view of the carrier-placed
+    # block x c, and the inverse half overwrites the block.
+    shifted = carrier_frames(bits, ModScheme.from_name("8psk"), params)
+    factor = _clip_factor(np.abs(shifted), amplitude)
+    fold = _composed_fold(params, hpf)
+    got = _filter_inverse(_filter_forward(shifted.real, fold, factor=factor), shifted)
     assert np.max(np.abs(got - want)) < 1e-14
 
 
@@ -343,17 +374,49 @@ def test_papr_cell_memory_is_flat_in_n_symbols():
     assert abs(large - small) <= 0.1 * small, (small, large)
 
 
+#: The harness's names for the stages a PAPR chunk calls.
+CHUNK_STAGES = ("_random_bits", "_map_rows", "_extend_rows", "_modulate_rows",
+                "_clip_magnitude_rows", "_composed_rows", "_filter_inverse",
+                "envelope_magnitude", "_papr_db_rows")
+
+
+def _papr_array_peak(monkeypatch, cr_values) -> int:
+    """The most bytes numpy's arrays held at the return of any chunk stage
+    (``CHUNK_STAGES``) of a QPSK PAPR call of 2000 symbols: the traces of
+    numpy's tracemalloc domain, its data buffers, and no Python object."""
+    spec = ExperimentSpec(params=OfdmParams(), schemes=(ModScheme.from_name("qpsk"),),
+                          cr_values=cr_values, n_symbols=2000, ccdf_read_point=1e-2)
+    arrays = tracemalloc.DomainFilter(inclusive=True, domain=np.lib.tracemalloc_domain)
+    peak = [0]
+
+    def measured(stage):
+        def wrapper(*args, **kwargs):
+            result = stage(*args, **kwargs)
+            traces = tracemalloc.take_snapshot().filter_traces([arrays]).traces
+            peak[0] = max(peak[0], sum(trace.size for trace in traces))
+            return result
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        for name in CHUNK_STAGES:
+            patch.setattr(harness, name, measured(getattr(harness, name)))
+        tracemalloc.start()
+        try:
+            run_papr_experiment(spec)
+        finally:
+            tracemalloc.stop()
+    return peak[0]
+
+
 @pytest.mark.parametrize("n_crs", [2, 5])
 def test_each_extra_cr_adds_only_the_spare_and_its_vector_to_the_peak(monkeypatch, n_crs):
     # One thread: the spare widens its scratch by half a chunk of 128
     # blocks of 1024 complex samples, 1 MiB. Each extra CR keeps one
-    # float64 PAPR vector of n_symbols. The 512 bytes a CR leave room for
-    # its array objects.
+    # float64 PAPR vector of n_symbols, and nothing else of numpy's.
     monkeypatch.setattr(harness, "_worker_count", lambda: 1)
     crs = (0.8, 1.0, 1.2, 1.4, 1.6)
-    _papr_peak_bytes(1000)  # caches filled once, outside the comparison
-    one = _papr_peak_bytes(2000)
-    many = _papr_peak_bytes(2000, crs[:n_crs])
+    _papr_array_peak(monkeypatch, crs[:1])  # caches filled once, outside the comparison
+    one = _papr_array_peak(monkeypatch, crs[:1])
+    many = _papr_array_peak(monkeypatch, crs[:n_crs])
     spare = _chunk_frames(OfdmParams().n_oversampled) * OfdmParams().n_oversampled * 8
-    extra = (n_crs - 1) * (2000 * 8 + 512)
-    assert spare <= many - one <= spare + extra, (one, many)
+    assert spare <= many - one <= spare + (n_crs - 1) * 2000 * 8, (one, many)

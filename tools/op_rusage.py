@@ -5,7 +5,9 @@ the library's helper threads started, the seconds spent drawing bits
 (``harness._random_bits``) and drawing BER units' normals
 (``harness._unit_normals``), the 8-, 16- and 32-PSK symbols the measured
 rounds sliced and how many of them took the exact near-boundary path,
-and peak RSS, numbers that ``perfbench/run.py`` does not report.
+and peak RSS, numbers that ``perfbench/run.py`` does not report. With
+``--stages`` it also prints the seconds a round spends in each stage
+name of the harness (``STAGES``) and the milliseconds a call.
 
 The operations are those ``perfbench/workloads.py`` builds for the first
 ``--steps`` steps (default: the workload's traced prefix) at ``--seed``.
@@ -21,7 +23,7 @@ CR cells only read their curves. A BER unit is a (scheme, CR) pair: its
 first cell runs the unit's transmit and its first Eb/N0 point.
 Results are not checked; ``perfbench/run.py`` does that.
 
-Usage: python tools/op_rusage.py WORKLOAD [--steps S] [--rounds K] [--seed N]
+Usage: python tools/op_rusage.py WORKLOAD [--steps S] [--rounds K] [--seed N] [--stages]
 
 The library uses every CPU the process may run on, so
 ``taskset -c 0 python tools/op_rusage.py ber_sweep`` measures one CPU.
@@ -29,9 +31,16 @@ Helper threads are counted by wrapping ``threading.Thread.start`` in this
 process for threads named ``paprsim-runner*``, draws by wrapping
 ``harness._random_bits`` and ``harness._unit_normals`` (seconds summed over
 the threads that drew; a unit's normals are drawn beside its transmit
-chunks on two or more CPUs), and PSK symbols by wrapping
+chunks on two or more CPUs), stages by wrapping each name of ``STAGES``
+in the same way, and PSK symbols by wrapping
 ``constellation._psk_labels`` (orders above 4) and
-``constellation._boundary_decisions``.
+``constellation._boundary_decisions``. A stage's seconds include the
+time it waits for the interpreter lock while another thread runs, so
+they are exact only on one CPU: ``taskset -c 0 python tools/op_rusage.py
+papr_ccdf --stages``. A stage's seconds include those of any stage it
+calls; none of ``STAGES`` calls another, but the unclipped envelope of a
+plan with a band edge on DC or Nyquist (``harness._envelope``) is in
+none of them.
 """
 from __future__ import annotations
 
@@ -42,7 +51,7 @@ import statistics
 import sys
 import threading
 import time
-from collections import defaultdict
+from collections import ChainMap, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,6 +60,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import paprsim  # noqa: E402
 from paprsim import constellation, harness  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
+
+
+#: The harness's stage names that ``--stages`` times: a PAPR chunk calls
+#: each, a clipped BER chunk the first six.
+STAGES = ("_random_bits", "_map_rows", "_extend_rows", "_modulate_rows", "_clip_magnitude_rows",
+          "_composed_rows", "_filter_inverse", "envelope_magnitude", "_papr_db_rows")
 
 
 class CellClock:
@@ -120,26 +135,36 @@ def count_helper_starts() -> list[int]:
     return starts
 
 
+def time_calls(keys: dict[str, str]) -> tuple[dict[str, float], dict[str, int]]:
+    """Wrap each ``harness`` function named by a key of ``keys`` in this
+    process; returns two dicts keyed by the values of ``keys``: the seconds
+    spent in each function, summed over the threads that called it, and
+    its calls."""
+    seconds, calls = dict.fromkeys(keys.values(), 0.0), dict.fromkeys(keys.values(), 0)
+    lock = threading.Lock()
+
+    def timed(key: str, function):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return function(*args, **kwargs)
+            finally:
+                with lock:
+                    seconds[key] += time.perf_counter() - start
+                    calls[key] += 1
+
+        return wrapper
+
+    for name, key in keys.items():
+        setattr(harness, name, timed(key, getattr(harness, name)))
+    return seconds, calls
+
+
 def time_draws() -> dict[str, float]:
     """Wrap ``harness._random_bits`` and ``harness._unit_normals`` in this
     process; returns a dict of the seconds spent in each, ``bits_s`` and
     ``normals_s``, summed over the threads that drew."""
-    seconds, lock = {"bits_s": 0.0, "normals_s": 0.0}, threading.Lock()
-
-    def timed(name: str, draw):
-        def wrapper(*args):
-            start = time.perf_counter()
-            try:
-                return draw(*args)
-            finally:
-                with lock:
-                    seconds[name] += time.perf_counter() - start
-
-        return wrapper
-
-    harness._random_bits = timed("bits_s", harness._random_bits)
-    harness._unit_normals = timed("normals_s", harness._unit_normals)
-    return seconds
+    return time_calls({"_random_bits": "bits_s", "_unit_normals": "normals_s"})[0]
 
 
 def count_psk_symbols() -> dict[str, int]:
@@ -168,14 +193,15 @@ def count_psk_symbols() -> dict[str, int]:
     return counts
 
 
-def measure(ops, helper_starts: list[int], draws: dict[str, float],
+def measure(ops, helper_starts: list[int], timed: dict[str, float],
             clock: CellClock | None = None) -> tuple[dict, int]:
     """One round over ``ops``: its wall, user and system seconds, minor
     page faults, voluntary and involuntary context switches, helper
     threads started (``helper_starts``, from ``count_helper_starts``) and
-    draw seconds (``draws``, from ``time_draws``), and how many operations
-    failed. Cells are timed on ``clock``."""
-    drawn, starts = dict(draws), helper_starts[0]
+    the seconds of each timed function (``timed``: the draws of
+    ``time_draws`` and any stages of ``time_calls``), and how many
+    operations failed. Cells are timed on ``clock``."""
+    before_timed, starts = dict(timed), helper_starts[0]
     before = resource.getrusage(resource.RUSAGE_SELF)
     start = time.perf_counter()
     failed = sum(not run(op, clock) for op in ops)
@@ -188,7 +214,7 @@ def measure(ops, helper_starts: list[int], draws: dict[str, float],
         "nvcsw": after.ru_nvcsw - before.ru_nvcsw,
         "nivcsw": after.ru_nivcsw - before.ru_nivcsw,
         "helper_starts": helper_starts[0] - starts,
-        **{name: draws[name] - drawn[name] for name in draws},
+        **{name: timed[name] - before_timed[name] for name in timed},
     }, failed
 
 
@@ -198,6 +224,8 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--steps", type=int, default=None)
     parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--seed", type=int, default=31001)
+    parser.add_argument("--stages", action="store_true",
+                        help="also time each stage name of the harness (STAGES)")
     args = parser.parse_args(argv)
     workload = WORKLOADS[args.workload]
     steps = workload.trace_steps if args.steps is None else args.steps
@@ -205,9 +233,11 @@ def main(argv: list[str]) -> int:
         parser.error("--steps and --rounds must be at least 1")
     ops = workload.run_ops(args.seed, steps)
     helper_starts, draws = count_helper_starts(), time_draws()
-    measure(ops, helper_starts, draws)  # warm-up round
+    stages, calls = time_calls({name: name for name in STAGES if args.stages})
+    timed = ChainMap(draws, stages)
+    measure(ops, helper_starts, timed)  # warm-up round
     clock, psk_counts = CellClock(), count_psk_symbols()
-    rounds = [measure(ops, helper_starts, draws, clock) for _ in range(args.rounds)]
+    rounds = [measure(ops, helper_starts, timed, clock) for _ in range(args.rounds)]
     failed = rounds[0][1]
     print(f"{args.workload}: {len(ops)} operations a round ({failed} failed), seed {args.seed}, "
           f"{args.rounds} rounds after one warm-up, {len(os.sched_getaffinity(0))} CPUs")
@@ -219,6 +249,15 @@ def main(argv: list[str]) -> int:
               f"{median / len(ops):.6g} an operation")
     print(f"  psk_symbols   {psk_counts['psk_sliced']} sliced at orders 8-32 in the "
           f"{args.rounds} rounds, {psk_counts['psk_near_boundary']} of them near a boundary")
+    if stages:
+        print("  stage                  median ms a round [min, max]    calls a round  ms a call")
+    for name in stages:
+        median = statistics.median(r[name] for r, _ in rounds)
+        low, high = min(r[name] for r, _ in rounds), max(r[name] for r, _ in rounds)
+        # Every round, the warm-up too, runs the same operations.
+        per_round = calls[name] / (args.rounds + 1)
+        print(f"    {name:<20} {1e3 * median:10.3f} [{1e3 * low:.3f}, {1e3 * high:.3f}]"
+              f"  {per_round:13.6g}  {1e3 * median / per_round if per_round else 0.0:9.4f}")
     # ru_maxrss is in KiB on Linux.
     print(f"  max_rss_mb    {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.2f}")
     for kind, unit in (("papr", "a scheme's first CR cell, its later CR cells"),
